@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-rest test-full test-snapshot bench bench-json bench-gate \
+.PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench bench-json bench-gate \
 	bench-sharded-json bench-sharded-gate bench-telemetry-json bench-telemetry-gate \
 	e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
 	validate-examples scenario-golden
@@ -41,9 +41,21 @@ test-snapshot:
 test-race-rest:
 	$(GO) test -short -race -timeout 30m -skip '$(SNAPSHOT_TESTS)' ./...
 
+# The cross-thread data path at full length under the race detector:
+# loose synchronization (several workers, sync_period > 1) over 20k
+# cycles with exact flit conservation, the lock-free VC buffer's
+# two-goroutine stress test, and engine-worker panic containment. The
+# short race gate runs the same tests over shorter windows.
+test-loose-sync:
+	$(GO) test -race -count=1 -timeout 20m \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestEngineContainsTilePanic' \
+		./internal/core ./internal/noc ./internal/sim
+
 # One iteration of every benchmark in the repo: the root-package figure
 # benchmarks plus the per-package micro-benchmarks (sweep overhead,
-# engine, ...). HORNET_FULL=1 switches to paper-scale parameters.
+# engine, router, VC buffer, table lookup, ...). Blocking in CI so a
+# benchmark cannot rot: a bench that panics or fails breaks the build.
+# HORNET_FULL=1 switches to paper-scale parameters.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

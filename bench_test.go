@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation (one bench per experiment; see DESIGN.md's experiment index
-// and EXPERIMENTS.md for paper-vs-measured numbers), plus engine
-// micro-benchmarks. Run a single figure with e.g.
+// evaluation (one bench per experiment; README.md, "Regenerating the
+// paper's figures", names them), plus engine micro-benchmarks. Run a
+// single figure with e.g.
 //
 //	go test -bench=BenchFig8 -benchtime=1x
 //

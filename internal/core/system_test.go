@@ -259,3 +259,84 @@ func TestEjectionOnlyToDestination(t *testing.T) {
 }
 
 var _ = noc.InvalidNode
+
+// TestLooseSyncConservesFlits is the regression test for the arrival-
+// stamp underflow: with several workers and sync_period > 1 a neighbour
+// can push a flit after the owner's scan, and the old router, which peeked
+// every ingress VC again in each egress round, could pop it in the same
+// cycle, driving the stamp ring negative and panicking on an engine
+// worker. The router now pops only VCs its scan listed as occupied, so
+// such a flit waits for the next scan. Any panic or lost flit fails the
+// run.
+func TestLooseSyncConservesFlits(t *testing.T) {
+	cycles := uint64(20_000)
+	if testing.Short() {
+		cycles = 5_000
+	}
+	for _, pattern := range []string{config.PatternTranspose, config.PatternUniform} {
+		for _, workers := range []int{2, 4} {
+			for _, period := range []int{5, 50} {
+				t.Run(fmt.Sprintf("%s/workers-%d/sync-%d", pattern, workers, period), func(t *testing.T) {
+					cfg := config.Default()
+					cfg.Engine.Workers = workers
+					cfg.Engine.SyncPeriod = period
+					cfg.Traffic = []config.TrafficConfig{{Pattern: pattern, InjectionRate: 0.05}}
+					sys, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.AttachSyntheticTraffic(); err != nil {
+						t.Fatal(err)
+					}
+					if res := sys.Run(cycles); res.Err != nil || res.Cycles != cycles {
+						t.Fatalf("run: %+v", res)
+					}
+					sum := sys.Summary()
+					if sum.PacketsDelivered == 0 {
+						t.Fatal("no packets delivered")
+					}
+					if int64(sum.FlitsInjected-sum.FlitsDelivered) != sys.InFlight() {
+						t.Fatalf("flit conservation violated: injected %d, delivered %d, in flight %d",
+							sum.FlitsInjected, sum.FlitsDelivered, sys.InFlight())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRouterSteadyStateAllocFree guards the zero-allocation router hot
+// path: once the routing-table lines and per-flow statistics records of a
+// fixed flow set exist, stepping every tile through a cycle allocates
+// nothing. Transpose traffic has one destination per source, so the flow
+// set is complete after a short warm-up.
+func TestRouterSteadyStateAllocFree(t *testing.T) {
+	cfg := config.Default()
+	cfg.Engine.Workers = 1
+	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternTranspose, InjectionRate: 0.05}}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AttachSyntheticTraffic(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(5_000)
+	cycle := sys.Clock()
+	tiles := sys.Tiles()
+	allocs := testing.AllocsPerRun(2_000, func() {
+		for _, tile := range tiles {
+			tile.PhaseTransfer(cycle)
+		}
+		for _, tile := range tiles {
+			tile.PhaseCommit(cycle)
+		}
+		cycle++
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per simulated cycle in steady state, want 0", allocs)
+	}
+	if sys.Summary().FlitsDelivered == 0 {
+		t.Fatal("no traffic flowed: the guard measured an idle mesh")
+	}
+}

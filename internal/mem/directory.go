@@ -12,8 +12,8 @@ import (
 // across tiles by AddressMap.Home. The slice owns the authoritative data
 // for its lines in a Store; memory-controller traffic (MsgMemRead on
 // first touch, MsgMemWrite on write-back) models the off-chip timing and
-// congestion while the data itself stays in the slice, a simplification
-// documented in DESIGN.md.
+// congestion while the data itself stays in the slice — a simplification:
+// off-chip memory holds no second copy of the data.
 type Directory struct {
 	node   noc.NodeID
 	am     *AddressMap

@@ -1,9 +1,9 @@
 // Package noc implements HORNET's cycle-level network-on-chip model: an
 // ingress-queued wormhole virtual-channel router with table-driven route
 // computation (RC), virtual-channel allocation (VA), randomized switch
-// arbitration (SA) and switch traversal (ST); two-lock VC buffers that are
-// the only inter-thread communication points; and bandwidth-adaptive
-// bidirectional links (paper §II-A).
+// arbitration (SA) and switch traversal (ST); lock-free single-producer/
+// single-consumer VC buffers that are the only inter-thread communication
+// points; and bandwidth-adaptive bidirectional links (paper §II-A).
 package noc
 
 import "fmt"

@@ -108,44 +108,67 @@ func TestVCBufferCommittedPops(t *testing.T) {
 	}
 }
 
-// TestVCBufferConcurrentSPSC hammers the two-lock buffer with a single
-// producer and single consumer and checks nothing is lost or reordered —
-// the paper's §II-C functional-correctness requirement.
+// TestVCBufferConcurrentSPSC drives the lock-free ring with one producer
+// and one consumer on separate goroutines, the producer pushing only on
+// credit (capacity - (pushes - CommittedPops)) as the router does, and
+// checks the paper's §II-C functional-correctness requirement: nothing
+// lost, nothing reordered, and no slot overwritten before it was popped.
+// Run it under -race: the detector checks that every slot hand-off is
+// ordered by the published counters.
 func TestVCBufferConcurrentSPSC(t *testing.T) {
-	b := NewVCBuffer(8)
-	const n = 50_000
+	b := NewVCBuffer(4)
+	const n = 100_000
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // producer
 		defer wg.Done()
 		pushes := uint64(0)
-		for i := 0; i < n; {
-			if int(pushes-b.CommittedPops()) < b.Capacity() {
-				if !b.Push(Flit{Packet: uint64(i)}) {
-					t.Error("push failed despite credit")
-					return
-				}
-				pushes++
-				i++
+		for pushes < n {
+			if int(pushes-b.CommittedPops()) == b.Capacity() {
+				runtime.Gosched() // no credit; single-core hosts: let the consumer run
 				continue
 			}
-			runtime.Gosched() // single-core hosts: let the consumer run
+			// Every field derives from the index, so a torn or stale
+			// slot cannot pass for the flit the consumer expects.
+			if !b.Push(Flit{Packet: pushes, FlowSeq: ^pushes, Latency: pushes * 3}) {
+				t.Error("push failed despite credit")
+				return
+			}
+			pushes++
 		}
 	}()
 	go func() { // consumer
 		defer wg.Done()
-		for i := 0; i < n; {
-			if _, ok := b.Peek(0); ok {
+		for i := uint64(0); i < n; {
+			// Pop everything visible, then commit once: the negative
+			// clock edge publishes a cycle's pops together.
+			popped := false
+			for {
+				head, ok := b.Peek(0)
+				if !ok {
+					break
+				}
+				seen := *head
 				f := b.Pop()
-				if f.Packet != uint64(i) {
-					t.Errorf("reordered: got %d want %d", f.Packet, i)
+				if f.Packet != i || f.FlowSeq != ^i || f.Latency != i*3 {
+					t.Errorf("flit %d: popped %+v", i, f)
+					return
+				}
+				if seen.Packet != i {
+					t.Errorf("flit %d: head changed between Peek and Pop (%+v)", i, seen)
 					return
 				}
 				i++
-				b.Commit()
-				continue
+				popped = true
 			}
-			runtime.Gosched()
+			if popped {
+				b.Commit()
+			} else {
+				runtime.Gosched()
+			}
+		}
+		if b.Len() != 0 {
+			t.Errorf("%d flits left after the last one expected", b.Len())
 		}
 	}()
 	wg.Wait()

@@ -61,8 +61,16 @@ type vcState struct {
 	outVC    int
 	pktID    uint64
 
+	// Fixed at construction: the buffer this state describes, the index
+	// of its ingress port and of the VC within it, and the node its flits
+	// arrive from (the router itself on the local port) — the routing and
+	// VCA tables' prev key.
+	buf      *VCBuffer
+	port, vc int
+	prev     NodeID
+
 	// stamps is a ring of local-clock arrival times, one per resident
-	// flit, maintained by the owning tile.
+	// flit the owning tile's scan has seen.
 	stamps []uint64
 	sHead  int
 	sCount int
@@ -85,8 +93,18 @@ func (s *vcState) stampArrivals(cycle uint64, live int) {
 	}
 }
 
-// popStamp consumes the oldest arrival stamp.
-func (s *vcState) popStamp() uint64 {
+// popStamp consumes the oldest arrival stamp. Only VCs on the occupied
+// list are popped, each was stamped for at least one flit by this cycle's
+// scan and loses at most one flit per cycle, so a flit a neighbour pushes
+// after the scan (loose synchronization) waits for the next scan and the
+// ring cannot run empty here. The sCount == 0 branch is a defensive guard
+// for that invariant: it keeps the count from going negative and answers
+// with the current local cycle, the value saveVCState records for
+// unscanned residents.
+func (s *vcState) popStamp(cycle uint64) uint64 {
+	if s.sCount == 0 {
+		return cycle
+	}
 	v := s.stamps[s.sHead]
 	s.sHead = (s.sHead + 1) % len(s.stamps)
 	s.sCount--
@@ -150,9 +168,25 @@ type Router struct {
 	inflight *atomic.Int64
 	recv     Receiver
 
-	// Injection state.
+	// bidir is set when any port's link is bandwidth-adaptive: only then
+	// do demand and free space have a reader.
+	bidir bool
+
+	// ingress lists every ingress VC, port-major and VC-minor. occupied is
+	// the subset that held flits at this cycle's scan, in the same order
+	// (rng.Perm indexes into lists filtered from it, so the order is part
+	// of the determinism contract). popped collects the buffers popped
+	// this cycle, whose credits the negative edge publishes.
+	ingress  []*vcState
+	occupied []*vcState
+	popped   []*VCBuffer
+
+	// Injection state. pending[pendHead:] is the queue; the consumed
+	// prefix is reclaimed when the queue empties or before it grows.
 	pending     []pendingPacket
-	curFlits    []Flit // flits of the packet currently streaming in
+	pendHead    int
+	streaming   bool   // a packet is streaming in from curFlits
+	curFlits    []Flit // its flits (storage reused across packets)
 	curNext     int
 	curVC       int
 	pktCounter  uint64
@@ -164,23 +198,18 @@ type Router struct {
 
 	// Scratch buffers reused across cycles to avoid allocation.
 	egressPerm  []int
-	candScratch []saCand
+	saBuckets   [][]*vcState // SA-eligible VCs per egress port
+	candScratch []*vcState
 	candPerm    []int
-	vaScratch   []vaReq
+	vaScratch   []*vcState
+	vcOK        []int
 	weights     []float64
+	demand      []int // SA-ready flits per egress port
 }
 
 // rerouteAfter is the VA-starvation threshold (cycles) after which a
 // routed-but-unallocated packet re-runs route computation.
 const rerouteAfter = 15
-
-type saCand struct {
-	iport, vc int
-}
-
-type vaReq struct {
-	iport, vc int
-}
 
 // RouterParams bundles construction inputs.
 type RouterParams struct {
@@ -219,34 +248,38 @@ func NewRouter(p RouterParams) *Router {
 	if t, ok := p.Table.(Adaptiver); ok && t.Adaptive() {
 		r.adaptive = true
 	}
-	local := &Port{Neighbor: InvalidNode}
-	for i := 0; i < p.LocalVCs; i++ {
-		local.In = append(local.In, NewVCBuffer(p.LocalBufFlits))
-	}
-	local.inState = make([]vcState, p.LocalVCs)
-	for i := range local.inState {
-		local.inState[i].stamps = make([]uint64, p.LocalBufFlits)
-	}
 	r.sourceState = make([]egressVC, p.LocalVCs)
-	r.ports = append(r.ports, local)
-	r.localPort = 0
+	r.localPort = r.addPort(InvalidNode, p.LocalVCs, p.LocalBufFlits)
 	return r
 }
 
 // AddPort creates the ingress side of a port facing neighbor and returns
 // its index. The egress side is wired afterwards with ConnectEgress.
 func (r *Router) AddPort(neighbor NodeID, vcs, bufFlits int) int {
-	p := &Port{Neighbor: neighbor}
-	for i := 0; i < vcs; i++ {
-		p.In = append(p.In, NewVCBuffer(bufFlits))
+	idx := r.addPort(neighbor, vcs, bufFlits)
+	r.byNode[neighbor] = idx
+	return idx
+}
+
+func (r *Router) addPort(neighbor NodeID, vcs, bufFlits int) int {
+	idx := len(r.ports)
+	prev := neighbor
+	if prev == InvalidNode {
+		prev = r.ID
 	}
-	p.inState = make([]vcState, vcs)
+	p := &Port{Neighbor: neighbor, inState: make([]vcState, vcs)}
 	for i := range p.inState {
-		p.inState[i].stamps = make([]uint64, bufFlits)
+		buf := NewVCBuffer(bufFlits)
+		p.In = append(p.In, buf)
+		st := &p.inState[i]
+		st.buf, st.port, st.vc, st.prev = buf, idx, i, prev
+		st.stamps = make([]uint64, bufFlits)
+		r.ingress = append(r.ingress, st)
 	}
 	r.ports = append(r.ports, p)
-	idx := len(r.ports) - 1
-	r.byNode[neighbor] = idx
+	r.egressPerm = make([]int, len(r.ports))
+	r.saBuckets = append(r.saBuckets, nil)
+	r.demand = append(r.demand, 0)
 	return idx
 }
 
@@ -262,6 +295,9 @@ func (r *Router) ConnectEgress(neighbor NodeID, downstream []*VCBuffer, link *Li
 	p.outState = make([]egressVC, len(downstream))
 	p.Link = link
 	p.Side = side
+	if link != nil && link.Bidirectional {
+		r.bidir = true
+	}
 }
 
 // SetReceiver installs the local packet consumer.
@@ -285,8 +321,8 @@ func (r *Router) Stats() *stats.Tile { return r.st }
 // PendingPackets returns the injector queue length plus any packet
 // currently being streamed into the local ingress.
 func (r *Router) PendingPackets() int {
-	n := len(r.pending)
-	if r.curFlits != nil {
+	n := len(r.pending) - r.pendHead
+	if r.streaming {
 		n++
 	}
 	return n
@@ -304,13 +340,20 @@ func (r *Router) OfferPacket(p Packet) {
 	p.ID = (uint64(r.ID)+1)<<40 | r.pktCounter
 	r.flowSeq[p.Flow]++
 	p.FlowSeq = r.flowSeq[p.Flow]
+	if len(r.pending) == cap(r.pending) && r.pendHead > len(r.pending)/2 {
+		// Reclaim the consumed prefix instead of growing: it frees more
+		// slots than it copies, so queueing stays O(1) amortized.
+		n := copy(r.pending, r.pending[r.pendHead:])
+		clear(r.pending[n:])
+		r.pending, r.pendHead = r.pending[:n], 0
+	}
 	r.pending = append(r.pending, pendingPacket{pkt: p})
 }
 
 // NextEvent implements the fast-forward query for the injector: if any
 // packet is queued or streaming, the router can act next cycle.
 func (r *Router) NextEvent(now uint64) uint64 {
-	if len(r.pending) > 0 || r.curFlits != nil {
+	if r.PendingPackets() > 0 {
 		return now + 1
 	}
 	return sim.NoEvent
@@ -318,32 +361,46 @@ func (r *Router) NextEvent(now uint64) uint64 {
 
 // PhaseTransfer runs the positive clock edge: arrival stamping, injection
 // streaming, route computation, VC allocation, switch arbitration and
-// traversal.
+// traversal. One scan finds the occupied ingress VCs; every later stage
+// walks only those, so an idle router costs the scan and the one egress
+// permutation draw that keeps its RNG stream in step.
 func (r *Router) PhaseTransfer(cycle uint64) {
-	for _, p := range r.ports {
-		for vi, buf := range p.In {
-			p.inState[vi].stampArrivals(cycle, buf.Len())
+	r.occupied = r.occupied[:0]
+	for _, st := range r.ingress {
+		if live := st.buf.Len(); live > 0 {
+			st.stampArrivals(cycle, live)
+			r.occupied = append(r.occupied, st)
 		}
 	}
+	// A flit injected now becomes visible next cycle, so it need not be
+	// in this cycle's occupied list.
 	r.injectFlits(cycle)
 	r.routeAndAllocate(cycle)
 	r.arbitrateAndTraverse(cycle)
 	r.reportLinkDemand(cycle)
 }
 
-// PhaseCommit runs the negative clock edge: commit ingress pops so
-// producers see fresh credits, publish link space, run link arbiters.
+// PhaseCommit runs the negative clock edge: commit this cycle's ingress
+// pops so producers see fresh credits and, on bandwidth-adaptive links,
+// publish ingress free space and run the link arbiters.
 func (r *Router) PhaseCommit(cycle uint64) {
+	for _, b := range r.popped {
+		b.Commit()
+	}
+	r.popped = r.popped[:0]
+	if !r.bidir {
+		return
+	}
 	for _, p := range r.ports {
+		if p.Link == nil || !p.Link.Bidirectional {
+			continue
+		}
 		free := 0
 		for _, b := range p.In {
-			b.Commit()
 			free += b.Capacity() - b.Len()
 		}
-		if p.Link != nil {
-			p.Link.ReportSpace(p.Side, free)
-			p.Link.Arbitrate(p.Side)
-		}
+		p.Link.ReportSpace(p.Side, free)
+		p.Link.Arbitrate(p.Side)
 	}
 }
 
@@ -351,14 +408,17 @@ func (r *Router) PhaseCommit(cycle uint64) {
 // ingress VC, at most one flit per cycle (the CPU->switch channel), and
 // starts the next pending packet when idle.
 func (r *Router) injectFlits(cycle uint64) {
-	if r.curFlits == nil {
-		if len(r.pending) == 0 {
+	if !r.streaming {
+		if r.pendHead == len(r.pending) {
 			return
 		}
-		pp := r.pending[0]
-		copy(r.pending, r.pending[1:])
-		r.pending = r.pending[:len(r.pending)-1]
-		r.startPacket(pp.pkt, cycle)
+		pkt := r.pending[r.pendHead].pkt
+		r.pending[r.pendHead] = pendingPacket{}
+		r.pendHead++
+		if r.pendHead == len(r.pending) {
+			r.pending, r.pendHead = r.pending[:0], 0
+		}
+		r.startPacket(pkt)
 	}
 	// Stable per-flow VC choice keeps same-flow packets in FIFO order
 	// through injection (required for EDVCA's in-order guarantee).
@@ -387,14 +447,18 @@ func (r *Router) injectFlits(cycle uint64) {
 	r.st.BufWrites++
 	r.inflight.Add(1)
 	if r.curNext == len(r.curFlits) {
-		r.curFlits = nil
+		r.streaming = false
 	}
 }
 
-func (r *Router) startPacket(p Packet, cycle uint64) {
+func (r *Router) startPacket(p Packet) {
 	r.st.PacketsInjected++
 	n := p.Flits
-	r.curFlits = make([]Flit, n)
+	if cap(r.curFlits) < n {
+		r.curFlits = make([]Flit, n)
+	}
+	r.curFlits = r.curFlits[:n]
+	r.streaming = true
 	for i := 0; i < n; i++ {
 		k := Body
 		switch {
@@ -423,34 +487,31 @@ func (r *Router) startPacket(p Packet, cycle uint64) {
 	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.ports[r.localPort].In)))
 }
 
-// routeAndAllocate performs the RC and VA stages for every ingress VC
-// whose head flit is a packet head. VA requests are served in randomized
-// order (paper §II-A5).
+// routeAndAllocate performs the RC and VA stages for every occupied
+// ingress VC whose head flit is a packet head. VA requests are served in
+// randomized order (paper §II-A5).
 func (r *Router) routeAndAllocate(cycle uint64) {
 	r.vaScratch = r.vaScratch[:0]
-	for pi, p := range r.ports {
-		for vi, buf := range p.In {
-			st := &p.inState[vi]
-			f, ok := buf.Peek(cycle)
-			if !ok {
-				continue
+	for _, st := range r.occupied {
+		f, ok := st.buf.Peek(cycle)
+		if !ok {
+			continue
+		}
+		// A packet stuck in VA re-runs route computation so schemes
+		// with path diversity (PROM's escape channel, adaptive
+		// routing) can resample a next hop whose VCs are free.
+		if st.routed && !st.vaDone && cycle-st.routedAt > rerouteAfter {
+			st.reset()
+		}
+		if !st.routed {
+			if !f.Kind.IsHead() {
+				panic(fmt.Sprintf("noc: router %d port %d vc %d: body flit %v at head without route", r.ID, st.port, st.vc, *f))
 			}
-			// A packet stuck in VA re-runs route computation so schemes
-			// with path diversity (PROM's escape channel, adaptive
-			// routing) can resample a next hop whose VCs are free.
-			if st.routed && !st.vaDone && cycle-st.routedAt > rerouteAfter {
-				st.reset()
-			}
-			if !st.routed {
-				if !f.Kind.IsHead() {
-					panic(fmt.Sprintf("noc: router %d port %d vc %d: body flit %v at head without route", r.ID, pi, vi, *f))
-				}
-				r.computeRoute(p, st, f, cycle)
-				continue // VA next cycle at the earliest
-			}
-			if !st.vaDone && st.routedAt < cycle {
-				r.vaScratch = append(r.vaScratch, vaReq{iport: pi, vc: vi})
-			}
+			r.computeRoute(st, f, cycle)
+			continue // VA next cycle at the earliest
+		}
+		if !st.vaDone && st.routedAt < cycle {
+			r.vaScratch = append(r.vaScratch, st)
 		}
 	}
 	if len(r.vaScratch) == 0 {
@@ -462,22 +523,16 @@ func (r *Router) routeAndAllocate(cycle uint64) {
 	perm := r.candPerm[:len(r.vaScratch)]
 	r.rng.Perm(perm)
 	for _, idx := range perm {
-		req := r.vaScratch[idx]
-		p := r.ports[req.iport]
-		r.allocateVC(p, &p.inState[req.vc], cycle)
+		r.allocateVC(r.vaScratch[idx], cycle)
 	}
 }
 
 // computeRoute runs the RC stage: look up the weighted next-hop set and
 // select one entry (by weight, or by downstream congestion when adaptive).
-func (r *Router) computeRoute(p *Port, st *vcState, f *Flit, cycle uint64) {
-	prev := p.Neighbor
-	if prev == InvalidNode {
-		prev = r.ID
-	}
-	entries := r.table.Lookup(prev, f.Flow)
+func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
+	entries := r.table.Lookup(st.prev, f.Flow)
 	if len(entries) == 0 {
-		panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, prev))
+		panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, st.prev))
 	}
 	var chosen RouteEntry
 	if len(entries) == 1 {
@@ -539,7 +594,7 @@ func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
 }
 
 // allocateVC runs the VA stage for one ingress VC's head packet.
-func (r *Router) allocateVC(p *Port, st *vcState, cycle uint64) {
+func (r *Router) allocateVC(st *vcState, cycle uint64) {
 	eg := r.ports[st.egress]
 	if eg.Out == nil {
 		// Local ejection: nothing to allocate (handled in computeRoute,
@@ -548,19 +603,14 @@ func (r *Router) allocateVC(p *Port, st *vcState, cycle uint64) {
 		st.vaAt = cycle
 		return
 	}
-	prev := p.Neighbor
-	if prev == InvalidNode {
-		prev = r.ID
-	}
-	cands := r.vcaTable.Candidates(prev, st.flow, st.next, st.nextFlow, len(eg.Out))
+	cands := r.vcaTable.Candidates(st.prev, st.flow, st.next, st.nextFlow, len(eg.Out))
 	r.st.ArbEvents++
 	var chosen = -1
 	switch r.vcaMode {
 	case VCAEDVCA:
 		// Exclusive dynamic: the downstream VC must be free for
 		// allocation and hold only our flow (or nothing).
-		r.weights = r.weights[:0]
-		ok := make([]int, 0, len(cands))
+		r.weights, r.vcOK = r.weights[:0], r.vcOK[:0]
 		for _, c := range cands {
 			ev := &eg.outState[c.VC]
 			if ev.allocPacket != 0 {
@@ -569,11 +619,11 @@ func (r *Router) allocateVC(p *Port, st *vcState, cycle uint64) {
 			if fl, res := ev.resident(eg.Out[c.VC]); res && fl != st.nextFlow {
 				continue
 			}
-			ok = append(ok, c.VC)
+			r.vcOK = append(r.vcOK, c.VC)
 			r.weights = append(r.weights, c.Weight)
 		}
-		if len(ok) > 0 {
-			chosen = ok[r.rng.Pick(r.weights)]
+		if len(r.vcOK) > 0 {
+			chosen = r.vcOK[r.rng.Pick(r.weights)]
 		}
 	case VCAFAA:
 		// Flow-aware: same-flow VC first, else the emptiest free one.
@@ -600,17 +650,16 @@ func (r *Router) allocateVC(p *Port, st *vcState, cycle uint64) {
 			}
 		}
 	default: // dynamic and static-set: any free candidate, by weight
-		r.weights = r.weights[:0]
-		ok := make([]int, 0, len(cands))
+		r.weights, r.vcOK = r.weights[:0], r.vcOK[:0]
 		for _, c := range cands {
 			if eg.outState[c.VC].allocPacket != 0 {
 				continue
 			}
-			ok = append(ok, c.VC)
+			r.vcOK = append(r.vcOK, c.VC)
 			r.weights = append(r.weights, c.Weight)
 		}
-		if len(ok) > 0 {
-			chosen = ok[r.rng.Pick(r.weights)]
+		if len(r.vcOK) > 0 {
+			chosen = r.vcOK[r.rng.Pick(r.weights)]
 		}
 	}
 	if chosen < 0 {
@@ -628,61 +677,56 @@ func (r *Router) allocateVC(p *Port, st *vcState, cycle uint64) {
 // randomized order, pick among eligible ingress VCs (randomized) up to the
 // link bandwidth, honouring one-flit-per-ingress-port-per-cycle crossbar
 // constraints, then move winners.
+//
+// Eligibility is evaluated once per occupied VC, into per-egress buckets,
+// before the egress rounds. A traversal in one round changes only the
+// state of its ingress port, which ingressUsed then excludes, and the
+// credits of its own egress, which that round had already read — so each
+// round sees exactly what a fresh scan at that point would.
 func (r *Router) arbitrateAndTraverse(cycle uint64) {
-	nports := len(r.ports)
-	if cap(r.egressPerm) < nports {
-		r.egressPerm = make([]int, nports)
-	}
-	eperm := r.egressPerm[:nports]
+	eperm := r.egressPerm
 	r.rng.Perm(eperm)
-
-	var ingressUsed uint64 // bitmask over (iport*maxVC+vc)? per ingress PORT
-	for _, ei := range eperm {
-		eg := r.ports[ei]
-		budget := 0
-		if eg.Out == nil && ei == r.localPort {
-			budget = 1 // ejection channel bandwidth
-			if eg.Link != nil {
-				budget = eg.Link.Grant(eg.Side)
-			}
-		} else if eg.Out != nil {
-			if eg.Link != nil {
-				budget = eg.Link.Grant(eg.Side)
-			} else {
-				budget = 1
-			}
-		} else {
+	if len(r.occupied) == 0 {
+		return
+	}
+	for i := range r.saBuckets {
+		r.saBuckets[i] = r.saBuckets[i][:0]
+	}
+	for _, st := range r.occupied {
+		if !st.vaDone || st.vaAt >= cycle {
 			continue
+		}
+		f, ok := st.buf.Peek(cycle)
+		if !ok {
+			continue
+		}
+		if f.Packet != st.pktID {
+			// Next packet already at head; its own RC will run.
+			continue
+		}
+		if eg := r.ports[st.egress]; eg.Out != nil && eg.outState[st.outVC].free(eg.Out[st.outVC]) < 1 {
+			continue
+		}
+		r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
+	}
+
+	var ingressUsed uint64 // bit per ingress port that moved a flit this cycle
+	for _, ei := range eperm {
+		if len(r.saBuckets[ei]) == 0 {
+			continue
+		}
+		eg := r.ports[ei]
+		budget := 1 // ejection channel, or a port without a modeled link
+		if eg.Link != nil {
+			budget = eg.Link.Grant(eg.Side)
 		}
 		if budget == 0 {
 			continue
 		}
-		// Collect eligible candidates targeting this egress.
 		r.candScratch = r.candScratch[:0]
-		for pi, p := range r.ports {
-			if ingressUsed&(1<<uint(pi)) != 0 {
-				continue
-			}
-			for vi := range p.In {
-				st := &p.inState[vi]
-				if !st.vaDone || st.vaAt >= cycle || st.egress != ei {
-					continue
-				}
-				f, ok := p.In[vi].Peek(cycle)
-				if !ok {
-					continue
-				}
-				if f.Packet != st.pktID {
-					// Next packet already at head; its own RC will run.
-					continue
-				}
-				if eg.Out != nil {
-					ev := &eg.outState[st.outVC]
-					if ev.free(eg.Out[st.outVC]) < 1 {
-						continue
-					}
-				}
-				r.candScratch = append(r.candScratch, saCand{iport: pi, vc: vi})
+		for _, st := range r.saBuckets[ei] {
+			if ingressUsed&(1<<uint(st.port)) == 0 {
+				r.candScratch = append(r.candScratch, st)
 			}
 		}
 		if len(r.candScratch) == 0 {
@@ -698,12 +742,12 @@ func (r *Router) arbitrateAndTraverse(cycle uint64) {
 			if budget == 0 {
 				break
 			}
-			c := r.candScratch[ci]
-			if ingressUsed&(1<<uint(c.iport)) != 0 {
+			st := r.candScratch[ci]
+			if ingressUsed&(1<<uint(st.port)) != 0 {
 				continue
 			}
-			r.traverse(c.iport, c.vc, ei, cycle)
-			ingressUsed |= 1 << uint(c.iport)
+			r.traverse(st, eg, cycle)
+			ingressUsed |= 1 << uint(st.port)
 			budget--
 		}
 	}
@@ -712,18 +756,16 @@ func (r *Router) arbitrateAndTraverse(cycle uint64) {
 // traverse runs the ST stage for one winning flit: pop it, account its
 // residency latency in this router, and either push it downstream (one
 // link cycle) or deliver it locally.
-func (r *Router) traverse(iport, vc, eport int, cycle uint64) {
-	p := r.ports[iport]
-	st := &p.inState[vc]
-	buf := p.In[vc]
-	f := buf.Pop()
+func (r *Router) traverse(st *vcState, eg *Port, cycle uint64) {
+	f := st.buf.Pop()
+	r.popped = append(r.popped, st.buf)
 	r.st.BufReads++
 	r.st.BufWrites++ // ingress write modeled at pop time (same tile, same count)
 	r.st.XbarTransits++
 	// Residency in this router, measured in the local clock domain: the
 	// arrival stamp is local; VisibleAt (producer clock + 1 link cycle)
 	// only tightens it when the producer ran ahead within a sync chunk.
-	arrival := st.popStamp()
+	arrival := st.popStamp(cycle)
 	if f.VisibleAt > arrival {
 		arrival = f.VisibleAt
 	}
@@ -731,7 +773,6 @@ func (r *Router) traverse(iport, vc, eport int, cycle uint64) {
 	// Apply the routing table's flow renaming (two-phase schemes rename at
 	// the intermediate hop; datelines rename at the wrap crossing).
 	f.Flow = st.nextFlow
-	eg := r.ports[eport]
 	if eg.Out == nil {
 		// Ejection to the local CPU port.
 		r.deliver(f, cycle)
@@ -741,7 +782,7 @@ func (r *Router) traverse(iport, vc, eport int, cycle uint64) {
 		f.VisibleAt = cycle + 1
 		ev := &eg.outState[st.outVC]
 		if !eg.Out[st.outVC].Push(f) {
-			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, eport, st.outVC))
+			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, st.egress, st.outVC))
 		}
 		ev.pushes++
 		ev.lastFlow = f.Flow
@@ -806,21 +847,20 @@ func (r *Router) deliver(f Flit, cycle uint64) {
 // reportLinkDemand publishes, for each bidirectional link, how many
 // SA-eligible flits want to cross it (used by the bandwidth arbiter).
 func (r *Router) reportLinkDemand(cycle uint64) {
-	for ei, eg := range r.ports {
-		if eg.Link == nil || !eg.Link.Bidirectional || eg.Out == nil {
-			continue
-		}
-		demand := 0
-		for _, p := range r.ports {
-			for vi := range p.In {
-				st := &p.inState[vi]
-				if st.vaDone && st.egress == ei {
-					if _, ok := p.In[vi].Peek(cycle); ok {
-						demand++
-					}
-				}
+	if !r.bidir {
+		return
+	}
+	clear(r.demand)
+	for _, st := range r.occupied {
+		if st.vaDone {
+			if _, ok := st.buf.Peek(cycle); ok {
+				r.demand[st.egress]++
 			}
 		}
-		eg.Link.ReportDemand(eg.Side, demand)
+	}
+	for ei, eg := range r.ports {
+		if eg.Link != nil && eg.Out != nil {
+			eg.Link.ReportDemand(eg.Side, r.demand[ei])
+		}
 	}
 }

@@ -32,7 +32,7 @@ func (allVCs) Candidates(prev NodeID, flow FlowID, next NodeID, nextFlow FlowID,
 
 // pipeline builds an n-router line with the given VC geometry and returns
 // the routers plus per-node received packets.
-func pipeline(t *testing.T, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[]Packet) {
+func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[]Packet) {
 	t.Helper()
 	inflight := new(atomic.Int64)
 	routers := make([]*Router, n)
@@ -221,5 +221,40 @@ func TestZeroLoadLatencyMatchesPipelineDepth(t *testing.T) {
 	// small and fixed; anything above ~10 means spurious stalling.
 	if lat < 4 || lat > 10 {
 		t.Fatalf("zero-load single-flit latency %d outside [4,10]", lat)
+	}
+}
+
+var sinkFlit Flit
+
+// BenchmarkVCBufferPushPop moves one flit through a buffer per iteration
+// with the calls a router makes around it: push, peek, pop, commit.
+func BenchmarkVCBufferPushPop(b *testing.B) {
+	buf := NewVCBuffer(4)
+	f := Flit{Kind: HeadTail, Flow: MakeFlow(0, 1, 0), Packet: 1, Len: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !buf.Push(f) {
+			b.Fatal("push failed")
+		}
+		if _, ok := buf.Peek(0); !ok {
+			b.Fatal("pushed flit not visible")
+		}
+		sinkFlit = buf.Pop()
+		buf.Commit()
+	}
+}
+
+// BenchmarkRouterIdleCycle steps a router that has nothing to do: the
+// per-cycle floor every tile pays (ingress scan plus the one egress
+// permutation draw), here for the middle router of a line — local port
+// plus two network ports, 4 VCs each.
+func BenchmarkRouterIdleCycle(b *testing.B) {
+	routers, _ := pipeline(b, 3, 4, 4, VCADynamic)
+	r := routers[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.PhaseTransfer(uint64(i))
+		r.PhaseCommit(uint64(i))
 	}
 }

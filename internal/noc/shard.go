@@ -230,11 +230,11 @@ func (sb *ShardBoundary) Apply(blob []byte) error {
 		if !ok {
 			return fmt.Errorf("noc: boundary pops for unknown channel %d->%d vc %d", src, dst, vc)
 		}
-		if out.buf.pops > cum {
+		if pops := out.buf.pops.Load(); pops > cum {
 			return fmt.Errorf("noc: boundary pops went backwards on channel %d->%d vc %d (%d > %d)",
-				src, dst, vc, out.buf.pops, cum)
+				src, dst, vc, pops, cum)
 		}
-		for out.buf.pops < cum {
+		for out.buf.pops.Load() < cum {
 			if out.buf.Len() == 0 {
 				return fmt.Errorf("noc: boundary pops overrun on channel %d->%d vc %d", src, dst, vc)
 			}

@@ -99,11 +99,11 @@ func DecodePacket(r *snapshot.Reader) Packet {
 // cumulative pop count, and the resident flits in FIFO order.
 func (b *VCBuffer) SaveState(w *snapshot.Writer) error {
 	w.Int(len(b.buf))
-	w.Uint64(b.pops)
-	live := int(b.live.Load())
+	w.Uint64(b.pops.Load())
+	live := b.Len()
 	w.Int(live)
 	for i := 0; i < live; i++ {
-		if err := saveFlit(w, b.buf[(b.head+i)%len(b.buf)]); err != nil {
+		if err := saveFlit(w, b.flitAt(i)); err != nil {
 			return err
 		}
 	}
@@ -136,8 +136,8 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	}
 	b.head = 0
 	b.tail = live % len(b.buf)
-	b.live.Store(int32(live))
-	b.pops = pops
+	b.pushes.Store(pops + uint64(live))
+	b.pops.Store(pops)
 	b.committedPops.Store(pops)
 	return nil
 }
@@ -253,14 +253,15 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Uint64(r.pktCounter)
 
 	// Injection queue and the packet currently streaming in.
-	w.Int(len(r.pending))
-	for _, pp := range r.pending {
+	queue := r.pending[r.pendHead:]
+	w.Int(len(queue))
+	for _, pp := range queue {
 		if err := EncodePacket(w, pp.pkt); err != nil {
 			return err
 		}
 	}
-	w.Bool(r.curFlits != nil)
-	if r.curFlits != nil {
+	w.Bool(r.streaming)
+	if r.streaming {
 		w.Int(len(r.curFlits))
 		for _, f := range r.curFlits {
 			if err := saveFlit(w, f); err != nil {
@@ -329,14 +330,14 @@ func (r *Router) LoadState(rd *snapshot.Reader) error {
 	r.pktCounter = rd.Uint64()
 
 	n := rd.Count(1 << 24)
-	r.pending = r.pending[:0]
+	r.pending, r.pendHead = r.pending[:0], 0
 	for i := 0; i < n; i++ {
 		r.pending = append(r.pending, pendingPacket{pkt: DecodePacket(rd)})
 	}
-	r.curFlits = nil
-	if rd.Bool() {
+	r.curFlits = r.curFlits[:0]
+	r.streaming = rd.Bool()
+	if r.streaming {
 		n := rd.Count(1 << 16)
-		r.curFlits = make([]Flit, 0, n)
 		for i := 0; i < n; i++ {
 			r.curFlits = append(r.curFlits, loadFlit(rd))
 		}

@@ -1,15 +1,17 @@
 package noc
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // VCBuffer is an ingress virtual-channel buffer: a fixed-capacity FIFO of
-// flits with one lock at each end, exactly as in the paper (§II-C): the
-// tail (ingress) lock is taken by the producing neighbour tile, the head
-// (egress) lock by the owning tile, so the two communicating threads can
-// access the buffer concurrently without losing or reordering flits.
+// flits shared by exactly two threads — the producing neighbour tile
+// pushes at the tail, the owning tile peeks and pops at the head. The
+// paper (§II-C) guards each end with its own lock; what it requires is
+// that the two threads never lose or reorder flits. A single-producer/
+// single-consumer ring gives the same guarantee without locks: each end
+// owns its ring index and a cumulative counter, and publishes the counter
+// with an atomic store only after it has finished with the slot. The
+// consumer reads a slot only below the published push count; the producer
+// writes a slot only when the credit rule below says it was popped.
 //
 // Credit semantics: the producer's view of free space is
 //
@@ -21,20 +23,16 @@ import (
 // not observable until the next cycle) and safe — never overflowing — under
 // loose synchronization, where the committed count may simply lag.
 type VCBuffer struct {
-	frontMu sync.Mutex // head (egress) end: owner tile pops
-	backMu  sync.Mutex // tail (ingress) end: upstream tile pushes
+	buf []Flit
 
-	buf  []Flit
-	head int // next pop position (guarded by frontMu)
-	tail int // next push position (guarded by backMu)
+	tail   int           // next push position (producer-owned)
+	pushes atomic.Uint64 // cumulative pushes, stored after the slot write
 
-	// live is the instantaneous flit count; producers increment after
-	// writing a slot, the consumer decrements after reading one.
-	live atomic.Int32
+	head int           // next pop position (consumer-owned)
+	pops atomic.Uint64 // cumulative pops, stored after the slot read
 
-	// pops is the consumer's cumulative pop count (consumer-local);
-	// committedPops is its last committed snapshot, read by the producer.
-	pops          uint64
+	// committedPops is the consumer's last committed snapshot of pops,
+	// read by the producer.
 	committedPops atomic.Uint64
 }
 
@@ -50,8 +48,12 @@ func NewVCBuffer(capacity int) *VCBuffer {
 func (b *VCBuffer) Capacity() int { return len(b.buf) }
 
 // Len returns the instantaneous number of flits resident (diagnostic; the
-// router's credit logic uses CommittedPops instead).
-func (b *VCBuffer) Len() int { return int(b.live.Load()) }
+// router's credit logic uses CommittedPops instead). Loading pops first
+// keeps the difference non-negative from any thread.
+func (b *VCBuffer) Len() int {
+	pops := b.pops.Load()
+	return int(b.pushes.Load() - pops)
+}
 
 // CommittedPops returns the consumer's committed cumulative pop count.
 func (b *VCBuffer) CommittedPops() uint64 { return b.committedPops.Load() }
@@ -60,9 +62,8 @@ func (b *VCBuffer) CommittedPops() uint64 { return b.committedPops.Load() }
 // physically full, which indicates a flow-control bug in the caller: the
 // router must never push without a credit.
 func (b *VCBuffer) Push(f Flit) bool {
-	b.backMu.Lock()
-	if int(b.live.Load()) == len(b.buf) {
-		b.backMu.Unlock()
+	pushes := b.pushes.Load()
+	if int(pushes-b.pops.Load()) == len(b.buf) {
 		return false
 	}
 	b.buf[b.tail] = f
@@ -70,8 +71,7 @@ func (b *VCBuffer) Push(f Flit) bool {
 	if b.tail == len(b.buf) {
 		b.tail = 0
 	}
-	b.live.Add(1)
-	b.backMu.Unlock()
+	b.pushes.Store(pushes + 1)
 	return true
 }
 
@@ -79,12 +79,10 @@ func (b *VCBuffer) Push(f Flit) bool {
 // the given cycle. The pointer is valid until the next Pop and may be used
 // by the owning tile to inspect (never to remove) the flit.
 func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
-	if b.live.Load() == 0 {
+	if b.pushes.Load() == b.pops.Load() {
 		return nil, false
 	}
-	b.frontMu.Lock()
 	f := &b.buf[b.head]
-	b.frontMu.Unlock()
 	// VisibleAt values are monotone along the queue (producer clock never
 	// decreases), so checking only the head suffices.
 	if f.VisibleAt > cycle {
@@ -96,24 +94,19 @@ func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
 // Pop removes and returns the head flit (consumer side). The caller must
 // have established non-emptiness via Peek in the same phase.
 func (b *VCBuffer) Pop() Flit {
-	b.frontMu.Lock()
 	f := b.buf[b.head]
 	b.head++
 	if b.head == len(b.buf) {
 		b.head = 0
 	}
-	b.live.Add(-1)
-	b.pops++
-	b.frontMu.Unlock()
+	b.pops.Store(b.pops.Load() + 1)
 	return f
 }
 
 // Commit publishes the consumer's pops (negative clock edge). Only the
-// owning tile calls this, once per simulated cycle.
+// owning tile calls this, at most once per simulated cycle.
 func (b *VCBuffer) Commit() {
-	if b.committedPops.Load() != b.pops {
-		b.committedPops.Store(b.pops)
-	}
+	b.committedPops.Store(b.pops.Load())
 }
 
 // flitAt returns the i-th resident flit counted from the head (consumer
@@ -126,20 +119,10 @@ func (b *VCBuffer) flitAt(i int) Flit {
 // Drain removes all resident flits regardless of visibility (used by
 // tests and by reset paths, never during a timed run).
 func (b *VCBuffer) Drain() []Flit {
-	b.backMu.Lock()
-	defer b.backMu.Unlock()
-	b.frontMu.Lock()
-	defer b.frontMu.Unlock()
 	var out []Flit
-	for b.live.Load() > 0 {
-		out = append(out, b.buf[b.head])
-		b.head++
-		if b.head == len(b.buf) {
-			b.head = 0
-		}
-		b.live.Add(-1)
-		b.pops++
+	for b.Len() > 0 {
+		out = append(out, b.Pop())
 	}
-	b.committedPops.Store(b.pops)
+	b.Commit()
 	return out
 }

@@ -85,9 +85,16 @@ func NewTables(alg Algorithm) *Tables {
 // Algorithm returns the wrapped algorithm.
 func (t *Tables) Algorithm() Algorithm { return t.alg }
 
+// routesFor returns the flow's lines, building them on first use. The
+// Load before LoadOrStore exists only so that a call for a flow already in
+// the store does not allocate a &flowOnce{} it then throws away; it is not
+// the warm path, which nodeTable serves from its own memo.
 func (t *Tables) routesFor(f noc.FlowID) FlowRoutes {
 	base := f.Base()
-	v, _ := t.cache.LoadOrStore(base, &flowOnce{})
+	v, ok := t.cache.Load(base)
+	if !ok {
+		v, _ = t.cache.LoadOrStore(base, &flowOnce{})
+	}
 	fo := v.(*flowOnce)
 	fo.once.Do(func() { fo.routes = t.alg.FlowEntries(base) })
 	return fo.routes
@@ -102,16 +109,27 @@ func (t *Tables) Lookup(node, prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry
 
 // ForNode returns the node-local view implementing noc.RouteTable.
 func (t *Tables) ForNode(n noc.NodeID) noc.RouteTable {
-	return &nodeTable{tables: t, node: n}
+	return &nodeTable{tables: t, node: n, lines: make(map[uint64][]noc.RouteEntry)}
 }
 
+// nodeTable is one node's view of the shared store. A noc.RouteTable is
+// only queried from its node's worker thread, so it memoizes the lines it
+// has served in a plain map keyed by prev<<32|flow; the entry slices are
+// the shared store's own, not copies.
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID
+	lines  map[uint64][]noc.RouteEntry
 }
 
 func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry {
-	return nt.tables.Lookup(nt.node, prev, flow)
+	key := uint64(uint32(prev))<<32 | uint64(flow)
+	entries, ok := nt.lines[key]
+	if !ok {
+		entries = nt.tables.Lookup(nt.node, prev, flow)
+		nt.lines[key] = entries
+	}
+	return entries
 }
 
 func (nt *nodeTable) Adaptive() bool { return nt.tables.alg.Adaptive() }

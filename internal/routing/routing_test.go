@@ -10,7 +10,7 @@ import (
 	"hornet/internal/topology"
 )
 
-func mesh8(t *testing.T) *topology.Topology {
+func mesh8(t testing.TB) *topology.Topology {
 	t.Helper()
 	topo, err := topology.New(config.TopologyConfig{Kind: config.TopoMesh, Width: 8, Height: 8})
 	if err != nil {
@@ -319,4 +319,43 @@ func TestTorusDatelineRenaming(t *testing.T) {
 	if !entries[0].NextFlow.Phase2() {
 		t.Fatal("crossing the dateline must rename the flow")
 	}
+}
+
+var sinkEntries int
+
+// BenchmarkLookupWarm times table lookups once every line exists: "node"
+// is what a router pays per head flit (its own node's memoized view),
+// "shared" is the store behind it, which a node falls back to the first
+// time it sees a line. Every flow of an 8x8 mesh is looked up at its
+// source.
+func BenchmarkLookupWarm(b *testing.B) {
+	topo := mesh8(b)
+	tables := NewTables(NewXY(topo))
+	n := noc.NodeID(topo.Nodes())
+	nodes := make([]noc.RouteTable, n)
+	var flows []noc.FlowID
+	for src := noc.NodeID(0); src < n; src++ {
+		nodes[src] = tables.ForNode(src)
+		for dst := noc.NodeID(0); dst < n; dst++ {
+			if src != dst {
+				f := noc.MakeFlow(src, dst, 0)
+				flows = append(flows, f)
+				nodes[src].Lookup(src, f) // builds the flow and the node's memo
+			}
+		}
+	}
+	b.Run("node", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := flows[i%len(flows)]
+			sinkEntries += len(nodes[f.Src()].Lookup(f.Src(), f))
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := flows[i%len(flows)]
+			sinkEntries += len(tables.Lookup(f.Src(), f.Src(), f))
+		}
+	})
 }

@@ -509,3 +509,36 @@ func TestUnknownJob(t *testing.T) {
 		t.Fatalf("unknown result error = %v", err)
 	}
 }
+
+// A tile that panics on an engine worker goroutine must fail its job and
+// leave the daemon serving. The submission below passes validation (its
+// static path only names nodes inside the mesh) but routes 0 -> 5, which
+// are not neighbours on a 4x4 mesh, so the first head flit panics in a
+// router — with 2 engine workers, on a goroutine executeScenario's own
+// recover cannot see.
+func TestJobSurvivesEngineWorkerPanic(t *testing.T) {
+	_, c := startServer(t, service.Options{MaxJobs: 1, Budget: 2})
+	ctx := context.Background()
+
+	bad := tinyConfig()
+	bad.Engine.Workers = 2
+	bad.Routing = config.RoutingConfig{Algorithm: config.RouteStatic, StaticPaths: [][]int{{0, 5}}}
+	info, err := c.SubmitAndWait(ctx, service.SubmitRequest{Name: "bad-static-path", Config: bad, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != service.StateFailed {
+		t.Fatalf("job state = %s, want %s", info.State, service.StateFailed)
+	}
+	if !strings.Contains(info.Error, "panicked") {
+		t.Fatalf("job error %q does not mention the panic", info.Error)
+	}
+
+	good, err := c.SubmitAndWait(ctx, service.SubmitRequest{Name: "after-the-panic", Config: tinyConfig(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good.State != service.StateDone {
+		t.Fatalf("follow-up job state = %s (%s)", good.State, good.Error)
+	}
+}

@@ -21,6 +21,7 @@ type Barrier struct {
 	spin    int
 	arrived atomic.Int32
 	sense   atomic.Uint32
+	broken  atomic.Bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -45,15 +46,32 @@ func NewBarrier(n int) *Barrier {
 // Parties returns the number of participating threads.
 func (b *Barrier) Parties() int { return int(b.parties) }
 
+// Break releases every party blocked in Await and makes every Await, those
+// and all later ones, report false without running its action. A party
+// that cannot reach the barrier any more (its goroutine is unwinding from
+// a panic) calls it so the others are not left waiting for it.
+func (b *Barrier) Break() {
+	b.mu.Lock()
+	b.broken.Store(true)
+	b.sense.Add(1)
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
 // Await blocks until all parties have called Await. If action is non-nil
 // it is executed exactly once per barrier generation, by the last arriver,
-// before the others are released.
-func (b *Barrier) Await(action func()) {
+// before the others are released. It reports whether the parties really
+// met: false means the barrier was broken, nothing orders the caller
+// against the other parties any more, and it must stop stepping.
+func (b *Barrier) Await(action func()) bool {
+	if b.broken.Load() {
+		return false
+	}
 	if b.parties == 1 {
 		if action != nil {
 			action()
 		}
-		return
+		return true
 	}
 	sense := b.sense.Load()
 	if b.arrived.Add(1) == b.parties {
@@ -65,22 +83,23 @@ func (b *Barrier) Await(action func()) {
 		b.sense.Store(sense + 1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
-		return
+		return true
 	}
 	// Spin briefly: with balanced partitions the other workers arrive
 	// within a few hundred nanoseconds.
 	for i := 0; i < b.spin; i++ {
 		if b.sense.Load() != sense {
-			return
+			return !b.broken.Load()
 		}
 	}
 	runtime.Gosched()
 	if b.sense.Load() != sense {
-		return
+		return !b.broken.Load()
 	}
 	b.mu.Lock()
 	for b.sense.Load() == sense {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
+	return !b.broken.Load()
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,10 +49,23 @@ type RunResult struct {
 	// cycle bound was reached. Callers resuming a run in chunks use it to
 	// distinguish "workload finished" from "chunk finished".
 	Stopped bool
-	// Err is non-nil when a sharded run aborted because the shard coupler
-	// failed; the executed/skipped counts reflect progress made before the
-	// failure.
+	// Err is non-nil when the run aborted: the shard coupler failed, or a
+	// tile panicked on an engine worker (a *PanicError). The executed/
+	// skipped counts reflect progress made before the failure; after a
+	// panic the tiles are in no defined state and must not be run again.
 	Err error
+}
+
+// PanicError is RunResult.Err for a run that stopped because stepping a
+// tile (or the sync-point action) panicked on an engine worker.
+type PanicError struct {
+	Worker int    // index of the worker that panicked
+	Value  any    // the value passed to panic
+	Stack  []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: engine worker %d panicked: %v", e.Worker, e.Value)
 }
 
 func (r RunResult) String() string {
@@ -88,7 +102,8 @@ type Engine struct {
 	halted    atomic.Bool
 	stopped   atomic.Bool
 	skipped   atomic.Uint64
-	runErr    error
+	errMu     sync.Mutex
+	runErr    error // first failure of the current run (guarded by errMu)
 
 	// probe, when non-nil, records cycles/sec, per-partition compute vs.
 	// barrier-wait time and shard sync round-trips. The nil case costs
@@ -132,6 +147,17 @@ func (e *Engine) SetSampler(s Sampler, every uint64) {
 	e.sampler = s
 	e.sampleEvery = every
 	e.sampleNext = 0
+}
+
+// fail records the run's first failure and halts the run: every worker
+// exits at its next loop check.
+func (e *Engine) fail(err error) {
+	e.errMu.Lock()
+	if e.runErr == nil {
+		e.runErr = err
+	}
+	e.errMu.Unlock()
+	e.halted.Store(true)
 }
 
 // NewEngine creates an engine stepping tiles with the given worker count
@@ -348,8 +374,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 				e.probe.ShardSync(time.Since(syncStart))
 			}
 			if err != nil {
-				e.runErr = err
-				e.halted.Store(true)
+				e.fail(err)
 				return
 			}
 			e.skipped.Add(dec.Skipped)
@@ -396,6 +421,16 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// A panicking tile must not take the process down, nor leave
+			// the other workers waiting at the barrier for this one. The
+			// recover sits outside the cycle loop: the hot path pays
+			// nothing for it.
+			defer func() {
+				if p := recover(); p != nil {
+					e.fail(&PanicError{Worker: w, Value: p, Stack: debug.Stack()})
+					barrier.Break()
+				}
+			}()
 			lo, hi := e.partition(w)
 			mine := e.tiles[lo:hi]
 			// The partition accumulator is fetched once per Run (it may
@@ -430,7 +465,9 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						t1 = time.Now()
 						part.AddCompute(t1.Sub(t0))
 					}
-					barrier.Await(nil)
+					if !barrier.Await(nil) {
+						return // broken: no phase may run unordered
+					}
 					if part != nil {
 						t0 = time.Now()
 						part.AddBarrier(t0.Sub(t1))
@@ -445,7 +482,9 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 					if w == 0 {
 						executed.Add(1)
 					}
-					barrier.Await(func() { leader(cycle) })
+					if !barrier.Await(func() { leader(cycle) }) {
+						return
+					}
 					if part != nil {
 						part.AddBarrier(time.Since(t1))
 						part.AddCycles(1)
@@ -479,7 +518,9 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						part.AddCycles(c - cycle)
 					}
 					last := c - 1
-					barrier.Await(func() { leader(last) })
+					if !barrier.Await(func() { leader(last) }) {
+						return
+					}
 					if part != nil {
 						part.AddBarrier(time.Since(t1))
 					}

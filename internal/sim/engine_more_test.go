@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -292,4 +293,110 @@ func TestDeriveSeedProperties(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// panicTile panics in the given phase of one cycle and counts the cycles
+// it was stepped through otherwise (read only after Run has returned).
+type panicTile struct {
+	at       uint64 // cycle that panics; NoEvent never does
+	inCommit bool
+	stepped  uint64
+	commits  uint64
+}
+
+func (p *panicTile) PhaseTransfer(cycle uint64) {
+	if cycle == p.at && !p.inCommit {
+		panic("tile blew up in transfer")
+	}
+	p.stepped++
+}
+
+func (p *panicTile) PhaseCommit(cycle uint64) {
+	if cycle == p.at && p.inCommit {
+		panic("tile blew up in commit")
+	}
+	p.commits++
+}
+
+func (p *panicTile) NextEvent(now uint64) uint64 { return now + 1 }
+
+// TestEngineContainsTilePanic: a tile that panics on an engine worker must
+// end the run with RunResult.Err instead of killing the process, and must
+// not leave the other workers parked at the barrier waiting for it.
+func TestEngineContainsTilePanic(t *testing.T) {
+	const at = 37
+	for _, tc := range []struct {
+		name       string
+		workers    int
+		syncPeriod int
+		inCommit   bool
+	}{
+		{"1-worker", 1, 1, false},
+		{"3-workers", 3, 1, false},
+		{"3-workers-commit", 3, 1, true},
+		{"3-workers-sync-5", 3, 5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tiles := make([]Tile, 6)
+			for i := range tiles {
+				tiles[i] = &panicTile{at: NoEvent}
+			}
+			// The last tile belongs to the last worker, so with 3 workers
+			// the panic is not on the goroutine that counts cycles.
+			tiles[5] = &panicTile{at: at, inCommit: tc.inCommit}
+			eng := NewEngine(tiles, tc.workers, tc.syncPeriod, false, nil)
+
+			done := make(chan RunResult, 1)
+			go func() { done <- eng.Run(0, 1000, nil) }()
+			var res RunResult
+			select {
+			case res = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Run did not return: workers left waiting at the barrier")
+			}
+			var pe *PanicError
+			if !errors.As(res.Err, &pe) {
+				t.Fatalf("Err = %v, want a *PanicError", res.Err)
+			}
+			if pe.Worker != tc.workers-1 || len(pe.Stack) == 0 {
+				t.Errorf("PanicError = worker %d, %d stack bytes", pe.Worker, len(pe.Stack))
+			}
+			if res.Cycles >= 1000 {
+				t.Errorf("run executed %d cycles, want a halt near cycle %d", res.Cycles, at)
+			}
+			// Halted at the next sync point: no tile ran past the window
+			// the panic happened in.
+			limit := uint64(at + tc.syncPeriod)
+			for i, tile := range tiles {
+				if n := tile.(*panicTile).stepped; n > limit {
+					t.Errorf("tile %d stepped %d cycles, want <= %d", i, n, limit)
+				}
+				// Cycle-accurate: the broken barrier must not let a survivor
+				// commit the cycle whose transfer phase never completed.
+				if n := tile.(*panicTile).commits; tc.syncPeriod == 1 && !tc.inCommit && n != at {
+					t.Errorf("tile %d committed %d cycles, want %d: a phase ran past the broken barrier", i, n, at)
+				}
+			}
+		})
+	}
+}
+
+// TestBarrierBreakReleasesWaiters: Break frees parties already parked and
+// makes their Await and every later one skip its action and report false.
+func TestBarrierBreakReleasesWaiters(t *testing.T) {
+	b := NewBarrier(3)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				if b.Await(func() { t.Error("action ran on a broken barrier") }) {
+					t.Error("Await reported a meeting on a broken barrier")
+				}
+			}
+		}()
+	}
+	b.Break() // the third party never arrives
+	wg.Wait()
 }
