@@ -36,13 +36,22 @@ type PartitionProbe struct {
 	cycles    atomic.Uint64
 	computeNS atomic.Int64
 	barrierNS atomic.Int64
+	parks     atomic.Uint64
 }
 
 // AddCompute, AddBarrier and AddCycles are the engine-side recording
 // hooks.
 func (p *PartitionProbe) AddCompute(d time.Duration) { p.computeNS.Add(int64(d)) }
-func (p *PartitionProbe) AddBarrier(d time.Duration) { p.barrierNS.Add(int64(d)) }
 func (p *PartitionProbe) AddCycles(n uint64)         { p.cycles.Add(n) }
+
+// AddBarrier records one barrier wait of length d; parked says the wait
+// outlasted the barrier's polling bound and the worker went to sleep.
+func (p *PartitionProbe) AddBarrier(d time.Duration, parked bool) {
+	p.barrierNS.Add(int64(d))
+	if parked {
+		p.parks.Add(1)
+	}
+}
 
 // NewSimProbe returns an empty probe.
 func NewSimProbe() *SimProbe { return &SimProbe{} }
@@ -98,6 +107,11 @@ type PartitionSnapshot struct {
 	Cycles    uint64  `json:"cycles"`
 	ComputeMS float64 `json:"compute_ms"`
 	BarrierMS float64 `json:"barrier_ms"`
+	// BarrierParks counts the waits behind BarrierMS that gave up polling
+	// and slept: many parks per cycle mean long imbalances (or a host
+	// without a CPU per worker), few parks next to a large BarrierMS mean
+	// the wait is being spent polling.
+	BarrierParks uint64 `json:"barrier_parks"`
 }
 
 // Snapshot renders the probe's current totals.
@@ -119,25 +133,36 @@ func (p *SimProbe) Snapshot() ProbeSnapshot {
 	defer p.mu.Unlock()
 	for w, pp := range p.parts {
 		s.Partitions = append(s.Partitions, PartitionSnapshot{
-			Worker:    w,
-			TileLo:    pp.lo,
-			TileHi:    pp.hi,
-			Cycles:    pp.cycles.Load(),
-			ComputeMS: float64(pp.computeNS.Load()) / 1e6,
-			BarrierMS: float64(pp.barrierNS.Load()) / 1e6,
+			Worker:       w,
+			TileLo:       pp.lo,
+			TileHi:       pp.hi,
+			Cycles:       pp.cycles.Load(),
+			ComputeMS:    float64(pp.computeNS.Load()) / 1e6,
+			BarrierMS:    float64(pp.barrierNS.Load()) / 1e6,
+			BarrierParks: pp.parks.Load(),
 		})
 	}
 	return s
 }
 
 // BarrierWallMS sums barrier-wait time across partitions; ComputeWallMS
-// likewise for compute. Convenient for histogram deltas.
+// likewise for compute and BarrierParks for parked waits. Convenient for
+// histogram and counter deltas.
 func (s ProbeSnapshot) BarrierWallMS() float64 {
 	var t float64
 	for _, p := range s.Partitions {
 		t += p.BarrierMS
 	}
 	return t
+}
+
+// BarrierParks sums parked barrier waits across partitions.
+func (s ProbeSnapshot) BarrierParks() uint64 {
+	var n uint64
+	for _, p := range s.Partitions {
+		n += p.BarrierParks
+	}
+	return n
 }
 
 // ComputeWallMS sums compute time across partitions.

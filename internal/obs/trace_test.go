@@ -86,10 +86,11 @@ func TestProbeSnapshot(t *testing.T) {
 	pp1 := p.Partition(1, 2, 8, 16)
 	pp0.AddCycles(100)
 	pp0.AddCompute(80 * time.Millisecond)
-	pp0.AddBarrier(20 * time.Millisecond)
+	pp0.AddBarrier(20*time.Millisecond, false)
 	pp1.AddCycles(100)
 	pp1.AddCompute(50 * time.Millisecond)
-	pp1.AddBarrier(50 * time.Millisecond)
+	pp1.AddBarrier(30*time.Millisecond, true)
+	pp1.AddBarrier(20*time.Millisecond, true)
 	p.RunDone(100, 25, 100*time.Millisecond)
 	p.ShardSync(2 * time.Millisecond)
 
@@ -108,6 +109,9 @@ func TestProbeSnapshot(t *testing.T) {
 	}
 	if got := s.BarrierWallMS(); got < 69.9 || got > 70.1 {
 		t.Errorf("BarrierWallMS = %v, want 70", got)
+	}
+	if s.Partitions[0].BarrierParks != 0 || s.Partitions[1].BarrierParks != 2 || s.BarrierParks() != 2 {
+		t.Errorf("barrier parks wrong: %+v", s.Partitions)
 	}
 	if got := s.ComputeWallMS(); got < 129.9 || got > 130.1 {
 		t.Errorf("ComputeWallMS = %v, want 130", got)

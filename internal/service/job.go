@@ -255,7 +255,7 @@ func (j *job) note(event string, fields map[string]string) {
 type engineDelta struct {
 	cycles                    uint64
 	computeS, barrierS, syncS float64
-	syncCalls                 uint64
+	syncCalls, parks          uint64
 }
 
 // setEngine records the latest engine probe snapshot, surfaces it to
@@ -269,20 +269,23 @@ func (j *job) setEngine(snap obs.ProbeSnapshot) engineDelta {
 	if snap.Cycles != prev.Cycles {
 		j.touchLocked()
 	}
+	parks, prevParks := snap.BarrierParks(), prev.BarrierParks()
 	d := engineDelta{
 		computeS:  (snap.ComputeWallMS() - prev.ComputeWallMS()) / 1e3,
 		barrierS:  (snap.BarrierWallMS() - prev.BarrierWallMS()) / 1e3,
 		syncS:     (snap.ShardSyncWallMS - prev.ShardSyncWallMS) / 1e3,
 		cycles:    snap.Cycles - prev.Cycles,
 		syncCalls: snap.ShardSyncs - prev.ShardSyncs,
+		parks:     parks - prevParks,
 	}
-	if snap.Cycles < prev.Cycles || d.computeS < 0 || d.barrierS < 0 {
+	if snap.Cycles < prev.Cycles || d.computeS < 0 || d.barrierS < 0 || parks < prevParks {
 		d = engineDelta{
 			computeS:  snap.ComputeWallMS() / 1e3,
 			barrierS:  snap.BarrierWallMS() / 1e3,
 			syncS:     snap.ShardSyncWallMS / 1e3,
 			cycles:    snap.Cycles,
 			syncCalls: snap.ShardSyncs,
+			parks:     parks,
 		}
 	}
 	j.prevEngine = snap

@@ -22,6 +22,7 @@ type serveMetrics struct {
 	engineCycles    *obs.Counter
 	engineCompute   *obs.Histogram
 	engineBarrier   *obs.Histogram
+	engineParks     *obs.Counter
 	engineShardSync *obs.Histogram
 	engineSyncCalls *obs.Counter
 }
@@ -123,6 +124,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 	m.engineCycles = reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed across all jobs.")
 	m.engineCompute = reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil)
 	m.engineBarrier = reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil)
+	m.engineParks = reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep.")
 	m.engineShardSync = reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil)
 	m.engineSyncCalls = reg.Counter("hornet_engine_shard_syncs_total", "Shard synchronization exchanges.")
 
@@ -185,6 +187,9 @@ func (m *serveMetrics) observeEngine(d engineDelta) {
 	}
 	if d.barrierS > 0 {
 		m.engineBarrier.Observe(d.barrierS)
+	}
+	if d.parks > 0 {
+		m.engineParks.Add(d.parks)
 	}
 	if d.syncS > 0 {
 		m.engineShardSync.Observe(d.syncS)

@@ -120,6 +120,9 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	if series[`hornet_engine_compute_seconds_count`] == 0 {
 		t.Error("engine compute histogram recorded no chunks")
 	}
+	if _, ok := series["hornet_engine_barrier_parks_total"]; !ok {
+		t.Error("hornet_engine_barrier_parks_total missing from /metrics")
+	}
 
 	// The HTTP middleware measured the API traffic this test generated.
 	if series[`hornet_http_requests_total{route="POST /api/v1/jobs",code="202"}`] == 0 {

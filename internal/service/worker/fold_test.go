@@ -41,7 +41,7 @@ func TestEngineFoldConcurrent(t *testing.T) {
 				prev, cur := fold.fold(obs.ProbeSnapshot{
 					Cycles: c,
 					Partitions: []obs.PartitionSnapshot{
-						{Cycles: c, ComputeMS: float64(c) / 1e3, BarrierMS: float64(c) / 1e6},
+						{Cycles: c, ComputeMS: float64(c) / 1e3, BarrierMS: float64(c) / 1e6, BarrierParks: 2 * c},
 					},
 				})
 				chainMu.Unlock()
@@ -67,6 +67,9 @@ func TestEngineFoldConcurrent(t *testing.T) {
 	total := metricValue(t, buf.String(), "hornet_engine_cycles_total")
 	if total != goroutines*perG {
 		t.Errorf("hornet_engine_cycles_total = %v, want %d", total, goroutines*perG)
+	}
+	if parks := metricValue(t, buf.String(), "hornet_engine_barrier_parks_total"); parks != 2*goroutines*perG {
+		t.Errorf("hornet_engine_barrier_parks_total = %v, want %d", parks, 2*goroutines*perG)
 	}
 	// The exposition the hammer produced must still lint cleanly.
 	if err := obs.LintPrometheusText(bytes.NewReader(buf.Bytes())); err != nil {

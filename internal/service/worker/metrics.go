@@ -21,6 +21,7 @@ type workerMetrics struct {
 	engineCycles    *obs.Counter
 	engineCompute   *obs.Histogram
 	engineBarrier   *obs.Histogram
+	engineParks     *obs.Counter
 	engineShardSync *obs.Histogram
 
 	reg *obs.Registry
@@ -48,6 +49,7 @@ func newWorkerMetrics(w *Worker, reg *obs.Registry) *workerMetrics {
 	m.engineCycles = reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed on this worker.")
 	m.engineCompute = reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil)
 	m.engineBarrier = reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil)
+	m.engineParks = reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep.")
 	m.engineShardSync = reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil)
 	return m
 }
@@ -99,6 +101,9 @@ func (m *workerMetrics) observeEngine(prev, cur obs.ProbeSnapshot) {
 	}
 	if d := (cur.BarrierWallMS() - prev.BarrierWallMS()) / 1e3; d > 0 {
 		m.engineBarrier.Observe(d)
+	}
+	if parks, was := cur.BarrierParks(), prev.BarrierParks(); parks > was {
+		m.engineParks.Add(parks - was)
 	}
 	if d := (cur.ShardSyncWallMS - prev.ShardSyncWallMS) / 1e3; d > 0 {
 		m.engineShardSync.Observe(d)

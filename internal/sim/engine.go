@@ -1,6 +1,8 @@
 // Package sim implements HORNET's parallel cycle-level simulation engine:
-// deterministic per-tile PRNGs, a sense-reversing barrier, and a worker
-// pool that steps tiles through two-phase clock cycles with either
+// deterministic per-tile PRNGs, a spin-then-park barrier (a waiter polls
+// the generation word for as long as parking would cost, yielding to the
+// Go scheduler between bursts, and only then sleeps), and a worker pool
+// that steps tiles through two-phase clock cycles with either
 // cycle-accurate (two barriers per cycle) or periodic synchronization,
 // plus fast-forwarding over provably idle stretches (paper §II-C, §IV-B).
 package sim
@@ -465,12 +467,13 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						t1 = time.Now()
 						part.AddCompute(t1.Sub(t0))
 					}
-					if !barrier.Await(nil) {
+					met, parked := barrier.await(nil)
+					if !met {
 						return // broken: no phase may run unordered
 					}
 					if part != nil {
 						t0 = time.Now()
-						part.AddBarrier(t0.Sub(t1))
+						part.AddBarrier(t0.Sub(t1), parked)
 					}
 					for _, t := range mine {
 						t.PhaseCommit(cycle)
@@ -482,11 +485,12 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 					if w == 0 {
 						executed.Add(1)
 					}
-					if !barrier.Await(func() { leader(cycle) }) {
+					met, parked = barrier.await(func() { leader(cycle) })
+					if !met {
 						return
 					}
 					if part != nil {
-						part.AddBarrier(time.Since(t1))
+						part.AddBarrier(time.Since(t1), parked)
 						part.AddCycles(1)
 					}
 				} else {
@@ -506,8 +510,11 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						// concurrent hardware threads would see them; on
 						// hosts with fewer cores than workers this
 						// prevents whole-chunk serialization from
-						// starving boundary links.
-						runtime.Gosched()
+						// starving boundary links. A single worker has
+						// nobody to interleave with.
+						if e.workers > 1 {
+							runtime.Gosched()
+						}
 					}
 					if w == 0 {
 						executed.Add(c - cycle)
@@ -518,11 +525,12 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						part.AddCycles(c - cycle)
 					}
 					last := c - 1
-					if !barrier.Await(func() { leader(last) }) {
+					met, parked := barrier.await(func() { leader(last) })
+					if !met {
 						return
 					}
 					if part != nil {
-						part.AddBarrier(time.Since(t1))
+						part.AddBarrier(time.Since(t1), parked)
 					}
 				}
 			}

@@ -53,7 +53,7 @@ func TestBarrierReuseUnderContention(t *testing.T) {
 	}
 }
 
-// TestBarrierOversubscribedGenerationReentry drives the spin=0 path an
+// TestBarrierOversubscribedGenerationReentry drives the no-polling path an
 // oversubscribed host takes (every party falls straight into the
 // mutex+cond sleep): one deliberately slow party lags into cond.Wait
 // while the fast parties are released and re-enter the *next* generation.
@@ -69,7 +69,7 @@ func TestBarrierOversubscribedGenerationReentry(t *testing.T) {
 	b := NewBarrier(parties)
 	// Force the sleep path regardless of the host's core count: this is
 	// exactly what NewBarrier does when GOMAXPROCS < parties.
-	b.spin = 0
+	b.pollFor = 0
 	var arrivals atomic.Int64
 	var generations atomic.Int64
 	var wg sync.WaitGroup
