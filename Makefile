@@ -44,12 +44,16 @@ test-race-rest:
 # The cross-thread data path at full length under the race detector:
 # loose synchronization (several workers, sync_period > 1) over 20k
 # cycles with exact flit conservation, the lock-free VC buffer's
-# two-goroutine stress test, engine-worker panic containment, and the
-# barrier's polling, parking and break paths. The short race gate runs
-# the same tests over shorter windows.
+# two-goroutine stress test (wrappers and in-place slot primitives), the
+# producer-side credit word — which a consumer on another thread commits
+# into — after commits, restores in either order and shard-boundary
+# applies, restores of snapshots taken with VCs blocked on that credit,
+# engine-worker panic containment, and the barrier's polling, parking and
+# break paths. The short race gate runs the same tests over shorter
+# windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestEngineContainsTilePanic|TestBarrier' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestSnapshotRoundTripDerivedRouterState|TestEngineContainsTilePanic|TestBarrier' \
 		./internal/core ./internal/noc ./internal/sim
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -279,6 +279,127 @@ func TestSnapshotRoundTripGolden(t *testing.T) {
 	}
 }
 
+// blockedOnCredit reports whether some ingress VC of the system is stuck
+// mid-packet behind a downstream VC with no credit: a downstream buffer is
+// full, the packet at its head is longer than what the buffer holds, and
+// an ingress VC of the producing router has that packet's next flit at its
+// head.
+func blockedOnCredit(sys *System) bool {
+	const anyCycle = ^uint64(0)
+	for _, tile := range sys.Tiles() {
+		ports := tile.Router.Ports()
+		for _, eg := range ports {
+			for _, down := range eg.Out {
+				head, ok := down.Peek(anyCycle)
+				if !ok || down.Len() != down.Capacity() || int(head.Seq)+down.Capacity() >= int(head.Len) {
+					continue
+				}
+				for _, in := range ports {
+					for _, buf := range in.In {
+						if next, ok := buf.Peek(anyCycle); ok && next.Packet == head.Packet {
+							return true
+						}
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// headOnLink reports whether some ingress VC holds exactly one flit that
+// was pushed during the last executed cycle, so that it becomes visible
+// only in the next one.
+func headOnLink(sys *System) bool {
+	for _, tile := range sys.Tiles() {
+		for _, p := range tile.Router.Ports() {
+			for _, buf := range p.In {
+				if buf.Len() != 1 {
+					continue
+				}
+				if _, ok := buf.Peek(sys.Clock() - 1); ok {
+					continue
+				}
+				if _, ok := buf.Peek(sys.Clock()); ok {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestSnapshotRoundTripDerivedRouterState restores snapshots taken in the
+// two situations where a router leans hardest on state it derives and
+// does not serialize — a VC blocked on credit mid-packet (the cached
+// pointer to its downstream VC and that VC's producer-side credit word
+// decide every cycle that it stays put) and a head flit pushed but not yet
+// visible (the cached head descriptor of a VC that just filled) — and
+// requires the continued run to end exactly as the uninterrupted one: the
+// derived state must be rebuilt from the snapshot, not carried over or
+// left stale.
+func TestSnapshotRoundTripDerivedRouterState(t *testing.T) {
+	cfg := config.Default()
+	cfg.Topology.Width, cfg.Topology.Height = 4, 4
+	cfg.Engine.Workers = 1
+	cfg.Engine.Seed = 0xB10C4ED
+	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternTranspose, InjectionRate: 0.25}}
+	const total = 1200
+
+	whole := buildSynthetic(t, cfg)
+	whole.Run(total)
+	want := whole.Summary()
+	wantFinal, err := whole.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := buildSynthetic(t, cfg)
+	ref.Run(300)
+	restored := 0
+	for ref.Clock() < 340 {
+		ref.Run(1)
+		if !blockedOnCredit(ref) || !headOnLink(ref) {
+			continue
+		}
+		at := ref.Clock()
+		blob, err := ref.SnapshotBytes()
+		if err != nil {
+			t.Fatalf("snapshot at %d: %v", at, err)
+		}
+		for _, workers := range []int{1, 2} {
+			resCfg := cfg
+			resCfg.Engine.Workers = workers
+			res := buildSynthetic(t, resCfg)
+			if err := res.RestoreBytes(blob); err != nil {
+				t.Fatalf("restore at %d: %v", at, err)
+			}
+			if !blockedOnCredit(res) || !headOnLink(res) {
+				t.Fatalf("cycle %d: the restored system does not show the blocked VC and the flit on the link", at)
+			}
+			res.Run(total - at)
+			if got := res.Summary(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("snapshot at cycle %d, %d workers: summaries diverged:\nuninterrupted: %+v\nrestored:      %+v",
+					at, workers, want, got)
+			}
+			resFinal, err := res.SnapshotBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantFinal, resFinal) {
+				t.Fatalf("snapshot at cycle %d, %d workers: final states differ", at, workers)
+			}
+		}
+		restored++
+		if restored == 5 {
+			break
+		}
+	}
+	if restored == 0 {
+		t.Fatal("no cycle in the window had both a VC blocked on credit mid-packet and a head flit on the link")
+	}
+}
+
 // TestSnapshotRoundTripAcrossWorkerCounts checks, for every frontend,
 // that a snapshot taken at one worker count restores into a system
 // running at another and still reproduces the uninterrupted execution

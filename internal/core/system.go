@@ -103,6 +103,24 @@ func New(cfg config.Config) (*System, error) {
 		injBuf = cfg.Router.VCBufFlits
 	}
 
+	// Every topology edge gives each of its two routers a port facing the
+	// other, in edge order; a router is built knowing all of its ports, so
+	// it lays out its ingress state once.
+	edges := topo.Edges()
+	ports := make([][]noc.PortParams, n)
+	for i := range ports {
+		ports[i] = make([]noc.PortParams, 0, len(topo.Neighbors(noc.NodeID(i))))
+	}
+	addPort := func(node, peer noc.NodeID) int {
+		ports[node] = append(ports[node], noc.PortParams{
+			Neighbor: peer, VCs: cfg.Router.VCsPerPort, BufFlits: cfg.Router.VCBufFlits})
+		return len(ports[node]) // the local port is index 0
+	}
+	edgePorts := make([][2]int, len(edges)) // the port index on A's and on B's router
+	for i, e := range edges {
+		edgePorts[i] = [2]int{addPort(e.A, e.B), addPort(e.B, e.A)}
+	}
+
 	// Routers and the engine share one in-network flit counter.
 	inflight := new(atomic.Int64)
 	simTiles := make([]sim.Tile, n)
@@ -122,6 +140,7 @@ func New(cfg config.Config) (*System, error) {
 			InFlight:      inflight,
 			LocalVCs:      injVCs,
 			LocalBufFlits: injBuf,
+			Ports:         ports[i],
 		})
 		tile := &Tile{
 			ID:         id,
@@ -136,13 +155,11 @@ func New(cfg config.Config) (*System, error) {
 		simTiles[i] = tile
 	}
 
-	// Wire every topology edge: each side gets an ingress port facing the
-	// other, then egress pointers to the peer's ingress buffers plus the
-	// shared (possibly bandwidth-adaptive) link.
-	for _, e := range topo.Edges() {
+	// Wire every edge's egress sides: pointers to the peer's ingress
+	// buffers plus the shared (possibly bandwidth-adaptive) link.
+	for i, e := range edges {
 		ra, rb := s.tiles[e.A].Router, s.tiles[e.B].Router
-		pa := ra.AddPort(e.B, cfg.Router.VCsPerPort, cfg.Router.VCBufFlits)
-		pb := rb.AddPort(e.A, cfg.Router.VCsPerPort, cfg.Router.VCBufFlits)
+		pa, pb := edgePorts[i][0], edgePorts[i][1]
 		link := noc.NewLink(cfg.Router.LinkBandwidth, cfg.Router.Bidirectional)
 		ra.ConnectEgress(e.B, rb.Ports()[pb].In, link, 0)
 		rb.ConnectEgress(e.A, ra.Ports()[pa].In, link, 1)

@@ -340,3 +340,22 @@ func TestRouterSteadyStateAllocFree(t *testing.T) {
 		t.Fatal("no traffic flowed: the guard measured an idle mesh")
 	}
 }
+
+// TestBuildAllocatesPerRouterNotPerVC is the construction-side layout
+// guard: a router's ingress state is one block of VC records, one flit
+// slab and one stamp slab, so building the 1000-core machine costs a
+// bounded number of allocations per router (28 when this was written),
+// not three objects for each of its 20 ingress VCs on top (126).
+func TestBuildAllocatesPerRouterNotPerVC(t *testing.T) {
+	cfg := config.Default()
+	cfg.Topology.Width, cfg.Topology.Height = 32, 32
+	routers := float64(cfg.Topology.Nodes())
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRouter := allocs / routers; perRouter > 40 {
+		t.Fatalf("building a 32x32 system takes %.1f allocations per router, want <= 40", perRouter)
+	}
+}

@@ -53,6 +53,12 @@ type Tile struct {
 
 	powerModel *power.Model
 	epoch      uint64
+	// nextSample is the next multiple of epoch the power model is sampled
+	// at; PhaseCommit derives it from the cycle whenever it is not within
+	// one epoch ahead (first use, or a fast-forward jump over it), so a
+	// restored or resumed run samples at the cycles an uninterrupted one
+	// does, and the common cycle pays a compare instead of a division.
+	nextSample uint64
 }
 
 // AddComponent appends a per-cycle component (build time only).
@@ -72,7 +78,15 @@ func (t *Tile) PhaseTransfer(cycle uint64) {
 // PhaseCommit implements sim.Tile.
 func (t *Tile) PhaseCommit(cycle uint64) {
 	t.Router.PhaseCommit(cycle)
-	if t.powerModel != nil && (cycle+1)%t.epoch == 0 {
+	if t.powerModel == nil {
+		return
+	}
+	end := cycle + 1
+	if t.nextSample-end >= t.epoch { // also when end is past it: the difference wraps
+		t.nextSample = end + (t.epoch-end%t.epoch)%t.epoch
+	}
+	if end == t.nextSample {
+		t.nextSample += t.epoch
 		st := t.Stats
 		t.powerModel.Sample(int(t.ID), power.EventCounts{
 			BufReads:     st.BufReads,

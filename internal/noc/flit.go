@@ -4,6 +4,20 @@
 // arbitration (SA) and switch traversal (ST); lock-free single-producer/
 // single-consumer VC buffers that are the only inter-thread communication
 // points; and bandwidth-adaptive bidirectional links (paper §II-A).
+//
+// The model is laid out for the host's caches, because at a thousand tiles
+// the router state is far larger than they are and most occupied VCs in a
+// loaded mesh are merely blocked. A router's ingress VCs are one array of
+// 128-byte records (vcState), each holding its buffer's header, with the
+// flit slots and arrival stamps of all its buffers in one slab each, all
+// allocated by NewRouter. PhaseTransfer visits each record once per cycle;
+// what decides whether a VC may move — occupancy, a cached descriptor of
+// its head flit, its allocation state and the pointer to its downstream
+// VC — is in the record's first line. The credit that downstream VC has
+// left is kept where it is read: a buffer's Commit stores its committed
+// pops into the producer's egress record (egressVC.credit), not into its
+// own header. Flits move slot to slot, one copy per hop. None of this is
+// serialized: a restore rebuilds the pointers and re-reads the heads.
 package noc
 
 import "fmt"

@@ -109,81 +109,128 @@ func TestVCBufferCommittedPops(t *testing.T) {
 }
 
 // TestVCBufferConcurrentSPSC drives the lock-free ring with one producer
-// and one consumer on separate goroutines, the producer pushing only on
-// credit (capacity - (pushes - CommittedPops)) as the router does, and
-// checks the paper's §II-C functional-correctness requirement: nothing
-// lost, nothing reordered, and no slot overwritten before it was popped.
-// Run it under -race: the detector checks that every slot hand-off is
-// ordered by the published counters.
+// and one consumer on separate goroutines, the producer writing only on
+// credit as the router does, and checks the paper's §II-C functional-
+// correctness requirement: nothing lost, nothing reordered, and no slot
+// overwritten before it was popped. "wrappers" goes through Push/Peek/Pop
+// on a free-standing buffer; "in-place" is the router's own path — the
+// producer reads its credit from an egress record the buffer commits
+// into, fills the tail slot and publishes it, the consumer reads the head
+// slot and advances. Run it under -race: the detector checks that every
+// slot hand-off is ordered by the published counters.
 func TestVCBufferConcurrentSPSC(t *testing.T) {
-	b := NewVCBuffer(4)
 	const n = 100_000
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // producer
-		defer wg.Done()
-		pushes := uint64(0)
-		for pushes < n {
-			if int(pushes-b.CommittedPops()) == b.Capacity() {
-				runtime.Gosched() // no credit; single-core hosts: let the consumer run
-				continue
-			}
-			// Every field derives from the index, so a torn or stale
-			// slot cannot pass for the flit the consumer expects.
-			if !b.Push(Flit{Packet: pushes, FlowSeq: ^pushes, Latency: pushes * 3}) {
-				t.Error("push failed despite credit")
-				return
-			}
-			pushes++
-		}
-	}()
-	go func() { // consumer
-		defer wg.Done()
-		for i := uint64(0); i < n; {
-			// Pop everything visible, then commit once: the negative
-			// clock edge publishes a cycle's pops together.
-			popped := false
-			for {
+	// Every field derives from the index, so a torn or stale slot cannot
+	// pass for the flit the consumer expects.
+	fill := func(f *Flit, i uint64) { f.Packet, f.FlowSeq, f.Latency = i, ^i, i*3 }
+	intact := func(f *Flit, i uint64) bool { return f.Packet == i && f.FlowSeq == ^i && f.Latency == i*3 }
+
+	type ends struct {
+		buf     *VCBuffer
+		produce func(i uint64) bool            // false: no credit yet
+		consume func(i uint64) (ok, good bool) // ok false: nothing to pop
+	}
+	wrappers := func() ends {
+		b := NewVCBuffer(4)
+		return ends{
+			buf: b,
+			produce: func(i uint64) bool {
+				if int(i-b.CommittedPops()) == b.Capacity() {
+					return false
+				}
+				var f Flit
+				fill(&f, i)
+				if !b.Push(f) {
+					t.Error("push failed despite credit")
+				}
+				return true
+			},
+			consume: func(i uint64) (bool, bool) {
 				head, ok := b.Peek(0)
 				if !ok {
-					break
+					return false, true
 				}
 				seen := *head
 				f := b.Pop()
-				if f.Packet != i || f.FlowSeq != ^i || f.Latency != i*3 {
-					t.Errorf("flit %d: popped %+v", i, f)
-					return
-				}
-				if seen.Packet != i {
-					t.Errorf("flit %d: head changed between Peek and Pop (%+v)", i, seen)
-					return
-				}
-				i++
-				popped = true
-			}
-			if popped {
-				b.Commit()
-			} else {
-				runtime.Gosched()
-			}
+				return true, intact(&f, i) && intact(&seen, i)
+			},
 		}
-		if b.Len() != 0 {
-			t.Errorf("%d flits left after the last one expected", b.Len())
-		}
-	}()
-	wg.Wait()
-}
-
-func TestVCBufferDrain(t *testing.T) {
-	b := NewVCBuffer(4)
-	b.Push(Flit{Seq: 1})
-	b.Push(Flit{Seq: 2, VisibleAt: 1 << 40}) // far-future flit still drains
-	out := b.Drain()
-	if len(out) != 2 || out[0].Seq != 1 || out[1].Seq != 2 {
-		t.Fatalf("drain returned %v", out)
 	}
-	if b.Len() != 0 {
-		t.Fatal("buffer not empty after drain")
+	inPlace := func() ends {
+		b := NewVCBuffer(4)
+		ev := new(egressVC)
+		ev.connect(0, b)
+		return ends{
+			buf: b,
+			produce: func(i uint64) bool {
+				if ev.free() < 1 {
+					return false
+				}
+				slot := b.tailSlot()
+				if slot == nil {
+					t.Error("buffer physically full despite credit")
+					return true
+				}
+				fill(slot, i)
+				b.publish()
+				ev.pushes++
+				return true
+			},
+			consume: func(i uint64) (bool, bool) {
+				if b.Len() == 0 {
+					return false, true
+				}
+				good := intact(b.headSlot(), i)
+				b.advance()
+				return true, good
+			},
+		}
+	}
+	for name, mk := range map[string]func() ends{"wrappers": wrappers, "in-place": inPlace} {
+		t.Run(name, func(t *testing.T) {
+			e := mk()
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // producer
+				defer wg.Done()
+				for i := uint64(0); i < n && !t.Failed(); {
+					if e.produce(i) {
+						i++
+					} else {
+						runtime.Gosched() // no credit; single-core hosts: let the consumer run
+					}
+				}
+			}()
+			go func() { // consumer
+				defer wg.Done()
+				for i := uint64(0); i < n && !t.Failed(); {
+					// Pop everything there, then commit once: the negative
+					// clock edge publishes a cycle's pops together.
+					popped := false
+					for {
+						ok, good := e.consume(i)
+						if !ok {
+							break
+						}
+						if !good {
+							t.Errorf("flit %d arrived torn, stale or out of order", i)
+							return
+						}
+						i++
+						popped = true
+					}
+					if popped {
+						e.buf.Commit()
+					} else {
+						runtime.Gosched()
+					}
+				}
+				if !t.Failed() && e.buf.Len() != 0 {
+					t.Errorf("%d flits left after the last one expected", e.buf.Len())
+				}
+			}()
+			wg.Wait()
+		})
 	}
 }
 

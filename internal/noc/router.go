@@ -21,94 +21,114 @@ type ReceiverFunc func(p Packet, cycle uint64)
 func (f ReceiverFunc) ReceivePacket(p Packet, cycle uint64) { f(p, cycle) }
 
 // egressVC is the producer-side bookkeeping for one downstream VC: the
-// wormhole allocation state and the cumulative push count whose difference
-// from the buffer's committed pops yields the deterministic credit view.
+// wormhole allocation state, the cumulative push count, and the word the
+// downstream buffer's Commit stores its committed pops into — their
+// difference is the deterministic credit view, read without leaving this
+// record. buf, capacity and vc are fixed when the egress is connected.
 type egressVC struct {
 	pushes      uint64
-	allocPacket uint64 // packet currently allocated this VC; 0 = free
+	credit      atomic.Uint64 // the downstream buffer's committed pops (VCBuffer.Commit)
+	allocPacket uint64        // packet currently allocated this VC; 0 = free
 	allocFlow   FlowID
 	lastFlow    FlowID // flow of the most recent flit pushed
+
+	buf      *VCBuffer // the downstream ingress buffer
+	capacity uint32    // its capacity
+	vc       uint32    // its index on the downstream port
+}
+
+// connect binds the record to downstream VC vc and takes over its credit
+// word (build time only).
+func (e *egressVC) connect(vc int, buf *VCBuffer) {
+	e.buf, e.capacity, e.vc = buf, uint32(buf.Capacity()), uint32(vc)
+	buf.attachCredit(&e.credit)
 }
 
 // resident reports whether, from the producer's view, the downstream VC
 // still holds flits, and of which flow (valid only under single-flow-
 // at-a-time disciplines such as EDVCA, which is when it is consulted).
-func (e *egressVC) resident(buf *VCBuffer) (FlowID, bool) {
-	if e.pushes == buf.CommittedPops() {
+func (e *egressVC) resident() (FlowID, bool) {
+	if e.pushes == e.credit.Load() {
 		return 0, false
 	}
 	return e.lastFlow, true
 }
 
-func (e *egressVC) free(buf *VCBuffer) int {
-	return buf.Capacity() - int(e.pushes-buf.CommittedPops())
+func (e *egressVC) free() int {
+	return int(e.capacity) - int(e.pushes-e.credit.Load())
 }
 
-// vcState is the per-ingress-VC pipeline state for the packet currently
-// at the head of that VC, plus the local-clock arrival stamps that keep
-// latency accounting within one clock domain per hop (paper §II-C: stats
-// ride with the flits and are updated incrementally, so loose
-// synchronization cannot compound cross-tile clock skew into latency).
+// headStale in vcState.headVis says the head-flit descriptor must be read
+// from the buffer again (no flit carries that VisibleAt).
+const headStale = ^uint64(0)
+
+// vcState is one ingress VC of a router: the buffer header, the pipeline
+// state for the packet currently at the head of that VC, and what the
+// router has derived from both. A router's records sit in one array,
+// port-major and VC-minor, and PhaseTransfer visits each once per cycle,
+// so the fields are ordered by who reads them: the first 64 bytes decide
+// what an occupied VC may do this cycle (a VC blocked on credit or on an
+// invisible head never leaves them), the rest serves route computation, VC
+// allocation and the flit's move. No field is an 8-byte int that need not
+// be, which keeps the record at 128 bytes (TestVCStateLayout); it holds
+// atomics, so records are never copied.
+//
+// The arrival stamps keep latency accounting within one clock domain per
+// hop (paper §II-C: stats ride with the flits and are updated
+// incrementally, so loose synchronization cannot compound cross-tile
+// clock skew into latency): one local-clock arrival time per resident flit
+// the owning tile's scan has seen, in Router.stamps at the flit's own ring
+// position (slot0 + position), so the stamp ring needs no head of its own.
 type vcState struct {
-	routed   bool
+	// Derived, never serialized, rebuilt after a restore: the head flit's
+	// VisibleAt and Packet, read once when the flit becomes the head
+	// (headVis == headStale until then), so a VC that cannot move does not
+	// touch its flit; and the downstream VC allocated at VA (nil before VA
+	// and for ejection).
+	headVis    uint64
+	headPacket uint64
+	ev         *egressVC
+
+	pktID  uint64
+	vaAt   uint64
+	sCount uint32 // resident flits stamped so far
+	routed bool
+	vaDone bool
+	port   uint8 // index of the ingress port this VC belongs to
+	egress uint8
+
+	buf VCBuffer // pushes and pops first: they end the record's first line
+
 	routedAt uint64
 	flow     FlowID // flow ID the packet arrived with (VCA lookup key)
-	next     NodeID
 	nextFlow FlowID
-	egress   int
-	vaDone   bool
-	vaAt     uint64
-	outVC    int
-	pktID    uint64
-
-	// Fixed at construction: the buffer this state describes, the index
-	// of its ingress port and of the VC within it, and the node its flits
-	// arrive from (the router itself on the local port) — the routing and
-	// VCA tables' prev key.
-	buf      *VCBuffer
-	port, vc int
-	prev     NodeID
-
-	// stamps is a ring of local-clock arrival times, one per resident
-	// flit the owning tile's scan has seen.
-	stamps []uint64
-	sHead  int
-	sCount int
+	next     NodeID
+	slot0    uint32 // the buffer's first slot in Router.flits and Router.stamps
 }
 
 func (s *vcState) reset() {
 	s.routed, s.vaDone = false, false
 	s.routedAt, s.vaAt = 0, 0
 	s.flow, s.nextFlow = 0, 0
-	s.next, s.egress, s.outVC = 0, 0, 0
+	s.next, s.egress = 0, 0
 	s.pktID = 0
+	s.ev = nil
 }
 
-// stampArrivals records the local cycle for flits that appeared in the
-// buffer since the last scan.
-func (s *vcState) stampArrivals(cycle uint64, live int) {
-	for s.sCount < live {
-		s.stamps[(s.sHead+s.sCount)%len(s.stamps)] = cycle
-		s.sCount++
-	}
+// readHead refreshes the head-flit descriptor from the buffer, which must
+// hold a flit the router's pass has seen, and returns that flit.
+func (s *vcState) readHead() *Flit {
+	f := s.buf.headSlot()
+	s.headVis, s.headPacket = f.VisibleAt, f.Packet
+	return f
 }
 
-// popStamp consumes the oldest arrival stamp. Only VCs on the occupied
-// list are popped, each was stamped for at least one flit by this cycle's
-// scan and loses at most one flit per cycle, so a flit a neighbour pushes
-// after the scan (loose synchronization) waits for the next scan and the
-// ring cannot run empty here. The sCount == 0 branch is a defensive guard
-// for that invariant: it keeps the count from going negative and answers
-// with the current local cycle, the value saveVCState records for
-// unscanned residents.
-func (s *vcState) popStamp(cycle uint64) uint64 {
-	if s.sCount == 0 {
-		return cycle
+// outVC is the downstream VC index allocated at VA (0 when none is).
+func (s *vcState) outVC() int {
+	if s.ev == nil {
+		return 0
 	}
-	v := s.stamps[s.sHead]
-	s.sHead = (s.sHead + 1) % len(s.stamps)
-	s.sCount--
-	return v
+	return int(s.ev.vc)
 }
 
 // Port couples one ingress port (VC buffers owned by this router) with
@@ -118,7 +138,7 @@ type Port struct {
 	Neighbor NodeID // InvalidNode for the local CPU port
 
 	In      []*VCBuffer // this router's ingress VCs for flits from Neighbor
-	inState []vcState
+	inState []vcState   // the records In points into (a window of Router.vcs)
 
 	Out      []*VCBuffer // neighbour's ingress VCs for flits to Neighbor (nil on local port)
 	outState []egressVC
@@ -151,42 +171,57 @@ type assembling struct {
 
 // Router is a cycle-level model of one ingress-queued wormhole VC router.
 // All methods are called from the owning tile's worker thread only; the
-// ingress VC buffers are the only cross-thread touch points.
+// ingress VC buffers and the credit words of the egress records are the
+// only cross-thread touch points.
 type Router struct {
+	// What every cycle touches, even an idle one, comes first so that it
+	// shares a few cache lines instead of one per field.
+
+	// vcs is every ingress VC's record, port-major and VC-minor (rng.Perm
+	// indexes into lists filtered from it in that order, so the order is
+	// part of the determinism contract). With flits, the slots of all
+	// their buffers, and stamps, one arrival stamp per slot, it is the
+	// ingress state NewRouter allocates once.
+	vcs []vcState
+	rng *sim.RNG
+	// popped collects the commits of the buffers popped this cycle, which
+	// the negative edge publishes.
+	popped     []commit
+	egressPerm []int
+	vaScratch  []*vcState // VCs waiting for VC allocation this cycle
+	// Injection queue: pending[pendHead:]; the consumed prefix is reclaimed
+	// when the queue empties or before it grows.
+	pending   []pendingPacket
+	pendHead  int
+	streaming bool // a packet is streaming in from curFlits
+	saFilled  bool // some saBuckets entry is non-empty
+	// bidir is set when any port's link is bandwidth-adaptive: only then
+	// do demand and free space have a reader.
+	bidir bool
+
+	saBuckets [][]*vcState // SA-eligible VCs per egress port
+	st        *stats.Tile
+	flits     []Flit
+	stamps    []uint64
+
 	ID        NodeID
 	ports     []*Port
 	localPort int
-	byNode    map[NodeID]int
 
 	table    RouteTable
 	vcaTable VCATable
 	vcaMode  VCAMode
 	adaptive bool
 
-	rng      *sim.RNG
-	st       *stats.Tile
 	inflight *atomic.Int64
 	recv     Receiver
 
-	// bidir is set when any port's link is bandwidth-adaptive: only then
-	// do demand and free space have a reader.
-	bidir bool
-
-	// ingress lists every ingress VC, port-major and VC-minor. occupied is
-	// the subset that held flits at this cycle's scan, in the same order
-	// (rng.Perm indexes into lists filtered from it, so the order is part
-	// of the determinism contract). popped collects the buffers popped
-	// this cycle, whose credits the negative edge publishes.
-	ingress  []*vcState
+	// occupied lists the VCs that held flits at this cycle's pass, for the
+	// bidirectional links' demand report only.
 	occupied []*vcState
-	popped   []*VCBuffer
 
-	// Injection state. pending[pendHead:] is the queue; the consumed
-	// prefix is reclaimed when the queue empties or before it grows.
-	pending     []pendingPacket
-	pendHead    int
-	streaming   bool   // a packet is streaming in from curFlits
-	curFlits    []Flit // its flits (storage reused across packets)
+	// The packet streaming in, and injection bookkeeping.
+	curFlits    []Flit // the streaming packet's flits (storage reused across packets)
 	curNext     int
 	curVC       int
 	pktCounter  uint64
@@ -197,11 +232,8 @@ type Router struct {
 	assembly map[uint64]assembling
 
 	// Scratch buffers reused across cycles to avoid allocation.
-	egressPerm  []int
-	saBuckets   [][]*vcState // SA-eligible VCs per egress port
 	candScratch []*vcState
 	candPerm    []int
-	vaScratch   []*vcState
 	vcOK        []int
 	weights     []float64
 	demand      []int // SA-ready flits per egress port
@@ -210,6 +242,14 @@ type Router struct {
 // rerouteAfter is the VA-starvation threshold (cycles) after which a
 // routed-but-unallocated packet re-runs route computation.
 const rerouteAfter = 15
+
+// PortParams describes one network port: the neighbour it faces and the
+// geometry of its ingress VCs.
+type PortParams struct {
+	Neighbor NodeID
+	VCs      int
+	BufFlits int
+}
 
 // RouterParams bundles construction inputs.
 type RouterParams struct {
@@ -224,75 +264,125 @@ type RouterParams struct {
 	// LocalVCs / LocalBufFlits configure the CPU<->switch ingress port.
 	LocalVCs      int
 	LocalBufFlits int
+	// Ports lists the network ports, in port-index order after the local
+	// port (index 0).
+	Ports []PortParams
 }
 
-// NewRouter creates a router with only its local port; the topology
-// builder adds network ports with Connect.
+// maxPorts bounds a router's port count: switch arbitration tracks the
+// ingress ports used this cycle in one 64-bit word.
+const maxPorts = 64
+
+// NewRouter creates a router with its local port and the given network
+// ports and lays out all of its ingress state: one block of VC records,
+// one slab of flit slots and one of arrival stamps. The egress side of
+// each network port is wired afterwards with ConnectEgress.
 func NewRouter(p RouterParams) *Router {
-	if p.LocalVCs < 1 || p.LocalBufFlits < 1 {
-		panic("noc: local port needs at least one VC and one buffer slot")
+	// Port 0 is the local port; the network ports follow.
+	geometry := append([]PortParams{{Neighbor: InvalidNode, VCs: p.LocalVCs, BufFlits: p.LocalBufFlits}}, p.Ports...)
+	nPorts := len(geometry)
+	if nPorts > maxPorts {
+		panic(fmt.Sprintf("noc: router %d has %d ports, at most %d are supported", p.ID, nPorts, maxPorts))
+	}
+	nVCs, nSlots := 0, 0
+	for pi, g := range geometry {
+		if g.VCs < 1 || g.BufFlits < 1 {
+			panic(fmt.Sprintf("noc: router %d port %d needs at least one VC and one buffer slot", p.ID, pi))
+		}
+		nVCs += g.VCs
+		nSlots += g.VCs * g.BufFlits
 	}
 	r := &Router{
-		ID:       p.ID,
-		byNode:   make(map[NodeID]int),
-		table:    p.Table,
-		vcaTable: p.VCATable,
-		vcaMode:  p.VCAMode,
-		adaptive: p.Adaptive,
-		rng:      p.RNG,
-		st:       p.Stats,
-		inflight: p.InFlight,
-		flowSeq:  make(map[FlowID]uint64),
-		assembly: make(map[uint64]assembling),
+		ID:          p.ID,
+		table:       p.Table,
+		vcaTable:    p.VCATable,
+		vcaMode:     p.VCAMode,
+		adaptive:    p.Adaptive,
+		rng:         p.RNG,
+		st:          p.Stats,
+		inflight:    p.InFlight,
+		flowSeq:     make(map[FlowID]uint64),
+		assembly:    make(map[uint64]assembling),
+		vcs:         make([]vcState, nVCs),
+		flits:       make([]Flit, nSlots),
+		stamps:      make([]uint64, nSlots),
+		ports:       make([]*Port, nPorts),
+		sourceState: make([]egressVC, p.LocalVCs),
+		egressPerm:  make([]int, nPorts),
+		saBuckets:   make([][]*vcState, nPorts),
+		demand:      make([]int, nPorts),
 	}
 	if t, ok := p.Table.(Adaptiver); ok && t.Adaptive() {
 		r.adaptive = true
 	}
-	r.sourceState = make([]egressVC, p.LocalVCs)
-	r.localPort = r.addPort(InvalidNode, p.LocalVCs, p.LocalBufFlits)
+	ports := make([]Port, nPorts)
+	in := make([]*VCBuffer, nVCs)
+	vc0, slot0 := 0, 0
+	for pi, g := range geometry {
+		port := &ports[pi]
+		port.Neighbor = g.Neighbor
+		port.In = in[vc0 : vc0+g.VCs : vc0+g.VCs]
+		port.inState = r.vcs[vc0 : vc0+g.VCs : vc0+g.VCs]
+		for vi := range port.inState {
+			st := &port.inState[vi]
+			st.port = uint8(pi)
+			st.headVis = headStale
+			st.slot0 = uint32(slot0)
+			st.buf.buf = r.flits[slot0 : slot0+g.BufFlits : slot0+g.BufFlits]
+			port.In[vi] = &st.buf
+			slot0 += g.BufFlits
+		}
+		vc0 += g.VCs
+		r.ports[pi] = port
+	}
+	// The router is its local ingress VCs' producer.
+	for vi := range r.sourceState {
+		r.sourceState[vi].connect(vi, ports[0].In[vi])
+	}
 	return r
 }
 
-// AddPort creates the ingress side of a port facing neighbor and returns
-// its index. The egress side is wired afterwards with ConnectEgress.
-func (r *Router) AddPort(neighbor NodeID, vcs, bufFlits int) int {
-	idx := r.addPort(neighbor, vcs, bufFlits)
-	r.byNode[neighbor] = idx
-	return idx
+// portToward returns the index of the port facing neighbour n, the last
+// one if several do (two-node rings and tori wire the same pair twice;
+// routes use the later port), or -1.
+func (r *Router) portToward(n NodeID) int {
+	for i := len(r.ports) - 1; i > 0; i-- {
+		if r.ports[i].Neighbor == n {
+			return i
+		}
+	}
+	return -1
 }
 
-func (r *Router) addPort(neighbor NodeID, vcs, bufFlits int) int {
-	idx := len(r.ports)
-	prev := neighbor
-	if prev == InvalidNode {
-		prev = r.ID
+// prevOf returns the node a VC's flits arrive from (the router itself on
+// the local port) — the routing and VCA tables' prev key.
+func (r *Router) prevOf(st *vcState) NodeID {
+	if int(st.port) == r.localPort {
+		return r.ID
 	}
-	p := &Port{Neighbor: neighbor, inState: make([]vcState, vcs)}
-	for i := range p.inState {
-		buf := NewVCBuffer(bufFlits)
-		p.In = append(p.In, buf)
-		st := &p.inState[i]
-		st.buf, st.port, st.vc, st.prev = buf, idx, i, prev
-		st.stamps = make([]uint64, bufFlits)
-		r.ingress = append(r.ingress, st)
-	}
-	r.ports = append(r.ports, p)
-	r.egressPerm = make([]int, len(r.ports))
-	r.saBuckets = append(r.saBuckets, nil)
-	r.demand = append(r.demand, 0)
-	return idx
+	return r.ports[st.port].Neighbor
 }
 
 // ConnectEgress wires this router's port toward neighbor to the
-// neighbour's ingress buffers and the shared link.
+// neighbour's ingress buffers and the shared link, and takes their credit
+// words into its egress records. When several ports face the same
+// neighbour, successive calls wire them in port order.
 func (r *Router) ConnectEgress(neighbor NodeID, downstream []*VCBuffer, link *Link, side int) {
-	idx, ok := r.byNode[neighbor]
-	if !ok {
-		panic(fmt.Sprintf("noc: router %d has no port facing %d", r.ID, neighbor))
+	var p *Port
+	for _, q := range r.ports[1:] {
+		if q.Neighbor == neighbor && q.Out == nil {
+			p = q
+			break
+		}
 	}
-	p := r.ports[idx]
+	if p == nil {
+		panic(fmt.Sprintf("noc: router %d has no unconnected port facing %d", r.ID, neighbor))
+	}
 	p.Out = downstream
 	p.outState = make([]egressVC, len(downstream))
+	for vi, buf := range downstream {
+		p.outState[vi].connect(vi, buf)
+	}
 	p.Link = link
 	p.Side = side
 	if link != nil && link.Bidirectional {
@@ -311,8 +401,8 @@ func (r *Router) LocalPort() *Port { return r.ports[r.localPort] }
 
 // PortToward returns the port index facing the given neighbour node.
 func (r *Router) PortToward(n NodeID) (int, bool) {
-	i, ok := r.byNode[n]
-	return i, ok
+	i := r.portToward(n)
+	return i, i >= 0
 }
 
 // Stats exposes the router's statistics block.
@@ -359,23 +449,18 @@ func (r *Router) NextEvent(now uint64) uint64 {
 	return sim.NoEvent
 }
 
-// PhaseTransfer runs the positive clock edge: arrival stamping, injection
-// streaming, route computation, VC allocation, switch arbitration and
-// traversal. One scan finds the occupied ingress VCs; every later stage
-// walks only those, so an idle router costs the scan and the one egress
-// permutation draw that keeps its RNG stream in step.
+// PhaseTransfer runs the positive clock edge: arrival stamping, route
+// computation, injection streaming, VC allocation, switch arbitration and
+// traversal. One pass visits every ingress VC once and sorts the occupied
+// ones by what they may do this cycle; every later stage walks only its
+// list, so an idle router costs the pass and the one egress permutation
+// draw that keeps its RNG stream in step.
 func (r *Router) PhaseTransfer(cycle uint64) {
-	r.occupied = r.occupied[:0]
-	for _, st := range r.ingress {
-		if live := st.buf.Len(); live > 0 {
-			st.stampArrivals(cycle, live)
-			r.occupied = append(r.occupied, st)
-		}
-	}
-	// A flit injected now becomes visible next cycle, so it need not be
-	// in this cycle's occupied list.
+	r.scanIngress(cycle)
+	// A flit injected now becomes visible next cycle, so the pass need not
+	// have seen it; injection draws no random numbers.
 	r.injectFlits(cycle)
-	r.routeAndAllocate(cycle)
+	r.allocateVCs(cycle)
 	r.arbitrateAndTraverse(cycle)
 	r.reportLinkDemand(cycle)
 }
@@ -384,8 +469,8 @@ func (r *Router) PhaseTransfer(cycle uint64) {
 // pops so producers see fresh credits and, on bandwidth-adaptive links,
 // publish ingress free space and run the link arbiters.
 func (r *Router) PhaseCommit(cycle uint64) {
-	for _, b := range r.popped {
-		b.Commit()
+	for _, c := range r.popped {
+		c.publish()
 	}
 	r.popped = r.popped[:0]
 	if !r.bidir {
@@ -402,6 +487,111 @@ func (r *Router) PhaseCommit(cycle uint64) {
 		p.Link.ReportSpace(p.Side, free)
 		p.Link.Arbitrate(p.Side)
 	}
+}
+
+// scanIngress is the one visit each ingress VC gets per cycle. It loads
+// the occupancy once, stamps arrivals, and for a VC whose head flit is
+// visible either runs its RC stage on the spot (in VC order, as the random
+// draws of route selection require) or files it: waiting for a VC into
+// vaScratch, switch-eligible into its egress port's saBuckets entry.
+//
+// Deciding switch eligibility here, before this cycle's RC and VA, is
+// sound because a VC routed or allocated this cycle is not eligible until
+// the next (vaAt >= cycle), and neither stage moves a credit. The pass
+// draws no random number of its own, so route selection, the VA
+// permutation, the egress permutation and the per-egress permutations
+// draw in the order every pinned digest depends on.
+//
+// What a blocked VC costs is the point: its state, the cached descriptor
+// of its head flit and the pointer to its downstream VC's credit are in
+// the first line of its record, so "still blocked" is decided from that
+// line and one line of egress state, without touching the flit.
+func (r *Router) scanIngress(cycle uint64) {
+	r.vaScratch = r.vaScratch[:0]
+	if r.bidir {
+		r.occupied = r.occupied[:0]
+	}
+	if r.saFilled {
+		for i := range r.saBuckets {
+			r.saBuckets[i] = r.saBuckets[i][:0]
+		}
+		r.saFilled = false
+	}
+	vcs := r.vcs
+	for i := range vcs {
+		st := &vcs[i]
+		live := uint32(st.buf.Len())
+		if live == 0 {
+			continue
+		}
+		if live > st.sCount {
+			r.stampArrivals(st, cycle, live)
+		}
+		if r.bidir {
+			r.occupied = append(r.occupied, st)
+		}
+		if st.headVis > cycle {
+			if st.headVis != headStale {
+				continue // the head is still on the link
+			}
+			// VisibleAt values are monotone along the queue (producer clock
+			// never decreases), so checking only the head suffices.
+			if st.readHead().VisibleAt > cycle {
+				continue
+			}
+		}
+		if st.vaDone {
+			// headPacket != pktID: next packet already at head; its own RC
+			// will run.
+			if st.vaAt < cycle && st.headPacket == st.pktID && (st.ev == nil || st.ev.free() >= 1) {
+				r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
+				r.saFilled = true
+			}
+			continue
+		}
+		// A packet stuck in VA re-runs route computation so schemes with
+		// path diversity (PROM's escape channel, adaptive routing) can
+		// resample a next hop whose VCs are free.
+		if st.routed && cycle-st.routedAt > rerouteAfter {
+			st.reset()
+		}
+		if !st.routed {
+			f := st.buf.headSlot()
+			if !f.Kind.IsHead() {
+				panic(fmt.Sprintf("noc: router %d port %d (ingress vc %d): body flit %v at head without route", r.ID, st.port, i, *f))
+			}
+			r.computeRoute(st, f, cycle) // VA next cycle at the earliest
+		} else if st.routedAt < cycle {
+			r.vaScratch = append(r.vaScratch, st)
+		}
+	}
+}
+
+// stampArrivals records the local cycle for flits that appeared in the
+// buffer since the last pass.
+func (r *Router) stampArrivals(st *vcState, cycle uint64, live uint32) {
+	pos := st.buf.pos(st.sCount)
+	for st.sCount < live {
+		r.stamps[st.slot0+pos] = cycle
+		pos = st.buf.wrap(pos + 1)
+		st.sCount++
+	}
+}
+
+// popStamp consumes the head flit's arrival stamp; call it before the
+// buffer advances. Only VCs the pass filed are popped, each was stamped
+// for at least one flit by that pass and loses at most one flit per cycle,
+// so a flit a neighbour pushes after the pass (loose synchronization)
+// waits for the next one and the count cannot run out here. The
+// sCount == 0 branch is a defensive guard for that invariant: it keeps the
+// count from wrapping and answers with the current local cycle, the value
+// saveVCState records for unscanned residents.
+func (r *Router) popStamp(st *vcState, cycle uint64) uint64 {
+	if st.sCount == 0 {
+		return cycle
+	}
+	st.sCount--
+	return r.stamps[st.slot0+st.buf.head]
 }
 
 // injectFlits streams the current packet's flits into the chosen local
@@ -422,13 +612,13 @@ func (r *Router) injectFlits(cycle uint64) {
 	}
 	// Stable per-flow VC choice keeps same-flow packets in FIFO order
 	// through injection (required for EDVCA's in-order guarantee).
-	local := r.ports[r.localPort]
-	buf := local.In[r.curVC]
-	st := &r.sourceState[r.curVC]
-	if st.free(buf) < 1 {
+	src := &r.sourceState[r.curVC]
+	if src.free() < 1 {
 		return // retry next cycle; paper's injector retransmission
 	}
-	f := r.curFlits[r.curNext]
+	// The flit is stamped where it waits (later flits read the head's
+	// InjectedAt there) and copied once, into the ingress slot.
+	f := &r.curFlits[r.curNext]
 	f.InjectedAt = cycle
 	if f.Kind.IsHead() {
 		f.HeadInjectedAt = cycle
@@ -436,12 +626,14 @@ func (r *Router) injectFlits(cycle uint64) {
 		f.HeadInjectedAt = r.curFlits[0].InjectedAt
 	}
 	f.VisibleAt = cycle + 1
-	if !buf.Push(f) {
+	slot := src.buf.tailSlot()
+	if slot == nil {
 		panic("noc: injection push failed despite credit")
 	}
-	st.pushes++
-	st.lastFlow = f.Flow
-	r.curFlits[r.curNext] = f // keep InjectedAt for later flits' HeadInjectedAt
+	*slot = *f
+	src.buf.publish()
+	src.pushes++
+	src.lastFlow = f.Flow
 	r.curNext++
 	r.st.FlitsInjected++
 	r.st.BufWrites++
@@ -484,36 +676,12 @@ func (r *Router) startPacket(p Packet) {
 		r.curFlits[0].Payload = p.Payload
 	}
 	r.curNext = 0
-	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.ports[r.localPort].In)))
+	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.sourceState)))
 }
 
-// routeAndAllocate performs the RC and VA stages for every occupied
-// ingress VC whose head flit is a packet head. VA requests are served in
+// allocateVCs runs the VA stage for the VCs the pass found waiting, in
 // randomized order (paper §II-A5).
-func (r *Router) routeAndAllocate(cycle uint64) {
-	r.vaScratch = r.vaScratch[:0]
-	for _, st := range r.occupied {
-		f, ok := st.buf.Peek(cycle)
-		if !ok {
-			continue
-		}
-		// A packet stuck in VA re-runs route computation so schemes
-		// with path diversity (PROM's escape channel, adaptive
-		// routing) can resample a next hop whose VCs are free.
-		if st.routed && !st.vaDone && cycle-st.routedAt > rerouteAfter {
-			st.reset()
-		}
-		if !st.routed {
-			if !f.Kind.IsHead() {
-				panic(fmt.Sprintf("noc: router %d port %d vc %d: body flit %v at head without route", r.ID, st.port, st.vc, *f))
-			}
-			r.computeRoute(st, f, cycle)
-			continue // VA next cycle at the earliest
-		}
-		if !st.vaDone && st.routedAt < cycle {
-			r.vaScratch = append(r.vaScratch, st)
-		}
-	}
+func (r *Router) allocateVCs(cycle uint64) {
 	if len(r.vaScratch) == 0 {
 		return
 	}
@@ -530,9 +698,10 @@ func (r *Router) routeAndAllocate(cycle uint64) {
 // computeRoute runs the RC stage: look up the weighted next-hop set and
 // select one entry (by weight, or by downstream congestion when adaptive).
 func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
-	entries := r.table.Lookup(st.prev, f.Flow)
+	prev := r.prevOf(st)
+	entries := r.table.Lookup(prev, f.Flow)
 	if len(entries) == 0 {
-		panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, st.prev))
+		panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, prev))
 	}
 	var chosen RouteEntry
 	if len(entries) == 1 {
@@ -553,17 +722,17 @@ func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
 	st.nextFlow = chosen.NextFlow
 	st.pktID = f.Packet
 	if chosen.Next == r.ID {
-		st.egress = r.localPort
+		st.egress = uint8(r.localPort)
 		// Ejection needs no VC allocation; eligible for SA next cycle.
 		st.vaDone = true
 		st.vaAt = cycle
 		return
 	}
-	eg, ok := r.byNode[chosen.Next]
-	if !ok {
+	eg := r.portToward(chosen.Next)
+	if eg < 0 {
 		panic(fmt.Sprintf("noc: router %d: route for flow %v names non-neighbour %d", r.ID, f.Flow, chosen.Next))
 	}
-	st.egress = eg
+	st.egress = uint8(eg)
 }
 
 // pickAdaptive chooses the entry whose egress has the most committed free
@@ -574,10 +743,10 @@ func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
 		free := 0
 		if e.Next == r.ID {
 			free = 1 << 20 // ejection is never congested from our side
-		} else if eg, ok := r.byNode[e.Next]; ok {
-			p := r.ports[eg]
-			for vi, buf := range p.Out {
-				free += p.outState[vi].free(buf)
+		} else if eg := r.portToward(e.Next); eg >= 0 {
+			out := r.ports[eg].outState
+			for vi := range out {
+				free += out[vi].free()
 			}
 		}
 		switch {
@@ -595,15 +764,15 @@ func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
 
 // allocateVC runs the VA stage for one ingress VC's head packet.
 func (r *Router) allocateVC(st *vcState, cycle uint64) {
-	eg := r.ports[st.egress]
-	if eg.Out == nil {
+	out := r.ports[st.egress].outState
+	if out == nil {
 		// Local ejection: nothing to allocate (handled in computeRoute,
-		// but a route may eject via a later-added port arrangement).
+		// but a route may eject via a port with no egress side).
 		st.vaDone = true
 		st.vaAt = cycle
 		return
 	}
-	cands := r.vcaTable.Candidates(st.prev, st.flow, st.next, st.nextFlow, len(eg.Out))
+	cands := r.vcaTable.Candidates(r.prevOf(st), st.flow, st.next, st.nextFlow, len(out))
 	r.st.ArbEvents++
 	var chosen = -1
 	switch r.vcaMode {
@@ -612,11 +781,11 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 		// allocation and hold only our flow (or nothing).
 		r.weights, r.vcOK = r.weights[:0], r.vcOK[:0]
 		for _, c := range cands {
-			ev := &eg.outState[c.VC]
+			ev := &out[c.VC]
 			if ev.allocPacket != 0 {
 				continue
 			}
-			if fl, res := ev.resident(eg.Out[c.VC]); res && fl != st.nextFlow {
+			if fl, res := ev.resident(); res && fl != st.nextFlow {
 				continue
 			}
 			r.vcOK = append(r.vcOK, c.VC)
@@ -629,16 +798,16 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 		// Flow-aware: same-flow VC first, else the emptiest free one.
 		bestFree, ties := -1, 1
 		for _, c := range cands {
-			ev := &eg.outState[c.VC]
+			ev := &out[c.VC]
 			if ev.allocPacket != 0 {
 				continue
 			}
-			if fl, res := ev.resident(eg.Out[c.VC]); res && fl == st.nextFlow {
+			if fl, res := ev.resident(); res && fl == st.nextFlow {
 				chosen = c.VC
 				bestFree = 1 << 30
 				continue
 			}
-			free := ev.free(eg.Out[c.VC])
+			free := ev.free()
 			switch {
 			case free > bestFree:
 				chosen, bestFree, ties = c.VC, free, 1
@@ -652,7 +821,7 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 	default: // dynamic and static-set: any free candidate, by weight
 		r.weights, r.vcOK = r.weights[:0], r.vcOK[:0]
 		for _, c := range cands {
-			if eg.outState[c.VC].allocPacket != 0 {
+			if out[c.VC].allocPacket != 0 {
 				continue
 			}
 			r.vcOK = append(r.vcOK, c.VC)
@@ -667,10 +836,9 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 	}
 	st.vaDone = true
 	st.vaAt = cycle
-	st.outVC = chosen
-	ev := &eg.outState[chosen]
-	ev.allocPacket = st.pktID
-	ev.allocFlow = st.nextFlow
+	st.ev = &out[chosen]
+	st.ev.allocPacket = st.pktID
+	st.ev.allocFlow = st.nextFlow
 }
 
 // arbitrateAndTraverse runs SA and ST: for each egress port, in
@@ -678,38 +846,17 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 // link bandwidth, honouring one-flit-per-ingress-port-per-cycle crossbar
 // constraints, then move winners.
 //
-// Eligibility is evaluated once per occupied VC, into per-egress buckets,
-// before the egress rounds. A traversal in one round changes only the
-// state of its ingress port, which ingressUsed then excludes, and the
-// credits of its own egress, which that round had already read — so each
-// round sees exactly what a fresh scan at that point would.
+// Eligibility was decided once per occupied VC, into per-egress buckets,
+// by the pass. A traversal in one round changes only the state of its
+// ingress port, which ingressUsed then excludes, and the credits of its
+// own egress, which that round had already read — so each round sees
+// exactly what a fresh scan at that point would.
 func (r *Router) arbitrateAndTraverse(cycle uint64) {
 	eperm := r.egressPerm
 	r.rng.Perm(eperm)
-	if len(r.occupied) == 0 {
+	if !r.saFilled {
 		return
 	}
-	for i := range r.saBuckets {
-		r.saBuckets[i] = r.saBuckets[i][:0]
-	}
-	for _, st := range r.occupied {
-		if !st.vaDone || st.vaAt >= cycle {
-			continue
-		}
-		f, ok := st.buf.Peek(cycle)
-		if !ok {
-			continue
-		}
-		if f.Packet != st.pktID {
-			// Next packet already at head; its own RC will run.
-			continue
-		}
-		if eg := r.ports[st.egress]; eg.Out != nil && eg.outState[st.outVC].free(eg.Out[st.outVC]) < 1 {
-			continue
-		}
-		r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
-	}
-
 	var ingressUsed uint64 // bit per ingress port that moved a flit this cycle
 	for _, ei := range eperm {
 		if len(r.saBuckets[ei]) == 0 {
@@ -725,7 +872,7 @@ func (r *Router) arbitrateAndTraverse(cycle uint64) {
 		}
 		r.candScratch = r.candScratch[:0]
 		for _, st := range r.saBuckets[ei] {
-			if ingressUsed&(1<<uint(st.port)) == 0 {
+			if ingressUsed&(1<<st.port) == 0 {
 				r.candScratch = append(r.candScratch, st)
 			}
 		}
@@ -743,62 +890,77 @@ func (r *Router) arbitrateAndTraverse(cycle uint64) {
 				break
 			}
 			st := r.candScratch[ci]
-			if ingressUsed&(1<<uint(st.port)) != 0 {
+			if ingressUsed&(1<<st.port) != 0 {
 				continue
 			}
-			r.traverse(st, eg, cycle)
-			ingressUsed |= 1 << uint(st.port)
+			r.traverse(st, cycle)
+			ingressUsed |= 1 << st.port
 			budget--
 		}
 	}
 }
 
-// traverse runs the ST stage for one winning flit: pop it, account its
-// residency latency in this router, and either push it downstream (one
-// link cycle) or deliver it locally.
-func (r *Router) traverse(st *vcState, eg *Port, cycle uint64) {
-	f := st.buf.Pop()
-	r.popped = append(r.popped, st.buf)
+// traverse runs the ST stage for one winning flit: account its residency
+// latency in this router, write it straight into the downstream tail slot
+// (one link cycle) or deliver it locally, and free its ingress slot.
+func (r *Router) traverse(st *vcState, cycle uint64) {
+	f := st.buf.headSlot()
 	r.st.BufReads++
 	r.st.BufWrites++ // ingress write modeled at pop time (same tile, same count)
 	r.st.XbarTransits++
 	// Residency in this router, measured in the local clock domain: the
 	// arrival stamp is local; VisibleAt (producer clock + 1 link cycle)
 	// only tightens it when the producer ran ahead within a sync chunk.
-	arrival := st.popStamp(cycle)
+	arrival := r.popStamp(st, cycle)
 	if f.VisibleAt > arrival {
 		arrival = f.VisibleAt
 	}
-	f.Latency += cycle - arrival
-	// Apply the routing table's flow renaming (two-phase schemes rename at
-	// the intermediate hop; datelines rename at the wrap crossing).
-	f.Flow = st.nextFlow
-	if eg.Out == nil {
+	latency := f.Latency + cycle - arrival
+	tail := f.Kind.IsTail()
+	// The routing table's flow renaming applies on the way out (two-phase
+	// schemes rename at the intermediate hop; datelines rename at the wrap
+	// crossing).
+	if ev := st.ev; ev == nil {
 		// Ejection to the local CPU port.
+		f.Latency = latency
+		f.Flow = st.nextFlow
 		r.deliver(f, cycle)
 	} else {
-		f.Latency++ // link traversal
-		f.Hops++
-		f.VisibleAt = cycle + 1
-		ev := &eg.outState[st.outVC]
-		if !eg.Out[st.outVC].Push(f) {
-			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, st.egress, st.outVC))
+		out := ev.buf.tailSlot()
+		if out == nil {
+			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, st.egress, ev.vc))
 		}
+		*out = *f
+		out.Flow = st.nextFlow
+		out.Latency = latency + 1 // link traversal
+		out.Hops++
+		out.VisibleAt = cycle + 1
+		ev.buf.publish()
 		ev.pushes++
-		ev.lastFlow = f.Flow
+		ev.lastFlow = st.nextFlow
 		r.st.LinkTransits++
-		if f.Kind.IsTail() {
+		if tail {
 			ev.allocPacket = 0
 		}
 	}
-	if f.Kind.IsTail() {
+	st.buf.advance()
+	// The next flit, if the pass has seen one, sits in the slot after the
+	// one just read: describe it now, while that memory is near.
+	if st.sCount > 0 {
+		st.readHead()
+	} else {
+		st.headVis = headStale
+	}
+	r.popped = append(r.popped, st.buf.commitOf())
+	if tail {
 		st.reset()
 	}
 }
 
 // deliver ejects a flit at its destination, folds its statistics and
-// reassembles packets for the local receiver.
-func (r *Router) deliver(f Flit, cycle uint64) {
+// reassembles packets for the local receiver. f is the flit's ingress
+// slot, still the router's until the buffer advances.
+func (r *Router) deliver(f *Flit, cycle uint64) {
 	if f.Dst != r.ID {
 		panic(fmt.Sprintf("noc: flit for %d ejected at %d (flow %v)", f.Dst, r.ID, f.Flow))
 	}
@@ -808,7 +970,7 @@ func (r *Router) deliver(f Flit, cycle uint64) {
 	r.inflight.Add(-1)
 	switch f.Kind {
 	case Head:
-		r.assembly[f.Packet] = assembling{head: f}
+		r.assembly[f.Packet] = assembling{head: *f}
 		return
 	case Body:
 		return
@@ -845,7 +1007,8 @@ func (r *Router) deliver(f Flit, cycle uint64) {
 }
 
 // reportLinkDemand publishes, for each bidirectional link, how many
-// SA-eligible flits want to cross it (used by the bandwidth arbiter).
+// SA-eligible flits want to cross it (used by the bandwidth arbiter). It
+// reads the buffers as this cycle's traversals left them.
 func (r *Router) reportLinkDemand(cycle uint64) {
 	if !r.bidir {
 		return

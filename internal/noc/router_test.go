@@ -1,10 +1,14 @@
 package noc
 
 import (
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hornet/internal/sim"
+	"hornet/internal/snapshot"
 	"hornet/internal/stats"
 )
 
@@ -31,13 +35,22 @@ func (allVCs) Candidates(prev NodeID, flow FlowID, next NodeID, nextFlow FlowID,
 }
 
 // pipeline builds an n-router line with the given VC geometry and returns
-// the routers plus per-node received packets.
+// the routers plus per-node received packets. Like core.New it names every
+// router's ports when it creates the router and wires the egress sides
+// once all routers exist.
 func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[]Packet) {
 	t.Helper()
 	inflight := new(atomic.Int64)
 	routers := make([]*Router, n)
 	received := make([]*[]Packet, n)
 	for i := 0; i < n; i++ {
+		var ports []PortParams
+		if i > 0 {
+			ports = append(ports, PortParams{Neighbor: NodeID(i - 1), VCs: vcs, BufFlits: bufFlits})
+		}
+		if i+1 < n {
+			ports = append(ports, PortParams{Neighbor: NodeID(i + 1), VCs: vcs, BufFlits: bufFlits})
+		}
 		routers[i] = NewRouter(RouterParams{
 			ID:            NodeID(i),
 			Table:         lineTable{self: NodeID(i)},
@@ -48,6 +61,7 @@ func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[
 			InFlight:      inflight,
 			LocalVCs:      vcs,
 			LocalBufFlits: bufFlits,
+			Ports:         ports,
 		})
 		rec := &[]Packet{}
 		received[i] = rec
@@ -57,8 +71,8 @@ func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[
 	}
 	for i := 0; i < n-1; i++ {
 		a, b := routers[i], routers[i+1]
-		pa := a.AddPort(b.ID, vcs, bufFlits)
-		pb := b.AddPort(a.ID, vcs, bufFlits)
+		pa, _ := a.PortToward(b.ID)
+		pb, _ := b.PortToward(a.ID)
 		link := NewLink(1, false)
 		a.ConnectEgress(b.ID, b.Ports()[pb].In, link, 0)
 		b.ConnectEgress(a.ID, a.Ports()[pa].In, link, 1)
@@ -166,11 +180,9 @@ func TestEDVCAExclusivity(t *testing.T) {
 	for c := uint64(0); c < 1000; c++ {
 		step(routers, c)
 		for vi, buf := range ingress {
-			flits := buf.Drain()
 			seen := map[FlowID]bool{}
-			for _, f := range flits {
-				seen[f.Flow.Base()] = true
-				buf.Push(f) // put them back
+			for i := 0; i < buf.Len(); i++ {
+				seen[buf.flitAt(i).Flow.Base()] = true
 			}
 			if len(seen) > 1 {
 				t.Fatalf("cycle %d: VC %d holds %d distinct flows (EDVCA violated)", c, vi, len(seen))
@@ -256,5 +268,301 @@ func BenchmarkRouterIdleCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.PhaseTransfer(uint64(i))
 		r.PhaseCommit(uint64(i))
+	}
+}
+
+// TestVCStateLayout is the layout guard for the ingress VC record: at most
+// two cache lines, with everything that decides what an occupied VC may
+// do — the cached head descriptor, the allocation state and the buffer's
+// two counters — in the first.
+func TestVCStateLayout(t *testing.T) {
+	var st vcState
+	if size := unsafe.Sizeof(st); size > 128 {
+		t.Fatalf("vcState is %d bytes, want <= 128", size)
+	}
+	if end := unsafe.Offsetof(st.buf) + unsafe.Offsetof(st.buf.pops) + unsafe.Sizeof(st.buf.pops); end > 64 {
+		t.Fatalf("the buffer's push and pop counters end at byte %d of the record, want them within its first 64", end)
+	}
+	for name, off := range map[string]uintptr{
+		"headVis": unsafe.Offsetof(st.headVis), "headPacket": unsafe.Offsetof(st.headPacket),
+		"ev": unsafe.Offsetof(st.ev), "pktID": unsafe.Offsetof(st.pktID), "vaAt": unsafe.Offsetof(st.vaAt),
+		"sCount": unsafe.Offsetof(st.sCount), "vaDone": unsafe.Offsetof(st.vaDone), "egress": unsafe.Offsetof(st.egress),
+	} {
+		if off >= 64 {
+			t.Errorf("%s sits at byte %d, outside the record's first line", name, off)
+		}
+	}
+}
+
+// checkCredits asserts, for every egress VC of every router (the local
+// injection VCs included), that the producer-side credit word is the
+// downstream buffer's committed pop count: the same word, holding the
+// buffer's pops (every pop so far has been committed when this is called).
+func checkCredits(t *testing.T, when string, routers []*Router) {
+	t.Helper()
+	check := func(r *Router, what string, ev *egressVC, down *VCBuffer) {
+		t.Helper()
+		if ev.buf != down || down.credit != &ev.credit {
+			t.Fatalf("%s: router %d %s: egress record and downstream buffer are not wired to each other", when, r.ID, what)
+		}
+		if got, want := ev.credit.Load(), down.pops.Load(); got != want || down.CommittedPops() != want {
+			t.Fatalf("%s: router %d %s: producer-side credit %d, CommittedPops %d, consumer popped %d",
+				when, r.ID, what, got, down.CommittedPops(), want)
+		}
+	}
+	for _, r := range routers {
+		for vi := range r.sourceState {
+			check(r, fmt.Sprintf("injection vc %d", vi), &r.sourceState[vi], r.LocalPort().In[vi])
+		}
+		for pi, p := range r.Ports() {
+			for vi := range p.outState {
+				check(r, fmt.Sprintf("port %d vc %d", pi, vi), &p.outState[vi], p.Out[vi])
+			}
+		}
+	}
+}
+
+// saveRouter serializes one router as the system snapshot does.
+func saveRouter(t *testing.T, r *Router, clock uint64) []byte {
+	t.Helper()
+	snap := snapshot.New("router-test", clock)
+	if err := r.SaveState(snap.Section("router"), clock); err != nil {
+		t.Fatal(err)
+	}
+	b, err := snap.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func loadRouter(t *testing.T, r *Router, blob []byte) {
+	t.Helper()
+	snap, err := snapshot.DecodeBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snap.Open("router")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.LoadState(rd); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// congest offers enough long packets from both ends' sources to keep a
+// line's buffers full for a few hundred cycles.
+func congest(routers []*Router) {
+	last := NodeID(len(routers) - 1)
+	for i := 0; i < 12; i++ {
+		routers[0].OfferPacket(Packet{Flow: MakeFlow(0, last, 0), Dst: last, Flits: 7})
+		routers[1].OfferPacket(Packet{Flow: MakeFlow(1, last, 0), Dst: last, Flits: 5})
+	}
+}
+
+// TestCreditKeptAtProducer checks the credit word's three writers: Commit
+// during a run, VCBuffer.LoadState when the routers of a snapshot are
+// restored in either order, and nobody at all (a buffer no producer
+// connected still counts for itself).
+func TestCreditKeptAtProducer(t *testing.T) {
+	routers, _ := pipeline(t, 4, 2, 3, VCADynamic)
+	congest(routers)
+	for c := uint64(0); c < 60; c++ {
+		step(routers, c)
+		checkCredits(t, fmt.Sprintf("after cycle %d", c), routers)
+	}
+	moved := uint64(0)
+	for _, r := range routers {
+		for _, p := range r.Ports() {
+			for vi := range p.outState {
+				moved += p.outState[vi].credit.Load()
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no flit crossed a link: the run checked nothing")
+	}
+
+	blobs := make([][]byte, len(routers))
+	for i, r := range routers {
+		blobs[i] = saveRouter(t, r, 60)
+	}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
+		fresh, _ := pipeline(t, 4, 2, 3, VCADynamic)
+		for _, i := range order {
+			loadRouter(t, fresh[i], blobs[i])
+		}
+		checkCredits(t, fmt.Sprintf("restored in order %v", order), fresh)
+		for i, r := range fresh {
+			for pi, p := range r.Ports() {
+				for vi := range p.outState {
+					if got, want := p.outState[vi].credit.Load(), routers[i].Ports()[pi].outState[vi].credit.Load(); got != want {
+						t.Fatalf("restored in order %v: router %d port %d vc %d: credit %d, the saved run had %d", order, i, pi, vi, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	// A router whose neighbour never connected: its network ingress buffers
+	// have no producer-side word to commit into.
+	lone := NewRouter(RouterParams{
+		ID: 0, Table: lineTable{self: 0}, VCATable: allVCs{}, RNG: sim.NewRNG(1), Stats: stats.NewTile(),
+		InFlight: new(atomic.Int64), LocalVCs: 1, LocalBufFlits: 2,
+		Ports: []PortParams{{Neighbor: 1, VCs: 1, BufFlits: 2}},
+	})
+	buf := lone.Ports()[1].In[0]
+	if got := buf.CommittedPops(); got != 0 {
+		t.Fatalf("unconnected buffer reports %d committed pops before any", got)
+	}
+	buf.Push(Flit{})
+	buf.Pop()
+	if got := buf.CommittedPops(); got != 0 {
+		t.Fatalf("unconnected buffer shows %d pops before the commit", got)
+	}
+	buf.Commit()
+	if got := buf.CommittedPops(); got != 1 {
+		t.Fatalf("unconnected buffer reports %d committed pops after one, want 1", got)
+	}
+}
+
+// TestShardBoundaryAppliesCreditAtProducer splits a line between two
+// replicas the way a sharded run does — each steps its own span and
+// exchanges boundary blobs every cycle — and checks that Apply lands the
+// remote consumer's committed pops in the in-span producer's credit word,
+// and that the split run delivers exactly what the whole line does.
+func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
+	const n, cut, cycles = 4, 2, 400
+	whole, wholeGot := pipeline(t, n, 2, 3, VCADynamic)
+	congest(whole)
+	for c := uint64(0); c < cycles; c++ {
+		step(whole, c)
+	}
+
+	var reps [2][]*Router
+	var got [2][]*[]Packet
+	var bounds [2]*ShardBoundary
+	spans := [2][2]int{{0, cut}, {cut, n}}
+	for s := range reps {
+		reps[s], got[s] = pipeline(t, n, 2, 3, VCADynamic)
+		congest(reps[s])
+		bounds[s] = NewShardBoundary(reps[s], spans[s][0], spans[s][1])
+	}
+	for c := uint64(0); c < cycles; c++ {
+		var blobs [2][]byte
+		for s := range reps {
+			step(reps[s][spans[s][0]:spans[s][1]], c)
+			b, err := bounds[s].Capture(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs[s] = b
+		}
+		for s := range reps {
+			for _, b := range blobs {
+				if err := bounds[s].Apply(b); err != nil {
+					t.Fatalf("cycle %d: %v", c, err)
+				}
+			}
+		}
+		// Router cut-1 of replica 0 produces into router cut of replica 1.
+		eg, _ := reps[0][cut-1].PortToward(NodeID(cut))
+		in, _ := reps[1][cut].PortToward(NodeID(cut - 1))
+		for vi := range reps[0][cut-1].Ports()[eg].outState {
+			ev := &reps[0][cut-1].Ports()[eg].outState[vi]
+			consumer := reps[1][cut].Ports()[in].In[vi]
+			if ev.credit.Load() != consumer.CommittedPops() {
+				t.Fatalf("cycle %d vc %d: producer-side credit %d, remote consumer committed %d",
+					c, vi, ev.credit.Load(), consumer.CommittedPops())
+			}
+		}
+	}
+	last := n - 1
+	if len(*wholeGot[last]) == 0 {
+		t.Fatal("the whole line delivered nothing: the comparison checked nothing")
+	}
+	if !reflect.DeepEqual(*got[1][last], *wholeGot[last]) {
+		t.Fatalf("split run delivered %d packets, whole line %d, or different ones", len(*got[1][last]), len(*wholeGot[last]))
+	}
+}
+
+// blockedRouter builds a 5-port, 4-VC router in the state a saturated
+// mesh keeps most routers in: every ingress VC holds the head flit of a
+// routed, VC-allocated packet and no downstream VC has credit, so nothing
+// may move.
+func blockedRouter(tb testing.TB) *Router {
+	tb.Helper()
+	const vcs, bufFlits = 4, 4
+	neighbors := []NodeID{1, 2, 3, 4}
+	var ports []PortParams
+	for _, nb := range neighbors {
+		ports = append(ports, PortParams{Neighbor: nb, VCs: vcs, BufFlits: bufFlits})
+	}
+	r := NewRouter(RouterParams{
+		ID: 0, Table: spreadTable{}, VCATable: allVCs{}, RNG: sim.NewRNG(1), Stats: stats.NewTile(),
+		InFlight: new(atomic.Int64), LocalVCs: vcs, LocalBufFlits: bufFlits, Ports: ports,
+	})
+	// Five downstream VCs per egress port, one for each of the five ingress
+	// VCs bound there, of one slot each, so every egress VC runs out of
+	// credit after a single flit.
+	for _, nb := range neighbors {
+		down := make([]*VCBuffer, vcs+1)
+		for vi := range down {
+			down[vi] = NewVCBuffer(1)
+		}
+		r.ConnectEgress(nb, down, NewLink(1, false), 0)
+	}
+	// One two-flit packet per ingress VC, five per egress port: the heads
+	// take the egress VCs' only slots and the tails stay behind, blocked.
+	pkt := uint64(0)
+	for pi, p := range r.Ports() {
+		for vi, buf := range p.In {
+			pkt++
+			dst := neighbors[(pi+vi)%len(neighbors)]
+			for seq, kind := range []Kind{Head, Tail} {
+				buf.Push(Flit{Kind: kind, Flow: MakeFlow(5, dst, 0), Packet: pkt, Seq: uint16(seq), Len: 2, Src: 5, Dst: dst})
+			}
+		}
+	}
+	for c := uint64(0); c < 40; c++ {
+		r.PhaseTransfer(c)
+		r.PhaseCommit(c)
+	}
+	for pi, p := range r.Ports() {
+		for vi := range p.inState {
+			st := &p.inState[vi]
+			if !st.vaDone || st.ev == nil || st.ev.free() != 0 || st.buf.Len() != 1 {
+				tb.Fatalf("port %d vc %d is not blocked on credit: vaDone=%v ev=%v resident=%d", pi, vi, st.vaDone, st.ev != nil, st.buf.Len())
+			}
+		}
+	}
+	return r
+}
+
+// spreadTable routes a flow to the neighbour its destination names.
+type spreadTable struct{}
+
+func (spreadTable) Lookup(prev NodeID, flow FlowID) []RouteEntry {
+	return []RouteEntry{{Next: flow.Dst(), NextFlow: flow, Weight: 1}}
+}
+
+// BenchmarkRouterBlockedCycle steps the saturated-mesh case: 20 occupied
+// ingress VCs, none of which may move, and the egress permutation that
+// must be drawn all the same.
+func BenchmarkRouterBlockedCycle(b *testing.B) {
+	r := blockedRouter(b)
+	moved := r.Stats().XbarTransits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.PhaseTransfer(uint64(100 + i))
+		r.PhaseCommit(uint64(100 + i))
+	}
+	if r.Stats().XbarTransits != moved {
+		b.Fatal("a blocked router moved a flit")
 	}
 }

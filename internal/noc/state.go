@@ -21,7 +21,7 @@ import (
 // serialized through the snapshot package's payload codec registry. A
 // payload of an unregistered type is unsupported state and fails the
 // snapshot with a structured error.
-func saveFlit(w *snapshot.Writer, f Flit) error {
+func saveFlit(w *snapshot.Writer, f *Flit) error {
 	w.Uint8(uint8(f.Kind))
 	w.Uint32(uint32(f.Flow))
 	w.Uint64(f.Packet)
@@ -135,10 +135,10 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 		return err
 	}
 	b.head = 0
-	b.tail = live % len(b.buf)
+	b.tail = b.pos(uint32(live))
 	b.pushes.Store(pops + uint64(live))
 	b.pops.Store(pops)
-	b.committedPops.Store(pops)
+	b.Commit()
 	return nil
 }
 
@@ -181,6 +181,9 @@ func saveEgressVC(w *snapshot.Writer, e *egressVC) {
 	w.Uint32(uint32(e.lastFlow))
 }
 
+// loadEgressVC restores the serialized fields only: the credit word is
+// the downstream buffer's to restore (VCBuffer.LoadState commits into it,
+// whichever of the two routers loads first).
 func loadEgressVC(r *snapshot.Reader, e *egressVC) {
 	e.pushes = r.Uint64()
 	e.allocPacket = r.Uint64()
@@ -197,50 +200,73 @@ func loadEgressVC(r *snapshot.Reader, e *egressVC) {
 // next PhaseTransfer would stamp them) makes snapshots of the same
 // simulated state byte-identical regardless of how workers interleaved,
 // and restores the exact latency semantics.
-func saveVCState(w *snapshot.Writer, s *vcState, buf *VCBuffer, clock uint64) {
+func (r *Router) saveVCState(w *snapshot.Writer, s *vcState, clock uint64) {
 	w.Bool(s.routed)
 	w.Uint64(s.routedAt)
 	w.Uint32(uint32(s.flow))
 	w.Int32(int32(s.next))
 	w.Uint32(uint32(s.nextFlow))
-	w.Int(s.egress)
+	w.Int(int(s.egress))
 	w.Bool(s.vaDone)
 	w.Uint64(s.vaAt)
-	w.Int(s.outVC)
+	w.Int(s.outVC())
 	w.Uint64(s.pktID)
-	live := buf.Len()
+	live := s.buf.Len()
 	w.Int(live)
 	for i := 0; i < live; i++ {
-		f := buf.flitAt(i)
 		eff := clock
-		if i < s.sCount {
-			eff = s.stamps[(s.sHead+i)%len(s.stamps)]
+		if uint32(i) < s.sCount {
+			eff = r.stamps[s.slot0+s.buf.pos(uint32(i))]
 		}
-		if f.VisibleAt > eff {
+		if f := s.buf.flitAt(i); f.VisibleAt > eff {
 			eff = f.VisibleAt
 		}
 		w.Uint64(eff)
 	}
 }
 
-func loadVCState(r *snapshot.Reader, s *vcState) error {
-	s.routed = r.Bool()
-	s.routedAt = r.Uint64()
-	s.flow = FlowID(r.Uint32())
-	s.next = NodeID(r.Int32())
-	s.nextFlow = FlowID(r.Uint32())
-	s.egress = r.Int()
-	s.vaDone = r.Bool()
-	s.vaAt = r.Uint64()
-	s.outVC = r.Int()
-	s.pktID = r.Uint64()
-	n := r.Count(len(s.stamps))
+// loadVCState restores what saveVCState wrote, after the VC's buffer (so
+// the ring is normalized to head 0 and the stamps go to positions 0..n-1),
+// and rebuilds what the record derives: the pointer to the allocated
+// downstream VC from the egress port and VC index, and a head descriptor
+// that says "read the flit again".
+func (r *Router) loadVCState(rd *snapshot.Reader, s *vcState) error {
+	s.routed = rd.Bool()
+	s.routedAt = rd.Uint64()
+	s.flow = FlowID(rd.Uint32())
+	s.next = NodeID(rd.Int32())
+	s.nextFlow = FlowID(rd.Uint32())
+	egress := rd.Int()
+	s.vaDone = rd.Bool()
+	s.vaAt = rd.Uint64()
+	outVC := rd.Int()
+	s.pktID = rd.Uint64()
+	n := rd.Count(s.buf.Capacity())
 	for i := 0; i < n; i++ {
-		s.stamps[i] = r.Uint64()
+		r.stamps[int(s.slot0)+i] = rd.Uint64()
 	}
-	s.sHead = 0
-	s.sCount = n
-	return r.Err()
+	s.sCount = uint32(n)
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	if egress < 0 || egress >= len(r.ports) {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"router %d: VC state names egress port %d of %d", r.ID, egress, len(r.ports))}
+	}
+	s.egress = uint8(egress)
+	s.headVis = headStale
+	s.ev = nil
+	if out := r.ports[egress].outState; s.vaDone && out != nil {
+		if outVC < 0 || outVC >= len(out) {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf(
+				"router %d: VC state names VC %d of %d on egress port %d", r.ID, outVC, len(out), egress)}
+		}
+		s.ev = &out[outVC]
+	} else if outVC != 0 {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"router %d: VC state names VC %d without an allocation", r.ID, outVC)}
+	}
+	return nil
 }
 
 // SaveState serializes the router's complete mutable state: injection
@@ -263,8 +289,8 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Bool(r.streaming)
 	if r.streaming {
 		w.Int(len(r.curFlits))
-		for _, f := range r.curFlits {
-			if err := saveFlit(w, f); err != nil {
+		for i := range r.curFlits {
+			if err := saveFlit(w, &r.curFlits[i]); err != nil {
 				return err
 			}
 		}
@@ -299,7 +325,7 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 			if err := buf.SaveState(w); err != nil {
 				return err
 			}
-			saveVCState(w, &p.inState[vi], buf, clock)
+			r.saveVCState(w, &p.inState[vi], clock)
 		}
 		w.Int(len(p.outState))
 		for i := range p.outState {
@@ -316,7 +342,8 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Int(len(ids))
 	for _, id := range ids {
 		w.Uint64(id)
-		if err := saveFlit(w, r.assembly[id].head); err != nil {
+		head := r.assembly[id].head
+		if err := saveFlit(w, &head); err != nil {
 			return err
 		}
 	}
@@ -347,7 +374,7 @@ func (r *Router) LoadState(rd *snapshot.Reader) error {
 			return err
 		}
 		if r.curNext < 0 || r.curNext > len(r.curFlits) ||
-			r.curVC < 0 || r.curVC >= len(r.ports[r.localPort].In) {
+			r.curVC < 0 || r.curVC >= len(r.sourceState) {
 			return &snapshot.CorruptError{Detail: fmt.Sprintf(
 				"router %d: streaming position %d/%d vc %d out of range", r.ID, r.curNext, len(r.curFlits), r.curVC)}
 		}
@@ -396,13 +423,8 @@ func (r *Router) LoadState(rd *snapshot.Reader) error {
 			if err := buf.LoadState(rd); err != nil {
 				return err
 			}
-			if err := loadVCState(rd, &p.inState[vi]); err != nil {
+			if err := r.loadVCState(rd, &p.inState[vi]); err != nil {
 				return err
-			}
-			st := &p.inState[vi]
-			if st.routed && (st.egress < 0 || st.egress >= len(r.ports)) {
-				return &snapshot.CorruptError{Detail: fmt.Sprintf(
-					"router %d: VC state names egress port %d of %d", r.ID, st.egress, len(r.ports))}
 			}
 		}
 		outs := rd.Int()

@@ -4,14 +4,19 @@ import "sync/atomic"
 
 // VCBuffer is an ingress virtual-channel buffer: a fixed-capacity FIFO of
 // flits shared by exactly two threads — the producing neighbour tile
-// pushes at the tail, the owning tile peeks and pops at the head. The
-// paper (§II-C) guards each end with its own lock; what it requires is
-// that the two threads never lose or reorder flits. A single-producer/
-// single-consumer ring gives the same guarantee without locks: each end
-// owns its ring index and a cumulative counter, and publishes the counter
-// with an atomic store only after it has finished with the slot. The
-// consumer reads a slot only below the published push count; the producer
-// writes a slot only when the credit rule below says it was popped.
+// writes at the tail, the owning tile reads at the head. The paper (§II-C)
+// guards each end with its own lock; what it requires is that the two
+// threads never lose or reorder flits. A single-producer/single-consumer
+// ring gives the same guarantee without locks: each end owns its ring
+// index and a cumulative counter, and publishes the counter with an atomic
+// store only after it has finished with the slot. The consumer reads a
+// slot only below the published push count; the producer writes a slot
+// only when the credit rule below says it was popped.
+//
+// Both ends work on the slots in place: the producer takes the tail slot
+// (tailSlot), fills it and publishes it; the consumer reads the head slot
+// (headSlot) and advances past it. Push, Pop and Peek are those same
+// primitives with a copy around them, for tests and the shard exchange.
 //
 // Credit semantics: the producer's view of free space is
 //
@@ -22,56 +27,98 @@ import "sync/atomic"
 // synchronization (pops performed during the current positive edge are
 // not observable until the next cycle) and safe — never overflowing — under
 // loose synchronization, where the committed count may simply lag.
+//
+// The committed count is kept at its reader: Commit stores it into a word
+// inside the producer's egress bookkeeping (egressVC.credit, wired when
+// the producer connects), so a router checking credit touches its own
+// egress state — one line per egress port — instead of one remote buffer
+// header per downstream VC. The word is the only copy; CommittedPops,
+// restore and the shard exchange all go through it.
+//
+// A router's buffers are headers inside its ingress VC records and share
+// one flit slab (NewRouter); NewVCBuffer builds a free-standing one.
 type VCBuffer struct {
-	buf []Flit
-
-	tail   int           // next push position (producer-owned)
 	pushes atomic.Uint64 // cumulative pushes, stored after the slot write
+	pops   atomic.Uint64 // cumulative pops, stored after the slot read
 
-	head int           // next pop position (consumer-owned)
-	pops atomic.Uint64 // cumulative pops, stored after the slot read
+	buf    []Flit
+	credit *atomic.Uint64 // committed pops, held by the producer; see creditWord
 
-	// committedPops is the consumer's last committed snapshot of pops,
-	// read by the producer.
-	committedPops atomic.Uint64
+	head uint32 // next pop position (consumer-owned)
+	tail uint32 // next push position (producer-owned)
 }
 
-// NewVCBuffer returns an empty buffer holding up to capacity flits.
+// NewVCBuffer returns an empty free-standing buffer holding up to capacity
+// flits, with its own credit word.
 func NewVCBuffer(capacity int) *VCBuffer {
 	if capacity < 1 {
 		panic("noc: VC buffer capacity must be >= 1")
 	}
-	return &VCBuffer{buf: make([]Flit, capacity)}
+	return &VCBuffer{buf: make([]Flit, capacity), credit: new(atomic.Uint64)}
 }
 
 // Capacity returns the buffer's flit capacity.
 func (b *VCBuffer) Capacity() int { return len(b.buf) }
 
-// Len returns the instantaneous number of flits resident (diagnostic; the
-// router's credit logic uses CommittedPops instead). Loading pops first
-// keeps the difference non-negative from any thread.
+// Len returns the instantaneous number of flits resident (the router's
+// credit logic uses the committed count instead). Loading pops first keeps
+// the difference non-negative from any thread.
 func (b *VCBuffer) Len() int {
 	pops := b.pops.Load()
 	return int(b.pushes.Load() - pops)
 }
 
-// CommittedPops returns the consumer's committed cumulative pop count.
-func (b *VCBuffer) CommittedPops() uint64 { return b.committedPops.Load() }
+// wrap folds a position that has moved at most one lap past the end back
+// into the ring: the one place that wraps, a conditional subtraction and
+// never a division.
+func (b *VCBuffer) wrap(p uint32) uint32 {
+	if n := uint32(len(b.buf)); p >= n {
+		p -= n
+	}
+	return p
+}
 
-// Push appends a flit (producer side). It returns false if the buffer is
-// physically full, which indicates a flow-control bug in the caller: the
-// router must never push without a credit.
+// pos returns the ring position i slots past the head, for i up to the
+// capacity.
+func (b *VCBuffer) pos(i uint32) uint32 { return b.wrap(b.head + i) }
+
+// tailSlot returns the slot the next flit goes into (producer side), or
+// nil if the buffer is physically full — a flow-control bug in the caller,
+// which must never push without a credit. The slot belongs to the
+// producer until publish.
+func (b *VCBuffer) tailSlot() *Flit {
+	if b.Len() == len(b.buf) {
+		return nil
+	}
+	return &b.buf[b.tail]
+}
+
+// publish makes the flit written into tailSlot visible to the consumer.
+func (b *VCBuffer) publish() {
+	b.tail = b.wrap(b.tail + 1)
+	b.pushes.Store(b.pushes.Load() + 1)
+}
+
+// headSlot returns the oldest resident flit (consumer side). The caller
+// must know the buffer is non-empty; the slot stays valid, and the
+// consumer's to modify, until advance.
+func (b *VCBuffer) headSlot() *Flit { return &b.buf[b.head] }
+
+// advance removes the head flit (consumer side).
+func (b *VCBuffer) advance() {
+	b.head = b.wrap(b.head + 1)
+	b.pops.Store(b.pops.Load() + 1)
+}
+
+// Push appends a copy of f (producer side). It returns false if the
+// buffer is physically full.
 func (b *VCBuffer) Push(f Flit) bool {
-	pushes := b.pushes.Load()
-	if int(pushes-b.pops.Load()) == len(b.buf) {
+	s := b.tailSlot()
+	if s == nil {
 		return false
 	}
-	b.buf[b.tail] = f
-	b.tail++
-	if b.tail == len(b.buf) {
-		b.tail = 0
-	}
-	b.pushes.Store(pushes + 1)
+	*s = f
+	b.publish()
 	return true
 }
 
@@ -79,50 +126,69 @@ func (b *VCBuffer) Push(f Flit) bool {
 // the given cycle. The pointer is valid until the next Pop and may be used
 // by the owning tile to inspect (never to remove) the flit.
 func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
-	if b.pushes.Load() == b.pops.Load() {
+	if b.Len() == 0 {
 		return nil, false
 	}
-	f := &b.buf[b.head]
 	// VisibleAt values are monotone along the queue (producer clock never
 	// decreases), so checking only the head suffices.
-	if f.VisibleAt > cycle {
-		return nil, false
+	if f := b.headSlot(); f.VisibleAt <= cycle {
+		return f, true
 	}
-	return f, true
+	return nil, false
 }
 
 // Pop removes and returns the head flit (consumer side). The caller must
-// have established non-emptiness via Peek in the same phase.
+// have established non-emptiness via Peek in the same phase. A router
+// caches what it knows about its own buffers' heads, so only a buffer no
+// running router owns may be popped from outside (tests, and the shard
+// exchange's replicas of remote buffers).
 func (b *VCBuffer) Pop() Flit {
-	f := b.buf[b.head]
-	b.head++
-	if b.head == len(b.buf) {
-		b.head = 0
-	}
-	b.pops.Store(b.pops.Load() + 1)
+	f := *b.headSlot()
+	b.advance()
 	return f
 }
 
+// creditWord returns the word holding the committed pop count. A router's
+// buffer whose producer never connected (a lone router in a unit test)
+// keeps the count in a word of its own, made on first use.
+func (b *VCBuffer) creditWord() *atomic.Uint64 {
+	if b.credit == nil {
+		b.credit = new(atomic.Uint64)
+	}
+	return b.credit
+}
+
+// attachCredit moves the committed count into w, a word the producer
+// reads (build time only).
+func (b *VCBuffer) attachCredit(w *atomic.Uint64) {
+	if b.credit != nil {
+		w.Store(b.credit.Load())
+	}
+	b.credit = w
+}
+
+// CommittedPops returns the consumer's committed cumulative pop count.
+func (b *VCBuffer) CommittedPops() uint64 { return b.creditWord().Load() }
+
 // Commit publishes the consumer's pops (negative clock edge). Only the
 // owning tile calls this, at most once per simulated cycle.
-func (b *VCBuffer) Commit() {
-	b.committedPops.Store(b.pops.Load())
+func (b *VCBuffer) Commit() { b.commitOf().publish() }
+
+// commit is a Commit taken at one time and published at another: the
+// word to store into and the pop count to store. A router takes it when
+// it pops (it pops a buffer at most once per cycle, so the count is what
+// the buffer will hold at the negative edge) and publishes it there
+// without having to touch the buffer again.
+type commit struct {
+	word *atomic.Uint64
+	pops uint64
 }
+
+func (b *VCBuffer) commitOf() commit { return commit{b.creditWord(), b.pops.Load()} }
+
+func (c commit) publish() { c.word.Store(c.pops) }
 
 // flitAt returns the i-th resident flit counted from the head (consumer
-// side). Only used at quiescent points (checkpointing), never during a
-// timed run.
-func (b *VCBuffer) flitAt(i int) Flit {
-	return b.buf[(b.head+i)%len(b.buf)]
-}
-
-// Drain removes all resident flits regardless of visibility (used by
-// tests and by reset paths, never during a timed run).
-func (b *VCBuffer) Drain() []Flit {
-	var out []Flit
-	for b.Len() > 0 {
-		out = append(out, b.Pop())
-	}
-	b.Commit()
-	return out
-}
+// side). Only used at quiescent points (checkpointing, tests), never
+// during a timed run.
+func (b *VCBuffer) flitAt(i int) *Flit { return &b.buf[b.pos(uint32(i))] }

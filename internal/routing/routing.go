@@ -87,8 +87,7 @@ func (t *Tables) Algorithm() Algorithm { return t.alg }
 
 // routesFor returns the flow's lines, building them on first use. The
 // Load before LoadOrStore exists only so that a call for a flow already in
-// the store does not allocate a &flowOnce{} it then throws away; it is not
-// the warm path, which nodeTable serves from its own memo.
+// the store does not allocate a &flowOnce{} it then throws away.
 func (t *Tables) routesFor(f noc.FlowID) FlowRoutes {
 	base := f.Base()
 	v, ok := t.cache.Load(base)
@@ -109,27 +108,37 @@ func (t *Tables) Lookup(node, prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry
 
 // ForNode returns the node-local view implementing noc.RouteTable.
 func (t *Tables) ForNode(n noc.NodeID) noc.RouteTable {
-	return &nodeTable{tables: t, node: n, lines: make(map[uint64][]noc.RouteEntry)}
+	return &nodeTable{tables: t, node: n}
 }
 
+// recentLines is the size of a node's cache of recently served lines. The
+// shared store is the only store; the cache is fixed-size so that traffic
+// which keeps discovering lines (all-to-all) cannot grow a second one.
+const recentLines = 64
+
 // nodeTable is one node's view of the shared store. A noc.RouteTable is
-// only queried from its node's worker thread, so it memoizes the lines it
-// has served in a plain map keyed by prev<<32|flow; the entry slices are
-// the shared store's own, not copies.
+// only queried from its node's worker thread, so it keeps the lines it
+// served last in a direct-mapped cache keyed by prev<<32|flow; the entry
+// slices are the shared store's own, not copies.
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID
-	lines  map[uint64][]noc.RouteEntry
+	recent [recentLines]struct {
+		key     uint64           // prev<<32|flow
+		entries []noc.RouteEntry // nil: the slot is empty
+	}
 }
 
 func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry {
 	key := uint64(uint32(prev))<<32 | uint64(flow)
-	entries, ok := nt.lines[key]
-	if !ok {
-		entries = nt.tables.Lookup(nt.node, prev, flow)
-		nt.lines[key] = entries
+	// Source, destination and arrival direction all vary across the lines
+	// one node serves; fold them into the index (FlowID keeps the source
+	// 14 bits above the destination).
+	e := &nt.recent[(uint32(flow)^uint32(flow)>>14^uint32(prev)*5)%recentLines]
+	if e.key != key || e.entries == nil {
+		e.key, e.entries = key, nt.tables.Lookup(nt.node, prev, flow)
 	}
-	return entries
+	return e.entries
 }
 
 func (nt *nodeTable) Adaptive() bool { return nt.tables.alg.Adaptive() }

@@ -76,12 +76,35 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
+// Intn returns a uniform integer in [0, n): the next 64 bits modulo n. It
+// panics if n <= 0. Routers draw a permutation of their handful of ports
+// every cycle, so the small moduli are spelled out as constants, which
+// compile to a multiply and shift instead of a hardware divide; the value
+// is the same either way.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: RNG.Intn called with n <= 0")
 	}
-	return int(r.Uint64() % uint64(n))
+	x := r.Uint64()
+	switch n {
+	case 1:
+		return 0
+	case 2:
+		return int(x % 2)
+	case 3:
+		return int(x % 3)
+	case 4:
+		return int(x % 4)
+	case 5:
+		return int(x % 5)
+	case 6:
+		return int(x % 6)
+	case 7:
+		return int(x % 7)
+	case 8:
+		return int(x % 8)
+	}
+	return int(x % uint64(n))
 }
 
 // Float64 returns a uniform float in [0, 1).

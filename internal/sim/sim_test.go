@@ -38,6 +38,22 @@ func TestRNGIntnBounds(t *testing.T) {
 	}
 }
 
+// TestRNGIntnSmallNStreamIdentity pins Intn's definition — the next 64
+// bits modulo n — across its constant-modulus cases and the generic path:
+// a twin generator's Uint64()%n must agree draw for draw, and the two
+// states must stay equal, or every router's permutation stream (and with it
+// every golden digest) would shift.
+func TestRNGIntnSmallNStreamIdentity(t *testing.T) {
+	r, twin := NewRNG(0xC0FFEE), NewRNG(0xC0FFEE)
+	for i := 0; i < 1_000_000; i++ {
+		n := i%32 + 1
+		got, want := r.Intn(n), int(twin.Uint64()%uint64(n))
+		if got != want || r.State() != twin.State() {
+			t.Fatalf("draw %d: Intn(%d) = %d, twin says %d (states %#x, %#x)", i, n, got, want, r.State(), twin.State())
+		}
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(99)
 	for i := 0; i < 10_000; i++ {

@@ -24,15 +24,19 @@ type Pattern interface {
 	Dst(src noc.NodeID, rng *sim.RNG) noc.NodeID
 }
 
-// permutation is a fixed node->node map.
+// permutation is a fixed node->node map, evaluated per packet: every node's
+// generator has its own pattern and asks only for its own destination, so
+// a table over all nodes would be n tables of n entries per system.
 type permutation struct {
 	name string
-	dst  []noc.NodeID
+	dst  func(src int) int
 }
 
 func (p *permutation) Name() string { return p.name }
 
-func (p *permutation) Dst(src noc.NodeID, _ *sim.RNG) noc.NodeID { return p.dst[src] }
+func (p *permutation) Dst(src noc.NodeID, _ *sim.RNG) noc.NodeID {
+	return noc.NodeID(p.dst(int(src)))
+}
 
 // uniformPattern draws destinations uniformly over all other nodes.
 type uniformPattern struct{ n int }
@@ -87,18 +91,18 @@ func NewPattern(tc config.TrafficConfig, t *topology.Topology) (Pattern, error) 
 		}
 		return &hotspotPattern{n: n, hot: hot, frac: frac}, nil
 	case config.PatternTranspose:
-		return permute(tc.Pattern, n, func(src int) int {
+		return &permutation{tc.Pattern, func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			if x >= t.Height || y >= t.Width {
 				return src // non-square meshes: fixed point outside the square core
 			}
 			return int(t.NodeAt(y, x))
-		}), nil
+		}}, nil
 	case config.PatternBitComplement:
 		if n&(n-1) != 0 {
 			return nil, fmt.Errorf("traffic: bit-complement needs a power-of-two node count, got %d", n)
 		}
-		return permute(tc.Pattern, n, func(src int) int { return (n - 1) ^ src }), nil
+		return &permutation{tc.Pattern, func(src int) int { return (n - 1) ^ src }}, nil
 	case config.PatternShuffle:
 		if n&(n-1) != 0 {
 			return nil, fmt.Errorf("traffic: shuffle needs a power-of-two node count, got %d", n)
@@ -107,31 +111,23 @@ func NewPattern(tc config.TrafficConfig, t *topology.Topology) (Pattern, error) 
 		for 1<<bits < n {
 			bits++
 		}
-		return permute(tc.Pattern, n, func(src int) int {
+		return &permutation{tc.Pattern, func(src int) int {
 			return ((src << 1) | (src >> (bits - 1))) & (n - 1)
-		}), nil
+		}}, nil
 	case config.PatternTornado:
-		return permute(tc.Pattern, n, func(src int) int {
+		return &permutation{tc.Pattern, func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			k := t.Width
 			return int(t.NodeAt((x+(k+1)/2-1)%k, y))
-		}), nil
+		}}, nil
 	case config.PatternNeighbor:
-		return permute(tc.Pattern, n, func(src int) int {
+		return &permutation{tc.Pattern, func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			return int(t.NodeAt((x+1)%t.Width, y))
-		}), nil
+		}}, nil
 	default:
 		return nil, fmt.Errorf("traffic: unknown pattern %q", tc.Pattern)
 	}
-}
-
-func permute(name string, n int, f func(int) int) Pattern {
-	p := &permutation{name: name, dst: make([]noc.NodeID, n)}
-	for i := 0; i < n; i++ {
-		p.dst[i] = noc.NodeID(f(i))
-	}
-	return p
 }
 
 // Offer is the router-injection callback handed to generators each cycle.
@@ -185,10 +181,10 @@ func NewGenerator(node noc.NodeID, tc config.TrafficConfig, t *topology.Topology
 		}
 		g.phase = uint64(node) % g.period
 		n := t.Nodes()
-		g.pattern = permute(config.PatternH264, n, func(src int) int {
+		g.pattern = &permutation{config.PatternH264, func(src int) int {
 			// Fixed pipeline partner: a mid-distance deterministic hop.
 			return (src + n/3 + 1) % n
-		})
+		}}
 		return g, nil
 	}
 	p, err := NewPattern(tc, t)
