@@ -48,12 +48,17 @@ test-race-rest:
 # producer-side credit word — which a consumer on another thread commits
 # into — after commits, restores in either order and shard-boundary
 # applies, restores of snapshots taken with VCs blocked on that credit,
-# engine-worker panic containment, and the barrier's polling, parking and
-# break paths. The short race gate runs the same tests over shorter
-# windows.
+# the per-router occupancy mask — which the neighbours' threads set and
+# the owner clears — against the buffers at every cycle boundary, after
+# restores and after shard-boundary applies, with its 10^6-flit
+# set-while-clearing stress (the SPSC test's mask subtest), the exact
+# generator skip an idle router relies on, the snapshot bytes of 30
+# machines against the ones recorded before the mask existed, engine-worker
+# panic containment, and the barrier's polling, parking and break paths.
+# The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestSnapshotRoundTripDerivedRouterState|TestEngineContainsTilePanic|TestBarrier' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestEngineContainsTilePanic|TestBarrier' \
 		./internal/core ./internal/noc ./internal/sim
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -144,3 +144,34 @@ func TestSummaryGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestWideRouterMatchesAcrossWorkers runs a machine whose routers have more
+// ingress VCs than one occupancy-mask word has bits (5 ports of 16 VCs),
+// so the pass walks two words, and requires what TestSummaryGolden requires
+// of the one-word machines: the same digest with 1 engine worker and with
+// 3. TestSnapshotBytesGolden holds the same geometry to the bytes recorded
+// before the mask existed.
+func TestWideRouterMatchesAcrossWorkers(t *testing.T) {
+	cfg := config.Default()
+	cfg.Topology.Width, cfg.Topology.Height = 4, 4
+	cfg.Router.VCsPerPort, cfg.Router.VCBufFlits = 16, 2
+	cfg.Routing.Algorithm = config.RouteO1Turn
+	cfg.Traffic = []config.TrafficConfig{
+		{Pattern: config.PatternUniform, InjectionRate: 0.10},
+		{Pattern: config.PatternTranspose, InjectionRate: 0.06},
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingress := 0
+	for _, p := range sys.Router(5).Ports() {
+		ingress += len(p.In)
+	}
+	if ingress <= 64 {
+		t.Fatalf("an inner router has %d ingress VCs: one mask word holds them all", ingress)
+	}
+	if d1, d3 := summaryDigest(t, cfg, 1), summaryDigest(t, cfg, 3); d1 != d3 {
+		t.Errorf("3 workers diverged from 1 worker: %s vs %s", d3, d1)
+	}
+}

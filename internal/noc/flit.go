@@ -10,14 +10,29 @@
 // loaded mesh are merely blocked. A router's ingress VCs are one array of
 // 128-byte records (vcState), each holding its buffer's header, with the
 // flit slots and arrival stamps of all its buffers in one slab each, all
-// allocated by NewRouter. PhaseTransfer visits each record once per cycle;
-// what decides whether a VC may move — occupancy, a cached descriptor of
-// its head flit, its allocation state and the pointer to its downstream
-// VC — is in the record's first line. The credit that downstream VC has
-// left is kept where it is read: a buffer's Commit stores its committed
-// pops into the producer's egress record (egressVC.credit), not into its
-// own header. Flits move slot to slot, one copy per hop. None of this is
-// serialized: a restore rebuilds the pointers and re-reads the heads.
+// allocated by NewRouter. What decides whether a VC may move — occupancy,
+// a cached descriptor of its head flit, its allocation state and the
+// pointer to its downstream VC — is in the record's first line. The credit
+// that downstream VC has left is kept where it is read: a buffer's Commit
+// stores its committed pops into the producer's egress record
+// (egressVC.credit), not into its own header. Flits move slot to slot, one
+// copy per hop.
+//
+// A router's work in a cycle is proportional to what is resident in it. Each
+// router has an occupancy mask, one bit per ingress VC, which the producer
+// of a buffer sets when it pushes into it and the router clears when it
+// pops its last flit (VCBuffer has the protocol). PhaseTransfer visits only
+// the records whose bits are set, enters the injection, VA and SA stages
+// only when they have input, and draws the egress permutation only when
+// there is something to arbitrate; otherwise it steps its generator past
+// the draws (sim.RNG.Skip — a permutation over n ports is exactly n-1
+// draws), so the stream position, and with it every digest and snapshot
+// byte, is what it was when every router drew every cycle. A router with
+// nothing resident and nothing to inject costs a load of its mask and that
+// skip, and has no negative edge.
+//
+// None of this is serialized: a restore rebuilds the pointers and the mask
+// and re-reads the heads.
 package noc
 
 import "fmt"

@@ -3,6 +3,7 @@ package noc
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -232,6 +233,82 @@ func TestVCBufferConcurrentSPSC(t *testing.T) {
 			wg.Wait()
 		})
 	}
+
+	// "mask" hammers the occupancy bit: the consumer finds flits the way a
+	// router does, through the bit alone, and clears it whenever a pop
+	// empties the buffer, while the producer pushes into that very window.
+	// The producer pushes in bursts no longer than the capacity (so it never
+	// waits for credit) and the two meet after each burst; at that quiescent
+	// point the consumer pops for as long as the bit is set, and a flit that
+	// is then still resident has been left with its bit clear — the lost
+	// wake-up the consumer's second look at Len exists to prevent. The
+	// reverse, a set bit over an empty buffer, is allowed: the producer's Or
+	// can land after the consumer has popped the flit it announces, and the
+	// consumer clears it on its next look, as a router's pass does.
+	t.Run("mask", func(t *testing.T) {
+		flits := uint64(1_000_000)
+		if testing.Short() {
+			flits = 100_000
+		}
+		b := NewVCBuffer(4)
+		var produced, consumed atomic.Uint64 // flits pushed by finished bursts; flits popped by finished rounds
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // producer
+			defer wg.Done()
+			for i := uint64(0); i < flits && !t.Failed(); {
+				burst := min(1+i%uint64(b.Capacity()), flits-i)
+				for k := uint64(0); k < burst; k++ {
+					slot := b.tailSlot()
+					if slot == nil {
+						t.Error("buffer full at the start of a burst")
+						return
+					}
+					fill(slot, i)
+					b.publish()
+					i++
+				}
+				produced.Store(i)
+				for consumed.Load() != i && !t.Failed() {
+					runtime.Gosched()
+				}
+			}
+		}()
+		go func() { // consumer
+			defer wg.Done()
+			occupied := func() bool { return b.occ.Load()>>b.bit&1 != 0 }
+			for i := uint64(0); consumed.Load() != flits && !t.Failed(); {
+				quiescent := produced.Load() != consumed.Load()
+				for occupied() && b.Len() > 0 {
+					if !intact(b.headSlot(), i) {
+						t.Errorf("flit %d arrived torn, stale or out of order", i)
+						return
+					}
+					b.advance()
+					i++
+				}
+				if !quiescent {
+					runtime.Gosched()
+					continue
+				}
+				// The producer finished its burst before this round began.
+				if left := b.Len(); left != 0 {
+					t.Errorf("after flit %d the producer is idle and %d flits are resident with the occupancy bit clear", i, left)
+					return
+				}
+				if occupied() {
+					b.deriveOccupancy()
+					if occupied() {
+						t.Errorf("after flit %d the occupancy bit of the empty buffer cannot be cleared", i)
+						return
+					}
+				}
+				b.Commit()
+				consumed.Store(i)
+			}
+		}()
+		wg.Wait()
+	})
 }
 
 func TestLinkFixedBandwidth(t *testing.T) {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hornet/internal/sim"
@@ -65,13 +66,13 @@ const headStale = ^uint64(0)
 // vcState is one ingress VC of a router: the buffer header, the pipeline
 // state for the packet currently at the head of that VC, and what the
 // router has derived from both. A router's records sit in one array,
-// port-major and VC-minor, and PhaseTransfer visits each once per cycle,
-// so the fields are ordered by who reads them: the first 64 bytes decide
-// what an occupied VC may do this cycle (a VC blocked on credit or on an
-// invisible head never leaves them), the rest serves route computation, VC
-// allocation and the flit's move. No field is an 8-byte int that need not
-// be, which keeps the record at 128 bytes (TestVCStateLayout); it holds
-// atomics, so records are never copied.
+// port-major and VC-minor, and PhaseTransfer visits the occupied ones once
+// per cycle, so the fields are ordered by who reads them: the first 64
+// bytes decide what an occupied VC may do this cycle (a VC blocked on credit
+// or on an invisible head never leaves them), the rest serves route
+// computation, VC allocation and the flit's move. No field is an 8-byte int
+// that need not be, which keeps the record at 128 bytes
+// (TestVCStateLayout); it holds atomics, so records are never copied.
 //
 // The arrival stamps keep latency accounting within one clock domain per
 // hop (paper §II-C: stats ride with the flits and are updated
@@ -174,21 +175,17 @@ type assembling struct {
 // ingress VC buffers and the credit words of the egress records are the
 // only cross-thread touch points.
 type Router struct {
-	// What every cycle touches, even an idle one, comes first so that it
-	// shares a few cache lines instead of one per field.
+	// What every cycle touches, even an idle one, comes first: an idle
+	// cycle reads occ's one word, the injection queue's bounds, two flags
+	// and the port count, and steps rng.
 
-	// vcs is every ingress VC's record, port-major and VC-minor (rng.Perm
-	// indexes into lists filtered from it in that order, so the order is
-	// part of the determinism contract). With flits, the slots of all
-	// their buffers, and stamps, one arrival stamp per slot, it is the
-	// ingress state NewRouter allocates once.
-	vcs []vcState
+	// occ is the occupancy mask: bit i is set while vcs[i]'s buffer holds a
+	// flit (see VCBuffer for who sets and who clears it). It is how the
+	// router finds its occupied VCs, and the only way. The words — one for
+	// every 64 ingress VCs — sit on a cache line of their own, because the
+	// neighbours' threads write them.
+	occ []atomic.Uint64
 	rng *sim.RNG
-	// popped collects the commits of the buffers popped this cycle, which
-	// the negative edge publishes.
-	popped     []commit
-	egressPerm []int
-	vaScratch  []*vcState // VCs waiting for VC allocation this cycle
 	// Injection queue: pending[pendHead:]; the consumed prefix is reclaimed
 	// when the queue empties or before it grows.
 	pending   []pendingPacket
@@ -197,7 +194,18 @@ type Router struct {
 	saFilled  bool // some saBuckets entry is non-empty
 	// bidir is set when any port's link is bandwidth-adaptive: only then
 	// do demand and free space have a reader.
-	bidir bool
+	bidir      bool
+	egressPerm []int
+	// vcs is every ingress VC's record, port-major and VC-minor (rng.Perm
+	// indexes into lists filtered from it in that order, so the order is
+	// part of the determinism contract). With flits, the slots of all
+	// their buffers, and stamps, one arrival stamp per slot, it is the
+	// ingress state NewRouter allocates once.
+	vcs []vcState
+	// popped collects the commits of the buffers popped this cycle, which
+	// the negative edge publishes.
+	popped    []commit
+	vaScratch []*vcState // VCs waiting for VC allocation this cycle
 
 	saBuckets [][]*vcState // SA-eligible VCs per egress port
 	st        *stats.Tile
@@ -303,6 +311,7 @@ func NewRouter(p RouterParams) *Router {
 		inflight:    p.InFlight,
 		flowSeq:     make(map[FlowID]uint64),
 		assembly:    make(map[uint64]assembling),
+		occ:         newOccupancyMask(nVCs),
 		vcs:         make([]vcState, nVCs),
 		flits:       make([]Flit, nSlots),
 		stamps:      make([]uint64, nSlots),
@@ -328,7 +337,8 @@ func NewRouter(p RouterParams) *Router {
 			st.port = uint8(pi)
 			st.headVis = headStale
 			st.slot0 = uint32(slot0)
-			st.buf.buf = r.flits[slot0 : slot0+g.BufFlits : slot0+g.BufFlits]
+			st.buf.setSlots(r.flits[slot0 : slot0+g.BufFlits])
+			st.buf.occ, st.buf.bit = &r.occ[(vc0+vi)/64], uint8((vc0+vi)%64)
 			port.In[vi] = &st.buf
 			slot0 += g.BufFlits
 		}
@@ -340,6 +350,17 @@ func NewRouter(p RouterParams) *Router {
 		r.sourceState[vi].connect(vi, ports[0].In[vi])
 	}
 	return r
+}
+
+// newOccupancyMask returns one mask word per 64 VCs, in an allocation
+// rounded up to whole cache lines so that the words share a line with
+// nothing else (the allocator places a block of that size on a boundary of
+// its own size class, a multiple of the line; TestVCStateLayout checks).
+func newOccupancyMask(nVCs int) []atomic.Uint64 {
+	const wordsPerLine = 8
+	words := (nVCs + 63) / 64
+	lines := (words + wordsPerLine - 1) / wordsPerLine
+	return make([]atomic.Uint64, lines*wordsPerLine)[:words]
 }
 
 // portToward returns the index of the port facing neighbour n, the last
@@ -451,24 +472,72 @@ func (r *Router) NextEvent(now uint64) uint64 {
 
 // PhaseTransfer runs the positive clock edge: arrival stamping, route
 // computation, injection streaming, VC allocation, switch arbitration and
-// traversal. One pass visits every ingress VC once and sorts the occupied
-// ones by what they may do this cycle; every later stage walks only its
-// list, so an idle router costs the pass and the one egress permutation
-// draw that keeps its RNG stream in step.
+// traversal. Its work is proportional to what is resident: one pass visits
+// the occupied ingress VCs, which the occupancy mask names, and sorts them
+// by what they may do this cycle; every later stage is entered only if the
+// pass (or the injection queue) left it something. A router with no
+// resident flit, nothing to inject and no bandwidth-adaptive link does
+// none of it: it loads its mask, steps its generator past the egress
+// permutation it would have drawn, and returns.
+//
+// A flit a neighbour pushes while or after the mask is read is noticed a
+// cycle later, which changes nothing: it is not visible before the next
+// cycle (VisibleAt = push cycle + 1) and its arrival counts from
+// max(stamp, VisibleAt).
 func (r *Router) PhaseTransfer(cycle uint64) {
+	injecting := r.streaming || r.pendHead != len(r.pending)
+	if !injecting && !r.bidir && !r.anyOccupied() {
+		r.skipEgressPerm()
+		return
+	}
 	r.scanIngress(cycle)
 	// A flit injected now becomes visible next cycle, so the pass need not
 	// have seen it; injection draws no random numbers.
-	r.injectFlits(cycle)
-	r.allocateVCs(cycle)
-	r.arbitrateAndTraverse(cycle)
-	r.reportLinkDemand(cycle)
+	if injecting {
+		r.injectFlits(cycle)
+	}
+	if len(r.vaScratch) > 0 {
+		r.allocateVCs(cycle)
+	}
+	if r.saFilled {
+		r.arbitrateAndTraverse(cycle)
+	} else {
+		r.skipEgressPerm()
+	}
+	if r.bidir {
+		r.reportLinkDemand(cycle)
+	}
 }
+
+// anyOccupied reports whether any ingress VC holds a flit.
+func (r *Router) anyOccupied() bool {
+	for w := range r.occ {
+		if r.occ[w].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// skipEgressPerm leaves the generator where drawing the egress permutation
+// would have: every cycle draws it or skips it, at the same point of the
+// cycle's draw order, so the stream position — part of what every pinned
+// digest and snapshot depends on — does not depend on whether anything was
+// there to arbitrate.
+func (r *Router) skipEgressPerm() { r.rng.Skip(len(r.egressPerm) - 1) }
 
 // PhaseCommit runs the negative clock edge: commit this cycle's ingress
 // pops so producers see fresh credits and, on bandwidth-adaptive links,
-// publish ingress free space and run the link arbiters.
+// publish ingress free space and run the link arbiters. A router that
+// popped nothing and has no such link has no negative edge; the test is
+// small enough to be inlined into the caller.
 func (r *Router) PhaseCommit(cycle uint64) {
+	if len(r.popped) > 0 || r.bidir {
+		r.commit(cycle)
+	}
+}
+
+func (r *Router) commit(cycle uint64) {
 	for _, c := range r.popped {
 		c.publish()
 	}
@@ -489,11 +558,13 @@ func (r *Router) PhaseCommit(cycle uint64) {
 	}
 }
 
-// scanIngress is the one visit each ingress VC gets per cycle. It loads
-// the occupancy once, stamps arrivals, and for a VC whose head flit is
-// visible either runs its RC stage on the spot (in VC order, as the random
-// draws of route selection require) or files it: waiting for a VC into
-// vaScratch, switch-eligible into its egress port's saBuckets entry.
+// scanIngress is the one visit each occupied ingress VC gets per cycle:
+// it walks the set bits of the occupancy mask in ascending order, which is
+// the records' order. For each it loads the occupancy once, stamps
+// arrivals, and for a VC whose head flit is visible either runs its RC
+// stage on the spot (in VC order, as the random draws of route selection
+// require) or files it: waiting for a VC into vaScratch, switch-eligible
+// into its egress port's saBuckets entry.
 //
 // Deciding switch eligibility here, before this cycle's RC and VA, is
 // sound because a VC routed or allocated this cycle is not eligible until
@@ -517,52 +588,57 @@ func (r *Router) scanIngress(cycle uint64) {
 		}
 		r.saFilled = false
 	}
-	vcs := r.vcs
-	for i := range vcs {
-		st := &vcs[i]
-		live := uint32(st.buf.Len())
-		if live == 0 {
-			continue
-		}
-		if live > st.sCount {
-			r.stampArrivals(st, cycle, live)
-		}
-		if r.bidir {
-			r.occupied = append(r.occupied, st)
-		}
-		if st.headVis > cycle {
-			if st.headVis != headStale {
-				continue // the head is still on the link
-			}
-			// VisibleAt values are monotone along the queue (producer clock
-			// never decreases), so checking only the head suffices.
-			if st.readHead().VisibleAt > cycle {
+	for w := range r.occ {
+		for mask := r.occ[w].Load(); mask != 0; mask &= mask - 1 {
+			i := w*64 + bits.TrailingZeros64(mask)
+			st := &r.vcs[i]
+			live := uint32(st.buf.Len())
+			if live == 0 {
+				// A producer's Or landed after its flit was already popped
+				// (see VCBuffer).
+				st.buf.deriveOccupancy()
 				continue
 			}
-		}
-		if st.vaDone {
-			// headPacket != pktID: next packet already at head; its own RC
-			// will run.
-			if st.vaAt < cycle && st.headPacket == st.pktID && (st.ev == nil || st.ev.free() >= 1) {
-				r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
-				r.saFilled = true
+			if live > st.sCount {
+				r.stampArrivals(st, cycle, live)
 			}
-			continue
-		}
-		// A packet stuck in VA re-runs route computation so schemes with
-		// path diversity (PROM's escape channel, adaptive routing) can
-		// resample a next hop whose VCs are free.
-		if st.routed && cycle-st.routedAt > rerouteAfter {
-			st.reset()
-		}
-		if !st.routed {
-			f := st.buf.headSlot()
-			if !f.Kind.IsHead() {
-				panic(fmt.Sprintf("noc: router %d port %d (ingress vc %d): body flit %v at head without route", r.ID, st.port, i, *f))
+			if r.bidir {
+				r.occupied = append(r.occupied, st)
 			}
-			r.computeRoute(st, f, cycle) // VA next cycle at the earliest
-		} else if st.routedAt < cycle {
-			r.vaScratch = append(r.vaScratch, st)
+			if st.headVis > cycle {
+				if st.headVis != headStale {
+					continue // the head is still on the link
+				}
+				// VisibleAt values are monotone along the queue (producer clock
+				// never decreases), so checking only the head suffices.
+				if st.readHead().VisibleAt > cycle {
+					continue
+				}
+			}
+			if st.vaDone {
+				// headPacket != pktID: next packet already at head; its own RC
+				// will run.
+				if st.vaAt < cycle && st.headPacket == st.pktID && (st.ev == nil || st.ev.free() >= 1) {
+					r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
+					r.saFilled = true
+				}
+				continue
+			}
+			// A packet stuck in VA re-runs route computation so schemes with
+			// path diversity (PROM's escape channel, adaptive routing) can
+			// resample a next hop whose VCs are free.
+			if st.routed && cycle-st.routedAt > rerouteAfter {
+				st.reset()
+			}
+			if !st.routed {
+				f := st.buf.headSlot()
+				if !f.Kind.IsHead() {
+					panic(fmt.Sprintf("noc: router %d port %d (ingress vc %d): body flit %v at head without route", r.ID, st.port, i, *f))
+				}
+				r.computeRoute(st, f, cycle) // VA next cycle at the earliest
+			} else if st.routedAt < cycle {
+				r.vaScratch = append(r.vaScratch, st)
+			}
 		}
 	}
 }
@@ -596,12 +672,10 @@ func (r *Router) popStamp(st *vcState, cycle uint64) uint64 {
 
 // injectFlits streams the current packet's flits into the chosen local
 // ingress VC, at most one flit per cycle (the CPU->switch channel), and
-// starts the next pending packet when idle.
+// starts the next pending packet when idle. The caller has checked that a
+// packet is streaming or pending.
 func (r *Router) injectFlits(cycle uint64) {
 	if !r.streaming {
-		if r.pendHead == len(r.pending) {
-			return
-		}
 		pkt := r.pending[r.pendHead].pkt
 		r.pending[r.pendHead] = pendingPacket{}
 		r.pendHead++
@@ -679,12 +753,9 @@ func (r *Router) startPacket(p Packet) {
 	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.sourceState)))
 }
 
-// allocateVCs runs the VA stage for the VCs the pass found waiting, in
-// randomized order (paper §II-A5).
+// allocateVCs runs the VA stage for the VCs the pass found waiting (at
+// least one), in randomized order (paper §II-A5).
 func (r *Router) allocateVCs(cycle uint64) {
-	if len(r.vaScratch) == 0 {
-		return
-	}
 	if cap(r.candPerm) < len(r.vaScratch) {
 		r.candPerm = make([]int, len(r.vaScratch))
 	}
@@ -847,16 +918,13 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 // constraints, then move winners.
 //
 // Eligibility was decided once per occupied VC, into per-egress buckets,
-// by the pass. A traversal in one round changes only the state of its
-// ingress port, which ingressUsed then excludes, and the credits of its
-// own egress, which that round had already read — so each round sees
-// exactly what a fresh scan at that point would.
+// by the pass, which filled at least one. A traversal in one round changes
+// only the state of its ingress port, which ingressUsed then excludes, and
+// the credits of its own egress, which that round had already read — so
+// each round sees exactly what a fresh scan at that point would.
 func (r *Router) arbitrateAndTraverse(cycle uint64) {
 	eperm := r.egressPerm
 	r.rng.Perm(eperm)
-	if !r.saFilled {
-		return
-	}
 	var ingressUsed uint64 // bit per ingress port that moved a flit this cycle
 	for _, ei := range eperm {
 		if len(r.saBuckets[ei]) == 0 {
@@ -1010,9 +1078,6 @@ func (r *Router) deliver(f *Flit, cycle uint64) {
 // SA-eligible flits want to cross it (used by the bandwidth arbiter). It
 // reads the buffers as this cycle's traversals left them.
 func (r *Router) reportLinkDemand(cycle uint64) {
-	if !r.bidir {
-		return
-	}
 	clear(r.demand)
 	for _, st := range r.occupied {
 		if st.vaDone {

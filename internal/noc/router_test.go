@@ -257,9 +257,9 @@ func BenchmarkVCBufferPushPop(b *testing.B) {
 }
 
 // BenchmarkRouterIdleCycle steps a router that has nothing to do: the
-// per-cycle floor every tile pays (ingress scan plus the one egress
-// permutation draw), here for the middle router of a line — local port
-// plus two network ports, 4 VCs each.
+// per-cycle floor every tile pays (a load of the occupancy mask and the
+// skip over the egress permutation's draws), here for the middle router of
+// a line — local port plus two network ports, 4 VCs each.
 func BenchmarkRouterIdleCycle(b *testing.B) {
 	routers, _ := pipeline(b, 3, 4, 4, VCADynamic)
 	r := routers[1]
@@ -290,6 +290,45 @@ func TestVCStateLayout(t *testing.T) {
 	} {
 		if off >= 64 {
 			t.Errorf("%s sits at byte %d, outside the record's first line", name, off)
+		}
+	}
+
+	// The occupancy mask is written by the neighbours' threads, so its words
+	// must share a cache line with nothing the owning router's thread keeps
+	// to itself: not the router's own hot fields, not its generator, not a
+	// VC record, not another router's mask.
+	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / 64 }
+	for _, vcs := range []int{4, 40} { // one mask word per router; two
+		routers, _ := pipeline(t, 3, vcs, 4, VCADynamic)
+		masks := map[uintptr]NodeID{}
+		for _, r := range routers {
+			for w := range r.occ {
+				masks[line(unsafe.Pointer(&r.occ[w]))] = r.ID
+			}
+			if first, last := line(unsafe.Pointer(&r.occ[0])), line(unsafe.Pointer(&r.occ[len(r.occ)-1])); int(last-first) >= (len(r.occ)+7)/8 {
+				t.Errorf("router %d: %d mask words spread over %d cache lines", r.ID, len(r.occ), last-first+1)
+			}
+		}
+		for _, r := range routers {
+			private := map[string]unsafe.Pointer{
+				"the router's occ field": unsafe.Pointer(&r.occ), "the router's vcs field": unsafe.Pointer(&r.vcs),
+				"the router's rng field": unsafe.Pointer(&r.rng), "the router's generator": unsafe.Pointer(r.rng),
+				"the router's last hot field": unsafe.Pointer(&r.vaScratch),
+			}
+			for i := range r.vcs {
+				private[fmt.Sprintf("vc record %d", i)] = unsafe.Pointer(&r.vcs[i])
+				private[fmt.Sprintf("the end of vc record %d", i)] = unsafe.Add(unsafe.Pointer(&r.vcs[i]), unsafe.Sizeof(st)-1)
+			}
+			for what, p := range private {
+				if owner, shared := masks[line(p)]; shared {
+					t.Errorf("router %d: %s shares a cache line with router %d's occupancy mask", r.ID, what, owner)
+				}
+			}
+			for w := range r.occ {
+				if owner := masks[line(unsafe.Pointer(&r.occ[w]))]; owner != r.ID {
+					t.Errorf("router %d's occupancy mask shares a cache line with router %d's", r.ID, owner)
+				}
+			}
 		}
 	}
 }
@@ -430,29 +469,28 @@ func TestCreditKeptAtProducer(t *testing.T) {
 	}
 }
 
-// TestShardBoundaryAppliesCreditAtProducer splits a line between two
-// replicas the way a sharded run does — each steps its own span and
-// exchanges boundary blobs every cycle — and checks that Apply lands the
-// remote consumer's committed pops in the in-span producer's credit word,
-// and that the split run delivers exactly what the whole line does.
-func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
-	const n, cut, cycles = 4, 2, 400
-	whole, wholeGot := pipeline(t, n, 2, 3, VCADynamic)
-	congest(whole)
-	for c := uint64(0); c < cycles; c++ {
-		step(whole, c)
-	}
-
+// runSplitLine steps a whole n-router line and, beside it, the same line
+// split at cut between two replicas the way a sharded run splits it — each
+// replica steps its own span and the two exchange boundary blobs every
+// cycle. offer loads each machine with the same traffic; each runs after
+// every cycle's exchange. It returns what the last router received in the
+// whole line and in the split one.
+func runSplitLine(t *testing.T, n, cut int, cycles uint64, offer func(routers []*Router),
+	each func(c uint64, whole []*Router, reps [2][]*Router)) (wholeGot, splitGot []Packet) {
+	t.Helper()
+	whole, wholeRecv := pipeline(t, n, 2, 3, VCADynamic)
+	offer(whole)
 	var reps [2][]*Router
-	var got [2][]*[]Packet
+	var recv [2][]*[]Packet
 	var bounds [2]*ShardBoundary
 	spans := [2][2]int{{0, cut}, {cut, n}}
 	for s := range reps {
-		reps[s], got[s] = pipeline(t, n, 2, 3, VCADynamic)
-		congest(reps[s])
+		reps[s], recv[s] = pipeline(t, n, 2, 3, VCADynamic)
+		offer(reps[s])
 		bounds[s] = NewShardBoundary(reps[s], spans[s][0], spans[s][1])
 	}
 	for c := uint64(0); c < cycles; c++ {
+		step(whole, c)
 		var blobs [2][]byte
 		for s := range reps {
 			step(reps[s][spans[s][0]:spans[s][1]], c)
@@ -469,6 +507,18 @@ func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
 				}
 			}
 		}
+		each(c, whole, reps)
+	}
+	return *wholeRecv[n-1], *recv[1][n-1]
+}
+
+// TestShardBoundaryAppliesCreditAtProducer splits a line between two
+// replicas and checks that Apply lands the remote consumer's committed
+// pops in the in-span producer's credit word, and that the split run
+// delivers exactly what the whole line does.
+func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
+	const n, cut = 4, 2
+	wholeGot, splitGot := runSplitLine(t, n, cut, 400, congest, func(c uint64, _ []*Router, reps [2][]*Router) {
 		// Router cut-1 of replica 0 produces into router cut of replica 1.
 		eg, _ := reps[0][cut-1].PortToward(NodeID(cut))
 		in, _ := reps[1][cut].PortToward(NodeID(cut - 1))
@@ -480,13 +530,12 @@ func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
 					c, vi, ev.credit.Load(), consumer.CommittedPops())
 			}
 		}
-	}
-	last := n - 1
-	if len(*wholeGot[last]) == 0 {
+	})
+	if len(wholeGot) == 0 {
 		t.Fatal("the whole line delivered nothing: the comparison checked nothing")
 	}
-	if !reflect.DeepEqual(*got[1][last], *wholeGot[last]) {
-		t.Fatalf("split run delivered %d packets, whole line %d, or different ones", len(*got[1][last]), len(*wholeGot[last]))
+	if !reflect.DeepEqual(splitGot, wholeGot) {
+		t.Fatalf("split run delivered %d packets, whole line %d, or different ones", len(splitGot), len(wholeGot))
 	}
 }
 
@@ -551,8 +600,8 @@ func (spreadTable) Lookup(prev NodeID, flow FlowID) []RouteEntry {
 }
 
 // BenchmarkRouterBlockedCycle steps the saturated-mesh case: 20 occupied
-// ingress VCs, none of which may move, and the egress permutation that
-// must be drawn all the same.
+// ingress VCs, none of which may move, so nothing is filed for arbitration
+// and the egress permutation is skipped.
 func BenchmarkRouterBlockedCycle(b *testing.B) {
 	r := blockedRouter(b)
 	moved := r.Stats().XbarTransits

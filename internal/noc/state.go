@@ -98,7 +98,7 @@ func DecodePacket(r *snapshot.Reader) Packet {
 // SaveState serializes the buffer: capacity (structural check), the
 // cumulative pop count, and the resident flits in FIFO order.
 func (b *VCBuffer) SaveState(w *snapshot.Writer) error {
-	w.Int(len(b.buf))
+	w.Int(b.Capacity())
 	w.Uint64(b.pops.Load())
 	live := b.Len()
 	w.Int(live)
@@ -112,7 +112,8 @@ func (b *VCBuffer) SaveState(w *snapshot.Writer) error {
 
 // LoadState restores a buffer saved by SaveState into this (fresh,
 // empty) buffer. Ring positions are normalized to head 0; only the
-// FIFO content and the credit counters are semantic.
+// FIFO content and the credit counters are semantic. The occupancy bit is
+// derived from the restored content.
 func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	capacity := r.Int()
 	pops := r.Uint64()
@@ -120,16 +121,17 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if capacity != len(b.buf) {
+	if capacity != b.Capacity() {
 		return &snapshot.MismatchError{Field: "vc buffer capacity",
-			Got: fmt.Sprint(capacity), Want: fmt.Sprint(len(b.buf))}
+			Got: fmt.Sprint(capacity), Want: fmt.Sprint(b.Capacity())}
 	}
 	if live > capacity {
 		return &snapshot.CorruptError{
 			Detail: fmt.Sprintf("buffer holds %d flits but capacity is %d", live, capacity)}
 	}
+	slots := b.slots()
 	for i := 0; i < live; i++ {
-		b.buf[i] = loadFlit(r)
+		slots[i] = loadFlit(r)
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -139,6 +141,7 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	b.pushes.Store(pops + uint64(live))
 	b.pops.Store(pops)
 	b.Commit()
+	b.deriveOccupancy()
 	return nil
 }
 

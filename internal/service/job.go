@@ -26,6 +26,10 @@ type job struct {
 	subs   map[int]chan Event
 	nextID int
 	result []byte // canonical document bytes, set on StateDone
+	// finalizing is set by the finalize call that won the terminal
+	// transition, for the time its record is being journaled: the state is
+	// not terminal yet, but no other transition may start (guarded by mu).
+	finalizing bool
 
 	// trace is the job's span timeline (queued → dispatched → running →
 	// checkpoint → migrate/rollback → done), served as Chrome
@@ -49,10 +53,11 @@ type job struct {
 	lastActive time.Time
 	stalled    bool
 
-	// onState, when set, receives the client-visible info snapshot after
+	// onState, when set, receives the client-visible info snapshot of
 	// every state transition (start, finalize), called OUTSIDE the job
-	// lock; the durable server journals transitions through it. Set
-	// before the job is submitted, never mutated after.
+	// lock; the durable server journals transitions through it. A terminal
+	// transition is handed over BEFORE anyone can observe it (see
+	// finalize). Set before the job is submitted, never mutated after.
 	onState func(JobInfo)
 
 	// restore carries what a journal replay recovered about this job:
@@ -174,7 +179,7 @@ func (j *job) Done() <-chan struct{} { return j.done }
 // already cancelled (the scheduler then skips it).
 func (j *job) start(now time.Time) bool {
 	j.mu.Lock()
-	if j.info.Terminal() {
+	if j.info.Terminal() || j.finalizing {
 		j.mu.Unlock()
 		return false
 	}
@@ -299,6 +304,16 @@ func (j *job) setEngine(snap obs.ProbeSnapshot) engineDelta {
 // sample per member tile span; the merge presents them as a single
 // full-machine snapshot. The merged view also drives the trace
 // timeline's Perfetto counter tracks (injection rate, buffered flits).
+//
+// The published stream is monotone in cycle: a merged view behind the last
+// published one is kept for the next merge but not shown — not in the job
+// info, not to subscribers, not on the counter tracks. That is what a
+// member's late first sample produces (the merged cycle is the minimum
+// over the members heard from, and the stream may already be past it) and
+// what a rollback to a checkpoint produces; frames resume once the merged
+// cycle has caught up. A member that never reports is simply missing from
+// the view — its span and tiles are absent and it does not hold the cycle
+// back — so it can neither stall the stream nor move it backwards.
 func (j *job) setTelemetry(snap obs.TelemetrySnapshot) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -312,6 +327,9 @@ func (j *job) setTelemetry(snap obs.TelemetrySnapshot) {
 	}
 	merged := obs.MergeTelemetry(parts)
 	prev := j.prevMerged
+	if merged.Cycle < prev.Cycle {
+		return
+	}
 	j.prevMerged = merged
 	j.info.Telemetry = &merged
 	if merged.Cycle > prev.Cycle {
@@ -365,12 +383,12 @@ func (j *job) checkStall(now time.Time, window time.Duration) bool {
 
 // finish marks the job done with its canonical result bytes.
 func (j *job) finish(result []byte, cacheHit bool, now time.Time) {
-	j.finalize(StateDone, "", now, func() {
+	j.finalize(StateDone, "", now, func(info *JobInfo) {
 		j.result = result
-		j.info.CacheHit = cacheHit
+		info.CacheHit = cacheHit
 		if cacheHit {
 			// A cache hit never ran, so progress shows completion.
-			j.info.RunsDone = j.info.RunsTotal
+			info.RunsDone = info.RunsTotal
 		}
 	})
 }
@@ -378,10 +396,10 @@ func (j *job) finish(result []byte, cacheHit bool, now time.Time) {
 // coalesceFinish marks the job done with another job's result bytes
 // (single-flight: an identical scenario was already in flight).
 func (j *job) coalesceFinish(result []byte, now time.Time) {
-	j.finalize(StateDone, "", now, func() {
+	j.finalize(StateDone, "", now, func(info *JobInfo) {
 		j.result = result
-		j.info.Coalesced = true
-		j.info.RunsDone = j.info.RunsTotal
+		info.Coalesced = true
+		info.RunsDone = info.RunsTotal
 	})
 }
 
@@ -395,18 +413,44 @@ func (j *job) markCanceled(now time.Time) {
 	j.finalize(StateCanceled, "", now, nil)
 }
 
-func (j *job) finalize(state, msg string, now time.Time, fill func()) {
+// finalize is every terminal transition (done, failed, canceled): journal
+// first, then publish. The terminal record is built under the lock, handed
+// to the onState hook outside it, and only when the hook has returned does
+// the job show the terminal state, close done and close the subscriber
+// channels — so whoever observes completion, by any of the three, can
+// restart the daemon and find the terminal record in the journal. While
+// the hook runs the job still reads as running (or queued); finalizing
+// keeps a racing finalize from writing a second record, start from
+// journaling a transition behind the terminal one, and the call that lost
+// returns without waiting. fill edits the record (and may set j.result,
+// which Result does not serve before the state is done); the published
+// info is the journaled record exactly, so a progress report that slips in
+// while the hook runs is dropped rather than left to differ from the
+// journal.
+func (j *job) finalize(state, msg string, now time.Time, fill func(info *JobInfo)) {
 	j.mu.Lock()
-	if j.info.Terminal() {
+	if j.info.Terminal() || j.finalizing {
 		j.mu.Unlock()
 		return
 	}
-	j.info.State = state
-	j.info.Error = msg
-	j.info.Finished = now
+	j.finalizing = true
+	info := j.info
+	info.State = state
+	info.Error = msg
+	info.Finished = now
 	if fill != nil {
-		fill()
+		fill(&info)
 	}
+	hook := j.onState
+	j.mu.Unlock()
+	if hook != nil {
+		hook(info)
+	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.info = info
+	j.finalizing = false
 	j.trace.End("queued", nil)
 	j.trace.End("migrate", nil)
 	j.trace.End("running", nil)
@@ -418,11 +462,6 @@ func (j *job) finalize(state, msg string, now time.Time, fill func()) {
 	for id, ch := range j.subs {
 		close(ch)
 		delete(j.subs, id)
-	}
-	info, hook := j.info, j.onState
-	j.mu.Unlock()
-	if hook != nil {
-		hook(info)
 	}
 }
 

@@ -76,6 +76,23 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
+// Skip advances the stream past the next n draws without producing them:
+// afterwards the generator is in the state n calls of Uint64 would have
+// left it in. Every draw of this type consumes exactly one Uint64 (Intn
+// takes the value modulo n and never rejects one), so a caller that knows
+// how many numbers an unneeded choice would have drawn — a Perm over k
+// entries draws k-1 — can skip the choice and stay at the stream position
+// every later draw depends on. n <= 0 skips nothing.
+func (r *RNG) Skip(n int) {
+	x := r.state
+	for ; n > 0; n-- {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+	}
+	r.state = x
+}
+
 // Intn returns a uniform integer in [0, n): the next 64 bits modulo n. It
 // panics if n <= 0. Routers draw a permutation of their handful of ports
 // every cycle, so the small moduli are spelled out as constants, which
@@ -151,7 +168,9 @@ func (r *RNG) Pick(weights []float64) int {
 
 // Perm fills dst with a pseudorandom permutation of [0, len(dst)).
 // It is used to randomize arbitration order (paper §II-A5) without
-// allocating: callers keep a scratch slice per tile.
+// allocating: callers keep a scratch slice per tile. It draws exactly
+// len(dst)-1 numbers (none for fewer than two entries), which is what lets
+// a permutation nobody will read be replaced by Skip.
 func (r *RNG) Perm(dst []int) {
 	for i := range dst {
 		dst[i] = i

@@ -120,6 +120,49 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestRNGSkipMatchesDraws pins the contract an idle router relies on when it
+// skips its egress permutation: Skip(n) is n discarded draws, a Perm over k
+// entries is exactly k-1 draws, and a skipped position survives a
+// checkpoint.
+func TestRNGSkipMatchesDraws(t *testing.T) {
+	for n := 0; n <= 64; n++ {
+		skipped, drawn := NewRNG(uint64(n)+7), NewRNG(uint64(n)+7)
+		skipped.Skip(n)
+		for i := 0; i < n; i++ {
+			drawn.Uint64()
+		}
+		if skipped.State() != drawn.State() {
+			t.Fatalf("Skip(%d) left state %#x, %d draws leave %#x", n, skipped.State(), n, drawn.State())
+		}
+		if a, b := skipped.Uint64(), drawn.Uint64(); a != b {
+			t.Fatalf("after Skip(%d) the next draw is %#x, after %d draws it is %#x", n, a, n, b)
+		}
+	}
+	for k := 0; k <= 16; k++ {
+		permuted, skipped := NewRNG(99), NewRNG(99)
+		permuted.Perm(make([]int, k))
+		skipped.Skip(k - 1)
+		if permuted.State() != skipped.State() {
+			t.Fatalf("Perm over %d entries left state %#x, Skip(%d) leaves %#x", k, permuted.State(), k-1, skipped.State())
+		}
+	}
+	whole, resumed := NewRNG(5), NewRNG(5)
+	whole.Skip(9)
+	resumed.Skip(4)
+	restored := NewRNG(1)
+	restored.SetState(resumed.State())
+	restored.Skip(5)
+	if whole.State() != restored.State() || whole.Intn(1000) != restored.Intn(1000) {
+		t.Fatal("a Skip split across State/SetState does not land where the unsplit one does")
+	}
+	before := whole.State()
+	whole.Skip(0)
+	whole.Skip(-3)
+	if whole.State() != before {
+		t.Fatal("Skip of a non-positive count moved the stream")
+	}
+}
+
 func TestRNGGeometricMean(t *testing.T) {
 	r := NewRNG(3)
 	sum := 0
