@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench bench-json bench-gate \
 	bench-sharded-json bench-sharded-gate bench-telemetry-json bench-telemetry-gate \
-	e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden
+	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
+	validate-examples scenario-golden service-lines
 
 build:
 	$(GO) build ./...
@@ -137,6 +137,15 @@ e2e-sharded:
 # HORNET_E2E_ARTIFACTS.
 e2e-coordinator-restart:
 	HORNET_E2E=1 $(GO) test -count=1 -timeout 15m -v -run TestCoordinatorRestartE2E ./e2e
+
+# All three SIGKILL drills: the proof obligations of any change to how the
+# service executes, checkpoints, shards or journals a run.
+e2e: e2e-distributed e2e-sharded e2e-coordinator-restart
+
+# Non-test lines in the service tree (ROADMAP item 5 asks for net-negative
+# diffs there).
+service-lines:
+	@find internal/service -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # Fuzz smoke over the snapshot container's seed corpora plus the
 # scenario schema's decode→normalize→encode pipeline (one target per

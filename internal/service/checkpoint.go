@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hornet/internal/config"
 	"hornet/internal/core"
 	"hornet/internal/fsatomic"
 	"hornet/internal/mips"
@@ -107,11 +109,6 @@ type execEnv struct {
 	// counters are shared across derived envs (withStore), so per-job
 	// store overrides still feed the daemon's stats.
 	counters *envCounters
-	// ckptSuffix distinguishes per-shard checkpoint blobs of one run
-	// ("-s0", "-s1", ...); empty for single-process runs. It is part of
-	// the store key only — meta.Key stays the runKey, so the identity
-	// guard is shard-agnostic and a migrated shard finds its blob.
-	ckptSuffix string
 	// probe, when non-nil, is attached to every engine this env builds
 	// or restores; chunk boundaries surface its snapshots through the
 	// sink (per-job engine telemetry). Nil keeps the engine hot path
@@ -274,8 +271,9 @@ func CheckpointKey(name, hash, runKey string) string {
 	return fmt.Sprintf("%s-%s-%s", name, hash, runKey)
 }
 
-// saveCheckpoint snapshots the system plus progress meta into the store.
-func (e *execEnv) saveCheckpoint(sys *core.System, sc *scenario, meta ckptMeta) error {
+// saveCheckpoint snapshots the system plus progress meta into the store
+// under key.
+func (e *execEnv) saveCheckpoint(sys *core.System, key string, meta ckptMeta) error {
 	encStart := time.Now()
 	snap, err := sys.Snapshot()
 	if err != nil {
@@ -292,7 +290,7 @@ func (e *execEnv) saveCheckpoint(sys *core.System, sc *scenario, meta ckptMeta) 
 	}
 	e.counters.encodeNS.Add(time.Since(encStart).Nanoseconds())
 	saveStart := time.Now()
-	if err := e.store.Save(CheckpointKey(sc.name, sc.hash, meta.Key)+e.ckptSuffix, blob, sys.Clock()); err != nil {
+	if err := e.store.Save(key, blob, sys.Clock()); err != nil {
 		return err
 	}
 	e.counters.saveNS.Add(time.Since(saveStart).Nanoseconds())
@@ -301,25 +299,13 @@ func (e *execEnv) saveCheckpoint(sys *core.System, sc *scenario, meta ckptMeta) 
 	return nil
 }
 
-// loadCheckpoint tries to resume one run from the store. It returns
-// ok=false — silently, the run just starts from cycle 0 — when there is
-// no usable checkpoint: missing blob, corrupt or version-skewed
-// container, a different scenario's state, or a snapshot the freshly
-// built system refuses (config-hash guard).
-func (e *execEnv) loadCheckpoint(sc *scenario, key string, seed uint64, build func() (*core.System, error)) (*core.System, ckptMeta, bool) {
-	blob, ok := e.store.Load(CheckpointKey(sc.name, sc.hash, key) + e.ckptSuffix)
-	if !ok {
-		return nil, ckptMeta{}, false
-	}
-	return e.decodeCheckpoint(sc, key, seed, blob, build)
-}
-
-// decodeCheckpoint restores a run from an in-hand checkpoint blob with
-// the same identity guards as loadCheckpoint. Shard members use it
-// directly on the group's stable blob after a rollback — their own
-// store may hold a newer snapshot than the cycle the group restarts
-// from.
-func (e *execEnv) decodeCheckpoint(sc *scenario, key string, seed uint64, blob []byte, build func() (*core.System, error)) (*core.System, ckptMeta, bool) {
+// decodeCheckpoint restores a run from a checkpoint blob. It returns
+// ok=false — silently, the run just starts from cycle 0 — when the blob
+// is unusable: a corrupt or version-skewed container, a different
+// scenario's state (want is the run's from-cycle-0 meta, the identity
+// to match), a phase the run's plan does not have, or a snapshot the
+// freshly built system refuses (config-hash guard).
+func decodeCheckpoint(m *machine, want ckptMeta, blob []byte) (*core.System, ckptMeta, bool) {
 	var meta ckptMeta
 	snap, err := snapshot.DecodeBytes(blob)
 	if err != nil {
@@ -332,10 +318,11 @@ func (e *execEnv) decodeCheckpoint(sc *scenario, key string, seed uint64, blob [
 	if err := json.Unmarshal(r.ByteSlice(), &meta); err != nil || r.Close() != nil {
 		return nil, meta, false
 	}
-	if meta.Name != sc.name || meta.Hash != sc.hash || meta.Key != key || meta.Seed != seed {
+	if meta.Name != want.Name || meta.Hash != want.Hash || meta.Key != want.Key || meta.Seed != want.Seed ||
+		m.phaseIndex(meta.Phase) < 0 {
 		return nil, meta, false
 	}
-	sys, err := build()
+	sys, err := m.build()
 	if err != nil {
 		return nil, meta, false
 	}
@@ -345,38 +332,21 @@ func (e *execEnv) decodeCheckpoint(sc *scenario, key string, seed uint64, blob [
 	return sys, meta, true
 }
 
-// removeCheckpoint discards a consumed checkpoint once its run has
-// completed (the result document now carries the state).
-func (e *execEnv) removeCheckpoint(sc *scenario, key string) {
-	e.store.Remove(CheckpointKey(sc.name, sc.hash, key) + e.ckptSuffix)
-}
-
-// runFor compiles one runSpec into its sweep run function, dispatching
-// on the spec's kind: synthetic-traffic window runs (runConfig) or
-// application-workload runs (runMips).
-func (e *execEnv) runFor(sc *scenario, sink backend.Sink, spec runSpec) func(sweep.Ctx) (any, error) {
-	if spec.mips != nil {
-		return e.runMips(sc, sink, spec)
-	}
-	return e.runConfig(sc, sink, spec)
-}
-
-// chunkedRun drives one checkpointable simulation: it advances the
-// system toward a phase target in autosave chunks, saving at chunk
-// boundaries and when a cancelled run drains, and accounting executed/
-// skipped cycles into the meta record that rides in every snapshot.
-// Both run kinds (synthetic windows and application workloads) share
-// this loop so the cadence-alignment rules can never diverge between
-// them — divergence would break the resumed-vs-uninterrupted
-// byte-identity contract for one kind only.
+// chunkedRun drives one attempt at one checkpointable simulation: it
+// advances the system through the machine's phase plan in autosave
+// chunks, saving at chunk boundaries and when a cancelled run drains,
+// and accounting executed/skipped cycles into the meta record that
+// rides in every snapshot. Every run kind shares this loop so the
+// cadence-alignment rules can never diverge between them — divergence
+// would break the resumed-vs-uninterrupted byte-identity contract for
+// one kind only.
 type chunkedRun struct {
-	env    *execEnv
-	sys    *core.System
-	sc     *scenario
-	sink   backend.Sink
-	meta   *ckptMeta
-	ckptOn bool
-	stop   func(cycle uint64) bool // sweep-cancellation probe
+	env  *execEnv
+	sys  *core.System
+	sink backend.Sink
+	key  string // checkpoint store key
+	meta *ckptMeta
+	stop func(cycle uint64) bool // sweep-cancellation probe
 }
 
 // checkpoint saves the current state; invoked at autosave boundaries
@@ -384,39 +354,40 @@ type chunkedRun struct {
 // (ServerStats.CheckpointWriteErrs) so a daemon that silently stopped
 // persisting is visible before the crash that needed the snapshots.
 func (cr *chunkedRun) checkpoint() {
-	if !cr.ckptOn {
+	if cr.env.store == nil {
 		return
 	}
-	if err := cr.env.saveCheckpoint(cr.sys, cr.sc, *cr.meta); err == nil {
+	if err := cr.env.saveCheckpoint(cr.sys, cr.key, *cr.meta); err == nil {
 		cr.sink.Checkpoint(cr.meta.Key, cr.sys.Clock())
 	} else {
 		cr.env.counters.checkpointWriteErr.Add(1)
-		cr.env.logger().Warn("checkpoint write failed",
-			slog.String("key", CheckpointKey(cr.sc.name, cr.sc.hash, cr.meta.Key)+cr.env.ckptSuffix),
+		cr.env.logger().Warn("checkpoint write failed", slog.String("key", cr.key),
 			slog.Uint64("cycle", cr.sys.Clock()), obs.Err(err))
 	}
 }
 
-// advance runs the current phase until meta.Done reaches target or the
+// advance runs phase p until meta.Done reaches its target or the
 // optional done predicate reports the workload finished, in autosave
-// chunks; it returns false with the context error when the sweep was
-// cancelled (after saving a final checkpoint so a retry resumes here).
+// chunks; it returns the context error when the sweep was cancelled
+// (after saving a final checkpoint so a retry resumes here).
 // Chunk boundaries are pinned to absolute multiples of ckptEvery so a
 // resume after a mid-chunk cancel re-aligns with the cadence an
 // uninterrupted run would have used; continuation chunks (meta.Done > 0)
 // run as RunUntilResumed so a fast-forwarding engine re-derives the jump
 // a chunk boundary interrupted, keeping chunked execution byte-identical
-// to an uninterrupted run.
-func (cr *chunkedRun) advance(ctx context.Context, target uint64, measured bool, done func(cycle uint64) bool) (bool, error) {
+// to an uninterrupted run — the autosave cadence cannot leak into
+// result bytes (the scenario hash knows nothing of daemon checkpoint
+// settings).
+func (cr *chunkedRun) advance(ctx context.Context, p phase, done func(cycle uint64) bool) error {
 	stopOrDone := cr.stop
 	if done != nil {
 		stop := cr.stop
 		stopOrDone = func(cycle uint64) bool { return stop(cycle) || done(cycle) }
 	}
 	finished := func() bool { return done != nil && done(cr.sys.Clock()) }
-	for cr.meta.Done < target && !finished() {
-		chunk := target - cr.meta.Done
-		if cr.ckptOn && cr.env.ckptEvery > 0 {
+	for cr.meta.Done < p.target && !finished() {
+		chunk := p.target - cr.meta.Done
+		if cr.env.store != nil && cr.env.ckptEvery > 0 {
 			if next := (cr.meta.Done/cr.env.ckptEvery + 1) * cr.env.ckptEvery; next-cr.meta.Done < chunk {
 				chunk = next - cr.meta.Done
 			}
@@ -428,7 +399,7 @@ func (cr *chunkedRun) advance(ctx context.Context, target uint64, measured bool,
 			res = cr.sys.RunUntil(chunk, stopOrDone)
 		}
 		cr.meta.Done += res.Cycles + res.SkippedCycles
-		if measured {
+		if p.measured {
 			cr.meta.Exec += res.Cycles
 			cr.meta.Skip += res.SkippedCycles
 		}
@@ -438,11 +409,11 @@ func (cr *chunkedRun) advance(ctx context.Context, target uint64, measured bool,
 			backend.SinkEngine(cr.sink, cr.env.probe.Snapshot())
 		}
 		if res.Err != nil {
-			return false, res.Err
+			return res.Err
 		}
 		if err := ctx.Err(); err != nil {
 			cr.checkpoint()
-			return false, err
+			return err
 		}
 		if res.Stopped {
 			// A sharded run's group decision halts every member here;
@@ -450,177 +421,261 @@ func (cr *chunkedRun) advance(ctx context.Context, target uint64, measured bool,
 			// which the loop condition re-checks.
 			break
 		}
-		if cr.meta.Done < target && !finished() {
+		if cr.meta.Done < p.target && !finished() {
 			cr.checkpoint()
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// runMips compiles an application-workload runSpec: build the system,
-// attach the MIPS cores (and the coherent fabric for shared-memory
-// workloads), and simulate until every core halts and the network
-// drains, or the cycle cap. With checkpointing enabled the run
-// autosaves every ckptEvery simulated cycles — the full core/RAM/fabric
-// state rides in the snapshot — and resumes from the latest autosave
-// instead of instruction zero.
-func (e *execEnv) runMips(sc *scenario, sink backend.Sink, spec runSpec) func(sweep.Ctx) (any, error) {
-	return func(c sweep.Ctx) (any, error) {
-		seed := c.Seed
-		m := spec.mips
-		rc := spec.cfg
-		rc.Engine.Workers = c.Workers
-		rc.Engine.Seed = seed
-		img, err := mips.Assemble(mipsWorkloadSource(m, rc.Topology.Nodes()))
-		if err != nil {
-			return nil, err
-		}
-		build := func() (*core.System, error) {
-			sys, err := core.New(rc)
-			if err != nil {
-				return nil, err
-			}
-			nodes := make([]noc.NodeID, rc.Topology.Nodes())
-			for i := range nodes {
-				nodes[i] = noc.NodeID(i)
-			}
-			if mipsShared(m) {
-				fab, err := sys.AttachMemory(*rc.Memory)
-				if err != nil {
-					return nil, err
-				}
-				sys.AttachMIPSShared([]noc.NodeID{0, nodes[len(nodes)-1]}, img, fab, *rc.Memory)
-			} else {
-				sys.AttachMIPS(nodes, img)
-			}
-			return sys, nil
-		}
-		stop := cancelStop(c.Context)
-		ckptOn := e.store != nil
+// phase is one step of a run's plan: advance the machine by target
+// simulated cycles, counting them into the document's cycle totals when
+// measured. The names are the ckptMeta phase strings, so they are wire
+// format: a checkpoint written by an older executor must still find its
+// phase here.
+type phase struct {
+	name     string
+	target   uint64
+	measured bool
+}
 
-		var sys *core.System
-		meta := ckptMeta{Name: sc.name, Hash: sc.hash, Key: spec.key, Seed: seed, Phase: "measured"}
-		if ckptOn {
-			if restored, rm, ok := e.loadCheckpoint(sc, spec.key, seed, build); ok {
-				sys, meta = restored, rm
-				e.counters.runsResumed.Add(1)
-				sink.Resumed(spec.key, restored.Clock())
-			}
-		}
-		if sys == nil {
-			if sys, err = build(); err != nil {
-				return nil, err
-			}
-		}
-		if e.probe != nil {
-			sys.SetProbe(e.probe)
-		}
-		stopTel := e.startTelemetry(sys)
-		defer stopTel()
-		// Advance in autosave chunks until the application halts or the
-		// cycle cap is reached.
-		cr := &chunkedRun{env: e, sys: sys, sc: sc, sink: sink, meta: &meta, ckptOn: ckptOn, stop: stop}
-		if ok, err := cr.advance(c.Context, m.MaxCycles, true, sys.CoresHalted(sys.MIPSCores())); !ok {
-			return nil, err
-		}
-		if ckptOn {
-			e.removeCheckpoint(sc, spec.key)
-		}
-		return summarize(sys.Summary(), rc.Topology.Nodes(), meta.Exec, meta.Skip), nil
+// machine is one runSpec lowered to data the driver executes without
+// asking what kind of run it is: the engine-ready configuration, the
+// frontend to attach to a freshly built system, the ordered phase plan,
+// and — for application workloads — the completion predicate that ends
+// the run before its cycle cap.
+type machine struct {
+	cfg    config.Config
+	attach func(*core.System) error
+	plan   []phase
+	done   func(*core.System) func(cycle uint64) bool
+}
+
+// lower compiles a runSpec for one execution: workers is the CPU-slot
+// grant, seed the run's effective engine seed.
+func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
+	m := &machine{cfg: spec.cfg}
+	m.cfg.Engine.Workers = workers
+	m.cfg.Engine.Seed = seed
+	if m.cfg.Router.Bidirectional {
+		// Bidirectional links are not reproducible across engine workers
+		// (ROADMAP 1a: the link arbiter reads the far side's free space
+		// mid-commit), and this driver's documents enter a content-
+		// addressed cache, where a hash hit must mean "these exact bytes".
+		// Until 1a lands such a machine runs on one worker.
+		m.cfg.Engine.Workers = 1
 	}
+	w := spec.mips
+	if w == nil {
+		// The system configuration must be identical for every run that
+		// shares a warmup prefix (the snapshot guard hashes it), so the
+		// driver-level cycle windows are zeroed and driven as phases.
+		m.plan = []phase{
+			{name: "warmup", target: uint64(m.cfg.WarmupCycles)},
+			{name: "measured", target: uint64(m.cfg.AnalyzedCycles), measured: true},
+		}
+		m.cfg.WarmupCycles, m.cfg.AnalyzedCycles = 0, 0
+		m.attach = func(sys *core.System) error { return sys.AttachSyntheticTraffic() }
+		return m, nil
+	}
+	nodes := m.cfg.Topology.Nodes()
+	img, err := mips.Assemble(mipsWorkloadSource(w, nodes))
+	if err != nil {
+		return nil, err
+	}
+	// An application workload defines its own span: measured from
+	// instruction zero until every core halts and the network drains, or
+	// the cycle cap. The full core/RAM/fabric state rides in snapshots.
+	m.plan = []phase{{name: "measured", target: w.MaxCycles, measured: true}}
+	m.done = func(sys *core.System) func(uint64) bool { return sys.CoresHalted(sys.MIPSCores()) }
+	m.attach = func(sys *core.System) error {
+		if mipsShared(w) {
+			fab, err := sys.AttachMemory(*m.cfg.Memory)
+			if err != nil {
+				return err
+			}
+			sys.AttachMIPSShared([]noc.NodeID{0, noc.NodeID(nodes - 1)}, img, fab, *m.cfg.Memory)
+			return nil
+		}
+		all := make([]noc.NodeID, nodes)
+		for i := range all {
+			all[i] = noc.NodeID(i)
+		}
+		sys.AttachMIPS(all, img)
+		return nil
+	}
+	return m, nil
 }
 
-// runConfig compiles one runSpec into its sweep run function: build the
-// system, advance it through warmup (restoring a shared warmup snapshot
-// when the scenario opted in), measure, and summarize into the
-// deterministic RunStats record. With checkpointing enabled the run
-// autosaves every ckptEvery simulated cycles and resumes from the
-// latest autosave instead of cycle 0.
+// build constructs the machine at cycle 0, frontend attached.
+func (m *machine) build() (*core.System, error) {
+	sys, err := core.New(m.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.attach(sys); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// phaseIndex locates a ckptMeta phase string in the plan (-1: absent).
+func (m *machine) phaseIndex(name string) int {
+	for i, p := range m.plan {
+		if p.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// runPlan sequences the plan's phases from the one meta names (the
+// first, or wherever a restored checkpoint left off), resetting the
+// statistics between phases so only the last one is measured; a group
+// member then gathers its siblings' statistics.
+func (cr *chunkedRun) runPlan(ctx context.Context, m *machine, sharded bool) error {
+	// Per attempt: a rollback rebuilds the system, and the new engine
+	// needs its own sampler and pump.
+	stopTel := cr.env.startTelemetry(cr.sys)
+	defer stopTel()
+	var done func(cycle uint64) bool
+	if m.done != nil && !sharded {
+		// A group member has no local completion predicate: an application
+		// workload's completion is the group decision (per-span halt
+		// conditions ANDed, global in-flight summed), surfacing as Stopped.
+		done = m.done(cr.sys)
+	}
+	for i := m.phaseIndex(cr.meta.Phase); i < len(m.plan); i++ {
+		if err := cr.advance(ctx, m.plan[i], done); err != nil {
+			return err
+		}
+		if i+1 < len(m.plan) {
+			cr.sys.ResetStats()
+			cr.meta.Phase, cr.meta.Done = m.plan[i+1].name, 0
+		}
+	}
+	if sharded {
+		return cr.sys.ShardGather()
+	}
+	return nil
+}
+
+// run compiles one runSpec into its sweep run function. It is the one
+// driver every service simulation goes through — synthetic traffic or
+// application workload, single process or one member of a space-
+// parallel group (shard non-nil): build the machine or restore it from
+// the latest autosave, advance it through its phase plan in autosave
+// chunks, and summarize into the deterministic RunStats record.
 //
 // The run polls the sweep context at every synchronization point so a
 // cancelled job drains quickly even mid-simulation; a cancelled run
 // saves a final checkpoint (checkpointing daemons) so a retry resumes
 // where it stopped.
-func (e *execEnv) runConfig(sc *scenario, sink backend.Sink, spec runSpec) func(sweep.Ctx) (any, error) {
+//
+// A group member wraps that in the rollback loop: when a barrier call
+// reports that the group lost a member (*core.ShardRestartError), the
+// attempt's state is abandoned, the group's stable checkpoint is
+// fetched and restored (or the system rebuilt from scratch), and the
+// member rejoins under the new epoch. Determinism makes the rollback
+// invisible in the result: re-executed chunks reproduce the exact
+// trajectory, so the document is still byte-identical to an
+// uninterrupted single-process run. Without a group the loop body runs
+// exactly once.
+func (e *execEnv) run(sc *scenario, sink backend.Sink, spec runSpec, shard *ShardMember) func(sweep.Ctx) (any, error) {
 	return func(c sweep.Ctx) (any, error) {
 		// c.Seed is the run's effective seed: the scenario builder set
 		// the item's explicit warmup-group seed for share_warmup jobs,
 		// so the emitted document records what actually ran.
-		seed := c.Seed
-		// The system configuration must be identical for every run that
-		// shares a warmup prefix (the snapshot guard hashes it), so the
-		// driver-level cycle windows are zeroed and driven explicitly.
-		rc := spec.cfg
-		rc.Engine.Workers = c.Workers
-		rc.Engine.Seed = seed
-		warmup := uint64(rc.WarmupCycles)
-		analyzed := uint64(rc.AnalyzedCycles)
-		rc.WarmupCycles, rc.AnalyzedCycles = 0, 0
-		build := func() (*core.System, error) {
-			sys, err := core.New(rc)
-			if err != nil {
-				return nil, err
-			}
-			if err := sys.AttachSyntheticTraffic(); err != nil {
-				return nil, err
-			}
-			return sys, nil
-		}
-		stop := cancelStop(c.Context)
-		// Fast-forwarding runs chunk like everything else: continuation
-		// chunks run resumed, so the engine re-derives any jump a chunk
-		// boundary interrupted and the autosave cadence cannot leak into
-		// result bytes (the scenario hash knows nothing of daemon
-		// checkpoint settings).
-		ckptOn := e.store != nil
-
-		var sys *core.System
-		meta := ckptMeta{Name: sc.name, Hash: sc.hash, Key: spec.key, Seed: seed, Phase: "warmup"}
-		if ckptOn {
-			if restored, m, ok := e.loadCheckpoint(sc, spec.key, seed, build); ok {
-				sys, meta = restored, m
-				e.counters.runsResumed.Add(1)
-				sink.Resumed(spec.key, restored.Clock())
-			}
-		}
-		if sys == nil {
-			var err error
-			if sc.shareWarmup && warmup > 0 {
-				// Warmup-once/fork-many: restore the group's warmup
-				// snapshot (simulating it only if this run is first).
-				sys, err = core.WarmedSystem(c.Context, e.warm, rc, warmup, stop, build)
-				if err != nil {
-					return nil, err
-				}
-				meta.Phase, meta.Done = "measured", 0
-				sys.ResetStats()
-			} else {
-				sys, err = build()
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-
-		if e.probe != nil {
-			sys.SetProbe(e.probe)
-		}
-		stopTel := e.startTelemetry(sys)
-		defer stopTel()
-		cr := &chunkedRun{env: e, sys: sys, sc: sc, sink: sink, meta: &meta, ckptOn: ckptOn, stop: stop}
-		if meta.Phase == "warmup" {
-			if ok, err := cr.advance(c.Context, warmup, false, nil); !ok {
-				return nil, err
-			}
-			sys.ResetStats()
-			meta.Phase, meta.Done = "measured", 0
-		}
-		if ok, err := cr.advance(c.Context, analyzed, true, nil); !ok {
+		m, err := lower(spec, c.Workers, c.Seed)
+		if err != nil {
 			return nil, err
 		}
-		if ckptOn {
-			e.removeCheckpoint(sc, spec.key)
+		key := CheckpointKey(sc.name, sc.hash, spec.key)
+		if shard != nil {
+			// Per-shard store keys ("-s0", "-s1", ...): members of one run
+			// checkpoint concurrently and must never clobber each other.
+			// meta.Key stays the run key, so the identity guard is shard-
+			// agnostic and a migrated shard finds its blob.
+			key += fmt.Sprintf("-s%d", shard.Index)
 		}
-		return summarize(sys.Summary(), rc.Topology.Nodes(), meta.Exec, meta.Skip), nil
+		fresh := ckptMeta{Name: sc.name, Hash: sc.hash, Key: spec.key, Seed: c.Seed, Phase: m.plan[0].name}
+		stop := cancelStop(c.Context)
+		ckptOn := e.store != nil
+
+		// sys and meta outlive an iteration only when a group rollback
+		// restored them from the group's stable checkpoint.
+		var sys *core.System
+		var meta ckptMeta
+		for {
+			if sys == nil && ckptOn {
+				// A missing blob decodes like a corrupt one: not at all.
+				blob, _ := e.store.Load(key)
+				if restored, rm, ok := decodeCheckpoint(m, fresh, blob); ok {
+					sys, meta = restored, rm
+					e.counters.runsResumed.Add(1)
+					sink.Resumed(spec.key, sys.Clock())
+				}
+			}
+			if sys == nil {
+				meta = fresh
+				if warmup := m.plan[0]; sc.shareWarmup && !warmup.measured && warmup.target > 0 {
+					// Warmup-once/fork-many: restore the group's warmup
+					// snapshot (simulating it only if this run is first)
+					// and enter the plan behind it.
+					if sys, err = core.WarmedSystem(c.Context, e.warm, m.cfg, warmup.target, stop, m.build); err != nil {
+						return nil, err
+					}
+					sys.ResetStats()
+					meta.Phase = m.plan[1].name
+				} else if sys, err = m.build(); err != nil {
+					return nil, err
+				}
+			}
+			if e.probe != nil {
+				// The probe spans rollback attempts: re-executed cycles are
+				// real engine work and should show up as such.
+				sys.SetProbe(e.probe)
+			}
+			if shard != nil {
+				if err := sys.EnableSharding(shard.Index, shard.Count, shard.Transport); err != nil {
+					return nil, err
+				}
+			}
+			cr := &chunkedRun{env: e, sys: sys, sink: sink, key: key, meta: &meta, stop: stop}
+			err := cr.runPlan(c.Context, m, shard != nil)
+			if err == nil {
+				if ckptOn {
+					// The result document now carries the state.
+					e.store.Remove(key)
+				}
+				return summarize(sys.Summary(), m.cfg.Topology.Nodes(), meta.Exec, meta.Skip), nil
+			}
+			var rs *core.ShardRestartError
+			if shard == nil || !errors.As(err, &rs) {
+				return nil, err
+			}
+			// Group rollback. The member's own latest checkpoint may be
+			// AHEAD of the group's stable cycle, so it must not be used:
+			// restore the coordinator's stable blob, or start over.
+			sys = nil
+			if rs.Cycle > 0 {
+				blob, ok, err := shard.Transport.StableCheckpoint()
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					if sys, meta, ok = decodeCheckpoint(m, fresh, blob); !ok {
+						return nil, fmt.Errorf("service: shard %d: stable checkpoint blob does not restore", shard.Index)
+					}
+					continue
+				}
+				// The stable point vanished between the restart notice and
+				// the fetch (possible only through another rollback); retry
+				// from scratch and let the next barrier sort it out.
+			}
+			if ckptOn {
+				e.store.Remove(key)
+			}
+		}
 	}
 }

@@ -21,7 +21,13 @@ import (
 // it. A panic anywhere in scenario execution (the experiments package
 // treats bad runs as programming errors and panics) becomes an error,
 // never a dead process.
-func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink) (b []byte, runErrs int, err error) {
+//
+// shard, when non-nil, makes this execution one member of the
+// scenario's space-parallel group. A member returns a run-level failure
+// as an error instead of recording it inside the document: a member
+// that silently "succeeded" with an error document would leave its
+// siblings parked in a barrier it will never reach again.
+func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink, shard *ShardMember) (b []byte, runErrs int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			b, runErrs, err = nil, 0, fmt.Errorf("job panicked: %v", p)
@@ -66,7 +72,7 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		items := make([]sweep.Item, len(sc.runs))
 		for i, spec := range sc.runs {
 			items[i] = sweep.Item{Key: spec.key, Weight: spec.weight, Seed: spec.seed,
-				Run: env.runFor(sc, sink, spec)}
+				Run: env.run(sc, sink, spec, shard)}
 		}
 		cfg := sweep.Config{
 			// In-flight runs within the job: bounded by the shared pool
@@ -84,6 +90,9 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		}
 		for _, r := range results {
 			if r.Err != nil {
+				if shard != nil {
+					return nil, 0, r.Err
+				}
 				runErrs++
 			}
 		}
@@ -137,6 +146,12 @@ type ExecOptions struct {
 	// TelemetryEvery is the wall-clock forwarding period of OnTelemetry;
 	// 0 means 500ms.
 	TelemetryEvery time.Duration
+
+	// Shard, if non-nil, runs ONE member of the request's space-parallel
+	// group in this process instead of the whole simulation. OnTelemetry
+	// samples then cover only the member's tile span; the coordinator
+	// merges the members' spans into the full-machine view.
+	Shard *ShardMember
 }
 
 // ExecResult is the outcome of a standalone Execute.
@@ -153,18 +168,25 @@ type ExecResult struct {
 }
 
 // ErrInvalidRequest wraps a request that failed scenario validation —
-// the remote-execution analogue of the API's 4xx responses.
+// the remote-execution analogue of the API's 4xx responses. The
+// *APIError (code, message, field pointer) rides inside: errors.As
+// recovers it.
 var ErrInvalidRequest = errors.New("service: invalid request")
 
-// Execute validates req and runs it to completion in this process. It
-// is the worker-side twin of the daemon's job execution: same
-// validation, same execution environment, same document encoding, so a
-// coordinator can hand the request to any worker and cache the returned
-// bytes under the scenario's content address.
+// Execute validates req and runs it to completion in this process — or,
+// with opts.Shard, runs one member of its space-parallel group. It is
+// the worker-side twin of the daemon's job execution: same validation,
+// same execution environment, same document encoding, so a coordinator
+// can hand the request to any worker and cache the returned bytes under
+// the scenario's content address.
 func Execute(ctx context.Context, req SubmitRequest, opts ExecOptions) (*ExecResult, error) {
 	sc, apiErr := buildScenario(req)
 	if apiErr != nil {
-		return nil, fmt.Errorf("%w: %s", ErrInvalidRequest, apiErr.Message)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, apiErr)
+	}
+	if sh := opts.Shard; sh != nil && (sh.Count != sc.shards || sh.Index < 0 || sh.Index >= sh.Count) {
+		return nil, fmt.Errorf("%w: assignment is shard %d/%d but the request shards %d ways",
+			ErrInvalidRequest, sh.Index, sh.Count, sc.shards)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -194,7 +216,7 @@ func Execute(ctx context.Context, req SubmitRequest, opts ExecOptions) (*ExecRes
 		env.telemetry = func(s obs.TelemetrySnapshot) { backend.SinkTelemetry(sink, s) }
 		env.telEvery = opts.TelemetryEvery
 	}
-	doc, runErrs, err := executeScenario(ctx, sc, env, pool, sink)
+	doc, runErrs, err := executeScenario(ctx, sc, env, pool, sink, opts.Shard)
 	if err != nil {
 		return nil, err
 	}

@@ -79,8 +79,8 @@ func (sc *scenario) surfaceKind() string {
 // the warmup-group seed every run in the group shares (0 = the sweep's
 // default per-key derivation). The explicit seed flows through
 // sweep.Item.Seed so the emitted document records the seed each run
-// actually used. mips, when set, switches the run from synthetic
-// traffic to an application workload (execEnv.runMips).
+// actually used. mips, when set, switches the run's frontend from
+// synthetic traffic to an application workload (lower).
 type runSpec struct {
 	key    string
 	weight int
@@ -101,24 +101,26 @@ func groupSeed(jobSeed uint64, cfg config.Config) uint64 {
 // buildScenario validates a submission and compiles it into a runnable
 // scenario. Every rejection is an *APIError suitable for a 4xx response.
 func buildScenario(req SubmitRequest) (*scenario, *APIError) {
-	set := 0
-	if req.Config != nil {
-		set++
+	var set []string
+	for _, f := range []struct {
+		field string
+		set   bool
+	}{
+		{"/config", req.Config != nil}, {"/figure", req.Figure != ""}, {"/batch", len(req.Batch) > 0},
+		{"/mips", req.Mips != nil}, {"/scenario", len(req.Scenario) > 0},
+	} {
+		if f.set {
+			set = append(set, f.field)
+		}
 	}
-	if req.Figure != "" {
-		set++
-	}
-	if len(req.Batch) > 0 {
-		set++
-	}
-	if req.Mips != nil {
-		set++
-	}
-	if len(req.Scenario) > 0 {
-		set++
-	}
-	if set != 1 {
-		return nil, &APIError{Code: CodeInvalidRequest,
+	if len(set) != 1 {
+		// Point at the surplus spelling, or — with none — at the one new
+		// clients should write.
+		field := "/scenario"
+		if len(set) > 1 {
+			field = set[1]
+		}
+		return nil, &APIError{Code: CodeInvalidRequest, Field: field,
 			Message: "exactly one of config, figure, batch, mips, scenario must be set"}
 	}
 	if req.Name != "" && !nameRE.MatchString(req.Name) {
@@ -174,25 +176,28 @@ func applyShards(sc *scenario, shards int) *APIError {
 	if shards == 0 {
 		return nil
 	}
+	reject := func(format string, args ...any) *APIError {
+		field := "/shards"
+		if sc.surface == KindScenario {
+			field = "/scenario/run/shards"
+		}
+		return &APIError{Code: CodeInvalidRequest, Field: field, Message: fmt.Sprintf(format, args...)}
+	}
 	if shards < 2 {
-		return &APIError{Code: CodeInvalidRequest, Message: "shards must be 0 (off) or >= 2"}
+		return reject("shards must be 0 (off) or >= 2")
 	}
 	if sc.kind != KindConfig && sc.kind != KindMips {
-		return &APIError{Code: CodeInvalidRequest,
-			Message: "shards applies to config and mips jobs (one simulation split across members)"}
+		return reject("shards applies to config and mips jobs (one simulation split across members)")
 	}
 	if sc.shareWarmup {
-		return &APIError{Code: CodeInvalidRequest,
-			Message: "shards and share_warmup are mutually exclusive"}
+		return reject("shards and share_warmup are mutually exclusive")
 	}
 	cfg := sc.runs[0].cfg
 	if cfg.Engine.SyncPeriod > 1 {
-		return &APIError{Code: CodeInvalidRequest,
-			Message: "shards requires sync_period 1 (boundary traffic is exchanged every cycle)"}
+		return reject("shards requires sync_period 1 (boundary traffic is exchanged every cycle)")
 	}
 	if nodes := cfg.Topology.Nodes(); shards > nodes {
-		return &APIError{Code: CodeInvalidRequest, Message: fmt.Sprintf(
-			"shards (%d) must not exceed the topology's %d nodes", shards, nodes)}
+		return reject("shards (%d) must not exceed the topology's %d nodes", shards, nodes)
 	}
 	sc.shards = shards
 	return nil
@@ -317,7 +322,7 @@ func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
 	}
 	// Catch assembly errors at submission time (4xx), not mid-job.
 	if _, err := mips.Assemble(mipsWorkloadSource(&m, nodes)); err != nil {
-		return m, &APIError{Code: CodeInvalidConfig,
+		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/workload",
 			Message: "mips: workload does not assemble: " + err.Error()}
 	}
 	m.Config = normalize(m.Config)
@@ -483,21 +488,22 @@ func buildScenarioScenario(req SubmitRequest) (*scenario, *APIError) {
 
 // checkRunnable validates one submitted simulation configuration beyond
 // config.Validate: the service runs synthetic-traffic simulations with a
-// bounded measured window, so both must be present.
-func checkRunnable(c *config.Config, where string) *APIError {
+// bounded measured window, so both must be present. field is the
+// configuration's pointer in the request; where prefixes the messages.
+func checkRunnable(c *config.Config, field, where string) *APIError {
 	if err := c.Validate(); err != nil {
-		return &APIError{Code: CodeInvalidConfig, Message: where + err.Error()}
+		return &APIError{Code: CodeInvalidConfig, Field: field, Message: where + err.Error()}
 	}
 	if len(c.Traffic) == 0 {
-		return &APIError{Code: CodeInvalidConfig,
+		return &APIError{Code: CodeInvalidConfig, Field: field + "/traffic",
 			Message: where + "config: scenario needs at least one synthetic traffic source"}
 	}
 	if c.AnalyzedCycles < 1 {
-		return &APIError{Code: CodeInvalidConfig,
+		return &APIError{Code: CodeInvalidConfig, Field: field + "/analyzed_cycles",
 			Message: where + "config: analyzed_cycles must be >= 1"}
 	}
 	if c.WarmupCycles < 0 {
-		return &APIError{Code: CodeInvalidConfig,
+		return &APIError{Code: CodeInvalidConfig, Field: field + "/warmup_cycles",
 			Message: where + "config: warmup_cycles must be >= 0"}
 	}
 	return nil
@@ -525,7 +531,7 @@ func scenarioHash(kind, name string, identity any, seed uint64, shareWarmup bool
 }
 
 func buildConfigScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
-	if apiErr := checkRunnable(req.Config, ""); apiErr != nil {
+	if apiErr := checkRunnable(req.Config, "/config", ""); apiErr != nil {
 		return nil, apiErr
 	}
 	name := req.Name
@@ -560,15 +566,16 @@ func buildBatchScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
 	for i := range req.Batch {
 		it := &req.Batch[i]
 		if !nameRE.MatchString(it.Key) {
-			return nil, &APIError{Code: CodeInvalidRequest,
+			return nil, &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
 				Message: fmt.Sprintf("batch[%d]: key must match [a-zA-Z0-9._-]{1,64}", i)}
 		}
 		if seen[it.Key] {
-			return nil, &APIError{Code: CodeInvalidRequest,
+			return nil, &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
 				Message: fmt.Sprintf("batch[%d]: duplicate key %q", i, it.Key)}
 		}
 		seen[it.Key] = true
-		if apiErr := checkRunnable(&it.Config, fmt.Sprintf("batch[%d] (%s): ", i, it.Key)); apiErr != nil {
+		if apiErr := checkRunnable(&it.Config, fmt.Sprintf("/batch/%d/config", i),
+			fmt.Sprintf("batch[%d] (%s): ", i, it.Key)); apiErr != nil {
 			return nil, apiErr
 		}
 		norm := normalize(it.Config)
@@ -593,11 +600,12 @@ func buildBatchScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
 func buildFigureScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
 	fig, ok := experiments.FigureByName(req.Figure)
 	if !ok {
-		return nil, &APIError{Code: CodeUnknownFigure,
+		return nil, &APIError{Code: CodeUnknownFigure, Field: "/figure",
 			Message: fmt.Sprintf("unknown figure %q", req.Figure)}
 	}
 	if req.Tiny && req.Full {
-		return nil, &APIError{Code: CodeInvalidRequest, Message: "tiny and full are mutually exclusive"}
+		return nil, &APIError{Code: CodeInvalidRequest, Field: "/full",
+			Message: "tiny and full are mutually exclusive"}
 	}
 	o := experiments.Options{
 		Tiny:     req.Tiny,
@@ -611,11 +619,11 @@ func buildFigureScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) 
 	// hornet-exp's exact name-hash.json entries. A custom Name is
 	// rejected rather than silently diverging from the document.
 	if req.Name != "" {
-		return nil, &APIError{Code: CodeInvalidRequest,
+		return nil, &APIError{Code: CodeInvalidRequest, Field: "/name",
 			Message: "figure jobs are named by the figure itself; omit name"}
 	}
 	if req.ShareWarmup {
-		return nil, &APIError{Code: CodeInvalidRequest,
+		return nil, &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
 			Message: "share_warmup applies to config/batch jobs; figures manage their own warmup sharing"}
 	}
 	return &scenario{

@@ -257,27 +257,75 @@ func TestScenarioRequestLevelKnobsRejected(t *testing.T) {
 	}
 }
 
-// TestScenarioErrorFieldPaths: structured rejections point into the
-// scenario document with a /scenario-prefixed JSON pointer and the
-// invalid_scenario code.
+// TestScenarioErrorFieldPaths: every structured rejection names the
+// input it is about — scenario documents with a /scenario-prefixed JSON
+// pointer and the invalid_scenario code, the legacy spellings with a
+// pointer into the request body.
 func TestScenarioErrorFieldPaths(t *testing.T) {
+	mesh4 := `"machine":{"topology":{"kind":"mesh","width":4,"height":4}}`
+	uniform := `"traffic":[{"pattern":"uniform","injection_rate":0.05}]`
+	doc := func(body string) SubmitRequest { return scenarioJSON(t, `{"version":1,`+body+`}`) }
+	cfgWith := func(edit func(*config.Config)) *config.Config {
+		cfg := frozenValidConfig()
+		edit(cfg)
+		return cfg
+	}
+	batch := func(items ...BatchItem) SubmitRequest { return SubmitRequest{Batch: items} }
 	cases := []struct {
-		label, doc, field string
+		label       string
+		req         SubmitRequest
+		code, field string
 	}{
-		{"bad-version", `{"version": 9}`, "/scenario/version"},
-		{"unknown-field", `{"version":1,"figure":"t1"}`, "/scenario/figure"},
-		{"no-topology", `{"version":1,"workload":{"kernel":"pingpong"}}`, "/scenario/machine/topology"},
-		{"unknown-kernel", `{"version":1,"machine":{"topology":{"kind":"mesh","width":4,"height":4}},"workload":{"kernel":"doom"}}`, "/scenario/workload/kernel"},
-		{"bad-shards", `{"version":1,"machine":{"topology":{"kind":"mesh","width":4,"height":4}},"traffic":[{"pattern":"uniform","injection_rate":0.05}],"run":{"shards":1}}`, "/scenario/run/shards"},
+		{"bad-version", scenarioJSON(t, `{"version": 9}`), CodeInvalidScenario, "/scenario/version"},
+		{"unknown-field", doc(`"figure":"t1"`), CodeInvalidScenario, "/scenario/figure"},
+		{"no-topology", doc(`"workload":{"kernel":"pingpong"}`), CodeInvalidScenario, "/scenario/machine/topology"},
+		{"unknown-kernel", doc(mesh4 + `,"workload":{"kernel":"doom"}`), CodeInvalidScenario, "/scenario/workload/kernel"},
+		{"bad-shards", doc(mesh4 + `,` + uniform + `,"run":{"shards":1}`), CodeInvalidScenario, "/scenario/run/shards"},
+
+		{"nothing-set", SubmitRequest{}, CodeInvalidRequest, "/scenario"},
+		{"two-set", SubmitRequest{Config: frozenValidConfig(), Figure: "t1"}, CodeInvalidRequest, "/figure"},
+
+		{"shards-one", SubmitRequest{Config: frozenValidConfig(), Shards: 1}, CodeInvalidRequest, "/shards"},
+		{"shards-batch", SubmitRequest{Shards: 2, Batch: []BatchItem{{Key: "a", Config: *frozenValidConfig()}}},
+			CodeInvalidRequest, "/shards"},
+		{"shards-share-warmup", SubmitRequest{Config: frozenValidConfig(), Shards: 2, ShareWarmup: true},
+			CodeInvalidRequest, "/shards"},
+		{"shards-sync-period", SubmitRequest{Shards: 2,
+			Config: cfgWith(func(c *config.Config) { c.Engine.SyncPeriod = 5 })}, CodeInvalidRequest, "/shards"},
+		{"shards-over-nodes", SubmitRequest{Config: frozenValidConfig(), Shards: 17}, CodeInvalidRequest, "/shards"},
+		{"doc-shards-over-nodes", doc(mesh4 + `,` + uniform + `,"run":{"shards":17}`),
+			CodeInvalidRequest, "/scenario/run/shards"},
+
+		{"config-invalid", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.Topology.Width = 0 })},
+			CodeInvalidConfig, "/config"},
+		{"config-no-traffic", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.Traffic = nil })},
+			CodeInvalidConfig, "/config/traffic"},
+		{"config-no-window", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.AnalyzedCycles = 0 })},
+			CodeInvalidConfig, "/config/analyzed_cycles"},
+		{"config-negative-warmup", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.WarmupCycles = -1 })},
+			CodeInvalidConfig, "/config/warmup_cycles"},
+
+		{"batch-bad-key", batch(BatchItem{Key: "no spaces", Config: *frozenValidConfig()}),
+			CodeInvalidRequest, "/batch/0/key"},
+		{"batch-duplicate-key", batch(BatchItem{Key: "a", Config: *frozenValidConfig()},
+			BatchItem{Key: "a", Config: *frozenValidConfig()}), CodeInvalidRequest, "/batch/1/key"},
+		{"batch-no-traffic", batch(BatchItem{Key: "a", Config: *frozenValidConfig()},
+			BatchItem{Key: "b", Config: *cfgWith(func(c *config.Config) { c.Traffic = nil })}),
+			CodeInvalidConfig, "/batch/1/config/traffic"},
+
+		{"figure-unknown", SubmitRequest{Figure: "fig-nope"}, CodeUnknownFigure, "/figure"},
+		{"figure-tiny-and-full", SubmitRequest{Figure: "t1", Tiny: true, Full: true}, CodeInvalidRequest, "/full"},
+		{"figure-named", SubmitRequest{Figure: "t1", Name: "mine"}, CodeInvalidRequest, "/name"},
+		{"figure-share-warmup", SubmitRequest{Figure: "t1", ShareWarmup: true}, CodeInvalidRequest, "/share_warmup"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			_, apiErr := buildScenario(scenarioJSON(t, tc.doc))
+			_, apiErr := buildScenario(tc.req)
 			if apiErr == nil {
-				t.Fatal("invalid scenario accepted")
+				t.Fatal("invalid submission accepted")
 			}
-			if apiErr.Code != CodeInvalidScenario {
-				t.Fatalf("code = %s, want %s (%s)", apiErr.Code, CodeInvalidScenario, apiErr.Message)
+			if apiErr.Code != tc.code {
+				t.Fatalf("code = %s, want %s (%s)", apiErr.Code, tc.code, apiErr.Message)
 			}
 			if apiErr.Field != tc.field {
 				t.Fatalf("field = %q, want %q (%s)", apiErr.Field, tc.field, apiErr.Message)

@@ -349,7 +349,7 @@ func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backe
 		}
 	}
 	if sc.shards >= 2 {
-		return lb.executeShardedLocal(ctx, sc, t, env, sink)
+		return lb.executeShardedLocal(ctx, sc, env, sink)
 	}
 	// Every locally executed job gets a fresh engine probe so the daemon
 	// can report cycles/sec and barrier-vs-compute time per running job,
@@ -359,18 +359,20 @@ func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backe
 	if env.telEvery >= 0 {
 		env = env.withTelemetry(func(s obs.TelemetrySnapshot) { backend.SinkTelemetry(sink, s) })
 	}
-	return executeScenario(ctx, sc, env, lb.s.pool, sink)
+	return executeScenario(ctx, sc, env, lb.s.pool, sink, nil)
 }
 
 // executeShardedLocal runs every member of a space-parallel task inside
 // the daemon process — the fallback when no fleet worker can take the
 // job (and the reference path proving sharding changes no result
-// bytes). Members coordinate through an in-process ShardGroup; the CPU
-// slots for the whole group are acquired from the shared pool up front,
+// bytes). Members are ordinary executions of the compiled scenario on
+// the daemon's own environment (its checkpoint store, counters and
+// logger), coordinating through an in-process ShardGroup; the CPU slots
+// for the whole group are acquired from the shared pool up front,
 // because members rendezvous every cycle and therefore must all run
 // concurrently — leasing them one by one could deadlock against another
 // job.
-func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, t *backend.Task, env *execEnv, sink backend.Sink) ([]byte, int, error) {
+func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, env *execEnv, sink backend.Sink) ([]byte, int, error) {
 	n := sc.shards
 	group := backend.NewShardGroup(n)
 	// Release barrier waiters if the job dies: no member may park forever
@@ -393,44 +395,30 @@ func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, t
 		per = 1
 	}
 
-	var req SubmitRequest
-	if err := json.Unmarshal(t.Request, &req); err != nil {
-		return nil, 0, fmt.Errorf("service: sharded task request: %w", err)
-	}
-	results := make([]*ExecResult, n)
+	docs := make([][]byte, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := ShardExecOptions{
-				Shard:           i,
-				ShardCount:      n,
-				Transport:       NewLocalShardTransport(ctx, group, i),
-				Workers:         per,
-				Checkpoints:     env.store,
-				CheckpointEvery: env.ckptEvery,
-			}
-			if i == 0 {
-				opts.OnProgress = sink.Progress
-				opts.OnResumed = sink.Resumed
-				opts.OnCheckpoint = sink.Checkpoint
-				opts.OnEngine = func(snap obs.ProbeSnapshot) { backend.SinkEngine(sink, snap) }
-			}
-			// Unlike the run-level callbacks above (member 0 speaks for the
-			// group), telemetry is per tile span: EVERY member reports, and
+			// Member 0 speaks for the group: it carries the engine probe
+			// and reports the run-level events, which its siblings drop.
+			// Telemetry is per tile span, so EVERY member reports it, and
 			// the job merges the spans into one full-machine view.
-			if env.telEvery >= 0 {
-				opts.OnTelemetry = func(snap obs.TelemetrySnapshot) { backend.SinkTelemetry(sink, snap) }
-				opts.TelemetryEvery = env.telEvery
+			menv, msink := env, backend.Sink(callbackSink{})
+			if i == 0 {
+				menv, msink = env.withProbe(obs.NewSimProbe()), sink
 			}
-			res, err := ExecuteShard(ctx, req, opts)
-			results[i], errs[i] = res, err
-			if err != nil {
+			if env.telEvery >= 0 {
+				menv = menv.withTelemetry(func(s obs.TelemetrySnapshot) { backend.SinkTelemetry(sink, s) })
+			}
+			member := &ShardMember{Index: i, Count: n, Transport: &localShardTransport{ctx: ctx, group: group, shard: i}}
+			docs[i], _, errs[i] = executeScenario(ctx, sc, menv, sweep.NewBudget(per), msink, member)
+			if errs[i] != nil {
 				// Doom the group so siblings fail out of their barriers
 				// instead of waiting for a member that already gave up.
-				group.Cancel(err)
+				group.Cancel(errs[i])
 			}
 		}(i)
 	}
@@ -442,7 +430,7 @@ func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, t
 			return nil, 0, err
 		}
 	}
-	return results[0].Doc, results[0].RunErrs, nil
+	return docs[0], 0, nil
 }
 
 // firstRunError digs the run error out of an encoded single-run document

@@ -115,6 +115,21 @@ func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
 	}
 }
 
+// TestShardedLocalFeedsDaemonCheckpointStats: the members of a locally
+// sharded job run on the daemon's own execution environment, so their
+// autosaves show in the daemon's checkpoint statistics.
+func TestShardedLocalFeedsDaemonCheckpointStats(t *testing.T) {
+	srv := New(Options{MaxJobs: 1, Budget: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 700})
+	defer srv.Close()
+	j := submitDirect(t, srv, SubmitRequest{Name: "shard-stats", Config: shardConfig(), Seed: 8, Shards: 2})
+	if info := waitDone(t, j, 120*time.Second); info.State != StateDone {
+		t.Fatalf("job state = %s (%s)", info.State, info.Error)
+	}
+	if st := srv.Stats(); st.CheckpointsWritten == 0 {
+		t.Fatalf("stats.checkpoints_written = 0 after a locally sharded job autosaved every 700 cycles")
+	}
+}
+
 // TestFastForwardAutosaveCadenceByteIdentity is the regression test for
 // the fast-forward/checkpoint interaction: autosave chunk boundaries
 // interrupt fast-forward jumps, and a resumed chunk must re-derive the

@@ -2,18 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"time"
 
 	"hornet/internal/core"
-	"hornet/internal/mips"
-	"hornet/internal/noc"
-	"hornet/internal/obs"
 	"hornet/internal/service/backend"
 	"hornet/internal/sim"
-	"hornet/internal/sweep"
 )
 
 // ShardTransport is the member side of a space-parallel group: the
@@ -28,117 +20,17 @@ type ShardTransport interface {
 	StableCheckpoint() (blob []byte, ok bool, err error)
 }
 
-// ShardExecOptions configures one member's execution of a sharded task.
-type ShardExecOptions struct {
-	// Shard/ShardCount identify the member's tile span; ShardCount must
-	// equal the request's shards field.
-	Shard      int
-	ShardCount int
-	// Transport connects the member to its group.
-	Transport ShardTransport
-
-	// Workers, Checkpoints, CheckpointEvery and the callbacks mean
-	// exactly what they do in ExecOptions. OnTelemetry samples cover
-	// only this member's tile span; the coordinator merges the members'
-	// spans into the full-machine view.
-	Workers         int
-	Checkpoints     CheckpointStore
-	CheckpointEvery uint64
-	OnProgress      func(done, total int, key string)
-	OnResumed       func(key string, cycle uint64)
-	OnCheckpoint    func(key string, cycle uint64)
-	OnEngine        func(s obs.ProbeSnapshot)
-	OnTelemetry     func(s obs.TelemetrySnapshot)
-	TelemetryEvery  time.Duration
-}
-
-// ExecuteShard validates req and runs ONE member of its space-parallel
-// group in this process: the full system is built from the validated
+// ShardMember places an execution in a space-parallel group
+// (ExecOptions.Shard): the full system is built from the validated
 // config (wiring and seeds bit-identical to a single-process run), the
-// engine steps only this member's tile span, and boundary traffic is
-// exchanged through the transport at every synchronization point. The
-// returned document is byte-identical to the single-process run of the
-// same request — any member can produce it (the final gather leaves
-// every member with the full statistics), the coordinator uses the
-// root's.
-//
-// Unlike Execute, a run-level failure is returned as an error instead
-// of being recorded inside the document: a member that silently
-// "succeeded" with an error document would leave its siblings parked in
-// a barrier it will never reach again.
-func ExecuteShard(ctx context.Context, req SubmitRequest, opts ShardExecOptions) (*ExecResult, error) {
-	sc, apiErr := buildScenario(req)
-	if apiErr != nil {
-		return nil, fmt.Errorf("%w: %s", ErrInvalidRequest, apiErr.Message)
-	}
-	if sc.shards < 2 {
-		return nil, fmt.Errorf("%w: request is not sharded", ErrInvalidRequest)
-	}
-	if opts.ShardCount != sc.shards {
-		return nil, fmt.Errorf("%w: assignment is shard %d/%d but the request shards %d ways",
-			ErrInvalidRequest, opts.Shard, opts.ShardCount, sc.shards)
-	}
-	if opts.Shard < 0 || opts.Shard >= sc.shards {
-		return nil, fmt.Errorf("%w: shard index %d out of range", ErrInvalidRequest, opts.Shard)
-	}
-	if opts.Transport == nil {
-		return nil, fmt.Errorf("%w: sharded execution needs a transport", ErrInvalidRequest)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	every := opts.CheckpointEvery
-	if every == 0 {
-		every = 100_000
-	}
-	env := &execEnv{
-		warm:      sweep.NewSnapshotCache(""),
-		store:     opts.Checkpoints,
-		ckptEvery: every,
-		counters:  &envCounters{},
-		// Per-shard store keys ("-s0", "-s1", ...): members of one run
-		// checkpoint concurrently and must never clobber each other.
-		ckptSuffix: fmt.Sprintf("-s%d", opts.Shard),
-	}
-	if opts.OnEngine != nil {
-		env.probe = obs.NewSimProbe()
-	}
-	pool := sweep.NewBudget(workers)
-	sink := callbackSink{ExecOptions{
-		OnProgress: opts.OnProgress, OnResumed: opts.OnResumed, OnCheckpoint: opts.OnCheckpoint,
-		OnEngine: opts.OnEngine, OnTelemetry: opts.OnTelemetry,
-	}}
-	if opts.OnTelemetry != nil {
-		env.telemetry = func(s obs.TelemetrySnapshot) { backend.SinkTelemetry(sink, s) }
-		env.telEvery = opts.TelemetryEvery
-	}
-	spec := sc.runs[0]
-	items := []sweep.Item{{
-		Key: spec.key, Weight: spec.weight, Seed: spec.seed,
-		Run: env.runShard(sc, sink, spec, opts.Shard, opts.Transport),
-	}}
-	cfg := sweep.Config{
-		Workers: pool.Cap(),
-		Pool:    pool,
-		Seed:    sc.seed,
-		OnProgress: func(done, total int, r sweep.Result) {
-			sink.Progress(done, total, r.Key)
-		},
-	}
-	results := sweep.Run(ctx, items, cfg)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if results[0].Err != nil {
-		return nil, results[0].Err
-	}
-	doc := sweep.NewDocument(sc.name, sc.hash, sc.seed, results)
-	b, err := encodeDocument(doc)
-	if err != nil {
-		return nil, err
-	}
-	return &ExecResult{Doc: b, RunErrs: 0, Name: sc.name, Hash: sc.hash, Seed: sc.seed}, nil
+// engine steps only tile span Index of Count, and boundary traffic is
+// exchanged through Transport at every synchronization point. Count
+// must equal the request's shards field. Any member can produce the
+// document (the final gather leaves every member with the full
+// statistics); the coordinator uses the root's.
+type ShardMember struct {
+	Index, Count int
+	Transport    ShardTransport
 }
 
 // localShardTransport connects an in-process member directly to a
@@ -149,11 +41,6 @@ type localShardTransport struct {
 	group *backend.ShardGroup
 	shard int
 	epoch int
-}
-
-// NewLocalShardTransport builds the in-process member transport.
-func NewLocalShardTransport(ctx context.Context, group *backend.ShardGroup, shard int) ShardTransport {
-	return &localShardTransport{ctx: ctx, group: group, shard: shard}
 }
 
 func (t *localShardTransport) Sync(v sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, error) {
@@ -183,168 +70,4 @@ func (t *localShardTransport) Gather(payload []byte) ([][]byte, error) {
 func (t *localShardTransport) StableCheckpoint() ([]byte, bool, error) {
 	_, blob, ok := t.group.StableBlob(t.shard)
 	return blob.Data, ok, nil
-}
-
-// runShard compiles the scenario's single runSpec into this member's
-// sweep run function: the ordinary chunked, checkpointed execution of
-// runConfig/runMips wrapped in the group-rollback loop. When a barrier
-// call reports that the group lost a member (*core.ShardRestartError),
-// the attempt's state is abandoned, the group's stable checkpoint is
-// fetched and restored (or the system rebuilt from scratch), and the
-// member rejoins under the new epoch. Determinism makes the rollback
-// invisible in the result: re-executed chunks reproduce the exact
-// trajectory, so the final document is still byte-identical to an
-// uninterrupted single-process run.
-func (e *execEnv) runShard(sc *scenario, sink backend.Sink, spec runSpec, shard int, transport ShardTransport) func(sweep.Ctx) (any, error) {
-	return func(c sweep.Ctx) (any, error) {
-		seed := c.Seed
-		rc := spec.cfg
-		rc.Engine.Workers = c.Workers
-		rc.Engine.Seed = seed
-
-		var (
-			build  func() (*core.System, error)
-			warmup uint64
-			target uint64
-		)
-		if m := spec.mips; m != nil {
-			img, err := mips.Assemble(mipsWorkloadSource(m, rc.Topology.Nodes()))
-			if err != nil {
-				return nil, err
-			}
-			target = m.MaxCycles
-			build = func() (*core.System, error) {
-				sys, err := core.New(rc)
-				if err != nil {
-					return nil, err
-				}
-				nodes := make([]noc.NodeID, rc.Topology.Nodes())
-				for i := range nodes {
-					nodes[i] = noc.NodeID(i)
-				}
-				if mipsShared(m) {
-					fab, err := sys.AttachMemory(*rc.Memory)
-					if err != nil {
-						return nil, err
-					}
-					sys.AttachMIPSShared([]noc.NodeID{0, nodes[len(nodes)-1]}, img, fab, *rc.Memory)
-				} else {
-					sys.AttachMIPS(nodes, img)
-				}
-				return sys, nil
-			}
-		} else {
-			warmup = uint64(rc.WarmupCycles)
-			target = uint64(rc.AnalyzedCycles)
-			rc.WarmupCycles, rc.AnalyzedCycles = 0, 0
-			build = func() (*core.System, error) {
-				sys, err := core.New(rc)
-				if err != nil {
-					return nil, err
-				}
-				if err := sys.AttachSyntheticTraffic(); err != nil {
-					return nil, err
-				}
-				return sys, nil
-			}
-		}
-		stop := cancelStop(c.Context)
-		ckptOn := e.store != nil
-
-		// pre/preMeta carry rollback-restored state into the next attempt.
-		var pre *core.System
-		var preMeta ckptMeta
-		usePre := false
-		for {
-			var sys *core.System
-			meta := ckptMeta{Name: sc.name, Hash: sc.hash, Key: spec.key, Seed: seed, Phase: "warmup"}
-			if spec.mips != nil {
-				meta.Phase = "measured"
-			}
-			switch {
-			case usePre:
-				sys, meta, usePre = pre, preMeta, false
-				pre = nil
-			case ckptOn:
-				if restored, m, ok := e.loadCheckpoint(sc, spec.key, seed, build); ok {
-					sys, meta = restored, m
-					e.counters.runsResumed.Add(1)
-					sink.Resumed(spec.key, restored.Clock())
-				}
-			}
-			if sys == nil {
-				var err error
-				if sys, err = build(); err != nil {
-					return nil, err
-				}
-			}
-			if e.probe != nil {
-				// The probe spans rollback attempts: re-executed cycles are
-				// real engine work and should show up as such.
-				sys.SetProbe(e.probe)
-			}
-			if err := sys.EnableSharding(shard, sc.shards, transport); err != nil {
-				return nil, err
-			}
-
-			err := func() error {
-				// Per attempt: a rollback rebuilds the system, and the new
-				// engine needs its own sampler and pump.
-				stopTel := e.startTelemetry(sys)
-				defer stopTel()
-				cr := &chunkedRun{env: e, sys: sys, sc: sc, sink: sink, meta: &meta, ckptOn: ckptOn, stop: stop}
-				if meta.Phase == "warmup" {
-					if ok, err := cr.advance(c.Context, warmup, false, nil); !ok {
-						return err
-					}
-					sys.ResetStats()
-					meta.Phase, meta.Done = "measured", 0
-				}
-				// No member-local done predicate: an application workload's
-				// completion is the group decision (per-span halt conditions
-				// ANDed, global in-flight summed), surfacing as Stopped.
-				if ok, err := cr.advance(c.Context, target, true, nil); !ok {
-					return err
-				}
-				return sys.ShardGather()
-			}()
-			if err == nil {
-				if ckptOn {
-					e.removeCheckpoint(sc, spec.key)
-				}
-				return summarize(sys.Summary(), rc.Topology.Nodes(), meta.Exec, meta.Skip), nil
-			}
-			var rs *core.ShardRestartError
-			if !errors.As(err, &rs) {
-				return nil, err
-			}
-			// Group rollback. The member's own latest checkpoint may be
-			// AHEAD of the group's stable cycle, so it must not be used:
-			// restore the coordinator's stable blob, or start over.
-			if rs.Cycle == 0 {
-				if ckptOn {
-					e.removeCheckpoint(sc, spec.key)
-				}
-				continue
-			}
-			blob, ok, err := transport.StableCheckpoint()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				// The stable point vanished between the restart notice and
-				// the fetch (possible only through another rollback); retry
-				// from scratch and let the next barrier sort it out.
-				if ckptOn {
-					e.removeCheckpoint(sc, spec.key)
-				}
-				continue
-			}
-			restored, m, ok2 := e.decodeCheckpoint(sc, spec.key, seed, blob, build)
-			if !ok2 {
-				return nil, fmt.Errorf("service: shard %d: stable checkpoint blob does not restore", shard)
-			}
-			pre, preMeta, usePre = restored, m, true
-		}
-	}
 }

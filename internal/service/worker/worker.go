@@ -546,41 +546,27 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 			event(backend.TaskEvent{Type: "telemetry", Telemetry: &snap})
 		}
 	}
-	var res *service.ExecResult
-	var err error
+	opts := service.ExecOptions{
+		Workers:         a.Workers,
+		Checkpoints:     store,
+		CheckpointEvery: a.CheckpointEvery,
+		Warmups:         w.warm,
+		OnProgress:      onProgress,
+		OnResumed:       onResumed,
+		OnCheckpoint:    onCheckpoint,
+		OnEngine:        onEngine,
+		OnTelemetry:     onTelemetry,
+		TelemetryEvery:  w.opts.TelemetryEvery,
+	}
 	if a.ShardCount >= 2 {
 		// A space-parallel member assignment: run this worker's tile span
 		// of the simulation, rendezvousing with the sibling members
 		// through the coordinator's shard endpoints.
-		res, err = service.ExecuteShard(taskCtx, req, service.ShardExecOptions{
-			Shard:      a.Shard,
-			ShardCount: a.ShardCount,
+		opts.Shard = &service.ShardMember{Index: a.Shard, Count: a.ShardCount,
 			Transport: &shardTransport{w: w, ctx: taskCtx, taskID: a.TaskID,
-				cancelRun: cancel, epoch: a.ShardEpoch},
-			Workers:         a.Workers,
-			Checkpoints:     store,
-			CheckpointEvery: a.CheckpointEvery,
-			OnProgress:      onProgress,
-			OnResumed:       onResumed,
-			OnCheckpoint:    onCheckpoint,
-			OnEngine:        onEngine,
-			OnTelemetry:     onTelemetry,
-			TelemetryEvery:  w.opts.TelemetryEvery,
-		})
-	} else {
-		res, err = service.Execute(taskCtx, req, service.ExecOptions{
-			Workers:         a.Workers,
-			Checkpoints:     store,
-			CheckpointEvery: a.CheckpointEvery,
-			Warmups:         w.warm,
-			OnProgress:      onProgress,
-			OnResumed:       onResumed,
-			OnCheckpoint:    onCheckpoint,
-			OnEngine:        onEngine,
-			OnTelemetry:     onTelemetry,
-			TelemetryEvery:  w.opts.TelemetryEvery,
-		})
+				cancelRun: cancel, epoch: a.ShardEpoch}}
 	}
+	res, err := service.Execute(taskCtx, req, opts)
 	switch {
 	case ctx.Err() != nil:
 		// Crash-stop: push nothing, the lease expiry migrates the task.
