@@ -161,8 +161,13 @@ fuzz-smoke:
 # the preset registry byte for byte and every normalized form is a
 # stable fixed point. Regenerate the gallery after editing presets with:
 #   go test ./internal/scenario -run TestExamplesMatchPresets -update
+# Then the service-side identity set: every submission shape and spelling
+# keeps the content address recorded for it (never re-record those), a
+# scenario document coalesces with the legacy spelling it restates, and
+# validate reports what submit acquires.
 scenario-golden:
 	$(GO) test -count=1 -run 'TestExamples|TestNormalizeIdempotent|TestPresetsAllCompile' ./internal/scenario
+	$(GO) test -count=1 -run 'TestFrozenLegacyHashes|TestScenarioMipsLegacyIdentity|TestScenarioCoalescesWithLegacy|TestDryRunMatchesSubmit' ./internal/service
 
 # Dry-run every example scenario through the real validation path
 # (hornet-exp -validate = the daemon's POST /api/v1/validate): the

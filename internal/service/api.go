@@ -34,7 +34,8 @@ import (
 	"hornet/internal/workloads"
 )
 
-// Job kinds.
+// The request spellings — what JobInfo and validate report as kind. They
+// say how a job was written, never how it runs or what it is cached as.
 const (
 	KindConfig   = "config"   // one full config.Config simulation
 	KindFigure   = "figure"   // a named experiment from internal/experiments

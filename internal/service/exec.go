@@ -33,8 +33,8 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 			b, runErrs, err = nil, 0, fmt.Errorf("job panicked: %v", p)
 		}
 	}()
-	switch sc.kind {
-	case KindFigure:
+	switch {
+	case sc.fig != nil:
 		o := sc.figOpts
 		o.Context = ctx
 		o.Pool = pool
@@ -68,7 +68,7 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		}
 		b, err = encodeDocument(doc)
 		return b, runErrs, err
-	default: // KindConfig, KindBatch, KindMips
+	default: // a run list
 		items := make([]sweep.Item, len(sc.runs))
 		for i, spec := range sc.runs {
 			items[i] = sweep.Item{Key: spec.key, Weight: spec.weight, Seed: spec.seed,

@@ -29,7 +29,7 @@ func TestExpireRacesOpenSubscriberAndLongPoll(t *testing.T) {
 
 	// Bypass the scheduler: the test needs full control over when the
 	// job turns terminal, so the record is planted directly.
-	sc := &scenario{kind: KindBatch, name: "expire-race", hash: "00112233aabbccdd", seed: 1}
+	sc := &scenario{surface: KindBatch, name: "expire-race", hash: "00112233aabbccdd", seed: 1}
 	j := newJob(srv.jobs.nextID(), SubmitRequest{}, sc, context.Background(), time.Now())
 	srv.jobs.add(j)
 	id := j.Info().ID
@@ -196,7 +196,7 @@ func TestExpireRacesOpenSubscriberAndLongPoll(t *testing.T) {
 // immediately-closed channel; expiring the record concurrently must not
 // disturb that, and unsubscribe after expiry is a harmless no-op.
 func TestSubscribeAfterTerminalSurvivesExpire(t *testing.T) {
-	sc := &scenario{kind: KindBatch, name: "late-sub", hash: "ffeeddccbbaa0011", seed: 2}
+	sc := &scenario{surface: KindBatch, name: "late-sub", hash: "ffeeddccbbaa0011", seed: 2}
 	store := newJobStore()
 	j := newJob(store.nextID(), SubmitRequest{}, sc, context.Background(), time.Now())
 	store.add(j)

@@ -98,7 +98,7 @@ func newJob(id string, req SubmitRequest, sc *scenario, parent context.Context, 
 		info: JobInfo{
 			ID:         id,
 			Name:       sc.name,
-			Kind:       sc.surfaceKind(),
+			Kind:       sc.surface,
 			State:      StateQueued,
 			ConfigHash: sc.hash,
 			Seed:       sc.seed,
@@ -127,7 +127,7 @@ func (j *job) task() *backend.Task {
 		Name:      j.sc.name,
 		Hash:      j.sc.hash,
 		Seed:      j.sc.seed,
-		Kind:      j.sc.kind,
+		Kind:      j.sc.taskKind,
 		Weight:    j.req.Workers,
 		RunsTotal: len(j.sc.runs),
 		Shards:    j.sc.shards,

@@ -52,7 +52,7 @@ func TestFinalizeJournalsBeforePublishing(t *testing.T) {
 	}
 	for state, transition := range transitions {
 		t.Run(state, func(t *testing.T) {
-			sc := &scenario{kind: KindBatch, name: "ordered", hash: "0011223344556677", seed: 1}
+			sc := &scenario{surface: KindBatch, name: "ordered", hash: "0011223344556677", seed: 1}
 			j := newJob("job-000001", SubmitRequest{}, sc, context.Background(), time.Now())
 			entered, release := make(chan JobInfo, 1), make(chan struct{})
 			j.onState = func(info JobInfo) {
@@ -114,7 +114,7 @@ func TestFinalizeJournalsBeforePublishing(t *testing.T) {
 // the job ends up showing.
 func TestRacingFinalizeJournalsOnce(t *testing.T) {
 	for round := 0; round < 200; round++ {
-		sc := &scenario{kind: KindBatch, name: "raced", hash: "8899aabbccddeeff", seed: 1}
+		sc := &scenario{surface: KindBatch, name: "raced", hash: "8899aabbccddeeff", seed: 1}
 		j := newJob("job-000001", SubmitRequest{}, sc, context.Background(), time.Now())
 		var mu sync.Mutex
 		var records []JobInfo
@@ -235,7 +235,7 @@ func TestJournalWriteBlockedWhileWaiterRestarts(t *testing.T) {
 // move the merged stream backwards: shard 0 is at cycle 500 when shard 1's
 // first sample arrives from cycle 100.
 func TestTelemetryLateFirstSampleIsWithheld(t *testing.T) {
-	sc := &scenario{kind: KindConfig, name: "late-shard", hash: "0123456789abcdef", seed: 1}
+	sc := &scenario{surface: KindConfig, name: "late-shard", hash: "0123456789abcdef", seed: 1}
 	j := newJob("job-000001", SubmitRequest{}, sc, context.Background(), time.Now())
 	j.start(time.Now())
 	sub, unsub := j.subscribe()

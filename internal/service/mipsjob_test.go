@@ -136,21 +136,23 @@ func TestMipsScenarioValidation(t *testing.T) {
 		return cfg
 	}
 	cases := []struct {
-		name string
-		mut  func(req *SubmitRequest)
+		name, field string
+		mut         func(req *SubmitRequest)
 	}{
-		{"unknown-workload", func(r *SubmitRequest) { r.Mips.Workload = "doom" }},
-		{"traffic-set", func(r *SubmitRequest) {
+		{"unknown-workload", "/mips/workload", func(r *SubmitRequest) { r.Mips.Workload = "doom" }},
+		{"traffic-set", "/mips/config/traffic", func(r *SubmitRequest) {
 			r.Mips.Config.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.1}}
 		}},
-		{"shared-without-memory", func(r *SubmitRequest) { r.Mips.Workload = "shared-pingpong" }},
-		{"private-with-memory", func(r *SubmitRequest) { r.Mips.Config.Memory = config.DefaultMemory() }},
-		{"cannon-wrong-grid", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.Q = 3 }},
-		{"cannon-huge-block", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.B = 40_000 }},
-		{"huge-rounds", func(r *SubmitRequest) { r.Mips.Rounds = 2_000_000 }},
-		{"huge-max-cycles", func(r *SubmitRequest) { r.Mips.MaxCycles = 1 << 62 }},
-		{"mips-plus-config", func(r *SubmitRequest) { c := base(); r.Config = &c }},
-		{"share-warmup", func(r *SubmitRequest) { r.ShareWarmup = true }},
+		{"shared-without-memory", "/mips/config/memory", func(r *SubmitRequest) { r.Mips.Workload = "shared-pingpong" }},
+		{"private-with-memory", "/mips/config/memory", func(r *SubmitRequest) { r.Mips.Config.Memory = config.DefaultMemory() }},
+		{"cannon-wrong-grid", "/mips/config", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.Q = 3 }},
+		{"cannon-huge-block", "/mips/b", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.B = 40_000 }},
+		{"huge-b", "/mips/b", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.B = 65 }},
+		{"huge-q", "/mips/q", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.Q = 65 }},
+		{"huge-rounds", "/mips/rounds", func(r *SubmitRequest) { r.Mips.Rounds = 2_000_000 }},
+		{"huge-max-cycles", "/mips/max_cycles", func(r *SubmitRequest) { r.Mips.MaxCycles = 1 << 62 }},
+		{"mips-plus-config", "/mips", func(r *SubmitRequest) { c := base(); r.Config = &c }},
+		{"share-warmup", "/share_warmup", func(r *SubmitRequest) { r.ShareWarmup = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,6 +160,8 @@ func TestMipsScenarioValidation(t *testing.T) {
 			tc.mut(&req)
 			if _, apiErr := buildScenario(req); apiErr == nil {
 				t.Errorf("submission accepted, want *APIError")
+			} else if apiErr.Field != tc.field {
+				t.Errorf("error points at %q, want %q (%s)", apiErr.Field, tc.field, apiErr.Message)
 			}
 		})
 	}
@@ -175,7 +179,7 @@ func TestMipsScenarioValidation(t *testing.T) {
 	if a.hash != b.hash {
 		t.Error("defaulted and explicit-default specs hash differently")
 	}
-	if a.kind != KindMips || len(a.runs) != 1 || a.runs[0].mips == nil {
+	if a.taskKind != KindMips || !a.single || len(a.runs) != 1 || a.runs[0].mips == nil {
 		t.Errorf("scenario shape wrong: %+v", a)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"regexp"
 	"strings"
@@ -25,33 +26,35 @@ const defaultSeed = 0x5EED0A11
 var nameRE = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
 // scenario is a validated, normalized submission: everything the
-// scheduler needs to execute the job, plus the content-address (name,
-// hash) of its result document. It is the ONE internal representation
-// every submission surface compiles into — the legacy config/figure/
-// batch/mips kinds directly, and declarative scenario documents via
-// internal/scenario — so there is exactly one execution path
-// (executeScenario) no matter how a job was described.
+// scheduler needs to execute the job, plus the content address (name,
+// hash) of its result document. Every request spelling fills in what is
+// its own and one function (seal) makes it a job; nothing downstream
+// asks how the job was written — what executes differently is data
+// (fig, single, runs).
 type scenario struct {
-	kind string
-	name string // document name (also the cache key prefix)
-	hash string // sweep.ConfigHash over the identity
-	seed uint64
-
-	// surface is the submission surface the client used ("scenario" for
-	// declarative documents); kind stays the execution/identity kind the
-	// submission lowered to, so cache hashes, sharding rules and fleet
-	// dispatch are oblivious to how the job was written. Empty means
-	// surface == kind.
+	// surface is the spelling the client wrote ("config", "figure",
+	// "batch", "mips", "scenario"): the kind JobInfo and validate report.
 	surface string
+	// taskKind is backend.Task.Kind, the wire's word for the shape of the
+	// run list. Neither side of the wire reads it; it is written so
+	// assignments stay byte-for-byte what earlier daemons sent.
+	taskKind string
+	name     string // document name (also the cache key prefix)
+	hash     string // sweep.ConfigHash over the identity
+	seed     uint64
 
 	// cacheable is false for wall-clock experiments (Serial figures):
 	// their documents carry timing fields and are never byte-stable.
 	cacheable bool
 
-	// config/batch scenarios: one spec per sweep run. The scheduler
-	// compiles them into sweep items against its execution environment
-	// (warmup cache, checkpoint settings).
+	// runs is one spec per sweep run. The scheduler compiles them into
+	// sweep items against its execution environment (warmup cache,
+	// checkpoint settings).
 	runs []runSpec
+	// single marks ONE simulation — a config, a mips run, a scenario
+	// document that compiles to exactly one run; never a batch of one.
+	// Only a single simulation shards, and its run's failure is the job's.
+	single bool
 	// shareWarmup derives run seeds from warmup-prefix groups so runs
 	// agreeing on everything but measured-phase knobs fork from one
 	// warmup snapshot.
@@ -60,18 +63,14 @@ type scenario struct {
 	// (>= 2), 0 for ordinary scenarios. Like Workers it never enters the
 	// scenario hash: sharding cannot change result bytes.
 	shards int
+	// normalized is the canonical form of a scenario document (validate
+	// shows it to the client); nil for the other spellings.
+	normalized *scen.Scenario
 
-	// figure scenarios: the registry entry and its scale options.
-	fig     experiments.Figure
+	// fig, when non-nil, makes the job a figure: the registry entry runs
+	// in place of a run list, and only on this host.
+	fig     *experiments.Figure
 	figOpts experiments.Options
-}
-
-// surfaceKind is the kind reported to clients (JobInfo, validate).
-func (sc *scenario) surfaceKind() string {
-	if sc.surface != "" {
-		return sc.surface
-	}
-	return sc.kind
 }
 
 // runSpec is one config/batch/mips simulation: a stable key, the
@@ -131,62 +130,147 @@ func buildScenario(req SubmitRequest) (*scenario, *APIError) {
 		return nil, &APIError{Code: CodeInvalidRequest, Field: "/workers",
 			Message: "workers must be >= 0"}
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	var (
-		sc     *scenario
-		apiErr *APIError
-	)
+	// A spelling decodes and validates its own fields and leaves behind
+	// only what the client asked for: the runs (key, cfg, mips), the
+	// single bit, and — a scenario document, which carries its own — the
+	// name, seed, share_warmup and shards that are request fields here.
+	sc := &scenario{name: req.Name, seed: req.Seed, shareWarmup: req.ShareWarmup, shards: req.Shards}
+	var apiErr *APIError
 	switch {
 	case req.Config != nil:
-		sc, apiErr = buildConfigScenario(req, seed)
+		sc.surface, apiErr = KindConfig, configSpelling(sc, req)
 	case req.Figure != "":
-		sc, apiErr = buildFigureScenario(req, seed)
+		sc.surface, apiErr = KindFigure, figureSpelling(sc, req)
 	case req.Mips != nil:
-		sc, apiErr = buildMipsScenario(req, seed)
+		sc.surface, apiErr = KindMips, mipsSpelling(sc, req)
 	case len(req.Scenario) > 0:
-		sc, apiErr = buildScenarioScenario(req)
+		sc.surface, apiErr = KindScenario, scenarioSpelling(sc, req)
 	default:
-		sc, apiErr = buildBatchScenario(req, seed)
+		sc.surface, apiErr = KindBatch, batchSpelling(sc, req)
+	}
+	if apiErr == nil {
+		apiErr = seal(sc, req.Workers)
 	}
 	if apiErr != nil {
-		return nil, apiErr
-	}
-	shards := req.Shards
-	if sc.shards != 0 {
-		// Declarative scenarios carry sharding in their run plan; the
-		// builder stashed it for this validation pass.
-		shards, sc.shards = sc.shards, 0
-	}
-	if apiErr := applyShards(sc, shards); apiErr != nil {
 		return nil, apiErr
 	}
 	return sc, nil
 }
 
-// applyShards validates a space-parallel request against the compiled
-// scenario. Sharding splits ONE simulation's tile grid across members,
-// so only single-run kinds qualify, the engine must sync every cycle
+// seal makes what a spelling left behind a job: it defaults the seed and
+// the name, validates the shard request, weights the runs, derives the
+// warmup-group seeds and — the one place a job acquires its content
+// address — computes the identity from the SHAPE of the run list, not
+// from the spelling that produced it:
+//
+//	one traffic run     "config"    config.Config
+//	one workload run    "mips"      MipsSpec
+//	traffic runs        "batch"     []BatchItem
+//	workload runs       "scenario"  []mipsBatchItem
+//
+// so a scenario document saying what a legacy spelling could say hashes
+// — and hits the cache — as that spelling always has, and every hash an
+// earlier daemon computed stays addressable.
+func seal(sc *scenario, workers int) *APIError {
+	if sc.seed == 0 {
+		sc.seed = defaultSeed
+	}
+	if apiErr := checkShards(sc); apiErr != nil {
+		return apiErr
+	}
+	if sc.fig != nil {
+		// A figure job adopts the registry document's own identity — the
+		// figure name and its registry config hash — so JobInfo, the
+		// /result ETag, and the document body all agree, and the disk cache
+		// shares hornet-exp's exact name-hash.json entries.
+		sc.figOpts.Seed, sc.figOpts.Parallel = sc.seed, workers
+		sc.taskKind, sc.name, sc.hash = KindFigure, sc.fig.Name, sc.fig.ConfigHash(sc.figOpts)
+		sc.cacheable = !sc.fig.Serial // wall-clock documents are never byte-stable
+		return nil
+	}
+	var (
+		runs     = sc.runs
+		workload = runs[0].mips != nil // a run list is all traffic or all workload
+		label    string
+		identity any
+	)
+	switch {
+	case sc.single && !workload:
+		label, identity = KindConfig, runs[0].cfg
+	case sc.single:
+		label, identity = KindMips, *runs[0].mips
+		if sc.name == "" {
+			sc.name = "mips-" + runs[0].mips.Workload
+		}
+	case !workload:
+		items := make([]BatchItem, len(runs))
+		for i, r := range runs {
+			items[i] = BatchItem{Key: r.key, Config: r.cfg}
+		}
+		label, identity = KindBatch, items
+	default: // no legacy spelling reaches this shape, so it has its own label
+		items := make([]mipsBatchItem, len(runs))
+		for i, r := range runs {
+			items[i] = mipsBatchItem{Key: r.key, Mips: *r.mips}
+		}
+		label, identity = KindScenario, items
+	}
+	if sc.name == "" {
+		sc.name = label
+	}
+	sc.hash = scenarioHash(label, sc.name, identity, sc.seed, sc.shareWarmup)
+	sc.cacheable = true
+	// On the task wire a run list has always been a "batch", whatever it
+	// hashes under.
+	sc.taskKind = label
+	if !sc.single {
+		sc.taskKind = KindBatch
+	}
+	for i := range runs {
+		runs[i].weight = workers
+		if sc.shareWarmup {
+			runs[i].seed = groupSeed(sc.seed, runs[i].cfg)
+		}
+	}
+	if sc.single {
+		// A single simulation's one run is labelled by the job name.
+		runs[0].key = sc.name
+	}
+	return nil
+}
+
+// scenarioHash computes the job identity. share_warmup changes per-run
+// seeding, so it must fork the identity; the extra label keeps hashes
+// of share_warmup=false submissions identical to what earlier daemons
+// produced (their cached documents stay valid).
+func scenarioHash(label, name string, identity any, seed uint64, shareWarmup bool) string {
+	if shareWarmup {
+		return sweep.ConfigHash("service/"+label, name, identity, seed, "share_warmup")
+	}
+	return sweep.ConfigHash("service/"+label, name, identity, seed)
+}
+
+// checkShards validates the requested space-parallel member count.
+// Sharding splits ONE simulation's tile grid across members, so only a
+// single simulation qualifies, the engine must sync every cycle
 // (boundary flits are exchanged at sync points; a coarser cadence would
 // let a flit cross a shard boundary unobserved), and warmup sharing is
 // meaningless for a single run.
-func applyShards(sc *scenario, shards int) *APIError {
-	if shards == 0 {
+func checkShards(sc *scenario) *APIError {
+	if sc.shards == 0 {
 		return nil
 	}
 	reject := func(format string, args ...any) *APIError {
 		field := "/shards"
-		if sc.surface == KindScenario {
+		if sc.surface == KindScenario { // the document's own field
 			field = "/scenario/run/shards"
 		}
 		return &APIError{Code: CodeInvalidRequest, Field: field, Message: fmt.Sprintf(format, args...)}
 	}
-	if shards < 2 {
+	if sc.shards < 2 {
 		return reject("shards must be 0 (off) or >= 2")
 	}
-	if sc.kind != KindConfig && sc.kind != KindMips {
+	if !sc.single {
 		return reject("shards applies to config and mips jobs (one simulation split across members)")
 	}
 	if sc.shareWarmup {
@@ -196,10 +280,139 @@ func applyShards(sc *scenario, shards int) *APIError {
 	if cfg.Engine.SyncPeriod > 1 {
 		return reject("shards requires sync_period 1 (boundary traffic is exchanged every cycle)")
 	}
-	if nodes := cfg.Topology.Nodes(); shards > nodes {
-		return reject("shards (%d) must not exceed the topology's %d nodes", shards, nodes)
+	if nodes := cfg.Topology.Nodes(); sc.shards > nodes {
+		return reject("shards (%d) must not exceed the topology's %d nodes", sc.shards, nodes)
 	}
-	sc.shards = shards
+	return nil
+}
+
+// configSpelling: one synthetic-traffic simulation.
+func configSpelling(sc *scenario, req SubmitRequest) *APIError {
+	if apiErr := checkRunnable(req.Config, "/config", ""); apiErr != nil {
+		return apiErr
+	}
+	sc.single = true
+	sc.runs = []runSpec{{cfg: normalize(*req.Config)}}
+	return nil
+}
+
+// batchSpelling: several keyed configurations as one sweep, bounded like
+// a scenario document's.
+func batchSpelling(sc *scenario, req SubmitRequest) *APIError {
+	if len(req.Batch) > scen.MaxSweepRuns {
+		return &APIError{Code: CodeInvalidRequest, Field: "/batch",
+			Message: fmt.Sprintf("batch has more than %d runs", scen.MaxSweepRuns)}
+	}
+	seen := map[string]bool{}
+	sc.runs = make([]runSpec, 0, len(req.Batch))
+	for i := range req.Batch {
+		it := &req.Batch[i]
+		if !nameRE.MatchString(it.Key) {
+			return &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
+				Message: fmt.Sprintf("batch[%d]: key must match [a-zA-Z0-9._-]{1,64}", i)}
+		}
+		if seen[it.Key] {
+			return &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
+				Message: fmt.Sprintf("batch[%d]: duplicate key %q", i, it.Key)}
+		}
+		seen[it.Key] = true
+		if apiErr := checkRunnable(&it.Config, fmt.Sprintf("/batch/%d/config", i),
+			fmt.Sprintf("batch[%d] (%s): ", i, it.Key)); apiErr != nil {
+			return apiErr
+		}
+		sc.runs = append(sc.runs, runSpec{key: it.Key, cfg: normalize(it.Config)})
+	}
+	return nil
+}
+
+// mipsSpelling: one application workload in the frozen MipsSpec form.
+func mipsSpelling(sc *scenario, req SubmitRequest) *APIError {
+	if req.ShareWarmup {
+		return &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
+			Message: "share_warmup applies to config/batch jobs; mips runs have no warmup prefix"}
+	}
+	m, apiErr := normalizeMips(*req.Mips)
+	if apiErr != nil {
+		return apiErr
+	}
+	sc.single = true
+	sc.runs = []runSpec{{cfg: m.Config, mips: &m}}
+	return nil
+}
+
+// figureSpelling: a named experiment of the registry. Only the
+// request-level checks are the spelling's own; seal adopts the
+// registry's identity.
+func figureSpelling(sc *scenario, req SubmitRequest) *APIError {
+	fig, ok := experiments.FigureByName(req.Figure)
+	if !ok {
+		return &APIError{Code: CodeUnknownFigure, Field: "/figure",
+			Message: fmt.Sprintf("unknown figure %q", req.Figure)}
+	}
+	if req.Tiny && req.Full {
+		return &APIError{Code: CodeInvalidRequest, Field: "/full",
+			Message: "tiny and full are mutually exclusive"}
+	}
+	// A custom Name is rejected rather than silently diverging from the
+	// registry document's.
+	if req.Name != "" {
+		return &APIError{Code: CodeInvalidRequest, Field: "/name",
+			Message: "figure jobs are named by the figure itself; omit name"}
+	}
+	if req.ShareWarmup {
+		return &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
+			Message: "share_warmup applies to config/batch jobs; figures manage their own warmup sharing"}
+	}
+	sc.fig, sc.figOpts = &fig, experiments.Options{Tiny: req.Tiny, Full: req.Full}
+	return nil
+}
+
+// scenarioSpelling: a declarative scenario document (internal/scenario),
+// which carries its own name, seed, shards and share_warmup.
+func scenarioSpelling(sc *scenario, req SubmitRequest) *APIError {
+	reject := func(field, what string) *APIError {
+		return &APIError{Code: CodeInvalidRequest, Field: field, Message: fmt.Sprintf(
+			"scenario documents carry their own %s; omit the request-level field", what)}
+	}
+	if req.Name != "" {
+		return reject("/name", "name")
+	}
+	if req.Seed != 0 {
+		return reject("/seed", "seed (run.seed)")
+	}
+	if req.Shards != 0 {
+		return reject("/shards", "sharding (run.shards)")
+	}
+	if req.ShareWarmup {
+		return reject("/share_warmup", "warmup sharing (run.share_warmup)")
+	}
+	doc, ferr := scen.Decode(req.Scenario)
+	if ferr != nil {
+		return &APIError{Code: CodeInvalidScenario, Field: "/scenario" + ferr.Path, Message: ferr.Msg}
+	}
+	comp, ferr := scen.Compile(doc)
+	if ferr != nil {
+		return &APIError{Code: CodeInvalidScenario, Field: "/scenario" + ferr.Path, Message: ferr.Msg}
+	}
+	sc.name, sc.seed, sc.shareWarmup, sc.shards = comp.Name, comp.Seed, comp.ShareWarmup, comp.Shards
+	sc.normalized = comp.Normalized
+	sc.single = len(comp.Runs) == 1
+	sc.runs = make([]runSpec, 0, len(comp.Runs))
+	for _, r := range comp.Runs {
+		if r.Workload == nil {
+			sc.runs = append(sc.runs, runSpec{key: r.Key, cfg: normalize(r.Config)})
+			continue
+		}
+		m, apiErr := normalizeMips(scenarioMips(r))
+		if apiErr != nil {
+			// The compile step already validated the kernel against the
+			// machine; anything surfacing here (e.g. an assembly failure)
+			// is still the workload's fault, so point there.
+			apiErr.Field = "/scenario/workload"
+			return apiErr
+		}
+		sc.runs = append(sc.runs, runSpec{key: r.Key, cfg: m.Config, mips: &m})
+	}
 	return nil
 }
 
@@ -269,17 +482,6 @@ func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
 		if m.B <= 0 {
 			m.B = 4
 		}
-		// Bound the workload parameters: they size in-memory structures
-		// (cannon blocks are 4*b*b bytes each) and run length, so an
-		// unbounded submission could exhaust the daemon at validation time.
-		if m.Rounds > 1_000_000 {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/rounds",
-				Message: "mips: rounds must be <= 1000000"}
-		}
-		if m.Q > 64 || m.B > 64 {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/q",
-				Message: "mips: cannon q and b must be <= 64"}
-		}
 	} else {
 		if m.Rounds != 0 || m.Q != 0 || m.B != 0 {
 			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/params", Message: fmt.Sprintf(
@@ -308,7 +510,15 @@ func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
 			Message: "mips: scenario takes no synthetic traffic (the workload is the traffic)"}
 	}
 	nodes := m.Config.Topology.Nodes()
+	// The kernel's own bounds run before anything its parameters size
+	// (the assembly below): an out-of-range rounds, q or b is that field's
+	// fault, anything else the machine's.
 	if err := k.Validate(mipsParams(&m), nodes); err != nil {
+		var pe *workloads.ParamError
+		if errors.As(err, &pe) {
+			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/" + pe.Param,
+				Message: "mips: " + err.Error()}
+		}
 		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config",
 			Message: "mips: " + err.Error()}
 	}
@@ -330,30 +540,6 @@ func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
 	// the workload defines its own span (halt or max_cycles).
 	m.Config.WarmupCycles, m.Config.AnalyzedCycles = 0, 0
 	return m, nil
-}
-
-// buildMipsScenario validates an application-workload submission.
-func buildMipsScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
-	if req.ShareWarmup {
-		return nil, &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
-			Message: "share_warmup applies to config/batch jobs; mips runs have no warmup prefix"}
-	}
-	m, apiErr := normalizeMips(*req.Mips)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	name := req.Name
-	if name == "" {
-		name = "mips-" + m.Workload
-	}
-	return &scenario{
-		kind:      KindMips,
-		name:      name,
-		hash:      scenarioHash("mips", name, m, seed, false),
-		seed:      seed,
-		cacheable: true,
-		runs:      []runSpec{{key: name, weight: req.Workers, cfg: m.Config, mips: &m}},
-	}, nil
 }
 
 // mipsBatchItem is the identity record of one workload run in a
@@ -378,112 +564,6 @@ func scenarioMips(r scen.Run) MipsSpec {
 		m.Params = r.Workload.Params
 	}
 	return m
-}
-
-// buildScenarioScenario compiles a declarative scenario document
-// (internal/scenario) into the shared internal representation. For the
-// shapes a legacy kind can express, the lowering reproduces that kind's
-// cache identity exactly — a scenario describing the pingpong machine
-// hashes (and hits the cache) as the equivalent mips submission — while
-// shapes the legacy API could not express (workload sweeps) hash under
-// the "scenario" label.
-func buildScenarioScenario(req SubmitRequest) (*scenario, *APIError) {
-	reject := func(field, what string) *APIError {
-		return &APIError{Code: CodeInvalidRequest, Field: field, Message: fmt.Sprintf(
-			"scenario documents carry their own %s; omit the request-level field", what)}
-	}
-	if req.Name != "" {
-		return nil, reject("/name", "name")
-	}
-	if req.Seed != 0 {
-		return nil, reject("/seed", "seed (run.seed)")
-	}
-	if req.Shards != 0 {
-		return nil, reject("/shards", "sharding (run.shards)")
-	}
-	if req.ShareWarmup {
-		return nil, reject("/share_warmup", "warmup sharing (run.share_warmup)")
-	}
-	doc, ferr := scen.Decode(req.Scenario)
-	if ferr != nil {
-		return nil, &APIError{Code: CodeInvalidScenario, Field: "/scenario" + ferr.Path, Message: ferr.Msg}
-	}
-	comp, ferr := scen.Compile(doc)
-	if ferr != nil {
-		return nil, &APIError{Code: CodeInvalidScenario, Field: "/scenario" + ferr.Path, Message: ferr.Msg}
-	}
-	seed := comp.Seed
-	workload := comp.Normalized.Workload != nil
-	runs := make([]runSpec, 0, len(comp.Runs))
-	for _, r := range comp.Runs {
-		if r.Workload != nil {
-			m, apiErr := normalizeMips(scenarioMips(r))
-			if apiErr != nil {
-				// The compile step already validated the kernel against the
-				// machine; anything surfacing here (e.g. an assembly failure)
-				// is still the workload's fault, so point there.
-				apiErr.Field = "/scenario/workload"
-				return nil, apiErr
-			}
-			runs = append(runs, runSpec{key: r.Key, weight: req.Workers, cfg: m.Config, mips: &m})
-			continue
-		}
-		cfg := normalize(r.Config)
-		spec := runSpec{key: r.Key, weight: req.Workers, cfg: cfg}
-		if comp.ShareWarmup {
-			spec.seed = groupSeed(seed, cfg)
-		}
-		runs = append(runs, spec)
-	}
-	name := comp.Name
-	sc := &scenario{
-		surface:     KindScenario,
-		seed:        seed,
-		cacheable:   true,
-		shareWarmup: comp.ShareWarmup,
-		shards:      comp.Shards,
-		runs:        runs,
-	}
-	switch {
-	case workload && len(runs) == 1:
-		if name == "" {
-			name = "mips-" + runs[0].mips.Workload
-		}
-		sc.kind, sc.name = KindMips, name
-		sc.hash = scenarioHash("mips", name, *runs[0].mips, seed, false)
-	case !workload && len(runs) == 1:
-		if name == "" {
-			name = KindConfig
-		}
-		sc.kind, sc.name = KindConfig, name
-		sc.hash = scenarioHash("config", name, runs[0].cfg, seed, comp.ShareWarmup)
-	case !workload:
-		if name == "" {
-			name = KindBatch
-		}
-		identity := make([]BatchItem, len(runs))
-		for i, r := range runs {
-			identity[i] = BatchItem{Key: r.key, Config: r.cfg}
-		}
-		sc.kind, sc.name = KindBatch, name
-		sc.hash = scenarioHash("batch", name, identity, seed, comp.ShareWarmup)
-	default: // workload sweep: no legacy kind to match, own identity
-		if name == "" {
-			name = KindScenario
-		}
-		identity := make([]mipsBatchItem, len(runs))
-		for i, r := range runs {
-			identity[i] = mipsBatchItem{Key: r.key, Mips: *r.mips}
-		}
-		sc.kind, sc.name = KindBatch, name
-		sc.hash = scenarioHash("scenario", name, identity, seed, false)
-	}
-	if len(runs) == 1 {
-		// Single-run scenarios label their one run by the job name, the
-		// same convention the legacy kinds use.
-		runs[0].key = name
-	}
-	return sc, nil
 }
 
 // checkRunnable validates one submitted simulation configuration beyond
@@ -517,124 +597,6 @@ func normalize(c config.Config) config.Config {
 	c.Engine.Workers = 0
 	c.Engine.Seed = 0
 	return c
-}
-
-// scenarioHash computes the job identity. share_warmup changes per-run
-// seeding, so it must fork the identity; the extra label keeps hashes
-// of share_warmup=false submissions identical to what earlier daemons
-// produced (their cached documents stay valid).
-func scenarioHash(kind, name string, identity any, seed uint64, shareWarmup bool) string {
-	if shareWarmup {
-		return sweep.ConfigHash("service/"+kind, name, identity, seed, "share_warmup")
-	}
-	return sweep.ConfigHash("service/"+kind, name, identity, seed)
-}
-
-func buildConfigScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
-	if apiErr := checkRunnable(req.Config, "/config", ""); apiErr != nil {
-		return nil, apiErr
-	}
-	name := req.Name
-	if name == "" {
-		name = KindConfig
-	}
-	norm := normalize(*req.Config)
-	spec := runSpec{key: name, weight: req.Workers, cfg: norm}
-	if req.ShareWarmup {
-		spec.seed = groupSeed(seed, norm)
-	}
-	sc := &scenario{
-		kind:        KindConfig,
-		name:        name,
-		hash:        scenarioHash("config", name, norm, seed, req.ShareWarmup),
-		seed:        seed,
-		cacheable:   true,
-		shareWarmup: req.ShareWarmup,
-		runs:        []runSpec{spec},
-	}
-	return sc, nil
-}
-
-func buildBatchScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
-	name := req.Name
-	if name == "" {
-		name = KindBatch
-	}
-	identity := make([]BatchItem, 0, len(req.Batch))
-	runs := make([]runSpec, 0, len(req.Batch))
-	seen := map[string]bool{}
-	for i := range req.Batch {
-		it := &req.Batch[i]
-		if !nameRE.MatchString(it.Key) {
-			return nil, &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
-				Message: fmt.Sprintf("batch[%d]: key must match [a-zA-Z0-9._-]{1,64}", i)}
-		}
-		if seen[it.Key] {
-			return nil, &APIError{Code: CodeInvalidRequest, Field: fmt.Sprintf("/batch/%d/key", i),
-				Message: fmt.Sprintf("batch[%d]: duplicate key %q", i, it.Key)}
-		}
-		seen[it.Key] = true
-		if apiErr := checkRunnable(&it.Config, fmt.Sprintf("/batch/%d/config", i),
-			fmt.Sprintf("batch[%d] (%s): ", i, it.Key)); apiErr != nil {
-			return nil, apiErr
-		}
-		norm := normalize(it.Config)
-		identity = append(identity, BatchItem{Key: it.Key, Config: norm})
-		spec := runSpec{key: it.Key, weight: req.Workers, cfg: norm}
-		if req.ShareWarmup {
-			spec.seed = groupSeed(seed, norm)
-		}
-		runs = append(runs, spec)
-	}
-	return &scenario{
-		kind:        KindBatch,
-		name:        name,
-		hash:        scenarioHash("batch", name, identity, seed, req.ShareWarmup),
-		seed:        seed,
-		cacheable:   true,
-		shareWarmup: req.ShareWarmup,
-		runs:        runs,
-	}, nil
-}
-
-func buildFigureScenario(req SubmitRequest, seed uint64) (*scenario, *APIError) {
-	fig, ok := experiments.FigureByName(req.Figure)
-	if !ok {
-		return nil, &APIError{Code: CodeUnknownFigure, Field: "/figure",
-			Message: fmt.Sprintf("unknown figure %q", req.Figure)}
-	}
-	if req.Tiny && req.Full {
-		return nil, &APIError{Code: CodeInvalidRequest, Field: "/full",
-			Message: "tiny and full are mutually exclusive"}
-	}
-	o := experiments.Options{
-		Tiny:     req.Tiny,
-		Full:     req.Full,
-		Seed:     seed,
-		Parallel: req.Workers,
-	}
-	// A figure job adopts the registry document's own identity — the
-	// figure name and its registry config hash — so JobInfo, the /result
-	// ETag, and the document body all agree, and the disk cache shares
-	// hornet-exp's exact name-hash.json entries. A custom Name is
-	// rejected rather than silently diverging from the document.
-	if req.Name != "" {
-		return nil, &APIError{Code: CodeInvalidRequest, Field: "/name",
-			Message: "figure jobs are named by the figure itself; omit name"}
-	}
-	if req.ShareWarmup {
-		return nil, &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
-			Message: "share_warmup applies to config/batch jobs; figures manage their own warmup sharing"}
-	}
-	return &scenario{
-		kind:      KindFigure,
-		name:      fig.Name,
-		hash:      fig.ConfigHash(o),
-		seed:      seed,
-		cacheable: !fig.Serial, // wall-clock documents are never byte-stable
-		fig:       fig,
-		figOpts:   o,
-	}, nil
 }
 
 // cancelStop adapts a context to the engine's stop-function interface.

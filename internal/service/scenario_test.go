@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hornet/internal/config"
+	scen "hornet/internal/scenario"
 )
 
 func validConfig() *config.Config {
@@ -67,7 +68,7 @@ func TestBuildScenarioFigure(t *testing.T) {
 	if apiErr != nil {
 		t.Fatal(apiErr)
 	}
-	if sc.kind != KindFigure || sc.fig.Name != "8" || !sc.cacheable {
+	if sc.taskKind != KindFigure || sc.fig == nil || sc.fig.Name != "8" || !sc.cacheable {
 		t.Fatalf("figure scenario: %+v", sc)
 	}
 	// Wall-clock (serial) figures must never be cached.
@@ -81,20 +82,24 @@ func TestBuildScenarioFigure(t *testing.T) {
 }
 
 func TestBuildScenarioRejects(t *testing.T) {
+	// One run more than a scenario document's sweep may expand to: the
+	// legacy spelling is held to the same bound, before any item is read.
+	tooMany := make([]BatchItem, scen.MaxSweepRuns+1)
 	cases := []struct {
-		req  SubmitRequest
-		code string
+		req         SubmitRequest
+		code, field string
 	}{
-		{SubmitRequest{}, CodeInvalidRequest},
-		{SubmitRequest{Config: validConfig(), Batch: []BatchItem{{Key: "x", Config: *validConfig()}}}, CodeInvalidRequest},
-		{SubmitRequest{Config: validConfig(), Workers: -1}, CodeInvalidRequest},
-		{SubmitRequest{Name: strings.Repeat("x", 65), Config: validConfig()}, CodeInvalidRequest},
-		{SubmitRequest{Figure: "nope"}, CodeUnknownFigure},
+		{SubmitRequest{}, CodeInvalidRequest, "/scenario"},
+		{SubmitRequest{Config: validConfig(), Batch: []BatchItem{{Key: "x", Config: *validConfig()}}}, CodeInvalidRequest, "/batch"},
+		{SubmitRequest{Config: validConfig(), Workers: -1}, CodeInvalidRequest, "/workers"},
+		{SubmitRequest{Name: strings.Repeat("x", 65), Config: validConfig()}, CodeInvalidRequest, "/name"},
+		{SubmitRequest{Figure: "nope"}, CodeUnknownFigure, "/figure"},
+		{SubmitRequest{Batch: tooMany}, CodeInvalidRequest, "/batch"},
 	}
 	for i, tc := range cases {
 		_, apiErr := buildScenario(tc.req)
-		if apiErr == nil || apiErr.Code != tc.code {
-			t.Errorf("case %d: got %v, want code %s", i, apiErr, tc.code)
+		if apiErr == nil || apiErr.Code != tc.code || apiErr.Field != tc.field {
+			t.Errorf("case %d: got %v, want code %s at %s", i, apiErr, tc.code, tc.field)
 		}
 	}
 }

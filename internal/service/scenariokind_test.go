@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"hornet/internal/config"
+	"hornet/internal/workloads"
 )
 
 // frozenValidConfig reproduces the exact submission the legacy hashes
@@ -29,32 +33,85 @@ func frozenMipsConfig() config.Config {
 	return cfg
 }
 
-// TestFrozenLegacyHashes pins the cache identity of every legacy kind
-// to hashes captured before the scenario refactor: the legacy kinds are
-// now thin shims over the shared compile path, and these hashes prove
-// the shims preserve the exact identities earlier daemons computed —
-// cached documents on disk stay addressable.
+// TestFrozenLegacyHashes pins the content address of every submission
+// shape, through every spelling that reaches it, to values recorded
+// before seal computed them all in one place (the six original rows:
+// before the scenario schema existed): whichever spelling a client
+// writes, the identity earlier daemons computed — and with it every
+// cached document on disk — stays addressable. Each row also pins what
+// the client sees through DryRun (kind, cache key, shards, share_warmup)
+// and the run keys the document will carry. Never re-record a value.
 func TestFrozenLegacyHashes(t *testing.T) {
 	sharedCfg := frozenMipsConfig()
 	sharedCfg.Memory = config.DefaultMemory()
+	reduceCfg := frozenMipsConfig()
+	reduceCfg.Topology.Width, reduceCfg.Topology.Height = 2, 2
+	preset := func(name string) SubmitRequest {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SubmitRequest{Scenario: b}
+	}
+	two := []BatchItem{{Key: "a", Config: *frozenValidConfig()}, {Key: "b", Config: *frozenValidConfig()}}
 	cases := []struct {
-		label            string
-		req              SubmitRequest
-		kind, name, hash string
+		label string
+		req   SubmitRequest
+		// kind is what the job carries on the task wire (backend.Task.Kind),
+		// surface the spelling the client used (JobInfo/validate kind).
+		kind, surface, name, hash string
+		runKeys                   []string
+		shards                    int
+		shareWarmup               bool
 	}{
 		{"config-default", SubmitRequest{Config: frozenValidConfig()},
-			KindConfig, "config", "793ef57694940806"},
+			KindConfig, KindConfig, "config", "793ef57694940806", []string{"config"}, 0, false},
 		{"config-named-seed", SubmitRequest{Name: "frozen", Config: frozenValidConfig(), Seed: 7, ShareWarmup: true},
-			KindConfig, "frozen", "c3a771b377e89cd9"},
-		{"batch", SubmitRequest{Batch: []BatchItem{
-			{Key: "a", Config: *frozenValidConfig()}, {Key: "b", Config: *frozenValidConfig()}}},
-			KindBatch, "batch", "ff634772cdb31a04"},
+			KindConfig, KindConfig, "frozen", "c3a771b377e89cd9", []string{"frozen"}, 0, true},
+		{"config-sharded", SubmitRequest{Config: frozenValidConfig(), Shards: 4},
+			KindConfig, KindConfig, "config", "793ef57694940806", []string{"config"}, 4, false},
+		{"batch", SubmitRequest{Batch: two},
+			KindBatch, KindBatch, "batch", "ff634772cdb31a04", []string{"a", "b"}, 0, false},
+		{"batch-share-warmup", SubmitRequest{Batch: two, Seed: 3, ShareWarmup: true},
+			KindBatch, KindBatch, "batch", "2f3f4957b75f0adb", []string{"a", "b"}, 0, true},
+		{"batch-of-one", SubmitRequest{Name: "solo", Batch: two[:1]},
+			KindBatch, KindBatch, "solo", "1f9a2aae7565cbeb", []string{"a"}, 0, false},
 		{"mips-pingpong", SubmitRequest{Seed: 9, Mips: &MipsSpec{Workload: "pingpong", Rounds: 40, Config: frozenMipsConfig()}},
-			KindMips, "mips-pingpong", "6f2fc0815c282820"},
+			KindMips, KindMips, "mips-pingpong", "6f2fc0815c282820", []string{"mips-pingpong"}, 0, false},
 		{"mips-cannon", SubmitRequest{Mips: &MipsSpec{Workload: "cannon", Q: 4, Config: frozenMipsConfig()}},
-			KindMips, "mips-cannon", "8606f584f7d4fc7a"},
+			KindMips, KindMips, "mips-cannon", "8606f584f7d4fc7a", []string{"mips-cannon"}, 0, false},
 		{"mips-shared", SubmitRequest{Mips: &MipsSpec{Workload: "shared-pingpong", Rounds: 10, Config: sharedCfg}},
-			KindMips, "mips-shared-pingpong", "deedba87e0d6d9da"},
+			KindMips, KindMips, "mips-shared-pingpong", "deedba87e0d6d9da", []string{"mips-shared-pingpong"}, 0, false},
+		{"mips-registry-kernel", SubmitRequest{Mips: &MipsSpec{Workload: "reduction",
+			Params: workloads.Params{"elems": 64}, Config: reduceCfg}},
+			KindMips, KindMips, "mips-reduction", "34ba083e171d2687", []string{"mips-reduction"}, 0, false},
+
+		{"preset-matmul-ring-8", preset("matmul-ring-8"), KindMips, KindScenario,
+			"matmul-ring-8", "5f62c2a17aff48ce", []string{"matmul-ring-8"}, 0, false},
+		{"preset-pingpong-8x8", preset("pingpong-8x8"), KindMips, KindScenario,
+			"pingpong-8x8", "0d532d2102320976", []string{"pingpong-8x8"}, 0, false},
+		{"preset-reduction-tree-4x4", preset("reduction-tree-4x4"), KindMips, KindScenario,
+			"reduction-tree-4x4", "e0e8ebd39f2bb3c6", []string{"reduction-tree-4x4"}, 0, false},
+		{"preset-routing-vcs-8x8", preset("routing-vcs-8x8"), KindBatch, KindScenario, "routing-vcs-8x8", "5d4744780ae5ac75",
+			[]string{"alg-xy-vcs-2", "alg-xy-vcs-8", "alg-o1turn-vcs-2", "alg-o1turn-vcs-8"}, 0, false},
+		{"preset-shared-pingpong-msi", preset("shared-pingpong-msi"), KindMips, KindScenario,
+			"shared-pingpong-msi", "c3be8fbff6b051e7", []string{"shared-pingpong-msi"}, 0, false},
+		{"preset-uniform-load-8x8", preset("uniform-load-8x8"), KindBatch, KindScenario, "uniform-load-8x8", "920dface75d7920f",
+			[]string{"rate-0.02", "rate-0.05", "rate-0.1"}, 0, false},
+		{"workload-sweep", scenarioJSON(t, `{
+			"version": 1,
+			"name": "reduce-sweep",
+			"machine": {"topology": {"kind": "mesh", "width": 2, "height": 2}},
+			"workload": {"kernel": "reduction"},
+			"run": {"fast_forward": true},
+			"sweep": [{"name": "elems", "path": "/workload/params/elems", "values": [8, 64]}]
+		}`), KindBatch, KindScenario, "reduce-sweep", "73a15f6e6fe00faa", []string{"elems-8", "elems-64"}, 0, false},
+
+		{"figure-t1", SubmitRequest{Figure: "t1", Tiny: true},
+			KindFigure, KindFigure, "t1", "df93617e0a027b97", nil, 0, false},
+		{"figure-8-seeded", SubmitRequest{Figure: "Fig8", Tiny: true, Seed: 11},
+			KindFigure, KindFigure, "8", "a289b75683cfeb38", nil, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
@@ -62,9 +119,22 @@ func TestFrozenLegacyHashes(t *testing.T) {
 			if apiErr != nil {
 				t.Fatalf("buildScenario: %v", apiErr)
 			}
-			if sc.kind != tc.kind || sc.name != tc.name || sc.hash != tc.hash {
-				t.Fatalf("got %s/%s/%s, want %s/%s/%s",
-					sc.kind, sc.name, sc.hash, tc.kind, tc.name, tc.hash)
+			if sc.taskKind != tc.kind || sc.name != tc.name || sc.hash != tc.hash {
+				t.Errorf("got %s/%s/%s, want %s/%s/%s",
+					sc.taskKind, sc.name, sc.hash, tc.kind, tc.name, tc.hash)
+			}
+			resp, apiErr := DryRun(tc.req)
+			if apiErr != nil {
+				t.Fatalf("DryRun: %v", apiErr)
+			}
+			if resp.Kind != tc.surface || resp.CacheKey != tc.name+"-"+tc.hash ||
+				resp.Shards != tc.shards || resp.ShareWarmup != tc.shareWarmup {
+				t.Errorf("client sees kind=%s cache_key=%s shards=%d share_warmup=%v, want %s %s-%s %d %v",
+					resp.Kind, resp.CacheKey, resp.Shards, resp.ShareWarmup,
+					tc.surface, tc.name, tc.hash, tc.shards, tc.shareWarmup)
+			}
+			if resp.RunsTotal != len(tc.runKeys) || !slices.Equal(resp.RunKeys, tc.runKeys) {
+				t.Errorf("runs = %d %q, want %q", resp.RunsTotal, resp.RunKeys, tc.runKeys)
 			}
 		})
 	}
@@ -106,8 +176,8 @@ func TestScenarioMipsLegacyIdentity(t *testing.T) {
 	if scScen.hash != "6f2fc0815c282820" {
 		t.Fatalf("hash %s is not the frozen pre-refactor identity", scScen.hash)
 	}
-	if scScen.kind != KindMips || scScen.surfaceKind() != KindScenario {
-		t.Fatalf("kind/surface = %s/%s, want %s/%s", scScen.kind, scScen.surfaceKind(), KindMips, KindScenario)
+	if scScen.taskKind != KindMips || scScen.surface != KindScenario {
+		t.Fatalf("kind/surface = %s/%s, want %s/%s", scScen.taskKind, scScen.surface, KindMips, KindScenario)
 	}
 
 	docLegacy, hashLegacy := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, legacy)
@@ -350,8 +420,8 @@ func TestScenarioWorkloadSweep(t *testing.T) {
 	if apiErr != nil {
 		t.Fatalf("buildScenario: %v", apiErr)
 	}
-	if sc.kind != KindBatch || sc.surfaceKind() != KindScenario || len(sc.runs) != 2 {
-		t.Fatalf("kind/surface/runs = %s/%s/%d", sc.kind, sc.surfaceKind(), len(sc.runs))
+	if sc.taskKind != KindBatch || sc.surface != KindScenario || len(sc.runs) != 2 {
+		t.Fatalf("kind/surface/runs = %s/%s/%d", sc.taskKind, sc.surface, len(sc.runs))
 	}
 	doc, hash := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, req)
 	if hash != sc.hash {

@@ -172,7 +172,7 @@ func (s *scheduler) runJob(j *job) {
 		return
 	}
 	s.logger().Debug("job started", obs.Job(j.Info().ID),
-		slog.String("name", sc.name), slog.String("kind", sc.kind))
+		slog.String("name", sc.name), slog.String("kind", sc.surface))
 	if sc.cacheable && !j.req.NoCache {
 		// Cache, then single-flight: attach to an identical in-flight
 		// job rather than missing the cache twice. The loop re-checks
@@ -227,8 +227,8 @@ func (s *scheduler) runJob(j *job) {
 			// store counts it and /api/v1/stats surfaces the counter.
 			_ = s.results.Put(sc.name, sc.hash, bytes)
 		}
-		if (sc.kind == KindConfig || sc.kind == KindMips) && runErrs > 0 {
-			// A single-run job whose run failed is a failed job; the
+		if sc.single && runErrs > 0 {
+			// A single simulation whose run failed is a failed job; the
 			// diagnostic is in the document's run record.
 			j.fail(firstRunError(bytes), time.Now())
 			return
@@ -288,13 +288,7 @@ func (s *scheduler) run(j *job) ([]byte, int, error) {
 // worker. Figure scenarios stay local: serial (wall-clock) figures are
 // timing experiments of *this* host, and figure documents draw on the
 // registry identity rather than a serializable request.
-func fleetEligible(sc *scenario) bool {
-	switch sc.kind {
-	case KindConfig, KindBatch, KindMips:
-		return true
-	}
-	return false
-}
+func fleetEligible(sc *scenario) bool { return sc.fig == nil }
 
 // jobSink adapts a job to the backend.Sink the execution backends
 // drive. It also implements the optional EngineSink/NoteSink

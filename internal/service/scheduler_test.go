@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hornet/internal/experiments"
 )
 
 // A panic during scenario execution must become a failed job, never a
@@ -17,7 +19,7 @@ func TestRunJobSurvivesScenarioPanic(t *testing.T) {
 
 	// A zero-value Figure has a nil runner: invoking it panics, standing
 	// in for any panic out of figure execution.
-	sc := &scenario{kind: KindFigure, name: "boom", hash: "feedfacefeedface", seed: 1}
+	sc := &scenario{surface: KindFigure, fig: &experiments.Figure{}, name: "boom", hash: "feedfacefeedface", seed: 1}
 	j := newJob("job-test", SubmitRequest{}, sc, context.Background(), time.Now())
 
 	s.runJob(j)
@@ -30,7 +32,7 @@ func TestRunJobSurvivesScenarioPanic(t *testing.T) {
 		t.Fatalf("job error %q does not mention the panic", info.Error)
 	}
 	// The scheduler worker pool must still be alive and usable.
-	ok := &scenario{kind: KindBatch, name: "ok", hash: "0000000000000000", seed: 1}
+	ok := &scenario{surface: KindBatch, name: "ok", hash: "0000000000000000", seed: 1}
 	j2 := newJob("job-test-2", SubmitRequest{}, ok, context.Background(), time.Now())
 	s.runJob(j2)
 	if got := j2.Info().State; got != StateDone {

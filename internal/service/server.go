@@ -434,13 +434,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+// decodeSubmit reads the body POST /api/v1/jobs and /api/v1/validate
+// share — strictly, and at most 16 MiB of it — answering 400 itself when
+// it is malformed.
+func decodeSubmit(w http.ResponseWriter, r *http.Request) (req SubmitRequest, ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
 			Message: "malformed request body: " + err.Error()})
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeSubmit(w, r)
+	if !ok {
 		return
 	}
 	sc, apiErr := buildScenario(req)

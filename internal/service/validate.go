@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
 
 	scen "hornet/internal/scenario"
@@ -19,7 +18,7 @@ func DryRun(req SubmitRequest) (*ValidateResponse, *APIError) {
 		return nil, apiErr
 	}
 	resp := &ValidateResponse{
-		Kind:        sc.surfaceKind(),
+		Kind:        sc.surface,
 		Name:        sc.name,
 		ConfigHash:  sc.hash,
 		CacheKey:    sc.name + "-" + sc.hash,
@@ -32,16 +31,9 @@ func DryRun(req SubmitRequest) (*ValidateResponse, *APIError) {
 	for _, r := range sc.runs {
 		resp.RunKeys = append(resp.RunKeys, r.key)
 	}
-	if len(req.Scenario) > 0 {
-		// buildScenario accepted it, so Decode/Compile cannot fail here;
-		// recompiling is cheaper than threading the normalized document
-		// through the scenario struct every legacy submission also builds.
-		if doc, ferr := scen.Decode(req.Scenario); ferr == nil {
-			if comp, ferr := scen.Compile(doc); ferr == nil {
-				if b, err := scen.Encode(comp.Normalized); err == nil {
-					resp.Normalized = b
-				}
-			}
+	if sc.normalized != nil {
+		if b, err := scen.Encode(sc.normalized); err == nil {
+			resp.Normalized = b
 		}
 	}
 	return resp, nil
@@ -50,12 +42,8 @@ func DryRun(req SubmitRequest) (*ValidateResponse, *APIError) {
 // handleValidate is POST /api/v1/validate: DryRun over the same request
 // body POST /api/v1/jobs takes.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: "malformed request body: " + err.Error()})
+	req, ok := decodeSubmit(w, r)
+	if !ok {
 		return
 	}
 	resp, apiErr := DryRun(req)

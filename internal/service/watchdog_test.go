@@ -11,7 +11,7 @@ import (
 // the episode clock falls back to admission time — and the start
 // transition must re-arm the episode.
 func TestWatchdogCoversQueuedJobs(t *testing.T) {
-	sc := &scenario{kind: KindBatch, name: "queued-forever", hash: "0123456789abcdef", seed: 1}
+	sc := &scenario{surface: KindBatch, name: "queued-forever", hash: "0123456789abcdef", seed: 1}
 	created := time.Now().Add(-time.Hour)
 	j := newJob("job-queued", SubmitRequest{}, sc, context.Background(), created)
 

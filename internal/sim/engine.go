@@ -280,51 +280,38 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 	began := time.Now()
 	var executed atomic.Uint64
 
-	if e.coupler != nil {
-		// Join synchronization: every shard announces the chunk it is about
-		// to run; the group aligns (all shards must agree on start and end)
-		// and may pre-jump a resumed fast-forwarding run past idle leading
-		// cycles before anything executes.
-		vote := ShardVote{Join: true, Cycle: start, End: end,
-			Inflight: e.inflight.Load(), Earliest: start}
-		if resume && e.fastForward && start > 0 {
-			vote.Earliest = e.earliestEvent(start - 1)
+	// apply acts on a synchronization-point decision; it runs on the barrier
+	// leader, or before any worker starts.
+	apply := func(dec ShardDecision) {
+		if dec.Skipped != 0 {
+			e.skipped.Add(dec.Skipped)
 		}
-		var syncStart time.Time
-		if e.probe != nil {
-			syncStart = time.Now()
+		if dec.Stopped {
+			e.stopped.Store(true)
 		}
-		dec, err := e.coupler.Sync(vote)
-		if e.probe != nil {
-			e.probe.ShardSync(time.Since(syncStart))
-		}
-		if err != nil {
-			return RunResult{Wall: time.Since(began), Workers: e.workers, Err: err}
-		}
-		e.skipped.Add(dec.Skipped)
-		start = dec.Next
-		e.nextCycle.Store(start)
 		if dec.Halt {
-			return RunResult{
-				SkippedCycles: e.skipped.Load(),
-				Wall:          time.Since(began),
-				Workers:       e.workers,
-				Stopped:       dec.Stopped,
-			}
+			e.halted.Store(true)
 		}
-	} else if resume && e.fastForward && start > 0 && e.inflight.Load() == 0 {
-		// Resumed single-process run: jump from the cycle just before this
-		// chunk, mirroring the skip the previous chunk's leader would have
-		// taken had the run not been split here.
-		if t := e.earliestEvent(start - 1); t > start {
-			if t > end {
-				t = end
-			}
-			e.skipped.Add(t - start)
-			start = t
-			e.nextCycle.Store(start)
-		}
+		e.nextCycle.Store(dec.Next)
 	}
+
+	// Join synchronization: the engine announces the chunk it is about to
+	// run; a shard group aligns on it (all shards must agree on start and
+	// end), and a resumed fast-forwarding run may jump past idle leading
+	// cycles before anything executes — from the cycle just before this
+	// chunk, the skip the previous chunk's leader would have taken had the
+	// run not been split here. A chunk skipped whole halts here: the workers
+	// below start and return at once.
+	vote := ShardVote{Join: true, Cycle: start, End: end, Inflight: e.inflight.Load(), Earliest: start}
+	if resume && start > 0 && e.mayJump(vote.Inflight) {
+		vote.Earliest = e.earliestEvent(start - 1)
+	}
+	dec, err := e.decide(vote)
+	if err != nil {
+		return RunResult{Wall: time.Since(began), Workers: e.workers, Err: err}
+	}
+	apply(dec)
+	start = dec.Next
 
 	barrier := NewBarrier(e.workers)
 
@@ -354,67 +341,29 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 		}
 	}
 
+	// The stop predicate is consulted exactly once per synchronization
+	// point, even when the run is about to end, and the decision honours it
+	// before any fast-forward accounting — so a stop request can never be
+	// outrun by a jump and the serve layer's final-cycle side effects always
+	// fire.
 	leader := func(cycleJustFinished uint64) {
-		if e.coupler != nil {
-			vote := ShardVote{
-				Cycle:    cycleJustFinished,
-				End:      end,
-				Inflight: e.inflight.Load(),
-				Earliest: cycleJustFinished + 1,
-				Stop:     stop != nil && stop(cycleJustFinished),
-				Done:     e.done != nil && e.done(),
-			}
-			if e.fastForward {
-				vote.Earliest = e.earliestEvent(cycleJustFinished)
-			}
-			var syncStart time.Time
-			if e.probe != nil {
-				syncStart = time.Now()
-			}
-			dec, err := e.coupler.Sync(vote)
-			if e.probe != nil {
-				e.probe.ShardSync(time.Since(syncStart))
-			}
-			if err != nil {
-				e.fail(err)
-				return
-			}
-			e.skipped.Add(dec.Skipped)
-			if dec.Stopped {
-				e.stopped.Store(true)
-			}
-			if dec.Halt {
-				e.halted.Store(true)
-			}
-			e.nextCycle.Store(dec.Next)
-			sample(cycleJustFinished)
+		vote := ShardVote{
+			Cycle:    cycleJustFinished,
+			End:      end,
+			Inflight: e.inflight.Load(),
+			Earliest: cycleJustFinished + 1,
+			Stop:     stop != nil && stop(cycleJustFinished),
+			Done:     e.done != nil && e.done(),
+		}
+		if e.mayJump(vote.Inflight) {
+			vote.Earliest = e.earliestEvent(cycleJustFinished)
+		}
+		dec, err := e.decide(vote)
+		if err != nil {
+			e.fail(err)
 			return
 		}
-		// The stop predicate is consulted first — exactly once per
-		// synchronization point, even when the run is about to end — so a
-		// stop request can never be outrun by a fast-forward jump and the
-		// serve layer's final-cycle side effects always fire.
-		stopped := stop != nil && stop(cycleJustFinished)
-		next := cycleJustFinished + 1
-		if !stopped && e.fastForward && e.inflight.Load() == 0 {
-			if t := e.earliestEvent(cycleJustFinished); t > next && t != NoEvent {
-				if t > end {
-					t = end
-				}
-				e.skipped.Add(t - next)
-				next = t
-			} else if t == NoEvent {
-				e.skipped.Add(end - next)
-				next = end
-			}
-		}
-		if stopped {
-			e.stopped.Store(true)
-		}
-		if next >= end || stopped {
-			e.halted.Store(true)
-		}
-		e.nextCycle.Store(next)
+		apply(dec)
 		sample(cycleJustFinished)
 	}
 
@@ -550,6 +499,32 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 		e.probe.RunDone(res.Cycles, res.SkippedCycles, res.Wall)
 	}
 	return res
+}
+
+// decide takes one synchronization-point decision. A sharded engine asks
+// its group through the coupler; an uncoupled engine is a group of one and
+// applies the same rule to its own vote.
+func (e *Engine) decide(vote ShardVote) (ShardDecision, error) {
+	if e.coupler == nil {
+		return DecideShardSync([]ShardVote{vote})
+	}
+	var syncStart time.Time
+	if e.probe != nil {
+		syncStart = time.Now()
+	}
+	dec, err := e.coupler.Sync(vote)
+	if e.probe != nil {
+		e.probe.ShardSync(time.Since(syncStart))
+	}
+	return dec, err
+}
+
+// mayJump reports whether a vote's Earliest is worth scanning the tiles
+// for: only a fast-forwarding engine jumps, and an uncoupled one knows it
+// cannot while flits are in flight (a shard's own count says nothing; only
+// the group's sum does).
+func (e *Engine) mayJump(inflight int64) bool {
+	return e.fastForward && (e.coupler != nil || inflight == 0)
 }
 
 // earliestEvent scans the engine's tile span for the soonest

@@ -84,11 +84,11 @@ func ShardSpan(n, count, index int) (lo, hi int) {
 }
 
 // DecideShardSync folds one synchronization point's votes into the
-// group decision. It mirrors Engine.Run's single-process leader exactly:
-// the stop predicate is evaluated before fast-forward accounting (a
-// stopping run must not jump past its stop point), completion requires
-// every span done plus a globally drained network, and fast-forward
-// jumps are clamped to End.
+// group decision. It is the engine's only rule — an uncoupled engine
+// decides over its own single vote: the stop predicate is evaluated
+// before fast-forward accounting (a stopping run must not jump past its
+// stop point), completion requires every span done plus a globally
+// drained network, and fast-forward jumps are clamped to End.
 func DecideShardSync(votes []ShardVote) (ShardDecision, error) {
 	if len(votes) == 0 {
 		return ShardDecision{}, fmt.Errorf("sim: shard sync with no votes")

@@ -14,7 +14,7 @@ func init() {
 		Title:    "MPI-style DMA ping-pong between the corner cores",
 		Defaults: Params{"rounds": 100},
 		Validate: func(p Params, nodes int) error {
-			if err := checkRounds(p); err != nil {
+			if err := checkRange(p, "rounds", 100, 1_000_000); err != nil {
 				return err
 			}
 			if nodes < 2 {
@@ -32,7 +32,7 @@ func init() {
 		Shared:   true,
 		Defaults: Params{"rounds": 100},
 		Validate: func(p Params, nodes int) error {
-			if err := checkRounds(p); err != nil {
+			if err := checkRange(p, "rounds", 100, 1_000_000); err != nil {
 				return err
 			}
 			if nodes < 2 {
@@ -49,10 +49,13 @@ func init() {
 		Title:    "Cannon's matrix multiply with message passing",
 		Defaults: Params{"q": 2, "b": 4},
 		Validate: func(p Params, nodes int) error {
-			q, b := int(p.Get("q", 2)), int(p.Get("b", 4))
-			if q < 1 || q > 64 || b < 1 || b > 64 {
-				return fmt.Errorf("cannon q and b must be in [1, 64]")
+			if err := checkRange(p, "q", 2, 64); err != nil {
+				return err
 			}
+			if err := checkRange(p, "b", 4, 64); err != nil {
+				return err
+			}
+			q := int(p.Get("q", 2))
 			if nodes != q*q {
 				return fmt.Errorf("cannon on a %dx%d grid needs exactly %d nodes, topology has %d",
 					q, q, q*q, nodes)
@@ -65,9 +68,21 @@ func init() {
 	})
 }
 
-func checkRounds(p Params) error {
-	if r := p.Get("rounds", 100); r < 1 || r > 1_000_000 {
-		return fmt.Errorf("rounds must be in [1, 1000000], got %d", r)
+// ParamError is a Validate failure that is one parameter's fault, so a
+// caller whose errors carry field pointers can name it.
+type ParamError struct {
+	Param string
+	Msg   string
+}
+
+func (e *ParamError) Error() string { return e.Msg }
+
+// checkRange bounds a legacy kernel's parameter. They size run length
+// and in-memory structures (cannon blocks are 4*b*b bytes each), so the
+// upper bound is what keeps a submission from exhausting its validator.
+func checkRange(p Params, name string, def, max int64) error {
+	if v := p.Get(name, def); v < 1 || v > max {
+		return &ParamError{Param: name, Msg: fmt.Sprintf("%s must be in [1, %d], got %d", name, max, v)}
 	}
 	return nil
 }
