@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench bench-json bench-gate \
 	bench-sharded-json bench-sharded-gate bench-telemetry-json bench-telemetry-gate \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines
+	validate-examples scenario-golden service-lines profile-msi
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,23 @@ test-loose-sync:
 # HORNET_FULL=1 switches to paper-scale parameters.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The whole 4x4 MSI machine (16 busy MIPS cores, L1s, directory slices, one
+# controller, the routers between them) under the profilers: one
+# benchmark iteration is one simulated cycle after a 50 000-cycle warm-up.
+# Prints where the CPU time goes (cumulative) and what still allocates;
+# binary and profiles land in PROFILE_DIR, outside the repository.
+PROFILE_DIR ?= /tmp/hornet-profile-msi
+PROFILE_CYCLES ?= 1000000
+profile-msi:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/core -run '^$$' -bench BenchmarkMSIMachineCycle -benchtime $(PROFILE_CYCLES)x \
+		-o $(PROFILE_DIR)/core.test -outputdir $(PROFILE_DIR) -cpuprofile cpu.prof
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu.prof
+	@# every allocation sampled: its own run, so the sampling is not in the CPU profile
+	$(PROFILE_DIR)/core.test -test.run '^$$' -test.bench BenchmarkMSIMachineCycle -test.benchtime $(PROFILE_CYCLES)x \
+		-test.outputdir $(PROFILE_DIR) -test.memprofile mem.prof -test.memprofilerate 1
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/mem.prof
 
 # Perf-trajectory data point: the same job set executed on the local
 # backend and on a 2-worker fleet (distributed vs local throughput +

@@ -306,6 +306,9 @@ func (c *Config) Validate() error {
 		if m.LineBytes < 4 || m.LineBytes&(m.LineBytes-1) != 0 {
 			return fmt.Errorf("config: line_bytes must be a power of two >= 4, got %d", m.LineBytes)
 		}
+		if m.LineBytes > MaxLineBytes {
+			return fmt.Errorf("config: line_bytes must be at most %d, got %d", MaxLineBytes, m.LineBytes)
+		}
 		if m.L1Sets < 1 || m.L1Ways < 1 {
 			return fmt.Errorf("config: L1 geometry must be >= 1 set and >= 1 way")
 		}
@@ -339,6 +342,11 @@ func (c *Config) Validate() error {
 
 // DefaultMemory returns a baseline memory hierarchy: 32-byte lines, 4 KiB
 // 4-way L1, MSI directory coherence, one controller at node 0.
+// MaxLineBytes bounds line_bytes: a NUCA access names its offset within
+// the line in one byte of the protocol message, which is also the
+// checkpoint wire format, so a longer line would alias offsets.
+const MaxLineBytes = 256
+
 func DefaultMemory() *MemoryConfig {
 	return &MemoryConfig{
 		LineBytes:    32,

@@ -173,6 +173,8 @@ func TestValidateErrorMessages(t *testing.T) {
 			c.Traffic = []TrafficConfig{{Pattern: PatternHotspot, HotNodes: []int{70}}}
 		}, "hot node 70"},
 		{"bad line bytes", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.LineBytes = 24 }, "line_bytes"},
+		// A NUCA line offset travels in one byte: at 512 a store to offset 300 would land at 44.
+		{"line bytes past the offset byte", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.LineBytes = 512 }, "at most 256"},
 		{"bad L1", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.L1Sets = 0 }, "L1"},
 		{"bad protocol", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Protocol = "mesi2000" }, "mesi2000"},
 		{"no controllers", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Controllers = nil }, "controller"},

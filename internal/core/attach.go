@@ -110,7 +110,8 @@ type memoryFabric struct {
 // AttachMemory wires the shared-memory subsystem on every tile: a bridge,
 // a directory slice, memory controllers at the configured nodes, and — in
 // MSI mode — per-tile L1 caches (NUCA mode creates remote-access ports on
-// demand via Ports). Returns an opaque handle used by processor attachers.
+// demand via Ports). The tile ticks all of them through its bridge.
+// Returns an opaque handle used by processor attachers.
 func (s *System) AttachMemory(mc config.MemoryConfig) (*memoryFabric, error) {
 	if len(mc.Controllers) == 0 {
 		return nil, fmt.Errorf("core: memory needs at least one controller node")
@@ -128,14 +129,12 @@ func (s *System) AttachMemory(mc config.MemoryConfig) (*memoryFabric, error) {
 		t.bridge = b
 		f.bridges = append(f.bridges, b)
 		f.dirs = append(f.dirs, d)
-		t.AddComponent(componentFunc{tick: d.Tick})
 	}
 	for _, cn := range am.Controllers {
 		t := s.tiles[cn]
 		ctl := mem.NewController(cn, mc.MCLatencyCyc, mc.MCQueueDepth, t.bridge)
 		t.bridge.MC = ctl
 		f.mcs[cn] = ctl
-		t.AddComponent(componentFunc{tick: ctl.Tick})
 	}
 	s.memFab = f
 	return f, nil
@@ -191,8 +190,16 @@ func (s *System) PortFor(f *memoryFabric, n noc.NodeID, mc config.MemoryConfig) 
 	}
 	l1 := mem.NewL1(n, f.am, mc.L1Sets, mc.L1Ways, mc.L1LatencyCyc, t.bridge)
 	t.bridge.L1 = l1
-	t.AddComponent(componentFunc{tick: l1.Tick})
 	return l1
+}
+
+// setCore makes c the tile's core, ticked after the memory side and
+// before the generic components.
+func (t *Tile) setCore(c *mips.Core, np *mips.NetPort) {
+	if t.core != nil {
+		panic(fmt.Sprintf("core: tile %d already has a MIPS core", t.ID))
+	}
+	t.core, t.net = c, np
 }
 
 // AttachMIPS places a MIPS core on every listed node, all running the
@@ -204,8 +211,7 @@ func (s *System) AttachMIPS(nodes []noc.NodeID, img *mips.Image) []*mips.Core {
 		t := s.tiles[n]
 		np := mips.NewNetPort(n, t.Router.OfferPacket, t.Router.PendingPackets)
 		c := mips.NewCore(n, len(nodes), img, nil, np)
-		t.net = np
-		t.AddComponent(componentFunc{tick: c.Tick, next: c.NextEvent})
+		t.setCore(c, np)
 		cores = append(cores, c)
 	}
 	s.mipsCores = append(s.mipsCores, cores...)
@@ -222,8 +228,7 @@ func (s *System) AttachMIPSShared(nodes []noc.NodeID, img *mips.Image, f *memory
 		port := s.PortFor(f, n, mc)
 		np := mips.NewNetPort(n, t.Router.OfferPacket, t.Router.PendingPackets)
 		c := mips.NewCore(n, len(nodes), img, port, np)
-		t.net = np
-		t.AddComponent(componentFunc{tick: c.Tick, next: c.NextEvent})
+		t.setCore(c, np)
 		cores = append(cores, c)
 	}
 	s.mipsCores = append(s.mipsCores, cores...)

@@ -15,9 +15,11 @@ import (
 	"hornet/internal/stats"
 )
 
-// Component is anything stepped once per cycle on a tile: traffic
-// generators, trace injectors, processor cores, cache/directory/memory
-// controller logic. Implementations are adapted at attach time.
+// Component is anything stepped once per cycle on a tile through the
+// generic list: traffic generators, trace injectors, trace-mode memory
+// controllers, Pin-style frontends. Implementations are adapted at attach
+// time. The memory side (bridge) and the MIPS core are not components:
+// the tile calls them directly.
 type Component interface {
 	Tick(cycle uint64)
 	NextEvent(now uint64) uint64
@@ -47,7 +49,8 @@ type Tile struct {
 	RNG        *sim.RNG
 	components []Component
 
-	bridge *mem.Bridge
+	bridge *mem.Bridge // the memory side: directory slice, controller, L1
+	core   *mips.Core
 	net    *mips.NetPort
 	extra  noc.Receiver
 
@@ -64,10 +67,14 @@ type Tile struct {
 // AddComponent appends a per-cycle component (build time only).
 func (t *Tile) AddComponent(c Component) { t.components = append(t.components, c) }
 
-// PhaseTransfer implements sim.Tile.
+// PhaseTransfer implements sim.Tile: the memory side, then the core that
+// polls it, then the generic components, then the router.
 func (t *Tile) PhaseTransfer(cycle uint64) {
 	if t.bridge != nil {
-		t.bridge.BeginCycle(cycle)
+		t.bridge.Tick(cycle)
+	}
+	if t.core != nil {
+		t.core.Tick(cycle)
 	}
 	for _, c := range t.components {
 		c.Tick(cycle)
@@ -101,6 +108,9 @@ func (t *Tile) PhaseCommit(cycle uint64) {
 // NextEvent implements sim.Tile.
 func (t *Tile) NextEvent(now uint64) uint64 {
 	earliest := t.Router.NextEvent(now)
+	if t.core != nil {
+		earliest = min(earliest, t.core.NextEvent(now))
+	}
 	for _, c := range t.components {
 		if ev := c.NextEvent(now); ev < earliest {
 			earliest = ev

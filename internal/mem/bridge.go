@@ -15,6 +15,7 @@ type Bridge struct {
 	node  noc.NodeID
 	offer func(noc.Packet)
 	cycle uint64
+	pool  msgPool
 
 	L1   *L1
 	Dir  *Directory
@@ -31,8 +32,26 @@ func NewBridge(node noc.NodeID, offer func(noc.Packet)) *Bridge {
 // components tick, so local sends are stamped correctly.
 func (b *Bridge) BeginCycle(cycle uint64) { b.cycle = cycle }
 
-// Send implements Sender.
-func (b *Bridge) Send(dst noc.NodeID, class uint8, m *Message) {
+// Tick is the tile's memory side for one cycle, called before its core:
+// directory slice, controller, cache (an empty inbox returns at once).
+func (b *Bridge) Tick(cycle uint64) {
+	b.cycle = cycle
+	if b.Dir != nil {
+		b.Dir.Tick(cycle)
+	}
+	if b.MC != nil {
+		b.MC.Tick(cycle)
+	}
+	if b.L1 != nil {
+		b.L1.Tick(cycle)
+	}
+}
+
+// send transmits v in a message from the tile's free list (v.Data is
+// copied); whoever consumes it recycles it. The flow is stamped (src=this
+// tile, dst, class).
+func (b *Bridge) send(dst noc.NodeID, class uint8, v Message) {
+	m := b.pool.get(v)
 	if dst == b.node {
 		b.dispatch(m, class, b.node, b.cycle)
 		return
@@ -95,9 +114,10 @@ func (b *Bridge) dispatch(m *Message, class uint8, src noc.NodeID, cycle uint64)
 type NucaPort struct {
 	node   noc.NodeID
 	am     *AddressMap
-	sender Sender
+	bridge *Bridge
 
-	pend *nucaPending
+	busy bool // pend holds an access in progress
+	pend nucaPending
 
 	Stats L1Stats // reuse counter block: Loads/Stores/StallCycles
 }
@@ -112,33 +132,34 @@ type nucaPending struct {
 }
 
 // NewNucaPort builds the port.
-func NewNucaPort(node noc.NodeID, am *AddressMap, sender Sender) *NucaPort {
-	return &NucaPort{node: node, am: am, sender: sender}
+func NewNucaPort(node noc.NodeID, am *AddressMap, bridge *Bridge) *NucaPort {
+	return &NucaPort{node: node, am: am, bridge: bridge}
 }
 
 // Access implements Port.
 func (n *NucaPort) Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (uint64, bool) {
-	if n.pend == nil {
+	if !n.busy {
 		if write {
 			n.Stats.Stores++
 		} else {
 			n.Stats.Loads++
 		}
-		n.pend = &nucaPending{write: write, addr: addr, size: size, wdata: wdata}
-		m := &Message{
+		n.busy = true
+		n.pend = nucaPending{write: write, addr: addr, size: size, wdata: wdata}
+		m := Message{
+			Type:      MsgNucaRead,
 			Addr:      n.am.LineAddr(addr),
 			Requester: n.node,
 			Off:       uint8(n.am.LineOffset(addr)),
 			Len:       uint8(size),
 		}
 		if write {
+			var store [8]byte
 			m.Type = MsgNucaWrite
-			m.Data = make([]byte, size)
+			m.Data = store[:size]
 			putUint(m.Data, wdata)
-		} else {
-			m.Type = MsgNucaRead
 		}
-		n.sender.Send(n.am.Home(addr), ClassRequest, m)
+		n.bridge.send(n.am.Home(addr), ClassRequest, m)
 		n.Stats.StallCycles++
 		return 0, false
 	}
@@ -146,18 +167,18 @@ func (n *NucaPort) Access(cycle uint64, write bool, addr uint32, size int, wdata
 		n.Stats.StallCycles++
 		return 0, false
 	}
-	r := n.pend.rdata
-	n.pend = nil
-	return r, true
+	n.busy = false
+	return n.pend.rdata, true
 }
 
+// deliver takes the home slice's response (straight from dispatch: the
+// message is done with on return).
 func (n *NucaPort) deliver(m *Message, cycle uint64) {
-	p := n.pend
-	if p == nil || n.am.LineAddr(p.addr) != m.Addr {
-		return
+	if p := &n.pend; n.busy && n.am.LineAddr(p.addr) == m.Addr {
+		p.done = true
+		if !p.write && len(m.Data) > 0 {
+			p.rdata = getUint(m.Data)
+		}
 	}
-	p.done = true
-	if !p.write && len(m.Data) > 0 {
-		p.rdata = getUint(m.Data)
-	}
+	n.bridge.pool.put(m)
 }

@@ -33,14 +33,19 @@ const (
 	stModified
 )
 
+// l1Line is one way's tag and state; its data sits in the cache's slab at
+// the way's index, and filled says whether those bytes were ever written
+// (a way nothing was installed in checkpoints as empty).
 type l1Line struct {
-	valid bool
-	state byte
-	tag   uint32
-	lru   uint64
-	data  []byte
+	valid  bool
+	filled bool
+	state  byte
+	tag    uint32
+	lru    uint64
 }
 
+// l1Pending is the cache's single outstanding access (the in-order core
+// has at most one), held by value in the L1.
 type l1Pending struct {
 	txn       uint64
 	write     bool
@@ -51,7 +56,7 @@ type l1Pending struct {
 	network   bool   // waiting for protocol messages
 	needAck   int    // remaining InvAcks before a GetM completes
 	haveData  bool
-	fill      []byte
+	fill      []byte // the received line, in the cache's fill buffer
 	fillState byte
 	// noInstall marks a GetS fill whose line was invalidated while the
 	// data was in flight: the load completes with the fill data (it is
@@ -62,20 +67,30 @@ type l1Pending struct {
 // L1 is a private set-associative write-back write-allocate L1 cache with
 // MSI coherence (paper §II-D2). It is also the tile's protocol client:
 // the bridge feeds it Inv/Fwd/Data/Ack messages.
+//
+// A transaction allocates nothing: the pending access is a field, line
+// data lives in one slab that fills copy into, the inbox swaps between two
+// slices, and protocol messages come from and return to the tile's free
+// list (the bridge's).
 type L1 struct {
 	node    noc.NodeID
 	am      *AddressMap
 	sets    int
 	ways    int
+	shift   uint // log2 of the line size
 	latency uint64
-	sender  Sender
+	bridge  *Bridge
 
 	lines   []l1Line
+	data    []byte // line bytes, way i at [i*LineBytes, (i+1)*LineBytes)
 	lruTick uint64
 	txn     uint64
-	pend    *l1Pending
+	busy    bool // pend holds an access in progress
+	pend    l1Pending
+	fillBuf []byte // backs pend.fill
 
 	inbox []inboundMsg
+	spare []inboundMsg // the other inbox buffer; Tick swaps the two
 
 	Stats L1Stats
 }
@@ -87,7 +102,7 @@ type inboundMsg struct {
 }
 
 // NewL1 builds a cache. sets and ways must be >= 1.
-func NewL1(node noc.NodeID, am *AddressMap, sets, ways int, latency int, sender Sender) *L1 {
+func NewL1(node noc.NodeID, am *AddressMap, sets, ways int, latency int, bridge *Bridge) *L1 {
 	if sets < 1 || ways < 1 {
 		panic("mem: L1 needs >= 1 set and way")
 	}
@@ -99,9 +114,12 @@ func NewL1(node noc.NodeID, am *AddressMap, sets, ways int, latency int, sender 
 		am:      am,
 		sets:    sets,
 		ways:    ways,
+		shift:   lineShift(am.LineBytes),
 		latency: uint64(latency),
-		sender:  sender,
+		bridge:  bridge,
 		lines:   make([]l1Line, sets*ways),
+		data:    make([]byte, sets*ways*am.LineBytes),
+		fillBuf: make([]byte, 0, am.LineBytes),
 	}
 	return c
 }
@@ -115,57 +133,62 @@ func (c *L1) Deliver(m *Message, src noc.NodeID, cycle uint64) {
 // Tick processes inbound protocol traffic; call once per cycle before the
 // router's transfer phase. Handling may requeue messages (deferred
 // forwards) and local loopback sends may deliver new ones, so the batch
-// is snapshotted first.
+// is set aside first and the inbox continues in the other buffer.
 func (c *L1) Tick(cycle uint64) {
+	if len(c.inbox) == 0 {
+		return
+	}
 	batch := c.inbox
-	c.inbox = nil
+	c.inbox = c.spare[:0]
 	for _, im := range batch {
 		if im.availAt > cycle {
 			c.inbox = append(c.inbox, im)
 			continue
 		}
-		c.handle(im.m, im.src, cycle)
+		if c.handle(im.m, cycle) {
+			c.bridge.pool.put(im.m)
+		}
 	}
+	c.spare = batch[:0]
 }
 
-func (c *L1) setOf(addr uint32) int {
-	return int((addr / uint32(c.am.LineBytes)) % uint32(c.sets))
+// locate splits addr into the index of its set's first way and its tag.
+func (c *L1) locate(addr uint32) (first int, tag uint32) {
+	line := addr >> c.shift
+	tag = line / uint32(c.sets)
+	return int(line-tag*uint32(c.sets)) * c.ways, tag
 }
 
-func (c *L1) tagOf(addr uint32) uint32 {
-	return addr / uint32(c.am.LineBytes) / uint32(c.sets)
+// lineData returns way i's bytes.
+func (c *L1) lineData(i int) []byte {
+	return c.data[i*c.am.LineBytes : (i+1)*c.am.LineBytes]
 }
 
 // lookup returns the way holding addr's line, or -1.
 func (c *L1) lookup(addr uint32) int {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[set*c.ways+w]
+	first, tag := c.locate(addr)
+	for i := first; i < first+c.ways; i++ {
+		l := &c.lines[i]
 		if l.valid && l.tag == tag && l.state != stInvalid {
-			return set*c.ways + w
+			return i
 		}
 	}
 	return -1
 }
 
-// victim picks the way to fill for addr's line: an existing copy of the
-// same line is reused (so a stale Shared copy can never shadow a fresh
-// fill), then an invalid way, then the LRU way — writing back a Modified
-// victim.
-func (c *L1) victim(addr uint32) *l1Line {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	best := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := set*c.ways + w
+// victim picks the way to fill for the line with this tag in the set whose
+// first way is first: an existing copy of the same line is reused (so a
+// stale Shared copy can never shadow a fresh fill), then an invalid way,
+// then the LRU way — writing back a Modified victim.
+func (c *L1) victim(first int, tag uint32) int {
+	best := first
+	for i := first; i < first+c.ways; i++ {
 		if c.lines[i].valid && c.lines[i].tag == tag {
 			best = i
 			goto chosen
 		}
 	}
-	for w := 1; w < c.ways; w++ {
-		i := set*c.ways + w
+	for i := first + 1; i < first+c.ways; i++ {
 		if !c.lines[i].valid {
 			best = i
 			break
@@ -178,11 +201,10 @@ chosen:
 	v := &c.lines[best]
 	if v.valid && v.state == stModified {
 		c.Stats.WriteBacks++
-		victimAddr := (v.tag*uint32(c.sets) + uint32(c.setOf(addr))) * uint32(c.am.LineBytes)
-		// Recompute the victim's own set index from its stored position:
-		// the set is shared with addr by construction.
-		c.sender.Send(c.am.Home(victimAddr), ClassRequest, &Message{
-			Type: MsgPutM, Addr: victimAddr, Data: append([]byte(nil), v.data...), Requester: c.node,
+		// The victim shares the new line's set by construction.
+		victimAddr := (v.tag*uint32(c.sets) + uint32(first/c.ways)) << c.shift
+		c.bridge.send(c.am.Home(victimAddr), ClassRequest, Message{
+			Type: MsgPutM, Addr: victimAddr, Data: c.lineData(best), Requester: c.node,
 		})
 	}
 	if v.valid {
@@ -190,32 +212,34 @@ chosen:
 	}
 	v.valid = false
 	v.state = stInvalid
-	return v
+	return best
 }
 
 // Access implements Port.
 func (c *L1) Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (uint64, bool) {
-	if c.pend == nil {
-		c.start(cycle, write, addr, size, wdata)
+	way := -1
+	if !c.busy {
+		way = c.start(cycle, write, addr, size, wdata)
 	}
-	return c.poll(cycle)
+	return c.poll(cycle, way)
 }
 
-func (c *L1) start(cycle uint64, write bool, addr uint32, size int, wdata uint64) {
+// start begins an access and returns the way it hit in, or -1 on a miss.
+func (c *L1) start(cycle uint64, write bool, addr uint32, size int, wdata uint64) int {
 	if write {
 		c.Stats.Stores++
 	} else {
 		c.Stats.Loads++
 	}
 	c.txn++
-	p := &l1Pending{txn: c.txn, write: write, addr: addr, size: size, wdata: wdata}
-	c.pend = p
+	c.busy = true
+	c.pend = l1Pending{txn: c.txn, write: write, addr: addr, size: size, wdata: wdata}
+	p := &c.pend
 	if i := c.lookup(addr); i >= 0 {
-		l := &c.lines[i]
-		if !write || l.state == stModified {
+		if !write || c.lines[i].state == stModified {
 			c.Stats.Hits++
 			p.readyAt = cycle + c.latency - 1
-			return
+			return i
 		}
 	}
 	// Miss (or store upgrade): go to the directory.
@@ -225,16 +249,19 @@ func (c *L1) start(cycle uint64, write bool, addr uint32, size int, wdata uint64
 	if write {
 		t = MsgGetM
 	}
-	c.sender.Send(c.am.Home(addr), ClassRequest, &Message{
+	c.bridge.send(c.am.Home(addr), ClassRequest, Message{
 		Type: t, Addr: c.am.LineAddr(addr), Requester: c.node, Txn: p.txn,
 	})
+	return -1
 }
 
-func (c *L1) poll(cycle uint64) (uint64, bool) {
-	p := c.pend
-	if p == nil {
+// poll advances the pending access. way is where start just hit (nothing
+// can have touched the line since), or -1 to look the line up.
+func (c *L1) poll(cycle uint64, way int) (uint64, bool) {
+	if !c.busy {
 		panic("mem: L1 poll without pending access")
 	}
+	p := &c.pend
 	if p.network {
 		if !p.haveData || p.needAck > 0 {
 			c.Stats.StallCycles++
@@ -245,16 +272,14 @@ func (c *L1) poll(cycle uint64) (uint64, bool) {
 			// flight: serve the load from the received data without
 			// caching it (see the MsgInv handler).
 			off := c.am.LineOffset(p.addr)
-			r := getUint(p.fill[off : off+p.size])
-			c.pend = nil
-			return r, true
+			c.busy = false
+			return getUint(p.fill[off : off+p.size]), true
 		}
 		// Fill completed: install line and fall through to completion.
-		v := c.victim(p.addr)
-		v.valid = true
-		v.tag = c.tagOf(p.addr)
-		v.state = p.fillState
-		v.data = p.fill
+		first, tag := c.locate(p.addr)
+		i := c.victim(first, tag)
+		c.lines[i] = l1Line{valid: true, filled: true, state: p.fillState, tag: tag, lru: c.lines[i].lru}
+		copy(c.lineData(i), p.fill)
 		p.network = false
 		p.readyAt = cycle // data just arrived; complete this cycle
 	}
@@ -262,30 +287,36 @@ func (c *L1) poll(cycle uint64) (uint64, bool) {
 		c.Stats.StallCycles++
 		return 0, false
 	}
-	i := c.lookup(p.addr)
+	i := way
+	if i < 0 {
+		i = c.lookup(p.addr)
+	}
 	if i < 0 {
 		// The line was invalidated between fill and completion (possible
 		// under racing Inv); restart the transaction.
-		c.pend = nil
 		c.start(cycle, p.write, p.addr, p.size, p.wdata)
 		return 0, false
 	}
 	l := &c.lines[i]
 	c.lruTick++
 	l.lru = c.lruTick
-	off := c.am.LineOffset(p.addr)
-	var r uint64
+	off := i*c.am.LineBytes + c.am.LineOffset(p.addr)
+	c.busy = false
 	if p.write {
 		if l.state != stModified {
 			// Should not happen: stores complete only with M.
 			panic(fmt.Sprintf("mem: store completing in state %d", l.state))
 		}
-		putUint(l.data[off:off+p.size], p.wdata)
-	} else {
-		r = getUint(l.data[off : off+p.size])
+		putUint(c.data[off:off+p.size], p.wdata)
+		return 0, true
 	}
-	c.pend = nil
-	return r, true
+	return getUint(c.data[off : off+p.size]), true
+}
+
+// pendingOn reports whether the cache's outstanding access is to the line
+// at base.
+func (c *L1) pendingOn(base uint32) bool {
+	return c.busy && c.am.LineAddr(c.pend.addr) == base
 }
 
 // deferFwd requeues a forwarded request that raced ahead of this cache's
@@ -296,31 +327,32 @@ func (c *L1) deferFwd(m *Message, cycle uint64) bool {
 	if i := c.lookup(m.Addr); i >= 0 && c.lines[i].state == stModified {
 		return false // we can serve it right now
 	}
-	if p := c.pend; p != nil && c.am.LineAddr(p.addr) == m.Addr {
+	if c.pendingOn(m.Addr) {
 		c.inbox = append(c.inbox, inboundMsg{m: m, availAt: cycle + 1})
 		return true
 	}
 	return false
 }
 
-// handle processes one protocol message.
-func (c *L1) handle(m *Message, src noc.NodeID, cycle uint64) {
+// handle processes one protocol message and reports whether it is done
+// with it (a deferred forward goes back into the inbox instead).
+func (c *L1) handle(m *Message, cycle uint64) bool {
+	p := &c.pend
 	switch m.Type {
 	case MsgData:
-		p := c.pend
-		if p == nil || c.am.LineAddr(p.addr) != m.Addr || m.Txn != p.txn {
-			return // stale or duplicate response from an older transaction
+		if !c.pendingOn(m.Addr) || m.Txn != p.txn {
+			break // stale or duplicate response from an older transaction
 		}
 		p.haveData = true
 		p.needAck += m.AckCount
-		p.fill = append([]byte(nil), m.Data...)
+		p.fill = append(c.fillBuf[:0], m.Data...)
 		if p.write {
 			p.fillState = stModified
 		} else {
 			p.fillState = stShared
 		}
 	case MsgInvAck:
-		if p := c.pend; p != nil && c.am.LineAddr(p.addr) == m.Addr && m.Txn == p.txn {
+		if c.pendingOn(m.Addr) && m.Txn == p.txn {
 			p.needAck--
 		}
 	case MsgInv:
@@ -329,7 +361,7 @@ func (c *L1) handle(m *Message, src noc.NodeID, cycle uint64) {
 			c.lines[i].valid = false
 			c.Stats.Invalidations++
 		}
-		if p := c.pend; p != nil && p.network && !p.write && c.am.LineAddr(p.addr) == m.Addr {
+		if c.pendingOn(m.Addr) && p.network && !p.write {
 			// The invalidation raced our own in-flight GetS fill of this
 			// line: the Data may already be buffered but not installed
 			// (directory and cache share a tile, so both land in one
@@ -347,38 +379,31 @@ func (c *L1) handle(m *Message, src noc.NodeID, cycle uint64) {
 			p.noInstall = true
 		}
 		// Always ack (silent S evictions make spurious Invs normal).
-		c.sender.Send(m.Requester, ClassResponse, &Message{
+		c.bridge.send(m.Requester, ClassResponse, Message{
 			Type: MsgInvAck, Addr: m.Addr, Requester: c.node, Txn: m.Txn,
 		})
-	case MsgFwdGetS:
+	case MsgFwdGetS, MsgFwdGetM:
 		if c.deferFwd(m, cycle) {
-			return
+			return false
 		}
+		// Unless we still own the line our PutM is already in flight and
+		// the directory resolves it.
 		if i := c.lookup(m.Addr); i >= 0 && c.lines[i].state == stModified {
-			l := &c.lines[i]
-			c.sender.Send(m.Requester, ClassResponse, &Message{
-				Type: MsgData, Addr: m.Addr, Data: append([]byte(nil), l.data...), Txn: m.Txn,
+			c.bridge.send(m.Requester, ClassResponse, Message{
+				Type: MsgData, Addr: m.Addr, Data: c.lineData(i), Txn: m.Txn,
 			})
-			c.sender.Send(c.am.Home(m.Addr), ClassRequest, &Message{
-				Type: MsgPutM, Addr: m.Addr, Data: append([]byte(nil), l.data...), Requester: c.node,
-			})
-			l.state = stShared
-		}
-		// Otherwise our PutM is already in flight; the directory resolves it.
-	case MsgFwdGetM:
-		if c.deferFwd(m, cycle) {
-			return
-		}
-		if i := c.lookup(m.Addr); i >= 0 && c.lines[i].state == stModified {
-			l := &c.lines[i]
-			c.sender.Send(m.Requester, ClassResponse, &Message{
-				Type: MsgData, Addr: m.Addr, Data: append([]byte(nil), l.data...), Txn: m.Txn,
-			})
-			c.sender.Send(c.am.Home(m.Addr), ClassRequest, &Message{
+			if m.Type == MsgFwdGetS {
+				c.bridge.send(c.am.Home(m.Addr), ClassRequest, Message{
+					Type: MsgPutM, Addr: m.Addr, Data: c.lineData(i), Requester: c.node,
+				})
+				c.lines[i].state = stShared
+				break
+			}
+			c.bridge.send(c.am.Home(m.Addr), ClassRequest, Message{
 				Type: MsgPutAck, Addr: m.Addr, Requester: c.node,
 			})
-			l.state = stInvalid
-			l.valid = false
+			c.lines[i].state = stInvalid
+			c.lines[i].valid = false
 			c.Stats.Invalidations++
 		}
 	case MsgPutAck:
@@ -386,6 +411,7 @@ func (c *L1) handle(m *Message, src noc.NodeID, cycle uint64) {
 	default:
 		panic(fmt.Sprintf("mem: L1 got unexpected message %v", m.Type))
 	}
+	return true
 }
 
 func putUint(dst []byte, v uint64) {

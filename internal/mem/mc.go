@@ -14,7 +14,7 @@ type Controller struct {
 	node       noc.NodeID
 	latency    uint64
 	queueDepth int
-	sender     Sender
+	bridge     *Bridge
 
 	inbox   []inboundMsg
 	service []serviceSlot
@@ -31,14 +31,14 @@ type serviceSlot struct {
 }
 
 // NewController builds a controller component for a tile.
-func NewController(node noc.NodeID, latency, queueDepth int, sender Sender) *Controller {
+func NewController(node noc.NodeID, latency, queueDepth int, bridge *Bridge) *Controller {
 	if latency < 1 {
 		latency = 1
 	}
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	return &Controller{node: node, latency: uint64(latency), queueDepth: queueDepth, sender: sender}
+	return &Controller{node: node, latency: uint64(latency), queueDepth: queueDepth, bridge: bridge}
 }
 
 // Deliver queues a message (bridge callback).
@@ -52,6 +52,9 @@ func (c *Controller) Deliver(m *Message, src noc.NodeID, cycle uint64) {
 // Tick admits requests into service (up to the depth bound, one per
 // cycle) and completes finished ones.
 func (c *Controller) Tick(cycle uint64) {
+	if len(c.inbox) == 0 && len(c.service) == 0 {
+		return
+	}
 	// Complete finished requests.
 	kept := c.service[:0]
 	for _, s := range c.service {
@@ -60,10 +63,9 @@ func (c *Controller) Tick(cycle uint64) {
 			continue
 		}
 		if s.m.Type == MsgMemRead {
-			c.sender.Send(s.m.Requester, ClassMemory, &Message{
-				Type: MsgMemData, Addr: s.m.Addr,
-			})
+			c.bridge.send(s.m.Requester, ClassMemory, Message{Type: MsgMemData, Addr: s.m.Addr})
 		}
+		c.bridge.pool.put(s.m)
 	}
 	c.service = kept
 	// Admit one new request per cycle if a slot is free.

@@ -1,75 +1,44 @@
 package mem
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"hornet/internal/noc"
 )
 
-// loopback is a Sender that delivers messages synchronously with a
-// one-step queue, letting cache/directory logic be unit-tested without a
-// network. It records traffic for assertions.
+// loopback is a network of tile bridges joined by zero-hop links: a packet
+// a bridge offers in one step reaches its destination's bridge in the
+// next, letting cache/directory logic be unit-tested without routers.
+// Messages to a bridge's own tile loop back inside it, as in a machine.
 type loopback struct {
-	l1s  map[noc.NodeID]*L1
-	dirs map[noc.NodeID]*Directory
-	mcs  map[noc.NodeID]*Controller
-	sent []sentMsg
+	bridges []*Bridge
+	sent    []noc.Packet
 }
 
-type sentMsg struct {
-	from, to noc.NodeID
-	class    uint8
-	m        *Message
-}
-
-func newLoopback() *loopback {
-	return &loopback{
-		l1s:  make(map[noc.NodeID]*L1),
-		dirs: make(map[noc.NodeID]*Directory),
-		mcs:  make(map[noc.NodeID]*Controller),
+func newLoopback(n int) *loopback {
+	lb := &loopback{}
+	for i := 0; i < n; i++ {
+		src := noc.NodeID(i)
+		lb.bridges = append(lb.bridges, NewBridge(src, func(p noc.Packet) {
+			p.Src = src
+			lb.sent = append(lb.sent, p)
+		}))
 	}
+	return lb
 }
 
-// senderFor returns a Sender stamping the given source.
-func (lb *loopback) senderFor(src noc.NodeID) Sender {
-	return senderFunc(func(dst noc.NodeID, class uint8, m *Message) {
-		lb.sent = append(lb.sent, sentMsg{from: src, to: dst, class: class, m: m})
-	})
-}
-
-type senderFunc func(dst noc.NodeID, class uint8, m *Message)
-
-func (f senderFunc) Send(dst noc.NodeID, class uint8, m *Message) { f(dst, class, m) }
-
-// step delivers all queued messages and ticks every component once.
+// step delivers all queued packets and ticks every tile's memory side once.
 func (lb *loopback) step(cycle uint64) {
 	batch := lb.sent
 	lb.sent = nil
-	for _, s := range batch {
-		switch s.m.Type {
-		case MsgGetS, MsgGetM, MsgPutM, MsgNucaRead, MsgNucaWrite, MsgMemData:
-			lb.dirs[s.to].Deliver(s.m, s.from, cycle)
-		case MsgMemRead, MsgMemWrite:
-			lb.mcs[s.to].Deliver(s.m, s.from, cycle)
-		case MsgPutAck:
-			if s.class == ClassRequest {
-				lb.dirs[s.to].Deliver(s.m, s.from, cycle)
-			} else if l1 := lb.l1s[s.to]; l1 != nil {
-				l1.Deliver(s.m, s.from, cycle)
-			}
-		default:
-			lb.l1s[s.to].Deliver(s.m, s.from, cycle)
-		}
+	for _, p := range batch {
+		lb.bridges[p.Dst].ReceivePacket(p, cycle)
 	}
-	for _, d := range lb.dirs {
-		d.Tick(cycle)
-	}
-	for _, c := range lb.mcs {
-		c.Tick(cycle)
-	}
-	for _, l := range lb.l1s {
-		l.Tick(cycle)
+	for _, b := range lb.bridges {
+		b.Tick(cycle)
 	}
 }
 
@@ -77,14 +46,12 @@ func (lb *loopback) step(cycle uint64) {
 func build(t *testing.T, n int) (*loopback, *AddressMap) {
 	t.Helper()
 	am := &AddressMap{LineBytes: 32, Nodes: n, Controllers: []noc.NodeID{0}}
-	lb := newLoopback()
-	for i := 0; i < n; i++ {
-		id := noc.NodeID(i)
-		s := lb.senderFor(id)
-		lb.dirs[id] = NewDirectory(id, am, s)
-		lb.l1s[id] = NewL1(id, am, 4, 2, 1, s)
+	lb := newLoopback(n)
+	for i, b := range lb.bridges {
+		b.Dir = NewDirectory(noc.NodeID(i), am, b)
+		b.L1 = NewL1(noc.NodeID(i), am, 4, 2, 1, b)
 	}
-	lb.mcs[0] = NewController(0, 10, 4, lb.senderFor(0))
+	lb.bridges[0].MC = NewController(0, 10, 4, lb.bridges[0])
 	return lb, am
 }
 
@@ -104,8 +71,8 @@ func access(t *testing.T, lb *loopback, l1 *L1, write bool, addr uint32, size in
 
 func TestMSIWriteReadThroughTwoCaches(t *testing.T) {
 	lb, _ := build(t, 4)
-	w := lb.l1s[1]
-	r := lb.l1s[2]
+	w := lb.bridges[1].L1
+	r := lb.bridges[2].L1
 	access(t, lb, w, true, 0x1000, 4, 0xCAFEBABE)
 	if v := access(t, lb, r, false, 0x1000, 4, 0); v != 0xCAFEBABE {
 		t.Fatalf("reader saw %#x", v)
@@ -122,7 +89,7 @@ func TestMSIWriteReadThroughTwoCaches(t *testing.T) {
 
 func TestMSISubWordAccesses(t *testing.T) {
 	lb, _ := build(t, 2)
-	c := lb.l1s[1]
+	c := lb.bridges[1].L1
 	access(t, lb, c, true, 0x2000, 1, 0xAB)
 	access(t, lb, c, true, 0x2001, 1, 0xCD)
 	if v := access(t, lb, c, false, 0x2000, 2, 0); v != 0xCDAB {
@@ -132,7 +99,7 @@ func TestMSISubWordAccesses(t *testing.T) {
 
 func TestEvictionWritesBack(t *testing.T) {
 	lb, am := build(t, 2)
-	c := lb.l1s[1]
+	c := lb.bridges[1].L1
 	// 4 sets x 2 ways with 32B lines: addresses mapping to set 0 are
 	// 32*4*k apart. Fill 3 such lines to force an eviction.
 	base := uint32(0x4000)
@@ -152,56 +119,34 @@ func TestEvictionWritesBack(t *testing.T) {
 
 func TestFirstTouchGoesToMemoryController(t *testing.T) {
 	lb, _ := build(t, 2)
-	access(t, lb, lb.l1s[1], false, 0x5000, 4, 0)
-	if lb.mcs[0].Reads == 0 {
+	access(t, lb, lb.bridges[1].L1, false, 0x5000, 4, 0)
+	if lb.bridges[0].MC.Reads == 0 {
 		t.Fatal("first touch did not reach the memory controller")
 	}
-	reads := lb.mcs[0].Reads
+	reads := lb.bridges[0].MC.Reads
 	// Second access to the same line: directory-cached, no MC traffic.
-	access(t, lb, lb.l1s[1], false, 0x5004, 4, 0)
-	if lb.mcs[0].Reads != reads {
+	access(t, lb, lb.bridges[1].L1, false, 0x5004, 4, 0)
+	if lb.bridges[0].MC.Reads != reads {
 		t.Fatal("cached line fetched from MC again")
 	}
 }
 
 func TestNucaReadWrite(t *testing.T) {
 	am := &AddressMap{LineBytes: 32, Nodes: 4, Controllers: []noc.NodeID{0}}
-	lb := newLoopback()
-	for i := 0; i < 4; i++ {
-		id := noc.NodeID(i)
-		lb.dirs[id] = NewDirectory(id, am, lb.senderFor(id))
+	lb := newLoopback(4)
+	for i, b := range lb.bridges {
+		b.Dir = NewDirectory(noc.NodeID(i), am, b)
 	}
-	lb.mcs[0] = NewController(0, 5, 4, lb.senderFor(0))
-	port := NewNucaPort(2, am, lb.senderFor(2))
-	// Route NucaResp back to the port.
-	origStep := lb.step
-	_ = origStep
+	lb.bridges[0].MC = NewController(0, 5, 4, lb.bridges[0])
+	port := NewNucaPort(2, am, lb.bridges[2])
+	lb.bridges[2].Nuca = port
 	drive := func(write bool, addr uint32, size int, wdata uint64) uint64 {
 		for cycle := uint64(0); cycle < 10_000; cycle++ {
 			v, done := port.Access(cycle, write, addr, size, wdata)
 			if done {
 				return v
 			}
-			batch := lb.sent
-			lb.sent = nil
-			for _, s := range batch {
-				if s.m.Type == MsgNucaResp {
-					port.deliver(s.m, cycle)
-					continue
-				}
-				switch s.m.Type {
-				case MsgNucaRead, MsgNucaWrite, MsgMemData:
-					lb.dirs[s.to].Deliver(s.m, s.from, cycle)
-				case MsgMemRead, MsgMemWrite:
-					lb.mcs[s.to].Deliver(s.m, s.from, cycle)
-				}
-			}
-			for _, d := range lb.dirs {
-				d.Tick(cycle)
-			}
-			for _, c := range lb.mcs {
-				c.Tick(cycle)
-			}
+			lb.step(cycle)
 		}
 		t.Fatal("NUCA access hung")
 		return 0
@@ -247,8 +192,8 @@ func TestStorePreloadReadBack(t *testing.T) {
 
 func TestControllerQueueDepthLimitsService(t *testing.T) {
 	var responses int
-	ctl := NewController(0, 10, 2, senderFunc(func(dst noc.NodeID, class uint8, m *Message) {
-		if m.Type == MsgMemData {
+	ctl := NewController(0, 10, 2, NewBridge(0, func(p noc.Packet) {
+		if p.Payload.(*Message).Type == MsgMemData {
 			responses++
 		}
 	}))
@@ -272,5 +217,39 @@ func TestFlitsForMessage(t *testing.T) {
 	}
 	if n := flitsFor(&Message{Data: make([]byte, 32)}); n != 5 {
 		t.Fatalf("32B message %d flits, want 5", n)
+	}
+}
+
+// A GetM on a line shared by nodes 9, 2, 14 and the requester invalidates
+// 2, 9 and 14 — in that order, the order the packets are injected in —
+// and tells the requester to collect three acknowledgements.
+func TestGetMInvalidatesSharersInNodeOrder(t *testing.T) {
+	const home, requester = 0, 5
+	am := &AddressMap{LineBytes: 32, Nodes: 16, Controllers: []noc.NodeID{0}}
+	var sent []noc.Packet
+	b := NewBridge(home, func(p noc.Packet) { sent = append(sent, p) })
+	b.Dir = NewDirectory(home, am, b)
+	b.MC = NewController(home, 1, 4, b)
+	const line = 0x4000 // line index 512: homed at node 0 of 16
+	cycle := uint64(0)
+	request := func(t MsgType, from noc.NodeID) {
+		b.Dir.Deliver(&Message{Type: t, Addr: line, Requester: from, Txn: 77}, from, cycle)
+		for end := cycle + 10; cycle < end; cycle++ { // first touch goes through the controller
+			b.Tick(cycle)
+		}
+	}
+	for _, s := range []noc.NodeID{9, 2, 14, requester} {
+		request(MsgGetS, s)
+	}
+	sent = nil
+	request(MsgGetM, requester)
+	var got []string
+	for _, p := range sent {
+		m := p.Payload.(*Message)
+		got = append(got, fmt.Sprintf("%v->%d acks=%d txn=%d", m.Type, p.Dst, m.AckCount, m.Txn))
+	}
+	want := []string{"Inv->2 acks=0 txn=77", "Inv->9 acks=0 txn=77", "Inv->14 acks=0 txn=77", "Data->5 acks=3 txn=77"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("directory sent %v, want %v", got, want)
 	}
 }

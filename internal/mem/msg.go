@@ -75,16 +75,50 @@ type Message struct {
 	// Size/offset for NUCA sub-line accesses.
 	Off uint8
 	Len uint8
+
+	free bool // in a free list: recycling it again would give it two owners
+}
+
+// msgPool is a tile's free list of protocol messages and their payload
+// buffers, kept by the tile's bridge. Whichever of the tile's components
+// takes a message off the network for good puts it there, and the tile's
+// next sends are built from it. A list never crosses tiles: no locks. It
+// is bounded because the protocol moves messages one way on balance
+// (write-backs end at the controller's tile, acknowledgements at the
+// requester's): a tile that mostly consumes drops the surplus, a tile that
+// mostly produces allocates.
+type msgPool struct{ free []*Message }
+
+const msgPoolMax = 64
+
+// get returns a message holding v, with v.Data copied into the message's
+// own buffer: the caller's line stays the caller's.
+func (p *msgPool) get(v Message) *Message {
+	var m *Message
+	if n := len(p.free); n > 0 {
+		m, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		m = new(Message)
+	}
+	buf := m.Data[:0]
+	*m = v
+	m.Data = append(buf, v.Data...)
+	return m
+}
+
+// put recycles a message nothing refers to any more.
+func (p *msgPool) put(m *Message) {
+	if m.free {
+		panic(fmt.Sprintf("mem: %v message for %#x recycled twice", m.Type, m.Addr))
+	}
+	if len(p.free) < msgPoolMax {
+		m.free = true
+		p.free = append(p.free, m)
+	}
 }
 
 // flitsFor returns the packet length for a message: one header flit plus
 // one flit per 8 data bytes.
 func flitsFor(m *Message) int {
 	return 1 + (len(m.Data)+7)/8
-}
-
-// Sender transmits protocol messages over the NoC; the tile bridge
-// implements it. Implementations stamp flows as (src=this tile, dst, class).
-type Sender interface {
-	Send(dst noc.NodeID, class uint8, m *Message)
 }

@@ -148,17 +148,17 @@ func (s *Store) baselineFingerprint() uint32 {
 func (s *Store) SaveState(w *snapshot.Writer) {
 	w.Int(s.lineBytes)
 	w.Uint32(s.baselineFingerprint())
-	addrs := make([]uint32, 0, len(s.lines))
-	for a, line := range s.lines {
-		if !s.matchesBaseline(a, line) {
-			addrs = append(addrs, a)
+	slots := make([]int, 0, len(s.lines))
+	for slot, line := range s.lines {
+		if !s.matchesBaseline(s.bases[slot], line) {
+			slots = append(slots, slot)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		w.Uint32(a)
-		w.Bytes(s.lines[a])
+	sort.Slice(slots, func(i, j int) bool { return s.bases[slots[i]] < s.bases[slots[j]] })
+	w.Int(len(slots))
+	for _, slot := range slots {
+		w.Uint32(s.bases[slot])
+		w.Bytes(s.lines[slot])
 	}
 }
 
@@ -179,9 +179,10 @@ func (s *Store) LoadState(r *snapshot.Reader) error {
 			Got: fmt.Sprintf("%08x", fp), Want: fmt.Sprintf("%08x", want)}
 	}
 	n := r.Count(1 << 22)
-	s.lines = make(map[uint32][]byte, len(s.baseline)+n)
+	s.lines, s.bases, s.slab = nil, nil, nil
+	s.reindex(64)
 	for a, b := range s.baseline {
-		s.lines[a] = append([]byte(nil), b...)
+		s.WriteLine(a, b)
 	}
 	for i := 0; i < n; i++ {
 		a := r.Uint32()
@@ -193,7 +194,7 @@ func (s *Store) LoadState(r *snapshot.Reader) error {
 			return &snapshot.CorruptError{Detail: fmt.Sprintf(
 				"store line %#x holds %d bytes, line size is %d", a, len(line), s.lineBytes)}
 		}
-		s.lines[a] = line
+		s.WriteLine(a, line)
 	}
 	return r.Err()
 }
@@ -211,11 +212,14 @@ func (c *L1) SaveState(w *snapshot.Writer) {
 		w.Uint8(l.state)
 		w.Uint32(l.tag)
 		w.Uint64(l.lru)
-		w.Bytes(l.data)
+		if l.filled {
+			w.Bytes(c.lineData(i))
+		} else {
+			w.Bytes(nil)
+		}
 	}
-	p := c.pend
-	w.Bool(p != nil)
-	if p != nil {
+	w.Bool(c.busy)
+	if p := &c.pend; c.busy {
 		w.Uint64(p.txn)
 		w.Bool(p.write)
 		w.Uint32(p.addr)
@@ -252,29 +256,31 @@ func (c *L1) LoadState(r *snapshot.Reader) error {
 		l.state = r.Uint8()
 		l.tag = r.Uint32()
 		l.lru = r.Uint64()
-		l.data = r.ByteSlice()
-		// A valid line's data is read with line-offset arithmetic; a
-		// wrong length must fail the restore with a structured error,
-		// not panic on the first hit.
-		if l.valid && len(l.data) != c.am.LineBytes {
+		data := r.ByteSlice()
+		// A way holds a whole line or, never filled, nothing; a valid
+		// one is read with line-offset arithmetic, so any other length
+		// must fail the restore with a structured error.
+		l.filled = len(data) == c.am.LineBytes
+		if l.filled {
+			copy(c.lineData(i), data)
+		} else if l.valid || len(data) != 0 {
 			return &snapshot.CorruptError{Detail: fmt.Sprintf(
-				"L1 way %d holds %d data bytes, line size is %d", i, len(l.data), c.am.LineBytes)}
+				"L1 way %d holds %d data bytes, line size is %d", i, len(data), c.am.LineBytes)}
 		}
 	}
-	c.pend = nil
-	if r.Bool() {
-		p := &l1Pending{
-			txn:   r.Uint64(),
-			write: r.Bool(),
-			addr:  r.Uint32(),
-			size:  r.Int(),
-			wdata: r.Uint64(),
-		}
+	c.busy = r.Bool()
+	c.pend = l1Pending{}
+	if p := &c.pend; c.busy {
+		p.txn = r.Uint64()
+		p.write = r.Bool()
+		p.addr = r.Uint32()
+		p.size = r.Int()
+		p.wdata = r.Uint64()
 		p.readyAt = r.Uint64()
 		p.network = r.Bool()
 		p.needAck = r.Int()
 		p.haveData = r.Bool()
-		p.fill = r.ByteSlice()
+		p.fill = append(c.fillBuf[:0], r.ByteSlice()...)
 		p.fillState = r.Uint8()
 		p.noInstall = r.Bool()
 		if p.haveData && len(p.fill) != c.am.LineBytes {
@@ -294,7 +300,6 @@ func (c *L1) LoadState(r *snapshot.Reader) error {
 			return &snapshot.CorruptError{Detail: fmt.Sprintf(
 				"L1 pending access at %#x size %d straddles a %d-byte line", p.addr, p.size, c.am.LineBytes)}
 		}
-		c.pend = p
 	}
 	c.inbox = loadInbox(r)
 	// Full-line data responses install as cache fills; a short one would
@@ -314,7 +319,7 @@ func (c *L1) LoadState(r *snapshot.Reader) error {
 // skipped by the encoding (materialization itself is not semantic).
 func dirLineDefault(l *dirLine) bool {
 	return l.state == stInvalid && !l.cached && !l.busy && l.cur == nil &&
-		l.owner == 0 && len(l.sharers) == 0 && len(l.waiting) == 0
+		l.owner == 0 && l.sharerCount() == 0 && len(l.waiting) == 0
 }
 
 // SaveState serializes the directory slice: backing store delta, the
@@ -322,30 +327,24 @@ func dirLineDefault(l *dirLine) bool {
 // counters.
 func (d *Directory) SaveState(w *snapshot.Writer) {
 	d.store.SaveState(w)
-	addrs := make([]uint32, 0, len(d.lines))
-	for a, l := range d.lines {
-		if !dirLineDefault(l) {
-			addrs = append(addrs, a)
+	slots := make([]int, 0, len(d.lines))
+	for slot := range d.lines {
+		if !dirLineDefault(&d.lines[slot]) {
+			slots = append(slots, slot)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		l := d.lines[a]
-		w.Uint32(a)
+	bases := d.store.bases
+	sort.Slice(slots, func(i, j int) bool { return bases[slots[i]] < bases[slots[j]] })
+	w.Int(len(slots))
+	for _, slot := range slots {
+		l := &d.lines[slot]
+		w.Uint32(bases[slot])
 		w.Uint8(l.state)
 		w.Int32(int32(l.owner))
 		w.Bool(l.cached)
 		w.Bool(l.busy)
-		sharers := make([]noc.NodeID, 0, len(l.sharers))
-		for s := range l.sharers {
-			sharers = append(sharers, s)
-		}
-		sort.Slice(sharers, func(i, j int) bool { return sharers[i] < sharers[j] })
-		w.Int(len(sharers))
-		for _, s := range sharers {
-			w.Int32(int32(s))
-		}
+		w.Int(l.sharerCount())
+		l.eachSharer(func(s noc.NodeID) { w.Int32(int32(s)) })
 		w.Bool(l.cur != nil)
 		if l.cur != nil {
 			encodeMessage(w, l.cur)
@@ -363,34 +362,41 @@ func (d *Directory) SaveState(w *snapshot.Writer) {
 	w.Uint64(d.NucaOps)
 }
 
-// LoadState restores directory state saved by SaveState.
+// LoadState restores directory state saved by SaveState. Slots, the
+// sharer bitsets and the index under them are rebuilt from the saved
+// addresses and node lists.
 func (d *Directory) LoadState(r *snapshot.Reader) error {
 	if err := d.store.LoadState(r); err != nil {
 		return err
 	}
 	n := r.Count(1 << 22)
-	d.lines = make(map[uint32]*dirLine, n)
+	d.lines = nil
 	for i := 0; i < n && r.Err() == nil; i++ {
 		a := r.Uint32()
-		l := &dirLine{
+		entry := dirLine{
 			state:  r.Uint8(),
 			owner:  noc.NodeID(r.Int32()),
 			cached: r.Bool(),
 			busy:   r.Bool(),
 		}
 		ns := r.Count(1 << 20)
-		l.sharers = make(map[noc.NodeID]struct{}, ns)
 		for j := 0; j < ns && r.Err() == nil; j++ {
-			l.sharers[noc.NodeID(r.Int32())] = struct{}{}
+			s := noc.NodeID(r.Int32())
+			if s < 0 || int(s) >= d.am.Nodes {
+				return &snapshot.CorruptError{Detail: fmt.Sprintf(
+					"directory line %#x lists sharer %d of %d nodes", a, s, d.am.Nodes)}
+			}
+			entry.addSharer(s, d.am.Nodes)
 		}
 		if r.Bool() {
-			l.cur = decodeMessage(r)
+			entry.cur = decodeMessage(r)
 		}
 		nw := r.Count(1 << 20)
 		for j := 0; j < nw && r.Err() == nil; j++ {
-			l.waiting = append(l.waiting, decodeMessage(r))
+			entry.waiting = append(entry.waiting, decodeMessage(r))
 		}
-		d.lines[a] = l
+		l, _ := d.line(a)
+		*l = entry
 	}
 	d.inbox = loadInbox(r)
 	d.Requests = r.Uint64()
@@ -435,9 +441,8 @@ func (c *Controller) LoadState(r *snapshot.Reader) error {
 // SaveState serializes the NUCA port: the outstanding remote access and
 // the access counters.
 func (n *NucaPort) SaveState(w *snapshot.Writer) {
-	p := n.pend
-	w.Bool(p != nil)
-	if p != nil {
+	w.Bool(n.busy)
+	if p := &n.pend; n.busy {
 		w.Bool(p.write)
 		w.Uint32(p.addr)
 		w.Int(p.size)
@@ -450,9 +455,10 @@ func (n *NucaPort) SaveState(w *snapshot.Writer) {
 
 // LoadState restores NUCA port state saved by SaveState.
 func (n *NucaPort) LoadState(r *snapshot.Reader) error {
-	n.pend = nil
-	if r.Bool() {
-		p := &nucaPending{
+	n.busy = r.Bool()
+	n.pend = nucaPending{}
+	if n.busy {
+		n.pend = nucaPending{
 			write: r.Bool(),
 			addr:  r.Uint32(),
 			size:  r.Int(),
@@ -460,13 +466,12 @@ func (n *NucaPort) LoadState(r *snapshot.Reader) error {
 			done:  r.Bool(),
 			rdata: r.Uint64(),
 		}
-		switch p.size {
+		switch n.pend.size {
 		case 1, 2, 4, 8:
 		default:
 			return &snapshot.CorruptError{Detail: fmt.Sprintf(
-				"NUCA pending access size %d is not 1/2/4/8", p.size)}
+				"NUCA pending access size %d is not 1/2/4/8", n.pend.size)}
 		}
-		n.pend = p
 	}
 	loadL1Stats(r, &n.Stats)
 	return r.Err()

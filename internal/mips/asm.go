@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Default section base addresses (SPIM conventions).
@@ -21,11 +22,32 @@ type Segment struct {
 
 // Image is the assembler output: loadable segments, the entry point
 // (label "main" if present, else the first text address) and the symbol
-// table (tests and argument patching).
+// table (tests and argument patching). It must not change once a core has
+// been built from it: the cores share its decoded text.
 type Image struct {
 	Segments []Segment
 	Entry    uint32
 	Symbols  map[string]uint32
+
+	decode   sync.Once
+	text     []Inst // the word-aligned segment holding Entry, decoded once
+	textBase uint32
+}
+
+func (img *Image) decodedText() (base uint32, text []Inst) {
+	img.decode.Do(func() {
+		for _, s := range img.Segments {
+			if s.Addr&3 != 0 || img.Entry-s.Addr >= uint32(len(s.Data)) {
+				continue
+			}
+			img.textBase, img.text = s.Addr, make([]Inst, len(s.Data)/4)
+			for i := range img.text {
+				img.text[i] = Decode(binary.LittleEndian.Uint32(s.Data[4*i:]))
+			}
+			return
+		}
+	})
+	return img.textBase, img.text
 }
 
 // Assemble translates MIPS assembly source into an Image. Supported

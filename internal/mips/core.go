@@ -34,9 +34,9 @@ func (l LocalData) Access(_ uint64, write bool, addr uint32, size int, wdata uin
 }
 
 // Core is the single-cycle in-order MIPS core model. Instructions are
-// fetched from the private image RAM (instruction traffic is not modeled,
-// as in the paper's core); data accesses go through DataMem; network
-// syscalls talk to the NetPort.
+// fetched, already decoded, from the private image RAM (instruction
+// traffic is not modeled, as in the paper's core); data accesses go
+// through DataMem; network syscalls talk to the NetPort.
 type Core struct {
 	ID       noc.NodeID
 	NumCores int
@@ -130,11 +130,18 @@ func (c *Core) Tick(cycle uint64) {
 		}
 		return
 	}
+	if in := c.ram.fetch(c.PC); in != nil {
+		c.execute(in, cycle)
+		return
+	}
+	// Outside the text: execute what the bytes there say (memory nobody
+	// wrote holds zeros, sll $0,$0,0).
 	raw, err := c.ram.Read(c.PC, 4)
 	if err != nil {
 		panic(fmt.Sprintf("mips: core %d: bad PC %#x: %v", c.ID, c.PC, err))
 	}
-	c.execute(Decode(raw), cycle)
+	in := Decode(raw)
+	c.execute(&in, cycle)
 }
 
 func (c *Core) writeLoad(v uint64) {
@@ -175,7 +182,7 @@ func (c *Core) startAccess(cycle uint64, write bool, addr uint32, size int, wdat
 // execute runs one decoded instruction. Branch delay slots are not
 // modeled (the assembler never schedules them), matching a simple
 // single-cycle core.
-func (c *Core) execute(in Inst, cycle uint64) {
+func (c *Core) execute(in *Inst, cycle uint64) {
 	next := c.PC + 4
 	rs, rt := c.Regs[in.Rs], c.Regs[in.Rt]
 	simm := uint32(in.SImm())

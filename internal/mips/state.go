@@ -65,10 +65,13 @@ func (r *RAM) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState resets the RAM to the loaded image and applies the delta.
+// LoadState resets the RAM to the loaded image and applies the delta; the
+// decoded text goes back to the image's and follows the delta's pages.
 func (r *RAM) LoadState(rd *snapshot.Reader) error {
 	n := rd.Count(1 << 20)
 	r.pages = make(map[uint32][]byte, len(r.baseline)+n)
+	r.lastPage = nil
+	r.text, r.textOwned = r.imageText, false
 	for k, p := range r.baseline {
 		r.pages[k] = append([]byte(nil), p...)
 	}
@@ -83,6 +86,8 @@ func (r *RAM) LoadState(rd *snapshot.Reader) error {
 				"RAM page %#x holds %d bytes, page size is %d", k, len(page), pageSize)}
 		}
 		r.pages[k] = page
+		r.lastPage = nil
+		r.redecode(k<<pageBits, pageSize)
 	}
 	return rd.Err()
 }

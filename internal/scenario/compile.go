@@ -153,6 +153,10 @@ func (s *Scenario) runConfig() (config.Config, *FieldError) {
 		cfg.WarmupCycles = *s.Run.WarmupCycles
 		cfg.AnalyzedCycles = s.Run.AnalyzedCycles
 	}
+	if m.Memory != nil && m.Memory.LineBytes > config.MaxLineBytes {
+		return cfg, errf("/machine/memory/line_bytes", "must be at most %d, got %d",
+			config.MaxLineBytes, m.Memory.LineBytes)
+	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, errf("/machine", "%s", err.Error())
 	}

@@ -267,6 +267,27 @@ func TestCompileSharedKernelNeedsMemory(t *testing.T) {
 	}
 }
 
+// A line longer than 256 bytes would alias NUCA line offsets (they travel
+// in one byte); the rejection names the field, and 256 itself compiles.
+func TestCompileRejectsLongLines(t *testing.T) {
+	s := &Scenario{
+		Version: Version,
+		Machine: Machine{
+			Topology: config.TopologyConfig{Kind: config.TopoMesh, Width: 4, Height: 4},
+			Memory:   &config.MemoryConfig{Protocol: "nuca", LineBytes: 512},
+		},
+		Workload: &Workload{Kernel: "shared-pingpong"},
+	}
+	_, ferr := Compile(s)
+	if ferr == nil || ferr.Path != "/machine/memory/line_bytes" {
+		t.Fatalf("Compile = %v, want /machine/memory/line_bytes error", ferr)
+	}
+	s.Machine.Memory.LineBytes = config.MaxLineBytes
+	if _, ferr := Compile(s); ferr != nil {
+		t.Fatalf("Compile at %d-byte lines: %v", config.MaxLineBytes, ferr)
+	}
+}
+
 func TestPresetsAllCompile(t *testing.T) {
 	for _, name := range PresetNames() {
 		s, _ := Preset(name)
