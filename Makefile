@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench bench-json bench-gate \
 	bench-sharded-json bench-sharded-gate bench-telemetry-json bench-telemetry-gate \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines profile-msi
+	validate-examples scenario-golden service-lines profile-msi profile-mesh
 
 build:
 	$(GO) build ./...
@@ -48,17 +48,21 @@ test-race-rest:
 # producer-side credit word — which a consumer on another thread commits
 # into — after commits, restores in either order and shard-boundary
 # applies, restores of snapshots taken with VCs blocked on that credit,
-# the per-router occupancy mask — which the neighbours' threads set and
-# the owner clears — against the buffers at every cycle boundary, after
-# restores and after shard-boundary applies, with its 10^6-flit
-# set-while-clearing stress (the SPSC test's mask subtest), the exact
+# the per-router occupancy mask — which the neighbours' threads set, by
+# pushes and by credits, and the owner clears, when a buffer empties and
+# when it parks a VC on a credit — against the buffers and the parked VCs
+# at every cycle boundary, after restores and after shard-boundary applies,
+# with its 10^6-flit set-while-clearing stresses (the SPSC test's mask and
+# park subtests), a line of free-running routers and a past-saturation 8x8
+# mesh that must drain with no VC left asleep beside an available credit
+# (sync_period 1, 5, 50), a restore of that mesh mid-saturation, the exact
 # generator skip an idle router relies on, the snapshot bytes of 30
 # machines against the ones recorded before the mask existed, engine-worker
 # panic containment, and the barrier's polling, parking and break paths.
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestEngineContainsTilePanic|TestBarrier' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier' \
 		./internal/core ./internal/noc ./internal/sim
 
 # One iteration of every benchmark in the repo: the root-package figure
@@ -69,20 +73,26 @@ test-loose-sync:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# The whole 4x4 MSI machine (16 busy MIPS cores, L1s, directory slices, one
-# controller, the routers between them) under the profilers: one
-# benchmark iteration is one simulated cycle after a 50 000-cycle warm-up.
-# Prints where the CPU time goes (cumulative) and what still allocates;
-# binary and profiles land in PROFILE_DIR, outside the repository.
-PROFILE_DIR ?= /tmp/hornet-profile-msi
-PROFILE_CYCLES ?= 1000000
-profile-msi:
+# Two whole machines under the profilers, one rule. profile-msi: the 4x4 MSI
+# machine (16 busy MIPS cores, L1s, directory slices, one controller, the
+# routers between them), one benchmark iteration = one simulated cycle after
+# a 50 000-cycle warm-up. profile-mesh: the 1000-core point — 32x32 mesh,
+# shuffle 0.02, past saturation, 2 engine workers — one iteration = one
+# simulated cycle of all 1024 tiles after a 1 000-cycle warm-up. Prints
+# where the CPU time goes (cumulative) and what still allocates; binary and
+# profiles land in PROFILE_DIR, outside the repository.
+PROFILE_DIR ?= /tmp/hornet-$@
+profile-msi: PROFILE_BENCH := BenchmarkMSIMachineCycle
+profile-msi: PROFILE_CYCLES ?= 1000000
+profile-mesh: PROFILE_BENCH := BenchmarkSaturatedMeshCycle
+profile-mesh: PROFILE_CYCLES ?= 15000
+profile-msi profile-mesh:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test ./internal/core -run '^$$' -bench BenchmarkMSIMachineCycle -benchtime $(PROFILE_CYCLES)x \
+	$(GO) test ./internal/core -run '^$$' -bench $(PROFILE_BENCH) -benchtime $(PROFILE_CYCLES)x \
 		-o $(PROFILE_DIR)/core.test -outputdir $(PROFILE_DIR) -cpuprofile cpu.prof
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu.prof
 	@# every allocation sampled: its own run, so the sampling is not in the CPU profile
-	$(PROFILE_DIR)/core.test -test.run '^$$' -test.bench BenchmarkMSIMachineCycle -test.benchtime $(PROFILE_CYCLES)x \
+	$(PROFILE_DIR)/core.test -test.run '^$$' -test.bench $(PROFILE_BENCH) -test.benchtime $(PROFILE_CYCLES)x \
 		-test.outputdir $(PROFILE_DIR) -test.memprofile mem.prof -test.memprofilerate 1
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/mem.prof
 

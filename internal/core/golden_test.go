@@ -93,13 +93,10 @@ func summaryDigest(t *testing.T, cfg config.Config, workers int) string {
 // with 1 engine worker and with 3, or re-record the table deliberately
 // with -update and say why.
 //
-// Bandwidth-adaptive links are pinned with 1 worker only: their arbiter
-// reads the far side's committed free space during the commit phase, so
-// with several workers it sees this cycle's or last cycle's value
-// depending on which tile committed first, and the statistics differ from
-// run to run (about half the bidirectional cases diverge on any given
-// run, before and after the single-pass router). Those 3-worker runs
-// still check flit conservation.
+// Bandwidth-adaptive links are held to the same rule: their arbiter is not
+// reproducible across engine workers (ROADMAP 1a), so New runs such a
+// machine on one worker whatever is requested, and the 3-worker request
+// must reproduce the digest like any other.
 func TestSummaryGolden(t *testing.T) {
 	path := filepath.Join("testdata", "summary_golden.json")
 	want := map[string]string{}
@@ -120,7 +117,7 @@ func TestSummaryGolden(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := summaryDigest(t, c.cfg, 1)
 			got[c.name] = d
-			if d3 := summaryDigest(t, c.cfg, 3); d3 != d && !c.cfg.Router.Bidirectional {
+			if d3 := summaryDigest(t, c.cfg, 3); d3 != d {
 				t.Errorf("3 workers diverged from 1 worker: %s vs %s", d3, d)
 			}
 			if !*updateGolden && d != want[c.name] {

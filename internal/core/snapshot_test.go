@@ -400,6 +400,63 @@ func TestSnapshotRoundTripDerivedRouterState(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTripParkedVCs snapshots an 8x8 mesh mid-saturation, with
+// dozens of VCs parked on credits. Who is parked is derived state — not in
+// the snapshot, and byte for byte the snapshot is the one the parent commit
+// wrote (TestSnapshotBytesGolden) — so a restored machine starts with every
+// resident VC awake, its first pass parks the blocked ones again, and the
+// continued run, on one to three workers, ends exactly as the uninterrupted
+// one.
+func TestSnapshotRoundTripParkedVCs(t *testing.T) {
+	cfg := config.Default()
+	cfg.Engine.Workers = 1
+	cfg.Engine.Seed = 0x9A4CED
+	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternShuffle, InjectionRate: 0.05}}
+	const at, total = 1500, 3000
+
+	ref := buildSynthetic(t, cfg)
+	ref.Run(at)
+	if n := parkedVCs(t, ref); n < 20 {
+		t.Fatalf("only %d VCs are parked at the snapshot: the machine is not saturated", n)
+	}
+	blob, err := ref.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(total - at)
+	want := ref.Summary()
+	wantFinal, err := ref.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for workers := 1; workers <= 3; workers++ {
+		resCfg := cfg
+		resCfg.Engine.Workers = workers
+		res := buildSynthetic(t, resCfg)
+		if err := res.RestoreBytes(blob); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if n := parkedVCs(t, res); n != 0 {
+			t.Fatalf("%d workers: %d VCs are parked before the restored machine has run a cycle", workers, n)
+		}
+		res.Run(1)
+		if n := parkedVCs(t, res); n == 0 {
+			t.Fatalf("%d workers: the first pass after the restore parked nothing", workers)
+		}
+		res.Run(total - at - 1)
+		if got := res.Summary(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%d workers: summaries diverged:\nuninterrupted: %+v\nrestored:      %+v", workers, want, got)
+		}
+		resFinal, err := res.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantFinal, resFinal) {
+			t.Fatalf("%d workers: final states differ", workers)
+		}
+	}
+}
+
 // TestSnapshotRoundTripAcrossWorkerCounts checks, for every frontend,
 // that a snapshot taken at one worker count restores into a system
 // running at another and still reproduces the uninterrupted execution

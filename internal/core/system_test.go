@@ -305,6 +305,84 @@ func TestLooseSyncConservesFlits(t *testing.T) {
 	}
 }
 
+// parkedVCs counts the ingress VCs asleep across the machine and fails the
+// test, naming router, VC and egress record, if one of them has no reason
+// to be: a wake was lost.
+func parkedVCs(t *testing.T, sys *System) (n int) {
+	t.Helper()
+	for _, tile := range sys.Tiles() {
+		parked, lost := tile.Router.Parked()
+		for _, l := range lost {
+			t.Errorf("cycle %d: lost wake: %s", sys.Clock(), l)
+		}
+		n += parked
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return n
+}
+
+// TestLooseSyncConservesFlitsDrainsPastSaturation is the no-lost-wake
+// check: an 8x8 mesh under shuffle traffic well past saturation, where most
+// occupied VCs are parked on a credit, stops injecting and must deliver
+// everything it holds. A VC left asleep after its credit came back would
+// hold its flits, and everything behind them, for ever; the test does not
+// wait for that but looks at every synchronization chunk's end for a VC
+// asleep with a credit available (Router.Parked names it). drainBound is
+// four times what the cycle-accurate machine needs for this backlog.
+func TestLooseSyncConservesFlitsDrainsPastSaturation(t *testing.T) {
+	const loaded, drainBound, chunk = 3_000, 10_000, 250
+	workerSet := []int{1, 3}
+	if testing.Short() {
+		workerSet = []int{3}
+	}
+	for _, workers := range workerSet {
+		for _, period := range []int{1, 5, 50} {
+			t.Run(fmt.Sprintf("workers-%d/sync-%d", workers, period), func(t *testing.T) {
+				cfg := config.Default()
+				cfg.Engine.Workers = workers
+				cfg.Engine.SyncPeriod = period
+				cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternShuffle, InjectionRate: 0.05}}
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.AttachSyntheticTraffic(); err != nil {
+					t.Fatal(err)
+				}
+				parked := 0
+				for sys.Clock() < loaded {
+					sys.Run(chunk)
+					parked += parkedVCs(t, sys)
+				}
+				if parked == 0 {
+					t.Fatal("no VC was parked at any chunk boundary: the machine is not past saturation")
+				}
+				sys.StopTraffic()
+				pending := func() (n int) {
+					for _, tile := range sys.Tiles() {
+						n += tile.Router.PendingPackets()
+					}
+					return n
+				}
+				for sys.InFlight() > 0 || pending() > 0 {
+					if sys.Clock() >= loaded+drainBound {
+						t.Fatalf("%d flits in flight and %d packets queued %d cycles after the last injection",
+							sys.InFlight(), pending(), drainBound)
+					}
+					sys.Run(chunk)
+					parkedVCs(t, sys)
+				}
+				sum := sys.Summary()
+				if sum.FlitsInjected == 0 || sum.FlitsInjected != sum.FlitsDelivered {
+					t.Fatalf("drained, but injected %d flits and delivered %d", sum.FlitsInjected, sum.FlitsDelivered)
+				}
+			})
+		}
+	}
+}
+
 // TestRouterSteadyStateAllocFree guards the zero-allocation router hot
 // path: once the routing-table lines and per-flow statistics records of a
 // fixed flow set exist, stepping every tile through a cycle allocates
@@ -358,4 +436,32 @@ func TestBuildAllocatesPerRouterNotPerVC(t *testing.T) {
 	if perRouter := allocs / routers; perRouter > 40 {
 		t.Fatalf("building a 32x32 system takes %.1f allocations per router, want <= 40", perRouter)
 	}
+}
+
+// BenchmarkSaturatedMeshCycle is the 1000-core point under the profiler
+// (`make profile-mesh`): the benchmark's mesh32-par machine — 32x32, shuffle
+// traffic at 0.02, past saturation, two engine workers — after a
+// 1 000-cycle warm-up. One b.N is one simulated cycle of all 1024 tiles; it
+// reports host time and buffer reads (flit moves) per tile-cycle.
+func BenchmarkSaturatedMeshCycle(b *testing.B) {
+	cfg := config.Default()
+	cfg.Topology.Width, cfg.Topology.Height = 32, 32
+	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternShuffle, InjectionRate: 0.02}}
+	cfg.Engine = config.EngineConfig{Workers: 2, SyncPeriod: 1, Seed: 1}
+	sys, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.AttachSyntheticTraffic(); err != nil {
+		b.Fatal(err)
+	}
+	sys.Run(1_000)
+	reads := sys.Summary().BufReads
+	b.ReportAllocs()
+	b.ResetTimer()
+	sys.Run(uint64(b.N))
+	b.StopTimer()
+	tileCycles := float64(b.N) * float64(cfg.Topology.Nodes())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tileCycles, "ns/tile-cycle")
+	b.ReportMetric(float64(sys.Summary().BufReads-reads)/tileCycles, "bufreads/tile-cycle")
 }

@@ -15,24 +15,32 @@
 // pointer to its downstream VC — is in the record's first line. The credit
 // that downstream VC has left is kept where it is read: a buffer's Commit
 // stores its committed pops into the producer's egress record
-// (egressVC.credit), not into its own header. Flits move slot to slot, one
+// (egressVC.credit, one cache line per downstream VC), not into its own
+// header. Flits move slot to slot, one
 // copy per hop.
 //
-// A router's work in a cycle is proportional to what is resident in it. Each
-// router has an occupancy mask, one bit per ingress VC, which the producer
-// of a buffer sets when it pushes into it and the router clears when it
-// pops its last flit (VCBuffer has the protocol). PhaseTransfer visits only
-// the records whose bits are set, enters the injection, VA and SA stages
-// only when they have input, and draws the egress permutation only when
-// there is something to arbitrate; otherwise it steps its generator past
-// the draws (sim.RNG.Skip — a permutation over n ports is exactly n-1
-// draws), so the stream position, and with it every digest and snapshot
-// byte, is what it was when every router drew every cycle. A router with
-// nothing resident and nothing to inject costs a load of its mask and that
-// skip, and has no negative edge.
+// A router's work in a cycle is proportional to what can make progress in
+// it. Each router has an occupancy mask, one bit per ingress VC, and visits
+// only the records whose bits are set. The producer of a buffer sets the bit
+// when it pushes into it; the router clears it when it pops the buffer's
+// last flit — and when it finds the VC's head flit ready to move but for a
+// credit: it then arms a waiter in that credit's cell and parks the VC, and
+// the downstream buffer's next credit publication sets the bit again
+// (VCBuffer has the protocol). So an empty VC costs nothing, a VC blocked on
+// credit costs one visit when it blocks and one when the credit returns, and
+// a flit in flight costs a visit per cycle only while something about it can
+// change. PhaseTransfer enters the injection, VA and SA stages only when they
+// have input, and draws the egress permutation only when there is something
+// to arbitrate; otherwise it steps its generator past the draws
+// (sim.RNG.Skip — a permutation over n ports is exactly n-1 draws), so the
+// stream position, and with it every digest and snapshot byte, is what it
+// was when every router visited every VC and drew every cycle. A router with
+// no bit set — nothing resident, or everything resident parked — and nothing
+// to inject costs a load of its mask and that skip, and has no negative
+// edge.
 //
-// None of this is serialized: a restore rebuilds the pointers and the mask
-// and re-reads the heads.
+// None of this is serialized: a restore rebuilds the pointers and the mask,
+// re-reads the heads, and its first pass parks what is blocked.
 package noc
 
 import "fmt"

@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"hornet/internal/sim"
+	"hornet/internal/stats"
 )
 
 func TestFlowIDRoundTrip(t *testing.T) {
@@ -302,6 +305,82 @@ func TestVCBufferConcurrentSPSC(t *testing.T) {
 						t.Errorf("after flit %d the occupancy bit of the empty buffer cannot be cleared", i)
 						return
 					}
+				}
+				b.Commit()
+				consumed.Store(i)
+			}
+		}()
+		wg.Wait()
+	})
+
+	// "park" hammers the other clear-then-look-again pair: the consumer is a
+	// router's VC whose downstream never has a credit, so whenever it has
+	// seen every resident flit it parks — clears its bit — while the producer
+	// pushes into that very window. At a quiescent point a resident flit the
+	// consumer has not seen under a clear bit is a lost wake: that flit would
+	// not be stamped on the cycle it arrived. The producer's publish stores
+	// the push count and then loads the mask; park clears the bit and then
+	// loads the push count: one of the two sees the other.
+	t.Run("park", func(t *testing.T) {
+		flits := uint64(1_000_000)
+		if testing.Short() {
+			flits = 100_000
+		}
+		r := NewRouter(RouterParams{
+			ID: 0, Table: lineTable{self: 0}, VCATable: allVCs{}, RNG: sim.NewRNG(1), Stats: stats.NewTile(),
+			InFlight: new(atomic.Int64), LocalVCs: 1, LocalBufFlits: 1,
+			Ports: []PortParams{{Neighbor: 1, VCs: 1, BufFlits: 4}},
+		})
+		st := &r.vcs[1]
+		st.ev = new(egressVC) // capacity 0: never a free slot
+		b := &st.buf
+		var produced, consumed atomic.Uint64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // producer
+			defer wg.Done()
+			for i := uint64(0); i < flits && !t.Failed(); {
+				burst := min(1+i%uint64(b.Capacity()), flits-i)
+				for k := uint64(0); k < burst; k++ {
+					fill(b.tailSlot(), i)
+					b.publish()
+					i++
+				}
+				produced.Store(i)
+				for consumed.Load() != i && !t.Failed() {
+					runtime.Gosched()
+				}
+			}
+		}()
+		go func() { // consumer
+			defer wg.Done()
+			occupied := func() bool { return b.occ.Load()>>b.bit&1 != 0 }
+			for i := uint64(0); consumed.Load() != flits && !t.Failed(); {
+				quiescent := produced.Load() != consumed.Load()
+				for occupied() {
+					st.sCount = uint32(b.Len()) // the pass has seen these
+					st.park()
+				}
+				if !quiescent {
+					runtime.Gosched()
+					continue
+				}
+				// The producer finished its burst before this round began.
+				if resident := uint32(b.Len()); resident != st.sCount {
+					t.Errorf("after flit %d the producer is idle and the VC is parked having seen %d of %d resident flits", i, st.sCount, resident)
+					return
+				}
+				if st.ev.credit.waiter.Load() != b {
+					t.Errorf("after flit %d the VC is parked but not the waiter on its egress record", i)
+					return
+				}
+				for ; st.sCount > 0; st.sCount-- {
+					if !intact(b.headSlot(), i) {
+						t.Errorf("flit %d arrived torn, stale or out of order", i)
+						return
+					}
+					b.advance()
+					i++
 				}
 				b.Commit()
 				consumed.Store(i)

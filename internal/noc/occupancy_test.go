@@ -3,31 +3,57 @@ package noc
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// checkMask asserts the occupancy mask's invariant at a quiescent point:
-// for every ingress VC of every router, bit i of the router's mask is set
-// exactly when vcs[i]'s buffer holds a flit, and the buffer is wired to
-// that bit.
-func checkMask(t *testing.T, when string, routers []*Router) {
+// checkMask asserts the occupancy mask's invariant at the boundary before
+// cycle next, with the machine quiescent and synchronized every cycle: every
+// ingress VC is wired to its bit, and the bit is clear exactly when the
+// buffer is empty or the VC is parked — and a parked VC is one only a
+// credit can move: VA done, head visible, every resident stamped, no free
+// slot downstream, and its buffer armed as the waiter on the egress record
+// whose credit it waits for. It returns how many VCs are parked.
+func checkMask(t *testing.T, when string, routers []*Router, next uint64) (parked int) {
 	t.Helper()
 	for _, r := range routers {
 		if want := (len(r.vcs) + 63) / 64; len(r.occ) != want {
 			t.Fatalf("%s: router %d has %d mask words for %d VCs, want %d", when, r.ID, len(r.occ), len(r.vcs), want)
 		}
 		for i := range r.vcs {
-			b := &r.vcs[i].buf
+			st := &r.vcs[i]
+			b := &st.buf
 			if b.occ != &r.occ[i/64] || int(b.bit) != i%64 {
 				t.Fatalf("%s: router %d vc %d is not wired to bit %d of mask word %d", when, r.ID, i, i%64, i/64)
 			}
 			set := r.occ[i/64].Load()>>(i%64)&1 != 0
-			if resident := b.Len(); set != (resident > 0) {
-				t.Fatalf("%s: router %d vc %d holds %d flits but its occupancy bit is %v", when, r.ID, i, resident, set)
+			resident := b.Len()
+			if set == (resident > 0) {
+				continue
+			}
+			if set {
+				t.Fatalf("%s: router %d vc %d is empty but its occupancy bit is set", when, r.ID, i)
+			}
+			parked++
+			switch ev := st.ev; {
+			case r.bidir:
+				t.Fatalf("%s: router %d vc %d is parked on a router with a bandwidth-adaptive link", when, r.ID, i)
+			case !st.vaDone || ev == nil || st.headPacket != st.pktID:
+				t.Fatalf("%s: router %d vc %d holds %d flits with its bit clear, but is not through VA (vaDone=%v ev=%v)", when, r.ID, i, resident, st.vaDone, ev != nil)
+			case st.headVis > next:
+				t.Fatalf("%s: router %d vc %d is parked with its head not visible before cycle %d", when, r.ID, i, st.headVis)
+			case int(st.sCount) != resident:
+				t.Fatalf("%s: router %d vc %d is parked with %d of %d residents stamped", when, r.ID, i, st.sCount, resident)
+			case ev.free() != 0:
+				t.Fatalf("%s: router %d vc %d is parked with %d free slots downstream (egress port %d vc %d): a lost wake", when, r.ID, i, ev.free(), st.egress, ev.vc)
+			case ev.credit.waiter.Load() != b:
+				t.Fatalf("%s: router %d vc %d is parked but is not the waiter on egress port %d vc %d", when, r.ID, i, st.egress, ev.vc)
 			}
 		}
 	}
+	return parked
 }
 
 // stepWorkers advances routers one cycle as an engine with that many
@@ -66,10 +92,11 @@ func rngStates(routers []*Router) []uint64 {
 	return out
 }
 
-// TestOccupancyMaskTracksBuffers checks the mask against the buffers at
-// every cycle boundary of a congested line and of a machine that is idle,
-// bursts and goes idle again, stepped by one worker and by three, with one
-// mask word per router and with two.
+// TestOccupancyMaskTracksBuffers checks the mask against the buffers and
+// the parked VCs at every cycle boundary of a congested line (where VCs
+// must park, and every one must wake: the line drains) and of a machine
+// that is idle, bursts and goes idle again, stepped by one worker and by
+// three, with one mask word per router and with two.
 func TestOccupancyMaskTracksBuffers(t *testing.T) {
 	burst := func(routers []*Router) {
 		for i := 0; i < 3; i++ {
@@ -89,13 +116,14 @@ func TestOccupancyMaskTracksBuffers(t *testing.T) {
 			if words := len(routers[1].occ); words != (3*vcs+63)/64 {
 				t.Fatalf("%s: middle router has %d mask words", name, words)
 			}
-			checkMask(t, name+" when built", routers)
+			checkMask(t, name+" when built", routers, 0)
 			cycle := uint64(0)
-			run := func(what string, cycles int) {
+			run := func(what string, cycles int) (parked int) {
 				for end := cycle + uint64(cycles); cycle < end; cycle++ {
 					stepWorkers(routers, workers, cycle)
-					checkMask(t, fmt.Sprintf("%s %s, after cycle %d", name, what, cycle), routers)
+					parked += checkMask(t, fmt.Sprintf("%s %s, after cycle %d", name, what, cycle), routers, cycle+1)
 				}
+				return parked
 			}
 			asleep := func(what string) {
 				t.Helper()
@@ -112,7 +140,9 @@ func TestOccupancyMaskTracksBuffers(t *testing.T) {
 			asleep("after the burst")
 			run("idle again", 40)
 			congest(routers)
-			run("congested", 400)
+			if parked := run("congested", 400); parked == 0 {
+				t.Fatalf("%s: no VC was ever parked at a cycle boundary of the congested run", name)
+			}
 			asleep("after the congestion drained")
 
 			got := &outcome{rng: rngStates(routers)}
@@ -131,24 +161,24 @@ func TestOccupancyMaskTracksBuffers(t *testing.T) {
 	}
 }
 
-// TestOccupancyMaskTracksBuffersAfterRestore: the mask is not in the
-// snapshot; VCBuffer.LoadState rebuilds each bit from what it restored,
-// whichever router loads first, and the restored flits are found through
-// it.
+// TestOccupancyMaskTracksBuffersAfterRestore: neither the mask nor who is
+// parked is in the snapshot. The snapshot is taken with VCs parked;
+// VCBuffer.LoadState sets the bit of every buffer it restored a flit into,
+// whichever router loads first, so nothing is parked after the restore, the
+// first pass parks what is blocked again, and every restored flit is found.
 func TestOccupancyMaskTracksBuffersAfterRestore(t *testing.T) {
+	const at = 46 // a boundary of this run at which the first router's injection VC is parked
 	routers, _ := pipeline(t, 4, 2, 3, VCADynamic)
 	congest(routers)
-	for c := uint64(0); c < 60; c++ {
+	for c := uint64(0); c < at; c++ {
 		step(routers, c)
 	}
-	resident := int64(0)
+	if checkMask(t, "at the snapshot", routers, at) == 0 {
+		t.Fatal("nothing parked at the snapshot: the restore checked nothing")
+	}
 	blobs := make([][]byte, len(routers))
 	for i, r := range routers {
-		blobs[i] = saveRouter(t, r, 60)
-		resident += r.ResidentFlits()
-	}
-	if resident == 0 {
-		t.Fatal("nothing resident at the snapshot: the restore checked nothing")
+		blobs[i] = saveRouter(t, r, at)
 	}
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
 		fresh, _ := pipeline(t, 4, 2, 3, VCADynamic)
@@ -159,10 +189,16 @@ func TestOccupancyMaskTracksBuffersAfterRestore(t *testing.T) {
 		for _, i := range order {
 			loadRouter(t, fresh[i], blobs[i])
 		}
-		checkMask(t, fmt.Sprintf("restored in order %v", order), fresh)
-		for c := uint64(60); c < 460; c++ {
+		if parked := checkMask(t, fmt.Sprintf("restored in order %v", order), fresh, at); parked != 0 {
+			t.Fatalf("restored in order %v: %d VCs are parked before any pass has run", order, parked)
+		}
+		parked := 0
+		for c := uint64(at); c < at+400; c++ {
 			step(fresh, c)
-			checkMask(t, fmt.Sprintf("restored in order %v, after cycle %d", order, c), fresh)
+			parked += checkMask(t, fmt.Sprintf("restored in order %v, after cycle %d", order, c), fresh, c+1)
+		}
+		if parked == 0 {
+			t.Fatalf("restored in order %v: the first pass parked nothing", order)
 		}
 		for _, r := range fresh {
 			if r.ResidentFlits() != 0 || r.PendingPackets() != 0 {
@@ -173,47 +209,216 @@ func TestOccupancyMaskTracksBuffersAfterRestore(t *testing.T) {
 }
 
 // TestOccupancyMaskTracksBuffersAfterShardApply splits a line between two
-// replicas as a sharded run does, with traffic from the first router only:
-// the second replica's span has nothing resident, nothing pending and is
-// skipping its cycles when ShardBoundary.Apply pushes the first boundary
-// flit into it. The push must set the occupancy bit (Apply goes through the
-// same publish as every other push), so that the flit moves on the next
-// cycle exactly as in the whole line: the mask matches the buffers at every
-// boundary, the in-span routers' counters and generator positions equal the
-// whole line's after every cycle, and both deliver the same packets.
+// replicas as a sharded run does and checks both doorbells across the cut,
+// which ShardBoundary.Apply rings through the same publish calls as
+// everything else. With traffic from the first router only, the second
+// replica's span has nothing resident, nothing pending and is skipping its
+// cycles when Apply pushes the first boundary flit into it: the push must
+// set the occupancy bit so that the flit moves on the next cycle. With the
+// last link contended, the producer at the cut parks VCs on credits that
+// only Apply's replayed pops return: the commit must wake them. Either way
+// the mask invariant holds at every boundary, the in-span routers' counters
+// and generator positions equal the whole line's after every cycle, and
+// both deliver the same packets.
 func TestOccupancyMaskTracksBuffersAfterShardApply(t *testing.T) {
 	const n, cut = 4, 2
-	offer := func(routers []*Router) {
-		for i := 0; i < 4; i++ {
-			routers[0].OfferPacket(Packet{Flow: MakeFlow(0, n-1, 0), Dst: n - 1, Flits: 6})
-		}
-	}
-	woken := false
-	wholeGot, splitGot := runSplitLine(t, n, cut, 300, offer, func(c uint64, whole []*Router, reps [2][]*Router) {
-		// The consumer of the boundary has never held a flit, so it slept
-		// through this cycle; now it holds one.
-		if consumer := reps[1][cut]; consumer.Stats().BufWrites == 0 && consumer.anyOccupied() {
-			woken = true
-		}
-		for s, lo := range []int{0, cut} {
-			checkMask(t, fmt.Sprintf("replica %d after the exchange of cycle %d", s, c), reps[s])
-			for i := lo; i < lo+n/2; i++ {
-				if a, b := *reps[s][i].Stats(), *whole[i].Stats(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("after cycle %d: router %d of replica %d counts %+v, the whole line's counts %+v", c, i, s, a, b)
-				}
-				if a, b := reps[s][i].rng.State(), whole[i].rng.State(); a != b {
-					t.Fatalf("after cycle %d: router %d of replica %d left its generator at %#x, the whole line's at %#x", c, i, s, a, b)
+	for _, tc := range []struct {
+		name    string
+		packets int
+		offer   func(routers []*Router)
+	}{
+		{"sleeping consumer", 4, func(routers []*Router) {
+			for i := 0; i < 4; i++ {
+				routers[0].OfferPacket(Packet{Flow: MakeFlow(0, n-1, 0), Dst: n - 1, Flits: 6})
+			}
+		}},
+		{"parked producer", 16, func(routers []*Router) {
+			for i := 0; i < 8; i++ {
+				routers[0].OfferPacket(Packet{Flow: MakeFlow(0, n-1, 0), Dst: n - 1, Flits: 6})
+				routers[cut].OfferPacket(Packet{Flow: MakeFlow(cut, n-1, 0), Dst: n - 1, Flits: 6})
+			}
+		}},
+	} {
+		woken, parkedAtCut := false, 0
+		wholeGot, splitGot := runSplitLine(t, n, cut, 400, tc.offer, func(c uint64, whole []*Router, reps [2][]*Router) {
+			// The consumer of the boundary has never held a flit, so it slept
+			// through this cycle; now it holds one.
+			if consumer := reps[1][cut]; consumer.Stats().BufWrites == 0 && consumer.anyOccupied() {
+				woken = true
+			}
+			parkedAtCut += checkMask(t, fmt.Sprintf("%s: the producer at the cut after the exchange of cycle %d", tc.name, c), reps[0][cut-1:cut], c+1)
+			for s, lo := range []int{0, cut} {
+				checkMask(t, fmt.Sprintf("%s: replica %d after the exchange of cycle %d", tc.name, s, c), reps[s], c+1)
+				for i := lo; i < lo+n/2; i++ {
+					if a, b := *reps[s][i].Stats(), *whole[i].Stats(); !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s, after cycle %d: router %d of replica %d counts %+v, the whole line's counts %+v", tc.name, c, i, s, a, b)
+					}
+					if a, b := reps[s][i].rng.State(), whole[i].rng.State(); a != b {
+						t.Fatalf("%s, after cycle %d: router %d of replica %d left its generator at %#x, the whole line's at %#x", tc.name, c, i, s, a, b)
+					}
 				}
 			}
+		})
+		if tc.name == "sleeping consumer" && !woken {
+			t.Fatal("no Apply reached the consumer while it had nothing resident: the test checked nothing")
 		}
-	})
-	if !woken {
-		t.Fatal("no Apply reached the consumer while it had nothing resident: the test checked nothing")
+		if tc.name == "parked producer" && parkedAtCut == 0 {
+			t.Fatal("the producer at the cut never parked a VC on a boundary credit: the test checked nothing")
+		}
+		if len(wholeGot) != tc.packets {
+			t.Fatalf("%s: the whole line delivered %d packets, want %d", tc.name, len(wholeGot), tc.packets)
+		}
+		if !reflect.DeepEqual(splitGot, wholeGot) {
+			t.Fatalf("%s: split run delivered %d packets, whole line %d, or different ones", tc.name, len(splitGot), len(wholeGot))
+		}
 	}
-	if len(wholeGot) != 4 {
-		t.Fatalf("the whole line delivered %d packets, want 4", len(wholeGot))
+}
+
+// TestParkedRouterIsIdle: a two-router line whose sink stops draining. The
+// source's two injection VCs fill, their packets hold both downstream VCs
+// and those fill too, so both are parked: the source holds four flits, its
+// mask is all zero, and every cycle is the idle one — the generator moves
+// by the skipped egress permutation and nothing else changes. One flit
+// drained downstream wakes exactly the VC that waited for that credit, on
+// the cycle after the commit; it moves one flit and parks again. The
+// schedule is fixed, so the delivered latencies are those the parent commit
+// (which visited both VCs every cycle) produces for it.
+func TestParkedRouterIsIdle(t *testing.T) {
+	routers, received := pipeline(t, 2, 3, 2, VCADynamic)
+	src, sink := routers[0], routers[1]
+	for class := uint8(0); class < 2; class++ { // with 3 VCs the two flows inject through different ones
+		src.OfferPacket(Packet{Flow: MakeFlow(0, 1, class), Dst: 1, Flits: 4})
 	}
-	if !reflect.DeepEqual(splitGot, wholeGot) {
-		t.Fatalf("split run delivered %d packets, whole line %d, or different ones", len(splitGot), len(wholeGot))
+	cycle := uint64(0)
+	run := func(until uint64, rs ...*Router) {
+		for ; cycle < until; cycle++ {
+			step(rs, cycle)
+			checkMask(t, fmt.Sprintf("after cycle %d", cycle), routers, cycle+1)
+		}
+	}
+	idle := func(when string) {
+		t.Helper()
+		if used, _ := src.LocalPort().InOccupancy(); used != 4 || src.PendingPackets() != 0 {
+			t.Fatalf("%s: the source holds %d flits and %d packets to inject, want 4 and 0", when, used, src.PendingPackets())
+		}
+		if src.anyOccupied() {
+			t.Fatalf("%s: the source's mask is %#x with every resident blocked on credit, want 0", when, src.occ[0].Load())
+		}
+		counts, rng := *src.Stats(), *src.rng
+		src.PhaseTransfer(cycle)
+		src.PhaseCommit(cycle)
+		rng.Skip(len(src.ports) - 1)
+		if *src.rng != rng || !reflect.DeepEqual(*src.Stats(), counts) || src.anyOccupied() {
+			t.Fatalf("%s: a cycle of the parked source was not the idle cycle", when)
+		}
+		cycle++
+	}
+
+	run(40, src) // the sink never runs: nothing drains
+	idle("stalled")
+
+	// The sink runs two cycles: RC, then one ejection, committed at the end of
+	// the second.
+	moved := src.Stats().XbarTransits
+	run(cycle+2, src, sink)
+	if got := sink.Stats().FlitsDelivered; got != 1 {
+		t.Fatalf("the sink drained %d flits in two cycles, want 1", got)
+	}
+	if src.Stats().XbarTransits != moved {
+		t.Fatal("the source moved a flit before the cycle after the commit")
+	}
+	woken := 0
+	for i := range src.vcs {
+		st := &src.vcs[i]
+		if set := src.occ[0].Load()>>i&1 != 0; set != (st.ev != nil && st.ev.free() == 1) {
+			t.Fatalf("after the commit: source vc %d has its bit set=%v, but %d free slots downstream", i, set, st.ev.free())
+		} else if set {
+			woken++
+		}
+	}
+	if woken != 1 {
+		t.Fatalf("one credit woke %d VCs, want 1", woken)
+	}
+	run(cycle+1, src)
+	if got := src.Stats().XbarTransits; got != moved+1 {
+		t.Fatalf("the source moved %d flits on the cycle after the commit, want 1", got-moved)
+	}
+	run(cycle+3, src)
+	if used, _ := src.LocalPort().InOccupancy(); used != 3 || src.anyOccupied() {
+		t.Fatalf("after its one flit the source holds %d flits with mask %#x, want 3 and 0", used, src.occ[0].Load())
+	}
+
+	run(200, src, sink)
+	var latencies []uint64
+	for _, p := range *received[1] {
+		latencies = append(latencies, p.Latency)
+	}
+	if want := []uint64{48, 46}; !reflect.DeepEqual(latencies, want) {
+		t.Fatalf("delivered latencies %v, at the parent commit %v", latencies, want)
+	}
+}
+
+// TestOccupancyMaskTracksBuffersFreeRunning looks for a lost wake where one
+// could happen: the four routers of a saturated line each run on a thread of
+// their own, both clock edges of a cycle back to back, held only to within
+// two cycles of their neighbours, so parks, pushes and credit publications
+// interleave freely (loose synchronization). At every meeting point no VC
+// may be asleep with a credit available or a flit it has not seen
+// (Router.Parked), and once the sources stop the line must drain.
+func TestOccupancyMaskTracksBuffersFreeRunning(t *testing.T) {
+	rounds := 100
+	if testing.Short() {
+		rounds = 20
+	}
+	const chunk, skew = 2000, 2
+	routers, received := pipeline(t, 4, 2, 3, VCADynamic)
+	last := NodeID(len(routers) - 1)
+	offered, parked := 0, 0
+	cycle := uint64(0)
+	done := make([]atomic.Uint64, len(routers)) // cycles each router has finished
+	for round := 0; round < rounds; round++ {
+		for _, r := range routers[:last] {
+			for r.PendingPackets() < chunk/2 { // two flits or more each: no source runs dry within a chunk
+				r.OfferPacket(Packet{Flow: MakeFlow(r.ID, last, 0), Dst: last, Flits: 2 + offered%5})
+				offered++
+			}
+		}
+		var wg sync.WaitGroup
+		for i, r := range routers {
+			wg.Add(1)
+			go func(i int, r *Router) {
+				defer wg.Done()
+				for c := cycle; c < cycle+chunk; c++ {
+					for _, j := range []int{i - 1, i + 1} {
+						for j >= 0 && j < len(routers) && done[j].Load()+skew < c {
+							runtime.Gosched()
+						}
+					}
+					r.PhaseTransfer(c)
+					r.PhaseCommit(c)
+					done[i].Store(c + 1)
+				}
+			}(i, r)
+		}
+		wg.Wait()
+		cycle += chunk
+		for _, r := range routers {
+			n, lost := r.Parked()
+			if len(lost) > 0 {
+				t.Fatalf("after cycle %d: %v", cycle-1, lost)
+			}
+			parked += n
+		}
+	}
+	if parked == 0 {
+		t.Fatal("no VC was asleep at any meeting point: the test checked nothing")
+	}
+	// What is left is at most chunk/2 packets of at most 6 flits queued at
+	// each of three sources, all leaving over one link at a flit a cycle.
+	for end := cycle + 3*chunk/2*6 + 1000; cycle < end && len(*received[last]) < offered; cycle++ {
+		step(routers, cycle)
+	}
+	if got := len(*received[last]); got != offered {
+		t.Fatalf("%d of %d packets delivered: the line did not drain", got, offered)
 	}
 }

@@ -22,24 +22,28 @@ type ReceiverFunc func(p Packet, cycle uint64)
 func (f ReceiverFunc) ReceivePacket(p Packet, cycle uint64) { f(p, cycle) }
 
 // egressVC is the producer-side bookkeeping for one downstream VC: the
-// wormhole allocation state, the cumulative push count, and the word the
+// wormhole allocation state, the cumulative push count, and the cell the
 // downstream buffer's Commit stores its committed pops into — their
 // difference is the deterministic credit view, read without leaving this
-// record. buf, capacity and vc are fixed when the egress is connected.
+// record — and rings when this router has parked the ingress VC holding the
+// allocation on it. buf, capacity and vc are fixed when the egress is
+// connected. The record is padded to a cache line so that its fields never
+// straddle two (TestVCStateLayout): a credit check reads one line.
 type egressVC struct {
 	pushes      uint64
-	credit      atomic.Uint64 // the downstream buffer's committed pops (VCBuffer.Commit)
-	allocPacket uint64        // packet currently allocated this VC; 0 = free
+	credit      creditCell // the downstream buffer's committed pops (VCBuffer.Commit) and who waits for them
+	allocPacket uint64     // packet currently allocated this VC; 0 = free
 	allocFlow   FlowID
 	lastFlow    FlowID // flow of the most recent flit pushed
 
 	buf      *VCBuffer // the downstream ingress buffer
 	capacity uint32    // its capacity
 	vc       uint32    // its index on the downstream port
+	_        [8]byte
 }
 
 // connect binds the record to downstream VC vc and takes over its credit
-// word (build time only).
+// cell (build time only).
 func (e *egressVC) connect(vc int, buf *VCBuffer) {
 	e.buf, e.capacity, e.vc = buf, uint32(buf.Capacity()), uint32(vc)
 	buf.attachCredit(&e.credit)
@@ -49,14 +53,14 @@ func (e *egressVC) connect(vc int, buf *VCBuffer) {
 // still holds flits, and of which flow (valid only under single-flow-
 // at-a-time disciplines such as EDVCA, which is when it is consulted).
 func (e *egressVC) resident() (FlowID, bool) {
-	if e.pushes == e.credit.Load() {
+	if e.pushes == e.credit.count.Load() {
 		return 0, false
 	}
 	return e.lastFlow, true
 }
 
 func (e *egressVC) free() int {
-	return int(e.capacity) - int(e.pushes-e.credit.Load())
+	return int(e.capacity) - int(e.pushes-e.credit.count.Load())
 }
 
 // headStale in vcState.headVis says the head-flit descriptor must be read
@@ -143,6 +147,7 @@ type Port struct {
 
 	Out      []*VCBuffer // neighbour's ingress VCs for flits to Neighbor (nil on local port)
 	outState []egressVC
+	freeVCs  int // outState records no packet holds (allocPacket == 0)
 
 	Link *Link
 	Side int // this router's side index on Link
@@ -179,11 +184,12 @@ type Router struct {
 	// cycle reads occ's one word, the injection queue's bounds, two flags
 	// and the port count, and steps rng.
 
-	// occ is the occupancy mask: bit i is set while vcs[i]'s buffer holds a
-	// flit (see VCBuffer for who sets and who clears it). It is how the
-	// router finds its occupied VCs, and the only way. The words — one for
-	// every 64 ingress VCs — sit on a cache line of their own, because the
-	// neighbours' threads write them.
+	// occ is the occupancy mask, the router's one doorbell: bit i is set
+	// while vcs[i]'s buffer holds a flit the router has a reason to look at —
+	// resident, and not parked on a credit (see VCBuffer for who rings and
+	// who clears). It is how the router finds the VCs to visit, and the only
+	// way. The words — one for every 64 ingress VCs — sit on a cache line of
+	// their own, because the neighbours' threads write them.
 	occ []atomic.Uint64
 	rng *sim.RNG
 	// Injection queue: pending[pendHead:]; the consumed prefix is reclaimed
@@ -404,6 +410,7 @@ func (r *Router) ConnectEgress(neighbor NodeID, downstream []*VCBuffer, link *Li
 	for vi, buf := range downstream {
 		p.outState[vi].connect(vi, buf)
 	}
+	p.freeVCs = len(downstream)
 	p.Link = link
 	p.Side = side
 	if link != nil && link.Bidirectional {
@@ -472,18 +479,20 @@ func (r *Router) NextEvent(now uint64) uint64 {
 
 // PhaseTransfer runs the positive clock edge: arrival stamping, route
 // computation, injection streaming, VC allocation, switch arbitration and
-// traversal. Its work is proportional to what is resident: one pass visits
-// the occupied ingress VCs, which the occupancy mask names, and sorts them
-// by what they may do this cycle; every later stage is entered only if the
-// pass (or the injection queue) left it something. A router with no
-// resident flit, nothing to inject and no bandwidth-adaptive link does
-// none of it: it loads its mask, steps its generator past the egress
-// permutation it would have drawn, and returns.
+// traversal. Its work is proportional to what can make progress: one pass
+// visits the ingress VCs the occupancy mask names — occupied, and not parked
+// on a credit — and sorts them by what they may do this cycle; every later
+// stage is entered only if the pass (or the injection queue) left it
+// something. A router with no bit set, nothing to inject and no
+// bandwidth-adaptive link — empty, or with every resident flit waiting for a
+// credit — does none of it: it loads its mask, steps its generator past the
+// egress permutation it would have drawn, and returns.
 //
 // A flit a neighbour pushes while or after the mask is read is noticed a
 // cycle later, which changes nothing: it is not visible before the next
 // cycle (VisibleAt = push cycle + 1) and its arrival counts from
-// max(stamp, VisibleAt).
+// max(stamp, VisibleAt). A credit is published on the negative edge; one
+// seen late under loose synchronization is the lag the credit rule allows.
 func (r *Router) PhaseTransfer(cycle uint64) {
 	injecting := r.streaming || r.pendHead != len(r.pending)
 	if !injecting && !r.bidir && !r.anyOccupied() {
@@ -509,7 +518,7 @@ func (r *Router) PhaseTransfer(cycle uint64) {
 	}
 }
 
-// anyOccupied reports whether any ingress VC holds a flit.
+// anyOccupied reports whether any ingress VC's occupancy bit is set.
 func (r *Router) anyOccupied() bool {
 	for w := range r.occ {
 		if r.occ[w].Load() != 0 {
@@ -558,13 +567,14 @@ func (r *Router) commit(cycle uint64) {
 	}
 }
 
-// scanIngress is the one visit each occupied ingress VC gets per cycle:
-// it walks the set bits of the occupancy mask in ascending order, which is
+// scanIngress is the one visit an ingress VC with its occupancy bit set gets
+// per cycle: it walks the set bits of the mask in ascending order, which is
 // the records' order. For each it loads the occupancy once, stamps
 // arrivals, and for a VC whose head flit is visible either runs its RC
 // stage on the spot (in VC order, as the random draws of route selection
-// require) or files it: waiting for a VC into vaScratch, switch-eligible
-// into its egress port's saBuckets entry.
+// require), files it — waiting for a VC into vaScratch, switch-eligible
+// into its egress port's saBuckets entry — or, if all it lacks is a credit,
+// parks it.
 //
 // Deciding switch eligibility here, before this cycle's RC and VA, is
 // sound because a VC routed or allocated this cycle is not eligible until
@@ -573,10 +583,12 @@ func (r *Router) commit(cycle uint64) {
 // permutation, the egress permutation and the per-egress permutations
 // draw in the order every pinned digest depends on.
 //
-// What a blocked VC costs is the point: its state, the cached descriptor
-// of its head flit and the pointer to its downstream VC's credit are in
-// the first line of its record, so "still blocked" is decided from that
-// line and one line of egress state, without touching the flit.
+// What a blocked VC costs is the point. Blocked on credit, it costs one
+// visit — decided from the first line of its record and the one line of its
+// egress record, without touching the flit — and then nothing until the
+// credit returns or a flit arrives behind its head (park). A VC whose head
+// is still on the link, or that waits for a downstream VC, is visited every
+// cycle: the clock wakes the first, the second reroutes after rerouteAfter.
 func (r *Router) scanIngress(cycle uint64) {
 	r.vaScratch = r.vaScratch[:0]
 	if r.bidir {
@@ -618,9 +630,13 @@ func (r *Router) scanIngress(cycle uint64) {
 			if st.vaDone {
 				// headPacket != pktID: next packet already at head; its own RC
 				// will run.
-				if st.vaAt < cycle && st.headPacket == st.pktID && (st.ev == nil || st.ev.free() >= 1) {
-					r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
-					r.saFilled = true
+				if st.vaAt < cycle && st.headPacket == st.pktID {
+					if st.ev == nil || st.ev.free() >= 1 {
+						r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
+						r.saFilled = true
+					} else if !r.bidir {
+						st.park() // only a credit can move it: no visit until then
+					}
 				}
 				continue
 			}
@@ -641,6 +657,51 @@ func (r *Router) scanIngress(cycle uint64) {
 			}
 		}
 	}
+}
+
+// park puts to sleep a VC whose head flit the pass found ready to move but
+// for a credit (VA done, head visible, every resident stamped, no free slot
+// downstream): it arms the egress record's waiter, clears the VC's
+// occupancy bit, and then looks once more at the two things that end the
+// wait — the credit, and a flit arriving behind the head, which must be
+// stamped at the cycle it arrives — setting the bit back if either moved
+// meanwhile (VCBuffer has the argument why neither can be missed). A VC in
+// this state is filed nowhere and draws nothing, so the pass that follows
+// its wake finds it exactly as if it had visited it every cycle in between.
+// Routers with a bandwidth-adaptive link never park: their demand report
+// needs every occupied VC every cycle.
+func (st *vcState) park() {
+	b := &st.buf
+	st.ev.credit.waiter.Store(b)
+	m := uint64(1) << b.bit
+	b.occ.And(^m)
+	if st.ev.free() >= 1 || uint32(b.Len()) != st.sCount {
+		b.occ.Or(m)
+	}
+}
+
+// Parked counts the ingress VCs that are asleep — flits resident, occupancy
+// bit clear — and describes each one that nothing keeps asleep (a credit is
+// there, or a resident the pass has not seen): a lost wake. For tests and
+// diagnostics, at a synchronization point.
+func (r *Router) Parked() (n int, lost []string) {
+	for i := range r.vcs {
+		st := &r.vcs[i]
+		resident := st.buf.Len()
+		if resident == 0 || st.buf.occ.Load()>>st.buf.bit&1 != 0 {
+			continue
+		}
+		n++
+		free := -1 // no downstream VC: nothing to wait for
+		if st.ev != nil {
+			free = st.ev.free()
+		}
+		if free != 0 || uint32(resident) != st.sCount {
+			lost = append(lost, fmt.Sprintf("router %d ingress vc %d (port %d) is asleep with %d flits, %d of them seen, and %d free slots in egress port %d vc %d",
+				r.ID, i, st.port, resident, st.sCount, free, st.egress, st.outVC()))
+		}
+	}
+	return n, lost
 }
 
 // stampArrivals records the local cycle for flits that appeared in the
@@ -835,7 +896,8 @@ func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
 
 // allocateVC runs the VA stage for one ingress VC's head packet.
 func (r *Router) allocateVC(st *vcState, cycle uint64) {
-	out := r.ports[st.egress].outState
+	port := r.ports[st.egress]
+	out := port.outState
 	if out == nil {
 		// Local ejection: nothing to allocate (handled in computeRoute,
 		// but a route may eject via a port with no egress side).
@@ -843,8 +905,11 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 		st.vaAt = cycle
 		return
 	}
-	cands := r.vcaTable.Candidates(r.prevOf(st), st.flow, st.next, st.nextFlow, len(out))
 	r.st.ArbEvents++
+	if port.freeVCs == 0 {
+		return // every mode passes over allocated VCs before it draws
+	}
+	cands := r.vcaTable.Candidates(r.prevOf(st), st.flow, st.next, st.nextFlow, len(out))
 	var chosen = -1
 	switch r.vcaMode {
 	case VCAEDVCA:
@@ -910,6 +975,7 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 	st.ev = &out[chosen]
 	st.ev.allocPacket = st.pktID
 	st.ev.allocFlow = st.nextFlow
+	port.freeVCs--
 }
 
 // arbitrateAndTraverse runs SA and ST: for each egress port, in
@@ -1009,6 +1075,7 @@ func (r *Router) traverse(st *vcState, cycle uint64) {
 		r.st.LinkTransits++
 		if tail {
 			ev.allocPacket = 0
+			r.ports[st.egress].freeVCs++
 		}
 	}
 	st.buf.advance()

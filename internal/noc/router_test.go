@@ -274,11 +274,19 @@ func BenchmarkRouterIdleCycle(b *testing.B) {
 // TestVCStateLayout is the layout guard for the ingress VC record: at most
 // two cache lines, with everything that decides what an occupied VC may
 // do — the cached head descriptor, the allocation state and the buffer's
-// two counters — in the first.
+// two counters — in the first; for the buffer header inside it; and for the
+// egress record, which a credit check reads and the downstream router's
+// thread writes: one cache line, never two.
 func TestVCStateLayout(t *testing.T) {
 	var st vcState
 	if size := unsafe.Sizeof(st); size > 128 {
 		t.Fatalf("vcState is %d bytes, want <= 128", size)
+	}
+	if size := unsafe.Sizeof(st.buf); size != 56 {
+		t.Fatalf("the VC buffer header is %d bytes, want 56", size)
+	}
+	if size := unsafe.Sizeof(egressVC{}); size != 64 {
+		t.Fatalf("egressVC is %d bytes, want one 64-byte cache line", size)
 	}
 	if end := unsafe.Offsetof(st.buf) + unsafe.Offsetof(st.buf.pops) + unsafe.Sizeof(st.buf.pops); end > 64 {
 		t.Fatalf("the buffer's push and pop counters end at byte %d of the record, want them within its first 64", end)
@@ -310,6 +318,17 @@ func TestVCStateLayout(t *testing.T) {
 			}
 		}
 		for _, r := range routers {
+			for pi, p := range r.ports {
+				for vi := range p.outState {
+					// The allocator starts a port's records on a line, or — behind
+					// its header word, when they take more than 512 bytes — 8 bytes
+					// into one, which the record's trailing pad absorbs.
+					ev := &p.outState[vi]
+					if first, last := unsafe.Pointer(ev), unsafe.Add(unsafe.Pointer(&ev.vc), unsafe.Sizeof(ev.vc)-1); line(first) != line(last) {
+						t.Errorf("router %d port %d: the fields of egress record %d straddle two cache lines (it starts at byte %d of one)", r.ID, pi, vi, uintptr(first)%64)
+					}
+				}
+			}
 			private := map[string]unsafe.Pointer{
 				"the router's occ field": unsafe.Pointer(&r.occ), "the router's vcs field": unsafe.Pointer(&r.vcs),
 				"the router's rng field": unsafe.Pointer(&r.rng), "the router's generator": unsafe.Pointer(r.rng),
@@ -344,7 +363,7 @@ func checkCredits(t *testing.T, when string, routers []*Router) {
 		if ev.buf != down || down.credit != &ev.credit {
 			t.Fatalf("%s: router %d %s: egress record and downstream buffer are not wired to each other", when, r.ID, what)
 		}
-		if got, want := ev.credit.Load(), down.pops.Load(); got != want || down.CommittedPops() != want {
+		if got, want := ev.credit.count.Load(), down.pops.Load(); got != want || down.CommittedPops() != want {
 			t.Fatalf("%s: router %d %s: producer-side credit %d, CommittedPops %d, consumer popped %d",
 				when, r.ID, what, got, down.CommittedPops(), want)
 		}
@@ -418,7 +437,7 @@ func TestCreditKeptAtProducer(t *testing.T) {
 	for _, r := range routers {
 		for _, p := range r.Ports() {
 			for vi := range p.outState {
-				moved += p.outState[vi].credit.Load()
+				moved += p.outState[vi].credit.count.Load()
 			}
 		}
 	}
@@ -439,7 +458,7 @@ func TestCreditKeptAtProducer(t *testing.T) {
 		for i, r := range fresh {
 			for pi, p := range r.Ports() {
 				for vi := range p.outState {
-					if got, want := p.outState[vi].credit.Load(), routers[i].Ports()[pi].outState[vi].credit.Load(); got != want {
+					if got, want := p.outState[vi].credit.count.Load(), routers[i].Ports()[pi].outState[vi].credit.count.Load(); got != want {
 						t.Fatalf("restored in order %v: router %d port %d vc %d: credit %d, the saved run had %d", order, i, pi, vi, got, want)
 					}
 				}
@@ -525,9 +544,9 @@ func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
 		for vi := range reps[0][cut-1].Ports()[eg].outState {
 			ev := &reps[0][cut-1].Ports()[eg].outState[vi]
 			consumer := reps[1][cut].Ports()[in].In[vi]
-			if ev.credit.Load() != consumer.CommittedPops() {
+			if ev.credit.count.Load() != consumer.CommittedPops() {
 				t.Fatalf("cycle %d vc %d: producer-side credit %d, remote consumer committed %d",
-					c, vi, ev.credit.Load(), consumer.CommittedPops())
+					c, vi, ev.credit.count.Load(), consumer.CommittedPops())
 			}
 		}
 	})
@@ -599,11 +618,15 @@ func (spreadTable) Lookup(prev NodeID, flow FlowID) []RouteEntry {
 	return []RouteEntry{{Next: flow.Dst(), NextFlow: flow, Weight: 1}}
 }
 
-// BenchmarkRouterBlockedCycle steps the saturated-mesh case: 20 occupied
-// ingress VCs, none of which may move, so nothing is filed for arbitration
-// and the egress permutation is skipped.
-func BenchmarkRouterBlockedCycle(b *testing.B) {
+// BenchmarkRouterCreditBlocked steps the saturated-mesh case: 20 occupied
+// ingress VCs, none of which may move for want of a credit. All of them are
+// parked, so the cycle is the idle one (BenchmarkRouterIdleCycle): a load of
+// the mask and the skip over the egress permutation.
+func BenchmarkRouterCreditBlocked(b *testing.B) {
 	r := blockedRouter(b)
+	if r.anyOccupied() {
+		b.Fatalf("a fully credit-blocked router has mask %#x, want every VC parked", r.occ[0].Load())
+	}
 	moved := r.Stats().XbarTransits
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -230,11 +230,15 @@ func (sb *ShardBoundary) Apply(blob []byte) error {
 		if !ok {
 			return fmt.Errorf("noc: boundary pops for unknown channel %d->%d vc %d", src, dst, vc)
 		}
-		if pops := out.buf.pops.Load(); pops > cum {
+		pops := out.buf.pops.Load()
+		if pops > cum {
 			return fmt.Errorf("noc: boundary pops went backwards on channel %d->%d vc %d (%d > %d)",
 				src, dst, vc, pops, cum)
 		}
-		for out.buf.pops.Load() < cum {
+		if pops == cum {
+			continue // no credit to return: a VC parked on this one sleeps on
+		}
+		for ; pops < cum; pops++ {
 			if out.buf.Len() == 0 {
 				return fmt.Errorf("noc: boundary pops overrun on channel %d->%d vc %d", src, dst, vc)
 			}

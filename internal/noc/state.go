@@ -184,9 +184,11 @@ func saveEgressVC(w *snapshot.Writer, e *egressVC) {
 	w.Uint32(uint32(e.lastFlow))
 }
 
-// loadEgressVC restores the serialized fields only: the credit word is
+// loadEgressVC restores the serialized fields only: the credit count is
 // the downstream buffer's to restore (VCBuffer.LoadState commits into it,
-// whichever of the two routers loads first).
+// whichever of the two routers loads first), and the waiter beside it is
+// derived — nothing is parked after a restore, and the first pass parks
+// what is blocked.
 func loadEgressVC(r *snapshot.Reader, e *egressVC) {
 	e.pushes = r.Uint64()
 	e.allocPacket = r.Uint64()
@@ -438,8 +440,12 @@ func (r *Router) LoadState(rd *snapshot.Reader) error {
 			return &snapshot.MismatchError{Field: "egress VCs",
 				Got: fmt.Sprint(outs), Want: fmt.Sprint(len(p.outState))}
 		}
+		p.freeVCs = 0
 		for i := range p.outState {
 			loadEgressVC(rd, &p.outState[i])
+			if p.outState[i].allocPacket == 0 {
+				p.freeVCs++
+			}
 		}
 	}
 

@@ -31,35 +31,60 @@ import (
 // not observable until the next cycle) and safe — never overflowing — under
 // loose synchronization, where the committed count may simply lag.
 //
-// The committed count is kept at its reader: Commit stores it into a word
+// The committed count is kept at its reader: Commit stores it into a cell
 // inside the producer's egress bookkeeping (egressVC.credit, wired when
 // the producer connects), so a router checking credit touches its own
-// egress state — one line per egress port — instead of one remote buffer
-// header per downstream VC. The word is the only copy; CommittedPops,
-// restore and the shard exchange all go through it.
+// egress state — one line per downstream VC — instead of a remote buffer
+// header. The cell's count is the only copy; CommittedPops, restore and the
+// shard exchange all go through it, and every write of it through
+// commit.publish.
 //
 // Occupancy: every buffer owns one bit of an occupancy mask — for a
 // router's buffer, bit i of the router's mask for the i-th ingress VC — and
-// the bit is set whenever the buffer holds a flit, which is how the owning
-// router finds its occupied VCs without visiting the empty ones. The
-// producer sets it, in publish, the one place every push goes through
-// (traversal, injection, Push): it loads the word first and does the atomic
-// Or only if the bit is clear, so a packet streaming into a non-empty
-// buffer pays no read-modify-write. The consumer clears it when a pop
-// leaves the buffer empty (deriveOccupancy): And, then look at Len once
-// more and set the bit again if a flit is there. That second look is what
-// makes the pair safe without a lock — the producer stores its push count
-// and then loads the mask, the consumer clears the mask and then loads the
-// push count, and with sequentially consistent atomics at least one of them
-// sees the other's write — so a resident flit is never left with its bit
-// clear.
-// The reverse can happen: a producer's Or may land after the consumer has
-// already popped the flit it announces (under loose synchronization the
-// consumer can run that far ahead), leaving a set bit over an empty
-// buffer. That costs the consumer one look, which clears it; under
-// cycle-accurate synchronization the bit equals "Len() > 0" at every cycle
-// boundary. LoadState derives the bit from what it restored. The mask is
-// derived state and is never serialized.
+// the bit is set while the buffer holds a flit its owner has a reason to
+// look at, which is how the owning router finds the VCs worth a visit
+// without touching the others. The bit is the buffer's doorbell. Two parties
+// ring it:
+//
+//   - the producer, in publish, the one place every push goes through
+//     (traversal, injection, Push): it loads the word first and does the
+//     atomic Or only if the bit is clear, so a packet streaming into a
+//     buffer that is being visited pays no read-modify-write;
+//   - the buffer downstream of this one's router, in commit.publish, the one
+//     place every credit is written: after storing the count it takes the
+//     waiter armed in the credit cell, if any, and sets that buffer's bit.
+//
+// Only the owner clears it, in two situations, each time followed by a
+// second look at what the clearing could have raced with:
+//
+//   - a pop leaves the buffer empty (deriveOccupancy): And, then load Len
+//     and set the bit again if a flit is there. The producer stores its push
+//     count and then loads the mask; the owner clears the mask and then
+//     loads the push count. With sequentially consistent atomics at least
+//     one of them sees the other's write, so a resident flit is never left
+//     with its bit clear.
+//   - the router parks the VC (vcState.park): the head flit could move but
+//     for a credit, so no visit is of any use until the credit comes or
+//     another flit arrives behind the head (which must be stamped with the
+//     cycle it arrived in). The owner arms itself as waiter in the credit
+//     cell, clears the bit, then loads the credit count and Len again and
+//     sets the bit back if either moved. Against the producer this is the
+//     pair above. Against the downstream buffer: that side stores the count
+//     and then loads the waiter, this side stores the waiter and then
+//     (after the And) loads the count — one of them sees the other, so
+//     either the owner notices the credit itself or the downstream rings;
+//     and if its Or lands before the And, the owner's load of the count,
+//     later still, sees the credit.
+//
+// Both ringers can ring for nothing — a producer's Or may land after the
+// owner has already popped the flit it announces (under loose
+// synchronization the owner can run that far ahead), a waiter left armed by
+// a park that backed out is rung by the next credit — which costs the owner
+// one look. Under cycle-accurate synchronization the bit is, at every cycle
+// boundary, clear exactly when the buffer is empty or its VC is parked.
+// The mask and who is parked are derived state, never serialized: LoadState
+// sets the bit of a buffer it restored flits into, and the first pass
+// parks what is blocked.
 //
 // A router's buffers are headers inside its ingress VC records and share
 // one flit slab (NewRouter); NewVCBuffer builds a free-standing one. The
@@ -73,7 +98,7 @@ type VCBuffer struct {
 	pops   atomic.Uint64 // cumulative pops, stored after the slot read
 
 	ring   *Flit          // the first of n slots; see slots
-	credit *atomic.Uint64 // committed pops, held by the producer; see creditWord
+	credit *creditCell    // committed pops, held by the producer; see cell
 	occ    *atomic.Uint64 // the occupancy mask word holding this buffer's bit
 
 	n    uint32 // capacity
@@ -88,7 +113,7 @@ func NewVCBuffer(capacity int) *VCBuffer {
 	if capacity < 1 {
 		panic("noc: VC buffer capacity must be >= 1")
 	}
-	b := &VCBuffer{credit: new(atomic.Uint64), occ: new(atomic.Uint64)}
+	b := &VCBuffer{credit: new(creditCell), occ: new(atomic.Uint64)}
 	b.setSlots(make([]Flit, capacity))
 	return b
 }
@@ -136,7 +161,8 @@ func (b *VCBuffer) tailSlot() *Flit {
 }
 
 // publish makes the flit written into tailSlot visible to the consumer
-// and marks the buffer occupied.
+// and rings the buffer's doorbell: the bit is clear when the buffer was
+// empty and when its VC is parked.
 func (b *VCBuffer) publish() {
 	b.tail = b.wrap(b.tail + 1)
 	b.pushes.Store(b.pushes.Load() + 1)
@@ -211,45 +237,64 @@ func (b *VCBuffer) Pop() Flit {
 	return f
 }
 
-// creditWord returns the word holding the committed pop count. A router's
-// buffer whose producer never connected (a lone router in a unit test)
-// keeps the count in a word of its own, made on first use.
-func (b *VCBuffer) creditWord() *atomic.Uint64 {
+// creditCell is what a buffer's consumer writes for its producer, inside
+// the producer's egress record: the committed pop count and, while the
+// producer has an ingress VC parked on this credit, that VC's buffer.
+type creditCell struct {
+	count  atomic.Uint64
+	waiter atomic.Pointer[VCBuffer]
+}
+
+// cell returns the buffer's credit cell. A router's buffer whose producer
+// never connected (a lone router in a unit test) keeps the count in a cell
+// of its own, made on first use.
+func (b *VCBuffer) cell() *creditCell {
 	if b.credit == nil {
-		b.credit = new(atomic.Uint64)
+		b.credit = new(creditCell)
 	}
 	return b.credit
 }
 
-// attachCredit moves the committed count into w, a word the producer
+// attachCredit moves the committed count into c, a cell the producer
 // reads (build time only).
-func (b *VCBuffer) attachCredit(w *atomic.Uint64) {
+func (b *VCBuffer) attachCredit(c *creditCell) {
 	if b.credit != nil {
-		w.Store(b.credit.Load())
+		c.count.Store(b.credit.count.Load())
 	}
-	b.credit = w
+	b.credit = c
 }
 
 // CommittedPops returns the consumer's committed cumulative pop count.
-func (b *VCBuffer) CommittedPops() uint64 { return b.creditWord().Load() }
+func (b *VCBuffer) CommittedPops() uint64 { return b.cell().count.Load() }
 
 // Commit publishes the consumer's pops (negative clock edge). Only the
 // owning tile calls this, at most once per simulated cycle.
 func (b *VCBuffer) Commit() { b.commitOf().publish() }
 
 // commit is a Commit taken at one time and published at another: the
-// word to store into and the pop count to store. A router takes it when
+// cell to store into and the pop count to store. A router takes it when
 // it pops (it pops a buffer at most once per cycle, so the count is what
 // the buffer will hold at the negative edge) and publishes it there
 // without having to touch the buffer again.
 type commit struct {
-	word *atomic.Uint64
+	cell *creditCell
 	pops uint64
 }
 
-func (b *VCBuffer) commitOf() commit { return commit{b.creditWord(), b.pops.Load()} }
+func (b *VCBuffer) commitOf() commit { return commit{b.cell(), b.pops.Load()} }
 
-func (c commit) publish() { c.word.Store(c.pops) }
+// publish is the one place a credit is written — the negative edge,
+// Commit, the shard boundary's replayed pops and LoadState all come here —
+// and so the one place a VC parked on that credit is woken: store the
+// count, then take the waiter, if one is armed, and set its occupancy bit.
+func (c commit) publish() {
+	c.cell.count.Store(c.pops)
+	if c.cell.waiter.Load() != nil {
+		if w := c.cell.waiter.Swap(nil); w != nil {
+			w.occ.Or(1 << w.bit)
+		}
+	}
+}
 
 // flitAt returns the i-th resident flit counted from the head (consumer
 // side). Only used at quiescent points (checkpointing, tests), never

@@ -457,14 +457,6 @@ func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
 	m := &machine{cfg: spec.cfg}
 	m.cfg.Engine.Workers = workers
 	m.cfg.Engine.Seed = seed
-	if m.cfg.Router.Bidirectional {
-		// Bidirectional links are not reproducible across engine workers
-		// (ROADMAP 1a: the link arbiter reads the far side's free space
-		// mid-commit), and this driver's documents enter a content-
-		// addressed cache, where a hash hit must mean "these exact bytes".
-		// Until 1a lands such a machine runs on one worker.
-		m.cfg.Engine.Workers = 1
-	}
 	w := spec.mips
 	if w == nil {
 		// The system configuration must be identical for every run that

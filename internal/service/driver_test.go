@@ -155,8 +155,9 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 
 // TestBidirectionalRunsOnOneEngineWorker: a machine with bidirectional
 // links is not reproducible across engine workers (ROADMAP 1a), and the
-// driver's documents are cached by content address, so the driver pins
-// such a machine to one engine worker whatever the budget grants.
+// driver's documents are cached by content address, so such a machine runs
+// on one engine worker whatever the budget grants (core.New pins it, for
+// every caller).
 func TestBidirectionalRunsOnOneEngineWorker(t *testing.T) {
 	cfg := config.Default()
 	cfg.Topology.Width, cfg.Topology.Height = 4, 4
