@@ -12,6 +12,7 @@ import (
 
 	scen "hornet/internal/scenario"
 	"hornet/internal/service"
+	"hornet/internal/service/backend"
 	"hornet/internal/sweep"
 )
 
@@ -55,9 +56,9 @@ func runScenario(arg string, validate bool, seed uint64, parallel int, ckptDir s
 		opts.Warmups = sweep.NewSnapshotCache(ckptDir)
 	}
 	if !quiet {
-		opts.OnProgress = func(done, total int, key string) {
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s\n", done, total, key)
-		}
+		// Progress lines only: the run stays unprobed and samples no
+		// telemetry.
+		opts.Sink, opts.TelemetryEvery = progressPrinter{}, -1
 	}
 	res, err := service.Execute(ctx, req, opts)
 	if errors.Is(err, context.Canceled) {
@@ -72,6 +73,13 @@ func runScenario(arg string, validate bool, seed uint64, parallel int, ckptDir s
 		return fail("%d run(s) recorded errors in the document", res.RunErrs)
 	}
 	return 0
+}
+
+// progressPrinter reports each finished run on stderr.
+type progressPrinter struct{ backend.Discard }
+
+func (progressPrinter) Progress(done, total int, key string) {
+	fmt.Fprintf(os.Stderr, "  [%d/%d] %s\n", done, total, key)
 }
 
 // loadScenario resolves -scenario's argument: a file path, preset:NAME,

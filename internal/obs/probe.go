@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,8 @@ import (
 // executions aggregate naturally; Snapshot renders a consistent-enough
 // view for live reporting (fields are individually atomic).
 type SimProbe struct {
+	id uint64
+
 	runs    atomic.Uint64
 	cycles  atomic.Uint64
 	skipped atomic.Uint64
@@ -53,8 +56,10 @@ func (p *PartitionProbe) AddBarrier(d time.Duration, parked bool) {
 	}
 }
 
-// NewSimProbe returns an empty probe.
-func NewSimProbe() *SimProbe { return &SimProbe{} }
+// NewSimProbe returns an empty probe with a random ID of 53 bits (exact in
+// any JSON number reader), so the snapshots of two executions — in one
+// process or in two — never pass for one probe's.
+func NewSimProbe() *SimProbe { return &SimProbe{id: rand.Uint64N(1 << 53)} }
 
 // Partition returns the accumulator for engine worker w of n, owning
 // tiles [lo,hi). Called once per worker per Run (not per cycle); the
@@ -87,6 +92,8 @@ func (p *SimProbe) ShardSync(d time.Duration) {
 // ProbeSnapshot is a point-in-time rendering of a SimProbe, embedded
 // in JobInfo and SSE "engine" events and pushed over the fleet wire.
 type ProbeSnapshot struct {
+	// Probe is the ID of the probe that took the snapshot (EngineFold).
+	Probe         uint64  `json:"probe,omitempty"`
 	Runs          uint64  `json:"runs"`
 	Cycles        uint64  `json:"cycles"`
 	SkippedCycles uint64  `json:"skipped_cycles,omitempty"`
@@ -117,6 +124,7 @@ type PartitionSnapshot struct {
 // Snapshot renders the probe's current totals.
 func (p *SimProbe) Snapshot() ProbeSnapshot {
 	s := ProbeSnapshot{
+		Probe:         p.id,
 		Runs:          p.runs.Load(),
 		Cycles:        p.cycles.Load(),
 		SkippedCycles: p.skipped.Load(),
@@ -172,4 +180,104 @@ func (s ProbeSnapshot) ComputeWallMS() float64 {
 		t += p.ComputeMS
 	}
 	return t
+}
+
+// EngineDelta is what the engine series count: the totals of a snapshot,
+// or the increments between two.
+type EngineDelta struct {
+	Cycles, Parks, ShardSyncs      uint64
+	ComputeS, BarrierS, ShardSyncS float64
+}
+
+func engineTotals(s ProbeSnapshot) EngineDelta {
+	return EngineDelta{
+		Cycles:     s.Cycles,
+		Parks:      s.BarrierParks(),
+		ShardSyncs: s.ShardSyncs,
+		ComputeS:   s.ComputeWallMS() / 1e3,
+		BarrierS:   s.BarrierWallMS() / 1e3,
+		ShardSyncS: s.ShardSyncWallMS / 1e3,
+	}
+}
+
+// EngineFold turns the probe snapshots one job (or one task) reports into
+// increments of the engine series. Runs of one execution snapshot and
+// deliver without a shared lock, so the snapshots of one probe arrive in
+// any order: one with fewer cycles than the newest seen is stale and Fold
+// ignores it; otherwise each total counts from its own high-water mark, so
+// the increments of a probe sum to its newest totals. A snapshot of a new
+// probe — the execution migrated, or fell back to another backend —
+// counts whole. Safe for concurrent use.
+type EngineFold struct {
+	mu    sync.Mutex
+	probe uint64
+	seen  EngineDelta // high-water marks of the current probe's totals
+}
+
+// Fold returns snap's increments, or false when snap is stale.
+func (f *EngineFold) Fold(snap ProbeSnapshot) (EngineDelta, bool) {
+	t := engineTotals(snap)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if snap.Probe != f.probe {
+		f.probe, f.seen = snap.Probe, t
+		return t, true
+	}
+	s := f.seen
+	if t.Cycles < s.Cycles {
+		return EngineDelta{}, false
+	}
+	f.seen = EngineDelta{
+		Cycles:     t.Cycles,
+		Parks:      max(t.Parks, s.Parks),
+		ShardSyncs: max(t.ShardSyncs, s.ShardSyncs),
+		ComputeS:   max(t.ComputeS, s.ComputeS),
+		BarrierS:   max(t.BarrierS, s.BarrierS),
+		ShardSyncS: max(t.ShardSyncS, s.ShardSyncS),
+	}
+	n := f.seen
+	return EngineDelta{
+		Cycles:     n.Cycles - s.Cycles,
+		Parks:      n.Parks - s.Parks,
+		ShardSyncs: n.ShardSyncs - s.ShardSyncs,
+		ComputeS:   n.ComputeS - s.ComputeS,
+		BarrierS:   n.BarrierS - s.BarrierS,
+		ShardSyncS: n.ShardSyncS - s.ShardSyncS,
+	}, true
+}
+
+// EngineSeries is the hornet_engine_* family the coordinator and the
+// workers both expose, fed by EngineFold increments.
+type EngineSeries struct {
+	cycles, parks, syncs          *Counter
+	compute, barrier, syncSeconds *Histogram
+}
+
+// NewEngineSeries registers the engine series in reg.
+func NewEngineSeries(reg *Registry) *EngineSeries {
+	return &EngineSeries{
+		cycles:      reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed by the probed engines."),
+		compute:     reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil),
+		barrier:     reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil),
+		parks:       reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep."),
+		syncSeconds: reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil),
+		syncs:       reg.Counter("hornet_engine_shard_syncs_total", "Shard synchronization exchanges."),
+	}
+}
+
+// Observe records one fold's increments: the counters add, and each
+// histogram takes one observation when its time moved.
+func (e *EngineSeries) Observe(d EngineDelta) {
+	e.cycles.Add(d.Cycles)
+	e.parks.Add(d.Parks)
+	e.syncs.Add(d.ShardSyncs)
+	if d.ComputeS > 0 {
+		e.compute.Observe(d.ComputeS)
+	}
+	if d.BarrierS > 0 {
+		e.barrier.Observe(d.BarrierS)
+	}
+	if d.ShardSyncS > 0 {
+		e.syncSeconds.Observe(d.ShardSyncS)
+	}
 }

@@ -20,7 +20,9 @@
 //
 //   - Streaming: per-run progress flows to clients over SSE
 //     (GET /api/v1/jobs/{id}/events) or long-poll (GET /api/v1/jobs/{id}
-//     with ?wait=), wired to the sweep engine's OnProgress callback.
+//     with ?wait=). Whichever backend executes a job reports through one
+//     backend.Sink — in process directly, from a fleet worker as wire
+//     events decoded onto the same sink.
 package service
 
 import (
@@ -54,7 +56,7 @@ const (
 )
 
 // SubmitRequest is the body of POST /api/v1/jobs. Exactly one of Config,
-// Figure, Batch, Mips selects the scenario.
+// Figure, Batch, Mips, Scenario selects the scenario.
 type SubmitRequest struct {
 	// Name labels the job and its result document. Optional; defaults to
 	// the scenario kind. Restricted to [a-zA-Z0-9._-], at most 64

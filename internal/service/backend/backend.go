@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"time"
 
 	"hornet/internal/obs"
@@ -100,19 +101,55 @@ type Sink interface {
 	Note(event string, fields map[string]string)
 }
 
+// Discard is the Sink that drops every call. Embed it to implement only
+// the methods a sink cares about.
+type Discard struct{}
+
+func (Discard) Progress(int, int, string)       {}
+func (Discard) Resumed(string, uint64)          {}
+func (Discard) Checkpoint(string, uint64)       {}
+func (Discard) Engine(obs.ProbeSnapshot)        {}
+func (Discard) Telemetry(obs.TelemetrySnapshot) {}
+func (Discard) Note(string, map[string]string)  {}
+
 // MemberSink is the sink of a non-root shard member. Every member runs
 // the same simulation, so the run-level events (progress, resumes,
 // checkpoints, engine probes) come from the root member alone and are
 // dropped here; a member's telemetry covers its own tile span and its
 // notes concern the whole group, so those reach the job through Root.
-type MemberSink struct{ Root Sink }
+type MemberSink struct {
+	Discard
+	Root Sink
+}
 
-func (MemberSink) Progress(int, int, string)                     {}
-func (MemberSink) Resumed(string, uint64)                        {}
-func (MemberSink) Checkpoint(string, uint64)                     {}
-func (MemberSink) Engine(obs.ProbeSnapshot)                      {}
 func (m MemberSink) Telemetry(s obs.TelemetrySnapshot)           { m.Root.Telemetry(s) }
 func (m MemberSink) Note(event string, fields map[string]string) { m.Root.Note(event, fields) }
+
+// EventSink is the worker's half of the wire codec: it encodes every Sink
+// call as a TaskEvent and hands it to the function — the HTTP push to the
+// coordinator, where TaskEvent.Deliver decodes it onto the job's sink.
+// Notes are dropped: they are the coordinator's own annotations.
+type EventSink func(TaskEvent)
+
+func (push EventSink) Progress(done, total int, key string) {
+	push(TaskEvent{Type: "progress", Done: done, Total: total, Key: key})
+}
+
+func (push EventSink) Resumed(key string, cycle uint64) {
+	push(TaskEvent{Type: "resumed", Key: key, Cycle: cycle})
+}
+
+func (push EventSink) Checkpoint(key string, cycle uint64) {
+	push(TaskEvent{Type: "checkpoint", Key: key, Cycle: cycle})
+}
+
+func (push EventSink) Engine(s obs.ProbeSnapshot) { push(TaskEvent{Type: "engine", Engine: &s}) }
+
+func (push EventSink) Telemetry(s obs.TelemetrySnapshot) {
+	push(TaskEvent{Type: "telemetry", Telemetry: &s})
+}
+
+func (EventSink) Note(string, map[string]string) {}
 
 // Journal receives the fleet's durable-coordinator notifications; the
 // server forwards them to its write-ahead log (see service/journal) so
@@ -240,6 +277,26 @@ type TaskEvent struct {
 	// for "telemetry" events (per-tile flit counters, per-link buffer
 	// occupancy of the member's tile span).
 	Telemetry *obs.TelemetrySnapshot `json:"telemetry,omitempty"`
+}
+
+// Deliver makes the Sink call ev encodes (see EventSink). An unknown type,
+// or an engine or telemetry event without its payload, is an error.
+func (ev TaskEvent) Deliver(s Sink) error {
+	switch {
+	case ev.Type == "progress":
+		s.Progress(ev.Done, ev.Total, ev.Key)
+	case ev.Type == "resumed":
+		s.Resumed(ev.Key, ev.Cycle)
+	case ev.Type == "checkpoint":
+		s.Checkpoint(ev.Key, ev.Cycle)
+	case ev.Type == "engine" && ev.Engine != nil:
+		s.Engine(*ev.Engine)
+	case ev.Type == "telemetry" && ev.Telemetry != nil:
+		s.Telemetry(*ev.Telemetry)
+	default:
+		return fmt.Errorf("backend: malformed %q event", ev.Type)
+	}
+	return nil
 }
 
 // ResultPush is the terminal push (POST .../tasks/{id}/result).

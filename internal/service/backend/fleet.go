@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,14 +45,17 @@ type FleetOptions struct {
 
 // reattachClaim is one restored task the coordinator expects its
 // pre-crash worker to still be executing. Journal replay seeds the
-// table (ExpectReattach); a re-registering worker claims entries by
-// task ID, reserving slots until the restored job's Execute binds the
-// claim; the janitor expires entries no one reclaimed.
+// table (ExpectReattach); a re-registering worker claims an entry by
+// task ID, which makes the run an ordinary pending assigned to that
+// worker — its pushes are accepted, into a Discard sink — until the
+// restored job's Execute binds it to the job's sink and removes the
+// entry. The janitor cancels entries no Execute ever bound.
 type reattachClaim struct {
 	jobID    string
 	weight   int
-	worker   string // claiming worker ID; "" until claimed
-	cycle    uint64 // worker-reported newest checkpoint cycle
+	p        *pending // the claimed run; nil until a worker claims it
+	worker   string   // the claiming worker's ID
+	cycle    uint64   // worker-reported newest checkpoint cycle
 	deadline time.Time
 }
 
@@ -100,10 +104,6 @@ type workerState struct {
 	free     int
 	lastSeen time.Time
 	tasks    map[string]*pending
-	// reserved holds slots set aside for claimed reattach tasks whose
-	// restored job has not reached Execute yet (task ID → slots). The
-	// slots are already subtracted from free.
-	reserved map[string]int
 }
 
 // pending is one task in flight through the fleet.
@@ -111,7 +111,8 @@ type pending struct {
 	task *Task
 	// sink is the job's sink; a non-root shard member's is a MemberSink
 	// over it, so its telemetry and the group-level notes it triggers
-	// still reach the job.
+	// still reach the job. A claimed reattach run's is Discard until its
+	// job's Execute binds it (both under the fleet lock).
 	sink Sink
 
 	// shard/group are set on space-parallel member tasks: shard is the
@@ -222,13 +223,6 @@ func (f *Fleet) SetJournal(j Journal) {
 	f.journal = j
 }
 
-// journalHook snapshots the hook under the lock for use outside it.
-func (f *Fleet) journalHook() Journal {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.journal
-}
-
 // SetSeqFloor advances the task-ID counter past n, so IDs minted after
 // a journal replay never collide with the replayed ones.
 func (f *Fleet) SetSeqFloor(n int) {
@@ -315,40 +309,46 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 	if t.Checkpoints == nil {
 		t.Checkpoints = map[string]Blob{}
 	}
-	p := &pending{task: t, sink: sink, done: make(chan struct{})}
+	var p *pending
 	var adoptedBy string
 	var adoptedCycle uint64
 	if t.ReattachID != "" {
 		// A journal-restored task keeps its pre-crash identity. If the
 		// worker that was executing it has already re-claimed the ID,
-		// bind the execution in place — no dispatch, the run never
-		// stopped; otherwise queue it but hold it out of ordinary
-		// dispatch for one lease TTL so the claim can still arrive.
+		// bind the claimed run to this job — no dispatch, the run never
+		// stopped, and a result it pushed meanwhile is the result;
+		// otherwise hold the task out of ordinary dispatch for one lease
+		// TTL so the claim can still arrive.
 		t.ID = t.ReattachID
 		claim := f.expect[t.ID]
 		delete(f.expect, t.ID)
-		if claim != nil && claim.worker != "" {
-			if w, live := f.workers[claim.worker]; live {
-				if slots, held := w.reserved[t.ID]; held {
-					delete(w.reserved, t.ID)
-					w.tasks[t.ID] = p
-					p.worker, p.grant = w.id, slots
-					if p.lease = f.agg.TryLease(slots); p.lease == nil {
-						f.leaseMisses++
-					}
-					adoptedBy, adoptedCycle = w.id, claim.cycle
-					f.tasksAdopted++
+		if claim != nil && claim.p != nil {
+			p = claim.p
+			// Blobs the claimed run uploaded since the restart are newer
+			// than the restored ones.
+			for key, b := range p.task.Checkpoints {
+				if old, ok := t.Checkpoints[key]; !ok || b.Cycle >= old.Cycle {
+					t.Checkpoints[key] = b
 				}
 			}
-		}
-		if adoptedBy == "" {
-			p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
+			p.task, p.sink = t, sink
+			switch {
+			case slices.Contains(f.queue, p):
+				// Its worker died before this bind: re-claim or dispatch.
+				p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
+			case p.err == nil: // running, or done with its result
+				adoptedBy, adoptedCycle = claim.worker, claim.cycle
+			}
 		}
 	} else {
 		f.seq++
 		t.ID = fmt.Sprintf("task-%06d", f.seq)
 	}
-	if adoptedBy == "" {
+	if p == nil {
+		p = &pending{task: t, sink: sink, done: make(chan struct{})}
+		if t.ReattachID != "" {
+			p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
+		}
 		f.queue = append(f.queue, p)
 		f.wakeLocked()
 	}
@@ -356,14 +356,11 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 	if adoptedBy != "" {
 		f.log.Info("task re-adopted by pre-restart executor",
 			append(shardAttrs(p), obs.Worker(adoptedBy), slog.Uint64("cycle", adoptedCycle))...)
-		p.sink.Note("reattached", map[string]string{"worker": adoptedBy, "task": t.ID})
+		sink.Note("reattached", map[string]string{"worker": adoptedBy, "task": t.ID})
 		// The run is continuing at the worker's checkpointed frontier
 		// across a coordinator restart: that is a resumed run in every
 		// sense the job's resumed_runs counter cares about.
-		p.sink.Resumed(t.ID, adoptedCycle)
-		if j := f.journalHook(); j != nil {
-			j.Assigned(t.JobID, t.ID, p.grant)
-		}
+		sink.Resumed(t.ID, adoptedCycle)
 	}
 
 	select {
@@ -508,6 +505,10 @@ func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte,
 func (f *Fleet) abort(p *pending) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.abortLocked(p)
+}
+
+func (f *Fleet) abortLocked(p *pending) {
 	p.cancelled = true
 	for i, q := range f.queue {
 		if q == p {
@@ -579,24 +580,21 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 		free:     req.Capacity,
 		lastSeen: time.Now(),
 		tasks:    map[string]*pending{},
-		reserved: map[string]int{},
 	}
 	f.workers[id] = w
 	f.workersJoined++
 	var adopted []string
 	type bind struct {
-		p     *pending
-		cycle uint64
+		sink          Sink
+		jobID, taskID string
+		grant         int
+		cycle         uint64
 	}
 	var binds []bind
 	for _, claim := range req.Running {
-		p, ok := f.adoptLocked(w, claim)
-		if !ok {
-			continue
-		}
-		adopted = append(adopted, claim.TaskID)
-		if p != nil {
-			binds = append(binds, bind{p, claim.Cycle})
+		if p := f.adoptLocked(w, claim); p != nil {
+			adopted = append(adopted, claim.TaskID)
+			binds = append(binds, bind{p.sink, p.task.JobID, p.task.ID, p.grant, claim.Cycle})
 		}
 	}
 	f.resizeLocked()
@@ -616,69 +614,70 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 	// Sink and journal calls happen outside the fleet lock: they take
 	// the job lock and fan out to SSE subscribers.
 	for _, b := range binds {
-		b.p.sink.Note("reattached", map[string]string{"worker": id, "task": b.p.task.ID})
-		b.p.sink.Resumed(b.p.task.ID, b.cycle)
+		b.sink.Note("reattached", map[string]string{"worker": id, "task": b.taskID})
+		b.sink.Resumed(b.taskID, b.cycle)
 		if journal != nil {
-			journal.Assigned(b.p.task.JobID, b.p.task.ID, b.p.grant)
+			journal.Assigned(b.jobID, b.taskID, b.grant)
 		}
 	}
 	return resp, nil
 }
 
 // adoptLocked tries to re-bind one claimed in-flight execution to the
-// re-registering worker. Two sources: a queued pending with the
-// claimed ID (requeued by this worker's own eviction, or restored by
-// journal replay, and not yet re-dispatched elsewhere), or a restore
-// reservation whose Execute has not arrived yet. Sharded members are
-// never adopted — a lost member already rolled its group back, and
-// the rollback machinery stays authoritative. Returns ok=true when
-// the claim was accepted, with the bound pending when one exists
-// (nil for a reservation: the bind happens at Execute).
-func (f *Fleet) adoptLocked(w *workerState, claim RunningTask) (*pending, bool) {
-	for i, p := range f.queue {
-		if p.task.ID != claim.TaskID || p.group != nil || p.cancelled {
-			continue
+// re-registering worker and returns its pending, or nil when the claim
+// is refused. Two sources: a queued pending with the claimed ID
+// (requeued by this worker's own eviction, or restored by journal
+// replay, and not yet re-dispatched elsewhere), or a restored task
+// expected back whose Execute has not arrived yet — that one becomes a
+// pending of its own, with a Discard sink until Execute binds it.
+// Sharded members are never adopted — a lost member already rolled its
+// group back, and the rollback machinery stays authoritative.
+func (f *Fleet) adoptLocked(w *workerState, claim RunningTask) *pending {
+	i := slices.IndexFunc(f.queue, func(p *pending) bool { return p.task.ID == claim.TaskID })
+	r := f.expect[claim.TaskID]
+	var p *pending
+	switch {
+	case i >= 0:
+		if p = f.queue[i]; p.group != nil || p.cancelled {
+			return nil
 		}
-		weight := p.task.Weight
-		if weight < 1 {
-			weight = 1
-		}
-		if weight > w.capacity {
-			weight = w.capacity
-		}
-		if weight > w.free {
-			return nil, false
-		}
-		f.queue = append(f.queue[:i], f.queue[i+1:]...)
-		w.free -= weight
-		w.tasks[p.task.ID] = p
-		p.worker, p.grant = w.id, weight
-		p.holdUntil = time.Time{}
-		if p.lease = f.agg.TryLease(weight); p.lease == nil {
-			f.leaseMisses++
-		}
-		f.tasksAdopted++
-		f.log.Info("in-flight task re-adopted", append(shardAttrs(p),
-			obs.Worker(w.id), slog.Uint64("cycle", claim.Cycle))...)
-		return p, true
+	case r != nil && r.p == nil:
+		p = &pending{task: &Task{ID: claim.TaskID, JobID: r.jobID, Weight: r.weight,
+			Checkpoints: map[string]Blob{}}, sink: Discard{}, done: make(chan struct{})}
+	default:
+		return nil
 	}
-	if r, ok := f.expect[claim.TaskID]; ok && r.worker == "" {
-		weight := r.weight
-		if weight > w.capacity {
-			weight = w.capacity
-		}
-		if weight > w.free {
-			return nil, false
-		}
-		r.worker, r.cycle = w.id, claim.Cycle
-		w.free -= weight
-		w.reserved[claim.TaskID] = weight
-		f.tasksAdopted++
-		f.log.Info("reattach claim reserved", obs.Worker(w.id),
-			obs.Task(claim.TaskID), slog.Uint64("cycle", claim.Cycle))
-		return nil, true
+	slots := slotsFor(p.task.Weight, w)
+	if slots > w.free {
+		return nil
 	}
-	return nil, false
+	if i >= 0 {
+		f.queue = slices.Delete(f.queue, i, i+1)
+	}
+	if r != nil {
+		r.p, r.worker, r.cycle = p, w.id, claim.Cycle
+	}
+	f.assignLocked(w, p, slots)
+	p.holdUntil = time.Time{}
+	f.tasksAdopted++
+	f.log.Info("in-flight task re-adopted", append(shardAttrs(p),
+		obs.Worker(w.id), slog.Uint64("cycle", claim.Cycle))...)
+	return p
+}
+
+// slotsFor clamps a task's slot request to what worker w offers.
+func slotsFor(weight int, w *workerState) int {
+	return min(max(weight, 1), w.capacity)
+}
+
+// assignLocked makes worker w the executor of p with a grant of slots.
+func (f *Fleet) assignLocked(w *workerState, p *pending, slots int) {
+	w.free -= slots
+	w.tasks[p.task.ID] = p
+	p.worker, p.grant = w.id, slots
+	if p.lease = f.agg.TryLease(slots); p.lease == nil {
+		f.leaseMisses++ // shrink raced the assignment; placement still bounds usage
+	}
 }
 
 // Deregister removes a worker gracefully; its tasks requeue with their
@@ -702,15 +701,6 @@ func (f *Fleet) Deregister(id string) error {
 // reason labels the eviction in logs ("lease expired", ...).
 func (f *Fleet) evictLocked(w *workerState, reason string) {
 	delete(f.workers, w.id)
-	// Unwind reattach reservations: the claim reverts to unclaimed so
-	// the worker's next incarnation (the usual reason for eviction
-	// here: replacement by re-registration) can claim it again.
-	for tid := range w.reserved {
-		if r, ok := f.expect[tid]; ok && r.worker == w.id {
-			r.worker, r.cycle = "", 0
-		}
-	}
-	w.reserved = map[string]int{}
 	var requeue []*pending
 	for _, p := range w.tasks {
 		p.lease.Release()
@@ -814,7 +804,7 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 			return nil, ErrUnknownWorker
 		}
 		w.lastSeen = time.Now()
-		if a, p := f.assignLocked(w); a != nil {
+		if a, p := f.dispatchLocked(w); a != nil {
 			journal := f.journal
 			f.mu.Unlock()
 			if journal != nil {
@@ -842,9 +832,9 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 	}
 }
 
-// assignLocked dispatches the first queued task that fits the worker's
+// dispatchLocked assigns the first queued task that fits the worker's
 // free slots. It also returns the pending for post-unlock journaling.
-func (f *Fleet) assignLocked(w *workerState) (*Assignment, *pending) {
+func (f *Fleet) dispatchLocked(w *workerState) (*Assignment, *pending) {
 	now := time.Now()
 	for i, p := range f.queue {
 		if now.Before(p.holdUntil) {
@@ -852,23 +842,17 @@ func (f *Fleet) assignLocked(w *workerState) (*Assignment, *pending) {
 			// re-claim; don't hand it to someone else yet.
 			continue
 		}
-		weight := p.task.Weight
-		if weight < 1 {
-			weight = 1
+		if r := f.expect[p.task.ID]; r != nil && r.p == p {
+			// A claimed run whose job has not reached Execute: only its
+			// worker's next incarnation may take it back.
+			continue
 		}
-		if weight > w.capacity {
-			weight = w.capacity
-		}
+		weight := slotsFor(p.task.Weight, w)
 		if weight > w.free {
 			continue
 		}
 		f.queue = append(f.queue[:i], f.queue[i+1:]...)
-		w.free -= weight
-		w.tasks[p.task.ID] = p
-		p.worker, p.grant = w.id, weight
-		if p.lease = f.agg.TryLease(weight); p.lease == nil {
-			f.leaseMisses++ // shrink raced the assignment; placement still bounds usage
-		}
+		f.assignLocked(w, p, weight)
 		f.tasksDispatched++
 		f.log.Debug("task dispatched",
 			append(shardAttrs(p), obs.Worker(w.id), slog.Int("slots", weight))...)
@@ -916,35 +900,21 @@ func (f *Fleet) taskFor(workerID, taskID string) (*pending, error) {
 	return p, nil
 }
 
-// PushEvent maps a worker's progress event onto the job's sink.
+// PushEvent delivers a worker's progress event to the job's sink.
 func (f *Fleet) PushEvent(workerID, taskID string, ev TaskEvent) error {
 	f.mu.Lock()
 	p, err := f.taskFor(workerID, taskID)
+	var sink Sink
+	if err == nil {
+		sink = p.sink
+	}
 	f.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	// Sink calls happen outside the fleet lock: they take the job lock
 	// and fan out to SSE subscribers.
-	switch ev.Type {
-	case "progress":
-		p.sink.Progress(ev.Done, ev.Total, ev.Key)
-	case "resumed":
-		p.sink.Resumed(ev.Key, ev.Cycle)
-	case "checkpoint":
-		p.sink.Checkpoint(ev.Key, ev.Cycle)
-	case "engine":
-		if ev.Engine != nil {
-			p.sink.Engine(*ev.Engine)
-		}
-	case "telemetry":
-		if ev.Telemetry != nil {
-			p.sink.Telemetry(*ev.Telemetry)
-		}
-	default:
-		return fmt.Errorf("backend: unknown event type %q", ev.Type)
-	}
-	return nil
+	return ev.Deliver(sink)
 }
 
 // PushCheckpoint stores an uploaded snapshot blob as the task's latest
@@ -1148,9 +1118,10 @@ func (f *Fleet) janitor() {
 }
 
 // expire evicts workers silent since before cutoff, retires reattach
-// reservations no Execute ever consumed (job canceled while queued),
-// and wakes parked polls once a restored task's reattach hold lapses
-// so it dispatches without waiting out a long-poll timeout.
+// claims no Execute ever bound (job canceled while queued) — a claimed
+// run is aborted like any other task — and wakes parked polls once a
+// restored task's reattach hold lapses so it dispatches without waiting
+// out a long-poll timeout.
 func (f *Fleet) expire(cutoff time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1167,13 +1138,8 @@ func (f *Fleet) expire(cutoff time.Time) {
 		if now.Before(r.deadline) {
 			continue
 		}
-		if r.worker != "" {
-			if w, ok := f.workers[r.worker]; ok {
-				if slots, held := w.reserved[tid]; held {
-					w.free += slots
-					delete(w.reserved, tid)
-				}
-			}
+		if r.p != nil {
+			f.abortLocked(r.p)
 		}
 		delete(f.expect, tid)
 	}
@@ -1197,7 +1163,7 @@ func (f *Fleet) wakeLocked() {
 	f.notify = make(chan struct{})
 }
 
-// Workers lists the registered workers for the ops endpoint.
+// WorkersInfo lists the registered workers for the ops endpoint.
 func (f *Fleet) WorkersInfo() []WorkerInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()

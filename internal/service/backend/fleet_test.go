@@ -7,12 +7,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"hornet/internal/obs"
 )
 
 // recordSink captures sink callbacks.
 type recordSink struct {
+	Discard
 	mu       sync.Mutex
 	resumed  int
 	progress int
@@ -28,10 +27,6 @@ func (r *recordSink) Resumed(key string, cycle uint64) {
 	defer r.mu.Unlock()
 	r.resumed++
 }
-func (r *recordSink) Checkpoint(key string, cycle uint64)         {}
-func (r *recordSink) Engine(obs.ProbeSnapshot)                    {}
-func (r *recordSink) Telemetry(obs.TelemetrySnapshot)             {}
-func (r *recordSink) Note(event string, fields map[string]string) {}
 
 func newTestFleet(t *testing.T) *Fleet {
 	t.Helper()
@@ -354,5 +349,117 @@ func TestFleetCancelAssignedTask(t *testing.T) {
 	}
 	if st := f.Stats(); st.FleetInUse != 0 {
 		t.Fatalf("slots leak after cancel: %+v", st)
+	}
+}
+
+// claimRestored replays one restored task and registers worker w1
+// claiming it, as a restarted coordinator sees a surviving worker rejoin.
+func claimRestored(t *testing.T, f *Fleet, tid string) {
+	t.Helper()
+	f.ExpectReattach(tid, "job-000003", 1)
+	resp, err := f.Register(RegisterRequest{ID: "w1", Capacity: 1,
+		Running: []RunningTask{{TaskID: tid, Cycle: 500}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Adopted) != 1 || resp.Adopted[0] != tid {
+		t.Fatalf("claim of %s not adopted: %+v", tid, resp)
+	}
+}
+
+// TestReattachClaimBeforeExecute: the worker's claim arrives before the
+// restored job reaches Execute. From the claim on, the run is the task's
+// executor: its pushes — event, checkpoint, result — are accepted, and
+// the later Execute returns the pushed document at once instead of
+// binding the job to a run its worker was told to abandon.
+func TestReattachClaimBeforeExecute(t *testing.T) {
+	f := newTestFleet(t)
+	const tid = "task-000007"
+	claimRestored(t, f, tid)
+	if err := f.PushEvent("w1", tid, TaskEvent{Type: "progress", Done: 0, Total: 1, Key: "job"}); err != nil {
+		t.Fatalf("event push of the claimed run: %v", err)
+	}
+	if err := f.PushCheckpoint("w1", tid, "job-feedface-job", 1_000, []byte("blob")); err != nil {
+		t.Fatalf("checkpoint push of the claimed run: %v", err)
+	}
+	if err := f.PushResult("w1", tid, ResultPush{Doc: []byte("doc")}); err != nil {
+		t.Fatalf("result push of the claimed run: %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	restored := task("job", 1)
+	restored.ReattachID = tid
+	sink := &recordSink{}
+	doc, _, err := f.Execute(ctx, restored, sink)
+	if err != nil || string(doc) != "doc" {
+		t.Fatalf("Execute of the restored job = %q, %v; want the pushed document", doc, err)
+	}
+	if sink.resumed != 1 {
+		t.Errorf("job saw %d resumed runs, want 1 (the reattached run)", sink.resumed)
+	}
+	if st := f.Stats(); st.TasksAdopted != 1 || st.TasksCompleted != 1 || st.FleetInUse != 0 {
+		t.Errorf("stats %+v; want one adoption, one completion, no slot held", st)
+	}
+}
+
+// TestReattachClaimBoundByExecute: Execute binds a claimed, still running
+// run to the job — later pushes reach the job's sink — and a claim no
+// Execute ever binds is cancelled at its deadline like any aborted task.
+func TestReattachClaimBoundByExecute(t *testing.T) {
+	f := newTestFleet(t)
+	claimRestored(t, f, "task-000007")
+	restored := task("job", 1)
+	restored.ReattachID = "task-000007"
+	sink := &recordSink{}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := f.Execute(context.Background(), restored, sink)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sink.mu.Lock()
+		bound := sink.resumed == 1
+		sink.mu.Unlock()
+		if bound {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Execute never bound the claimed run")
+		}
+	}
+	if err := f.PushEvent("w1", "task-000007", TaskEvent{Type: "progress", Done: 1, Total: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if sink.progress != 1 {
+		t.Errorf("job sink saw %d progress events after the bind, want 1", sink.progress)
+	}
+	if err := f.PushResult("w1", "task-000007", ResultPush{Doc: []byte("doc")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// A second claim whose job never executes: past the deadline the
+	// worker is told to cancel it, and its acknowledgement frees the slot.
+	f.ExpectReattach("task-000008", "job-000004", 1)
+	if _, err := f.Register(RegisterRequest{ID: "w1", Capacity: 1,
+		Running: []RunningTask{{TaskID: "task-000008"}}}); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	f.expect["task-000008"].deadline = time.Now().Add(-time.Second)
+	f.mu.Unlock()
+	f.expire(time.Now().Add(-f.opts.LeaseTTL))
+	hb, err := f.Heartbeat("w1")
+	if err != nil || len(hb.CancelTasks) != 1 || hb.CancelTasks[0] != "task-000008" {
+		t.Fatalf("heartbeat after the claim's deadline = %+v, %v; want it cancelled", hb, err)
+	}
+	if err := f.PushResult("w1", "task-000008", ResultPush{Canceled: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.FleetInUse != 0 {
+		t.Errorf("slots leak after the expired claim: %+v", st)
 	}
 }

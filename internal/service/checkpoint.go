@@ -109,19 +109,12 @@ type execEnv struct {
 	// counters are shared across derived envs (withStore), so per-job
 	// store overrides still feed the daemon's stats.
 	counters *envCounters
-	// probe, when non-nil, is attached to every engine this env builds
-	// or restores; chunk boundaries surface its snapshots through the
-	// sink (per-job engine telemetry). Nil keeps the engine hot path
-	// probe-free.
-	probe *obs.SimProbe
-	// telemetry, when non-nil, enables machine telemetry on every system
-	// this env runs: the engine samples per-tile/per-link state at sync
-	// points and a wall-clock pump forwards the freshest sample here
-	// every telEvery (0 means 500ms). Nil keeps the engine's nil-sampler
-	// fast path. A negative telEvery on the scheduler's shared env tells
-	// the local backend not to attach a telemetry callback at all.
-	telemetry func(s obs.TelemetrySnapshot)
-	telEvery  time.Duration
+	// telEvery is the machine-telemetry cadence: every system this env
+	// runs samples per-tile/per-link state at sync points, and a
+	// wall-clock pump forwards the freshest sample to the run's sink
+	// every telEvery (0 means 500ms). Negative samples nothing: the
+	// engine keeps its nil-sampler fast path.
+	telEvery time.Duration
 	// log receives checkpoint-layer diagnostics; nil means discard.
 	log *slog.Logger
 }
@@ -149,22 +142,6 @@ func (e *execEnv) withStore(store CheckpointStore) *execEnv {
 	return &d
 }
 
-// withProbe derives an env whose engines report into p (per-task
-// telemetry); everything else, counters included, is shared.
-func (e *execEnv) withProbe(p *obs.SimProbe) *execEnv {
-	d := *e
-	d.probe = p
-	return &d
-}
-
-// withTelemetry derives an env whose runs sample machine telemetry
-// into fn at the env's pump cadence; everything else is shared.
-func (e *execEnv) withTelemetry(fn func(obs.TelemetrySnapshot)) *execEnv {
-	d := *e
-	d.telemetry = fn
-	return &d
-}
-
 // telemetrySampleCycles is the engine-side sampling cadence: the
 // sampler fires at the first sync point at or past each multiple of
 // this many simulated cycles (plus once when a run halts). The
@@ -173,13 +150,12 @@ func (e *execEnv) withTelemetry(fn func(obs.TelemetrySnapshot)) *execEnv {
 const telemetrySampleCycles = 256
 
 // startTelemetry enables machine telemetry on sys and starts the
-// wall-clock pump forwarding fresh samples into the env's telemetry
-// callback. The returned stop function ends the pump and flushes the
-// final sample — the one the engine takes at the run's last sync
-// point, which therefore agrees with the run's final statistics. A
-// no-op when the env has no telemetry callback.
-func (e *execEnv) startTelemetry(sys *core.System) func() {
-	if e.telemetry == nil {
+// wall-clock pump forwarding fresh samples to sink. The returned stop
+// function ends the pump and flushes the final sample — the one the
+// engine takes at the run's last sync point, which therefore agrees with
+// the run's final statistics. A no-op when the env samples no telemetry.
+func (e *execEnv) startTelemetry(sys *core.System, sink backend.Sink) func() {
+	if e.telEvery < 0 {
 		return func() {}
 	}
 	sys.EnableTelemetry(telemetrySampleCycles)
@@ -201,7 +177,7 @@ func (e *execEnv) startTelemetry(sys *core.System) func() {
 			case <-tick.C:
 				if snap, seq := sys.Telemetry(); seq != lastSeq {
 					lastSeq = seq
-					e.telemetry(snap)
+					sink.Telemetry(snap)
 				}
 			}
 		}
@@ -210,7 +186,7 @@ func (e *execEnv) startTelemetry(sys *core.System) func() {
 		close(stop)
 		<-done
 		if snap, seq := sys.Telemetry(); seq > 0 {
-			e.telemetry(snap)
+			sink.Telemetry(snap)
 		}
 	}
 }
@@ -341,12 +317,13 @@ func decodeCheckpoint(m *machine, want ckptMeta, blob []byte) (*core.System, ckp
 // would break the resumed-vs-uninterrupted byte-identity contract for
 // one kind only.
 type chunkedRun struct {
-	env  *execEnv
-	sys  *core.System
-	sink backend.Sink
-	key  string // checkpoint store key
-	meta *ckptMeta
-	stop func(cycle uint64) bool // sweep-cancellation probe
+	env   *execEnv
+	sys   *core.System
+	sink  backend.Sink
+	probe *obs.SimProbe // nil: unprobed
+	key   string        // checkpoint store key
+	meta  *ckptMeta
+	stop  func(cycle uint64) bool // sweep-cancellation probe
 }
 
 // checkpoint saves the current state; invoked at autosave boundaries
@@ -403,10 +380,10 @@ func (cr *chunkedRun) advance(ctx context.Context, p phase, done func(cycle uint
 			cr.meta.Exec += res.Cycles
 			cr.meta.Skip += res.SkippedCycles
 		}
-		if cr.env.probe != nil {
+		if cr.probe != nil {
 			// Chunk boundaries are the engine-telemetry cadence: each
 			// snapshot rides the sink to the job (SSE, /metrics).
-			cr.sink.Engine(cr.env.probe.Snapshot())
+			cr.sink.Engine(cr.probe.Snapshot())
 		}
 		if res.Err != nil {
 			return res.Err
@@ -547,7 +524,7 @@ func (cr *chunkedRun) runPlan(ctx context.Context, m *machine, sharded bool) err
 func (cr *chunkedRun) advancePlan(ctx context.Context, m *machine, done func(cycle uint64) bool) error {
 	// Per attempt: a rollback rebuilds the system, and the new engine
 	// needs its own sampler and pump.
-	stopTel := cr.env.startTelemetry(cr.sys)
+	stopTel := cr.env.startTelemetry(cr.sys, cr.sink)
 	defer stopTel()
 	for i := m.phaseIndex(cr.meta.Phase); i < len(m.plan); i++ {
 		if err := cr.advance(ctx, m.plan[i], done); err != nil {
@@ -582,7 +559,7 @@ func (cr *chunkedRun) advancePlan(ctx context.Context, m *machine, done func(cyc
 // trajectory, so the document is still byte-identical to an
 // uninterrupted single-process run. Without a group the loop body runs
 // exactly once.
-func (e *execEnv) run(sc *scenario, sink backend.Sink, spec runSpec, shard *ShardMember) func(sweep.Ctx) (any, error) {
+func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec runSpec, shard *ShardMember) func(sweep.Ctx) (any, error) {
 	return func(c sweep.Ctx) (any, error) {
 		// c.Seed is the run's effective seed: the scenario builder set
 		// the item's explicit warmup-group seed for share_warmup jobs,
@@ -632,17 +609,17 @@ func (e *execEnv) run(sc *scenario, sink backend.Sink, spec runSpec, shard *Shar
 					return nil, err
 				}
 			}
-			if e.probe != nil {
+			if probe != nil {
 				// The probe spans rollback attempts: re-executed cycles are
 				// real engine work and should show up as such.
-				sys.SetProbe(e.probe)
+				sys.SetProbe(probe)
 			}
 			if shard != nil {
 				if err := sys.EnableSharding(shard.Index, shard.Count, shard.Transport); err != nil {
 					return nil, err
 				}
 			}
-			cr := &chunkedRun{env: e, sys: sys, sink: sink, key: key, meta: &meta, stop: stop}
+			cr := &chunkedRun{env: e, sys: sys, sink: sink, probe: probe, key: key, meta: &meta, stop: stop}
 			err := cr.runPlan(c.Context, m, shard != nil)
 			if err == nil {
 				if ckptOn {

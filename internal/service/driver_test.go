@@ -22,6 +22,21 @@ import (
 // run — synthetic or application workload, plain, resumed or one member
 // of a group — goes through it, so each must produce the same document.
 
+// resumedSink and checkpointSink hand a test the one event it watches.
+type resumedSink struct {
+	backend.Discard
+	fn func(key string, cycle uint64)
+}
+
+func (s resumedSink) Resumed(key string, cycle uint64) { s.fn(key, cycle) }
+
+type checkpointSink struct {
+	backend.Discard
+	fn func(key string, cycle uint64)
+}
+
+func (s checkpointSink) Checkpoint(key string, cycle uint64) { s.fn(key, cycle) }
+
 // presetRequest loads one examples/scenarios preset as a submission,
 // after edit has rewritten the decoded document.
 func presetRequest(t *testing.T, name string, edit func(doc map[string]any)) SubmitRequest {
@@ -97,14 +112,14 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 			store := NewMemCheckpointStore()
 			cctx, cancel := context.WithCancel(ctx)
 			_, err = Execute(cctx, req, ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: tc.every,
-				OnCheckpoint: func(string, uint64) { cancel() }})
+				Sink: checkpointSink{fn: func(string, uint64) { cancel() }}})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("first leg finished before its first autosave (err=%v); shrink every", err)
 			}
 			var resumedRuns atomic.Int32
 			resumed, err := Execute(ctx, req, ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: tc.every,
-				OnResumed: func(string, uint64) { resumedRuns.Add(1) }})
+				Sink: resumedSink{fn: func(string, uint64) { resumedRuns.Add(1) }}})
 			if err != nil {
 				t.Fatalf("resumed: %v", err)
 			}
@@ -166,14 +181,12 @@ func TestBidirectionalRunsOnOneEngineWorker(t *testing.T) {
 	cfg.WarmupCycles, cfg.AnalyzedCycles = 200, 2000
 	req := SubmitRequest{Name: "bidir", Config: &cfg, Seed: 3, Workers: 4}
 
-	var mu sync.Mutex
-	var last obs.ProbeSnapshot
-	wide, err := Execute(context.Background(), req, ExecOptions{Workers: 4,
-		OnEngine: func(s obs.ProbeSnapshot) { mu.Lock(); last = s; mu.Unlock() }})
+	probe := obs.NewSimProbe()
+	wide, err := Execute(context.Background(), req, ExecOptions{Workers: 4, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(last.Partitions); n != 1 {
+	if n := len(probe.Snapshot().Partitions); n != 1 {
 		t.Errorf("bidirectional machine ran on %d engine partitions, want 1", n)
 	}
 	narrow, err := Execute(context.Background(), req, ExecOptions{Workers: 1})
@@ -228,7 +241,7 @@ func TestRestoresParentFormatCheckpointMeta(t *testing.T) {
 
 	var resumedAt atomic.Uint64
 	resumed, err := Execute(context.Background(), req, ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: 1_000,
-		OnResumed: func(_ string, cycle uint64) { resumedAt.Store(cycle) }})
+		Sink: resumedSink{fn: func(_ string, cycle uint64) { resumedAt.Store(cycle) }}})
 	if err != nil {
 		t.Fatal(err)
 	}

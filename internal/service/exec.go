@@ -22,12 +22,14 @@ import (
 // treats bad runs as programming errors and panics) becomes an error,
 // never a dead process.
 //
-// shard, when non-nil, makes this execution one member of the
-// scenario's space-parallel group. A member returns a run-level failure
+// The execution reports through sink; probe, when non-nil, is attached
+// to every engine it builds and its snapshots go to the sink too. shard,
+// when non-nil, makes this execution one member of the scenario's
+// space-parallel group. A member returns a run-level failure
 // as an error instead of recording it inside the document: a member
 // that silently "succeeded" with an error document would leave its
 // siblings parked in a barrier it will never reach again.
-func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink, shard *ShardMember) (b []byte, runErrs int, err error) {
+func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink, probe *obs.SimProbe, shard *ShardMember) (b []byte, runErrs int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			b, runErrs, err = nil, 0, fmt.Errorf("job panicked: %v", p)
@@ -42,21 +44,20 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		// Figures with shared warmup prefixes draw on the env-wide
 		// warmup snapshot cache (reuse cannot change output bytes).
 		o.Warmups = env.warm
-		if env.probe != nil {
+		if probe != nil {
 			// Figures bypass the chunked-run path, so the probe attaches
 			// through the experiment options and snapshots surface at
 			// run-completion boundaries (plus once at the end) — the same
 			// engine series sweep jobs feed, now for figure jobs too.
-			o.Probe = env.probe
-			progress := o.Progress
+			o.Probe = probe
 			o.Progress = func(done, total int, key string) {
-				progress(done, total, key)
-				sink.Engine(env.probe.Snapshot())
+				sink.Progress(done, total, key)
+				sink.Engine(probe.Snapshot())
 			}
 		}
 		_, doc, runErr := sc.fig.Document(o)
-		if env.probe != nil {
-			sink.Engine(env.probe.Snapshot())
+		if probe != nil {
+			sink.Engine(probe.Snapshot())
 		}
 		if runErr != nil {
 			return nil, 0, runErr // cancelled mid-figure
@@ -72,7 +73,7 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		items := make([]sweep.Item, len(sc.runs))
 		for i, spec := range sc.runs {
 			items[i] = sweep.Item{Key: spec.key, Weight: spec.weight, Seed: spec.seed,
-				Run: env.run(sc, sink, spec, shard)}
+				Run: env.run(sc, sink, probe, spec, shard)}
 		}
 		cfg := sweep.Config{
 			// In-flight runs within the job: bounded by the shared pool
@@ -104,6 +105,9 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 
 // ExecOptions configures standalone execution of one submit request —
 // the path hornet-worker uses to run a task its coordinator dispatched.
+// The zero value runs unobserved: no sink, no probe, no telemetry
+// sampler, as hornet-exp -scenario and the benchmark's reference runs
+// need.
 type ExecOptions struct {
 	// Workers is the CPU-slot budget of this execution; 0 means
 	// GOMAXPROCS.
@@ -127,28 +131,27 @@ type ExecOptions struct {
 	// fresh per-call cache.
 	Warmups *sweep.SnapshotCache
 
-	// Progress/Resumed/Checkpoint observe the execution; any may be nil.
-	OnProgress   func(done, total int, key string)
-	OnResumed    func(key string, cycle uint64)
-	OnCheckpoint func(key string, cycle uint64)
-	// OnEngine, if non-nil, attaches an engine probe to the execution
-	// and receives cumulative probe snapshots at every autosave-chunk
-	// boundary (cycles/sec, per-partition compute vs barrier time, shard
-	// sync latency). Leaving it nil keeps the engine hot path
-	// instrumentation-free.
-	OnEngine func(s obs.ProbeSnapshot)
-	// OnTelemetry, if non-nil, enables machine telemetry on config/mips
-	// runs: the engine samples per-tile flit counters and per-link
-	// buffer occupancy at sync points, and the freshest sample is
-	// forwarded every TelemetryEvery of wall time (plus once after each
-	// run). Leaving it nil keeps the engine's nil-sampler fast path.
-	OnTelemetry func(s obs.TelemetrySnapshot)
-	// TelemetryEvery is the wall-clock forwarding period of OnTelemetry;
-	// 0 means 500ms.
+	// Sink receives everything the execution reports — progress,
+	// resumed runs, autosaves, engine probe snapshots and machine
+	// telemetry — exactly as a daemon job's sink does (a worker passes a
+	// backend.EventSink that pushes each call to its coordinator). With a
+	// sink, config/mips runs sample machine telemetry (per-tile flit
+	// counters, per-link buffer occupancy) at engine sync points and
+	// forward the freshest sample every TelemetryEvery of wall time, plus
+	// once after each run. Nil drops every event and samples no
+	// telemetry: the engine keeps its nil-sampler fast path.
+	Sink backend.Sink
+	// Probe, if non-nil, is attached to every engine of the execution;
+	// its cumulative snapshots (cycles/sec, per-partition compute vs
+	// barrier time, shard sync latency) go to Sink at every autosave-chunk
+	// boundary. Nil keeps the engine hot path instrumentation-free.
+	Probe *obs.SimProbe
+	// TelemetryEvery is the wall-clock forwarding period of the telemetry
+	// samples; 0 means 500ms, negative samples none even with a Sink.
 	TelemetryEvery time.Duration
 
 	// Shard, if non-nil, runs ONE member of the request's space-parallel
-	// group in this process instead of the whole simulation. OnTelemetry
+	// group in this process instead of the whole simulation. Telemetry
 	// samples then cover only the member's tile span; the coordinator
 	// merges the members' spans into the full-machine view.
 	Shard *ShardMember
@@ -206,57 +209,15 @@ func Execute(ctx context.Context, req SubmitRequest, opts ExecOptions) (*ExecRes
 		store:     opts.Checkpoints,
 		ckptEvery: every,
 		counters:  &envCounters{},
+		telEvery:  opts.TelemetryEvery,
 	}
-	if opts.OnEngine != nil {
-		env.probe = obs.NewSimProbe()
+	sink := opts.Sink
+	if sink == nil {
+		sink, env.telEvery = backend.Discard{}, -1
 	}
-	pool := sweep.NewBudget(workers)
-	sink := callbackSink{opts}
-	if opts.OnTelemetry != nil {
-		env.telemetry = sink.Telemetry
-		env.telEvery = opts.TelemetryEvery
-	}
-	doc, runErrs, err := executeScenario(ctx, sc, env, pool, sink, opts.Shard)
+	doc, runErrs, err := executeScenario(ctx, sc, env, sweep.NewBudget(workers), sink, opts.Probe, opts.Shard)
 	if err != nil {
 		return nil, err
 	}
 	return &ExecResult{Doc: doc, RunErrs: runErrs, Name: sc.name, Hash: sc.hash, Seed: sc.seed}, nil
 }
-
-// callbackSink adapts ExecOptions callbacks to the backend.Sink the
-// execution layer drives.
-type callbackSink struct{ o ExecOptions }
-
-func (c callbackSink) Progress(done, total int, key string) {
-	if c.o.OnProgress != nil {
-		c.o.OnProgress(done, total, key)
-	}
-}
-
-func (c callbackSink) Resumed(key string, cycle uint64) {
-	if c.o.OnResumed != nil {
-		c.o.OnResumed(key, cycle)
-	}
-}
-
-func (c callbackSink) Checkpoint(key string, cycle uint64) {
-	if c.o.OnCheckpoint != nil {
-		c.o.OnCheckpoint(key, cycle)
-	}
-}
-
-func (c callbackSink) Engine(s obs.ProbeSnapshot) {
-	if c.o.OnEngine != nil {
-		c.o.OnEngine(s)
-	}
-}
-
-func (c callbackSink) Telemetry(s obs.TelemetrySnapshot) {
-	if c.o.OnTelemetry != nil {
-		c.o.OnTelemetry(s)
-	}
-}
-
-// Note drops lifecycle notes: they are the coordinator's annotations,
-// and a standalone execution makes none.
-func (callbackSink) Note(string, map[string]string) {}

@@ -35,9 +35,9 @@ type job struct {
 	// checkpoint → migrate/rollback → done), served as Chrome
 	// trace_event JSON. It has its own lock; see obs.Timeline.
 	trace *obs.Timeline
-	// prevEngine is the last probe snapshot folded into the server's
-	// engine histograms, kept to compute deltas (guarded by mu).
-	prevEngine obs.ProbeSnapshot
+	// engine folds the job's probe snapshots: stale ones are ignored for
+	// info.Engine and /metrics alike.
+	engine obs.EngineFold
 
 	// telemetry holds the latest machine-telemetry sample per shard
 	// index (one entry, index 0, for unsharded jobs); prevMerged is the
@@ -255,48 +255,23 @@ func (j *job) note(event string, fields map[string]string) {
 	}
 }
 
-// engineDelta is the increment between two probe snapshots, folded
-// into the server's engine histograms.
-type engineDelta struct {
-	cycles                    uint64
-	computeS, barrierS, syncS float64
-	syncCalls, parks          uint64
-}
-
-// setEngine records the latest engine probe snapshot, surfaces it to
-// SSE subscribers, and returns the delta since the previous snapshot.
-// A snapshot smaller than its predecessor means the job migrated to a
-// fresh executor (new probe); the whole snapshot is then the delta.
-func (j *job) setEngine(snap obs.ProbeSnapshot) engineDelta {
+// setEngine folds one engine probe snapshot into the job: a fresh one
+// becomes info.Engine and goes to SSE subscribers, and its increments are
+// returned for the server's engine series; a stale one (see
+// obs.EngineFold) changes nothing and reports false.
+func (j *job) setEngine(snap obs.ProbeSnapshot) (obs.EngineDelta, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	prev := j.prevEngine
-	if snap.Cycles != prev.Cycles {
+	d, ok := j.engine.Fold(snap)
+	if !ok {
+		return d, false
+	}
+	if d.Cycles > 0 {
 		j.touchLocked()
 	}
-	parks, prevParks := snap.BarrierParks(), prev.BarrierParks()
-	d := engineDelta{
-		computeS:  (snap.ComputeWallMS() - prev.ComputeWallMS()) / 1e3,
-		barrierS:  (snap.BarrierWallMS() - prev.BarrierWallMS()) / 1e3,
-		syncS:     (snap.ShardSyncWallMS - prev.ShardSyncWallMS) / 1e3,
-		cycles:    snap.Cycles - prev.Cycles,
-		syncCalls: snap.ShardSyncs - prev.ShardSyncs,
-		parks:     parks - prevParks,
-	}
-	if snap.Cycles < prev.Cycles || d.computeS < 0 || d.barrierS < 0 || parks < prevParks {
-		d = engineDelta{
-			computeS:  snap.ComputeWallMS() / 1e3,
-			barrierS:  snap.BarrierWallMS() / 1e3,
-			syncS:     snap.ShardSyncWallMS / 1e3,
-			cycles:    snap.Cycles,
-			syncCalls: snap.ShardSyncs,
-			parks:     parks,
-		}
-	}
-	j.prevEngine = snap
 	j.info.Engine = &snap
 	j.broadcastLocked(Event{Type: "engine", Job: j.info.ID, Engine: &snap})
-	return d
+	return d, true
 }
 
 // setTelemetry folds one executor's machine-telemetry sample into the

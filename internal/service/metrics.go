@@ -17,14 +17,9 @@ import (
 type serveMetrics struct {
 	reg *obs.Registry
 
-	// Engine telemetry, fed by jobSink.Engine deltas: one observation
-	// per autosave chunk of one running job.
-	engineCycles    *obs.Counter
-	engineCompute   *obs.Histogram
-	engineBarrier   *obs.Histogram
-	engineParks     *obs.Counter
-	engineShardSync *obs.Histogram
-	engineSyncCalls *obs.Counter
+	// engine is fed by jobSink.Engine: one observation per fresh probe
+	// snapshot of a running job, folded by the job's obs.EngineFold.
+	engine *obs.EngineSeries
 }
 
 // newServeMetrics builds the daemon registry over a server's live
@@ -120,13 +115,8 @@ func newServeMetrics(s *Server) *serveMetrics {
 	reg.CounterFunc("hornet_journal_errors_total", "Failed journal appends or compactions (durability degraded).", s.journalErrs.Load)
 	reg.CounterFunc("hornet_jobs_restored_total", "Jobs rebuilt from the journal at startup.", s.jobsRestored.Load)
 
-	// Engine instrumentation (per-chunk deltas from running jobs).
-	m.engineCycles = reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed across all jobs.")
-	m.engineCompute = reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil)
-	m.engineBarrier = reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil)
-	m.engineParks = reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep.")
-	m.engineShardSync = reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil)
-	m.engineSyncCalls = reg.Counter("hornet_engine_shard_syncs_total", "Shard synchronization exchanges.")
+	// Engine instrumentation (per-chunk increments from running jobs).
+	m.engine = obs.NewEngineSeries(reg)
 
 	// Stall watchdog and trace-timeline accounting.
 	reg.CounterFunc("hornet_job_stalls_total", "Stall episodes: running jobs with no forward progress, or jobs queued unserved, for the watchdog window.", s.jobStalls.Load)
@@ -173,31 +163,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 // over a thousand directed links, and a scrape surface that large per
 // job helps nobody.
 const topLinkSeries = 8
-
-// observeEngine folds one job's probe-snapshot delta into the engine
-// series. Deltas are per autosave chunk; a migrated job's first
-// snapshot on the new executor counts whole (the job layer already
-// re-based it).
-func (m *serveMetrics) observeEngine(d engineDelta) {
-	if d.cycles > 0 {
-		m.engineCycles.Add(d.cycles)
-	}
-	if d.computeS > 0 {
-		m.engineCompute.Observe(d.computeS)
-	}
-	if d.barrierS > 0 {
-		m.engineBarrier.Observe(d.barrierS)
-	}
-	if d.parks > 0 {
-		m.engineParks.Add(d.parks)
-	}
-	if d.syncS > 0 {
-		m.engineShardSync.Observe(d.syncS)
-	}
-	if d.syncCalls > 0 {
-		m.engineSyncCalls.Add(d.syncCalls)
-	}
-}
 
 // observeHTTP records one served request under its route pattern.
 func (m *serveMetrics) observeHTTP(route string, code int, dur time.Duration) {

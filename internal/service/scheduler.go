@@ -291,9 +291,9 @@ func (s *scheduler) run(j *job) ([]byte, int, error) {
 func fleetEligible(sc *scenario) bool { return sc.fig == nil }
 
 // jobSink adapts a job to the backend.Sink the execution backends
-// drive: engine snapshots update the job (and the server's engine
-// histograms when metrics are wired), lifecycle notes land on the
-// job's trace timeline.
+// drive: engine snapshots fold into the job (and into the server's engine
+// series when metrics are wired), lifecycle notes land on the job's trace
+// timeline.
 type jobSink struct {
 	j *job
 	m *serveMetrics
@@ -304,9 +304,8 @@ func (s jobSink) Resumed(key string, cycle uint64)     { s.j.noteResumed(key, cy
 func (s jobSink) Checkpoint(key string, cycle uint64)  { s.j.noteCheckpoint(key, cycle) }
 
 func (s jobSink) Engine(snap obs.ProbeSnapshot) {
-	d := s.j.setEngine(snap)
-	if s.m != nil {
-		s.m.observeEngine(d)
+	if d, ok := s.j.setEngine(snap); ok && s.m != nil {
+		s.m.engine.Observe(d)
 	}
 }
 
@@ -345,14 +344,8 @@ func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backe
 		return lb.executeShardedLocal(ctx, sc, env, sink)
 	}
 	// Every locally executed job gets a fresh engine probe so the daemon
-	// can report cycles/sec and barrier-vs-compute time per running job,
-	// plus (when the server enabled it) a machine-telemetry pump feeding
-	// the job's live per-tile/per-link view.
-	env = env.withProbe(obs.NewSimProbe())
-	if env.telEvery >= 0 {
-		env = env.withTelemetry(sink.Telemetry)
-	}
-	return executeScenario(ctx, sc, env, lb.s.pool, sink, nil)
+	// can report cycles/sec and barrier-vs-compute time per running job.
+	return executeScenario(ctx, sc, env, lb.s.pool, sink, obs.NewSimProbe(), nil)
 }
 
 // executeShardedLocal runs every member of a space-parallel task inside
@@ -400,15 +393,13 @@ func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, e
 			// sinks drop. Telemetry is per tile span, so EVERY member
 			// reports it, and the job merges the spans into one
 			// full-machine view.
-			menv, msink := env, backend.Sink(backend.MemberSink{Root: sink})
+			var msink backend.Sink = backend.MemberSink{Root: sink}
+			var probe *obs.SimProbe
 			if i == 0 {
-				menv, msink = env.withProbe(obs.NewSimProbe()), sink
-			}
-			if env.telEvery >= 0 {
-				menv = menv.withTelemetry(msink.Telemetry)
+				msink, probe = sink, obs.NewSimProbe()
 			}
 			member := &ShardMember{Index: i, Count: n, Transport: &localShardTransport{ctx: ctx, group: group, shard: i}}
-			docs[i], _, errs[i] = executeScenario(ctx, sc, menv, sweep.NewBudget(per), msink, member)
+			docs[i], _, errs[i] = executeScenario(ctx, sc, env, sweep.NewBudget(per), msink, probe, member)
 			if errs[i] != nil {
 				// Doom the group so siblings fail out of their barriers
 				// instead of waiting for a member that already gave up.

@@ -18,11 +18,7 @@ type workerMetrics struct {
 	uploadSecs    *obs.Histogram
 	uploadSizes   *obs.Histogram
 
-	engineCycles    *obs.Counter
-	engineCompute   *obs.Histogram
-	engineBarrier   *obs.Histogram
-	engineParks     *obs.Counter
-	engineShardSync *obs.Histogram
+	engine *obs.EngineSeries
 
 	reg *obs.Registry
 }
@@ -46,11 +42,7 @@ func newWorkerMetrics(w *Worker, reg *obs.Registry) *workerMetrics {
 	m.uploadBytes = reg.Counter("hornet_worker_checkpoint_upload_bytes_total", "Checkpoint bytes uploaded to the coordinator.")
 	m.uploadSecs = reg.Histogram("hornet_worker_checkpoint_upload_seconds", "Checkpoint upload round-trip latency.", nil)
 	m.uploadSizes = reg.Histogram("hornet_worker_checkpoint_upload_size_bytes", "Checkpoint blob sizes uploaded.", obs.SizeBuckets)
-	m.engineCycles = reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed on this worker.")
-	m.engineCompute = reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil)
-	m.engineBarrier = reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil)
-	m.engineParks = reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep.")
-	m.engineShardSync = reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil)
+	m.engine = obs.NewEngineSeries(reg)
 	return m
 }
 
@@ -86,26 +78,9 @@ func (m *workerMetrics) uploadDone(bytes int, d time.Duration) {
 	m.uploadSizes.Observe(float64(bytes))
 }
 
-// observeEngine folds the delta between consecutive probe snapshots of
-// one task into the engine series. Snapshots from one probe are
-// monotone; a guard keeps a reordered pair from going negative.
-func (m *workerMetrics) observeEngine(prev, cur obs.ProbeSnapshot) {
-	if m == nil {
-		return
-	}
-	if cur.Cycles > prev.Cycles {
-		m.engineCycles.Add(cur.Cycles - prev.Cycles)
-	}
-	if d := (cur.ComputeWallMS() - prev.ComputeWallMS()) / 1e3; d > 0 {
-		m.engineCompute.Observe(d)
-	}
-	if d := (cur.BarrierWallMS() - prev.BarrierWallMS()) / 1e3; d > 0 {
-		m.engineBarrier.Observe(d)
-	}
-	if parks, was := cur.BarrierParks(), prev.BarrierParks(); parks > was {
-		m.engineParks.Add(parks - was)
-	}
-	if d := (cur.ShardSyncWallMS - prev.ShardSyncWallMS) / 1e3; d > 0 {
-		m.engineShardSync.Observe(d)
+// observeEngine records one task's engine-snapshot increments.
+func (m *workerMetrics) observeEngine(d obs.EngineDelta) {
+	if m != nil {
+		m.engine.Observe(d)
 	}
 }

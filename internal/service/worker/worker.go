@@ -173,6 +173,16 @@ func (w *Worker) doJSON(ctx context.Context, method, path string, body, out any)
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// statusError is a coordinator answer the protocol gives no meaning of
+// its own: a rejected request (4xx) or a failing coordinator (5xx).
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
 func decodeError(resp *http.Response) error {
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	var env struct {
@@ -185,9 +195,15 @@ func decodeError(resp *http.Response) error {
 		case service.CodeWorkerUnknown:
 			return errUnknown
 		}
-		return &env.Err
+		return &statusError{resp.StatusCode, &env.Err}
 	}
-	return fmt.Errorf("http %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	return &statusError{resp.StatusCode, fmt.Errorf("http %d: %s", resp.StatusCode, bytes.TrimSpace(b))}
+}
+
+// taskPath is the coordinator path of one of this worker's tasks, or of
+// something under it: "events", "result", "checkpoints/<key>", ...
+func (w *Worker) taskPath(taskID, suffix string) string {
+	return "/api/v1/workers/" + url.PathEscape(w.ID()) + "/tasks/" + url.PathEscape(taskID) + "/" + suffix
 }
 
 // Run registers and serves assignments until ctx is cancelled.
@@ -448,26 +464,11 @@ func (w *Worker) cancelTask(taskID string) {
 	}
 }
 
+// poll long-polls for the next assignment; nil means none yet (204).
 func (w *Worker) poll(ctx context.Context) (*backend.Assignment, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.opts.Coordinator+"/api/v1/workers/"+url.PathEscape(w.ID())+"/poll?wait=25s", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		io.Copy(io.Discard, resp.Body)
-		return nil, nil
-	case resp.StatusCode >= 400:
-		return nil, decodeError(resp)
-	}
 	var a backend.Assignment
-	if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
+	err := w.doJSON(ctx, http.MethodPost, "/api/v1/workers/"+url.PathEscape(w.ID())+"/poll?wait=25s", nil, &a)
+	if err != nil || a.TaskID == "" {
 		return nil, err
 	}
 	return &a, nil
@@ -503,10 +504,9 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 	for key, blob := range a.Checkpoints {
 		_ = store.mem.Save(key, blob.Data, blob.Cycle)
 	}
-	event := func(ev backend.TaskEvent) {
-		err := w.doJSON(taskCtx, http.MethodPost,
-			"/api/v1/workers/"+url.PathEscape(w.ID())+"/tasks/"+url.PathEscape(a.TaskID)+"/events",
-			ev, nil)
+	// Every sink call becomes one event push.
+	push := backend.EventSink(func(ev backend.TaskEvent) {
+		err := w.doJSON(taskCtx, http.MethodPost, w.taskPath(a.TaskID, "events"), ev, nil)
 		switch {
 		case errors.Is(err, errGone):
 			// Cancelled or migrated away: the task is not ours — stop
@@ -520,42 +520,17 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 			// dropped (progress pushes are best-effort anyway).
 			w.rejoin(taskCtx)
 		}
-	}
-	onProgress := func(done, total int, key string) {
-		event(backend.TaskEvent{Type: "progress", Done: done, Total: total, Key: key})
-	}
-	onResumed := func(key string, cycle uint64) {
-		event(backend.TaskEvent{Type: "resumed", Key: key, Cycle: cycle})
-	}
-	onCheckpoint := func(key string, cycle uint64) {
-		event(backend.TaskEvent{Type: "checkpoint", Key: key, Cycle: cycle})
-	}
-	// Engine probe snapshots: pushed upstream (the coordinator surfaces
-	// them per job) and folded into this worker's own engine histograms.
-	fold := &engineFold{}
-	onEngine := func(snap obs.ProbeSnapshot) {
-		prev, cur := fold.fold(snap)
-		w.metrics.observeEngine(prev, cur)
-		event(backend.TaskEvent{Type: "engine", Engine: &snap})
-	}
-	// Machine-telemetry samples: pushed upstream so the coordinator can
-	// merge the member spans of a sharded job into one live machine view.
-	var onTelemetry func(obs.TelemetrySnapshot)
-	if w.opts.TelemetryEvery >= 0 {
-		onTelemetry = func(snap obs.TelemetrySnapshot) {
-			event(backend.TaskEvent{Type: "telemetry", Telemetry: &snap})
-		}
-	}
+	})
+	// The probe's snapshots are the job's engine view on the coordinator
+	// and this worker's own engine series; telemetry samples let the
+	// coordinator merge a sharded job's member spans into one live view.
 	opts := service.ExecOptions{
 		Workers:         a.Workers,
 		Checkpoints:     store,
 		CheckpointEvery: a.CheckpointEvery,
 		Warmups:         w.warm,
-		OnProgress:      onProgress,
-		OnResumed:       onResumed,
-		OnCheckpoint:    onCheckpoint,
-		OnEngine:        onEngine,
-		OnTelemetry:     onTelemetry,
+		Sink:            &taskSink{Sink: push, metrics: w.metrics},
+		Probe:           obs.NewSimProbe(),
 		TelemetryEvery:  w.opts.TelemetryEvery,
 	}
 	if a.ShardCount >= 2 {
@@ -584,24 +559,22 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 	}
 }
 
-// engineFold serializes engine-probe snapshots arriving from one
-// task's concurrently finishing runs into ordered (previous, current)
-// pairs. Runs of one task hit chunk boundaries in parallel, so without
-// the lock two snapshots could read the same delta base and fold one
-// chunk's work into the worker's histograms twice (or, interleaved the
-// other way, fold a negative delta and silently drop it).
-type engineFold struct {
-	mu   sync.Mutex
-	prev obs.ProbeSnapshot
+// taskSink is one task's sink: every call goes to the coordinator, and
+// the engine snapshots also feed this worker's engine series. A stale
+// snapshot (see obs.EngineFold) goes nowhere.
+type taskSink struct {
+	backend.Sink
+	fold    obs.EngineFold
+	metrics *workerMetrics
 }
 
-// fold records snap as the newest snapshot and returns the delta pair
-// to observe.
-func (f *engineFold) fold(snap obs.ProbeSnapshot) (prev, cur obs.ProbeSnapshot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	prev, f.prev = f.prev, snap
-	return prev, snap
+func (s *taskSink) Engine(snap obs.ProbeSnapshot) {
+	d, ok := s.fold.Fold(snap)
+	if !ok {
+		return
+	}
+	s.metrics.observeEngine(d)
+	s.Sink.Engine(snap)
 }
 
 // finishTask records one terminal task outcome in the log and metrics.
@@ -615,24 +588,46 @@ func (w *Worker) finishTask(taskID, outcome string, err error) {
 	w.log.Info("task finished", attrs...)
 }
 
+// pushResult delivers the terminal result. A result the coordinator
+// never sees wedges the job — the task stays assigned to this live,
+// heartbeating worker — so a push that fails in transport or on a 5xx is
+// retried, backing off up to 5s, until the coordinator answers, or until
+// ctx ends. task_gone is the answer a duplicate gets (the task is not
+// ours any more); worker_unknown means the coordinator restarted just as
+// the run finished: rejoin — the registration claims this task, which is
+// in w.running until our caller's defer — and push once more. If the
+// claim was adopted the result completes the job; if not, the push gets
+// task_gone and the coordinator re-runs from checkpoints.
 func (w *Worker) pushResult(ctx context.Context, taskID string, res backend.ResultPush) {
-	err := w.doJSON(ctx, http.MethodPost,
-		"/api/v1/workers/"+url.PathEscape(w.ID())+"/tasks/"+url.PathEscape(taskID)+"/result",
-		res, nil)
-	if errors.Is(err, errUnknown) && ctx.Err() == nil {
-		// The coordinator restarted just as the run finished. Rejoin —
-		// the registration claims this task (it is still in w.running
-		// until our caller's defer) — and push once more: if the claim
-		// was adopted the result completes the job; if not, the retry
-		// gets task_gone and the coordinator re-runs from checkpoints.
-		w.rejoin(ctx)
-		err = w.doJSON(ctx, http.MethodPost,
-			"/api/v1/workers/"+url.PathEscape(w.ID())+"/tasks/"+url.PathEscape(taskID)+"/result",
-			res, nil)
+	rejoined := false
+	for backoff := 100 * time.Millisecond; ; backoff = min(2*backoff, 5*time.Second) {
+		err := w.doJSON(ctx, http.MethodPost, w.taskPath(taskID, "result"), res, nil)
+		switch {
+		case err == nil || errors.Is(err, errGone) || ctx.Err() != nil:
+			return
+		case errors.Is(err, errUnknown) && !rejoined:
+			w.rejoin(ctx)
+			rejoined = true
+			continue
+		case errors.Is(err, errUnknown) || !retryable(err):
+			w.log.Warn("result push failed", obs.Worker(w.ID()), obs.Task(taskID), obs.Err(err))
+			return
+		}
+		w.log.Warn("result push failed; retrying", obs.Worker(w.ID()), obs.Task(taskID),
+			obs.Err(err), slog.Duration("backoff", backoff))
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return
+		}
 	}
-	if err != nil && ctx.Err() == nil {
-		w.log.Warn("result push failed", obs.Worker(w.ID()), obs.Task(taskID), obs.Err(err))
-	}
+}
+
+// retryable reports whether a failed push may succeed if sent again: it
+// got no answer, or the coordinator failed (5xx).
+func retryable(err error) bool {
+	var se *statusError
+	return !errors.As(err, &se) || se.status >= 500
 }
 
 // shardTransport is the worker-side service.ShardTransport: every
@@ -649,11 +644,6 @@ type shardTransport struct {
 	epoch     int
 }
 
-func (t *shardTransport) path(suffix string) string {
-	return "/api/v1/workers/" + url.PathEscape(t.w.ID()) +
-		"/tasks/" + url.PathEscape(t.taskID) + "/" + suffix
-}
-
 // fatal maps protocol statuses that mean "this task is no longer ours"
 // onto a run cancellation, like every other push path.
 func (t *shardTransport) fatal(err error) error {
@@ -665,7 +655,7 @@ func (t *shardTransport) fatal(err error) error {
 
 func (t *shardTransport) Sync(v sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, error) {
 	var resp backend.ShardSyncResponse
-	err := t.w.doJSON(t.ctx, http.MethodPost, t.path("shardsync"),
+	err := t.w.doJSON(t.ctx, http.MethodPost, t.w.taskPath(t.taskID, "shardsync"),
 		backend.ShardSyncRequest{Epoch: t.epoch, Vote: v, Boundary: boundary}, &resp)
 	if err != nil {
 		return sim.ShardDecision{}, nil, t.fatal(err)
@@ -679,7 +669,7 @@ func (t *shardTransport) Sync(v sim.ShardVote, boundary []byte) (sim.ShardDecisi
 
 func (t *shardTransport) Gather(payload []byte) ([][]byte, error) {
 	var resp backend.ShardGatherResponse
-	err := t.w.doJSON(t.ctx, http.MethodPost, t.path("shardgather"),
+	err := t.w.doJSON(t.ctx, http.MethodPost, t.w.taskPath(t.taskID, "shardgather"),
 		backend.ShardGatherRequest{Epoch: t.epoch, Payload: payload}, &resp)
 	if err != nil {
 		return nil, t.fatal(err)
@@ -693,7 +683,7 @@ func (t *shardTransport) Gather(payload []byte) ([][]byte, error) {
 
 func (t *shardTransport) StableCheckpoint() ([]byte, bool, error) {
 	var resp backend.ShardCheckpointResponse
-	err := t.w.doJSON(t.ctx, http.MethodGet, t.path("shardcheckpoint"), nil, &resp)
+	err := t.w.doJSON(t.ctx, http.MethodGet, t.w.taskPath(t.taskID, "shardcheckpoint"), nil, &resp)
 	if err != nil {
 		return nil, false, t.fatal(err)
 	}
@@ -717,8 +707,7 @@ type remoteStore struct {
 
 func (r *remoteStore) Save(key string, blob []byte, cycle uint64) error {
 	_ = r.mem.Save(key, blob, cycle)
-	path := "/api/v1/workers/" + url.PathEscape(r.w.ID()) + "/tasks/" + url.PathEscape(r.taskID) +
-		"/checkpoints/" + url.PathEscape(key) + "?cycle=" + strconv.FormatUint(cycle, 10)
+	path := r.w.taskPath(r.taskID, "checkpoints/"+url.PathEscape(key)+"?cycle="+strconv.FormatUint(cycle, 10))
 	req, err := http.NewRequestWithContext(r.ctx, http.MethodPut,
 		r.w.opts.Coordinator+path, bytes.NewReader(blob))
 	if err != nil {
@@ -767,7 +756,5 @@ func (r *remoteStore) Remove(key string) {
 	r.mem.Remove(key)
 	// Best effort: the run finished, so the coordinator can drop the
 	// migration blob; the result push supersedes it anyway.
-	_ = r.w.doJSON(r.ctx, http.MethodDelete,
-		"/api/v1/workers/"+url.PathEscape(r.w.ID())+"/tasks/"+url.PathEscape(r.taskID)+
-			"/checkpoints/"+url.PathEscape(key), nil, nil)
+	_ = r.w.doJSON(r.ctx, http.MethodDelete, r.w.taskPath(r.taskID, "checkpoints/"+url.PathEscape(key)), nil, nil)
 }
