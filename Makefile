@@ -144,10 +144,12 @@ fuzz-smoke:
 # Then the service-side identity set: every submission shape and spelling
 # keeps the content address recorded for it (never re-record those), a
 # scenario document coalesces with the legacy spelling it restates, and
-# validate reports what submit acquires.
+# validate reports what submit acquires. Last, the one workload binding:
+# every kernel binds to one run and hash through both spellings, and every
+# rejection points at the input at fault.
 scenario-golden:
-	$(GO) test -count=1 -run 'TestExamples|TestNormalizeIdempotent|TestPresetsAllCompile' ./internal/scenario
-	$(GO) test -count=1 -run 'TestFrozenLegacyHashes|TestScenarioMipsLegacyIdentity|TestScenarioCoalescesWithLegacy|TestDryRunMatchesSubmit' ./internal/service
+	$(GO) test -count=1 -run 'TestExamples|TestNormalizeIdempotent|TestPresetsAllCompile|TestCompileKernelErrorPaths' ./internal/scenario
+	$(GO) test -count=1 -run 'TestFrozenLegacyHashes|TestScenarioMipsLegacyIdentity|TestScenarioCoalescesWithLegacy|TestDryRunMatchesSubmit|TestWorkloadSpellingParity|TestScenarioErrorFieldPaths|TestMipsScenarioValidation' ./internal/service
 
 # Dry-run every example scenario through the real validation path
 # (hornet-exp -validate = the daemon's POST /api/v1/validate): the

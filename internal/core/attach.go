@@ -64,10 +64,19 @@ func (s *System) TraceDone() bool {
 			return false
 		}
 	}
-	if s.InFlight() != 0 {
-		return false
-	}
-	for _, t := range s.tiles {
+	return s.drained()
+}
+
+// drained reports whether the network holds no flit and no router has a
+// packet waiting to inject: the half every completion predicate shares.
+func (s *System) drained() bool {
+	return s.InFlight() == 0 && noPendingPackets(s.tiles)
+}
+
+// noPendingPackets reports whether no router of tiles has a packet
+// waiting to inject.
+func noPendingPackets(tiles []*Tile) bool {
+	for _, t := range tiles {
 		if t.Router.PendingPackets() > 0 {
 			return false
 		}
@@ -90,13 +99,6 @@ func (s *System) AttachTraceControllers(nodes []noc.NodeID, latency, responseFli
 			next: tc.NextEvent,
 		})
 	}
-}
-
-// MemoryOptions selects the shared-memory subsystem layout.
-type MemoryOptions struct {
-	// WithL1 gives tiles an MSI-coherent private L1 (Protocol "msi");
-	// Protocol "nuca" uses remote-access ports instead.
-	Cfg config.MemoryConfig
 }
 
 // memoryFabric holds the per-tile memory components after AttachMemory.
@@ -262,15 +264,7 @@ func (s *System) CoresHalted(cores []*mips.Core) func(cycle uint64) bool {
 				return false
 			}
 		}
-		if s.InFlight() != 0 {
-			return false
-		}
-		for _, t := range s.tiles {
-			if t.Router.PendingPackets() > 0 {
-				return false
-			}
-		}
-		return true
+		return s.drained()
 	}
 }
 

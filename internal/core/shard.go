@@ -83,13 +83,18 @@ func (c *shardCoupler) Sync(vote sim.ShardVote) (sim.ShardDecision, error) {
 // synchronization point. Call after all frontends are attached and —
 // when resuming — after Restore, so the boundary bookkeeping baselines
 // against the restored state. Sharding requires cycle-accurate
-// synchronization (sync period 1).
+// synchronization (sync period 1) and unidirectional links: a boundary
+// applies the far side's free space of the current cycle, where one
+// process arbitrates a bidirectional link on the previous cycle's.
 func (s *System) EnableSharding(index, count int, peer ShardPeer) error {
 	if s.shard != nil {
 		return fmt.Errorf("core: sharding already enabled")
 	}
 	if peer == nil {
 		return fmt.Errorf("core: sharding needs a peer")
+	}
+	if s.Config.Router.Bidirectional {
+		return fmt.Errorf("core: sharding does not support bidirectional links")
 	}
 	n := len(s.tiles)
 	if count < 2 || count > n || index < 0 || index >= count {
@@ -155,12 +160,7 @@ func (s *System) shardDone(lo, hi int) func() bool {
 				return false
 			}
 		}
-		for _, t := range tiles {
-			if t.Router.PendingPackets() > 0 {
-				return false
-			}
-		}
-		return true
+		return noPendingPackets(tiles)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -205,6 +206,27 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 			}
 			_ = refRes
 		})
+	}
+}
+
+// TestEnableShardingRejectsBidirectional: a shard boundary re-arbitrates a
+// bidirectional link on the far side's free space of the current cycle,
+// one process on the previous cycle's, so 2- and 4-way shards of a busy
+// bidirectional mesh delivered different flit counts than the single
+// process. Sharding refuses such a machine instead.
+func TestEnableShardingRejectsBidirectional(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Router.Bidirectional = true
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sys.EnableSharding(0, 2, newShardHub(2))
+	if err == nil || !strings.Contains(err.Error(), "bidirectional") {
+		t.Fatalf("EnableSharding on a bidirectional machine = %v, want a bidirectional-links error", err)
+	}
+	if lo, hi := sys.ShardSpan(); lo != 0 || hi != cfg.Topology.Nodes() {
+		t.Fatalf("refused sharding left span [%d,%d)", lo, hi)
 	}
 }
 

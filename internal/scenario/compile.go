@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 
 	"hornet/internal/config"
@@ -11,13 +10,13 @@ import (
 )
 
 // Run is one compiled simulation: the full configuration it executes
-// and, for application scenarios, the kernel binding. Key is empty for
-// single-run scenarios (the job name stands in) and the axis-derived
-// label for sweep points.
+// and, for application scenarios, the kernel bound to that machine. Key
+// is empty for single-run scenarios (the job name stands in) and the
+// axis-derived label for sweep points.
 type Run struct {
 	Key      string
 	Config   config.Config
-	Workload *Workload
+	Workload *workloads.Run
 }
 
 // Compiled is a scenario lowered to its executable form, plus the
@@ -49,11 +48,11 @@ func Compile(s *Scenario) (*Compiled, *FieldError) {
 		Shards:      n.Run.Shards,
 	}
 	if len(n.Sweep) == 0 {
-		cfg, ferr := n.runConfig()
+		cfg, run, ferr := n.runConfig()
 		if ferr != nil {
 			return nil, ferr
 		}
-		c.Runs = []Run{{Config: cfg, Workload: n.Workload}}
+		c.Runs = []Run{{Config: cfg, Workload: run}}
 		return c, nil
 	}
 
@@ -113,11 +112,11 @@ func Compile(s *Scenario) (*Compiled, *FieldError) {
 			return nil, errf("/sweep", "duplicate run key %q: axis values must render distinct labels", key)
 		}
 		seen[key] = true
-		cfg, ferr := pn.runConfig()
+		cfg, run, ferr := pn.runConfig()
 		if ferr != nil {
 			return nil, errf(ferr.Path, "sweep point %s: %s", key, ferr.Msg)
 		}
-		c.Runs = append(c.Runs, Run{Key: key, Config: cfg, Workload: pn.Workload})
+		c.Runs = append(c.Runs, Run{Key: key, Config: cfg, Workload: run})
 
 		for a := len(idx) - 1; a >= 0; a-- {
 			idx[a]++
@@ -131,8 +130,9 @@ func Compile(s *Scenario) (*Compiled, *FieldError) {
 }
 
 // runConfig lowers a normalized, sweep-free scenario to the
-// configuration one run executes.
-func (s *Scenario) runConfig() (config.Config, *FieldError) {
+// configuration one run executes and, for an application workload, its
+// binding to that machine.
+func (s *Scenario) runConfig() (config.Config, *workloads.Run, *FieldError) {
 	m := s.Machine
 	cfg := config.Default()
 	cfg.Topology = m.Topology
@@ -155,35 +155,20 @@ func (s *Scenario) runConfig() (config.Config, *FieldError) {
 		cfg.AnalyzedCycles = s.Run.AnalyzedCycles
 	}
 	if m.Memory != nil && m.Memory.LineBytes > config.MaxLineBytes {
-		return cfg, errf("/machine/memory/line_bytes", "must be at most %d, got %d",
+		return cfg, nil, errf("/machine/memory/line_bytes", "must be at most %d, got %d",
 			config.MaxLineBytes, m.Memory.LineBytes)
 	}
 	if err := cfg.Validate(); err != nil {
-		return cfg, errf("/machine", "%s", err.Error())
+		return cfg, nil, errf("/machine", "%s", err.Error())
 	}
-	if w := s.Workload; w != nil {
-		k, ok := workloads.Lookup(w.Kernel)
-		if !ok {
-			return cfg, errf("/workload/kernel", "unknown kernel %q", w.Kernel)
-		}
-		if err := k.Validate(w.Params, cfg.Topology.Nodes()); err != nil {
-			// An out-of-range parameter is that parameter's fault.
-			var pe *workloads.ParamError
-			if errors.As(err, &pe) {
-				return cfg, errf("/workload/params/"+pe.Param, "%s", err.Error())
-			}
-			return cfg, errf("/workload", "%s", err.Error())
-		}
-		if k.Shared && cfg.Memory == nil {
-			return cfg, errf("/machine/memory",
-				"%s runs on the coherent-memory fabric; machine.memory is required", w.Kernel)
-		}
-		if !k.Shared && cfg.Memory != nil {
-			return cfg, errf("/machine/memory",
-				"%s uses private per-core memory; omit machine.memory", w.Kernel)
-		}
+	if s.Workload == nil {
+		return cfg, nil, nil
 	}
-	return cfg, nil
+	run, err := s.Workload.spec().Bind(cfg.Topology.Nodes(), cfg.Memory != nil)
+	if err != nil {
+		return cfg, nil, workloadErr(err)
+	}
+	return cfg, run, nil
 }
 
 // renderValue turns one axis value into its run-key fragment: the JSON

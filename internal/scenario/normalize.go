@@ -103,23 +103,27 @@ func (s *Scenario) Normalize() (*Scenario, *FieldError) {
 
 // normalize folds a workload against its registry entry.
 func (w *Workload) normalize() (*Workload, *FieldError) {
-	k, ok := workloads.Lookup(w.Kernel)
-	if !ok {
-		return nil, errf("/workload/kernel", "unknown kernel %q (registered: %s)",
-			w.Kernel, strings.Join(workloads.Names(), ", "))
-	}
-	p, err := k.Normalize(w.Params)
+	s, err := w.spec().Normalize()
 	if err != nil {
-		return nil, errf("/workload/params", "%s", err.Error())
+		return nil, workloadErr(err)
 	}
-	out := &Workload{Kernel: w.Kernel, Params: p, MaxCycles: w.MaxCycles}
-	if out.MaxCycles == 0 {
-		out.MaxCycles = DefaultMaxCycles
+	return &Workload{Kernel: s.Kernel, Params: s.Params, MaxCycles: s.MaxCycles}, nil
+}
+
+func (w *Workload) spec() workloads.Spec {
+	return workloads.Spec{Kernel: w.Kernel, Params: w.Params, MaxCycles: w.MaxCycles}
+}
+
+// workloadErr points a binding failure into the document: the memory
+// rule is the machine's memory section's fault, a misfit the workload's.
+func workloadErr(err *workloads.Error) *FieldError {
+	switch err.Field {
+	case "memory":
+		return errf("/machine/memory", "%s", err.Msg)
+	case "":
+		return errf("/workload", "%s", err.Msg)
 	}
-	if out.MaxCycles > 1_000_000_000 {
-		return nil, errf("/workload/max_cycles", "must be <= 1000000000")
-	}
-	return out, nil
+	return errf("/workload/"+err.Field, "%s", err.Msg)
 }
 
 // checkSweep validates the axes structurally (names, paths, value

@@ -47,9 +47,6 @@ const Version = 1
 // submission.
 const DefaultSeed = 0x5EED0A11
 
-// DefaultMaxCycles caps application-workload runs that never halt.
-const DefaultMaxCycles = 10_000_000
-
 // MaxSweepRuns bounds how many runs one scenario may expand to.
 const MaxSweepRuns = 512
 

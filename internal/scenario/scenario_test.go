@@ -301,6 +301,10 @@ func TestCompileKernelErrorPaths(t *testing.T) {
 		{"cannon-b", "cannon", workloads.Params{"b": 65}, 2, 2, "/workload/params/b"},
 		{"cannon-q", "cannon", workloads.Params{"q": 0}, 2, 2, "/workload/params/q"},
 		{"cannon-grid", "cannon", nil, 4, 4, "/workload"},
+		{"reduction-elems", "reduction", workloads.Params{"elems": 0}, 2, 2, "/workload/params/elems"},
+		{"reduction-nodes", "reduction", nil, 3, 2, "/workload"},
+		{"matmul-n", "matmul-blocked", workloads.Params{"n": 65}, 2, 2, "/workload/params/n"},
+		{"matmul-b", "matmul-blocked", workloads.Params{"n": 8, "b": 3}, 2, 2, "/workload/params/b"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -380,10 +380,10 @@ type WorkerInfo struct {
 // FleetStats is the fleet's observability snapshot, embedded in
 // ServerStats.
 type FleetStats struct {
-	// WorkersLive / FleetCapacity describe the current fleet;
-	// FleetInUse/FleetPeak are the aggregate budget's lease accounting —
-	// peak never exceeding the capacity at the time is the proof the
-	// coordinator never oversubscribed the fleet.
+	// WorkersLive / FleetCapacity describe the current fleet; FleetInUse
+	// and FleetPeak (the most ever held at once) count the slots the
+	// placement granted on the live workers, so neither ever exceeds the
+	// capacity of its time — the coordinator never oversubscribes.
 	WorkersLive   int    `json:"workers_live"`
 	WorkersJoined uint64 `json:"workers_joined"`
 	WorkersLost   uint64 `json:"workers_lost"`
@@ -398,11 +398,8 @@ type FleetStats struct {
 	TasksRequeued   uint64 `json:"tasks_requeued"`
 	TasksCompleted  uint64 `json:"tasks_completed"`
 	// CheckpointBlobs is the number of migration snapshots currently
-	// held for in-flight tasks; LeaseMisses counts aggregate-budget
-	// leases that were not free at assignment time (always 0 unless a
-	// shrink raced an assignment).
-	CheckpointBlobs int    `json:"checkpoint_blobs"`
-	LeaseMisses     uint64 `json:"lease_misses"`
+	// held for in-flight tasks.
+	CheckpointBlobs int `json:"checkpoint_blobs"`
 	// TasksAdopted counts in-flight executions re-bound to a
 	// re-registering worker (coordinator restart reattach, or a lease
 	// expiry the worker outlived) instead of being re-dispatched.

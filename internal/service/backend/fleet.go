@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hornet/internal/obs"
-	"hornet/internal/sweep"
 )
 
 // BlobStore is the optional persistence hook for uploaded checkpoint
@@ -67,11 +66,6 @@ type reattachClaim struct {
 type Fleet struct {
 	opts FleetOptions
 	log  *slog.Logger
-	// agg is the fleet-wide CPU budget: capacity tracks the sum of live
-	// workers' capacities (Resize on join/leave), and every assignment
-	// holds a lease for its slot grant, so Peak proves the coordinator
-	// never oversubscribed the fleet.
-	agg *sweep.Budget
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -89,9 +83,11 @@ type Fleet struct {
 	tasksRequeued   uint64
 	tasksCompleted  uint64
 	tasksAdopted    uint64
-	leaseMisses     uint64
 	shardRollbacks  uint64
 	checkpointBytes uint64
+	// peak is the most slots ever granted at once, across the workers
+	// live at the time (FleetStats.FleetPeak).
+	peak int
 
 	closeOnce   sync.Once
 	janitorStop chan struct{}
@@ -123,7 +119,6 @@ type pending struct {
 
 	worker    string // assigned worker ID; "" while queued
 	grant     int    // slots granted on the assigned worker
-	lease     *sweep.Lease
 	cancelled bool
 	// holdUntil keeps a restored task out of ordinary dispatch while
 	// the coordinator waits for its pre-crash worker to re-claim it;
@@ -160,14 +155,12 @@ func NewFleet(opts FleetOptions) *Fleet {
 	f := &Fleet{
 		opts:        opts,
 		log:         log,
-		agg:         sweep.NewBudget(1), // resized to 0 below; NewBudget clamps
 		workers:     map[string]*workerState{},
 		expect:      map[string]*reattachClaim{},
 		notify:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
-	f.agg.Resize(0)
 	go f.janitor()
 	return f
 }
@@ -200,7 +193,6 @@ func (f *Fleet) Close() {
 	// against a dead coordinator forever.
 	f.workers = map[string]*workerState{}
 	f.expect = map[string]*reattachClaim{}
-	f.agg.Resize(0)
 	f.wakeLocked()
 	f.mu.Unlock()
 }
@@ -533,7 +525,6 @@ func (f *Fleet) finishLocked(p *pending, doc []byte, runErrs int, err error) {
 		// siblings from the barriers they are parked in.
 		p.group.Cancel(err)
 	}
-	p.lease.Release()
 	if err == nil {
 		f.tasksCompleted++
 	}
@@ -597,10 +588,10 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 			binds = append(binds, bind{p.sink, p.task.JobID, p.task.ID, p.grant, claim.Cycle})
 		}
 	}
-	f.resizeLocked()
 	f.wakeLocked()
+	capacity, _ := f.slotsLocked()
 	f.log.Info("worker registered", obs.Worker(id),
-		slog.Int("capacity", req.Capacity), slog.Int("fleet_capacity", f.agg.Cap()),
+		slog.Int("capacity", req.Capacity), slog.Int("fleet_capacity", capacity),
 		slog.Int("claimed", len(req.Running)), slog.Int("adopted", len(adopted)))
 	resp := RegisterResponse{
 		ID:              id,
@@ -675,9 +666,20 @@ func (f *Fleet) assignLocked(w *workerState, p *pending, slots int) {
 	w.free -= slots
 	w.tasks[p.task.ID] = p
 	p.worker, p.grant = w.id, slots
-	if p.lease = f.agg.TryLease(slots); p.lease == nil {
-		f.leaseMisses++ // shrink raced the assignment; placement still bounds usage
+	if _, inUse := f.slotsLocked(); inUse > f.peak {
+		f.peak = inUse
 	}
+}
+
+// slotsLocked sums the live workers' slots: what they offer and what
+// their assignments hold. Placement never grants a worker more than it
+// offers, so in use never exceeds capacity.
+func (f *Fleet) slotsLocked() (capacity, inUse int) {
+	for _, w := range f.workers {
+		capacity += w.capacity
+		inUse += w.capacity - w.free
+	}
+	return capacity, inUse
 }
 
 // Deregister removes a worker gracefully; its tasks requeue with their
@@ -691,7 +693,6 @@ func (f *Fleet) Deregister(id string) error {
 	}
 	f.log.Info("worker deregistered", obs.Worker(id))
 	f.evictLocked(w, "worker deregistered")
-	f.resizeLocked()
 	f.failQueuedIfEmptyLocked()
 	return nil
 }
@@ -703,8 +704,6 @@ func (f *Fleet) evictLocked(w *workerState, reason string) {
 	delete(f.workers, w.id)
 	var requeue []*pending
 	for _, p := range w.tasks {
-		p.lease.Release()
-		p.lease = nil
 		p.worker, p.grant = "", 0
 		if p.cancelled {
 			f.finishLocked(p, nil, 0, context.Canceled)
@@ -746,16 +745,6 @@ func (f *Fleet) evictLocked(w *workerState, reason string) {
 		f.queue = append(requeue, f.queue...)
 		f.wakeLocked()
 	}
-}
-
-// resizeLocked re-derives the aggregate budget capacity from the live
-// workers.
-func (f *Fleet) resizeLocked() {
-	total := 0
-	for _, w := range f.workers {
-		total += w.capacity
-	}
-	f.agg.Resize(total)
 }
 
 // failQueuedIfEmptyLocked fails every queued task with ErrNoWorkers
@@ -1153,7 +1142,6 @@ func (f *Fleet) expire(cutoff time.Time) {
 	if wake {
 		f.wakeLocked()
 	}
-	f.resizeLocked()
 	f.failQueuedIfEmptyLocked()
 }
 
@@ -1198,20 +1186,20 @@ func (f *Fleet) Stats() FleetStats {
 			blobs += len(p.task.Checkpoints)
 		}
 	}
+	capacity, inUse := f.slotsLocked()
 	return FleetStats{
 		WorkersLive:     len(f.workers),
 		WorkersJoined:   f.workersJoined,
 		WorkersLost:     f.workersLost,
-		FleetCapacity:   f.agg.Cap(),
-		FleetInUse:      f.agg.InUse(),
-		FleetPeak:       f.agg.Peak(),
+		FleetCapacity:   capacity,
+		FleetInUse:      inUse,
+		FleetPeak:       f.peak,
 		TasksQueued:     len(f.queue),
 		TasksDispatched: f.tasksDispatched,
 		TasksRequeued:   f.tasksRequeued,
 		TasksCompleted:  f.tasksCompleted,
 		TasksAdopted:    f.tasksAdopted,
 		CheckpointBlobs: blobs,
-		LeaseMisses:     f.leaseMisses,
 		ShardRollbacks:  f.shardRollbacks,
 		CheckpointBytes: f.checkpointBytes,
 	}

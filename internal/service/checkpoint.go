@@ -434,7 +434,7 @@ func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
 	m := &machine{cfg: spec.cfg}
 	m.cfg.Engine.Workers = workers
 	m.cfg.Engine.Seed = seed
-	w := spec.mips
+	w := spec.work
 	if w == nil {
 		// The system configuration must be identical for every run that
 		// shares a warmup prefix (the snapshot guard hashes it), so the
@@ -447,10 +447,13 @@ func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
 		m.attach = func(sys *core.System) error { return sys.AttachSyntheticTraffic() }
 		return m, nil
 	}
-	nodes := m.cfg.Topology.Nodes()
-	img, err := mips.Assemble(mipsWorkloadSource(w, nodes))
+	img, err := mips.Assemble(w.Source())
 	if err != nil {
 		return nil, err
+	}
+	var cores []noc.NodeID
+	for _, n := range w.Cores() {
+		cores = append(cores, noc.NodeID(n))
 	}
 	// An application workload defines its own span: measured from
 	// instruction zero until every core halts and the network drains, or
@@ -458,19 +461,15 @@ func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
 	m.plan = []phase{{name: "measured", target: w.MaxCycles, measured: true}}
 	m.done = func(sys *core.System) func(uint64) bool { return sys.CoresHalted(sys.MIPSCores()) }
 	m.attach = func(sys *core.System) error {
-		if mipsShared(w) {
-			fab, err := sys.AttachMemory(*m.cfg.Memory)
-			if err != nil {
-				return err
-			}
-			sys.AttachMIPSShared([]noc.NodeID{0, noc.NodeID(nodes - 1)}, img, fab, *m.cfg.Memory)
+		if !w.Shared {
+			sys.AttachMIPS(cores, img)
 			return nil
 		}
-		all := make([]noc.NodeID, nodes)
-		for i := range all {
-			all[i] = noc.NodeID(i)
+		fab, err := sys.AttachMemory(*m.cfg.Memory)
+		if err != nil {
+			return err
 		}
-		sys.AttachMIPS(all, img)
+		sys.AttachMIPSShared(cores, img, fab, *m.cfg.Memory)
 		return nil
 	}
 	return m, nil

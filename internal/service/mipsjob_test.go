@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hornet/internal/config"
+	"hornet/internal/workloads"
 )
 
 // mipsResumeRequest is a checkpoint-heavy application scenario: the
@@ -151,6 +152,15 @@ func TestMipsScenarioValidation(t *testing.T) {
 		{"huge-q", "/mips/q", func(r *SubmitRequest) { r.Mips.Workload = "cannon"; r.Mips.Q = 65 }},
 		{"huge-rounds", "/mips/rounds", func(r *SubmitRequest) { r.Mips.Rounds = 2_000_000 }},
 		{"huge-max-cycles", "/mips/max_cycles", func(r *SubmitRequest) { r.Mips.MaxCycles = 1 << 62 }},
+		{"reduction-zero-elems", "/mips/params/elems", func(r *SubmitRequest) {
+			r.Mips.Workload, r.Mips.Rounds, r.Mips.Params = "reduction", 0, workloads.Params{"elems": 0}
+		}},
+		{"matmul-huge-n", "/mips/params/n", func(r *SubmitRequest) {
+			r.Mips.Workload, r.Mips.Rounds, r.Mips.Params = "matmul-blocked", 0, workloads.Params{"n": 65}
+		}},
+		{"reduction-six-nodes", "/mips/config", func(r *SubmitRequest) {
+			r.Mips.Workload, r.Mips.Rounds, r.Mips.Config.Topology.Width = "reduction", 0, 3
+		}},
 		{"mips-plus-config", "/mips", func(r *SubmitRequest) { c := base(); r.Config = &c }},
 		{"share-warmup", "/share_warmup", func(r *SubmitRequest) { r.ShareWarmup = true }},
 	}

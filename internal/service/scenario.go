@@ -3,15 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"regexp"
-	"strings"
 
 	"hornet/internal/config"
 	"hornet/internal/core"
 	"hornet/internal/experiments"
-	"hornet/internal/mips"
 	scen "hornet/internal/scenario"
 	"hornet/internal/sim"
 	"hornet/internal/stats"
@@ -78,14 +75,16 @@ type scenario struct {
 // the warmup-group seed every run in the group shares (0 = the sweep's
 // default per-key derivation). The explicit seed flows through
 // sweep.Item.Seed so the emitted document records the seed each run
-// actually used. mips, when set, switches the run's frontend from
-// synthetic traffic to an application workload (lower).
+// actually used. work, when set, switches the run's frontend from
+// synthetic traffic to an application workload (lower); mips is then its
+// identity (workloadRun).
 type runSpec struct {
 	key    string
 	weight int
 	seed   uint64
 	cfg    config.Config
 	mips   *MipsSpec
+	work   *workloads.Run
 }
 
 // groupSeed derives the shared engine seed for a warmup-prefix group:
@@ -254,8 +253,10 @@ func scenarioHash(label, name string, identity any, seed uint64, shareWarmup boo
 // Sharding splits ONE simulation's tile grid across members, so only a
 // single simulation qualifies, the engine must sync every cycle
 // (boundary flits are exchanged at sync points; a coarser cadence would
-// let a flit cross a shard boundary unobserved), and warmup sharing is
-// meaningless for a single run.
+// let a flit cross a shard boundary unobserved), warmup sharing is
+// meaningless for a single run, and bidirectional links are refused
+// until a boundary reads the far side's free space as one process does
+// (core.EnableSharding refuses them too).
 func checkShards(sc *scenario) *APIError {
 	if sc.shards == 0 {
 		return nil
@@ -279,6 +280,9 @@ func checkShards(sc *scenario) *APIError {
 	cfg := sc.runs[0].cfg
 	if cfg.Engine.SyncPeriod > 1 {
 		return reject("shards requires sync_period 1 (boundary traffic is exchanged every cycle)")
+	}
+	if cfg.Router.Bidirectional {
+		return reject("shards does not support router.bidirectional links (sharded link arbitration diverges from the single-process run)")
 	}
 	if nodes := cfg.Topology.Nodes(); sc.shards > nodes {
 		return reject("shards (%d) must not exceed the topology's %d nodes", sc.shards, nodes)
@@ -331,13 +335,55 @@ func mipsSpelling(sc *scenario, req SubmitRequest) *APIError {
 		return &APIError{Code: CodeInvalidRequest, Field: "/share_warmup",
 			Message: "share_warmup applies to config/batch jobs; mips runs have no warmup prefix"}
 	}
-	m, apiErr := normalizeMips(*req.Mips)
-	if apiErr != nil {
-		return apiErr
+	m := req.Mips
+	spec, err := workloads.Thaw(m.Workload, workloads.Frozen{Rounds: m.Rounds, Q: m.Q, B: m.B}, m.Params, m.MaxCycles)
+	if err != nil {
+		return mipsErr(err)
+	}
+	if err := m.Config.Validate(); err != nil {
+		return &APIError{Code: CodeInvalidConfig, Field: "/mips/config", Message: "mips: " + err.Error()}
+	}
+	if len(m.Config.Traffic) > 0 {
+		return &APIError{Code: CodeInvalidConfig, Field: "/mips/config/traffic",
+			Message: "mips: scenario takes no synthetic traffic (the workload is the traffic)"}
+	}
+	run, err := spec.Bind(m.Config.Topology.Nodes(), m.Config.Memory != nil)
+	if err != nil {
+		return mipsErr(err)
 	}
 	sc.single = true
-	sc.runs = []runSpec{{cfg: m.Config, mips: &m}}
+	sc.runs = []runSpec{workloadRun("", m.Config, run)}
 	return nil
+}
+
+// mipsErr points a binding failure into the mips request: the kernel is
+// its workload field, a frozen parameter its own field, the machine its
+// config.
+func mipsErr(err *workloads.Error) *APIError {
+	apiErr := &APIError{Code: CodeInvalidRequest, Field: "/mips/" + err.Field, Message: "mips: " + err.Msg}
+	switch err.Field {
+	case "kernel":
+		apiErr.Field = "/mips/workload"
+	case "memory":
+		apiErr.Code, apiErr.Field = CodeInvalidConfig, "/mips/config/memory"
+	case "":
+		apiErr.Code, apiErr.Field = CodeInvalidConfig, "/mips/config"
+	}
+	return apiErr
+}
+
+// workloadRun is one bound kernel run on cfg. Its identity is the frozen
+// MipsSpec wire form, so a scenario document that says what a mips
+// request could say hashes as that request always has.
+func workloadRun(key string, cfg config.Config, run *workloads.Run) runSpec {
+	// The config's warmup and analyzed windows do not apply to application
+	// runs: the workload defines its own span (halt or max_cycles).
+	cfg = normalize(cfg)
+	cfg.WarmupCycles, cfg.AnalyzedCycles = 0, 0
+	f, params := run.Wire()
+	m := &MipsSpec{Workload: run.Kernel, Rounds: f.Rounds, Q: f.Q, B: f.B,
+		MaxCycles: run.MaxCycles, Params: params, Config: cfg}
+	return runSpec{key: key, cfg: cfg, mips: m, work: run}
 }
 
 // figureSpelling: a named experiment of the registry. Only the
@@ -401,145 +447,11 @@ func scenarioSpelling(sc *scenario, req SubmitRequest) *APIError {
 	for _, r := range comp.Runs {
 		if r.Workload == nil {
 			sc.runs = append(sc.runs, runSpec{key: r.Key, cfg: normalize(r.Config)})
-			continue
+		} else {
+			sc.runs = append(sc.runs, workloadRun(r.Key, r.Config, r.Workload))
 		}
-		m, apiErr := normalizeMips(scenarioMips(r))
-		if apiErr != nil {
-			// The compile step already validated the kernel against the
-			// machine; anything surfacing here (e.g. an assembly failure)
-			// is still the workload's fault, so point there.
-			apiErr.Field = "/scenario/workload"
-			return apiErr
-		}
-		sc.runs = append(sc.runs, runSpec{key: r.Key, cfg: m.Config, mips: &m})
 	}
 	return nil
-}
-
-// legacyMipsKernel marks the pre-registry kernels whose MipsSpec wire
-// format (dedicated rounds/q/b fields, params empty) is frozen: their
-// normalized identity — and therefore their cache hashes — must stay
-// byte-identical to what earlier daemons computed.
-func legacyMipsKernel(name string) bool {
-	switch name {
-	case "pingpong", "shared-pingpong", "cannon":
-		return true
-	}
-	return false
-}
-
-// mipsParams projects a normalized spec onto the registry's parameter
-// space: legacy kernels from their dedicated fields, registry kernels
-// from Params directly.
-func mipsParams(m *MipsSpec) workloads.Params {
-	if legacyMipsKernel(m.Workload) {
-		return workloads.Params{"rounds": int64(m.Rounds), "q": int64(m.Q), "b": int64(m.B)}
-	}
-	return m.Params
-}
-
-// mipsWorkloadSource generates the assembly for a validated spec.
-// nodes is the topology's node count (the shared ping-pong partner is
-// the last node).
-func mipsWorkloadSource(m *MipsSpec, nodes int) string {
-	k, ok := workloads.Lookup(m.Workload)
-	if !ok {
-		panic("service: unvalidated mips workload " + m.Workload)
-	}
-	return k.Source(mipsParams(m), nodes)
-}
-
-// mipsShared reports whether a validated spec runs on the coherent-
-// memory fabric (AttachMIPSShared) rather than private per-core memory.
-func mipsShared(m *MipsSpec) bool {
-	k, ok := workloads.Lookup(m.Workload)
-	return ok && k.Shared
-}
-
-// normalizeMips validates an application-workload spec and folds in its
-// defaults. The normalized spec is the cache identity, so {"rounds": 0}
-// and {"rounds": 100} hash identically. It is shared by the legacy mips
-// kind and the declarative scenario path — one set of rules, one
-// identity, which is what makes a scenario expressing a legacy workload
-// cache under the legacy key.
-func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
-	k, ok := workloads.Lookup(m.Workload)
-	if !ok {
-		return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/workload", Message: fmt.Sprintf(
-			"mips: unknown workload %q (%s)", m.Workload, strings.Join(workloads.Names(), ", "))}
-	}
-	if legacyMipsKernel(m.Workload) {
-		if len(m.Params) > 0 {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/params", Message: fmt.Sprintf(
-				"mips: %s predates the parameter registry; use the rounds/q/b fields, not params", m.Workload)}
-		}
-		if m.Rounds <= 0 {
-			m.Rounds = 100
-		}
-		if m.Q <= 0 {
-			m.Q = 2
-		}
-		if m.B <= 0 {
-			m.B = 4
-		}
-	} else {
-		if m.Rounds != 0 || m.Q != 0 || m.B != 0 {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/params", Message: fmt.Sprintf(
-				"mips: %s is parameterized via params, not the rounds/q/b fields", m.Workload)}
-		}
-		p, err := k.Normalize(m.Params)
-		if err != nil {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/params",
-				Message: "mips: " + err.Error()}
-		}
-		m.Params = p
-	}
-	if m.MaxCycles == 0 {
-		m.MaxCycles = 10_000_000
-	}
-	if m.MaxCycles > 1_000_000_000 {
-		return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/max_cycles",
-			Message: "mips: max_cycles must be <= 1000000000"}
-	}
-	if err := m.Config.Validate(); err != nil {
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config",
-			Message: "mips: " + err.Error()}
-	}
-	if len(m.Config.Traffic) > 0 {
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config/traffic",
-			Message: "mips: scenario takes no synthetic traffic (the workload is the traffic)"}
-	}
-	nodes := m.Config.Topology.Nodes()
-	// The kernel's own bounds run before anything its parameters size
-	// (the assembly below): an out-of-range rounds, q or b is that field's
-	// fault, anything else the machine's.
-	if err := k.Validate(mipsParams(&m), nodes); err != nil {
-		var pe *workloads.ParamError
-		if errors.As(err, &pe) {
-			return m, &APIError{Code: CodeInvalidRequest, Field: "/mips/" + pe.Param,
-				Message: "mips: " + err.Error()}
-		}
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config",
-			Message: "mips: " + err.Error()}
-	}
-	if k.Shared && m.Config.Memory == nil {
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config/memory", Message: fmt.Sprintf(
-			"mips: %s needs config.memory (the coherent fabric it runs on)", m.Workload)}
-	}
-	if !k.Shared && m.Config.Memory != nil {
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/config/memory",
-			Message: "mips: " + m.Workload + " uses private per-core memory; omit config.memory"}
-	}
-	// Catch assembly errors at submission time (4xx), not mid-job.
-	if _, err := mips.Assemble(mipsWorkloadSource(&m, nodes)); err != nil {
-		return m, &APIError{Code: CodeInvalidConfig, Field: "/mips/workload",
-			Message: "mips: workload does not assemble: " + err.Error()}
-	}
-	m.Config = normalize(m.Config)
-	// The driver-level cycle windows do not apply to application runs:
-	// the workload defines its own span (halt or max_cycles).
-	m.Config.WarmupCycles, m.Config.AnalyzedCycles = 0, 0
-	return m, nil
 }
 
 // mipsBatchItem is the identity record of one workload run in a
@@ -548,22 +460,6 @@ func normalizeMips(m MipsSpec) (MipsSpec, *APIError) {
 type mipsBatchItem struct {
 	Key  string   `json:"key"`
 	Mips MipsSpec `json:"mips"`
-}
-
-// scenarioMips lowers one compiled scenario run onto the mips wire
-// spec. Legacy kernels map onto the frozen rounds/q/b fields (params
-// stays empty), so the normalized identity — and therefore the cache
-// hash — is byte-identical to the legacy mips kind's.
-func scenarioMips(r scen.Run) MipsSpec {
-	m := MipsSpec{Workload: r.Workload.Kernel, MaxCycles: r.Workload.MaxCycles, Config: r.Config}
-	if legacyMipsKernel(m.Workload) {
-		m.Rounds = int(r.Workload.Params.Get("rounds", 0))
-		m.Q = int(r.Workload.Params.Get("q", 0))
-		m.B = int(r.Workload.Params.Get("b", 0))
-	} else {
-		m.Params = r.Workload.Params
-	}
-	return m
 }
 
 // checkRunnable validates one submitted simulation configuration beyond

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -355,6 +357,24 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 		{"kernel-param-bound-cannon", doc(`"machine":{"topology":{"kind":"mesh","width":2,"height":2}},"workload":{"kernel":"cannon","params":{"b":65}}`),
 			CodeInvalidScenario, "/scenario/workload/params/b"},
 		{"bad-shards", doc(mesh4 + `,` + uniform + `,"run":{"shards":1}`), CodeInvalidScenario, "/scenario/run/shards"},
+		{"kernel-param-bound-reduction", doc(`"machine":{"topology":{"kind":"mesh","width":2,"height":2}},"workload":{"kernel":"reduction","params":{"elems":0}}`),
+			CodeInvalidScenario, "/scenario/workload/params/elems"},
+		{"kernel-param-bound-matmul", doc(mesh4 + `,"workload":{"kernel":"matmul-blocked","params":{"n":65}}`),
+			CodeInvalidScenario, "/scenario/workload/params/n"},
+		{"kernel-misfit-machine", doc(`"machine":{"topology":{"kind":"mesh","width":3,"height":2}},"workload":{"kernel":"reduction"}`),
+			CodeInvalidScenario, "/scenario/workload"},
+		{"kernel-needs-memory", doc(mesh4 + `,"workload":{"kernel":"shared-pingpong"}`), CodeInvalidScenario, "/scenario/machine/memory"},
+		{"doc-shards-bidirectional", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"bidirectional":true}},` +
+			uniform + `,"run":{"shards":2}`), CodeInvalidRequest, "/scenario/run/shards"},
+
+		{"mips-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "reduction", Params: workloads.Params{"elems": 0},
+			Config: frozenMipsConfig()}}, CodeInvalidRequest, "/mips/params/elems"},
+		{"mips-frozen-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "pingpong", Rounds: 2_000_000,
+			Config: frozenMipsConfig()}}, CodeInvalidRequest, "/mips/rounds"},
+		{"mips-misfit-machine", SubmitRequest{Mips: &MipsSpec{Workload: "cannon", Config: frozenMipsConfig()}},
+			CodeInvalidConfig, "/mips/config"},
+		{"mips-unknown-kernel", SubmitRequest{Mips: &MipsSpec{Workload: "doom", Config: frozenMipsConfig()}},
+			CodeInvalidRequest, "/mips/workload"},
 
 		{"nothing-set", SubmitRequest{}, CodeInvalidRequest, "/scenario"},
 		{"two-set", SubmitRequest{Config: frozenValidConfig(), Figure: "t1"}, CodeInvalidRequest, "/figure"},
@@ -367,6 +387,8 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 		{"shards-sync-period", SubmitRequest{Shards: 2,
 			Config: cfgWith(func(c *config.Config) { c.Engine.SyncPeriod = 5 })}, CodeInvalidRequest, "/shards"},
 		{"shards-over-nodes", SubmitRequest{Config: frozenValidConfig(), Shards: 17}, CodeInvalidRequest, "/shards"},
+		{"shards-bidirectional", SubmitRequest{Shards: 2,
+			Config: cfgWith(func(c *config.Config) { c.Router.Bidirectional = true })}, CodeInvalidRequest, "/shards"},
 		{"doc-shards-over-nodes", doc(mesh4 + `,` + uniform + `,"run":{"shards":17}`),
 			CodeInvalidRequest, "/scenario/run/shards"},
 
@@ -403,6 +425,79 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 			}
 			if apiErr.Field != tc.field {
 				t.Fatalf("field = %q, want %q (%s)", apiErr.Field, tc.field, apiErr.Message)
+			}
+		})
+	}
+}
+
+// TestWorkloadSpellingParity: every registered kernel, written as a
+// scenario document and as the mips request's wire form of the same run,
+// binds to one run spec and one hash; and each of its parameters out of
+// range is named by both spellings — the scenario under
+// /scenario/workload/params, the mips request at the field it wrote.
+func TestWorkloadSpellingParity(t *testing.T) {
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			k, _ := workloads.Lookup(name)
+			cfg := config.Default()
+			cfg.Topology.Width, cfg.Topology.Height = 2, 2
+			machine := `{"topology":{"kind":"mesh","width":2,"height":2}}`
+			if k.Shared {
+				cfg.Memory = config.DefaultMemory()
+				machine = `{"topology":{"kind":"mesh","width":2,"height":2},"memory":{}}`
+			}
+			viaDoc := func(p workloads.Params) SubmitRequest {
+				params, _ := json.Marshal(p)
+				return scenarioJSON(t, fmt.Sprintf(`{"version":1,"machine":%s,"workload":{"kernel":%q,"params":%s}}`,
+					machine, name, params))
+			}
+			viaMips := func(f workloads.Frozen, p workloads.Params) SubmitRequest {
+				return SubmitRequest{Mips: &MipsSpec{Workload: name, Rounds: f.Rounds, Q: f.Q, B: f.B, Params: p, Config: cfg}}
+			}
+
+			doc, apiErr := buildScenario(viaDoc(k.Defaults))
+			if apiErr != nil {
+				t.Fatalf("scenario spelling: %v", apiErr)
+			}
+			bound := doc.runs[0].work
+			frozen, params := bound.Wire()
+			mips, apiErr := buildScenario(viaMips(frozen, params))
+			if apiErr != nil {
+				t.Fatalf("mips spelling: %v", apiErr)
+			}
+			if mips.hash != doc.hash || mips.name != doc.name {
+				t.Errorf("mips spelling hashes %s/%s, scenario %s/%s", mips.name, mips.hash, doc.name, doc.hash)
+			}
+			if !reflect.DeepEqual(mips.runs[0].mips, doc.runs[0].mips) {
+				t.Errorf("run specs differ:\n mips:     %+v\n scenario: %+v", *mips.runs[0].mips, *doc.runs[0].mips)
+			}
+			if w := mips.runs[0].work; w.Source() != bound.Source() || !slices.Equal(w.Cores(), bound.Cores()) {
+				t.Error("the two spellings bind to different sources or placements")
+			}
+
+			const huge = 1 << 30
+			for _, param := range slices.Sorted(maps.Keys(k.Defaults)) {
+				bad := maps.Clone(k.Defaults)
+				bad[param] = huge
+				if _, apiErr := buildScenario(viaDoc(bad)); apiErr == nil || apiErr.Field != "/scenario/workload/params/"+param {
+					t.Errorf("scenario %s=%d: %v, want /scenario/workload/params/%s", param, huge, apiErr, param)
+				}
+				req, field := viaMips(frozen, bad), "/mips/params/"+param
+				if frozen != (workloads.Frozen{}) {
+					f := frozen
+					switch param {
+					case "rounds":
+						f.Rounds = huge
+					case "q":
+						f.Q = huge
+					case "b":
+						f.B = huge
+					}
+					req, field = viaMips(f, nil), "/mips/"+param
+				}
+				if _, apiErr := buildScenario(req); apiErr == nil || apiErr.Field != field {
+					t.Errorf("mips %s=%d: %v, want %s", param, huge, apiErr, field)
+				}
 			}
 		})
 	}

@@ -237,14 +237,8 @@ func (e *Engine) Workers() int { return e.workers }
 // does.
 func (e *Engine) partition(w int) (lo, hi int) {
 	slo, shi := e.Span()
-	n := shi - slo
-	base, rem := n/e.workers, n%e.workers
-	lo = slo + w*base + min(w, rem)
-	hi = lo + base
-	if w < rem {
-		hi++
-	}
-	return lo, hi
+	lo, hi = ShardSpan(shi-slo, e.workers, w)
+	return slo + lo, slo + hi
 }
 
 // Run simulates the half-open cycle window [start, start+cycleCount):

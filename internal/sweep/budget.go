@@ -47,12 +47,8 @@ func (b *Budget) InUse() int {
 
 // Peak returns the high-water mark of concurrently held slots since the
 // budget was created. Acquisitions never push the in-use count past the
-// capacity, so on a fixed-size budget Peak never exceeds Cap — tests
-// and monitoring use it to show the cap actually bound the workload.
-// On a resizable budget (the fleet's), Peak can legitimately exceed the
-// CURRENT Cap after a shrink: holders keep their slots (Resize never
-// revokes), so compare Peak against the capacity in effect at the time,
-// not against Cap() now.
+// capacity, so Peak never exceeds Cap — tests and monitoring use it to
+// show the cap actually bound the workload.
 func (b *Budget) Peak() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -73,23 +69,11 @@ func (b *Budget) Acquire(w int) int {
 // already free are granted even if ctx is already cancelled-concurrently;
 // the caller that receives slots must Release them.
 func (b *Budget) AcquireCtx(ctx context.Context, w int) (int, error) {
-	if w < 1 {
-		w = 1
-	}
+	w = min(max(w, 1), b.cap) // the capacity never changes after NewBudget
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	b.mu.Lock()
-	// Clamp under the lock, and re-clamp on every wakeup: Resize can
-	// shrink the capacity while a request waits, and a request wider
-	// than the (new) whole budget must be granted the whole budget
-	// rather than waiting forever.
-	if w > b.cap {
-		w = b.cap
-	}
-	if w < 1 {
-		w = 1
-	}
 	if b.used+w > b.cap {
 		// Slow path: wait on the condition variable, waking on every
 		// Release and on context cancellation. The AfterFunc takes the
@@ -108,12 +92,6 @@ func (b *Budget) AcquireCtx(ctx context.Context, w int) (int, error) {
 				return 0, err
 			}
 			b.cond.Wait()
-			if w > b.cap {
-				w = b.cap
-			}
-			if w < 1 {
-				w = 1
-			}
 		}
 	}
 	b.used += w
@@ -136,78 +114,4 @@ func (b *Budget) Release(w int) {
 	b.used -= w
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-// TryAcquire takes w slots (clamped to [1, Cap]) only if they are free
-// right now, reporting how many were granted and whether the acquisition
-// happened. It never blocks, which makes it safe to call under a
-// caller's own lock — the fleet scheduler leases slots this way while
-// holding its placement mutex.
-func (b *Budget) TryAcquire(w int) (int, bool) {
-	if w < 1 {
-		w = 1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if w > b.cap {
-		w = b.cap
-	}
-	if w < 1 || b.used+w > b.cap {
-		return 0, false
-	}
-	b.used += w
-	if b.used > b.peak {
-		b.peak = b.used
-	}
-	return w, true
-}
-
-// Resize adjusts the budget's capacity to n (clamped to >= 0). Growing
-// wakes blocked acquirers; shrinking below the in-use count is allowed —
-// holders keep their slots and new acquisitions wait until enough are
-// released. A fleet budget resizes as workers join and leave.
-func (b *Budget) Resize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	b.mu.Lock()
-	b.cap = n
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// Lease is a releasable hold of slots on a Budget. Unlike a bare
-// Acquire/Release pair, a Lease may be released exactly once from any
-// goroutine — requeue paths and completion paths can race to return the
-// slots without double-releasing.
-type Lease struct {
-	b     *Budget
-	slots int
-	once  sync.Once
-}
-
-// TryLease is TryAcquire returning a release-once handle; nil when the
-// slots are not free.
-func (b *Budget) TryLease(w int) *Lease {
-	granted, ok := b.TryAcquire(w)
-	if !ok {
-		return nil
-	}
-	return &Lease{b: b, slots: granted}
-}
-
-// Slots reports how many slots the lease holds. Safe on a nil lease (0).
-func (l *Lease) Slots() int {
-	if l == nil {
-		return 0
-	}
-	return l.slots
-}
-
-// Release returns the leased slots; idempotent and nil-safe.
-func (l *Lease) Release() {
-	if l == nil {
-		return
-	}
-	l.once.Do(func() { l.b.Release(l.slots) })
 }

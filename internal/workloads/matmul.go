@@ -16,20 +16,20 @@ func init() {
 		Title:    "per-core blocked matrix multiply with checksum gather",
 		Defaults: Params{"n": 8, "b": 4},
 		Validate: func(p Params, nodes int) error {
-			n, b := p.Get("n", 0), p.Get("b", 0)
-			if n < 1 || n > 64 {
-				return fmt.Errorf("matmul-blocked n must be in [1, 64], got %d", n)
+			if err := checkRange(p, "n", 64); err != nil {
+				return err
 			}
-			if b < 1 || b > n {
-				return fmt.Errorf("matmul-blocked b must be in [1, n], got %d", b)
+			n, b := p["n"], p["b"]
+			if err := checkRange(p, "b", n); err != nil {
+				return err
 			}
 			if n%b != 0 {
-				return fmt.Errorf("matmul-blocked block size %d must divide n = %d", b, n)
+				return &ParamError{Param: "b", Msg: fmt.Sprintf("block size b = %d must divide n = %d", b, n)}
 			}
 			return nil
 		},
-		Source: func(p Params, nodes int) string {
-			return MatmulBlockedSource(int(p.Get("n", 8)), int(p.Get("b", 4)))
+		Source: func(p Params, cores []int) string {
+			return MatmulBlockedSource(int(p["n"]), int(p["b"]))
 		},
 	})
 }

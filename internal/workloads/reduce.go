@@ -17,16 +17,16 @@ func init() {
 		Title:    "binary-tree reduction of per-core partial sums",
 		Defaults: Params{"elems": 64},
 		Validate: func(p Params, nodes int) error {
+			if err := checkRange(p, "elems", 1<<20); err != nil {
+				return err
+			}
 			if nodes < 2 || nodes&(nodes-1) != 0 {
 				return fmt.Errorf("reduction needs a power-of-two node count >= 2, topology has %d", nodes)
 			}
-			if e := p.Get("elems", 0); e < 1 || e > 1<<20 {
-				return fmt.Errorf("reduction elems must be in [1, %d], got %d", 1<<20, e)
-			}
 			return nil
 		},
-		Source: func(p Params, nodes int) string {
-			return ReductionSource(int(p.Get("elems", 64)))
+		Source: func(p Params, cores []int) string {
+			return ReductionSource(int(p["elems"]))
 		},
 	})
 }

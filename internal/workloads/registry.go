@@ -20,10 +20,9 @@ func (p Params) Get(key string, def int64) int64 {
 }
 
 // Kernel describes one registered application kernel: how to validate
-// its parameters against a platform and how to generate its MIPS source.
-// The original three workloads (pingpong, shared-pingpong, cannon)
-// predate the registry and keep their dedicated MipsSpec fields for
-// wire compatibility; every kernel added since is registry-described.
+// its parameters against a platform, where its cores go and how to
+// generate its MIPS source. Callers outside this package go through a
+// Spec and its Bind, which apply every rule about a kernel run.
 type Kernel struct {
 	// Name is the wire name ("reduction", "matmul-blocked", ...).
 	Name string
@@ -38,11 +37,20 @@ type Kernel struct {
 	Defaults Params
 	// Validate checks a fully defaulted parameter set against the
 	// platform's node count. It runs at submission time, so rejections
-	// are 4xx responses, never mid-job failures.
+	// are 4xx responses, never mid-job failures. A bound on one
+	// parameter fails with a *ParamError, so the error can name it.
 	Validate func(p Params, nodes int) error
-	// Source generates the kernel's MIPS assembly with the parameters
-	// baked in (the repo-wide idiom: data as .word/.space constants).
-	Source func(p Params, nodes int) string
+	// Cores places the kernel on a machine of nodes tiles: the nodes that
+	// run a core, in core order. Nil places a core on every node.
+	Cores func(nodes int) []int
+	// Source generates the kernel's MIPS assembly for the placement
+	// cores, with the parameters baked in (the repo-wide idiom: data as
+	// .word/.space constants).
+	Source func(p Params, cores []int) string
+
+	// frozen marks the kernels that predate the registry: the mips
+	// request spells their parameters in the Frozen fields.
+	frozen bool
 }
 
 // registry holds the registered kernels by wire name.
