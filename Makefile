@@ -57,12 +57,16 @@ test-race-rest:
 # (sync_period 1, 5, 50), a restore of that mesh mid-saturation, the exact
 # generator skip an idle router relies on, the snapshot bytes of 30
 # machines against the ones recorded before the mask existed, engine-worker
-# panic containment, and the barrier's polling, parking and break paths.
+# panic containment, the barrier's polling, parking and break paths, and
+# the cross-process barrier: the shard group's all-gather (member order,
+# duplicate arrivals, rollback notices carrying the stable blobs, waiters
+# released by Cancel and by their contexts, staged→stable promotion) and a
+# 2-member in-process group rolled back mid-run through the run driver.
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier' \
-		./internal/core ./internal/noc ./internal/sim
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup' \
+		./internal/core ./internal/noc ./internal/sim ./internal/service/backend ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure
 # benchmarks plus the per-package micro-benchmarks (sweep overhead,

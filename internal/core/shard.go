@@ -15,34 +15,23 @@ import (
 // bit-identical to the single-process run, then restricts its engine to
 // one contiguous tile span. At each synchronization point the engine's
 // barrier leader calls the shard coupler, which captures boundary state
-// (internal/noc's ShardBoundary), trades it through a ShardPeer (the
-// serve coordinator over HTTP, or an in-process hub in tests) together
-// with the shard's vote, applies every other shard's boundary blob, and
-// returns the group decision. After the run, ShardGather folds per-span
-// statistics so shard 0 can produce the exact Document the
-// single-process run would have written.
+// (internal/noc's ShardBoundary) and the shard's vote into one container
+// and trades it through the ShardPeer's all-gather (the serve
+// coordinator over HTTP, or an in-process group). Every shard then folds
+// all the votes with sim.DecideShardSync — in member order, so every
+// shard takes the same decision — and applies every shard's boundary
+// state. After the run, ShardGather trades per-span statistics through
+// the same all-gather so shard 0 can produce the exact Document the
+// single-process run would have written. The two kinds of payload carry
+// different sections, so one arriving where the other is expected is an
+// error, never misread.
 
-// ShardPeer is the transport connecting one shard to its group. Sync
-// exchanges a synchronization-point vote plus the shard's boundary blob
-// for the group decision plus every shard's boundary blob (own included;
-// applying it is a no-op). Gather runs once after the simulation
-// completes, trading per-span statistics payloads the same way.
+// ShardPeer is the transport connecting one shard to its group: an
+// all-gather. Exchange contributes this shard's payload and returns every
+// shard's payload in member order, its own included. A group that lost a
+// member answers with a *sim.ShardRestartError instead.
 type ShardPeer interface {
-	Sync(vote sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, error)
-	Gather(payload []byte) ([][]byte, error)
-}
-
-// ShardRestartError is returned by a ShardPeer when the group lost a
-// member and rolled back: every surviving shard must abandon its current
-// state, restore the coordinated checkpoint at Cycle (zero means a fresh
-// build) and rejoin under the new epoch.
-type ShardRestartError struct {
-	Epoch uint64
-	Cycle uint64
-}
-
-func (e *ShardRestartError) Error() string {
-	return fmt.Sprintf("core: shard group restarted (epoch %d, checkpoint cycle %d)", e.Epoch, e.Cycle)
+	Exchange(payload []byte) ([][]byte, error)
 }
 
 // shardState is the system's sharding context once enabled.
@@ -53,6 +42,8 @@ type shardState struct {
 	boundary     *noc.ShardBoundary
 }
 
+const secShardVote = "shard-vote"
+
 // shardCoupler adapts the system's boundary exchange to the engine's
 // per-synchronization-point callback.
 type shardCoupler struct {
@@ -60,22 +51,67 @@ type shardCoupler struct {
 }
 
 func (c *shardCoupler) Sync(vote sim.ShardVote) (sim.ShardDecision, error) {
-	blob, err := c.st.boundary.Capture(vote.Cycle)
+	snap, err := c.st.boundary.Capture(vote.Cycle)
 	if err != nil {
 		return sim.ShardDecision{}, err
 	}
-	dec, blobs, err := c.st.peer.Sync(vote, blob)
+	w := snap.Section(secShardVote)
+	w.Bool(vote.Join)
+	w.Uint64(vote.Cycle)
+	w.Uint64(vote.End)
+	w.Int64(vote.Inflight)
+	w.Uint64(vote.Earliest)
+	w.Bool(vote.Stop)
+	w.Bool(vote.Done)
+	payload, err := snap.Bytes()
+	if err != nil {
+		return sim.ShardDecision{}, fmt.Errorf("core: shard sync payload: %w", err)
+	}
+	payloads, err := c.st.peer.Exchange(payload)
+	if err != nil {
+		return sim.ShardDecision{}, err
+	}
+	votes := make([]sim.ShardVote, len(payloads))
+	snaps := make([]*snapshot.Snapshot, len(payloads))
+	for i, p := range payloads {
+		if snaps[i], votes[i], err = decodeSyncPayload(p); err != nil {
+			return sim.ShardDecision{}, fmt.Errorf("core: shard %d sync payload: %w", i, err)
+		}
+	}
+	dec, err := sim.DecideShardSync(votes)
 	if err != nil {
 		return sim.ShardDecision{}, err
 	}
 	// Capture strictly precedes Apply: applying pops mutates the replica
 	// buffers Capture indexes into.
-	for _, b := range blobs {
-		if err := c.st.boundary.Apply(b); err != nil {
+	for _, snap := range snaps {
+		if err := c.st.boundary.Apply(snap); err != nil {
 			return sim.ShardDecision{}, err
 		}
 	}
 	return dec, nil
+}
+
+// decodeSyncPayload opens one shard's synchronization-point container and
+// reads its vote.
+func decodeSyncPayload(p []byte) (*snapshot.Snapshot, sim.ShardVote, error) {
+	var v sim.ShardVote
+	snap, err := snapshot.DecodeBytes(p)
+	if err != nil {
+		return nil, v, err
+	}
+	r, err := snap.Open(secShardVote)
+	if err != nil {
+		return nil, v, err
+	}
+	v.Join = r.Bool()
+	v.Cycle = r.Uint64()
+	v.End = r.Uint64()
+	v.Inflight = r.Int64()
+	v.Earliest = r.Uint64()
+	v.Stop = r.Bool()
+	v.Done = r.Bool()
+	return snap, v, r.Close()
 }
 
 // EnableSharding restricts the system to the tile span owned by shard
@@ -186,7 +222,7 @@ func (s *System) ShardGather() error {
 	if err != nil {
 		return err
 	}
-	blobs, err := st.peer.Gather(payload)
+	blobs, err := st.peer.Exchange(payload)
 	if err != nil {
 		return err
 	}

@@ -13,69 +13,46 @@ import (
 	"hornet/internal/snapshot"
 )
 
-// shardHub is an in-process ShardPeer: a barrier over N shards' votes
-// and boundary payloads that computes the group decision with
-// sim.DecideShardSync and hands every shard all payloads — the same
-// contract the serve coordinator implements over HTTP.
+// shardHub is an in-process group: an all-gather that hands every shard
+// all payloads in member order — the contract the serve coordinator
+// implements over HTTP.
 type shardHub struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-
-	votes    []sim.ShardVote
-	payloads [][]byte
-	dec      sim.ShardDecision
-	decErr   error
-	out      [][]byte
-	gen      int
-
-	gpayloads [][]byte
-	gout      [][]byte
-	ggen      int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	in, out [][]byte
+	arrived int
+	gen     int
 }
 
 func newShardHub(n int) *shardHub {
-	h := &shardHub{n: n}
+	h := &shardHub{in: make([][]byte, n)}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-func (h *shardHub) Sync(v sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, error) {
+// peer returns member i's end of the hub.
+func (h *shardHub) peer(i int) ShardPeer { return hubPeer{h, i} }
+
+type hubPeer struct {
+	h *shardHub
+	i int
+}
+
+func (p hubPeer) Exchange(payload []byte) ([][]byte, error) {
+	h := p.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	gen := h.gen
-	h.votes = append(h.votes, v)
-	h.payloads = append(h.payloads, boundary)
-	if len(h.votes) == h.n {
-		h.dec, h.decErr = sim.DecideShardSync(h.votes)
-		h.out = h.payloads
-		h.votes, h.payloads = nil, nil
+	h.in[p.i] = payload
+	if h.arrived++; h.arrived == len(h.in) {
+		h.out, h.in, h.arrived = h.in, make([][]byte, len(h.in)), 0
 		h.gen++
 		h.cond.Broadcast()
-	} else {
-		for h.gen == gen {
-			h.cond.Wait()
-		}
 	}
-	return h.dec, h.out, h.decErr
-}
-
-func (h *shardHub) Gather(payload []byte) ([][]byte, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	gen := h.ggen
-	h.gpayloads = append(h.gpayloads, payload)
-	if len(h.gpayloads) == h.n {
-		h.gout = h.gpayloads
-		h.gpayloads = nil
-		h.ggen++
-		h.cond.Broadcast()
-	} else {
-		for h.ggen == gen {
-			h.cond.Wait()
-		}
+	for h.gen == gen {
+		h.cond.Wait()
 	}
-	return h.gout, nil
+	return h.out, nil
 }
 
 // statsFingerprint serializes every tile's statistics to canonical bytes
@@ -143,7 +120,7 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 						err = sys.AttachSyntheticTraffic()
 					}
 					if err == nil {
-						err = sys.EnableSharding(i, tc.count, hub)
+						err = sys.EnableSharding(i, tc.count, hub.peer(i))
 					}
 					if err != nil {
 						errs[i] = err
@@ -175,7 +152,7 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 							err = sys.RestoreBytes(blob)
 						}
 						if err == nil {
-							err = sys.EnableSharding(i, tc.count, hub)
+							err = sys.EnableSharding(i, tc.count, hub.peer(i))
 						}
 						if err != nil {
 							errs[i] = err
@@ -221,12 +198,58 @@ func TestEnableShardingRejectsBidirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sys.EnableSharding(0, 2, newShardHub(2))
+	err = sys.EnableSharding(0, 2, newShardHub(2).peer(0))
 	if err == nil || !strings.Contains(err.Error(), "bidirectional") {
 		t.Fatalf("EnableSharding on a bidirectional machine = %v, want a bidirectional-links error", err)
 	}
 	if lo, hi := sys.ShardSpan(); lo != 0 || hi != cfg.Topology.Nodes() {
 		t.Fatalf("refused sharding left span [%d,%d)", lo, hi)
+	}
+}
+
+// echoPeer stands for the sibling of shard 0 of 2: it sends back the
+// shard's own payload — or, once foreign is set, that payload instead.
+type echoPeer struct{ last, foreign []byte }
+
+func (e *echoPeer) Exchange(p []byte) ([][]byte, error) {
+	e.last = p
+	if e.foreign != nil {
+		return [][]byte{p, e.foreign}, nil
+	}
+	return [][]byte{p, p}, nil
+}
+
+// TestShardPayloadKindsAreNotMisread: synchronization points and the
+// statistics exchange send different containers through one all-gather,
+// so each kind arriving where the other is expected fails the call.
+func TestShardPayloadKindsAreNotMisread(t *testing.T) {
+	sharded := func(peer *echoPeer) *System {
+		sys, err := New(smallCfg())
+		if err == nil {
+			err = sys.EnableSharding(0, 2, peer)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := sys.Run(5); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return sys
+	}
+	syncPeer, statsPeer := &echoPeer{}, &echoPeer{}
+	syncSys, statsSys := sharded(syncPeer), sharded(statsPeer)
+	syncPayload := syncPeer.last
+	if err := statsSys.ShardGather(); err != nil {
+		t.Fatal(err)
+	}
+
+	syncPeer.foreign = statsPeer.last
+	if res := syncSys.Run(5); res.Err == nil || !strings.Contains(res.Err.Error(), secShardVote) {
+		t.Errorf("statistics payload at a synchronization point: err = %v, want a missing %q section", res.Err, secShardVote)
+	}
+	statsPeer.foreign = syncPayload
+	if err := statsSys.ShardGather(); err == nil || !strings.Contains(err.Error(), secShardStats) {
+		t.Errorf("synchronization payload in the statistics exchange: err = %v, want a missing %q section", err, secShardStats)
 	}
 }
 
@@ -281,7 +304,7 @@ func TestShardedMIPSByteIdentity(t *testing.T) {
 				return
 			}
 			sys.AttachMIPS(nodes(16), img)
-			if err := sys.EnableSharding(i, count, hub); err != nil {
+			if err := sys.EnableSharding(i, count, hub.peer(i)); err != nil {
 				errs[i] = err
 				return
 			}

@@ -510,18 +510,24 @@ func runSplitLine(t *testing.T, n, cut int, cycles uint64, offer func(routers []
 	}
 	for c := uint64(0); c < cycles; c++ {
 		step(whole, c)
-		var blobs [2][]byte
+		var snaps [2]*snapshot.Snapshot
 		for s := range reps {
 			step(reps[s][spans[s][0]:spans[s][1]], c)
-			b, err := bounds[s].Capture(c)
+			snap, err := bounds[s].Capture(c)
+			if err == nil {
+				// Through the wire encoding, as a sharded run sends it.
+				var b []byte
+				if b, err = snap.Bytes(); err == nil {
+					snaps[s], err = snapshot.DecodeBytes(b)
+				}
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			blobs[s] = b
 		}
 		for s := range reps {
-			for _, b := range blobs {
-				if err := bounds[s].Apply(b); err != nil {
+			for _, snap := range snaps {
+				if err := bounds[s].Apply(snap); err != nil {
 					t.Fatalf("cycle %d: %v", c, err)
 				}
 			}

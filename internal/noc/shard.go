@@ -16,7 +16,7 @@ import (
 // closes the loop at synchronization points: it captures the newly
 // pushed boundary flits, the committed pop counts of boundary ingress
 // buffers and the pressure values of bidirectional boundary links into a
-// snapshot-encoded blob, and applies the blobs of every other shard —
+// snapshot container, and applies the containers of every other shard —
 // pushing their flits into the real ingress buffers, replaying their
 // pops onto the local replicas (restoring producer credit), and
 // re-arbitrating boundary links with both sides' true pressure.
@@ -126,9 +126,11 @@ func (sb *ShardBoundary) Edges() int { return len(sb.out) }
 // Capture serializes everything the other shards need from this one
 // since the previous capture: newly pushed boundary flits, committed pop
 // counts of boundary ingress buffers, and this side's pressure values
-// for bidirectional boundary links. Must be called at a quiescent point
-// (all engine workers blocked), before Apply.
-func (sb *ShardBoundary) Capture(cycle uint64) ([]byte, error) {
+// for bidirectional boundary links. It returns the unencoded container,
+// so the caller can add sections of its own before encoding it once.
+// Must be called at a quiescent point (all engine workers blocked),
+// before Apply.
+func (sb *ShardBoundary) Capture(cycle uint64) (*snapshot.Snapshot, error) {
 	snap := snapshot.New(shardSection, cycle)
 	w := snap.Section(shardSection)
 	w.Int(sb.lo)
@@ -173,21 +175,14 @@ func (sb *ShardBoundary) Capture(cycle uint64) ([]byte, error) {
 		w.Int64(l.link.demand[l.side].Load())
 		w.Int64(l.link.space[l.side].Load())
 	}
-	b, err := snap.Bytes()
-	if err != nil {
-		return nil, fmt.Errorf("noc: boundary blob: %w", err)
-	}
-	return b, nil
+	return snap, nil
 }
 
-// Apply folds one other shard's Capture blob into local state. Entries
-// targeting routers outside this span are ignored (every shard receives
-// every blob, including — harmlessly — its own). Call after Capture.
-func (sb *ShardBoundary) Apply(blob []byte) error {
-	snap, err := snapshot.DecodeBytes(blob)
-	if err != nil {
-		return fmt.Errorf("noc: boundary blob: %w", err)
-	}
+// Apply folds one other shard's Capture container into local state.
+// Entries targeting routers outside this span are ignored (every shard
+// receives every container, including — harmlessly — its own). Call
+// after Capture.
+func (sb *ShardBoundary) Apply(snap *snapshot.Snapshot) error {
 	r, err := snap.Open(shardSection)
 	if err != nil {
 		return fmt.Errorf("noc: boundary blob: %w", err)

@@ -1,11 +1,13 @@
-// Package backend defines hornet-serve's pluggable execution layer: a
-// scheduler hands each job to a Backend, which runs the scenario and
-// returns the canonical result document. Two implementations exist —
-// the in-process sweep backend (in package service, wrapping the
-// scheduler's shared execution environment) and the Fleet remote
-// backend (fleet.go), which ships validated job configs to registered
-// hornet-worker processes, streams their progress back, and migrates a
-// dead worker's job to a survivor via its uploaded checkpoints.
+// Package backend is hornet-serve's remote execution layer and the
+// vocabulary it shares with the in-process one: the Task a scheduler
+// executes, the Sink an execution reports through, the Fleet (fleet.go),
+// which ships validated job configs to registered hornet-worker
+// processes, streams their progress back and migrates a dead worker's
+// job to a survivor via its uploaded checkpoints, and the ShardGroup
+// (shardgroup.go) the members of one space-parallel task meet in. The
+// scheduler in package service runs a task on the Fleet when workers are
+// live and in its own process otherwise; JobInfo names the two "fleet"
+// and "local".
 //
 // The package deliberately knows nothing about the service package's
 // scenario compilation: a Task carries the client's original request
@@ -15,7 +17,6 @@
 package backend
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,16 +165,6 @@ type Journal interface {
 	StablePromoted(jobID string, epoch int, cycle uint64, keys []string)
 }
 
-// Backend executes tasks.
-type Backend interface {
-	// Name labels the backend in job records and logs ("local", "fleet").
-	Name() string
-	// Execute runs the task to completion and returns the canonical
-	// document bytes plus the number of per-run errors recorded inside
-	// the document. The context cancels the execution.
-	Execute(ctx context.Context, t *Task, sink Sink) (doc []byte, runErrs int, err error)
-}
-
 // ErrNoWorkers reports that the fleet cannot take the task — no live
 // worker is registered (or none survived while the task waited). The
 // scheduler treats it as "fall back to the local backend".
@@ -253,7 +244,7 @@ type Assignment struct {
 	Checkpoints map[string]Blob `json:"checkpoints,omitempty"`
 	// Shard/ShardCount mark a space-parallel member assignment: this
 	// execution steps tile span Shard of ShardCount and coordinates with
-	// its siblings through the coordinator's shard endpoints. ShardEpoch
+	// its siblings through the coordinator's shard exchange. ShardEpoch
 	// is the group restart epoch the member joins at (incremented each
 	// time a member is lost and the group rolls back).
 	Shard      int `json:"shard,omitempty"`
@@ -311,54 +302,22 @@ type ResultPush struct {
 	Canceled bool `json:"canceled,omitempty"`
 }
 
-// Wire types of the shard-coordination endpoints. A space-parallel
-// member calls POST .../tasks/{id}/shardsync every synchronization
-// point and POST .../tasks/{id}/shardgather once at the end; both may
-// answer with a Restart instead, telling the member the group rolled
-// back to a stable checkpoint (a sibling died) and it must rejoin at
-// the new epoch from that cycle.
-
-// ShardRestart is the group-rollback notice: rejoin at Epoch from the
-// stable checkpoint taken at Cycle (0 = rebuild from scratch).
-type ShardRestart struct {
-	Epoch int    `json:"epoch"`
-	Cycle uint64 `json:"cycle"`
-}
-
-// ShardSyncRequest carries one member's vote and boundary payload for
-// the current synchronization point.
-type ShardSyncRequest struct {
-	Epoch    int           `json:"epoch"`
-	Vote     sim.ShardVote `json:"vote"`
-	Boundary []byte        `json:"boundary,omitempty"`
-}
-
-// ShardSyncResponse is the group decision plus every member's boundary
-// payload (the caller's own included; applying it is a no-op).
-type ShardSyncResponse struct {
-	Decision sim.ShardDecision `json:"decision"`
-	Payloads [][]byte          `json:"payloads,omitempty"`
-	Restart  *ShardRestart     `json:"restart,omitempty"`
-}
-
-// ShardGatherRequest carries one member's per-span statistics payload
-// for the final exchange that gives every member the full statistics.
-type ShardGatherRequest struct {
+// ShardExchangeRequest is a space-parallel member's arrival at its
+// group's all-gather (POST .../tasks/{id}/shardsync), at every
+// synchronization point and once more for the final statistics. The
+// coordinator never reads Payload.
+type ShardExchangeRequest struct {
 	Epoch   int    `json:"epoch"`
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte `json:"payload"`
 }
 
-// ShardGatherResponse returns every member's statistics payload.
-type ShardGatherResponse struct {
-	Payloads [][]byte      `json:"payloads,omitempty"`
-	Restart  *ShardRestart `json:"restart,omitempty"`
-}
-
-// ShardCheckpointResponse carries the calling member's blob of the
-// group's stable checkpoint (nil: the group has no complete set — the
-// member rebuilds from cycle 0).
-type ShardCheckpointResponse struct {
-	Blob *Blob `json:"blob,omitempty"`
+// ShardExchangeResponse carries every member's payload in member order
+// — or, instead, the rollback notice: a sibling died, so the caller
+// restores the notice's blob (its own of the group's stable set; none
+// means cycle 0) and rejoins at the notice's epoch.
+type ShardExchangeResponse struct {
+	Payloads [][]byte               `json:"payloads,omitempty"`
+	Restart  *sim.ShardRestartError `json:"restart,omitempty"`
 }
 
 // HeartbeatResponse piggybacks coordinator→worker control on the

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,8 +60,9 @@ type reattachClaim struct {
 // Fleet is the remote execution backend: a registry of hornet-worker
 // processes, a FIFO queue of dispatched tasks, and the migration
 // machinery that moves a dead worker's task (with its uploaded
-// checkpoints) to a survivor. It implements Backend; the scheduler
-// calls Execute, the HTTP layer calls the worker-protocol methods.
+// checkpoints) to a survivor. The scheduler calls Execute, the HTTP
+// layer calls the worker-protocol methods; the shard half (sharded
+// tasks and their groups) is in shardgroup.go.
 type Fleet struct {
 	opts FleetOptions
 	log  *slog.Logger
@@ -197,9 +197,6 @@ func (f *Fleet) Close() {
 	f.mu.Unlock()
 }
 
-// Name implements Backend.
-func (f *Fleet) Name() string { return "fleet" }
-
 // Live reports the number of registered (non-expired) workers.
 func (f *Fleet) Live() int {
 	f.mu.Lock()
@@ -285,10 +282,11 @@ func (f *Fleet) AwaitCapacity(ctx context.Context, min int) bool {
 	}
 }
 
-// Execute implements Backend: queue the task, wait for a worker to run
-// it (surviving migrations), and return the pushed result. It fails
+// Execute queues the task, waits for a worker to run it (surviving
+// migrations), and returns the pushed result: the canonical document
+// bytes plus the number of per-run errors recorded inside it. It fails
 // fast with ErrNoWorkers when the fleet is empty — the scheduler then
-// runs the task on the local backend instead.
+// runs the task in-process instead.
 func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
 	if t.Shards >= 2 {
 		return f.executeSharded(ctx, t, sink)
@@ -365,129 +363,6 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 		return nil, 0, ctx.Err()
 	}
 	return p.doc, p.runErrs, p.err
-}
-
-// shardMemberIndex parses the member index out of a per-shard
-// checkpoint key's trailing "-s<digits>" suffix ("<name>-<hash>-<run>-s1"
-// → 1); ok=false for keys without one (unsharded checkpoints).
-func shardMemberIndex(key string) (int, bool) {
-	i := strings.LastIndex(key, "-s")
-	if i < 0 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(key[i+2:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// errShardGroupDone is the Cancel reason after a sharded task's root
-// result arrived: any straggler member (e.g. a ghost re-dispatched
-// after a post-gather death) fails out of its barriers instead of
-// waiting for siblings that already finished.
-var errShardGroupDone = errors.New("backend: shard group completed")
-
-// executeSharded fans one space-parallel task out as Shards member
-// tasks through the ordinary queue/lease machinery, coordinated by a
-// ShardGroup. Every member executes the FULL simulation config but
-// steps only its tile span, exchanging boundary traffic at each
-// synchronization point via the coordinator's shard endpoints. The root
-// member's document — byte-identical to what any member (or a
-// single-process run) produces — is the task result.
-func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
-	n := t.Shards
-	f.mu.Lock()
-	if f.closed || len(f.workers) == 0 {
-		f.mu.Unlock()
-		return nil, 0, ErrNoWorkers
-	}
-	// Refuse groups the fleet cannot co-schedule: members rendezvous
-	// every cycle, so all of them must hold a worker slot concurrently.
-	// A fleet with fewer total slots than members would park the early
-	// members at the join barrier forever while the rest starve in the
-	// queue.
-	total := 0
-	for _, w := range f.workers {
-		total += w.capacity
-	}
-	if total < n {
-		f.mu.Unlock()
-		return nil, 0, ErrNoWorkers
-	}
-	if t.Checkpoints == nil {
-		t.Checkpoints = map[string]Blob{}
-	}
-	f.seq++
-	base := fmt.Sprintf("task-%06d", f.seq)
-	group := NewShardGroup(n)
-	// A journal-restored task arrives with the pre-crash promoted stable
-	// set in Checkpoints (one "-s<i>" key per member, all at one cycle):
-	// seed it into the fresh group, so the first post-restart member loss
-	// rolls the group back to that consistent cross-shard state instead
-	// of cycle 0. Seeding is a re-statement of already-persisted,
-	// already-journaled facts, so the promotion it completes is ignored.
-	for key, b := range t.Checkpoints {
-		if i, ok := shardMemberIndex(key); ok && i < n {
-			group.Stage(i, key, b.Cycle, b.Data)
-		}
-	}
-	members := make([]*pending, n)
-	for i := 0; i < n; i++ {
-		mt := *t
-		mt.ID = fmt.Sprintf("%s-s%d", base, i)
-		// Each member loads only its own per-shard key from the seeded
-		// set, so every member can carry the full map.
-		mt.Checkpoints = make(map[string]Blob, len(t.Checkpoints))
-		for k, b := range t.Checkpoints {
-			mt.Checkpoints[k] = b
-		}
-		var ms Sink = MemberSink{Root: sink}
-		if i == 0 {
-			ms = sink
-		}
-		members[i] = &pending{task: &mt, sink: ms, shard: i, group: group, done: make(chan struct{})}
-	}
-	f.queue = append(f.queue, members...)
-	f.wakeLocked()
-	f.mu.Unlock()
-
-	// The root member's terminal state decides the task: the gather
-	// barrier guarantees it cannot produce a document before every
-	// member finished its simulation, and waiting on the root alone
-	// avoids deadlocking on a straggler that died after the gather.
-	root := members[0]
-	select {
-	case <-root.done:
-	case <-ctx.Done():
-		group.Cancel(ctx.Err())
-		for _, p := range members {
-			f.abort(p)
-		}
-		<-root.done
-	}
-	if root.err != nil {
-		group.Cancel(root.err)
-	} else {
-		group.Cancel(errShardGroupDone)
-	}
-	for _, p := range members[1:] {
-		f.abort(p)
-	}
-	if errors.Is(root.err, ErrNoWorkers) {
-		// Hand the group's stable checkpoint set back on the task: the
-		// scheduler's local fallback resumes the sharded run in-process
-		// from exactly this state.
-		for i := 0; i < n; i++ {
-			if key, blob, ok := group.StableBlob(i); ok {
-				t.Checkpoints[key] = blob
-			}
-		}
-	}
-	if root.err == nil && ctx.Err() != nil {
-		return nil, 0, ctx.Err()
-	}
-	return root.doc, root.runErrs, root.err
 }
 
 // abort cancels an in-flight task: a queued task terminates right away;
@@ -1022,67 +897,6 @@ func (f *Fleet) PushResult(workerID, taskID string, res ResultPush) error {
 	}
 	f.wakeLocked()
 	return nil
-}
-
-// memberGroup resolves a shard-coordination push to its group, also
-// refreshing the worker's lease (barrier calls can block for a while,
-// but the push itself proves the worker is alive).
-func (f *Fleet) memberGroup(workerID, taskID string) (*ShardGroup, int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, err := f.taskFor(workerID, taskID)
-	if err != nil {
-		return nil, 0, err
-	}
-	if p.group == nil {
-		return nil, 0, fmt.Errorf("backend: task %s is not sharded", taskID)
-	}
-	return p.group, p.shard, nil
-}
-
-// ShardSync is one member's synchronization-point rendezvous: it blocks
-// until every member of the group arrives (or the group restarts or is
-// cancelled) and returns the collective decision plus all boundary
-// payloads.
-func (f *Fleet) ShardSync(ctx context.Context, workerID, taskID string, req ShardSyncRequest) (ShardSyncResponse, error) {
-	g, shard, err := f.memberGroup(workerID, taskID)
-	if err != nil {
-		return ShardSyncResponse{}, err
-	}
-	dec, payloads, restart, err := g.Sync(ctx, req.Epoch, req.Vote, req.Boundary)
-	if err != nil {
-		// Name the offending member: an epoch-rollback log line must
-		// identify worker and shard without cross-referencing.
-		return ShardSyncResponse{}, fmt.Errorf("shard sync (worker %s, shard %d, task %s): %w",
-			workerID, shard, taskID, err)
-	}
-	return ShardSyncResponse{Decision: dec, Payloads: payloads, Restart: restart}, nil
-}
-
-// ShardGather is the end-of-run statistics exchange.
-func (f *Fleet) ShardGather(ctx context.Context, workerID, taskID string, req ShardGatherRequest) (ShardGatherResponse, error) {
-	g, shard, err := f.memberGroup(workerID, taskID)
-	if err != nil {
-		return ShardGatherResponse{}, err
-	}
-	payloads, restart, err := g.Gather(ctx, req.Epoch, req.Payload)
-	if err != nil {
-		return ShardGatherResponse{}, fmt.Errorf("shard gather (worker %s, shard %d, task %s): %w",
-			workerID, shard, taskID, err)
-	}
-	return ShardGatherResponse{Payloads: payloads, Restart: restart}, nil
-}
-
-// ShardStableBlob returns the calling member's blob of the group's
-// stable checkpoint — what a survivor restores after a group rollback
-// (its own store may hold a NEWER blob, which is exactly the problem).
-func (f *Fleet) ShardStableBlob(workerID, taskID string) (Blob, bool, error) {
-	g, shard, err := f.memberGroup(workerID, taskID)
-	if err != nil {
-		return Blob{}, false, err
-	}
-	_, blob, ok := g.StableBlob(shard)
-	return blob, ok, nil
 }
 
 // janitor expires workers whose lease lapsed: their tasks requeue (and

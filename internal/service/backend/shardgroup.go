@@ -2,16 +2,21 @@ package backend
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"hornet/internal/sim"
 )
 
 // ShardGroup is the coordinator-side rendezvous of one space-parallel
-// task's members: a vote barrier for synchronization points (Sync), a
-// statistics barrier for the final exchange (Gather), and the
-// staged→stable promotion of member checkpoints that makes losing a
-// member survivable.
+// task's members: one all-gather barrier (Exchange), which the members
+// meet at every synchronization point and once more for the final
+// statistics exchange, and the staged→stable promotion of member
+// checkpoints that makes losing a member survivable. The group never
+// reads a payload: every member decides for itself over all of them.
 //
 // Checkpoint promotion: members autosave at group-global cycle
 // boundaries (the chunk cadence is pinned to absolute multiples of
@@ -23,12 +28,12 @@ import (
 // exchange depends on.
 //
 // Member loss: MemberLost bumps the group epoch. Every blocked or
-// subsequent Sync/Gather call carrying the old epoch gets a
-// ShardRestart answer — roll back to the stable cycle (0 = rebuild
-// from scratch) and rejoin at the new epoch. Determinism makes the
-// rollback cheap to reason about: re-executed chunks re-produce
-// byte-identical state, so survivors that were AHEAD of the stable
-// cycle converge to exactly the trajectory they already ran.
+// subsequent Exchange carrying the old epoch gets the rollback notice —
+// a *sim.ShardRestartError with the caller's blob of the stable set (nil
+// = rebuild from scratch) — and rejoins at the new epoch. Determinism
+// makes the rollback cheap to reason about: re-executed chunks
+// re-produce byte-identical state, so survivors that were AHEAD of the
+// stable cycle converge to exactly the trajectory they already ran.
 type ShardGroup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -37,18 +42,12 @@ type ShardGroup struct {
 	epoch     int
 	cancelled error
 
-	// Sync-barrier state for the current round within the epoch.
-	syncRound  int
-	votes      []sim.ShardVote
-	boundaries [][]byte
-	decision   sim.ShardDecision
-	decErr     error
-	syncOut    [][]byte
-
-	// Gather-barrier state.
-	gatherRound int
-	gatherIn    [][]byte
-	gatherOut   [][]byte
+	// The barrier: round counts completed all-gathers, in holds the
+	// current round's payloads by member (nil: not arrived yet), out the
+	// last completed round's.
+	round   int
+	in, out [][]byte
+	arrived int
 
 	// staged[cycle][member] holds uploaded-but-not-yet-promoted blobs;
 	// stable is the latest complete set.
@@ -68,7 +67,7 @@ type stagedBlob struct {
 
 // NewShardGroup builds the rendezvous for n members.
 func NewShardGroup(n int) *ShardGroup {
-	g := &ShardGroup{n: n, staged: map[uint64][]*stagedBlob{}}
+	g := &ShardGroup{n: n, in: make([][]byte, n), staged: map[uint64][]*stagedBlob{}}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -83,9 +82,13 @@ func (g *ShardGroup) Epoch() int {
 	return g.epoch
 }
 
-// restartLocked snapshots the rollback notice for the current epoch.
-func (g *ShardGroup) restartLocked() *ShardRestart {
-	return &ShardRestart{Epoch: g.epoch, Cycle: g.stableCycle}
+// restartLocked builds member's rollback notice for the current epoch.
+func (g *ShardGroup) restartLocked(member int) *sim.ShardRestartError {
+	rs := &sim.ShardRestartError{Epoch: g.epoch, Cycle: g.stableCycle}
+	if g.stable != nil {
+		rs.Blob = g.stable[member].Data
+	}
+	return rs
 }
 
 // wakeOnDone broadcasts the group condition when ctx is cancelled so
@@ -98,85 +101,86 @@ func (g *ShardGroup) wakeOnDone(ctx context.Context) func() bool {
 	})
 }
 
-// Sync is one member's arrival at a synchronization point: its vote and
-// boundary payload join the round; the call blocks until all n members
-// have arrived, then every caller receives the group decision and all
-// payloads. A non-nil ShardRestart (with nil error) tells the member
-// the group rolled back — rejoin at the returned epoch from the stable
-// cycle.
-func (g *ShardGroup) Sync(ctx context.Context, epoch int, vote sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, *ShardRestart, error) {
+// Exchange is one member's arrival at the all-gather: its payload takes
+// slot member of the current round, and the call blocks until all n
+// members have arrived; then every caller receives all payloads in
+// member order. A caller whose epoch is stale, or whose round MemberLost
+// tore down, gets its rollback notice (a *sim.ShardRestartError) at
+// once. A second arrival from one member in one round is an error; a
+// caller whose ctx ends withdraws its arrival.
+func (g *ShardGroup) Exchange(ctx context.Context, epoch, member int, payload []byte) ([][]byte, error) {
+	if member < 0 || member >= g.n {
+		return nil, fmt.Errorf("backend: shard member %d of a %d-member group", member, g.n)
+	}
+	if payload == nil {
+		return nil, fmt.Errorf("backend: shard member %d sent no payload", member)
+	}
 	defer g.wakeOnDone(ctx)()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.cancelled != nil {
-		return sim.ShardDecision{}, nil, nil, g.cancelled
+	switch {
+	case g.cancelled != nil:
+		return nil, g.cancelled
+	case epoch != g.epoch:
+		return nil, g.restartLocked(member)
+	case g.in[member] != nil:
+		return nil, fmt.Errorf("backend: shard member %d arrived twice in one round", member)
 	}
-	if epoch != g.epoch {
-		return sim.ShardDecision{}, nil, g.restartLocked(), nil
-	}
-	myRound := g.syncRound
-	g.votes = append(g.votes, vote)
-	g.boundaries = append(g.boundaries, boundary)
-	if len(g.votes) == g.n {
-		g.decision, g.decErr = sim.DecideShardSync(g.votes)
-		g.syncOut = g.boundaries
-		g.votes, g.boundaries = nil, nil
-		g.syncRound++
+	round := g.round
+	g.in[member] = payload
+	if g.arrived++; g.arrived == g.n {
+		g.out, g.in, g.arrived = g.in, make([][]byte, g.n), 0
+		g.round++
 		g.cond.Broadcast()
-		return g.decision, g.syncOut, nil, g.decErr
+		return g.out, nil
 	}
-	for g.syncRound == myRound && g.epoch == epoch && g.cancelled == nil && ctx.Err() == nil {
+	for g.round == round && g.epoch == epoch && g.cancelled == nil && ctx.Err() == nil {
 		g.cond.Wait()
 	}
 	switch {
 	case g.cancelled != nil:
-		return sim.ShardDecision{}, nil, nil, g.cancelled
+		return nil, g.cancelled
 	case g.epoch != epoch:
-		// The round was torn down by MemberLost; this member's vote was
-		// discarded with it.
-		return sim.ShardDecision{}, nil, g.restartLocked(), nil
-	case g.syncRound != myRound:
-		return g.decision, g.syncOut, nil, g.decErr
+		// MemberLost tore the round down, this member's payload with it.
+		return nil, g.restartLocked(member)
+	case g.round != round:
+		return g.out, nil
 	default:
-		return sim.ShardDecision{}, nil, nil, ctx.Err()
+		g.in[member] = nil
+		g.arrived--
+		return nil, ctx.Err()
 	}
 }
 
-// Gather is the end-of-run statistics exchange: each member contributes
-// its per-span payload and receives everyone's, so every member can
-// reconstruct the full per-tile statistics.
-func (g *ShardGroup) Gather(ctx context.Context, epoch int, payload []byte) ([][]byte, *ShardRestart, error) {
-	defer g.wakeOnDone(ctx)()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cancelled != nil {
-		return nil, nil, g.cancelled
+// MemberPeer is one member's end of its group, as the member's engine
+// sees it (core.ShardPeer): each Exchange carries the epoch the member
+// runs in, and a rollback notice moves it to the notice's epoch.
+type MemberPeer struct {
+	epoch    int
+	exchange func(epoch int, payload []byte) ([][]byte, error)
+}
+
+// NewMemberPeer builds the end of a member joining at epoch whose
+// all-gather is exchange — an HTTP call on a worker.
+func NewMemberPeer(epoch int, exchange func(epoch int, payload []byte) ([][]byte, error)) *MemberPeer {
+	return &MemberPeer{epoch: epoch, exchange: exchange}
+}
+
+func (p *MemberPeer) Exchange(payload []byte) ([][]byte, error) {
+	payloads, err := p.exchange(p.epoch, payload)
+	var rs *sim.ShardRestartError
+	if errors.As(err, &rs) {
+		p.epoch = rs.Epoch
 	}
-	if epoch != g.epoch {
-		return nil, g.restartLocked(), nil
-	}
-	myRound := g.gatherRound
-	g.gatherIn = append(g.gatherIn, payload)
-	if len(g.gatherIn) == g.n {
-		g.gatherOut = g.gatherIn
-		g.gatherIn = nil
-		g.gatherRound++
-		g.cond.Broadcast()
-		return g.gatherOut, nil, nil
-	}
-	for g.gatherRound == myRound && g.epoch == epoch && g.cancelled == nil && ctx.Err() == nil {
-		g.cond.Wait()
-	}
-	switch {
-	case g.cancelled != nil:
-		return nil, nil, g.cancelled
-	case g.epoch != epoch:
-		return nil, g.restartLocked(), nil
-	case g.gatherRound != myRound:
-		return g.gatherOut, nil, nil
-	default:
-		return nil, nil, ctx.Err()
-	}
+	return payloads, err
+}
+
+// Peer is the in-process end of member, joining at the current epoch;
+// ctx bounds its waits.
+func (g *ShardGroup) Peer(ctx context.Context, member int) *MemberPeer {
+	return NewMemberPeer(g.Epoch(), func(epoch int, payload []byte) ([][]byte, error) {
+		return g.Exchange(ctx, epoch, member, payload)
+	})
 }
 
 // Stage records one member's uploaded checkpoint blob and promotes the
@@ -252,8 +256,8 @@ func (g *ShardGroup) StableBlob(member int) (key string, blob Blob, ok bool) {
 }
 
 // MemberLost rolls the group back: the epoch advances, the current
-// barrier rounds are torn down (waiters observe the epoch change and
-// receive a ShardRestart), and un-promoted staged blobs are discarded —
+// round is torn down (its waiters observe the epoch change and receive
+// their rollback notices), and un-promoted staged blobs are discarded —
 // after the rollback the members re-execute and re-upload them
 // byte-identically anyway.
 func (g *ShardGroup) MemberLost() {
@@ -263,16 +267,14 @@ func (g *ShardGroup) MemberLost() {
 		return
 	}
 	g.epoch++
-	g.syncRound, g.gatherRound = 0, 0
-	g.votes, g.boundaries = nil, nil
-	g.gatherIn = nil
+	g.in, g.arrived = make([][]byte, g.n), 0
 	g.staged = map[uint64][]*stagedBlob{}
 	g.cond.Broadcast()
 }
 
-// Cancel aborts the group: every current and future barrier call
-// returns err. Without this, cancelling a sharded task would leave its
-// surviving members parked forever in a barrier no one else will reach.
+// Cancel aborts the group: every current and future Exchange returns
+// err. Without this, cancelling a sharded task would leave its surviving
+// members parked forever in a barrier no one else will reach.
 func (g *ShardGroup) Cancel(err error) {
 	if err == nil {
 		err = context.Canceled
@@ -283,4 +285,166 @@ func (g *ShardGroup) Cancel(err error) {
 		g.cancelled = err
 	}
 	g.cond.Broadcast()
+}
+
+// shardMemberIndex parses the member index out of a per-shard
+// checkpoint key's trailing "-s<digits>" suffix ("<name>-<hash>-<run>-s1"
+// → 1); ok=false for keys without one (unsharded checkpoints).
+func shardMemberIndex(key string) (int, bool) {
+	i := strings.LastIndex(key, "-s")
+	if i < 0 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(key[i+2:])
+	if err != nil || n < 0 {
+		return 0, false
+	}
+	return n, true
+}
+
+// errShardGroupDone is the Cancel reason after a sharded task's root
+// result arrived: any straggler member (e.g. a ghost re-dispatched
+// after a post-gather death) fails out of its barriers instead of
+// waiting for siblings that already finished.
+var errShardGroupDone = errors.New("backend: shard group completed")
+
+// executeSharded fans one space-parallel task out as Shards member
+// tasks through the ordinary queue/lease machinery, coordinated by a
+// ShardGroup. Every member executes the FULL simulation config but
+// steps only its tile span, exchanging boundary traffic at each
+// synchronization point via the coordinator's shard endpoints. The root
+// member's document — byte-identical to what any member (or a
+// single-process run) produces — is the task result.
+func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
+	n := t.Shards
+	f.mu.Lock()
+	if f.closed || len(f.workers) == 0 {
+		f.mu.Unlock()
+		return nil, 0, ErrNoWorkers
+	}
+	// Refuse groups the fleet cannot co-schedule: members rendezvous
+	// every cycle, so all of them must hold a worker slot concurrently.
+	// A fleet with fewer total slots than members would park the early
+	// members at the join barrier forever while the rest starve in the
+	// queue.
+	total := 0
+	for _, w := range f.workers {
+		total += w.capacity
+	}
+	if total < n {
+		f.mu.Unlock()
+		return nil, 0, ErrNoWorkers
+	}
+	if t.Checkpoints == nil {
+		t.Checkpoints = map[string]Blob{}
+	}
+	f.seq++
+	base := fmt.Sprintf("task-%06d", f.seq)
+	group := NewShardGroup(n)
+	// A journal-restored task arrives with the pre-crash promoted stable
+	// set in Checkpoints (one "-s<i>" key per member, all at one cycle):
+	// seed it into the fresh group, so the first post-restart member loss
+	// rolls the group back to that consistent cross-shard state instead
+	// of cycle 0. Seeding is a re-statement of already-persisted,
+	// already-journaled facts, so the promotion it completes is ignored.
+	for key, b := range t.Checkpoints {
+		if i, ok := shardMemberIndex(key); ok && i < n {
+			group.Stage(i, key, b.Cycle, b.Data)
+		}
+	}
+	members := make([]*pending, n)
+	for i := 0; i < n; i++ {
+		mt := *t
+		mt.ID = fmt.Sprintf("%s-s%d", base, i)
+		// Each member loads only its own per-shard key from the seeded
+		// set, so every member can carry the full map.
+		mt.Checkpoints = make(map[string]Blob, len(t.Checkpoints))
+		for k, b := range t.Checkpoints {
+			mt.Checkpoints[k] = b
+		}
+		var ms Sink = MemberSink{Root: sink}
+		if i == 0 {
+			ms = sink
+		}
+		members[i] = &pending{task: &mt, sink: ms, shard: i, group: group, done: make(chan struct{})}
+	}
+	f.queue = append(f.queue, members...)
+	f.wakeLocked()
+	f.mu.Unlock()
+
+	// The root member's terminal state decides the task: the gather
+	// barrier guarantees it cannot produce a document before every
+	// member finished its simulation, and waiting on the root alone
+	// avoids deadlocking on a straggler that died after the gather.
+	root := members[0]
+	select {
+	case <-root.done:
+	case <-ctx.Done():
+		group.Cancel(ctx.Err())
+		for _, p := range members {
+			f.abort(p)
+		}
+		<-root.done
+	}
+	if root.err != nil {
+		group.Cancel(root.err)
+	} else {
+		group.Cancel(errShardGroupDone)
+	}
+	for _, p := range members[1:] {
+		f.abort(p)
+	}
+	if errors.Is(root.err, ErrNoWorkers) {
+		// Hand the group's stable checkpoint set back on the task: the
+		// scheduler's local fallback resumes the sharded run in-process
+		// from exactly this state.
+		for i := 0; i < n; i++ {
+			if key, blob, ok := group.StableBlob(i); ok {
+				t.Checkpoints[key] = blob
+			}
+		}
+	}
+	if root.err == nil && ctx.Err() != nil {
+		return nil, 0, ctx.Err()
+	}
+	return root.doc, root.runErrs, root.err
+}
+
+// memberGroup resolves a shard-coordination push to its group, also
+// refreshing the worker's lease (barrier calls can block for a while,
+// but the push itself proves the worker is alive).
+func (f *Fleet) memberGroup(workerID, taskID string) (*ShardGroup, int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p, err := f.taskFor(workerID, taskID)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p.group == nil {
+		return nil, 0, fmt.Errorf("backend: task %s is not sharded", taskID)
+	}
+	return p.group, p.shard, nil
+}
+
+// ShardExchange is one member's arrival at its group's all-gather: it
+// blocks until every member of the group arrives (or the group rolls
+// back or is cancelled) and returns all payloads, or the member's
+// rollback notice.
+func (f *Fleet) ShardExchange(ctx context.Context, workerID, taskID string, req ShardExchangeRequest) (ShardExchangeResponse, error) {
+	g, shard, err := f.memberGroup(workerID, taskID)
+	if err != nil {
+		return ShardExchangeResponse{}, err
+	}
+	payloads, err := g.Exchange(ctx, req.Epoch, shard, req.Payload)
+	var rs *sim.ShardRestartError
+	switch {
+	case errors.As(err, &rs):
+		return ShardExchangeResponse{Restart: rs}, nil
+	case err != nil:
+		// Name the offending member: an epoch-rollback log line must
+		// identify worker and shard without cross-referencing.
+		return ShardExchangeResponse{}, fmt.Errorf("shard exchange (worker %s, shard %d, task %s): %w",
+			workerID, shard, taskID, err)
+	}
+	return ShardExchangeResponse{Payloads: payloads}, nil
 }

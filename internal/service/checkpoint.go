@@ -549,11 +549,12 @@ func (cr *chunkedRun) advancePlan(ctx context.Context, m *machine, done func(cyc
 // saves a final checkpoint (checkpointing daemons) so a retry resumes
 // where it stopped.
 //
-// A group member wraps that in the rollback loop: when a barrier call
-// reports that the group lost a member (*core.ShardRestartError), the
-// attempt's state is abandoned, the group's stable checkpoint is
-// fetched and restored (or the system rebuilt from scratch), and the
-// member rejoins under the new epoch. Determinism makes the rollback
+// A group member wraps that in the rollback loop: when an exchange
+// reports that the group lost a member (*sim.ShardRestartError), the
+// attempt's state is abandoned, the member's blob of the group's stable
+// checkpoint — carried by the notice — is restored (or the system
+// rebuilt from scratch), and the member rejoins under the new epoch (its
+// transport adopted it with the notice). Determinism makes the rollback
 // invisible in the result: re-executed chunks reproduce the exact
 // trajectory, so the document is still byte-identical to an
 // uninterrupted single-process run. Without a group the loop body runs
@@ -627,28 +628,20 @@ func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec
 				}
 				return summarize(sys.Summary(), m.cfg.Topology.Nodes(), meta.Exec, meta.Skip), nil
 			}
-			var rs *core.ShardRestartError
+			var rs *sim.ShardRestartError
 			if shard == nil || !errors.As(err, &rs) {
 				return nil, err
 			}
 			// Group rollback. The member's own latest checkpoint may be
 			// AHEAD of the group's stable cycle, so it must not be used:
-			// restore the coordinator's stable blob, or start over.
+			// restore the stable blob the notice carries, or start over.
 			sys = nil
-			if rs.Cycle > 0 {
-				blob, ok, err := shard.Transport.StableCheckpoint()
-				if err != nil {
-					return nil, err
+			if rs.Blob != nil {
+				var ok bool
+				if sys, meta, ok = decodeCheckpoint(m, fresh, rs.Blob); !ok {
+					return nil, fmt.Errorf("service: shard %d: stable checkpoint blob does not restore", shard.Index)
 				}
-				if ok {
-					if sys, meta, ok = decodeCheckpoint(m, fresh, blob); !ok {
-						return nil, fmt.Errorf("service: shard %d: stable checkpoint blob does not restore", shard.Index)
-					}
-					continue
-				}
-				// The stable point vanished between the restart notice and
-				// the fetch (possible only through another rollback); retry
-				// from scratch and let the next barrier sort it out.
+				continue
 			}
 			if ckptOn {
 				e.store.Remove(key)

@@ -146,7 +146,7 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					results[i], errs[i] = Execute(gctx, shardedReq, ExecOptions{Workers: 1,
-						Shard: &ShardMember{Index: i, Count: 2, Transport: &localShardTransport{ctx: gctx, group: group, shard: i}}})
+						Shard: &ShardMember{Index: i, Count: 2, Transport: group.Peer(gctx, i)}})
 					if errs[i] != nil {
 						group.Cancel(errs[i])
 					}
@@ -260,11 +260,7 @@ func TestRestoresParentFormatCheckpointMeta(t *testing.T) {
 // failingTransport is a group whose barrier is broken.
 type failingTransport struct{ err error }
 
-func (f failingTransport) Sync(sim.ShardVote, []byte) (sim.ShardDecision, [][]byte, error) {
-	return sim.ShardDecision{}, nil, f.err
-}
-func (f failingTransport) Gather([]byte) ([][]byte, error)         { return nil, f.err }
-func (f failingTransport) StableCheckpoint() ([]byte, bool, error) { return nil, false, f.err }
+func (f failingTransport) Exchange([]byte) ([][]byte, error) { return nil, f.err }
 
 // TestShardMemberFailureIsAnError: a group member's run-level failure
 // comes back as an error, never inside a "successful" document — its

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"hornet/internal/core"
 	"hornet/internal/obs"
 	"hornet/internal/service/backend"
 	"hornet/internal/sweep"
@@ -155,6 +156,21 @@ type ExecOptions struct {
 	// samples then cover only the member's tile span; the coordinator
 	// merges the members' spans into the full-machine view.
 	Shard *ShardMember
+}
+
+// ShardMember places an execution in a space-parallel group
+// (ExecOptions.Shard): the full system is built from the validated
+// config (wiring and seeds bit-identical to a single-process run), the
+// engine steps only tile span Index of Count, and every synchronization
+// point is one all-gather through Transport — backend.ShardGroup.Peer
+// in-process, an HTTP call on a worker. A group rollback reaches the
+// run as a *sim.ShardRestartError carrying the member's stable blob.
+// Count must equal the request's shards field. Any member can produce
+// the document (the final exchange leaves every member with the full
+// statistics); the coordinator uses the root's.
+type ShardMember struct {
+	Index, Count int
+	Transport    core.ShardPeer
 }
 
 // ExecResult is the outcome of a standalone Execute.

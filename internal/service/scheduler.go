@@ -31,9 +31,9 @@ type scheduler struct {
 	queue   chan *job
 	wg      sync.WaitGroup
 
-	// local always exists; fleet is the remote backend, consulted first
-	// for fleet-eligible jobs whenever live workers are registered.
-	local backend.Backend
+	// fleet is the remote backend, consulted first for fleet-eligible
+	// jobs whenever live workers are registered; everything else runs in
+	// this process (executeLocal).
 	fleet *backend.Fleet
 
 	remoteJobs   atomic.Uint64
@@ -89,7 +89,6 @@ func newScheduler(maxJobs, budget, depth int, results *resultStore, env *execEnv
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	s.local = &localBackend{s: s}
 	for i := 0; i < maxJobs; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -263,7 +262,7 @@ func (s *scheduler) run(j *job) ([]byte, int, error) {
 		}
 	}
 	if s.fleet != nil && fleetEligible(j.sc) && s.fleet.Live() > 0 {
-		j.setBackend(s.fleet.Name())
+		j.setBackend("fleet")
 		b, runErrs, err := s.fleet.Execute(j.ctx, t, sink)
 		if !errors.Is(err, backend.ErrNoWorkers) {
 			if err == nil {
@@ -280,8 +279,8 @@ func (s *scheduler) run(j *job) ([]byte, int, error) {
 		s.fallbackJobs.Add(1)
 		s.logger().Info("fleet emptied mid-job; falling back to local execution", obs.Job(j.Info().ID))
 	}
-	j.setBackend(s.local.Name())
-	return s.local.Execute(j.ctx, t, sink)
+	j.setBackend("local")
+	return s.executeLocal(j.ctx, t, sink)
 }
 
 // fleetEligible reports whether a scenario can execute on a remote
@@ -316,16 +315,11 @@ func (s jobSink) Telemetry(snap obs.TelemetrySnapshot) { s.j.setTelemetry(snap) 
 
 func (s jobSink) Note(event string, fields map[string]string) { s.j.note(event, fields) }
 
-// localBackend is the in-process execution backend: the scheduler's
-// shared execution environment (warmup cache, checkpoint store, CPU
-// pool) wrapped in the Backend interface.
-type localBackend struct{ s *scheduler }
-
-func (lb *localBackend) Name() string { return "local" }
-
-func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backend.Sink) ([]byte, int, error) {
+// executeLocal runs a task in this process, on the scheduler's shared
+// execution environment (warmup cache, checkpoint store, CPU pool).
+func (s *scheduler) executeLocal(ctx context.Context, t *backend.Task, sink backend.Sink) ([]byte, int, error) {
 	sc := t.Compiled.(*scenario)
-	env := lb.s.env
+	env := s.env
 	if len(t.Checkpoints) > 0 {
 		// A migrated task: seed the uploaded blobs into a checkpoint
 		// store so the runs resume instead of restarting. Without a
@@ -341,11 +335,11 @@ func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backe
 		}
 	}
 	if sc.shards >= 2 {
-		return lb.executeShardedLocal(ctx, sc, env, sink)
+		return s.executeShardedLocal(ctx, sc, env, sink)
 	}
 	// Every locally executed job gets a fresh engine probe so the daemon
 	// can report cycles/sec and barrier-vs-compute time per running job.
-	return executeScenario(ctx, sc, env, lb.s.pool, sink, obs.NewSimProbe(), nil)
+	return executeScenario(ctx, sc, env, s.pool, sink, obs.NewSimProbe(), nil)
 }
 
 // executeShardedLocal runs every member of a space-parallel task inside
@@ -358,22 +352,22 @@ func (lb *localBackend) Execute(ctx context.Context, t *backend.Task, sink backe
 // because members rendezvous every cycle and therefore must all run
 // concurrently — leasing them one by one could deadlock against another
 // job.
-func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, env *execEnv, sink backend.Sink) ([]byte, int, error) {
+func (s *scheduler) executeShardedLocal(ctx context.Context, sc *scenario, env *execEnv, sink backend.Sink) ([]byte, int, error) {
 	n := sc.shards
 	group := backend.NewShardGroup(n)
 	// Release barrier waiters if the job dies: no member may park forever
 	// in a rendezvous its cancelled siblings will never reach.
 	stopWatch := context.AfterFunc(ctx, func() { group.Cancel(ctx.Err()) })
 	defer stopWatch()
-	per := lb.s.pool.Cap() / n
+	per := s.pool.Cap() / n
 	if per < 1 {
 		per = 1
 	}
-	granted, err := lb.s.pool.AcquireCtx(ctx, per*n)
+	granted, err := s.pool.AcquireCtx(ctx, per*n)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer lb.s.pool.Release(granted)
+	defer s.pool.Release(granted)
 	if per = granted / n; per < 1 {
 		// A pool narrower than the member count still runs all members
 		// concurrently (the lockstep demands it); the engines just drop to
@@ -398,7 +392,7 @@ func (lb *localBackend) executeShardedLocal(ctx context.Context, sc *scenario, e
 			if i == 0 {
 				msink, probe = sink, obs.NewSimProbe()
 			}
-			member := &ShardMember{Index: i, Count: n, Transport: &localShardTransport{ctx: ctx, group: group, shard: i}}
+			member := &ShardMember{Index: i, Count: n, Transport: group.Peer(ctx, i)}
 			docs[i], _, errs[i] = executeScenario(ctx, sc, env, sweep.NewBudget(per), msink, probe, member)
 			if errs[i] != nil {
 				// Doom the group so siblings fail out of their barriers

@@ -234,12 +234,10 @@ func build(opts Options) (*Server, error) {
 	s.mux.HandleFunc("PUT /api/v1/workers/{id}/tasks/{task}/checkpoints/{key}", s.handleWorkerCheckpoint)
 	s.mux.HandleFunc("DELETE /api/v1/workers/{id}/tasks/{task}/checkpoints/{key}", s.handleWorkerCheckpointDrop)
 	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/result", s.handleWorkerResult)
-	// Shard-group coordination (space-parallel tasks): per-sync-point
-	// barrier exchange, final statistics gather, stable-checkpoint fetch
-	// after a group rollback.
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/shardsync", s.handleWorkerShardSync)
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/shardgather", s.handleWorkerShardGather)
-	s.mux.HandleFunc("GET /api/v1/workers/{id}/tasks/{task}/shardcheckpoint", s.handleWorkerShardCheckpoint)
+	// Shard-group coordination (space-parallel tasks): one all-gather per
+	// synchronization point and for the final statistics; its rollback
+	// notice carries the member's stable checkpoint.
+	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/shardsync", s.handleWorkerShardExchange)
 	return s, nil
 }
 

@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hornet/internal/config"
+	"hornet/internal/obs"
+	"hornet/internal/service/backend"
 )
 
 // Service-level contracts of space-parallel execution: a job submitted
@@ -127,6 +132,96 @@ func TestShardedLocalFeedsDaemonCheckpointStats(t *testing.T) {
 	}
 	if st := srv.Stats(); st.CheckpointsWritten == 0 {
 		t.Fatalf("stats.checkpoints_written = 0 after a locally sharded job autosaved every 700 cycles")
+	}
+}
+
+// stagingStore is a group member's checkpoint store that also stages
+// every autosave into the group, as the fleet stages a worker's uploads.
+// When lose reports true for a save, the save stands for the loss of a
+// member instead: the group rolls back and the blob is not staged.
+type stagingStore struct {
+	*MemCheckpointStore
+	group  *backend.ShardGroup
+	member int
+	lose   func(cycle uint64) bool
+}
+
+func (s stagingStore) Save(key string, blob []byte, cycle uint64) error {
+	if s.lose != nil && s.lose(cycle) {
+		s.group.MemberLost()
+	} else {
+		s.group.Stage(s.member, key, cycle, blob)
+	}
+	return s.MemCheckpointStore.Save(key, blob, cycle)
+}
+
+// TestShardGroupRollbackByteIdentity drives the rollback branch of the
+// run driver without a fleet: two members run through Execute over one
+// in-process group. Member 0's first autosave after the group's first
+// promotion stands for a lost member, so the group rolls back while that
+// member's own store holds a blob ahead of the stable cycle. Both members
+// must restore the stable blobs their notices carry, replay, and finish
+// with the unsharded document; the root's probe must count exactly the
+// replayed cycles on top of one full run, not a restart from cycle 0.
+func TestShardGroupRollbackByteIdentity(t *testing.T) {
+	ctx := context.Background()
+	req := SubmitRequest{Name: "rollback", Config: shardConfig(), Seed: 13}
+	plain, err := Execute(ctx, req, ExecOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Shards = 2
+
+	group := backend.NewShardGroup(2)
+	gctx, stop := context.WithCancel(ctx)
+	defer stop()
+	probe := obs.NewSimProbe()
+	var lost atomic.Bool
+	var lostAt, stableAt uint64
+	results := make([]*ExecResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		store := stagingStore{MemCheckpointStore: NewMemCheckpointStore(), group: group, member: i}
+		var memberProbe *obs.SimProbe
+		if i == 0 {
+			memberProbe = probe
+			store.lose = func(cycle uint64) bool {
+				stable, _, ok := group.StableSet()
+				if !ok || !lost.CompareAndSwap(false, true) {
+					return false
+				}
+				lostAt, stableAt = cycle, stable
+				return true
+			}
+		}
+		opts := ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: 1_000, Probe: memberProbe,
+			Shard: &ShardMember{Index: i, Count: 2, Transport: group.Peer(gctx, i)}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Execute(gctx, req, opts)
+			if errs[i] != nil {
+				group.Cancel(errs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	if !lost.Load() || group.Epoch() != 1 {
+		t.Fatalf("no rollback happened (lost=%v, epoch %d)", lost.Load(), group.Epoch())
+	}
+	if !bytes.Equal(results[0].Doc, plain.Doc) {
+		t.Errorf("document after a group rollback differs from the unsharded run:\n plain:   %s\n sharded: %s", plain.Doc, results[0].Doc)
+	}
+	full := uint64(req.Config.WarmupCycles + req.Config.AnalyzedCycles)
+	if got, want := probe.Snapshot().Cycles, full+lostAt-stableAt; got != want {
+		t.Errorf("root executed %d cycles, want %d: one run of %d plus the replay from stable cycle %d to %d (from cycle 0: %d)",
+			got, want, full, stableAt, lostAt, full+lostAt)
 	}
 }
 

@@ -28,11 +28,9 @@ import (
 	"sync"
 	"time"
 
-	"hornet/internal/core"
 	"hornet/internal/obs"
 	"hornet/internal/service"
 	"hornet/internal/service/backend"
-	"hornet/internal/sim"
 	"hornet/internal/sweep"
 )
 
@@ -536,10 +534,10 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 	if a.ShardCount >= 2 {
 		// A space-parallel member assignment: run this worker's tile span
 		// of the simulation, rendezvousing with the sibling members
-		// through the coordinator's shard endpoints.
+		// through the coordinator's shard exchange.
+		t := &shardTransport{w: w, ctx: taskCtx, taskID: a.TaskID, cancelRun: cancel}
 		opts.Shard = &service.ShardMember{Index: a.Shard, Count: a.ShardCount,
-			Transport: &shardTransport{w: w, ctx: taskCtx, taskID: a.TaskID,
-				cancelRun: cancel, epoch: a.ShardEpoch}}
+			Transport: backend.NewMemberPeer(a.ShardEpoch, t.exchange)}
 	}
 	res, err := service.Execute(taskCtx, req, opts)
 	switch {
@@ -630,67 +628,34 @@ func retryable(err error) bool {
 	return !errors.As(err, &se) || se.status >= 500
 }
 
-// shardTransport is the worker-side service.ShardTransport: every
-// synchronization point of the member's engine becomes one blocking
-// POST against the coordinator's shard endpoints (the coordinator's
-// ShardGroup is the barrier). A restart notice — the group lost a
-// member and rolled back to its stable checkpoint — surfaces as
-// *core.ShardRestartError after the transport adopts the new epoch.
+// shardTransport is the worker's end of its group's all-gather: every
+// exchange is one blocking POST against the coordinator's shardsync
+// endpoint (the coordinator's ShardGroup is the barrier), answered with
+// every member's payload or with the rollback notice, which comes back
+// as the *sim.ShardRestartError it is.
 type shardTransport struct {
 	w         *Worker
 	ctx       context.Context
 	taskID    string
 	cancelRun context.CancelFunc
-	epoch     int
 }
 
-// fatal maps protocol statuses that mean "this task is no longer ours"
-// onto a run cancellation, like every other push path.
-func (t *shardTransport) fatal(err error) error {
-	if errors.Is(err, errGone) || errors.Is(err, errUnknown) {
-		t.cancelRun()
-	}
-	return err
-}
-
-func (t *shardTransport) Sync(v sim.ShardVote, boundary []byte) (sim.ShardDecision, [][]byte, error) {
-	var resp backend.ShardSyncResponse
+func (t *shardTransport) exchange(epoch int, payload []byte) ([][]byte, error) {
+	var resp backend.ShardExchangeResponse
 	err := t.w.doJSON(t.ctx, http.MethodPost, t.w.taskPath(t.taskID, "shardsync"),
-		backend.ShardSyncRequest{Epoch: t.epoch, Vote: v, Boundary: boundary}, &resp)
-	if err != nil {
-		return sim.ShardDecision{}, nil, t.fatal(err)
-	}
-	if r := resp.Restart; r != nil {
-		t.epoch = r.Epoch
-		return sim.ShardDecision{}, nil, &core.ShardRestartError{Epoch: uint64(r.Epoch), Cycle: r.Cycle}
-	}
-	return resp.Decision, resp.Payloads, nil
-}
-
-func (t *shardTransport) Gather(payload []byte) ([][]byte, error) {
-	var resp backend.ShardGatherResponse
-	err := t.w.doJSON(t.ctx, http.MethodPost, t.w.taskPath(t.taskID, "shardgather"),
-		backend.ShardGatherRequest{Epoch: t.epoch, Payload: payload}, &resp)
-	if err != nil {
-		return nil, t.fatal(err)
-	}
-	if r := resp.Restart; r != nil {
-		t.epoch = r.Epoch
-		return nil, &core.ShardRestartError{Epoch: uint64(r.Epoch), Cycle: r.Cycle}
+		backend.ShardExchangeRequest{Epoch: epoch, Payload: payload}, &resp)
+	switch {
+	case errors.Is(err, errGone) || errors.Is(err, errUnknown):
+		// The task is no longer ours: stop simulating, like every other
+		// push path.
+		t.cancelRun()
+		return nil, err
+	case err != nil:
+		return nil, err
+	case resp.Restart != nil:
+		return nil, resp.Restart
 	}
 	return resp.Payloads, nil
-}
-
-func (t *shardTransport) StableCheckpoint() ([]byte, bool, error) {
-	var resp backend.ShardCheckpointResponse
-	err := t.w.doJSON(t.ctx, http.MethodGet, t.w.taskPath(t.taskID, "shardcheckpoint"), nil, &resp)
-	if err != nil {
-		return nil, false, t.fatal(err)
-	}
-	if resp.Blob == nil {
-		return nil, false, nil
-	}
-	return resp.Blob.Data, true, nil
 }
 
 // remoteStore is the worker's CheckpointStore: loads are served from

@@ -169,63 +169,26 @@ func (s *Server) handleWorkerCheckpointDrop(w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleWorkerShardSync is one member's synchronization-point call: it
-// blocks until every sibling has arrived (or the group rolls back /
-// cancels) and answers with the group decision plus all boundary
-// payloads. Long-blocking by design — the fleet wakes it on client
-// disconnect via r.Context().
-func (s *Server) handleWorkerShardSync(w http.ResponseWriter, r *http.Request) {
-	var req backend.ShardSyncRequest
+// handleWorkerShardExchange is one member's arrival at its group's
+// all-gather: it blocks until every sibling has arrived (or the group
+// rolls back or is cancelled) and answers with all payloads or the
+// member's rollback notice. Long-blocking by design — the fleet wakes it
+// on client disconnect via r.Context().
+func (s *Server) handleWorkerShardExchange(w http.ResponseWriter, r *http.Request) {
+	var req backend.ShardExchangeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckpointBlob))
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: "malformed shard sync body: " + err.Error()})
+			Message: "malformed shard exchange body: " + err.Error()})
 		return
 	}
-	resp, err := s.fleet.ShardSync(r.Context(), r.PathValue("id"), r.PathValue("task"), req)
+	resp, err := s.fleet.ShardExchange(r.Context(), r.PathValue("id"), r.PathValue("task"), req)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away mid-barrier
 		}
 		s.writeFleetError(w, err)
 		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWorkerShardGather is the final statistics exchange, same
-// blocking shape as shardsync.
-func (s *Server) handleWorkerShardGather(w http.ResponseWriter, r *http.Request) {
-	var req backend.ShardGatherRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckpointBlob))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: "malformed shard gather body: " + err.Error()})
-		return
-	}
-	resp, err := s.fleet.ShardGather(r.Context(), r.PathValue("id"), r.PathValue("task"), req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		s.writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWorkerShardCheckpoint serves the calling member's blob of the
-// group's stable checkpoint after a rollback notice (Blob null: no
-// complete stable set — rebuild from cycle 0).
-func (s *Server) handleWorkerShardCheckpoint(w http.ResponseWriter, r *http.Request) {
-	blob, ok, err := s.fleet.ShardStableBlob(r.PathValue("id"), r.PathValue("task"))
-	if err != nil {
-		s.writeFleetError(w, err)
-		return
-	}
-	var resp backend.ShardCheckpointResponse
-	if ok {
-		resp.Blob = &blob
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

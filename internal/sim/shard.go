@@ -8,8 +8,8 @@ import "fmt"
 // a ShardVote — its local contribution to the global halt/fast-forward
 // decision — and a coupler exchanges boundary state and votes with the
 // rest of the group, returning the group's ShardDecision. The decision
-// function is pure and shared (DecideShardSync), so the coordinator and
-// any in-process test harness compute bit-identical schedules.
+// function is pure and shared (DecideShardSync): every shard folds the
+// same votes in the same order, so all of them take the same decision.
 
 // ShardVote is one shard's input to a synchronization-point decision.
 // All cross-shard quantities are decomposable: in-flight flit counts sum
@@ -60,10 +60,24 @@ type ShardDecision struct {
 // barrier leader at every synchronization point (all local workers are
 // blocked, the span is quiescent), it exchanges boundary state plus the
 // vote with the other shards and returns the group decision. An error
-// aborts the run (RunResult.Err); a typed restart error lets the driver
+// aborts the run (RunResult.Err); a *ShardRestartError lets the driver
 // roll the whole group back to a coordinated checkpoint.
 type ShardCoupler interface {
 	Sync(vote ShardVote) (ShardDecision, error)
+}
+
+// ShardRestartError is the group's rollback notice: a member was lost,
+// so every member abandons its state, restores Blob — its own checkpoint
+// of the group's stable cycle Cycle; nil means rebuild from cycle 0 —
+// and rejoins under Epoch. The JSON form is the notice on the wire.
+type ShardRestartError struct {
+	Epoch int    `json:"epoch"`
+	Cycle uint64 `json:"cycle"`
+	Blob  []byte `json:"blob,omitempty"`
+}
+
+func (e *ShardRestartError) Error() string {
+	return fmt.Sprintf("sim: shard group restarted (epoch %d, checkpoint cycle %d)", e.Epoch, e.Cycle)
 }
 
 // ShardSpan returns the contiguous tile span [lo,hi) owned by shard
