@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines profile-msi profile-mesh
+	validate-examples scenario-golden service-lines profile-msi profile-mesh profile-mesh8
 
 build:
 	$(GO) build ./...
@@ -76,20 +76,25 @@ test-loose-sync:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Two whole machines under the profilers, one rule. profile-msi: the 4x4 MSI
-# machine (16 busy MIPS cores, L1s, directory slices, one controller, the
+# Three whole machines under the profilers, one rule. profile-msi: the 4x4
+# MSI machine (16 busy MIPS cores, L1s, directory slices, one controller, the
 # routers between them), one benchmark iteration = one simulated cycle after
 # a 50 000-cycle warm-up. profile-mesh: the 1000-core point — 32x32 mesh,
 # shuffle 0.02, past saturation, 2 engine workers — one iteration = one
-# simulated cycle of all 1024 tiles after a 1 000-cycle warm-up. Prints
-# where the CPU time goes (cumulative) and what still allocates; binary and
+# simulated cycle of all 1024 tiles after a 1 000-cycle warm-up.
+# profile-mesh8: the mesh8-serial machine — 8x8 mesh, uniform 0.05, 1 engine
+# worker, where noc and routing do nearly all the work — one iteration = one
+# simulated cycle of all 64 tiles after a 20 000-cycle warm-up. Prints where
+# the CPU time goes (cumulative) and what still allocates; binary and
 # profiles land in PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= /tmp/hornet-$@
 profile-msi: PROFILE_BENCH := BenchmarkMSIMachineCycle
 profile-msi: PROFILE_CYCLES ?= 1000000
 profile-mesh: PROFILE_BENCH := BenchmarkSaturatedMeshCycle
 profile-mesh: PROFILE_CYCLES ?= 15000
-profile-msi profile-mesh:
+profile-mesh8: PROFILE_BENCH := BenchmarkUniformMeshCycle
+profile-mesh8: PROFILE_CYCLES ?= 300000
+profile-msi profile-mesh profile-mesh8:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test ./internal/core -run '^$$' -bench $(PROFILE_BENCH) -benchtime $(PROFILE_CYCLES)x \
 		-o $(PROFILE_DIR)/core.test -outputdir $(PROFILE_DIR) -cpuprofile cpu.prof

@@ -438,6 +438,30 @@ func TestBuildAllocatesPerRouterNotPerVC(t *testing.T) {
 	}
 }
 
+// BenchmarkUniformMeshCycle is the benchmark's mesh8-serial machine under
+// the profiler (`make profile-mesh8`): 8x8, uniform traffic at 0.05, one
+// engine worker — noc, routing and traffic do nearly all the work — after a
+// 20 000-cycle warm-up. One b.N is one simulated cycle of all 64 tiles; it
+// reports host time per tile-cycle.
+func BenchmarkUniformMeshCycle(b *testing.B) {
+	cfg := config.Default()
+	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.05}}
+	cfg.Engine = config.EngineConfig{Workers: 1, SyncPeriod: 1, Seed: 1}
+	sys, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.AttachSyntheticTraffic(); err != nil {
+		b.Fatal(err)
+	}
+	sys.Run(20_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sys.Run(uint64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cfg.Topology.Nodes())), "ns/tile-cycle")
+}
+
 // BenchmarkSaturatedMeshCycle is the 1000-core point under the profiler
 // (`make profile-mesh`): the benchmark's mesh32-par machine — 32x32, shuffle
 // traffic at 0.02, past saturation, two engine workers — after a

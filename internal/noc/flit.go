@@ -17,7 +17,8 @@
 // stores its committed pops into the producer's egress record
 // (egressVC.credit, one cache line per downstream VC), not into its own
 // header. Flits move slot to slot, one
-// copy per hop.
+// copy per hop, carrying the table line its next router routes it by
+// (RouteEntry.Then).
 //
 // A router's work in a cycle is proportional to what can make progress in
 // it. Each router has an occupancy mask, one bit per ingress VC, and visits
@@ -40,7 +41,8 @@
 // edge.
 //
 // None of this is serialized: a restore rebuilds the pointers and the mask,
-// re-reads the heads, and its first pass parks what is blocked.
+// re-reads the heads, and its first pass parks what is blocked; its flits
+// carry no lines.
 package noc
 
 import "fmt"
@@ -146,14 +148,19 @@ func (k Kind) IsTail() bool { return k == Tail || k == HeadTail }
 // VC buffers; statistics (Latency, Hops) travel inside the flit and are
 // updated incrementally within single clock domains, which is what keeps
 // measurements accurate under loose synchronization (paper §II-C).
+//
+// line and pick are host-only and never serialized (see RouteEntry.Then).
+// The field order keeps the flit at 96 bytes (TestFlitLayout).
 type Flit struct {
 	Kind Kind
+	Hops uint16
 	Flow FlowID
 	// Packet is a globally unique packet ID (used for wormhole VC
 	// allocation bookkeeping); Seq is the flit index within the packet.
 	Packet uint64
 	Seq    uint16
 	Len    uint16 // packet length in flits
+	pick   uint16 // index of the entry RC chose in line
 	// FlowSeq is the per-flow packet sequence number assigned at the
 	// source, used to detect reordering (EDVCA's in-order guarantee).
 	FlowSeq uint64
@@ -169,7 +176,7 @@ type Flit struct {
 	VisibleAt uint64
 	// Latency accumulates in-network cycles hop by hop.
 	Latency uint64
-	Hops    uint16
+	line    *RouteLine // the line the holding router routes the flit by; nil: look it up
 	// Payload rides on head flits of packets carrying protocol messages
 	// (memory traffic, MPI-style sends); nil for synthetic traffic.
 	Payload any

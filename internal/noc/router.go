@@ -827,26 +827,31 @@ func (r *Router) allocateVCs(cycle uint64) {
 	}
 }
 
-// computeRoute runs the RC stage: look up the weighted next-hop set and
-// select one entry (by weight, or by downstream congestion when adaptive).
+// computeRoute runs the RC stage: take the flit's table line, looking it up
+// if the flit carries none, and select one entry (by weight, or by
+// downstream congestion when adaptive).
 func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
-	prev := r.prevOf(st)
-	entries := r.table.Lookup(prev, f.Flow)
-	if len(entries) == 0 {
-		panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, prev))
-	}
-	var chosen RouteEntry
-	if len(entries) == 1 {
-		chosen = entries[0]
-	} else if r.adaptive {
-		chosen = r.pickAdaptive(entries)
-	} else {
-		r.weights = r.weights[:0]
-		for _, e := range entries {
-			r.weights = append(r.weights, e.Weight)
+	if f.line == nil {
+		f.line = r.table.Lookup(r.prevOf(st), f.Flow)
+		if f.line == nil || len(f.line.Entries) == 0 {
+			panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, r.prevOf(st)))
 		}
-		chosen = entries[r.rng.Pick(r.weights)]
 	}
+	entries := f.line.Entries
+	pick := 0
+	if len(entries) > 1 {
+		if r.adaptive {
+			pick = r.pickAdaptive(entries)
+		} else {
+			r.weights = r.weights[:0]
+			for _, e := range entries {
+				r.weights = append(r.weights, e.Weight)
+			}
+			pick = r.rng.Pick(r.weights)
+		}
+	}
+	f.pick = uint16(pick)
+	chosen := &entries[pick]
 	st.routed = true
 	st.routedAt = cycle
 	st.flow = f.Flow
@@ -867,9 +872,9 @@ func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
 	st.egress = uint8(eg)
 }
 
-// pickAdaptive chooses the entry whose egress has the most committed free
-// space downstream, breaking ties pseudorandomly.
-func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
+// pickAdaptive returns the index of the entry whose egress has the most
+// committed free space downstream, breaking ties pseudorandomly.
+func (r *Router) pickAdaptive(entries []RouteEntry) int {
 	best, bestFree, ties := 0, -1, 1
 	for i, e := range entries {
 		free := 0
@@ -891,7 +896,7 @@ func (r *Router) pickAdaptive(entries []RouteEntry) RouteEntry {
 			}
 		}
 	}
-	return entries[best]
+	return best
 }
 
 // allocateVC runs the VA stage for one ingress VC's head packet.
@@ -1065,6 +1070,9 @@ func (r *Router) traverse(st *vcState, cycle uint64) {
 			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, st.egress, ev.vc))
 		}
 		*out = *f
+		if f.line != nil {
+			out.line = f.line.Entries[f.pick].Then
+		}
 		out.Flow = st.nextFlow
 		out.Latency = latency + 1 // link traversal
 		out.Hops++

@@ -16,11 +16,11 @@ import (
 // ejects at the flow's destination.
 type lineTable struct{ self NodeID }
 
-func (lt lineTable) Lookup(prev NodeID, flow FlowID) []RouteEntry {
+func (lt lineTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
 	if flow.Dst() == lt.self {
-		return []RouteEntry{{Next: lt.self, NextFlow: flow.Base(), Weight: 1}}
+		return &RouteLine{Entries: []RouteEntry{{Next: lt.self, NextFlow: flow.Base(), Weight: 1}}}
 	}
-	return []RouteEntry{{Next: lt.self + 1, NextFlow: flow, Weight: 1}}
+	return &RouteLine{Entries: []RouteEntry{{Next: lt.self + 1, NextFlow: flow, Weight: 1}}}
 }
 
 // allVCs is a trivial VCA table: every VC, equal weight.
@@ -233,6 +233,52 @@ func TestZeroLoadLatencyMatchesPipelineDepth(t *testing.T) {
 	// small and fixed; anything above ~10 means spurious stalling.
 	if lat < 4 || lat > 10 {
 		t.Fatalf("zero-load single-flit latency %d outside [4,10]", lat)
+	}
+}
+
+// TestFlitLayout guards the flit's size: it is what every hop copies and
+// what a buffer slot holds. The route it carries fits only with Hops beside
+// Kind and pick in the padding after Len.
+func TestFlitLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Flit{}); size != 96 {
+		t.Fatalf("Flit is %d bytes, want 96", size)
+	}
+}
+
+// TestFlitCodecCarriesNoRoute: a flit's line and pick are host-side only.
+// A flit that carries them encodes to the bytes of the same flit without
+// them, and decodes without a line (its next router looks it up).
+func TestFlitCodecCarriesNoRoute(t *testing.T) {
+	plain := Flit{Kind: Head, Hops: 3, Flow: MakeFlow(1, 2, 0).WithPhase2(), Packet: 7, Len: 4, FlowSeq: 9,
+		Src: 1, Dst: 2, InjectedAt: 10, HeadInjectedAt: 10, VisibleAt: 14, Latency: 3}
+	routed := plain
+	routed.line = &RouteLine{Entries: []RouteEntry{{Next: 2, NextFlow: plain.Flow, Weight: 1}, {Next: 3, NextFlow: plain.Flow, Weight: 1}}}
+	routed.pick = 1
+	encode := func(f *Flit) []byte {
+		snap := snapshot.New("flit", 0)
+		if err := saveFlit(snap.Section("flit"), f); err != nil {
+			t.Fatal(err)
+		}
+		b, err := snap.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := encode(&routed)
+	if string(b) != string(encode(&plain)) {
+		t.Fatal("a flit's line and pick changed its encoding")
+	}
+	snap, err := snapshot.DecodeBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snap.Open("flit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loadFlit(r); got != plain {
+		t.Fatalf("decoded %+v, want %+v (no line, no pick)", got, plain)
 	}
 }
 
@@ -620,8 +666,8 @@ func blockedRouter(tb testing.TB) *Router {
 // spreadTable routes a flow to the neighbour its destination names.
 type spreadTable struct{}
 
-func (spreadTable) Lookup(prev NodeID, flow FlowID) []RouteEntry {
-	return []RouteEntry{{Next: flow.Dst(), NextFlow: flow, Weight: 1}}
+func (spreadTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
+	return &RouteLine{Entries: []RouteEntry{{Next: flow.Dst(), NextFlow: flow, Weight: 1}}}
 }
 
 // BenchmarkRouterCreditBlocked steps the saturated-mesh case: 20 occupied

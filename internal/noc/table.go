@@ -4,10 +4,25 @@ package noc
 // (paper §II-A2): forward to Next, renaming the flow to NextFlow, with
 // selection propensity Weight. Next == the looking-up node means "eject
 // here" (deliver to the local CPU/injector port).
+//
+// Then is the line the Next router will route the flit by — the one at
+// <this node, NextFlow> in Next's table. A head flit that leaves by this
+// entry carries it (Flit.line), so the next router's RC reads a pointer
+// instead of looking up (lookahead routing), and a reroute after VA
+// starvation draws again from the same line. Then is nil on ejection. A
+// flit without a line — at injection, after a restore, across a shard
+// boundary — is looked up in the router's RouteTable.
 type RouteEntry struct {
 	Next     NodeID
 	NextFlow FlowID
 	Weight   float64
+	Then     *RouteLine
+}
+
+// RouteLine is one routing-table line: the weighted next-hop set for one
+// <node, prev_node_id, flow_id>.
+type RouteLine struct {
+	Entries []RouteEntry
 }
 
 // RouteTable answers route-computation lookups for one node. Lookups are
@@ -15,14 +30,13 @@ type RouteEntry struct {
 // paper: <prev_node_id, flow_id> -> {<next_node_id, next_flow_id, weight>...}.
 //
 // A table is owned by a single node and is only queried from that node's
-// worker thread, so implementations need no internal locking (lazy
-// memoization is safe).
+// worker thread, so implementations need no internal locking. Flits carry
+// the lines it returns to routers on other threads, so a line must never
+// change once Lookup has returned it.
 type RouteTable interface {
-	// Lookup returns the weighted next-hop set for a flow arriving from
-	// prev (prev == the node itself for locally injected packets). The
-	// returned slice must not be retained or mutated by the caller beyond
-	// the current cycle.
-	Lookup(prev NodeID, flow FlowID) []RouteEntry
+	// Lookup returns the line for a flow arriving from prev (prev == the
+	// node itself for locally injected packets), or nil if there is none.
+	Lookup(prev NodeID, flow FlowID) *RouteLine
 }
 
 // Adaptiver is optionally implemented by route tables whose entry set is

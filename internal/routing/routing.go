@@ -5,11 +5,14 @@
 // (with the paper's intermediate-hop flow-renaming scheme), PROM,
 // explicit static (BSOR-style) routes, and west-first turn-model adaptive
 // routing. Tables are materialized lazily per flow and shared across
-// nodes, so large meshes only pay for flows that actually exist.
+// nodes, so large meshes only pay for flows that actually exist, and every
+// forwarding entry is linked to the line its next hop routes by
+// (noc.RouteEntry.Then).
 package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hornet/internal/noc"
@@ -69,12 +72,18 @@ type Algorithm interface {
 // identical tables.
 type Tables struct {
 	alg   Algorithm
-	cache sync.Map // noc.FlowID (base) -> *flowOnce
+	cache sync.Map // noc.FlowID (base) -> *flowTable
 }
 
-type flowOnce struct {
-	once   sync.Once
-	routes FlowRoutes
+// flowTable is the store's form of one base flow's FlowRoutes: its lines
+// sorted by lineKey, the lines in one slab and their entries in another,
+// and every forwarding entry's Then linked to the line the next router
+// routes by. All of it is written inside once and never again, because
+// flits carry the lines to routers on other threads.
+type flowTable struct {
+	once  sync.Once
+	keys  []uint32        // sorted lineKeys
+	lines []noc.RouteLine // lines[i] is the line at keys[i]
 }
 
 // NewTables wraps an algorithm in a shared lazy table store.
@@ -85,25 +94,95 @@ func NewTables(alg Algorithm) *Tables {
 // Algorithm returns the wrapped algorithm.
 func (t *Tables) Algorithm() Algorithm { return t.alg }
 
-// routesFor returns the flow's lines, building them on first use. The
-// Load before LoadOrStore exists only so that a call for a flow already in
-// the store does not allocate a &flowOnce{} it then throws away.
-func (t *Tables) routesFor(f noc.FlowID) FlowRoutes {
+// lineKey addresses a line within its base flow's table: 14 bits of node,
+// 14 of prev and the phase bit, the only part of the flow ID that varies
+// within one base flow's lines.
+func lineKey(node, prev noc.NodeID, flow noc.FlowID) uint32 {
+	k := uint32(node)<<15 | uint32(prev)<<1
+	if flow.Phase2() {
+		k |= 1
+	}
+	return k
+}
+
+// entryKey is lineKey's inverse within base's table.
+func entryKey(base noc.FlowID, key uint32) EntryKey {
+	flow := base
+	if key&1 != 0 {
+		flow = base.WithPhase2()
+	}
+	return EntryKey{Node: noc.NodeID(key >> 15), Prev: noc.NodeID(key >> 1 & 0x3FFF), Flow: flow}
+}
+
+// tableFor returns the flow's table, building it on first use. The Load
+// before LoadOrStore exists only so that a call for a flow already in the
+// store does not allocate a &flowTable{} it then throws away.
+func (t *Tables) tableFor(f noc.FlowID) *flowTable {
 	base := f.Base()
 	v, ok := t.cache.Load(base)
 	if !ok {
-		v, _ = t.cache.LoadOrStore(base, &flowOnce{})
+		v, _ = t.cache.LoadOrStore(base, &flowTable{})
 	}
-	fo := v.(*flowOnce)
-	fo.once.Do(func() { fo.routes = t.alg.FlowEntries(base) })
-	return fo.routes
+	ft := v.(*flowTable)
+	ft.once.Do(func() { ft.build(base, t.alg.FlowEntries(base)) })
+	return ft
+}
+
+// build lays out base's routes and links every forwarding entry to the
+// line at <entry.Next, this node, entry.NextFlow>. Renaming changes only the
+// phase bit, so that line is in this same table, and it is linked before
+// the table is published.
+func (ft *flowTable) build(base noc.FlowID, routes FlowRoutes) {
+	ft.keys = make([]uint32, 0, len(routes))
+	entries := 0
+	for k, es := range routes {
+		if k.Flow.Base() != base {
+			panicf("routing: flow %v has a table line for flow %v", base, k.Flow)
+		}
+		ft.keys = append(ft.keys, lineKey(k.Node, k.Prev, k.Flow))
+		entries += len(es)
+	}
+	slices.Sort(ft.keys)
+	ft.lines = make([]noc.RouteLine, len(ft.keys))
+	slab := make([]noc.RouteEntry, 0, entries)
+	for i, key := range ft.keys {
+		start := len(slab)
+		slab = append(slab, routes[entryKey(base, key)]...)
+		ft.lines[i].Entries = slab[start:len(slab):len(slab)]
+	}
+	for i, key := range ft.keys {
+		node := entryKey(base, key).Node
+		for j := range ft.lines[i].Entries {
+			if e := &ft.lines[i].Entries[j]; e.Next != node {
+				e.Then = ft.line(e.Next, node, e.NextFlow)
+			}
+		}
+	}
+}
+
+// line returns the line at <node, prev, flow>, or nil.
+func (ft *flowTable) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
+	key := lineKey(node, prev, flow)
+	if i, ok := slices.BinarySearch(ft.keys, key); ok {
+		return &ft.lines[i]
+	}
+	return nil
+}
+
+// line returns the line at node for a flow arriving from prev, or nil if
+// the algorithm never routes that flow through it.
+func (t *Tables) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
+	return t.tableFor(flow).line(node, prev, flow)
 }
 
 // Lookup returns the weighted next-hop set at node for a flow arriving
 // from prev, or nil if the algorithm never routes that flow through that
 // table line (a configuration or builder bug, which the router reports).
 func (t *Tables) Lookup(node, prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry {
-	return t.routesFor(flow)[EntryKey{Node: node, Prev: prev, Flow: flow}]
+	if l := t.line(node, prev, flow); l != nil {
+		return l.Entries
+	}
+	return nil
 }
 
 // ForNode returns the node-local view implementing noc.RouteTable.
@@ -116,29 +195,32 @@ func (t *Tables) ForNode(n noc.NodeID) noc.RouteTable {
 // which keeps discovering lines (all-to-all) cannot grow a second one.
 const recentLines = 64
 
-// nodeTable is one node's view of the shared store. A noc.RouteTable is
-// only queried from its node's worker thread, so it keeps the lines it
-// served last in a direct-mapped cache keyed by prev<<32|flow; the entry
-// slices are the shared store's own, not copies.
+// nodeTable is one node's view of the shared store. A router asks it only
+// for the line of a flit that carries none — mostly a packet's first hop —
+// and it is only queried from its node's worker thread, so it keeps the
+// lines it served last in a direct-mapped cache keyed by prev<<32|flow;
+// the lines are the shared store's own. Without the cache the 8x8 uniform
+// mesh ran ~3 % slower per tile-cycle (BenchmarkUniformMeshCycle, 12 of 16
+// alternating pairs).
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID
 	recent [recentLines]struct {
-		key     uint64           // prev<<32|flow
-		entries []noc.RouteEntry // nil: the slot is empty
+		key  uint64         // prev<<32|flow
+		line *noc.RouteLine // nil: the slot is empty
 	}
 }
 
-func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry {
+func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
 	key := uint64(uint32(prev))<<32 | uint64(flow)
 	// Source, destination and arrival direction all vary across the lines
 	// one node serves; fold them into the index (FlowID keeps the source
 	// 14 bits above the destination).
 	e := &nt.recent[(uint32(flow)^uint32(flow)>>14^uint32(prev)*5)%recentLines]
-	if e.key != key || e.entries == nil {
-		e.key, e.entries = key, nt.tables.Lookup(nt.node, prev, flow)
+	if e.key != key || e.line == nil {
+		e.key, e.line = key, nt.tables.line(nt.node, prev, flow)
 	}
-	return e.entries
+	return e.line
 }
 
 func (nt *nodeTable) Adaptive() bool { return nt.tables.alg.Adaptive() }

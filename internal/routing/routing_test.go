@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -321,41 +322,204 @@ func TestTorusDatelineRenaming(t *testing.T) {
 	}
 }
 
+// linkCase is one algorithm on one topology, with the flows to check.
+type linkCase struct {
+	name  string
+	alg   Algorithm
+	topo  *topology.Topology
+	flows []noc.FlowID
+}
+
+func linkCases(t *testing.T) []linkCase {
+	t.Helper()
+	build := func(cfg config.TopologyConfig) (*topology.Topology, []noc.FlowID) {
+		topo, err := topology.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flows []noc.FlowID
+		for src := 0; src < topo.Nodes(); src++ {
+			for dst := 0; dst < topo.Nodes(); dst++ {
+				flows = append(flows, noc.MakeFlow(noc.NodeID(src), noc.NodeID(dst), 0))
+			}
+		}
+		return topo, flows
+	}
+	mesh, meshFlows := build(config.TopologyConfig{Kind: config.TopoMesh, Width: 4, Height: 4})
+	torus, torusFlows := build(config.TopologyConfig{Kind: config.TopoTorus, Width: 4, Height: 4})
+	layered, layeredFlows := build(config.TopologyConfig{Kind: config.TopoMeshX1Y1, Width: 3, Height: 3, Layers: 2})
+	static, err := NewStatic(GreedyMinMax(mesh, meshFlows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []linkCase{{"static/mesh", static, mesh, meshFlows}}
+	for _, alg := range []Algorithm{NewXY(mesh), NewYX(mesh), NewO1Turn(mesh), NewROMM(mesh), NewValiant(mesh), NewPROM(mesh), NewWestFirst(mesh)} {
+		cases = append(cases, linkCase{alg.Name() + "/mesh", alg, mesh, meshFlows})
+	}
+	for _, alg := range []Algorithm{NewXY(torus), NewYX(torus)} {
+		cases = append(cases, linkCase{alg.Name() + "/torus", alg, torus, torusFlows})
+	}
+	for _, alg := range []Algorithm{NewXY(layered), NewYX(layered)} {
+		cases = append(cases, linkCase{alg.Name() + "/multilayer", alg, layered, layeredFlows})
+	}
+	return cases
+}
+
+// TestRouteLinksFollowNextHop is the lookahead invariant: in every line of
+// every flow's table, a forwarding entry's Then is the line its next router
+// looks up — <entry.Next, this node, entry.NextFlow> — and an ejection
+// entry's Then is nil; and a walk that only follows Then draws the same
+// entries and ejects where walkFlow's lookups do.
+func TestRouteLinksFollowNextHop(t *testing.T) {
+	for _, c := range linkCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			tables := NewTables(c.alg)
+			lines := 0
+			for _, f := range c.flows {
+				ft := tables.tableFor(f)
+				for i, key := range ft.keys {
+					k := entryKey(f.Base(), key)
+					node, prev, flow := k.Node, k.Prev, k.Flow
+					if got := tables.line(node, prev, flow); got != &ft.lines[i] {
+						t.Fatalf("flow %v: the line at key %#x is not the one Lookup(%d, %d, %v) returns", f, key, node, prev, flow)
+					}
+					for _, e := range ft.lines[i].Entries {
+						want := tables.line(e.Next, node, e.NextFlow)
+						if e.Next == node {
+							want = nil
+						} else if want == nil {
+							t.Fatalf("flow %v at %d from %d: forwarding entry to %d has no line at its next hop", flow, node, prev, e.Next)
+						}
+						if e.Then != want {
+							t.Fatalf("flow %v at %d from %d: entry to %d links %p, want %p", flow, node, prev, e.Next, e.Then, want)
+						}
+					}
+					lines++
+				}
+				if f.Src() == f.Dst() {
+					continue
+				}
+				looked, followed := sim.NewRNG(uint64(f)), sim.NewRNG(uint64(f))
+				want := walkFlow(t, tables, c.topo, f, looked)
+				if got := followFlow(t, tables, f, followed); got != want {
+					t.Fatalf("flow %v: following Then took %d hops, the lookups %d", f, got, want)
+				}
+				if *looked != *followed {
+					t.Fatalf("flow %v: following Then drew differently from the lookups", f)
+				}
+			}
+			if lines == 0 {
+				t.Fatal("no table lines: the invariant checked nothing")
+			}
+		})
+	}
+}
+
+// followFlow walks f from its source the way routers do after the first
+// hop: one lookup there, then only the line the chosen entry links. It
+// returns the hop count to the ejection, which must be at f's destination.
+func followFlow(t *testing.T, tables *Tables, f noc.FlowID, rng *sim.RNG) int {
+	t.Helper()
+	node := f.Src()
+	line := tables.line(node, node, f)
+	for hops := 0; line != nil && hops < 1000; hops++ {
+		w := make([]float64, len(line.Entries))
+		for i, e := range line.Entries {
+			w[i] = e.Weight
+		}
+		e := line.Entries[rng.Pick(w)]
+		if e.Next == node {
+			if node != f.Dst() {
+				t.Fatalf("flow %v ejected at %d, want %d", f, node, f.Dst())
+			}
+			return hops
+		}
+		node, line = e.Next, e.Then
+	}
+	t.Fatalf("flow %v: the linked walk lost its line or did not terminate at %d", f, node)
+	return -1
+}
+
+// TestRouteStoreBytesPerFlow bounds what the store keeps per flow: every
+// flow of an 8x8 XY mesh, all-to-all, in one flat table each (lines and
+// entries in one slab apiece). The per-flow map of entry slices it replaced
+// kept 718 B; this layout keeps ~516.
+func TestRouteStoreBytesPerFlow(t *testing.T) {
+	topo := mesh8(t)
+	n := noc.NodeID(topo.Nodes())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tables := NewTables(NewXY(topo))
+	flows := 0
+	for src := noc.NodeID(0); src < n; src++ {
+		for dst := noc.NodeID(0); dst < n; dst++ {
+			if src != dst {
+				tables.Lookup(src, src, noc.MakeFlow(src, dst, 0))
+				flows++
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tables)
+	perFlow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(flows)
+	t.Logf("%.0f heap bytes per flow", perFlow)
+	if perFlow >= 718 {
+		t.Fatalf("the store keeps %.0f heap bytes per flow of an 8x8 XY mesh, want < 718", perFlow)
+	}
+}
+
 var sinkEntries int
 
-// BenchmarkLookupWarm times table lookups once every line exists: "node"
-// is what a router pays per head flit (its own node's memoized view),
-// "shared" is the store behind it, which a node falls back to the first
-// time it sees a line. Every flow of an 8x8 mesh is looked up at its
-// source.
+// BenchmarkLookupWarm times route computation's table access once every
+// line exists, over every flow of an 8x8 XY mesh. "first" is a packet's
+// first hop, the only one a router looks up: its own node's cached view of
+// the store. "store" is the shared store behind that view, which a node
+// falls back to when its cache misses. "hop" is every later hop: the line
+// the flit carries, reached through the previous line's entry (Then), one
+// op per hop along each flow's path to ejection.
 func BenchmarkLookupWarm(b *testing.B) {
 	topo := mesh8(b)
 	tables := NewTables(NewXY(topo))
 	n := noc.NodeID(topo.Nodes())
 	nodes := make([]noc.RouteTable, n)
 	var flows []noc.FlowID
+	var firsts []*noc.RouteLine
 	for src := noc.NodeID(0); src < n; src++ {
 		nodes[src] = tables.ForNode(src)
 		for dst := noc.NodeID(0); dst < n; dst++ {
 			if src != dst {
 				f := noc.MakeFlow(src, dst, 0)
 				flows = append(flows, f)
-				nodes[src].Lookup(src, f) // builds the flow and the node's memo
+				firsts = append(firsts, nodes[src].Lookup(src, f)) // builds the flow and the node's memo
 			}
 		}
 	}
-	b.Run("node", func(b *testing.B) {
+	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f := flows[i%len(flows)]
-			sinkEntries += len(nodes[f.Src()].Lookup(f.Src(), f))
+			sinkEntries += len(nodes[f.Src()].Lookup(f.Src(), f).Entries)
 		}
 	})
-	b.Run("shared", func(b *testing.B) {
+	b.Run("store", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f := flows[i%len(flows)]
 			sinkEntries += len(tables.Lookup(f.Src(), f.Src(), f))
+		}
+	})
+	b.Run("hop", func(b *testing.B) {
+		b.ReportAllocs()
+		var line *noc.RouteLine
+		next := 0
+		for i := 0; i < b.N; i++ {
+			if line == nil {
+				line, next = firsts[next], (next+1)%len(firsts)
+			}
+			sinkEntries += len(line.Entries)
+			line = line.Entries[0].Then
 		}
 	})
 }
