@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines profile-msi profile-mesh profile-mesh8
+	validate-examples scenario-golden service-lines profile-msi profile-mesh profile-mesh8 profile-serve
 
 build:
 	$(GO) build ./...
@@ -76,33 +76,41 @@ test-loose-sync:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Three whole machines under the profilers, one rule. profile-msi: the 4x4
-# MSI machine (16 busy MIPS cores, L1s, directory slices, one controller, the
-# routers between them), one benchmark iteration = one simulated cycle after
-# a 50 000-cycle warm-up. profile-mesh: the 1000-core point — 32x32 mesh,
-# shuffle 0.02, past saturation, 2 engine workers — one iteration = one
-# simulated cycle of all 1024 tiles after a 1 000-cycle warm-up.
+# Three whole machines and the daemon under the profilers, one rule.
+# profile-msi: the 4x4 MSI machine (16 busy MIPS cores, L1s, directory
+# slices, one controller, the routers between them), one benchmark
+# iteration = one simulated cycle after a 50 000-cycle warm-up.
+# profile-mesh: the 1000-core point — 32x32 mesh, shuffle 0.02, past
+# saturation, 2 engine workers — one iteration = one simulated cycle of all
+# 1024 tiles after a 1 000-cycle warm-up.
 # profile-mesh8: the mesh8-serial machine — 8x8 mesh, uniform 0.05, 1 engine
 # worker, where noc and routing do nearly all the work — one iteration = one
-# simulated cycle of all 64 tiles after a 20 000-cycle warm-up. Prints where
-# the CPU time goes (cumulative) and what still allocates; binary and
-# profiles land in PROFILE_DIR, outside the repository.
+# simulated cycle of all 64 tiles after a 20 000-cycle warm-up.
+# profile-serve: the serve-mix daemon — durable (journal + checkpoints),
+# Budget 2, behind HTTP, two closed-loop clients alternating new 4x4 jobs
+# with cache hits — one iteration = one job. Prints where the CPU time goes
+# (cumulative) and what still allocates; binary and profiles land in
+# PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= /tmp/hornet-$@
+PROFILE_PKG := ./internal/core
 profile-msi: PROFILE_BENCH := BenchmarkMSIMachineCycle
 profile-msi: PROFILE_CYCLES ?= 1000000
 profile-mesh: PROFILE_BENCH := BenchmarkSaturatedMeshCycle
 profile-mesh: PROFILE_CYCLES ?= 15000
 profile-mesh8: PROFILE_BENCH := BenchmarkUniformMeshCycle
 profile-mesh8: PROFILE_CYCLES ?= 300000
-profile-msi profile-mesh profile-mesh8:
+profile-serve: PROFILE_PKG := ./internal/service
+profile-serve: PROFILE_BENCH := BenchmarkDurableServeMix
+profile-serve: PROFILE_CYCLES ?= 2000
+profile-msi profile-mesh profile-mesh8 profile-serve:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test ./internal/core -run '^$$' -bench $(PROFILE_BENCH) -benchtime $(PROFILE_CYCLES)x \
-		-o $(PROFILE_DIR)/core.test -outputdir $(PROFILE_DIR) -cpuprofile cpu.prof
-	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu.prof
+	$(GO) test $(PROFILE_PKG) -run '^$$' -bench $(PROFILE_BENCH) -benchtime $(PROFILE_CYCLES)x \
+		-o $(PROFILE_DIR)/prof.test -outputdir $(PROFILE_DIR) -cpuprofile cpu.prof
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/prof.test $(PROFILE_DIR)/cpu.prof
 	@# every allocation sampled: its own run, so the sampling is not in the CPU profile
-	$(PROFILE_DIR)/core.test -test.run '^$$' -test.bench $(PROFILE_BENCH) -test.benchtime $(PROFILE_CYCLES)x \
+	$(PROFILE_DIR)/prof.test -test.run '^$$' -test.bench $(PROFILE_BENCH) -test.benchtime $(PROFILE_CYCLES)x \
 		-test.outputdir $(PROFILE_DIR) -test.memprofile mem.prof -test.memprofilerate 1
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/mem.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/prof.test $(PROFILE_DIR)/mem.prof
 
 # Process-level distributed drill: build the real binaries, boot a
 # coordinator plus 2 workers, SIGKILL the one executing the job, and

@@ -19,9 +19,13 @@
 // and truncates the file back to the last intact record, which makes
 // a crash mid-append indistinguishable from a crash just before it.
 //
-// Compaction rewrites the log atomically (via fsatomic's
-// temp+rename) from a snapshot of live state, bounding file growth:
-// the journal never needs more records than the job store has jobs.
+// Compaction rewrites the log atomically (via fsatomic's temp+rename)
+// from a snapshot of live state. It is due once the records appended
+// since the last compaction reach the number that compaction wrote plus
+// 256 — the log has doubled — so the log holds at most 2 × (last
+// compaction's size) + 256 records, and the records all compactions
+// rewrite over a run stay proportional to the records appended, however
+// many jobs the daemon retains.
 package journal
 
 import (
@@ -102,20 +106,34 @@ const (
 
 	// FileName is the journal's name inside its directory.
 	FileName = "journal.wal"
+
+	// compactFloor is the least number of appends between compactions:
+	// a small live set still rewrites at most once per compactFloor
+	// records.
+	compactFloor = 256
 )
+
+// openAppend reopens the log for appending after a compaction renamed a
+// new file into place. A variable so a test can make the reopen fail.
+var openAppend = func(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+}
 
 // ErrClosed is returned by Append/Compact after Close.
 var ErrClosed = errors.New("journal: closed")
 
 // Journal is an open write-ahead log. Safe for concurrent use.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
+	mu     sync.Mutex
+	path   string
+	f      *os.File // nil after Close, or after a compaction whose reopen failed
+	closed bool
 
 	since       int    // records appended since the last compaction
+	written     int    // records the last compaction wrote (0 after Open)
 	appended    uint64 // lifetime append counter (metrics)
 	compactions uint64 // lifetime compaction counter (metrics)
+	rewritten   uint64 // lifetime records written by compactions (metrics)
 	replayed    int    // records recovered by Open (metrics / logs)
 	truncated   bool   // Open found and cut a torn tail
 }
@@ -249,21 +267,39 @@ func frameRecord(r Record) ([]byte, error) {
 // Append writes one record. The frame goes out in a single write(2),
 // so a crash can tear at most the final record — never an earlier one.
 func (j *Journal) Append(r Record) error {
+	_, err := j.AppendDue(r)
+	return err
+}
+
+// AppendDue is Append that also reports, under the same lock, whether a
+// compaction is now due: the records appended since the last compaction
+// have reached that compaction's size plus compactFloor. After Open the
+// last compaction counts as empty, so a replayed log of compactFloor
+// records or more compacts at the first append.
+func (j *Journal) AppendDue(r Record) (compactDue bool, err error) {
 	buf, err := frameRecord(r)
 	if err != nil {
-		return err
+		return false, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return false, ErrClosed
+	}
 	if j.f == nil {
-		return ErrClosed
+		// The last compaction replaced the file but could not reopen
+		// it: append to the file at the path or fail, never to the
+		// replaced inode.
+		if j.f, err = openAppend(j.path); err != nil {
+			return false, err
+		}
 	}
 	if _, err := j.f.Write(buf); err != nil {
-		return err
+		return false, err
 	}
 	j.since++
 	j.appended++
-	return nil
+	return j.since >= j.written+compactFloor, nil
 }
 
 // Compact atomically replaces the log with the records produced by
@@ -273,7 +309,7 @@ func (j *Journal) Append(r Record) error {
 func (j *Journal) Compact(snapshot func() []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closed {
 		return ErrClosed
 	}
 	recs := snapshot()
@@ -295,25 +331,32 @@ func (j *Journal) Compact(snapshot func() []Record) error {
 	if err != nil {
 		return err
 	}
-	// The rename replaced the inode under the old handle; reopen for
-	// appending at the new end.
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	j.f.Close()
-	j.f = f
-	j.since = 0
+	j.since, j.written = 0, len(recs)
 	j.compactions++
-	return nil
+	j.rewritten += uint64(len(recs))
+	// The rename replaced the inode under the old handle, which must
+	// never take another append; reopen for appending at the new end.
+	// Should the reopen fail, the next Append retries it.
+	if j.f != nil {
+		j.f.Close()
+	}
+	j.f, err = openAppend(j.path)
+	return err
 }
 
-// Since reports records appended since the last compaction (or Open),
-// the input to the server's compaction policy.
+// Since reports records appended since the last compaction (or Open).
 func (j *Journal) Since() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.since
+}
+
+// Compacted reports the records the last compaction wrote (0 before the
+// first one since Open) and the records all compactions have written.
+func (j *Journal) Compacted() (last int, rewritten uint64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.written, j.rewritten
 }
 
 // Stats reports lifetime counters: records appended, compactions run,
@@ -331,6 +374,10 @@ func (j *Journal) Stats() (appended, compactions uint64, replayed int, truncated
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}

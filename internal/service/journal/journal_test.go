@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -194,5 +195,139 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if err := j.Compact(func() []Record { return nil }); err != ErrClosed {
 		t.Fatalf("Compact after Close = %v, want ErrClosed", err)
+	}
+}
+
+// The compaction rule keeps rewrite work linear in appends: a live set
+// that grows by one record per two appends, compacted whenever the
+// journal says so, must rewrite at most 3× the appends in total (a
+// fixed every-256-records rule rewrites about 20× here), and the log
+// must never hold more than 2× the last compaction's size + compactFloor.
+func TestCompactionWorkIsLinear(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	const appends = 20_000
+	var live []Record
+	onDisk := 0
+	for i := 0; i < appends; i++ {
+		r := rec(i)
+		if i%2 == 0 {
+			live = append(live, r)
+		}
+		due, err := j.AppendDue(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk++
+		if last, _ := j.Compacted(); onDisk > 2*last+compactFloor {
+			t.Fatalf("append %d: log holds %d records, last compaction wrote %d", i, onDisk, last)
+		}
+		if due {
+			if err := j.Compact(func() []Record { return live }); err != nil {
+				t.Fatal(err)
+			}
+			onDisk = len(live)
+		}
+	}
+	_, compactions, _, _ := j.Stats()
+	_, rewritten := j.Compacted()
+	t.Logf("%d appends: %d compactions rewrote %d records", appends, compactions, rewritten)
+	if rewritten > 3*appends {
+		t.Fatalf("compactions rewrote %d records over %d appends, want at most %d",
+			rewritten, appends, 3*appends)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != onDisk {
+		t.Fatalf("replayed %d records, the log should hold %d", len(recs), onDisk)
+	}
+}
+
+// A log replayed at Open counts as appended since a compaction of
+// nothing: with compactFloor records or more, the first append is due,
+// and once that compaction has run the next append is not.
+func TestReplayedLogCompactsOnFirstAppend(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < compactFloor; i++ {
+		if err := j.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	j, recs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(recs) != compactFloor {
+		t.Fatalf("replayed %d records, want %d", len(recs), compactFloor)
+	}
+	due, err := j.AppendDue(rec(compactFloor))
+	if err != nil || !due {
+		t.Fatalf("first append after replaying %d records: due=%v err=%v, want due", len(recs), due, err)
+	}
+	if err := j.Compact(func() []Record { return recs[:10] }); err != nil {
+		t.Fatal(err)
+	}
+	if due, err := j.AppendDue(rec(compactFloor + 1)); err != nil || due {
+		t.Fatalf("append after the compaction: due=%v err=%v, want not due", due, err)
+	}
+}
+
+// A compaction whose reopen fails has already replaced the file; the old
+// handle points at the replaced inode, so a later append must land in
+// the file at the journal's path or fail — never vanish into the old one.
+func TestCompactReopenFailureLosesNoAppend(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		if err := j.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig := openAppend
+	defer func() { openAppend = orig }()
+	errOpen := errors.New("too many open files")
+	openAppend = func(string) (*os.File, error) { return nil, errOpen }
+
+	if err := j.Compact(func() []Record { return []Record{rec(1)} }); !errors.Is(err, errOpen) {
+		t.Fatalf("Compact with a failing reopen = %v, want %v", err, errOpen)
+	}
+	// While the file cannot be reopened, an append is an error.
+	if err := j.Append(rec(10)); !errors.Is(err, errOpen) {
+		t.Fatalf("Append while the reopen fails = %v, want %v", err, errOpen)
+	}
+	// Once it can, the append lands in the compacted file.
+	openAppend = orig
+	if err := j.Append(rec(11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Job != "job-000001" || recs[1].Job != "job-000011" {
+		t.Fatalf("after a failed reopen the log replays %+v, want job-000001 then job-000011", recs)
 	}
 }

@@ -25,12 +25,6 @@ import (
 	"hornet/internal/service/journal"
 )
 
-// journalCompactThreshold is how many records may accumulate since the
-// last compaction before a background rewrite is scheduled. Compaction
-// output is bounded by live jobs (a handful of records each), so the
-// log can never grow past roughly this many records beyond that.
-const journalCompactThreshold = 256
-
 // serverJournal adapts the Server to the fleet's backend.Journal hook:
 // assignment and stable-promotion facts are mirrored onto the job (for
 // compaction) and appended to the WAL. Called by the fleet outside its
@@ -53,14 +47,16 @@ func (sj serverJournal) StablePromoted(jobID string, epoch int, cycle uint64, ke
 }
 
 // journalAppend writes one record and schedules a background compaction
-// when the log has grown past the threshold. Append failures degrade to
-// a counted warning: the daemon keeps serving, merely less durable —
-// the same posture as a failed checkpoint write.
+// when the journal reports one due (the log has doubled since the last
+// one; see package journal). Append failures degrade to a counted
+// warning: the daemon keeps serving, merely less durable — the same
+// posture as a failed checkpoint write.
 func (s *Server) journalAppend(r journal.Record) {
 	if s.jrnl == nil {
 		return
 	}
-	if err := s.jrnl.Append(r); err != nil {
+	due, err := s.jrnl.AppendDue(r)
+	if err != nil {
 		if errors.Is(err, journal.ErrClosed) {
 			return // shutdown path: drain-time records are dropped on purpose
 		}
@@ -69,7 +65,7 @@ func (s *Server) journalAppend(r journal.Record) {
 			slog.String("type", r.Type), obs.Err(err))
 		return
 	}
-	if s.jrnl.Since() >= journalCompactThreshold && s.compacting.CompareAndSwap(false, true) {
+	if due && s.compacting.CompareAndSwap(false, true) {
 		go func() {
 			defer s.compacting.Store(false)
 			if err := s.jrnl.Compact(s.compactRecords); err != nil && !errors.Is(err, journal.ErrClosed) {
