@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"hornet/internal/noc"
 )
 
 // Topology names accepted by Config.Topology.Kind.
@@ -290,6 +292,9 @@ func (c *Config) Validate() error {
 		default:
 			return fmt.Errorf("config: unknown traffic pattern %q", tc.Pattern)
 		}
+		if tc.PacketFlits > noc.MaxPacketFlits {
+			return fmt.Errorf("config: traffic %d: packet_flits must be at most %d, got %d", i, noc.MaxPacketFlits, tc.PacketFlits)
+		}
 		if tc.InjectionRate < 0 || tc.InjectionRate > 1 {
 			return fmt.Errorf("config: injection_rate must be in [0,1], got %g", tc.InjectionRate)
 		}
@@ -331,8 +336,8 @@ func (c *Config) Validate() error {
 	if e.Workers < 0 {
 		return fmt.Errorf("config: workers must be >= 0, got %d", e.Workers)
 	}
-	if c.AvgPacketFlits < 1 {
-		return fmt.Errorf("config: avg_packet_flits must be >= 1, got %d", c.AvgPacketFlits)
+	if c.AvgPacketFlits < 1 || c.AvgPacketFlits > noc.MaxPacketFlits {
+		return fmt.Errorf("config: avg_packet_flits must be in [1, %d], got %d", noc.MaxPacketFlits, c.AvgPacketFlits)
 	}
 	if c.Power.EpochCycles < 1 {
 		return fmt.Errorf("config: power epoch_cycles must be >= 1")

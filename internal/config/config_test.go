@@ -185,6 +185,11 @@ func TestValidateErrorMessages(t *testing.T) {
 		{"zero sync period", func(c *Config) { c.Engine.SyncPeriod = 0 }, "sync_period"},
 		{"negative workers", func(c *Config) { c.Engine.Workers = -1 }, "workers"},
 		{"zero packet flits", func(c *Config) { c.AvgPacketFlits = 0 }, "avg_packet_flits"},
+		// A flit counts its packet's length in 16 bits (noc.MaxPacketFlits).
+		{"packet flits past a flit's count", func(c *Config) { c.AvgPacketFlits = 1_000_000_000 }, "avg_packet_flits must be in [1, 65535]"},
+		{"traffic packet flits past a flit's count", func(c *Config) {
+			c.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 0.1, PacketFlits: 70000}}
+		}, "traffic 0: packet_flits must be at most 65535"},
 		{"zero epoch", func(c *Config) { c.Power.EpochCycles = 0 }, "epoch_cycles"},
 	}
 	for _, tc := range cases {
@@ -199,6 +204,27 @@ func TestValidateErrorMessages(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.contains)
 			}
 		})
+	}
+}
+
+// TestPacketLengthBound: the longest packet a flit can count is valid, one
+// flit more is not, as the machine's default length and as a traffic
+// source's own.
+func TestPacketLengthBound(t *testing.T) {
+	for _, tc := range []struct {
+		flits int
+		ok    bool
+	}{{65535, true}, {65536, false}} {
+		cfg := Default()
+		cfg.AvgPacketFlits = tc.flits
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("avg_packet_flits %d: Validate() = %v", tc.flits, err)
+		}
+		cfg = Default()
+		cfg.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 0.1, PacketFlits: tc.flits}}
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("packet_flits %d: Validate() = %v", tc.flits, err)
+		}
 	}
 }
 

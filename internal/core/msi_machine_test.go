@@ -198,4 +198,5 @@ func BenchmarkMSIMachineCycle(b *testing.B) {
 		stepTiles(tiles, cycle)
 		cycle++
 	}
+	profiled = sys
 }

@@ -438,6 +438,11 @@ func TestBuildAllocatesPerRouterNotPerVC(t *testing.T) {
 	}
 }
 
+// profiled keeps the machine a profiled benchmark ran reachable after it
+// returns: the test binary writes its heap profile only after every
+// benchmark, and the profile targets' inuse_space top reads it there.
+var profiled *System
+
 // BenchmarkUniformMeshCycle is the benchmark's mesh8-serial machine under
 // the profiler (`make profile-mesh8`): 8x8, uniform traffic at 0.05, one
 // engine worker — noc, routing and traffic do nearly all the work — after a
@@ -460,6 +465,7 @@ func BenchmarkUniformMeshCycle(b *testing.B) {
 	sys.Run(uint64(b.N))
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cfg.Topology.Nodes())), "ns/tile-cycle")
+	profiled = sys
 }
 
 // BenchmarkSaturatedMeshCycle is the 1000-core point under the profiler
@@ -488,4 +494,5 @@ func BenchmarkSaturatedMeshCycle(b *testing.B) {
 	tileCycles := float64(b.N) * float64(cfg.Topology.Nodes())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tileCycles, "ns/tile-cycle")
 	b.ReportMetric(float64(sys.Summary().BufReads-reads)/tileCycles, "bufreads/tile-cycle")
+	profiled = sys
 }

@@ -354,6 +354,9 @@ func (c *Core) syscall(cycle uint64) bool {
 		if c.net == nil {
 			panic(fmt.Sprintf("mips: core %d: net_send without network port", c.ID))
 		}
+		if a2 > MaxSendBytes {
+			panic(fmt.Sprintf("mips: core %d: net_send of %d bytes, at most %d", c.ID, a2, MaxSendBytes))
+		}
 		buf := c.ram.ReadBytes(a1, int(a2))
 		if !c.net.TrySend(noc.NodeID(a0), buf) {
 			c.StallCycles++

@@ -1,8 +1,11 @@
 package mips
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"hornet/internal/noc"
 )
 
 // runLocal executes a program on a single core with local memory until it
@@ -346,5 +349,42 @@ main:
 `, 1000)
 	if !strings.Contains(c.Console(), "-6") {
 		t.Fatalf("console = %q, want -6", c.Console())
+	}
+}
+
+// net_send of the longest message one packet carries reaches the router as
+// a noc.MaxPacketFlits-flit packet; one byte more fails the core, the way
+// net_send without a network port does.
+func TestNetSendLengthBound(t *testing.T) {
+	for _, n := range []int{MaxSendBytes, MaxSendBytes + 1} {
+		var offered []noc.Packet
+		np := NewNetPort(0, func(p noc.Packet) { offered = append(offered, p) }, func() int { return 0 })
+		c := NewCore(0, 2, assemble(t, fmt.Sprintf(`
+main:
+	li   $a0, 1
+	li   $a1, 0x2000
+	li   $a2, %d
+	li   $v0, 60
+	syscall
+	li   $v0, 10
+	syscall
+`, n)), nil, np)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("mips: core 0: net_send of %d bytes, at most %d", n, MaxSendBytes)
+				if got := recover(); n > MaxSendBytes && got != want {
+					t.Fatalf("net_send of %d bytes: panic = %v, want %q", n, got, want)
+				} else if n <= MaxSendBytes && got != nil {
+					t.Fatalf("net_send of %d bytes panicked: %v", n, got)
+				}
+			}()
+			for cycle := uint64(0); cycle < 20 && !c.Halted(); cycle++ {
+				c.Tick(cycle)
+				np.Tick(cycle)
+			}
+		}()
+		if n <= MaxSendBytes && (len(offered) != 1 || offered[0].Flits != noc.MaxPacketFlits) {
+			t.Fatalf("net_send of %d bytes offered %d packets, want one of %d flits", n, len(offered), noc.MaxPacketFlits)
+		}
 	}
 }

@@ -7,6 +7,11 @@ import (
 // ClassUser tags MPI-style application packets on the network.
 const ClassUser uint8 = 4
 
+// MaxSendBytes is the longest message one net_send carries: a packet of a
+// header flit and 8 bytes per flit after it, at most noc.MaxPacketFlits
+// flits long.
+const MaxSendBytes = (noc.MaxPacketFlits - 1) * 8
+
 // NetPort is the core-side network interface (paper §II-D2): sends are
 // DMA-like — the syscall captures the buffer and returns while the port
 // streams packets into the network — and receives are assembled into

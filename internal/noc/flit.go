@@ -45,7 +45,10 @@
 // carry no lines.
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a node (tile) in the interconnect.
 type NodeID int32
@@ -185,6 +188,10 @@ type Flit struct {
 func (f Flit) String() string {
 	return fmt.Sprintf("%s %s pkt=%d seq=%d/%d", f.Kind, f.Flow, f.Packet, f.Seq, f.Len)
 }
+
+// MaxPacketFlits is the longest packet a source may offer: a flit names its
+// position and its packet's length in 16 bits (Flit.Seq, Flit.Len).
+const MaxPacketFlits = math.MaxUint16
 
 // Packet is the bridge-level unit: what traffic generators offer and what
 // receivers get after flit reassembly (paper §II-D's "common bridge

@@ -165,9 +165,58 @@ func (p *Port) InOccupancy() (used, capacity int) {
 	return used, capacity
 }
 
-// pendingPacket wraps a queued injection packet.
+// pendingPacket is a queued injection: what a packet holds that is not
+// derived. Its source is the router, its destination the flow's, its
+// latency 0, and its ID follows from its place in the queue (queuedID); a
+// payload waits in Router.payloads. 16 bytes (TestPendingPacketLayout),
+// where a Packet is 64: past saturation the source queues are the only
+// state that grows with simulated time.
 type pendingPacket struct {
-	pkt Packet
+	flowSeq uint64
+	flow    FlowID
+	flits   uint16
+	flags   uint16
+}
+
+// pendPayload marks a queued packet whose payload is next in Router.payloads.
+const pendPayload uint16 = 1
+
+// fifo is a queue in a slice: items[head:] are live. The consumed prefix is
+// reclaimed when the queue empties, or before the slice grows once more
+// than half of it is consumed, so queueing stays O(1) amortized.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) size() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) live() []T { return q.items[q.head:] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.items) == cap(q.items) && q.head > len(q.items)/2 {
+		// Reclaiming frees more slots than it copies.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+func (q *fifo[T]) reset() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
 }
 
 // assembling tracks a packet mid-reassembly at the ejection port.
@@ -192,10 +241,8 @@ type Router struct {
 	// their own, because the neighbours' threads write them.
 	occ []atomic.Uint64
 	rng *sim.RNG
-	// Injection queue: pending[pendHead:]; the consumed prefix is reclaimed
-	// when the queue empties or before it grows.
-	pending   []pendingPacket
-	pendHead  int
+	// Injection queue: the packets waiting to stream in, oldest first.
+	pending   fifo[pendingPacket]
 	streaming bool // a packet is streaming in from curFlits
 	saFilled  bool // some saBuckets entry is non-empty
 	// bidir is set when any port's link is bandwidth-adaptive: only then
@@ -238,6 +285,7 @@ type Router struct {
 	curFlits    []Flit // the streaming packet's flits (storage reused across packets)
 	curNext     int
 	curVC       int
+	payloads    fifo[any] // the queued packets' payloads, oldest first
 	pktCounter  uint64
 	flowSeq     map[FlowID]uint64
 	sourceState []egressVC // producer bookkeeping for the local ingress VCs
@@ -439,33 +487,67 @@ func (r *Router) Stats() *stats.Tile { return r.st }
 // PendingPackets returns the injector queue length plus any packet
 // currently being streamed into the local ingress.
 func (r *Router) PendingPackets() int {
-	n := len(r.pending) - r.pendHead
+	n := r.pending.size()
 	if r.streaming {
 		n++
 	}
 	return n
 }
 
-// OfferPacket queues a packet for injection at this node. The source and
-// flow-sequence fields are stamped here. Callers run on the owning tile's
-// thread during PhaseTransfer.
+// OfferPacket queues a packet for injection at this node. The source, ID
+// and flow-sequence fields are stamped here, and Latency is filled in on
+// delivery. A packet must have 1 to MaxPacketFlits flits and its flow's
+// destination. Callers run on the owning tile's thread during
+// PhaseTransfer.
 func (r *Router) OfferPacket(p Packet) {
-	if p.Flits < 1 {
-		panic("noc: packet must have at least one flit")
+	if p.Flits < 1 || p.Flits > MaxPacketFlits {
+		panic(fmt.Sprintf("noc: router %d: packet of %d flits, want 1 to %d", r.ID, p.Flits, MaxPacketFlits))
 	}
-	p.Src = r.ID
+	if p.Dst != p.Flow.Dst() {
+		panic(fmt.Sprintf("noc: router %d: packet to %d on flow %v", r.ID, p.Dst, p.Flow))
+	}
 	r.pktCounter++
-	p.ID = (uint64(r.ID)+1)<<40 | r.pktCounter
 	r.flowSeq[p.Flow]++
 	p.FlowSeq = r.flowSeq[p.Flow]
-	if len(r.pending) == cap(r.pending) && r.pendHead > len(r.pending)/2 {
-		// Reclaim the consumed prefix instead of growing: it frees more
-		// slots than it copies, so queueing stays O(1) amortized.
-		n := copy(r.pending, r.pending[r.pendHead:])
-		clear(r.pending[n:])
-		r.pending, r.pendHead = r.pending[:n], 0
+	r.enqueue(p)
+}
+
+// enqueue queues p's record, and its payload if it carries one.
+func (r *Router) enqueue(p Packet) {
+	pp := pendingPacket{flowSeq: p.FlowSeq, flow: p.Flow, flits: uint16(p.Flits)}
+	if p.Payload != nil {
+		pp.flags = pendPayload
+		r.payloads.push(p.Payload)
 	}
-	r.pending = append(r.pending, pendingPacket{pkt: p})
+	r.pending.push(pp)
+}
+
+// queuedID is the ID of the queued packet with behind packets queued after
+// it: OfferPacket hands out IDs in queue order.
+func (r *Router) queuedID(behind int) uint64 {
+	return (uint64(r.ID)+1)<<40 | (r.pktCounter - uint64(behind))
+}
+
+// queuedPacket rebuilds a queued packet, payload aside, from its record.
+func (r *Router) queuedPacket(pp pendingPacket, behind int) Packet {
+	return Packet{
+		ID:      r.queuedID(behind),
+		Flow:    pp.flow,
+		Src:     r.ID,
+		Dst:     pp.flow.Dst(),
+		Flits:   int(pp.flits),
+		FlowSeq: pp.flowSeq,
+	}
+}
+
+// popPending dequeues the oldest queued packet.
+func (r *Router) popPending() Packet {
+	pp := r.pending.pop()
+	p := r.queuedPacket(pp, r.pending.size())
+	if pp.flags&pendPayload != 0 {
+		p.Payload = r.payloads.pop()
+	}
+	return p
 }
 
 // NextEvent implements the fast-forward query for the injector: if any
@@ -494,7 +576,7 @@ func (r *Router) NextEvent(now uint64) uint64 {
 // max(stamp, VisibleAt). A credit is published on the negative edge; one
 // seen late under loose synchronization is the lag the credit rule allows.
 func (r *Router) PhaseTransfer(cycle uint64) {
-	injecting := r.streaming || r.pendHead != len(r.pending)
+	injecting := r.streaming || r.pending.size() != 0
 	if !injecting && !r.bidir && !r.anyOccupied() {
 		r.skipEgressPerm()
 		return
@@ -737,13 +819,7 @@ func (r *Router) popStamp(st *vcState, cycle uint64) uint64 {
 // packet is streaming or pending.
 func (r *Router) injectFlits(cycle uint64) {
 	if !r.streaming {
-		pkt := r.pending[r.pendHead].pkt
-		r.pending[r.pendHead] = pendingPacket{}
-		r.pendHead++
-		if r.pendHead == len(r.pending) {
-			r.pending, r.pendHead = r.pending[:0], 0
-		}
-		r.startPacket(pkt)
+		r.startPacket(r.popPending())
 	}
 	// Stable per-flow VC choice keeps same-flow packets in FIFO order
 	// through injection (required for EDVCA's in-order guarantee).

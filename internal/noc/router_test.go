@@ -245,6 +245,15 @@ func TestFlitLayout(t *testing.T) {
 	}
 }
 
+// TestPendingPacketLayout guards a queued injection's size: past
+// saturation the source queues are the only state that grows with
+// simulated time, one record per backlogged packet.
+func TestPendingPacketLayout(t *testing.T) {
+	if size := unsafe.Sizeof(pendingPacket{}); size != 16 {
+		t.Fatalf("pendingPacket is %d bytes, want 16", size)
+	}
+}
+
 // TestFlitCodecCarriesNoRoute: a flit's line and pick are host-side only.
 // A flit that carries them encodes to the bytes of the same flit without
 // them, and decodes without a line (its next router looks it up).

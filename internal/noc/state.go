@@ -283,11 +283,16 @@ func (r *Router) loadVCState(rd *snapshot.Reader, s *vcState) error {
 func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Uint64(r.pktCounter)
 
-	// Injection queue and the packet currently streaming in.
-	queue := r.pending[r.pendHead:]
+	// Injection queue, each packet whole, and the packet currently
+	// streaming in.
+	queue, payloads := r.pending.live(), r.payloads.live()
 	w.Int(len(queue))
-	for _, pp := range queue {
-		if err := EncodePacket(w, pp.pkt); err != nil {
+	for i, pp := range queue {
+		p := r.queuedPacket(pp, len(queue)-1-i)
+		if pp.flags&pendPayload != 0 {
+			p.Payload, payloads = payloads[0], payloads[1:]
+		}
+		if err := EncodePacket(w, p); err != nil {
 			return err
 		}
 	}
@@ -355,6 +360,29 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	return nil
 }
 
+// checkQueued rejects the i-th restored queued packet, with behind packets
+// queued after it, unless its record rebuilds it exactly: a length a flit
+// can count, this router as its source, its flow's destination, no
+// latency yet, and the ID OfferPacket handed it.
+func (r *Router) checkQueued(p Packet, i, behind int) error {
+	var field string
+	switch want := r.queuedID(behind); {
+	case p.Flits < 1 || p.Flits > MaxPacketFlits:
+		field = fmt.Sprintf("flits %d outside [1, %d]", p.Flits, MaxPacketFlits)
+	case p.Src != r.ID:
+		field = fmt.Sprintf("src %d", p.Src)
+	case p.Dst != p.Flow.Dst():
+		field = fmt.Sprintf("dst %d on flow %v", p.Dst, p.Flow)
+	case p.Latency != 0:
+		field = fmt.Sprintf("latency %d", p.Latency)
+	case p.ID != want:
+		field = fmt.Sprintf("id %#x, want %#x (consecutive, ending at packet counter %d)", p.ID, want, r.pktCounter)
+	default:
+		return nil
+	}
+	return &snapshot.CorruptError{Detail: fmt.Sprintf("router %d: queued packet %d: %s", r.ID, i, field)}
+}
+
 // LoadState restores router state saved by SaveState into this router,
 // which must be freshly built from the same configuration (same port
 // and VC geometry).
@@ -362,9 +390,17 @@ func (r *Router) LoadState(rd *snapshot.Reader) error {
 	r.pktCounter = rd.Uint64()
 
 	n := rd.Count(1 << 24)
-	r.pending, r.pendHead = r.pending[:0], 0
+	r.pending.reset()
+	r.payloads.reset()
 	for i := 0; i < n; i++ {
-		r.pending = append(r.pending, pendingPacket{pkt: DecodePacket(rd)})
+		p := DecodePacket(rd)
+		if err := rd.Err(); err != nil {
+			return err
+		}
+		if err := r.checkQueued(p, i, n-1-i); err != nil {
+			return err
+		}
+		r.enqueue(p)
 	}
 	r.curFlits = r.curFlits[:0]
 	r.streaming = rd.Bool()

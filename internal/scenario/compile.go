@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hornet/internal/config"
+	"hornet/internal/noc"
 	"hornet/internal/workloads"
 )
 
@@ -157,6 +158,17 @@ func (s *Scenario) runConfig() (config.Config, *workloads.Run, *FieldError) {
 	if m.Memory != nil && m.Memory.LineBytes > config.MaxLineBytes {
 		return cfg, nil, errf("/machine/memory/line_bytes", "must be at most %d, got %d",
 			config.MaxLineBytes, m.Memory.LineBytes)
+	}
+	// A flit counts its packet's length in 16 bits.
+	if m.AvgPacketFlits > noc.MaxPacketFlits {
+		return cfg, nil, errf("/machine/avg_packet_flits", "must be at most %d, got %d",
+			noc.MaxPacketFlits, m.AvgPacketFlits)
+	}
+	for i, tc := range s.Traffic {
+		if tc.PacketFlits > noc.MaxPacketFlits {
+			return cfg, nil, errf(pointerIndex("/traffic", i)+"/packet_flits", "must be at most %d, got %d",
+				noc.MaxPacketFlits, tc.PacketFlits)
+		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, errf("/machine", "%s", err.Error())

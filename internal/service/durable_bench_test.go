@@ -16,6 +16,12 @@ import (
 	"hornet/internal/service/client"
 )
 
+// retained keeps the daemon a profiled benchmark ran, closed, reachable
+// after it returns: the test binary writes its heap profile only after
+// every benchmark, and profile-serve's inuse_space top reads what the
+// daemon retains (jobs, results, journal state) there.
+var retained *service.Server
+
 // BenchmarkDurableServeMix is the serve-mix daemon in process, where the
 // profilers can reach it (make profile-serve): a durable daemon with a
 // journal and a checkpoint directory, Budget 2, autosave every 1500
@@ -107,4 +113,5 @@ func BenchmarkDurableServeMix(b *testing.B) {
 	b.ReportMetric(float64(cold.Load()*tilesPerJob*(warm+cycles))/wall, "tile-cycles/s")
 	b.ReportMetric(float64(srv.Stats().Journal.Compactions), "compactions")
 	b.ReportMetric(float64(rewritten), "records-rewritten")
+	retained = srv
 }

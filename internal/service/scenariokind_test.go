@@ -430,6 +430,41 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 	}
 }
 
+// TestDryRunRejectsLongPackets: a flit counts its packet's length in 16
+// bits, so a longer packet — as a traffic source's own length, as the
+// machine's default, or as a swept value — is rejected at the field that
+// set it, and the longest countable one is accepted.
+func TestDryRunRejectsLongPackets(t *testing.T) {
+	mesh4 := `"machine":{"topology":{"kind":"mesh","width":4,"height":4}%s}`
+	doc := func(machine, traffic, rest string) SubmitRequest {
+		return scenarioJSON(t, `{"version":1,`+fmt.Sprintf(mesh4, machine)+
+			`,"traffic":[{"pattern":"uniform","injection_rate":0.05`+traffic+`}]`+rest+`}`)
+	}
+	for _, tc := range []struct {
+		label string
+		req   SubmitRequest
+		field string
+	}{
+		{"traffic", doc("", `,"packet_flits":70000`, ""), "/scenario/traffic/0/packet_flits"},
+		{"machine", doc(`,"avg_packet_flits":1000000000`, "", ""), "/scenario/machine/avg_packet_flits"},
+		{"swept", doc("", "", `,"sweep":[{"name":"len","path":"/traffic/0/packet_flits","values":[8,65536]}]`),
+			"/scenario/traffic/0/packet_flits"},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			_, apiErr := DryRun(tc.req)
+			if apiErr == nil {
+				t.Fatal("DryRun accepted a packet no flit can count")
+			}
+			if apiErr.Code != CodeInvalidScenario || apiErr.Field != tc.field {
+				t.Fatalf("got %s at %q, want %s at %q (%s)", apiErr.Code, apiErr.Field, CodeInvalidScenario, tc.field, apiErr.Message)
+			}
+		})
+	}
+	if _, apiErr := DryRun(doc(`,"avg_packet_flits":65535`, `,"packet_flits":65535`, "")); apiErr != nil {
+		t.Fatalf("DryRun at 65535 flits: %v", apiErr)
+	}
+}
+
 // TestWorkloadSpellingParity: every registered kernel, written as a
 // scenario document and as the mips request's wire form of the same run,
 // binds to one run spec and one hash; and each of its parameters out of

@@ -111,8 +111,8 @@ func Read(r io.Reader) (*Trace, error) {
 		if len(fields) == 6 {
 			e.Period, e.Count = vals[4], vals[5]
 		}
-		if e.Flits < 1 {
-			return nil, fmt.Errorf("trace: line %d: packet needs >= 1 flit", lineNo)
+		if vals[3] < 1 || vals[3] > noc.MaxPacketFlits {
+			return nil, fmt.Errorf("trace: line %d: packet of %d flits, want 1 to %d", lineNo, vals[3], noc.MaxPacketFlits)
 		}
 		t.Events = append(t.Events, e)
 	}

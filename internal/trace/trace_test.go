@@ -34,15 +34,21 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestReadRejectsGarbage(t *testing.T) {
 	cases := []string{
-		"1 2 3",     // too few fields
-		"1 2 3 4 5", // five fields
-		"a b c d",   // non-numeric
-		"1 2 3 0",   // zero flits
+		"1 2 3",                      // too few fields
+		"1 2 3 4 5",                  // five fields
+		"a b c d",                    // non-numeric
+		"1 2 3 0",                    // zero flits
+		"1 2 3 65536",                // more flits than a flit can count
+		"1 2 3 18446744073709551615", // ... and more than an int holds
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("Read(%q) succeeded", c)
 		}
+	}
+	// The longest countable packet is fine.
+	if tr, err := Read(strings.NewReader("1 2 3 65535\n")); err != nil || tr.Events[0].Flits != 65535 {
+		t.Fatalf("Read at 65535 flits: %v", err)
 	}
 	// Comments and blanks are fine.
 	if _, err := Read(strings.NewReader("# header\n\n1 2 3 4\n")); err != nil {
