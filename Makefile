@@ -60,13 +60,15 @@ test-race-rest:
 # panic containment, the barrier's polling, parking and break paths, and
 # the cross-process barrier: the shard group's all-gather (member order,
 # duplicate arrivals, rollback notices carrying the stable blobs, waiters
-# released by Cancel and by their contexts, staged→stable promotion) and a
-# 2-member in-process group rolled back mid-run through the run driver.
+# released by Cancel and by their contexts, staged→stable promotion), a
+# 2-member in-process group rolled back mid-run through the run driver,
+# and the shared route store: two goroutines creating every flow of an 8x8
+# O1TURN mesh at once, which must get pointer-identical lines.
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup' \
-		./internal/core ./internal/noc ./internal/sim ./internal/service/backend ./internal/service
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup|TestRouteStoreConcurrentBuildsShareLines' \
+		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service/backend ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure
 # benchmarks plus the per-package micro-benchmarks (sweep overhead,

@@ -281,6 +281,9 @@ func (c *Config) Validate() error {
 				}
 			}
 		}
+		if err := CheckStaticPaths(c.Routing.StaticPaths); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("config: unknown routing algorithm %q", c.Routing.Algorithm)
 	}

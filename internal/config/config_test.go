@@ -3,6 +3,7 @@ package config
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,40 @@ func TestStaticRoutingValidation(t *testing.T) {
 	cfg.Routing.StaticPaths = [][]int{{0, 999}}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("out-of-topology static path accepted")
+	}
+}
+
+// TestStaticPathsMustNotLoop: routing tables keep one line per link a flow
+// arrives by, so a path that crosses a link twice, or paths between the
+// same endpoints that together lead back to a link, cannot be followed as
+// written; Validate names the path. Revisiting a node by another link, and
+// paths that only share links, are fine.
+func TestStaticPathsMustNotLoop(t *testing.T) {
+	cfg := Default() // 4x4 mesh: node 1 is east of 0, node 5 south of 1
+	cfg.Routing.Algorithm = RouteStatic
+	for _, c := range []struct {
+		paths [][]int
+		path  int
+		want  string
+	}{
+		{[][]int{{0, 1, 2}, {0, 1, 0, 1, 2}}, 1, "static path 1 (0,1,0,1,2) crosses the link 0->1 twice"},
+		{[][]int{{4, 5, 1, 0, 4, 5, 6}}, 0, "crosses the link 4->5 twice"},
+		{[][]int{{0, 1, 1, 2}}, 0, "(0,1,1,2) stays at node 1"},
+		{[][]int{{0, 1, 5, 1, 2, 6}, {0, 4, 5, 1, 5, 6}}, 1, "(0,4,5,1,5,6) and the other paths from 0 to 6 loop through the link 1->5"},
+		{[][]int{{1, 0, 4, 5, 1, 2}, {0, 1, 0}, {0, 1, 2, 1}, {0, 1, 2}, {0, 1, 5, 6, 2}}, -1, ""},
+	} {
+		cfg.Routing.StaticPaths = c.paths
+		err := cfg.Validate()
+		if c.path < 0 {
+			if err != nil {
+				t.Errorf("%v: %v", c.paths, err)
+			}
+			continue
+		}
+		var spe *StaticPathError
+		if !errors.As(err, &spe) || spe.Path != c.path || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want static path %d: ...%s", c.paths, err, c.path, c.want)
+		}
 	}
 }
 

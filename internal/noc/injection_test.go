@@ -11,14 +11,16 @@ import (
 	"hornet/internal/snapshot"
 )
 
-// TestOfferPacketRejectsMalformed: a packet no flit can count, or one whose
-// destination is not its flow's, is a producer bug and panics at the offer.
+// TestOfferPacketRejectsMalformed: a packet no flit can count, one whose
+// destination is not its flow's, or one on a flow from another source, is
+// a producer bug and panics at the offer.
 func TestOfferPacketRejectsMalformed(t *testing.T) {
 	routers, _ := pipeline(t, 3, 1, 2, VCADynamic)
 	for _, p := range []Packet{
 		{Flow: MakeFlow(0, 1, 0), Dst: 1, Flits: 0},
 		{Flow: MakeFlow(0, 1, 0), Dst: 1, Flits: MaxPacketFlits + 1},
 		{Flow: MakeFlow(0, 1, 0), Dst: 2, Flits: 1},
+		{Flow: MakeFlow(1, 2, 0), Dst: 2, Flits: 1},
 	} {
 		func() {
 			defer func() {

@@ -496,15 +496,19 @@ func (r *Router) PendingPackets() int {
 
 // OfferPacket queues a packet for injection at this node. The source, ID
 // and flow-sequence fields are stamped here, and Latency is filled in on
-// delivery. A packet must have 1 to MaxPacketFlits flits and its flow's
-// destination. Callers run on the owning tile's thread during
-// PhaseTransfer.
+// delivery. A packet must have 1 to MaxPacketFlits flits, its flow's
+// destination, and a flow from this router (the routing store finds a
+// flow's first-hop line by the flow alone). Callers run on the owning
+// tile's thread during PhaseTransfer.
 func (r *Router) OfferPacket(p Packet) {
 	if p.Flits < 1 || p.Flits > MaxPacketFlits {
 		panic(fmt.Sprintf("noc: router %d: packet of %d flits, want 1 to %d", r.ID, p.Flits, MaxPacketFlits))
 	}
 	if p.Dst != p.Flow.Dst() {
 		panic(fmt.Sprintf("noc: router %d: packet to %d on flow %v", r.ID, p.Dst, p.Flow))
+	}
+	if p.Flow.Src() != r.ID {
+		panic(fmt.Sprintf("noc: router %d: packet on flow %v from another source", r.ID, p.Flow))
 	}
 	r.pktCounter++
 	r.flowSeq[p.Flow]++
@@ -932,7 +936,7 @@ func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
 	st.routedAt = cycle
 	st.flow = f.Flow
 	st.next = chosen.Next
-	st.nextFlow = chosen.NextFlow
+	st.nextFlow = chosen.NextFlow(f.Flow)
 	st.pktID = f.Packet
 	if chosen.Next == r.ID {
 		st.egress = uint8(r.localPort)

@@ -18,9 +18,9 @@ type lineTable struct{ self NodeID }
 
 func (lt lineTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
 	if flow.Dst() == lt.self {
-		return &RouteLine{Entries: []RouteEntry{{Next: lt.self, NextFlow: flow.Base(), Weight: 1}}}
+		return &RouteLine{Entries: []RouteEntry{{Next: lt.self, Weight: 1}}}
 	}
-	return &RouteLine{Entries: []RouteEntry{{Next: lt.self + 1, NextFlow: flow, Weight: 1}}}
+	return &RouteLine{Entries: []RouteEntry{{Next: lt.self + 1, Phase2: flow.Phase2(), Weight: 1}}}
 }
 
 // allVCs is a trivial VCA table: every VC, equal weight.
@@ -261,7 +261,7 @@ func TestFlitCodecCarriesNoRoute(t *testing.T) {
 	plain := Flit{Kind: Head, Hops: 3, Flow: MakeFlow(1, 2, 0).WithPhase2(), Packet: 7, Len: 4, FlowSeq: 9,
 		Src: 1, Dst: 2, InjectedAt: 10, HeadInjectedAt: 10, VisibleAt: 14, Latency: 3}
 	routed := plain
-	routed.line = &RouteLine{Entries: []RouteEntry{{Next: 2, NextFlow: plain.Flow, Weight: 1}, {Next: 3, NextFlow: plain.Flow, Weight: 1}}}
+	routed.line = &RouteLine{Entries: []RouteEntry{{Next: 2, Phase2: plain.Flow.Phase2(), Weight: 1}, {Next: 3, Phase2: plain.Flow.Phase2(), Weight: 1}}}
 	routed.pick = 1
 	encode := func(f *Flit) []byte {
 		snap := snapshot.New("flit", 0)
@@ -676,7 +676,7 @@ func blockedRouter(tb testing.TB) *Router {
 type spreadTable struct{}
 
 func (spreadTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
-	return &RouteLine{Entries: []RouteEntry{{Next: flow.Dst(), NextFlow: flow, Weight: 1}}}
+	return &RouteLine{Entries: []RouteEntry{{Next: flow.Dst(), Phase2: flow.Phase2(), Weight: 1}}}
 }
 
 // BenchmarkRouterCreditBlocked steps the saturated-mesh case: 20 occupied

@@ -362,8 +362,8 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 
 // checkQueued rejects the i-th restored queued packet, with behind packets
 // queued after it, unless its record rebuilds it exactly: a length a flit
-// can count, this router as its source, its flow's destination, no
-// latency yet, and the ID OfferPacket handed it.
+// can count, this router as its source and its flow's, its flow's
+// destination, no latency yet, and the ID OfferPacket handed it.
 func (r *Router) checkQueued(p Packet, i, behind int) error {
 	var field string
 	switch want := r.queuedID(behind); {
@@ -371,6 +371,8 @@ func (r *Router) checkQueued(p Packet, i, behind int) error {
 		field = fmt.Sprintf("flits %d outside [1, %d]", p.Flits, MaxPacketFlits)
 	case p.Src != r.ID:
 		field = fmt.Sprintf("src %d", p.Src)
+	case p.Flow.Src() != r.ID:
+		field = fmt.Sprintf("flow %v from another source", p.Flow)
 	case p.Dst != p.Flow.Dst():
 		field = fmt.Sprintf("dst %d on flow %v", p.Dst, p.Flow)
 	case p.Latency != 0:

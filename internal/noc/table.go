@@ -1,9 +1,13 @@
 package noc
 
 // RouteEntry is one weighted next-hop option from a routing-table lookup
-// (paper §II-A2): forward to Next, renaming the flow to NextFlow, with
-// selection propensity Weight. Next == the looking-up node means "eject
-// here" (deliver to the local CPU/injector port).
+// (paper §II-A2): forward to Next with selection propensity Weight,
+// renaming the flow into its second phase when Phase2 is set. Next == the
+// looking-up node means "eject here" (deliver to the local CPU/injector
+// port). Renaming only ever changes a flow's phase bit, so an entry holds
+// the bit, not a flow ID, and one entry serves every flow that takes the
+// same hop: the leaving flow is the arriving flow's base plus the bit
+// (NextFlow).
 //
 // Then is the line the Next router will route the flit by — the one at
 // <this node, NextFlow> in Next's table. A head flit that leaves by this
@@ -13,14 +17,25 @@ package noc
 // flit without a line — at injection, after a restore, across a shard
 // boundary — is looked up in the router's RouteTable.
 type RouteEntry struct {
-	Next     NodeID
-	NextFlow FlowID
-	Weight   float64
-	Then     *RouteLine
+	Next   NodeID
+	Phase2 bool
+	Weight float64
+	Then   *RouteLine
+}
+
+// NextFlow is the flow a flit that arrived as flow leaves by e as.
+func (e *RouteEntry) NextFlow(flow FlowID) FlowID {
+	if e.Phase2 {
+		return flow.WithPhase2()
+	}
+	return flow.Base()
 }
 
 // RouteLine is one routing-table line: the weighted next-hop set for one
-// <node, prev_node_id, flow_id>.
+// <node, prev_node_id, flow_id>. A line holds no flow ID and no node of
+// its own, so the store shares one line among every <node, prev, flow>
+// whose entries — next hops, phase bits, weights and linked lines — are
+// the same.
 type RouteLine struct {
 	Entries []RouteEntry
 }

@@ -30,8 +30,11 @@ func (w *WestFirst) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeI
 	return ClassAny
 }
 
-// FlowEntries implements Algorithm: entries for every node in the minimal
-// rectangle with the turn-model-legal productive hops.
+// FlowEntries implements Algorithm. A destination to the west leaves no
+// choice: west to its column, then along it, which is the x-first path.
+// Otherwise every node of the minimal rectangle gets the turn-model-legal
+// productive hops (east, and north or south), for every neighbour a
+// minimal route arrives from.
 func (w *WestFirst) FlowEntries(f noc.FlowID) FlowRoutes {
 	b := newBuilder()
 	t := w.topo
@@ -42,21 +45,21 @@ func (w *WestFirst) FlowEntries(f noc.FlowID) FlowRoutes {
 	}
 	sx, sy := t.XY(src)
 	dx, dy := t.XY(dst)
-	x0, x1 := minmax(sx, dx)
+	if dx < sx {
+		b.addPath(xyPath(t, src, dst), src, f, 1)
+		return b.finish()
+	}
+	stepY := 1
+	if dy < sy {
+		stepY = -1
+	}
 	y0, y1 := minmax(sy, dy)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
+		for x := sx; x <= dx; x++ {
 			v := t.NodeAt(x, y)
-			prevs := append([]noc.NodeID{v}, t.Neighbors(v)...)
-			for _, prev := range prevs {
+			for _, prev := range minimalPrevs(t, src, v, 1, stepY) {
 				if v == dst {
 					b.addEject(v, prev, f, 1)
-					continue
-				}
-				if dx < x {
-					// Destination is west: west moves must come first and
-					// are the only legal productive move here.
-					b.add(v, prev, f, t.NodeAt(x-1, y), f, 1)
 					continue
 				}
 				if dx > x {

@@ -41,8 +41,9 @@ func (p *PROM) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, ne
 }
 
 // FlowEntries implements Algorithm: for every node in the minimal
-// rectangle, weighted productive next hops; weights count the minimal
-// paths remaining beyond each candidate hop.
+// rectangle and every neighbour a minimal route arrives from, weighted
+// productive next hops; weights count the minimal paths remaining beyond
+// each candidate hop.
 func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
 	b := newBuilder()
 	t := p.topo
@@ -68,10 +69,7 @@ func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
 			v := t.NodeAt(x, y)
 			remX := absInt(dx - x)
 			remY := absInt(dy - y)
-			// All plausible previous hops: any mesh neighbour, plus the
-			// node itself (local injection at the source).
-			prevs := append([]noc.NodeID{v}, t.Neighbors(v)...)
-			for _, prev := range prevs {
+			for _, prev := range minimalPrevs(t, src, v, stepX, stepY) {
 				if v == dst {
 					b.addEject(v, prev, f, 1)
 					continue
@@ -88,6 +86,27 @@ func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
 		}
 	}
 	return b.finish()
+}
+
+// minimalPrevs returns the nodes a minimal route from src can reach v from,
+// one table line each: src itself when v is the source (local injection),
+// and the neighbour one step back toward src in each dimension v lies away
+// from src in (steps are the signed directions from src toward the
+// destination).
+func minimalPrevs(t mesh, src, v noc.NodeID, stepX, stepY int) []noc.NodeID {
+	sx, sy := t.XY(src)
+	x, y := t.XY(v)
+	var prevs []noc.NodeID
+	if v == src {
+		prevs = append(prevs, v)
+	}
+	if x != sx {
+		prevs = append(prevs, t.NodeAt(x-stepX, y))
+	}
+	if y != sy {
+		prevs = append(prevs, t.NodeAt(x, y-stepY))
+	}
+	return prevs
 }
 
 // minPaths returns the number of minimal lattice paths covering the given

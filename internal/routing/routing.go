@@ -4,15 +4,15 @@
 // XY/YX dimension-ordered routing, O1TURN, two-phase ROMM and Valiant
 // (with the paper's intermediate-hop flow-renaming scheme), PROM,
 // explicit static (BSOR-style) routes, and west-first turn-model adaptive
-// routing. Tables are materialized lazily per flow and shared across
-// nodes, so large meshes only pay for flows that actually exist, and every
+// routing. Tables are built lazily per flow, so large meshes only pay for
+// flows that actually exist, and their lines are shared by content: every
 // forwarding entry is linked to the line its next hop routes by
-// (noc.RouteEntry.Then).
+// (noc.RouteEntry.Then), and flows that take the same hop toward the same
+// destination share that line.
 package routing
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"hornet/internal/noc"
@@ -66,113 +66,159 @@ type Algorithm interface {
 	Adaptive() bool
 }
 
-// Tables is the shared, lazily materialized routing store for one
-// simulated system. It is safe for concurrent use: the per-flow build is
-// guarded by a sync.Once and is deterministic, so every thread observes
-// identical tables.
+// Tables is the shared, lazily built routing store for one simulated
+// system. A flow's table is built on its first lookup, and its lines are
+// interned by content: a line that two flows (or two nodes of one flow)
+// would hold alike is stored once, so the store grows with distinct lines,
+// not flows × hops. Per flow it keeps only the first-hop line, the one at
+// <src, src, flow>; every other line of the flow is reached from there
+// along Then. It is safe for concurrent use: building is deterministic and
+// a line never changes once stored, so every thread observes identical
+// tables.
 type Tables struct {
-	alg   Algorithm
-	cache sync.Map // noc.FlowID (base) -> *flowTable
-}
+	alg Algorithm
 
-// flowTable is the store's form of one base flow's FlowRoutes: its lines
-// sorted by lineKey, the lines in one slab and their entries in another,
-// and every forwarding entry's Then linked to the line the next router
-// routes by. All of it is written inside once and never again, because
-// flits carry the lines to routers on other threads.
-type flowTable struct {
-	once  sync.Once
-	keys  []uint32        // sorted lineKeys
-	lines []noc.RouteLine // lines[i] is the line at keys[i]
+	mu    sync.Mutex
+	first map[noc.FlowID]*noc.RouteLine // base flow -> first-hop line; nil: the flow has no route
+	lines lineSet
 }
 
 // NewTables wraps an algorithm in a shared lazy table store.
 func NewTables(alg Algorithm) *Tables {
-	return &Tables{alg: alg}
+	return &Tables{alg: alg, first: make(map[noc.FlowID]*noc.RouteLine), lines: newLineSet()}
 }
 
 // Algorithm returns the wrapped algorithm.
 func (t *Tables) Algorithm() Algorithm { return t.alg }
 
-// lineKey addresses a line within its base flow's table: 14 bits of node,
-// 14 of prev and the phase bit, the only part of the flow ID that varies
-// within one base flow's lines.
-func lineKey(node, prev noc.NodeID, flow noc.FlowID) uint32 {
-	k := uint32(node)<<15 | uint32(prev)<<1
-	if flow.Phase2() {
-		k |= 1
+// firstLine returns base's first-hop line, building base's table on first
+// use. The algorithm runs outside the lock; two threads that build the
+// same flow at once would intern the same lines, and the second finds the
+// first's published.
+func (t *Tables) firstLine(base noc.FlowID) *noc.RouteLine {
+	t.mu.Lock()
+	l, ok := t.first[base]
+	t.mu.Unlock()
+	if ok {
+		return l
 	}
-	return k
-}
-
-// entryKey is lineKey's inverse within base's table.
-func entryKey(base noc.FlowID, key uint32) EntryKey {
-	flow := base
-	if key&1 != 0 {
-		flow = base.WithPhase2()
+	routes := t.alg.FlowEntries(base)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if l, ok := t.first[base]; ok {
+		return l
 	}
-	return EntryKey{Node: noc.NodeID(key >> 15), Prev: noc.NodeID(key >> 1 & 0x3FFF), Flow: flow}
-}
-
-// tableFor returns the flow's table, building it on first use. The Load
-// before LoadOrStore exists only so that a call for a flow already in the
-// store does not allocate a &flowTable{} it then throws away.
-func (t *Tables) tableFor(f noc.FlowID) *flowTable {
-	base := f.Base()
-	v, ok := t.cache.Load(base)
-	if !ok {
-		v, _ = t.cache.LoadOrStore(base, &flowTable{})
-	}
-	ft := v.(*flowTable)
-	ft.once.Do(func() { ft.build(base, t.alg.FlowEntries(base)) })
-	return ft
-}
-
-// build lays out base's routes and links every forwarding entry to the
-// line at <entry.Next, this node, entry.NextFlow>. Renaming changes only the
-// phase bit, so that line is in this same table, and it is linked before
-// the table is published.
-func (ft *flowTable) build(base noc.FlowID, routes FlowRoutes) {
-	ft.keys = make([]uint32, 0, len(routes))
-	entries := 0
-	for k, es := range routes {
+	in := interning{base: base, routes: routes, set: &t.lines, done: make(map[EntryKey]*noc.RouteLine, len(routes))}
+	for k := range routes {
 		if k.Flow.Base() != base {
 			panicf("routing: flow %v has a table line for flow %v", base, k.Flow)
 		}
-		ft.keys = append(ft.keys, lineKey(k.Node, k.Prev, k.Flow))
-		entries += len(es)
+		in.line(k)
 	}
-	slices.Sort(ft.keys)
-	ft.lines = make([]noc.RouteLine, len(ft.keys))
-	slab := make([]noc.RouteEntry, 0, entries)
-	for i, key := range ft.keys {
-		start := len(slab)
-		slab = append(slab, routes[entryKey(base, key)]...)
-		ft.lines[i].Entries = slab[start:len(slab):len(slab)]
-	}
-	for i, key := range ft.keys {
-		node := entryKey(base, key).Node
-		for j := range ft.lines[i].Entries {
-			if e := &ft.lines[i].Entries[j]; e.Next != node {
-				e.Then = ft.line(e.Next, node, e.NextFlow)
-			}
-		}
-	}
+	src := base.Src()
+	l = in.done[EntryKey{Node: src, Prev: src, Flow: base}]
+	t.first[base] = l
+	return l
 }
 
-// line returns the line at <node, prev, flow>, or nil.
-func (ft *flowTable) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
-	key := lineKey(node, prev, flow)
-	if i, ok := slices.BinarySearch(ft.keys, key); ok {
-		return &ft.lines[i]
+// interning canonicalizes one flow's routes children-first: a line is
+// interned once the lines its entries link are, so its content — entries'
+// Next, phase bit, Weight and linked line — names it completely.
+type interning struct {
+	base   noc.FlowID
+	routes FlowRoutes
+	set    *lineSet
+	done   map[EntryKey]*noc.RouteLine // nil while the key's children are interned
+	buf    []noc.RouteEntry
+}
+
+// line returns the interned line at k, interning its children first. Every
+// forwarding entry links the line at <entry.Next, k.Node, leaving flow>, or
+// nil if the flow has none there (the router reports "no route" if a flit
+// ever gets that far). A key met again while its children are interned is a
+// cycle: no algorithm builds one, and config rejects the static paths that
+// would.
+func (in *interning) line(k EntryKey) *noc.RouteLine {
+	if l, ok := in.done[k]; ok {
+		if l == nil {
+			panicf("routing: flow %v: its table lines loop through <%d, %d, %v>", in.base, k.Node, k.Prev, k.Flow)
+		}
+		return l
 	}
-	return nil
+	in.done[k] = nil
+	es := in.routes[k]
+	for _, e := range es {
+		if next, ok := in.next(k, e); ok {
+			in.line(next)
+		}
+	}
+	start := len(in.buf)
+	for _, e := range es {
+		if next, ok := in.next(k, e); ok {
+			e.Then = in.done[next]
+		}
+		in.buf = append(in.buf, e)
+	}
+	l := in.set.intern(in.buf[start:])
+	in.buf = in.buf[:start]
+	in.done[k] = l
+	return l
+}
+
+// next returns the key of the line e's next router routes by, unless e
+// ejects or the flow has no line there.
+func (in *interning) next(k EntryKey, e noc.RouteEntry) (EntryKey, bool) {
+	next := EntryKey{Node: e.Next, Prev: k.Node, Flow: e.NextFlow(k.Flow)}
+	_, ok := in.routes[next]
+	return next, ok && e.Next != k.Node
 }
 
 // line returns the line at node for a flow arriving from prev, or nil if
-// the algorithm never routes that flow through it.
+// the algorithm never routes that flow through it. A flow's first hop is
+// one map read; any other line is found by walking the flow's lines from
+// its first hop along Then, carrying each line's node (find).
 func (t *Tables) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
-	return t.tableFor(flow).line(node, prev, flow)
+	first := t.firstLine(flow.Base())
+	src := flow.Src()
+	if node == src && prev == src && !flow.Phase2() {
+		return first
+	}
+	if first == nil {
+		return nil
+	}
+	return find(first, src, node, prev, flow.Phase2())
+}
+
+// find walks a flow's lines from its first-hop line at src along Then to
+// the line at node for the flow arriving from prev in the given phase, or
+// nil if the walk never reaches it. A line reached at one node links the
+// same lines whichever way it was reached, so each (node, line) is expanded
+// once: the walk costs the flow's line count, not its path count.
+func find(first *noc.RouteLine, src, node, prev noc.NodeID, phase2 bool) *noc.RouteLine {
+	type at struct {
+		node noc.NodeID
+		line *noc.RouteLine
+	}
+	stack := []at{{src, first}}
+	seen := map[at]bool{stack[0]: true}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := range cur.line.Entries {
+			e := &cur.line.Entries[i]
+			if e.Next == cur.node || e.Then == nil {
+				continue
+			}
+			if cur.node == prev && e.Next == node && e.Phase2 == phase2 {
+				return e.Then
+			}
+			if next := (at{e.Next, e.Then}); !seen[next] {
+				seen[next] = true
+				stack = append(stack, next)
+			}
+		}
+	}
+	return nil
 }
 
 // Lookup returns the weighted next-hop set at node for a flow arriving
@@ -242,6 +288,9 @@ func newBuilder() *builder {
 }
 
 func (b *builder) add(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, nextFlow noc.FlowID, w float64) {
+	if nextFlow.Base() != flow.Base() {
+		panicf("routing: flow %v renamed to %v: renaming may change only the phase bit", flow, nextFlow)
+	}
 	k := EntryKey{Node: node, Prev: prev, Flow: flow}
 	m := b.acc[k]
 	if m == nil {
@@ -269,7 +318,7 @@ func (b *builder) finish() FlowRoutes {
 		}
 		sortTargets(keys)
 		for _, t := range keys {
-			entries = append(entries, noc.RouteEntry{Next: t.next, NextFlow: t.nextFlow, Weight: m[t]})
+			entries = append(entries, noc.RouteEntry{Next: t.next, Phase2: t.nextFlow.Phase2(), Weight: m[t]})
 		}
 		out[k] = entries
 	}

@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -95,8 +98,8 @@ func walkFlow(t *testing.T, tables *Tables, topo *topology.Topology, f noc.FlowI
 			if node != f.Dst() {
 				t.Fatalf("flow %v ejected at %d, want %d", f, node, f.Dst())
 			}
-			if e.NextFlow != f.Base() {
-				t.Fatalf("flow %v ejected as %v, want base restored", f, e.NextFlow)
+			if got := e.NextFlow(flow); got != f.Base() {
+				t.Fatalf("flow %v ejected as %v, want base restored", f, got)
 			}
 			return hops
 		}
@@ -110,7 +113,7 @@ func walkFlow(t *testing.T, tables *Tables, topo *topology.Topology, f noc.FlowI
 		if !ok {
 			t.Fatalf("flow %v at %d routed to non-neighbour %d", flow, node, e.Next)
 		}
-		prev, node, flow = node, e.Next, e.NextFlow
+		prev, node, flow = node, e.Next, e.NextFlow(flow)
 	}
 	t.Fatalf("flow %v did not terminate", f)
 	return -1
@@ -207,10 +210,10 @@ func TestROMMPaperExample(t *testing.T) {
 	if toward1.Weight != toward5.Weight {
 		t.Fatalf("weights differ: %v vs %v (paper: equal probability)", toward1.Weight, toward5.Weight)
 	}
-	if toward1.NextFlow.Phase2() {
+	if toward1.Phase2 {
 		t.Fatal("continuing toward intermediate 1 must not rename")
 	}
-	if !toward5.NextFlow.Phase2() {
+	if !toward5.Phase2 {
 		t.Fatal("passing the intermediate at 4 must rename the flow")
 	}
 
@@ -299,6 +302,9 @@ func TestStaticRejectsBadPaths(t *testing.T) {
 	if _, err := NewStatic([][]int{{1, 1}}); err == nil {
 		t.Fatal("repeated node accepted")
 	}
+	if _, err := NewStatic([][]int{{0, 1, 0, 1, 2}}); err == nil {
+		t.Fatal("a path crossing the link 0->1 twice accepted")
+	}
 }
 
 func TestTorusDatelineRenaming(t *testing.T) {
@@ -317,7 +323,7 @@ func TestTorusDatelineRenaming(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("source entries: %v", entries)
 	}
-	if !entries[0].NextFlow.Phase2() {
+	if !entries[0].Phase2 {
 		t.Fatal("crossing the dateline must rename the flow")
 	}
 }
@@ -365,33 +371,40 @@ func linkCases(t *testing.T) []linkCase {
 	return cases
 }
 
-// TestRouteLinksFollowNextHop is the lookahead invariant: in every line of
-// every flow's table, a forwarding entry's Then is the line its next router
-// looks up — <entry.Next, this node, entry.NextFlow> — and an ejection
-// entry's Then is nil; and a walk that only follows Then draws the same
-// entries and ejects where walkFlow's lookups do.
+// TestRouteLinksFollowNextHop is the lookahead invariant over the shared
+// store: for every key of every flow's FlowEntries, a lookup (off the first
+// hop, a walk from the flow's first line) returns a line with the entries
+// FlowEntries gives there; a forwarding entry's Then is the line its next
+// router looks up — <entry.Next, this node, leaving flow> — and an
+// ejection entry's Then is nil; and a walk that only follows Then draws the
+// same entries and ejects where walkFlow's lookups do.
 func TestRouteLinksFollowNextHop(t *testing.T) {
 	for _, c := range linkCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			tables := NewTables(c.alg)
 			lines := 0
 			for _, f := range c.flows {
-				ft := tables.tableFor(f)
-				for i, key := range ft.keys {
-					k := entryKey(f.Base(), key)
+				for k, want := range c.alg.FlowEntries(f) {
 					node, prev, flow := k.Node, k.Prev, k.Flow
-					if got := tables.line(node, prev, flow); got != &ft.lines[i] {
-						t.Fatalf("flow %v: the line at key %#x is not the one Lookup(%d, %d, %v) returns", f, key, node, prev, flow)
+					l := tables.line(node, prev, flow)
+					if l == nil {
+						t.Fatalf("flow %v: no line at <%d, %d, %v>", f, node, prev, flow)
 					}
-					for _, e := range ft.lines[i].Entries {
-						want := tables.line(e.Next, node, e.NextFlow)
+					if len(l.Entries) != len(want) {
+						t.Fatalf("flow %v at %d from %d: %d entries, FlowEntries has %d", flow, node, prev, len(l.Entries), len(want))
+					}
+					for i, e := range l.Entries {
+						if e.Next != want[i].Next || e.Phase2 != want[i].Phase2 || e.Weight != want[i].Weight {
+							t.Fatalf("flow %v at %d from %d: entry %d is %+v, FlowEntries has %+v", flow, node, prev, i, e, want[i])
+						}
+						next := tables.line(e.Next, node, e.NextFlow(flow))
 						if e.Next == node {
-							want = nil
-						} else if want == nil {
+							next = nil
+						} else if next == nil {
 							t.Fatalf("flow %v at %d from %d: forwarding entry to %d has no line at its next hop", flow, node, prev, e.Next)
 						}
-						if e.Then != want {
-							t.Fatalf("flow %v at %d from %d: entry to %d links %p, want %p", flow, node, prev, e.Next, e.Then, want)
+						if e.Then != next {
+							t.Fatalf("flow %v at %d from %d: entry to %d links %p, want %p", flow, node, prev, e.Next, e.Then, next)
 						}
 					}
 					lines++
@@ -440,33 +453,177 @@ func followFlow(t *testing.T, tables *Tables, f noc.FlowID, rng *sim.RNG) int {
 	return -1
 }
 
-// TestRouteStoreBytesPerFlow bounds what the store keeps per flow: every
-// flow of an 8x8 XY mesh, all-to-all, in one flat table each (lines and
-// entries in one slab apiece). The per-flow map of entry slices it replaced
-// kept 718 B; this layout keeps ~516.
-func TestRouteStoreBytesPerFlow(t *testing.T) {
-	topo := mesh8(t)
+// allFlows returns every flow of topo between distinct nodes.
+func allFlows(topo *topology.Topology) []noc.FlowID {
 	n := noc.NodeID(topo.Nodes())
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tables := NewTables(NewXY(topo))
-	flows := 0
+	var flows []noc.FlowID
 	for src := noc.NodeID(0); src < n; src++ {
 		for dst := noc.NodeID(0); dst < n; dst++ {
 			if src != dst {
-				tables.Lookup(src, src, noc.MakeFlow(src, dst, 0))
-				flows++
+				flows = append(flows, noc.MakeFlow(src, dst, 0))
 			}
 		}
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(tables)
-	perFlow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(flows)
-	t.Logf("%.0f heap bytes per flow", perFlow)
-	if perFlow >= 718 {
-		t.Fatalf("the store keeps %.0f heap bytes per flow of an 8x8 XY mesh, want < 718", perFlow)
+	return flows
+}
+
+// TestRouteStoreBytesPerFlow bounds what the store keeps per flow once
+// every flow of a mesh exists. A flow costs its first-hop line's slot in
+// the flow map, and the lines it shares with the flows that take the same
+// hops toward the same destination. Before lines were shared, each flow
+// kept a flat table of its own: ~516 B per flow on 8x8 XY (the per-flow map
+// of entry slices before that, 718) and ~12.9 KB on 16x16 west-first.
+func TestRouteStoreBytesPerFlow(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		size  int
+		alg   func(*topology.Topology) Algorithm
+		bound float64
+	}{
+		{"xy/8x8", 8, func(t *topology.Topology) Algorithm { return NewXY(t) }, 200},
+		{"adaptive/16x16", 16, func(t *topology.Topology) Algorithm { return NewWestFirst(t) }, 150},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && c.size > 8 {
+				t.Skip("65 280 flows")
+			}
+			topo, err := topology.New(config.TopologyConfig{Kind: config.TopoMesh, Width: c.size, Height: c.size})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows := allFlows(topo)
+			alg := c.alg(topo)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tables := NewTables(alg)
+			for _, f := range flows {
+				tables.Lookup(f.Src(), f.Src(), f)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(tables)
+			perFlow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(flows))
+			t.Logf("%.0f heap bytes per flow, %d lines for %d flows", perFlow, tables.lines.n, len(flows))
+			if perFlow >= c.bound {
+				t.Fatalf("the store keeps %.0f heap bytes per flow, want < %.0f", perFlow, c.bound)
+			}
+		})
+	}
+}
+
+// contentCount counts the distinct lines of flows' tables the way the
+// store should share them, independently of it: children first, a line is
+// named by its entries' next hop, phase bit, weight bits and the name of
+// the line each links; lines with one name are one line. It also returns
+// the lines the flows hold between them unshared.
+func contentCount(t *testing.T, alg Algorithm, flows []noc.FlowID) (distinct, total int) {
+	t.Helper()
+	ids := map[string]int{}
+	for _, f := range flows {
+		routes := alg.FlowEntries(f)
+		total += len(routes)
+		named := map[EntryKey]int{}
+		var name func(k EntryKey) int
+		name = func(k EntryKey) int {
+			if id, ok := named[k]; ok {
+				return id
+			}
+			sig := ""
+			for _, e := range routes[k] {
+				child := -1
+				if next := (EntryKey{Node: e.Next, Prev: k.Node, Flow: e.NextFlow(k.Flow)}); e.Next != k.Node {
+					if _, ok := routes[next]; ok {
+						child = name(next)
+					}
+				}
+				sig += fmt.Sprintf("%d/%t/%x/%d;", e.Next, e.Phase2, math.Float64bits(e.Weight), child)
+			}
+			id, ok := ids[sig]
+			if !ok {
+				id = len(ids)
+				ids[sig] = id
+			}
+			named[k] = id
+			return id
+		}
+		for k := range routes {
+			name(k)
+		}
+	}
+	return len(ids), total
+}
+
+// TestRouteStoreSharesLinesByContent: once every flow of an 8x8 mesh
+// exists, the store holds exactly as many lines as contentCount finds, for
+// every algorithm. XY holds 25 536 lines between its flows but 3 264
+// distinct ones.
+func TestRouteStoreSharesLinesByContent(t *testing.T) {
+	topo := mesh8(t)
+	flows := allFlows(topo)
+	for _, c := range []struct {
+		alg             Algorithm
+		distinct, total int
+	}{
+		{NewXY(topo), 3264, 25536},
+		{NewYX(topo), 3264, 25536},
+		{NewO1Turn(topo), 8320, 44352},
+		{NewROMM(topo), 80180, 103488},
+		{NewValiant(topo), 22160, 512064},
+		{NewPROM(topo), 3936, 81984},
+		{NewWestFirst(topo), 3642, 53760},
+	} {
+		t.Run(c.alg.Name(), func(t *testing.T) {
+			if testing.Short() && c.alg.Name() == "valiant" {
+				t.Skip("valiant: every node is an intermediate of every flow")
+			}
+			tables := NewTables(c.alg)
+			for _, f := range flows {
+				tables.Lookup(f.Src(), f.Src(), f)
+			}
+			distinct, total := contentCount(t, c.alg, flows)
+			t.Logf("%d distinct lines of %d (%.1fx)", distinct, total, float64(total)/float64(distinct))
+			if int(tables.lines.n) != distinct {
+				t.Fatalf("the store holds %d lines, the content count is %d", tables.lines.n, distinct)
+			}
+			if distinct != c.distinct || total != c.total {
+				t.Fatalf("%d distinct lines of %d, want %d of %d", distinct, total, c.distinct, c.total)
+			}
+		})
+	}
+}
+
+// TestRouteStoreConcurrentBuildsShareLines: two goroutines that create
+// every flow of an 8x8 O1TURN mesh at once, in opposite orders, get the
+// same first-hop line pointer for every flow (and so the same linked
+// lines), and the store holds each distinct line once.
+func TestRouteStoreConcurrentBuildsShareLines(t *testing.T) {
+	topo := mesh8(t)
+	flows := allFlows(topo)
+	tables := NewTables(NewO1Turn(topo))
+	got := [2][]*noc.RouteLine{make([]*noc.RouteLine, len(flows)), make([]*noc.RouteLine, len(flows))}
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range flows {
+				if g == 1 {
+					i = len(flows) - 1 - i
+				}
+				f := flows[i]
+				got[g][i] = tables.line(f.Src(), f.Src(), f)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, f := range flows {
+		if got[0][i] == nil || got[0][i] != got[1][i] {
+			t.Fatalf("flow %v: the goroutines got first lines %p and %p", f, got[0][i], got[1][i])
+		}
+	}
+	if distinct, _ := contentCount(t, tables.alg, flows); int(tables.lines.n) != distinct {
+		t.Fatalf("the store holds %d lines, the content count is %d", tables.lines.n, distinct)
 	}
 }
 

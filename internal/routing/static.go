@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hornet/internal/config"
 	"hornet/internal/noc"
 	"hornet/internal/topology"
 )
@@ -18,10 +19,14 @@ type Static struct {
 }
 
 // NewStatic builds static routing from node-ID path sequences. Each path
-// must have at least two nodes and consecutive nodes must be distinct;
-// neighbour validity is the router's concern (a bad path panics at
-// simulation time with a clear message).
+// must have at least two nodes, and none may stay at a node or loop
+// through a link (config.CheckStaticPaths); neighbour validity is the
+// router's concern (a bad path panics at simulation time with a clear
+// message).
 func NewStatic(paths [][]int) (*Static, error) {
+	if err := config.CheckStaticPaths(paths); err != nil {
+		return nil, err
+	}
 	s := &Static{paths: make(map[noc.FlowID][][]noc.NodeID)}
 	for i, p := range paths {
 		if len(p) < 2 {
@@ -30,9 +35,6 @@ func NewStatic(paths [][]int) (*Static, error) {
 		np := make([]noc.NodeID, len(p))
 		for j, n := range p {
 			np[j] = noc.NodeID(n)
-			if j > 0 && np[j] == np[j-1] {
-				return nil, fmt.Errorf("routing: static path %d repeats node %d", i, n)
-			}
 		}
 		f := noc.MakeFlow(np[0], np[len(np)-1], 0)
 		s.paths[f] = append(s.paths[f], np)

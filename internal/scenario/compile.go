@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 
 	"hornet/internal/config"
@@ -171,6 +172,10 @@ func (s *Scenario) runConfig() (config.Config, *workloads.Run, *FieldError) {
 		}
 	}
 	if err := cfg.Validate(); err != nil {
+		var spe *config.StaticPathError
+		if errors.As(err, &spe) {
+			return cfg, nil, errf(pointerIndex("/machine/routing/static_paths", spe.Path), "%s", err.Error())
+		}
 		return cfg, nil, errf("/machine", "%s", err.Error())
 	}
 	if s.Workload == nil {

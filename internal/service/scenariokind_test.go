@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -462,6 +463,38 @@ func TestDryRunRejectsLongPackets(t *testing.T) {
 	}
 	if _, apiErr := DryRun(doc(`,"avg_packet_flits":65535`, `,"packet_flits":65535`, "")); apiErr != nil {
 		t.Fatalf("DryRun at 65535 flits: %v", apiErr)
+	}
+}
+
+// TestDryRunRejectsLoopingStaticPaths: a static path that crosses a link
+// twice, or paths between the same endpoints that together lead back to
+// a link, cannot be followed by tables keyed by <prev, flow>, so they are
+// rejected at the path, naming it and the link.
+func TestDryRunRejectsLoopingStaticPaths(t *testing.T) {
+	doc := func(paths string) SubmitRequest {
+		return scenarioJSON(t, `{"version":1,"machine":{"topology":{"kind":"mesh","width":4,"height":4},`+
+			`"routing":{"algorithm":"static","static_paths":`+paths+`}},`+
+			`"traffic":[{"pattern":"uniform","injection_rate":0.05}]}`)
+	}
+	for _, tc := range []struct {
+		label, paths, msg string
+	}{
+		{"alone", `[[0,1,2],[0,1,0,1,2]]`, "(0,1,0,1,2) crosses the link 0->1 twice"},
+		{"together", `[[0,1,5,1,2,6],[0,4,5,1,5,6]]`, "(0,4,5,1,5,6) and the other paths from 0 to 6 loop through the link 1->5"},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			_, apiErr := DryRun(doc(tc.paths))
+			if apiErr == nil {
+				t.Fatal("DryRun accepted looping static paths")
+			}
+			if apiErr.Code != CodeInvalidScenario || apiErr.Field != "/scenario/machine/routing/static_paths/1" ||
+				!strings.Contains(apiErr.Message, tc.msg) {
+				t.Fatalf("got %s at %q: %s", apiErr.Code, apiErr.Field, apiErr.Message)
+			}
+		})
+	}
+	if _, apiErr := DryRun(doc(`[[0,1,2],[0,1,5,6,2]]`)); apiErr != nil {
+		t.Fatalf("DryRun of paths that only share a link: %v", apiErr)
 	}
 }
 
