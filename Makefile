@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines profile-msi profile-mesh profile-mesh8 profile-serve
+	validate-examples scenario-golden service-lines deadcode profile-msi profile-mesh profile-mesh8 profile-serve
 
 build:
 	$(GO) build ./...
@@ -147,6 +147,13 @@ e2e: e2e-distributed e2e-sharded e2e-coordinator-restart
 # diffs there).
 service-lines:
 	@find internal/service -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+
+# Functions under internal/ that no binary reaches (ROADMAP item 5): every
+# main package (cmd/*, bench, examples/*) is linked with inlining off and
+# the linker's dependency dump on, and each non-test function no dump
+# names is listed with its line count; the last line is the totals.
+deadcode:
+	@$(GO) run ./tools/deadcode
 
 # Fuzz smoke over the snapshot container's seed corpora plus the
 # scenario schema's decode→normalize→encode pipeline (one target per

@@ -20,9 +20,9 @@
 //
 //   - Streaming: per-run progress flows to clients over SSE
 //     (GET /api/v1/jobs/{id}/events) or long-poll (GET /api/v1/jobs/{id}
-//     with ?wait=). Whichever backend executes a job reports through one
-//     backend.Sink — in process directly, from a fleet worker as wire
-//     events decoded onto the same sink.
+//     with ?wait=). Whichever fleet worker executes a job reports through
+//     one backend.Sink — the in-process worker directly, a remote worker
+//     as wire events decoded onto the same sink.
 package service
 
 import (
@@ -110,8 +110,8 @@ type SubmitRequest struct {
 
 	// Shards, when >= 2, runs the simulation space-parallel: the tile
 	// grid is split into that many contiguous spans, each executed by
-	// one fleet member (or one in-process member when no workers are
-	// registered), exchanging boundary flits at every synchronization
+	// one fleet member (the members run in-process when no remote worker
+	// can hold them all), exchanging boundary flits at every synchronization
 	// point. The result document is byte-identical to the single-process
 	// run, so Shards — like Workers — is NOT part of the cache identity.
 	// Only single-run scenarios shard (config, mips), they must use
@@ -178,9 +178,11 @@ type JobInfo struct {
 	// was already in flight (single-flight): it never simulated, and its
 	// result bytes are the leader's.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Backend is the execution backend that ran (or is running) the job:
-	// "local" (in-process) or "fleet" (a remote worker). Empty for jobs
-	// that never executed (cache hits, coalesced followers).
+	// Backend is the class of the fleet worker that ran (or is running)
+	// the job: "local" (the daemon's own in-process worker) or "fleet" (a
+	// remote worker). A job a remote worker started and the in-process
+	// worker finished reads "local". Empty for jobs that never executed
+	// (cache hits, coalesced followers).
 	Backend   string `json:"backend,omitempty"`
 	RunsDone  int    `json:"runs_done"`
 	RunsTotal int    `json:"runs_total"`
@@ -280,9 +282,9 @@ type ServerStats struct {
 	CheckpointsWritten  uint64 `json:"checkpoints_written"`
 	CheckpointWriteErrs uint64 `json:"checkpoint_write_errs"`
 	RunsResumed         uint64 `json:"runs_resumed"`
-	// RemoteJobs counts jobs completed on the worker fleet; FallbackJobs
-	// counts jobs the fleet handed back (no surviving workers) that the
-	// local backend then ran.
+	// RemoteJobs counts jobs whose document a remote worker produced;
+	// FallbackJobs counts jobs the in-process worker took over because the
+	// last remote worker left while they ran on it or waited for it.
 	RemoteJobs   uint64 `json:"remote_jobs"`
 	FallbackJobs uint64 `json:"fallback_jobs"`
 	// Fleet is the worker-fleet registry view (workers, capacity,

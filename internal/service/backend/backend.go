@@ -1,13 +1,15 @@
-// Package backend is hornet-serve's remote execution layer and the
-// vocabulary it shares with the in-process one: the Task a scheduler
-// executes, the Sink an execution reports through, the Fleet (fleet.go),
-// which ships validated job configs to registered hornet-worker
-// processes, streams their progress back and migrates a dead worker's
-// job to a survivor via its uploaded checkpoints, and the ShardGroup
-// (shardgroup.go) the members of one space-parallel task meet in. The
-// scheduler in package service runs a task on the Fleet when workers are
-// live and in its own process otherwise; JobInfo names the two "fleet"
-// and "local".
+// Package backend is hornet-serve's execution layer: the Task a
+// scheduler executes, the Sink an execution reports through, the Fleet
+// (fleet.go), and the ShardGroup (shardgroup.go) the members of one
+// space-parallel task meet in. Every task runs through the Fleet. Its
+// workers are the registered hornet-worker processes, to which it ships
+// validated job configs, streams their progress back and migrates a dead
+// worker's task to a survivor via its uploaded checkpoints, and the
+// coordinator's own in-process worker, which makes the same calls as
+// method calls. Placement gives a task to the remote workers while any
+// is registered, unless it is pinned to this host; the in-process worker
+// takes the rest. JobInfo names the two worker classes "fleet" and
+// "local".
 //
 // The package deliberately knows nothing about the service package's
 // scenario compilation: a Task carries the client's original request
@@ -17,6 +19,7 @@
 package backend
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,12 +55,13 @@ type Task struct {
 	// Weight is the engine-worker (CPU slot) request of the job's runs;
 	// the executing backend clamps it to what it can grant.
 	Weight int
-	// RunsTotal sizes progress reporting.
-	RunsTotal int
 	// Shards, when >= 2, marks a space-parallel task: the fleet fans it
 	// out as Shards member tasks (one tile span each) coordinated through
-	// a ShardGroup; the local backend runs the members in-process.
+	// a ShardGroup.
 	Shards int
+	// Pinned keeps the task on the in-process worker: a figure's serial
+	// timing columns measure this host.
+	Pinned bool
 	// Request is the client's original SubmitRequest JSON. Remote
 	// workers re-run full validation on it — a coordinator must never be
 	// able to make a worker execute an unvalidated configuration.
@@ -67,7 +71,7 @@ type Task struct {
 	// so the next executor resumes instead of restarting.
 	Checkpoints map[string]Blob
 	// Compiled is the coordinator's pre-validated scenario, consumed by
-	// the in-process backend to skip re-parsing. Opaque at this layer.
+	// the in-process worker to skip re-parsing. Opaque at this layer.
 	Compiled any
 }
 
@@ -96,9 +100,12 @@ type Sink interface {
 	// A shard member's sample covers its own tile span.
 	Telemetry(s obs.TelemetrySnapshot)
 	// Note records a lifecycle annotation ("dispatched", "requeued",
-	// "rollback", ...) for the job's trace timeline. The fleet calls it
-	// with its lock held, so it must not block or call back into the
-	// fleet.
+	// "rollback", ...) for the job's trace timeline. A "dispatched" or
+	// "reattached" note names the worker class now running the task in
+	// its "backend" field ("local" or "fleet"); an in-process dispatch of
+	// a task a remote worker took or waited for also carries "fallback".
+	// The fleet calls it with its lock held, so it must not block or call
+	// back into the fleet.
 	Note(event string, fields map[string]string)
 }
 
@@ -165,10 +172,30 @@ type Journal interface {
 	StablePromoted(jobID string, epoch int, cycle uint64, keys []string)
 }
 
-// ErrNoWorkers reports that the fleet cannot take the task — no live
-// worker is registered (or none survived while the task waited). The
-// scheduler treats it as "fall back to the local backend".
-var ErrNoWorkers = errors.New("backend: no live workers in the fleet")
+// ErrClosed reports a call into a closed fleet: Close fails every task
+// still queued or running remotely with it, and refuses registrations.
+var ErrClosed = errors.New("backend: fleet closed")
+
+// LocalRun is one assignment of the in-process worker (RegisterLocal),
+// with the job's sink and the member's end of its shard group, which it
+// reaches by method calls instead of HTTP.
+type LocalRun struct {
+	// Ctx ends when the task is cancelled or the fleet closes.
+	Ctx context.Context
+	// Task carries the blobs its remote executors uploaded before it
+	// came here (Checkpoints): a migrated run resumes from them.
+	Task *Task
+	// Sink is the job's sink (a MemberSink over it for a non-root
+	// member).
+	Sink Sink
+	// Shard is the member index of a sharded task's member, and Peer the
+	// member's end of its ShardGroup; Peer is nil for an unsharded task.
+	Shard int
+	Peer  *MemberPeer
+	// Done is the result push: call it once, with the document or the
+	// failure.
+	Done func(doc []byte, runErrs int, err error)
+}
 
 // ErrUnknownWorker reports a fleet call from a worker ID the registry
 // does not know — typically a worker that outlived its lease and was

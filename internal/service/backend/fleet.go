@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -16,10 +17,9 @@ import (
 
 // BlobStore is the optional persistence hook for uploaded checkpoint
 // blobs: when the coordinator has a checkpoint directory, migration
-// snapshots also land there (under the same content address the local
-// backend reads), so a job survives both a worker death *and* a
-// coordinator restart, and a local-fallback execution resumes from the
-// fleet's last uploaded state. service.CheckpointStore satisfies it.
+// snapshots also land there (under the same content address the
+// in-process worker reads), so a job survives both a worker death *and*
+// a coordinator restart. service.CheckpointStore satisfies it.
 type BlobStore interface {
 	Save(key string, blob []byte, cycle uint64) error
 	Remove(key string)
@@ -57,18 +57,27 @@ type reattachClaim struct {
 	deadline time.Time
 }
 
-// Fleet is the remote execution backend: a registry of hornet-worker
-// processes, a FIFO queue of dispatched tasks, and the migration
-// machinery that moves a dead worker's task (with its uploaded
-// checkpoints) to a survivor. The scheduler calls Execute, the HTTP
-// layer calls the worker-protocol methods; the shard half (sharded
+// Fleet is the one execution path: a FIFO queue of tasks, the workers
+// that take them — registered hornet-worker processes and the
+// coordinator's own in-process worker (RegisterLocal) — and the
+// migration machinery that moves a dead worker's task (with its
+// uploaded checkpoints) to a survivor. The scheduler calls Execute, the
+// HTTP layer calls the worker-protocol methods; the shard half (sharded
 // tasks and their groups) is in shardgroup.go.
 type Fleet struct {
 	opts FleetOptions
 	log  *slog.Logger
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// workers are the remote workers. The in-process worker, self, is
+	// not among them: it has no lease, and no roster entry or fleet
+	// statistic counts it.
 	workers map[string]*workerState
+	self    *workerState
+	local   func([]LocalRun) // self's executor; nil: no in-process worker
+	// localRuns counts self's running batches, which Close waits for.
+	localRuns sync.WaitGroup
+
 	queue   []*pending // unassigned tasks, FIFO; migrated tasks go first
 	expect  map[string]*reattachClaim
 	journal Journal // nil: no durable coordinator
@@ -117,9 +126,15 @@ type pending struct {
 	shard int
 	group *ShardGroup
 
-	worker    string // assigned worker ID; "" while queued
-	grant     int    // slots granted on the assigned worker
+	// ctx is the job's context; stop cancels an in-process run's.
+	ctx  context.Context
+	stop context.CancelFunc
+
+	grant     int // slots granted on the assigned remote worker
 	cancelled bool
+	// fleetBound marks a task a remote worker took, or could take when it
+	// was queued; the in-process worker running it is the fallback.
+	fleetBound bool
 	// holdUntil keeps a restored task out of ordinary dispatch while
 	// the coordinator waits for its pre-crash worker to re-claim it;
 	// past the deadline the task dispatches normally from its blobs.
@@ -156,6 +171,7 @@ func NewFleet(opts FleetOptions) *Fleet {
 		opts:        opts,
 		log:         log,
 		workers:     map[string]*workerState{},
+		self:        &workerState{tasks: map[string]*pending{}},
 		expect:      map[string]*reattachClaim{},
 		notify:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
@@ -165,18 +181,17 @@ func NewFleet(opts FleetOptions) *Fleet {
 	return f
 }
 
-// Close fails every in-flight task and stops the janitor. Idempotent:
-// shutdown paths race (signal handler vs deferred cleanup), and a
-// second Close must be a no-op, not a panic.
+// Close fails every queued and remotely executing task, stops the
+// in-process runs through their contexts and waits for them to return
+// (final autosaves included), and stops the janitor. Idempotent:
+// shutdown paths race (signal handler vs deferred cleanup), and a second
+// Close must be a no-op, not a panic.
 func (f *Fleet) Close() {
 	f.closeOnce.Do(func() { close(f.janitorStop) })
 	<-f.janitorDone
 	f.mu.Lock()
 	f.closed = true
-	var terminal []*pending
-	for _, p := range f.queue {
-		terminal = append(terminal, p)
-	}
+	terminal := f.queue
 	f.queue = nil
 	for _, w := range f.workers {
 		for _, p := range w.tasks {
@@ -185,7 +200,10 @@ func (f *Fleet) Close() {
 		w.tasks = map[string]*pending{}
 	}
 	for _, p := range terminal {
-		f.finishLocked(p, nil, 0, ErrNoWorkers)
+		f.finishLocked(p, nil, 0, ErrClosed)
+	}
+	for _, p := range f.self.tasks {
+		f.abortLocked(p)
 	}
 	// Drop the registry too: workers attached to a closed fleet must get
 	// worker_unknown from polls/heartbeats (and then shutting_down from
@@ -195,13 +213,19 @@ func (f *Fleet) Close() {
 	f.expect = map[string]*reattachClaim{}
 	f.wakeLocked()
 	f.mu.Unlock()
+	f.localRuns.Wait()
 }
 
-// Live reports the number of registered (non-expired) workers.
-func (f *Fleet) Live() int {
+// RegisterLocal makes run the fleet's in-process worker: the
+// coordinator's own CPUs, always live, taking what no remote worker may
+// (remoteTakesLocked). run executes one batch — a task, or the queued
+// members of one sharded task, together because members meet every
+// cycle — and returns once every run has called Done. Call it once,
+// before Execute.
+func (f *Fleet) RegisterLocal(run func([]LocalRun)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.workers)
+	f.local = run
 }
 
 // SetJournal attaches the durable-coordinator hook. The server wires
@@ -239,62 +263,18 @@ func (f *Fleet) ExpectReattach(taskID, jobID string, weight int) {
 	}
 }
 
-// AwaitCapacity blocks until the fleet's live total capacity reaches
-// min slots (true) or the bound of two lease TTLs passes / ctx ends
-// (false). Restored jobs use it to give the pre-crash fleet a rejoin
-// window — workers heartbeat at TTL/3, so a surviving fleet reappears
-// well within the bound — instead of instantly falling back to local
-// execution on the restarted coordinator's empty registry.
-func (f *Fleet) AwaitCapacity(ctx context.Context, min int) bool {
-	if min < 1 {
-		min = 1
-	}
-	deadline := time.Now().Add(2 * f.opts.LeaseTTL)
-	for {
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			return false
-		}
-		total := 0
-		for _, w := range f.workers {
-			total += w.capacity
-		}
-		ch := f.notify
-		f.mu.Unlock()
-		if total >= min {
-			return true
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return false
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			return false
-		case <-ctx.Done():
-			timer.Stop()
-			return false
-		}
-	}
-}
-
 // Execute queues the task, waits for a worker to run it (surviving
-// migrations), and returns the pushed result: the canonical document
-// bytes plus the number of per-run errors recorded inside it. It fails
-// fast with ErrNoWorkers when the fleet is empty — the scheduler then
-// runs the task in-process instead.
+// migrations), and returns the result: the canonical document bytes plus
+// the number of per-run errors recorded inside it. A fleet with no
+// worker that may take the task keeps it queued; Close fails it.
 func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
 	if t.Shards >= 2 {
 		return f.executeSharded(ctx, t, sink)
 	}
 	f.mu.Lock()
-	if f.closed || len(f.workers) == 0 {
+	if f.closed {
 		f.mu.Unlock()
-		return nil, 0, ErrNoWorkers
+		return nil, 0, ErrClosed
 	}
 	if t.Checkpoints == nil {
 		t.Checkpoints = map[string]Blob{}
@@ -321,11 +301,16 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 					t.Checkpoints[key] = b
 				}
 			}
-			p.task, p.sink = t, sink
+			p.task, p.sink, p.ctx = t, sink, ctx
 			switch {
 			case slices.Contains(f.queue, p):
-				// Its worker died before this bind: re-claim or dispatch.
-				p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
+				// Its worker left before this bind: while a remote worker
+				// remains, hold the task for a re-claim; else the
+				// in-process worker takes it now.
+				if len(f.workers) > 0 {
+					p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
+				}
+				f.wakeLocked()
 			case p.err == nil: // running, or done with its result
 				adoptedBy, adoptedCycle = claim.worker, claim.cycle
 			}
@@ -335,18 +320,17 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 		t.ID = fmt.Sprintf("task-%06d", f.seq)
 	}
 	if p == nil {
-		p = &pending{task: t, sink: sink, done: make(chan struct{})}
+		p = &pending{task: t, sink: sink, ctx: ctx, done: make(chan struct{})}
 		if t.ReattachID != "" {
 			p.holdUntil = time.Now().Add(f.opts.LeaseTTL)
 		}
-		f.queue = append(f.queue, p)
-		f.wakeLocked()
+		f.queueLocked(p)
 	}
 	f.mu.Unlock()
 	if adoptedBy != "" {
 		f.log.Info("task re-adopted by pre-restart executor",
 			append(shardAttrs(p), obs.Worker(adoptedBy), slog.Uint64("cycle", adoptedCycle))...)
-		sink.Note("reattached", map[string]string{"worker": adoptedBy, "task": t.ID})
+		sink.Note("reattached", map[string]string{"worker": adoptedBy, "task": t.ID, "backend": "fleet"})
 		// The run is continuing at the worker's checkpointed frontier
 		// across a coordinator restart: that is a resumed run in every
 		// sense the job's resumed_runs counter cares about.
@@ -366,9 +350,10 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 }
 
 // abort cancels an in-flight task: a queued task terminates right away;
-// an assigned one is marked cancelled and the executing worker learns
-// via its next heartbeat (or push) and acknowledges with a cancelled
-// result push, which releases the assignment.
+// an assigned one is marked cancelled. An in-process run stops through
+// its context; a remote worker learns via its next heartbeat (or push)
+// and acknowledges with a cancelled result push, which releases the
+// assignment.
 func (f *Fleet) abort(p *pending) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -377,14 +362,15 @@ func (f *Fleet) abort(p *pending) {
 
 func (f *Fleet) abortLocked(p *pending) {
 	p.cancelled = true
-	for i, q := range f.queue {
-		if q == p {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			f.finishLocked(p, nil, 0, context.Canceled)
-			return
-		}
+	if i := slices.Index(f.queue, p); i >= 0 {
+		f.queue = slices.Delete(f.queue, i, i+1)
+		f.finishLocked(p, nil, 0, context.Canceled)
+		return
 	}
-	// Assigned (or already terminal): the result push path resolves it.
+	// Assigned (or already terminal): the result push resolves it.
+	if p.stop != nil {
+		p.stop()
+	}
 }
 
 // finishLocked moves a pending to its terminal state exactly once.
@@ -399,9 +385,6 @@ func (f *Fleet) finishLocked(p *pending, doc []byte, runErrs int, err error) {
 		// A member failing terminally dooms the whole group: release its
 		// siblings from the barriers they are parked in.
 		p.group.Cancel(err)
-	}
-	if err == nil {
-		f.tasksCompleted++
 	}
 	if f.opts.Persist != nil {
 		// The run completed or failed terminally; its migration blobs
@@ -430,7 +413,7 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return RegisterResponse{}, ErrNoWorkers
+		return RegisterResponse{}, ErrClosed
 	}
 	id := req.ID
 	if id == "" {
@@ -480,7 +463,7 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 	// Sink and journal calls happen outside the fleet lock: they take
 	// the job lock and fan out to SSE subscribers.
 	for _, b := range binds {
-		b.sink.Note("reattached", map[string]string{"worker": id, "task": b.taskID})
+		b.sink.Note("reattached", map[string]string{"worker": id, "task": b.taskID, "backend": "fleet"})
 		b.sink.Resumed(b.taskID, b.cycle)
 		if journal != nil {
 			journal.Assigned(b.jobID, b.taskID, b.grant)
@@ -540,13 +523,17 @@ func slotsFor(weight int, w *workerState) int {
 func (f *Fleet) assignLocked(w *workerState, p *pending, slots int) {
 	w.free -= slots
 	w.tasks[p.task.ID] = p
-	p.worker, p.grant = w.id, slots
+	p.grant = slots
+	if w == f.self {
+		return
+	}
+	p.fleetBound = true
 	if _, inUse := f.slotsLocked(); inUse > f.peak {
 		f.peak = inUse
 	}
 }
 
-// slotsLocked sums the live workers' slots: what they offer and what
+// slotsLocked sums the remote workers' slots: what they offer and what
 // their assignments hold. Placement never grants a worker more than it
 // offers, so in use never exceeds capacity.
 func (f *Fleet) slotsLocked() (capacity, inUse int) {
@@ -568,18 +555,19 @@ func (f *Fleet) Deregister(id string) error {
 	}
 	f.log.Info("worker deregistered", obs.Worker(id))
 	f.evictLocked(w, "worker deregistered")
-	f.failQueuedIfEmptyLocked()
+	f.wakeLocked()
 	return nil
 }
 
 // evictLocked removes a worker and requeues its assigned tasks at the
 // front of the queue (migrated work resumes before new work starts).
-// reason labels the eviction in logs ("lease expired", ...).
+// reason labels the eviction in logs ("lease expired", ...). The caller
+// wakes the workers once the registry is settled: a re-registration must
+// re-adopt its own tasks before the in-process worker may take them.
 func (f *Fleet) evictLocked(w *workerState, reason string) {
 	delete(f.workers, w.id)
 	var requeue []*pending
 	for _, p := range w.tasks {
-		p.worker, p.grant = "", 0
 		if p.cancelled {
 			f.finishLocked(p, nil, 0, context.Canceled)
 			continue
@@ -616,24 +604,7 @@ func (f *Fleet) evictLocked(w *workerState, reason string) {
 		f.tasksRequeued++
 	}
 	w.tasks = map[string]*pending{}
-	if len(requeue) > 0 {
-		f.queue = append(requeue, f.queue...)
-		f.wakeLocked()
-	}
-}
-
-// failQueuedIfEmptyLocked fails every queued task with ErrNoWorkers
-// once the fleet has no one left to run them; the scheduler falls back
-// to the local backend (resuming from persisted blobs when the daemon
-// checkpoints).
-func (f *Fleet) failQueuedIfEmptyLocked() {
-	if len(f.workers) > 0 {
-		return
-	}
-	for _, p := range f.queue {
-		f.finishLocked(p, nil, 0, ErrNoWorkers)
-	}
-	f.queue = nil
+	f.queue = append(requeue, f.queue...)
 }
 
 // Heartbeat refreshes a worker's lease and returns the IDs of its
@@ -668,7 +639,8 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 			return nil, ErrUnknownWorker
 		}
 		w.lastSeen = time.Now()
-		if a, p := f.dispatchLocked(w); a != nil {
+		if p := f.dispatchLocked(w); p != nil {
+			a := assignment(p, f.opts.CheckpointEvery)
 			journal := f.journal
 			f.mu.Unlock()
 			if journal != nil {
@@ -696,54 +668,150 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 	}
 }
 
-// dispatchLocked assigns the first queued task that fits the worker's
-// free slots. It also returns the pending for post-unlock journaling.
-func (f *Fleet) dispatchLocked(w *workerState) (*Assignment, *pending) {
+// remoteTakesLocked is the placement policy: whether task p belongs to
+// the remote workers, of capacity slots in total — never when pinned to
+// this host, else while one is registered; a sharded member only while
+// they can hold its whole group at once. The rest is the in-process
+// worker's.
+func (f *Fleet) remoteTakesLocked(p *pending, capacity int) bool {
+	if p.task.Pinned || len(f.workers) == 0 {
+		return false
+	}
+	return p.group == nil || capacity >= p.group.Members()
+}
+
+// queueLocked appends new tasks to the queue and offers them to the
+// workers.
+func (f *Fleet) queueLocked(ps ...*pending) {
+	capacity, _ := f.slotsLocked()
+	for _, p := range ps {
+		p.fleetBound = f.remoteTakesLocked(p, capacity)
+	}
+	f.queue = append(f.queue, ps...)
+	f.wakeLocked()
+}
+
+// dispatchLocked assigns worker w the first queued task placement gives
+// it that fits its free slots; the in-process worker's runs draw on the
+// coordinator's CPU pool instead.
+func (f *Fleet) dispatchLocked(w *workerState) *pending {
 	now := time.Now()
+	capacity, _ := f.slotsLocked()
 	for i, p := range f.queue {
 		if now.Before(p.holdUntil) {
 			// Restored task still waiting for its pre-crash executor's
 			// re-claim; don't hand it to someone else yet.
 			continue
 		}
-		if r := f.expect[p.task.ID]; r != nil && r.p == p {
-			// A claimed run whose job has not reached Execute: only its
-			// worker's next incarnation may take it back.
+		if p.ctx == nil {
+			// A claimed reattach run whose job has not reached Execute
+			// (adoptLocked): only its worker's next incarnation may take
+			// it back, and the in-process worker has nothing to run yet.
 			continue
 		}
-		weight := slotsFor(p.task.Weight, w)
-		if weight > w.free {
+		remote := f.remoteTakesLocked(p, capacity)
+		slots := 0
+		if w == f.self {
+			if remote {
+				continue
+			}
+		} else if slots = slotsFor(p.task.Weight, w); !remote || slots > w.free {
 			continue
 		}
-		f.queue = append(f.queue[:i], f.queue[i+1:]...)
-		f.assignLocked(w, p, weight)
-		f.tasksDispatched++
-		f.log.Debug("task dispatched",
-			append(shardAttrs(p), obs.Worker(w.id), slog.Int("slots", weight))...)
-		p.sink.Note("dispatched", map[string]string{"worker": w.id, "task": p.task.ID})
-		ckpts := make(map[string]Blob, len(p.task.Checkpoints))
-		for k, b := range p.task.Checkpoints {
-			ckpts[k] = b
+		f.queue = slices.Delete(f.queue, i, i+1)
+		f.assignLocked(w, p, slots)
+		fields := map[string]string{"task": p.task.ID, "backend": "local"}
+		switch {
+		case w != f.self:
+			f.tasksDispatched++
+			f.log.Debug("task dispatched",
+				append(shardAttrs(p), obs.Worker(w.id), slog.Int("slots", slots))...)
+			fields["worker"], fields["backend"] = w.id, "fleet"
+		case p.fleetBound:
+			fields["fallback"] = "true"
 		}
-		a := &Assignment{
-			TaskID:          p.task.ID,
-			Name:            p.task.Name,
-			Hash:            p.task.Hash,
-			Kind:            p.task.Kind,
-			Seed:            p.task.Seed,
-			Workers:         weight,
-			CheckpointEvery: f.opts.CheckpointEvery,
-			Request:         p.task.Request,
-			Checkpoints:     ckpts,
+		p.sink.Note("dispatched", fields)
+		return p
+	}
+	return nil
+}
+
+// assignment is the wire form of p's dispatch to a remote worker.
+func assignment(p *pending, checkpointEvery uint64) *Assignment {
+	a := &Assignment{
+		TaskID:          p.task.ID,
+		Name:            p.task.Name,
+		Hash:            p.task.Hash,
+		Kind:            p.task.Kind,
+		Seed:            p.task.Seed,
+		Workers:         p.grant,
+		CheckpointEvery: checkpointEvery,
+		Request:         p.task.Request,
+		Checkpoints:     maps.Clone(p.task.Checkpoints),
+	}
+	if p.group != nil {
+		a.Shard = p.shard
+		a.ShardCount = p.group.Members()
+		a.ShardEpoch = p.group.Epoch()
+	}
+	return a
+}
+
+// placeLocalLocked hands the in-process worker every queued task
+// placement gives it and starts them: each task alone, except that the
+// members of one sharded task start together, as one batch.
+func (f *Fleet) placeLocalLocked() {
+	if f.local == nil || f.closed {
+		return
+	}
+	groups := map[*ShardGroup][]*pending{}
+	for p := f.dispatchLocked(f.self); p != nil; p = f.dispatchLocked(f.self) {
+		if p.group == nil {
+			f.startLocalLocked([]*pending{p})
+		} else {
+			groups[p.group] = append(groups[p.group], p)
+		}
+	}
+	for _, members := range groups {
+		f.startLocalLocked(members)
+	}
+}
+
+// startLocalLocked runs a batch on the in-process worker, each run under
+// a context of its own and reporting through finishLocal.
+func (f *Fleet) startLocalLocked(batch []*pending) {
+	runs := make([]LocalRun, len(batch))
+	for i, p := range batch {
+		var ctx context.Context
+		ctx, p.stop = context.WithCancel(p.ctx)
+		runs[i] = LocalRun{
+			Ctx:   ctx,
+			Task:  p.task,
+			Sink:  p.sink,
+			Shard: p.shard,
+			Done:  func(doc []byte, runErrs int, err error) { f.finishLocal(p, doc, runErrs, err) },
 		}
 		if p.group != nil {
-			a.Shard = p.shard
-			a.ShardCount = p.group.Members()
-			a.ShardEpoch = p.group.Epoch()
+			runs[i].Peer = p.group.Peer(ctx, p.shard)
 		}
-		return a, p
 	}
-	return nil, nil
+	f.localRuns.Add(1)
+	go func() {
+		defer f.localRuns.Done()
+		f.local(runs)
+	}()
+}
+
+// finishLocal completes an in-process run with its result.
+func (f *Fleet) finishLocal(p *pending, doc []byte, runErrs int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p.stop()
+	delete(f.self.tasks, p.task.ID)
+	if p.cancelled {
+		doc, runErrs, err = nil, 0, context.Canceled
+	}
+	f.finishLocked(p, doc, runErrs, err)
 }
 
 // taskFor resolves a worker push to its pending record, refreshing the
@@ -784,7 +852,7 @@ func (f *Fleet) PushEvent(workerID, taskID string, ev TaskEvent) error {
 // PushCheckpoint stores an uploaded snapshot blob as the task's latest
 // migration state. key is the content-based store address
 // ("<name>-<hash>-<runkey>") the worker's checkpoint store saves under —
-// the same address a re-dispatched worker (or the local fallback) loads
+// the same address a re-dispatched worker (or the in-process one) loads
 // from. The corresponding job-visible "checkpoint" notification arrives
 // separately through PushEvent.
 func (f *Fleet) PushCheckpoint(workerID, taskID, key string, cycle uint64, blob []byte) error {
@@ -886,22 +954,21 @@ func (f *Fleet) PushResult(workerID, taskID string, res ResultPush) error {
 	}
 	delete(w.tasks, taskID)
 	w.free += p.grant
-	p.worker, p.grant = "", 0
 	switch {
 	case res.Canceled || p.cancelled:
 		f.finishLocked(p, nil, 0, context.Canceled)
 	case res.Error != "":
 		f.finishLocked(p, nil, 0, errors.New(res.Error))
 	default:
+		f.tasksCompleted++
 		f.finishLocked(p, res.Doc, res.RunErrs, nil)
 	}
 	f.wakeLocked()
 	return nil
 }
 
-// janitor expires workers whose lease lapsed: their tasks requeue (and
-// migrate), and an emptied fleet fails its queue over to the local
-// backend.
+// janitor expires workers whose lease lapsed: their tasks requeue and
+// migrate — to the in-process worker once no remote worker is left.
 func (f *Fleet) janitor() {
 	defer close(f.janitorDone)
 	period := f.opts.LeaseTTL / 4
@@ -922,18 +989,20 @@ func (f *Fleet) janitor() {
 
 // expire evicts workers silent since before cutoff, retires reattach
 // claims no Execute ever bound (job canceled while queued) — a claimed
-// run is aborted like any other task — and wakes parked polls once a
-// restored task's reattach hold lapses so it dispatches without waiting
-// out a long-poll timeout.
+// run is aborted like any other task — and wakes the workers after an
+// eviction, or once a restored task's reattach hold lapses so it
+// dispatches without waiting out a long-poll timeout.
 func (f *Fleet) expire(cutoff time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	wake := false
 	for _, w := range f.workers {
 		if w.lastSeen.Before(cutoff) {
 			f.log.Warn("worker lease expired", obs.Worker(w.id),
 				slog.Time("last_seen", w.lastSeen), slog.Int("tasks", len(w.tasks)))
 			f.evictLocked(w, "lease expired")
 			f.workersLost++
+			wake = true
 		}
 	}
 	now := time.Now()
@@ -946,7 +1015,6 @@ func (f *Fleet) expire(cutoff time.Time) {
 		}
 		delete(f.expect, tid)
 	}
-	wake := false
 	for _, p := range f.queue {
 		if !p.holdUntil.IsZero() && !now.Before(p.holdUntil) {
 			p.holdUntil = time.Time{}
@@ -956,11 +1024,12 @@ func (f *Fleet) expire(cutoff time.Time) {
 	if wake {
 		f.wakeLocked()
 	}
-	f.failQueuedIfEmptyLocked()
 }
 
-// wakeLocked wakes every parked Poll.
+// wakeLocked offers the queue to the workers: it starts what the
+// in-process worker takes and wakes every parked Poll.
 func (f *Fleet) wakeLocked() {
+	f.placeLocalLocked()
 	close(f.notify)
 	f.notify = make(chan struct{})
 }

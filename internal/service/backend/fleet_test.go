@@ -12,9 +12,10 @@ import (
 // recordSink captures sink callbacks.
 type recordSink struct {
 	Discard
-	mu       sync.Mutex
-	resumed  int
-	progress int
+	mu         sync.Mutex
+	resumed    int
+	progress   int
+	dispatched []map[string]string // fields of every "dispatched" note
 }
 
 func (r *recordSink) Progress(done, total int, key string) {
@@ -27,6 +28,27 @@ func (r *recordSink) Resumed(key string, cycle uint64) {
 	defer r.mu.Unlock()
 	r.resumed++
 }
+func (r *recordSink) Note(event string, fields map[string]string) {
+	if event != "dispatched" {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.dispatched = append(r.dispatched, fields)
+}
+
+// fallbacks counts the dispatch notes that mark a fallback.
+func (r *recordSink) fallbacks() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, f := range r.dispatched {
+		if f["fallback"] != "" {
+			n++
+		}
+	}
+	return n
+}
 
 func newTestFleet(t *testing.T) *Fleet {
 	t.Helper()
@@ -37,7 +59,7 @@ func newTestFleet(t *testing.T) *Fleet {
 
 func task(name string, weight int) *Task {
 	return &Task{Name: name, Hash: "feedface", Kind: "config", Weight: weight,
-		Request: json.RawMessage(`{}`), RunsTotal: 1}
+		Request: json.RawMessage(`{}`)}
 }
 
 func TestFleetRegisterValidation(t *testing.T) {
@@ -52,11 +74,8 @@ func TestFleetRegisterValidation(t *testing.T) {
 	if resp.ID == "" || resp.LeaseTTL != time.Minute || resp.HeartbeatEvery != time.Minute/3 {
 		t.Fatalf("register response %+v", resp)
 	}
-	if f.Live() != 1 {
-		t.Fatalf("Live = %d", f.Live())
-	}
 	st := f.Stats()
-	if st.FleetCapacity != 2 || st.WorkersJoined != 1 {
+	if st.WorkersLive != 1 || st.FleetCapacity != 2 || st.WorkersJoined != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if err := f.Deregister(resp.ID); err != nil {
@@ -70,11 +89,28 @@ func TestFleetRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestFleetExecuteNoWorkers: a fleet with no worker keeps the task
+// queued instead of failing it, and Close fails it.
 func TestFleetExecuteNoWorkers(t *testing.T) {
-	f := newTestFleet(t)
-	_, _, err := f.Execute(context.Background(), task("t", 1), &recordSink{})
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	f := NewFleet(FleetOptions{LeaseTTL: time.Minute})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := f.Execute(context.Background(), task("t", 1), &recordSink{})
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); f.Stats().TasksQueued != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("task never queued")
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Execute on an empty fleet returned %v; want the task queued", err)
+	default:
+	}
+	f.Close()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
@@ -253,25 +289,156 @@ func TestFleetPersistLifecycle(t *testing.T) {
 	}
 }
 
+// localRecorder is an in-process worker that records its batches and
+// answers every run with the document "local".
+type localRecorder struct {
+	mu      sync.Mutex
+	batches [][]LocalRun
+}
+
+func (l *localRecorder) run(runs []LocalRun) {
+	l.mu.Lock()
+	l.batches = append(l.batches, runs)
+	l.mu.Unlock()
+	for _, r := range runs {
+		r.Done([]byte("local"), 0, nil)
+	}
+}
+
+func (l *localRecorder) runs() [][]LocalRun {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.batches
+}
+
+// TestFleetExpiryOfLastWorkerFailsOver: the task of the last
+// remote worker, expired mid-run, goes to the in-process worker with the
+// blobs the dead worker uploaded, marked as a fallback; the in-process
+// run shows in no fleet statistic.
 func TestFleetExpiryOfLastWorkerFailsOver(t *testing.T) {
 	f := newTestFleet(t)
+	local := &localRecorder{}
+	f.RegisterLocal(local.run)
 	w1, _ := f.Register(RegisterRequest{ID: "w1", Capacity: 1})
-	done := make(chan error, 1)
+	type out struct {
+		doc []byte
+		err error
+	}
+	done := make(chan out, 1)
+	sink := &recordSink{}
 	go func() {
-		_, _, err := f.Execute(context.Background(), task("job", 1), &recordSink{})
-		done <- err
+		doc, _, err := f.Execute(context.Background(), task("job", 1), sink)
+		done <- out{doc, err}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if a, err := f.Poll(ctx, w1.ID, 5*time.Second); err != nil || a == nil {
+	a, err := f.Poll(ctx, w1.ID, 5*time.Second)
+	if err != nil || a == nil {
 		t.Fatalf("poll: %v, %v", a, err)
+	}
+	if len(local.runs()) != 0 {
+		t.Fatal("the in-process worker took a task while a remote worker was registered")
+	}
+	const key = "job-feedface-job"
+	if err := f.PushCheckpoint(w1.ID, a.TaskID, key, 4_000, []byte("blob")); err != nil {
+		t.Fatal(err)
 	}
 	f.mu.Lock()
 	f.workers[w1.ID].lastSeen = time.Now().Add(-time.Hour)
 	f.mu.Unlock()
 	f.expire(time.Now().Add(-f.opts.LeaseTTL))
-	if err := <-done; !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("execute after fleet emptied: %v, want ErrNoWorkers (local fallback)", err)
+	res := <-done
+	if res.err != nil || string(res.doc) != "local" {
+		t.Fatalf("execute after fleet emptied = %q, %v; want the in-process document", res.doc, res.err)
+	}
+	batches := local.runs()
+	if len(batches) != 1 || len(batches[0]) != 1 {
+		t.Fatalf("in-process batches = %d, want one run of one task", len(batches))
+	}
+	r := batches[0][0]
+	if r.Peer != nil || r.Task.ID != a.TaskID {
+		t.Errorf("in-process run = %+v; want the migrated task", r)
+	}
+	if n := sink.fallbacks(); n != 1 {
+		t.Errorf("%d dispatches marked as a fallback, want 1", n)
+	}
+	if blob := r.Task.Checkpoints[key]; string(blob.Data) != "blob" || blob.Cycle != 4_000 {
+		t.Errorf("in-process run checkpoints = %+v; want the dead worker's upload", r.Task.Checkpoints)
+	}
+	if st := f.Stats(); st.WorkersLive != 0 || st.TasksDispatched != 1 || st.TasksCompleted != 0 || st.FleetCapacity != 0 {
+		t.Errorf("stats %+v; the in-process worker must count in none of them", st)
+	}
+}
+
+// TestFleetShardedGroupAdmittedWhole: a sharded task the remote workers
+// cannot hold all at once goes to the in-process worker as one batch of
+// all its members, each with its end of the group; the root member's
+// document is the result.
+func TestFleetShardedGroupAdmittedWhole(t *testing.T) {
+	f := newTestFleet(t)
+	local := &localRecorder{}
+	f.RegisterLocal(local.run)
+	if _, err := f.Register(RegisterRequest{ID: "small", Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sharded := task("sharded", 1)
+	sharded.Shards = 2
+	sink := &recordSink{}
+	if doc, _, err := f.Execute(context.Background(), sharded, sink); err != nil || string(doc) != "local" {
+		t.Fatalf("sharded task = %q, %v; want the in-process document", doc, err)
+	}
+	batches := local.runs()
+	if len(batches) != 1 || len(batches[0]) != 2 {
+		t.Fatalf("in-process batches %v; want one batch of both members", batches)
+	}
+	for i, r := range batches[0] {
+		if r.Peer == nil {
+			t.Errorf("member %d: %+v; want a group peer", i, r)
+		}
+	}
+	if n := sink.fallbacks(); n != 0 {
+		t.Errorf("%d member dispatches marked as a fallback; no remote worker ever held one", n)
+	}
+	if batches[0][0].Shard == batches[0][1].Shard {
+		t.Errorf("both members run shard %d", batches[0][0].Shard)
+	}
+	if st := f.Stats(); st.TasksDispatched != 0 || st.FleetInUse != 0 {
+		t.Errorf("stats %+v; the remote worker must hold no member", st)
+	}
+}
+
+// TestFleetPinnedTaskStaysInProcess: a pinned task goes to the
+// in-process worker even with a remote worker polling, and an unpinned
+// one to the remote worker.
+func TestFleetPinnedTaskStaysInProcess(t *testing.T) {
+	f := newTestFleet(t)
+	local := &localRecorder{}
+	f.RegisterLocal(local.run)
+	w, _ := f.Register(RegisterRequest{ID: "w1", Capacity: 4})
+	pinned := task("figure", 1)
+	pinned.Pinned = true
+	if doc, _, err := f.Execute(context.Background(), pinned, &recordSink{}); err != nil || string(doc) != "local" {
+		t.Fatalf("pinned task = %q, %v; want the in-process document", doc, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := f.Execute(context.Background(), task("config", 1), &recordSink{})
+		done <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	a, err := f.Poll(ctx, w.ID, 5*time.Second)
+	if err != nil || a == nil || a.Name != "config" {
+		t.Fatalf("poll = %+v, %v; want the unpinned task", a, err)
+	}
+	if err := f.PushResult(w.ID, a.TaskID, ResultPush{Doc: []byte("doc")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(local.runs()); n != 1 {
+		t.Errorf("in-process batches = %d, want 1 (the pinned task)", n)
 	}
 }
 
@@ -461,5 +628,44 @@ func TestReattachClaimBoundByExecute(t *testing.T) {
 	}
 	if st := f.Stats(); st.FleetInUse != 0 {
 		t.Errorf("slots leak after the expired claim: %+v", st)
+	}
+}
+
+// TestReattachClaimOrphanedBeforeExecute: a claimed run whose worker
+// leaves before the restored job reaches Execute waits in the queue out
+// of the in-process worker's reach — it has no job to report to and
+// nothing to run — until Execute binds it. With no remote worker left,
+// the in-process worker then runs it at once, from the blob the claimed
+// run uploaded.
+func TestReattachClaimOrphanedBeforeExecute(t *testing.T) {
+	f := newTestFleet(t)
+	local := &localRecorder{}
+	f.RegisterLocal(local.run)
+	const tid, key = "task-000007", "job-feedface-job"
+	claimRestored(t, f, tid)
+	if err := f.PushCheckpoint("w1", tid, key, 1_000, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deregister("w1"); err != nil {
+		t.Fatal(err)
+	}
+	f.expire(time.Now().Add(-f.opts.LeaseTTL))
+	if n := len(local.runs()); n != 0 {
+		t.Fatalf("the in-process worker took %d batches before Execute bound the claimed run", n)
+	}
+
+	restored := task("job", 1)
+	restored.ReattachID = tid
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if doc, _, err := f.Execute(ctx, restored, &recordSink{}); err != nil || string(doc) != "local" {
+		t.Fatalf("Execute of the restored job = %q, %v; want the in-process document without a reattach hold", doc, err)
+	}
+	batches := local.runs()
+	if len(batches) != 1 || len(batches[0]) != 1 {
+		t.Fatalf("in-process batches = %d, want one run of one task", len(batches))
+	}
+	if r := batches[0][0]; r.Task.ID != tid || string(r.Task.Checkpoints[key].Data) != "blob" {
+		t.Errorf("in-process run = %+v; want the claimed task with its uploaded blob", r.Task)
 	}
 }

@@ -312,31 +312,16 @@ var errShardGroupDone = errors.New("backend: shard group completed")
 // tasks through the ordinary queue/lease machinery, coordinated by a
 // ShardGroup. Every member executes the FULL simulation config but
 // steps only its tile span, exchanging boundary traffic at each
-// synchronization point via the coordinator's shard endpoints. The root
-// member's document — byte-identical to what any member (or a
+// synchronization point through the group (over HTTP from a remote
+// worker, by method call from the in-process one). The root member's
+// document — byte-identical to what any member (or a
 // single-process run) produces — is the task result.
 func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
 	n := t.Shards
 	f.mu.Lock()
-	if f.closed || len(f.workers) == 0 {
+	if f.closed {
 		f.mu.Unlock()
-		return nil, 0, ErrNoWorkers
-	}
-	// Refuse groups the fleet cannot co-schedule: members rendezvous
-	// every cycle, so all of them must hold a worker slot concurrently.
-	// A fleet with fewer total slots than members would park the early
-	// members at the join barrier forever while the rest starve in the
-	// queue.
-	total := 0
-	for _, w := range f.workers {
-		total += w.capacity
-	}
-	if total < n {
-		f.mu.Unlock()
-		return nil, 0, ErrNoWorkers
-	}
-	if t.Checkpoints == nil {
-		t.Checkpoints = map[string]Blob{}
+		return nil, 0, ErrClosed
 	}
 	f.seq++
 	base := fmt.Sprintf("task-%06d", f.seq)
@@ -366,10 +351,9 @@ func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte,
 		if i == 0 {
 			ms = sink
 		}
-		members[i] = &pending{task: &mt, sink: ms, shard: i, group: group, done: make(chan struct{})}
+		members[i] = &pending{task: &mt, sink: ms, ctx: ctx, shard: i, group: group, done: make(chan struct{})}
 	}
-	f.queue = append(f.queue, members...)
-	f.wakeLocked()
+	f.queueLocked(members...)
 	f.mu.Unlock()
 
 	// The root member's terminal state decides the task: the gather
@@ -393,16 +377,6 @@ func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte,
 	}
 	for _, p := range members[1:] {
 		f.abort(p)
-	}
-	if errors.Is(root.err, ErrNoWorkers) {
-		// Hand the group's stable checkpoint set back on the task: the
-		// scheduler's local fallback resumes the sharded run in-process
-		// from exactly this state.
-		for i := 0; i < n; i++ {
-			if key, blob, ok := group.StableBlob(i); ok {
-				t.Checkpoints[key] = blob
-			}
-		}
 	}
 	if root.err == nil && ctx.Err() != nil {
 		return nil, 0, ctx.Err()

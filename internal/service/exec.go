@@ -16,7 +16,7 @@ import (
 // executeScenario runs one compiled scenario against an execution
 // environment and returns the canonical document bytes plus the number
 // of per-run errors recorded inside the document. It is the single
-// execution path shared by the scheduler's in-process backend and the
+// execution path shared by the fleet's in-process worker and the
 // standalone Execute entry point hornet-worker uses — sharing it is
 // what makes a document byte-identical no matter which process produced
 // it. A panic anywhere in scenario execution (the experiments package

@@ -52,6 +52,10 @@ type job struct {
 	// observation. Both guarded by mu; read by the server's watchdog.
 	lastActive time.Time
 	stalled    bool
+	// fellBack marks a job the in-process worker took over after the
+	// last remote worker left: it counts once as a fallback job, however
+	// many of its members are handed over. Guarded by mu.
+	fellBack bool
 
 	// onState, when set, receives the client-visible info snapshot of
 	// every state transition (start, finalize), called OUTSIDE the job
@@ -74,11 +78,10 @@ type job struct {
 
 // restoreState seeds a journal-replayed job: the fleet task ID it held
 // when the coordinator died (Execute reuses it so the still-running
-// worker can be re-adopted), its slot grant, and the persisted
-// checkpoint blobs to hand the next executor.
+// worker can be re-adopted) and the persisted checkpoint blobs to hand
+// the next executor.
 type restoreState struct {
 	taskID      string
-	slots       int
 	checkpoints map[string]backend.Blob
 }
 
@@ -123,16 +126,16 @@ func newJob(id string, req SubmitRequest, sc *scenario, parent context.Context, 
 func (j *job) task() *backend.Task {
 	reqJSON, _ := json.Marshal(j.req)
 	t := &backend.Task{
-		JobID:     j.info.ID,
-		Name:      j.sc.name,
-		Hash:      j.sc.hash,
-		Seed:      j.sc.seed,
-		Kind:      j.sc.taskKind,
-		Weight:    j.req.Workers,
-		RunsTotal: len(j.sc.runs),
-		Shards:    j.sc.shards,
-		Request:   reqJSON,
-		Compiled:  j.sc,
+		JobID:    j.info.ID,
+		Name:     j.sc.name,
+		Hash:     j.sc.hash,
+		Seed:     j.sc.seed,
+		Kind:     j.sc.taskKind,
+		Weight:   j.req.Workers,
+		Shards:   j.sc.shards,
+		Pinned:   j.sc.fig != nil,
+		Request:  reqJSON,
+		Compiled: j.sc,
 	}
 	if r := j.restore; r != nil {
 		if len(r.checkpoints) > 0 {
@@ -151,11 +154,16 @@ func (j *job) task() *backend.Task {
 	return t
 }
 
-// setBackend records which execution backend is running the job.
-func (j *job) setBackend(name string) {
+// setBackend records which worker class ("local" or "fleet") is running
+// the job, and reports whether this is the job's first fallback
+// dispatch.
+func (j *job) setBackend(name string, fallback bool) (firstFallback bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.info.Backend = name
+	firstFallback = fallback && !j.fellBack
+	j.fellBack = j.fellBack || fallback
+	return firstFallback
 }
 
 // Info returns a snapshot of the client-visible state.
@@ -245,9 +253,12 @@ func (j *job) note(event string, fields map[string]string) {
 	switch event {
 	case "dispatched":
 		// A dispatch closes an open migration span (re-dispatch after a
-		// worker died) and is a point event otherwise.
+		// worker died) and is a point event otherwise. A plain in-process
+		// one is no event: the job's backend says it.
 		j.trace.End("migrate", fields)
-		j.trace.Instant("dispatched", fields)
+		if fields["backend"] == "fleet" || fields["fallback"] != "" {
+			j.trace.Instant("dispatched", fields)
+		}
 	case "requeued":
 		j.trace.Begin("migrate", fields)
 	default:

@@ -60,7 +60,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 	reg.CounterFunc("hornet_jobs_expired_total", "Finished job records removed by the retention TTL.", s.jobsExpired.Load)
 	reg.CounterFunc("hornet_jobs_coalesced_total", "Submissions served by attaching to an identical in-flight job.", s.sched.coalesced.Load)
 	reg.CounterFunc("hornet_jobs_remote_total", "Jobs completed on the worker fleet.", s.sched.remoteJobs.Load)
-	reg.CounterFunc("hornet_jobs_fallback_total", "Fleet jobs handed back and run locally.", s.sched.fallbackJobs.Load)
+	reg.CounterFunc("hornet_jobs_fallback_total", "Jobs the in-process worker took over when the last remote worker left.", s.sched.fallbackJobs.Load)
 
 	// Warmup-snapshot cache.
 	reg.CounterFunc("hornet_warmup_cache_hits_total", "Warmups restored from a snapshot.", s.env.warm.Hits)

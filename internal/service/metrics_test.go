@@ -22,7 +22,7 @@ func TestEngineSnapshotFold(t *testing.T) {
 	defer srv.Close()
 	sc := &scenario{surface: KindConfig, name: "fold", hash: "00112233aabbccdd", seed: 1}
 	j := newJob(srv.jobs.nextID(), SubmitRequest{}, sc, context.Background(), time.Now())
-	sink := jobSink{j: j, m: srv.metrics}
+	sink := jobSink{j: j, sched: srv.sched}
 	check := func(when string, total float64, shown uint64) {
 		t.Helper()
 		var buf bytes.Buffer

@@ -266,15 +266,14 @@ func (s *Server) restoreJob(id string, rj *replayJob) {
 	}
 
 	// In-flight (or done-with-lost-result): re-enqueue, seeded with the
-	// newest persisted checkpoints, and let the scheduler's restored-job
-	// grace give the pre-crash fleet its rejoin window.
+	// newest persisted checkpoints. Only a remote worker's task waits for
+	// its re-claim (Fleet.Execute): in-process runs are never journaled.
 	weight := rj.slots
 	if weight < 1 {
 		weight = req.Workers
 	}
 	j.restore = &restoreState{
 		taskID:      rj.taskID,
-		slots:       rj.slots,
 		checkpoints: s.restoreBlobs(sc, rj),
 	}
 	s.jobs.add(j)

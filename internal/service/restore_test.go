@@ -36,9 +36,9 @@ func submitDurable(t *testing.T, srv *Server, req SubmitRequest) *job {
 	return j
 }
 
-// durableOpts is the shared daemon shape: tiny worker TTL so the
-// restored-job fleet-rejoin grace (2x TTL with no fleet to wait for)
-// stays in the milliseconds.
+// durableOpts is the shared daemon shape. It keeps the default worker
+// TTL: a daemon without workers runs a restored job on its in-process
+// worker at once, so no test needs a short lease to hide a wait.
 func durableOpts(journalDir, ckptDir, cacheDir string) Options {
 	return Options{
 		MaxJobs:         1,
@@ -47,7 +47,6 @@ func durableOpts(journalDir, ckptDir, cacheDir string) Options {
 		CheckpointDir:   ckptDir,
 		CacheDir:        cacheDir,
 		CheckpointEvery: 1_000,
-		WorkerTTL:       150 * time.Millisecond,
 	}
 }
 
@@ -128,6 +127,58 @@ func TestJournalRestartResumesInFlightJob(t *testing.T) {
 	// replayed jobs.
 	if next := srvB.jobs.nextID(); next <= id {
 		t.Errorf("post-replay ID %s does not follow replayed %s", next, id)
+	}
+}
+
+// TestJournalRestartWithoutWorkersRunsAtOnce: a durable daemon with no
+// workers, at the default worker TTL, runs a restored in-flight job at
+// once on its in-process worker. Nothing may wait for a fleet that does
+// not exist: a two-TTL rejoin grace once held every such job for 30 s.
+func TestJournalRestartWithoutWorkersRunsAtOnce(t *testing.T) {
+	jdir, ckptDir := t.TempDir(), t.TempDir()
+	req := SubmitRequest{Name: "durable-prompt", Config: resumeConfig(20_000), Seed: 19}
+	opts := durableOpts(jdir, ckptDir, "")
+	if opts.WorkerTTL != 0 {
+		t.Fatalf("WorkerTTL = %v; this test needs the default", opts.WorkerTTL)
+	}
+
+	srvA, err := NewDurable(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jA := submitDurable(t, srvA, req)
+	id := jA.Info().ID
+	for deadline := time.Now().Add(60 * time.Second); jA.Info().Checkpoints < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) || jA.Info().Terminal() {
+			t.Fatalf("no checkpoint observed before the job ended; job %+v", jA.Info())
+		}
+	}
+	srvA.Close()
+
+	start := time.Now()
+	srvB, err := NewDurable(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+	jB, ok := srvB.jobs.get(id)
+	if !ok {
+		t.Fatalf("restarted daemon has no job %s", id)
+	}
+	info := waitDone(t, jB, 60*time.Second)
+	elapsed := time.Since(start)
+	if info.State != StateDone {
+		t.Fatalf("restored job state = %s (%s)", info.State, info.Error)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("restart to done took %v, want < 10s: the restored job waited for a fleet", elapsed)
+	}
+	if info.Backend != "local" || info.ResumedRuns < 1 {
+		t.Errorf("restored job ran on %q with %d resumed runs; want local, resumed", info.Backend, info.ResumedRuns)
+	}
+	if st := srvB.Stats(); st.FallbackJobs != 0 || st.Fleet.TasksDispatched != 0 {
+		t.Errorf("stats: fallback_jobs %d, fleet %+v; the in-process worker is no fleet and no fallback",
+			st.FallbackJobs, st.Fleet)
 	}
 }
 

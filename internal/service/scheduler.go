@@ -15,8 +15,8 @@ import (
 	"hornet/internal/sweep"
 )
 
-// scheduler executes jobs on a fixed pool of job workers. Concurrency is
-// bounded twice, on purpose:
+// scheduler executes jobs on a fixed pool of job workers, each handing
+// its job to the fleet. Concurrency is bounded twice, on purpose:
 //
 //   - maxJobs job workers limit how many jobs are *in flight* (so a burst
 //     of submissions queues instead of thrashing), and
@@ -31,9 +31,8 @@ type scheduler struct {
 	queue   chan *job
 	wg      sync.WaitGroup
 
-	// fleet is the remote backend, consulted first for fleet-eligible
-	// jobs whenever live workers are registered; everything else runs in
-	// this process (executeLocal).
+	// fleet runs every job: on a remote worker, or on the in-process
+	// worker the scheduler registers with it (runLocal).
 	fleet *backend.Fleet
 
 	remoteJobs   atomic.Uint64
@@ -89,6 +88,7 @@ func newScheduler(maxJobs, budget, depth int, results *resultStore, env *execEnv
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
+	fleet.RegisterLocal(s.runLocal)
 	for i := 0; i < maxJobs; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -116,15 +116,6 @@ func (s *scheduler) submit(j *job) *APIError {
 		return &APIError{Code: CodeQueueFull,
 			Message: fmt.Sprintf("job queue is full (%d pending)", cap(s.queue))}
 	}
-}
-
-// cancelJobs cancels the base context every job derives from without
-// draining the workers. Shutdown calls it before closing the fleet, so
-// remote tasks the fleet hands back with ErrNoWorkers find their job
-// already cancelled instead of failing over into a doomed local
-// re-execution.
-func (s *scheduler) cancelJobs() {
-	s.baseCancel()
 }
 
 // stop cancels every in-flight job and waits for the workers to drain.
@@ -236,66 +227,22 @@ func (s *scheduler) runJob(j *job) {
 	}
 }
 
-// run executes one job through an execution backend. Fleet-eligible
-// jobs (config/batch/mips — the kinds whose requests serialize into a
-// self-contained task) go to the remote backend whenever live workers
-// are registered; everything else, and any task the fleet hands back
-// with ErrNoWorkers (the fleet emptied while the task waited), runs on
-// the in-process backend. The fallback resumes from whatever
-// checkpoint blobs dead workers uploaded before the fleet died.
+// run executes one job on the fleet, which places it on a remote worker
+// or on the in-process worker (runLocal).
 func (s *scheduler) run(j *job) ([]byte, int, error) {
-	t := j.task()
-	sink := jobSink{j: j, m: s.metrics}
-	if s.fleet != nil && fleetEligible(j.sc) && j.restore != nil {
-		// A journal-restored job's pre-crash fleet needs a rejoin window:
-		// the restarted coordinator's registry is empty until the workers'
-		// next heartbeat gets worker_unknown and they re-register. Without
-		// this grace the job would instantly fall back to local execution
-		// and the still-running remote work would be cancelled as
-		// unadopted. Sharded jobs need the whole group co-schedulable.
-		min := 1
-		if j.sc.shards >= 2 {
-			min = j.sc.shards
-		}
-		if s.fleet.AwaitCapacity(j.ctx, min) {
-			s.logger().Info("fleet rejoined for restored job", obs.Job(j.Info().ID))
-		}
+	b, runErrs, err := s.fleet.Execute(j.ctx, j.task(), jobSink{j: j, sched: s})
+	if err == nil && j.Info().Backend == "fleet" {
+		s.remoteJobs.Add(1)
 	}
-	if s.fleet != nil && fleetEligible(j.sc) && s.fleet.Live() > 0 {
-		j.setBackend("fleet")
-		b, runErrs, err := s.fleet.Execute(j.ctx, t, sink)
-		if !errors.Is(err, backend.ErrNoWorkers) {
-			if err == nil {
-				s.remoteJobs.Add(1)
-			}
-			return b, runErrs, err
-		}
-		// A cancelled job gains nothing from a local fallback; this is
-		// also the shutdown path (Close cancels jobs, then closes the
-		// fleet, which fails in-flight tasks with ErrNoWorkers).
-		if err := j.ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		s.fallbackJobs.Add(1)
-		s.logger().Info("fleet emptied mid-job; falling back to local execution", obs.Job(j.Info().ID))
-	}
-	j.setBackend("local")
-	return s.executeLocal(j.ctx, t, sink)
+	return b, runErrs, err
 }
 
-// fleetEligible reports whether a scenario can execute on a remote
-// worker. Figure scenarios stay local: serial (wall-clock) figures are
-// timing experiments of *this* host, and figure documents draw on the
-// registry identity rather than a serializable request.
-func fleetEligible(sc *scenario) bool { return sc.fig == nil }
-
-// jobSink adapts a job to the backend.Sink the execution backends
-// drive: engine snapshots fold into the job (and into the server's engine
-// series when metrics are wired), lifecycle notes land on the job's trace
-// timeline.
+// jobSink adapts a job to the backend.Sink its executors drive: engine
+// snapshots fold into the job (and into the server's engine series when
+// metrics are wired), lifecycle notes land on the job's trace timeline.
 type jobSink struct {
-	j *job
-	m *serveMetrics
+	j     *job
+	sched *scheduler
 }
 
 func (s jobSink) Progress(done, total int, key string) { s.j.progress(done, total, key) }
@@ -303,8 +250,8 @@ func (s jobSink) Resumed(key string, cycle uint64)     { s.j.noteResumed(key, cy
 func (s jobSink) Checkpoint(key string, cycle uint64)  { s.j.noteCheckpoint(key, cycle) }
 
 func (s jobSink) Engine(snap obs.ProbeSnapshot) {
-	if d, ok := s.j.setEngine(snap); ok && s.m != nil {
-		s.m.engine.Observe(d)
+	if d, ok := s.j.setEngine(snap); ok && s.sched.metrics != nil {
+		s.sched.metrics.engine.Observe(d)
 	}
 }
 
@@ -313,103 +260,74 @@ func (s jobSink) Engine(snap obs.ProbeSnapshot) {
 // span per member).
 func (s jobSink) Telemetry(snap obs.TelemetrySnapshot) { s.j.setTelemetry(snap) }
 
-func (s jobSink) Note(event string, fields map[string]string) { s.j.note(event, fields) }
-
-// executeLocal runs a task in this process, on the scheduler's shared
-// execution environment (warmup cache, checkpoint store, CPU pool).
-func (s *scheduler) executeLocal(ctx context.Context, t *backend.Task, sink backend.Sink) ([]byte, int, error) {
-	sc := t.Compiled.(*scenario)
-	env := s.env
-	if len(t.Checkpoints) > 0 {
-		// A migrated task: seed the uploaded blobs into a checkpoint
-		// store so the runs resume instead of restarting. Without a
-		// daemon checkpoint directory the blobs live in a job-scoped
-		// memory store.
-		store := env.store
-		if store == nil {
-			store = NewMemCheckpointStore()
-			env = env.withStore(store)
-		}
-		for key, blob := range t.Checkpoints {
-			_ = store.Save(key, blob.Data, blob.Cycle)
-		}
+// Note puts a lifecycle note on the job's trace timeline; a dispatch or
+// a reattach also names the worker class now running the job, and the
+// first dispatch that hands the job to the in-process worker after the
+// last remote worker left counts it as a fallback job.
+func (s jobSink) Note(event string, fields map[string]string) {
+	if b := fields["backend"]; b != "" && s.j.setBackend(b, fields["fallback"] != "") {
+		s.sched.fallbackJobs.Add(1)
+		s.sched.logger().Info("no remote worker left; running in-process", obs.Job(s.j.info.ID))
 	}
-	if sc.shards >= 2 {
-		return s.executeShardedLocal(ctx, sc, env, sink)
-	}
-	// Every locally executed job gets a fresh engine probe so the daemon
-	// can report cycles/sec and barrier-vs-compute time per running job.
-	return executeScenario(ctx, sc, env, s.pool, sink, obs.NewSimProbe(), nil)
+	s.j.note(event, fields)
 }
 
-// executeShardedLocal runs every member of a space-parallel task inside
-// the daemon process — the fallback when no fleet worker can take the
-// job (and the reference path proving sharding changes no result
-// bytes). Members are ordinary executions of the compiled scenario on
-// the daemon's own environment (its checkpoint store, counters and
-// logger), coordinating through an in-process ShardGroup; the CPU slots
-// for the whole group are acquired from the shared pool up front,
-// because members rendezvous every cycle and therefore must all run
-// concurrently — leasing them one by one could deadlock against another
-// job.
-func (s *scheduler) executeShardedLocal(ctx context.Context, sc *scenario, env *execEnv, sink backend.Sink) ([]byte, int, error) {
-	n := sc.shards
-	group := backend.NewShardGroup(n)
-	// Release barrier waiters if the job dies: no member may park forever
-	// in a rendezvous its cancelled siblings will never reach.
-	stopWatch := context.AfterFunc(ctx, func() { group.Cancel(ctx.Err()) })
-	defer stopWatch()
-	per := s.pool.Cap() / n
-	if per < 1 {
-		per = 1
+// runLocal is the fleet's in-process worker: it runs one task, or the
+// members of one sharded task, on the daemon's shared CPU pool and
+// execution environment (warmup cache, checkpoint store), reporting
+// straight into the job's sink.
+func (s *scheduler) runLocal(runs []backend.LocalRun) {
+	sc := runs[0].Task.Compiled.(*scenario)
+	env := s.env
+	for _, r := range runs {
+		// A migrated task resumes from the blobs its remote executors
+		// uploaded. Without a daemon checkpoint directory they live in a
+		// memory store of the batch's own.
+		for key, blob := range r.Task.Checkpoints {
+			if env.store == nil {
+				env = env.withStore(NewMemCheckpointStore())
+			}
+			_ = env.store.Save(key, blob.Data, blob.Cycle)
+		}
 	}
-	granted, err := s.pool.AcquireCtx(ctx, per*n)
+	if r := runs[0]; r.Peer == nil {
+		// Every in-process job gets a fresh engine probe so the daemon can
+		// report cycles/sec and barrier-vs-compute time per running job.
+		r.Done(executeScenario(r.Ctx, sc, env, s.pool, r.Sink, obs.NewSimProbe(), nil))
+		return
+	}
+	// The members of a sharded task meet every cycle, so they must all run
+	// at once: their CPU slots come from the shared pool up front, since
+	// leasing them one by one could deadlock against another job. A pool
+	// narrower than the members still runs them all, one engine thread
+	// each.
+	per := max(s.pool.Cap()/sc.shards, 1)
+	granted, err := s.pool.AcquireCtx(runs[0].Ctx, per*len(runs))
 	if err != nil {
-		return nil, 0, err
+		for _, r := range runs {
+			r.Done(nil, 0, err)
+		}
+		return
 	}
 	defer s.pool.Release(granted)
-	if per = granted / n; per < 1 {
-		// A pool narrower than the member count still runs all members
-		// concurrently (the lockstep demands it); the engines just drop to
-		// one worker thread each.
-		per = 1
-	}
-
-	docs := make([][]byte, n)
-	errs := make([]error, n)
+	per = max(granted/len(runs), 1)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for _, r := range runs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			// Member 0 speaks for the group: it carries the engine probe
 			// and reports the run-level events, which its siblings' member
-			// sinks drop. Telemetry is per tile span, so EVERY member
-			// reports it, and the job merges the spans into one
-			// full-machine view.
-			var msink backend.Sink = backend.MemberSink{Root: sink}
+			// sinks drop.
 			var probe *obs.SimProbe
-			if i == 0 {
-				msink, probe = sink, obs.NewSimProbe()
+			if r.Shard == 0 {
+				probe = obs.NewSimProbe()
 			}
-			member := &ShardMember{Index: i, Count: n, Transport: group.Peer(ctx, i)}
-			docs[i], _, errs[i] = executeScenario(ctx, sc, env, sweep.NewBudget(per), msink, probe, member)
-			if errs[i] != nil {
-				// Doom the group so siblings fail out of their barriers
-				// instead of waiting for a member that already gave up.
-				group.Cancel(errs[i])
-			}
-		}(i)
+			member := &ShardMember{Index: r.Shard, Count: sc.shards, Transport: r.Peer}
+			r.Done(executeScenario(r.Ctx, sc, env, sweep.NewBudget(per), r.Sink, probe, member))
+		}()
 	}
 	wg.Wait()
-	// A failing member cancels the group with its error, so every member
-	// typically reports the same failure; any non-nil error fails the job.
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return docs[0], 0, nil
 }
 
 // firstRunError digs the run error out of an encoded single-run document

@@ -172,8 +172,8 @@ func build(opts Options) (*Server, error) {
 		LeaseTTL:        opts.WorkerTTL,
 		CheckpointEvery: every,
 		// With a checkpoint directory, migration blobs also persist on
-		// disk under the same content address the local backend reads,
-		// so jobs survive a worker death plus a coordinator restart.
+		// disk under the same content address the in-process worker
+		// reads, so jobs survive a worker death plus a coordinator restart.
 		Persist: env.store,
 		Logger:  obs.Component(log, "fleet"),
 	})
@@ -272,12 +272,11 @@ func (s *Server) Close() {
 	if s.jrnl != nil {
 		s.jrnl.Close()
 	}
-	// Cancel jobs before closing the fleet: remote tasks the closing
-	// fleet hands back then see their cancelled context and terminate,
-	// instead of failing over into a doomed local re-execution. The
-	// fleet closes before the scheduler drains so no drain waits on a
-	// dead worker.
-	s.sched.cancelJobs()
+	// Cancel jobs before closing the fleet: Close waits for the
+	// in-process runs (and their final autosaves), which then are already
+	// stopping. The fleet closes before the scheduler drains so no drain
+	// waits on a dead worker.
+	s.sched.baseCancel()
 	s.fleet.Close()
 	s.sched.stop()
 	now := time.Now()

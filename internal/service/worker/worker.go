@@ -93,7 +93,7 @@ type Worker struct {
 
 	// warm is the process-wide warmup snapshot cache: tasks sharing a
 	// warmup prefix fork from one snapshot instead of each
-	// re-simulating it, matching the coordinator's local backend.
+	// re-simulating it, matching the coordinator's in-process worker.
 	warm *sweep.SnapshotCache
 }
 

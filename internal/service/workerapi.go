@@ -37,7 +37,7 @@ func (s *Server) writeFleetError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeWorkerUnknown, Message: err.Error()})
 	case errors.Is(err, backend.ErrGone):
 		writeError(w, http.StatusGone, &APIError{Code: CodeTaskGone, Message: err.Error()})
-	case errors.Is(err, backend.ErrNoWorkers):
+	case errors.Is(err, backend.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, &APIError{Code: CodeShuttingDown, Message: err.Error()})
 	default:
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest, Message: err.Error()})
