@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation (one bench per experiment; README.md, "Regenerating the
-// paper's figures", names them), plus engine micro-benchmarks. Run a
-// single figure with e.g.
+// evaluation through the experiment registry hornet-exp runs (one
+// sub-benchmark of BenchmarkFigures per figure name; README.md,
+// "Regenerating the paper's figures", lists them), plus engine
+// micro-benchmarks. Run a single figure with e.g.
 //
-//	go test -bench=BenchFig8 -benchtime=1x
+//	go test -bench='BenchmarkFigures/^8$' -benchtime=1x
 //
 // The figure benches default to CI-scale workloads; set HORNET_FULL=1 for
 // paper-scale parameters.
@@ -25,49 +26,18 @@ func opts() experiments.Options {
 	return experiments.Options{Full: experiments.FullFromEnv()}
 }
 
-func BenchmarkTableI(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.TableI(opts())) })
-}
-func BenchmarkSec4aScaling(b *testing.B) {
-	benchRows(b, func() int { return experiments.Sec4a(opts()).TotalFlows })
-}
-func BenchmarkFig6aSpeedup(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig6a(opts())) })
-}
-func BenchmarkFig6bSyncPeriod(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig6b(opts())) })
-}
-func BenchmarkFig7FastForward(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig7(opts())) })
-}
-func BenchmarkFig8Congestion(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig8(opts())) })
-}
-func BenchmarkFig9VCConfig(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig9(opts())) })
-}
-func BenchmarkFig10RoutingVCA(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig10(opts())) })
-}
-func BenchmarkFig11MemCtrl(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig11(opts())) })
-}
-func BenchmarkFig12TraceVsIntegrated(b *testing.B) {
-	benchRows(b, func() int { return int(experiments.Fig12(opts()).PacketsSent) })
-}
-func BenchmarkFig13ThermalTransient(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig13(opts())) })
-}
-func BenchmarkFig14ThermalMap(b *testing.B) {
-	benchRows(b, func() int { return len(experiments.Fig14(opts())) })
-}
-
-func benchRows(b *testing.B, run func() int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if run() == 0 {
-			b.Fatal("experiment produced no rows")
-		}
+// BenchmarkFigures times every registered experiment the way hornet-exp
+// runs it, one sub-benchmark per figure name (experiments.Figures()).
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range experiments.Figures() {
+		b.Run(f.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, results := f.Run(opts()); len(results) == 0 {
+					b.Fatalf("figure %s produced no sweep results", f.Name)
+				}
+			}
+		})
 	}
 }
 
@@ -76,14 +46,18 @@ func benchRows(b *testing.B, run func() int) {
 // replays at Tiny scale): the headline number behind `hornet-exp
 // -parallel N`. On a single-core host the two sub-benchmarks should tie.
 func BenchmarkSweepParallelism(b *testing.B) {
+	fig9, ok := experiments.FigureByName("9")
+	if !ok {
+		b.Fatal("figure 9 is not registered")
+	}
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("parallel-%d", par), func(b *testing.B) {
 			o := opts()
 			o.Tiny = !o.Full
 			o.Parallel = par
 			for i := 0; i < b.N; i++ {
-				if len(experiments.Fig9(o)) == 0 {
-					b.Fatal("no rows")
+				if _, results := fig9.Run(o); len(results) == 0 {
+					b.Fatal("no sweep results")
 				}
 			}
 		})

@@ -20,10 +20,11 @@
 //
 // Frontends beyond synthetic traffic: trace replay (AttachTrace), the
 // built-in MIPS core with MPI-style network syscalls (AttachMIPS, see the
-// mips assembler via AssembleMIPS), shared memory with MSI or NUCA
-// (AttachMemory + AttachMIPSShared), and the Pin-style native frontend
-// (AttachPinApp). Power and thermal models are always on: sys.Power holds
-// per-tile per-epoch samples and NewThermalGrid consumes them.
+// mips assembler via AssembleMIPS), and shared memory with MSI or NUCA
+// (AttachMemory + AttachMIPSShared). The paper's Pin frontend (native x86
+// binaries) is not reproduced. Power and thermal models are always on:
+// sys.Power holds per-tile per-epoch samples and NewThermalGrid consumes
+// them.
 package hornet
 
 import (

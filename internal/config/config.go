@@ -122,7 +122,7 @@ type TrafficConfig struct {
 }
 
 // MemoryConfig describes the cache hierarchy and memory controllers used by
-// the MIPS and pinsim frontends (and by MC-directed network-only traffic).
+// the MIPS frontend (and by MC-directed network-only traffic).
 type MemoryConfig struct {
 	LineBytes    int    `json:"line_bytes"`
 	L1Sets       int    `json:"l1_sets"`

@@ -7,7 +7,6 @@ import (
 	"hornet/internal/mem"
 	"hornet/internal/mips"
 	"hornet/internal/noc"
-	"hornet/internal/pinsim"
 	"hornet/internal/trace"
 	"hornet/internal/traffic"
 )
@@ -142,9 +141,6 @@ func (s *System) AttachMemory(mc config.MemoryConfig) (*memoryFabric, error) {
 	return f, nil
 }
 
-// Fabric accessors used by tests and experiment harnesses.
-func (f *memoryFabric) AddressMap() *mem.AddressMap { return f.am }
-
 // Preload writes bytes into the authoritative home slices (program and
 // data images before the run starts). It goes through Store.Preload so
 // the content enters each store's checkpoint baseline: snapshots encode
@@ -183,7 +179,7 @@ func (f *memoryFabric) ReadBack(addr uint32, n int) []byte {
 
 // PortFor creates a processor-side memory port on a tile: an MSI L1 or a
 // NUCA remote-access port, per the config protocol.
-func (s *System) PortFor(f *memoryFabric, n noc.NodeID, mc config.MemoryConfig) pinsim.Port {
+func (s *System) PortFor(f *memoryFabric, n noc.NodeID, mc config.MemoryConfig) mips.DataMem {
 	t := s.tiles[n]
 	if mc.Protocol == "nuca" {
 		p := mem.NewNucaPort(n, f.am, t.bridge)
@@ -238,23 +234,6 @@ func (s *System) AttachMIPSShared(nodes []noc.NodeID, img *mips.Image, f *memory
 	return cores
 }
 
-// AttachPinApp launches app threads 1:1 on the first `threads` tiles,
-// instrumenting their memory accesses through the shared-memory fabric
-// (the Pin frontend substitute). Returns the per-tile frontends.
-func (s *System) AttachPinApp(threads int, f *memoryFabric, mc config.MemoryConfig, app func(t *pinsim.Thread)) []*pinsim.Frontend {
-	s.markUnsnapshottable("pinsim frontends (live application goroutines)")
-	fes := make([]*pinsim.Frontend, 0, threads)
-	for i := 0; i < threads; i++ {
-		n := noc.NodeID(i)
-		port := s.PortFor(f, n, mc)
-		th := pinsim.Launch(i, app)
-		fe := pinsim.NewFrontend(th, port)
-		s.tiles[n].AddComponent(componentFunc{tick: fe.Tick, next: fe.NextEvent})
-		fes = append(fes, fe)
-	}
-	return fes
-}
-
 // CoresHalted reports whether every given core has exited and its DMA
 // drained, and the network is empty — the application-run stop condition.
 func (s *System) CoresHalted(cores []*mips.Core) func(cycle uint64) bool {
@@ -265,17 +244,5 @@ func (s *System) CoresHalted(cores []*mips.Core) func(cycle uint64) bool {
 			}
 		}
 		return s.drained()
-	}
-}
-
-// FrontendsHalted is the pinsim analogue of CoresHalted.
-func (s *System) FrontendsHalted(fes []*pinsim.Frontend) func(cycle uint64) bool {
-	return func(cycle uint64) bool {
-		for _, fe := range fes {
-			if !fe.Halted() {
-				return false
-			}
-		}
-		return s.InFlight() == 0
 	}
 }

@@ -162,7 +162,7 @@ func TestWideRouterMatchesAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingress := 0
-	for _, p := range sys.Router(5).Ports() {
+	for _, p := range sys.Tiles()[5].Router.Ports() {
 		ingress += len(p.In)
 	}
 	if ingress <= 64 {

@@ -177,9 +177,8 @@ func TestBlackScholesGather(t *testing.T) {
 }
 
 func TestSharedMemoryMSI(t *testing.T) {
-	// Two pinsim-style checks are elsewhere; here MIPS cores share memory
-	// through MSI: core 0 writes a flag+value, core 1 spins on the flag
-	// then reads the value.
+	// MIPS cores share memory through MSI: core 0 writes a flag+value,
+	// core 1 spins on the flag then reads the value.
 	src := `
 main:
 	li   $v0, 64

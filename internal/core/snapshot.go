@@ -23,12 +23,7 @@ import (
 // inverse; the contract (enforced by internal/core's golden round-trip
 // harness) is that run → Snapshot → Restore → run produces
 // byte-identical results to an uninterrupted run, at any engine worker
-// count.
-//
-// The one frontend that cannot be serialized is pinsim: its application
-// threads are live goroutines parked mid-call, state no byte encoding
-// can capture. Attaching it marks the system unsnapshottable and
-// Snapshot returns a *snapshot.UnsupportedError naming the component.
+// count. Every frontend a system can attach is serializable.
 
 // Section names used by the system snapshot layout. Frontend sections
 // (mem, mips, tracemc) are present exactly when the frontend is
@@ -54,9 +49,6 @@ const (
 // Snapshot serializes the complete simulator state at the current
 // clock. The system must be quiescent (between Run calls).
 func (s *System) Snapshot() (*snapshot.Snapshot, error) {
-	if s.unsnapshottable != "" {
-		return nil, &snapshot.UnsupportedError{Component: s.unsnapshottable}
-	}
 	snap := snapshot.New(s.ConfigHash(), s.clock)
 
 	w := snap.Section(secEngine)
@@ -242,24 +234,12 @@ func (s *System) SnapshotBytes() ([]byte, error) {
 	return snap.Bytes()
 }
 
-// WriteSnapshot persists the system state to a file (atomically).
-func (s *System) WriteSnapshot(path string) error {
-	snap, err := s.Snapshot()
-	if err != nil {
-		return err
-	}
-	return snap.WriteFile(path)
-}
-
 // Restore loads a snapshot into this system, which must be freshly
 // built (New plus the same Attach calls as the system that produced the
 // snapshot, not yet run). The config-hash guard rejects snapshots from
 // structurally different configurations with a *snapshot.MismatchError;
 // inconsistent section contents yield *snapshot.CorruptError.
 func (s *System) Restore(snap *snapshot.Snapshot) error {
-	if s.unsnapshottable != "" {
-		return &snapshot.UnsupportedError{Component: s.unsnapshottable}
-	}
 	if s.clock != 0 {
 		return fmt.Errorf("core: restore requires a freshly built system (clock is %d)", s.clock)
 	}

@@ -11,7 +11,6 @@ import (
 	"hornet/internal/config"
 	"hornet/internal/mips"
 	"hornet/internal/noc"
-	"hornet/internal/pinsim"
 	"hornet/internal/snapshot"
 	"hornet/internal/sweep"
 	"hornet/internal/trace"
@@ -883,37 +882,6 @@ func TestSnapshotSectionCorruption(t *testing.T) {
 			t.Fatalf("truncated mem section: got %v, want structured snapshot error", err)
 		}
 	})
-}
-
-// TestSnapshotUnsupportedFrontends: pinsim is the one frontend that can
-// never snapshot — its application threads are live goroutines — and the
-// error must name it.
-func TestSnapshotUnsupportedFrontends(t *testing.T) {
-	cfg := snapCfg(1)
-	cfg.Traffic = nil
-	cfg.Topology.Width, cfg.Topology.Height = 2, 2
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	mc := *config.DefaultMemory()
-	fab, err := sys.AttachMemory(mc)
-	if err != nil {
-		t.Fatalf("AttachMemory: %v", err)
-	}
-	fes := sys.AttachPinApp(1, fab, mc, func(th *pinsim.Thread) {
-		th.Store32(0x1000, 7)
-	})
-	_, err = sys.Snapshot()
-	var ue *snapshot.UnsupportedError
-	if !errors.As(err, &ue) {
-		t.Fatalf("snapshot with pinsim frontend: got %v, want *snapshot.UnsupportedError", err)
-	}
-	if ue.Component == "" {
-		t.Error("unsupported error does not name the component")
-	}
-	// Drain the app threads so the test leaves no goroutines behind.
-	sys.RunUntil(1_000_000, sys.FrontendsHalted(fes))
 }
 
 // TestRestoreRequiresFreshSystem: restoring over a system that already

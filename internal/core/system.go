@@ -50,19 +50,6 @@ type System struct {
 	// restoredShard records the shard identity a restored snapshot was
 	// taken under, for EnableSharding to cross-check.
 	restoredShard *shardState
-
-	// unsnapshottable names the first attached component whose state
-	// cannot be serialized (live goroutines); empty means
-	// Snapshot/Restore are available.
-	unsnapshottable string
-}
-
-// markUnsnapshottable records that an attached frontend rules out
-// checkpointing; the first component wins (it is the one reported).
-func (s *System) markUnsnapshottable(component string) {
-	if s.unsnapshottable == "" {
-		s.unsnapshottable = component
-	}
 }
 
 // New builds a system from a validated configuration: topology, routing
@@ -251,12 +238,6 @@ func buildAlgorithm(cfg config.Config, topo *topology.Topology) (routing.Algorit
 
 // Tiles returns the system's tiles.
 func (s *System) Tiles() []*Tile { return s.tiles }
-
-// Tile returns one tile.
-func (s *System) Tile(n noc.NodeID) *Tile { return s.tiles[n] }
-
-// Router returns one node's router.
-func (s *System) Router(n noc.NodeID) *noc.Router { return s.tiles[n].Router }
 
 // Algorithm returns the routing algorithm in use.
 func (s *System) Algorithm() routing.Algorithm { return s.alg }

@@ -28,12 +28,6 @@ type ConvRow struct {
 	DeltaPct         float64 // |lat - lat_longest| / lat_longest * 100
 }
 
-// Convergence runs the measurement-window convergence sweep.
-func Convergence(o Options) []ConvRow {
-	rows, _ := convergence(o)
-	return rows
-}
-
 // convConfig is the shared simulation configuration: one network, one
 // seed, warmed once. AnalyzedCycles is zeroed because the windows are
 // driven explicitly — every fork must build a system with the identical
@@ -64,6 +58,7 @@ func convWindows(o Options) []uint64 {
 	return out
 }
 
+// convergence runs the measurement-window convergence sweep.
 func convergence(o Options) ([]ConvRow, []sweep.Result) {
 	o.fill()
 	if o.Warmups == nil && !o.NoWarmupReuse {

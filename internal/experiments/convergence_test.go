@@ -30,7 +30,7 @@ func convDocBytes(t *testing.T, o Options) []byte {
 func TestConvergenceWarmupOnce(t *testing.T) {
 	warm := sweep.NewSnapshotCache("")
 	o := Options{Tiny: true, Seed: 7, Warmups: warm}
-	rows := Convergence(o)
+	rows, _ := convergence(o)
 	if len(rows) < 3 {
 		t.Fatalf("conv returned %d rows", len(rows))
 	}

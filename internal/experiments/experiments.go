@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure in the paper's
-// evaluation (§IV): each FigNN function runs the workloads with the
-// paper's parameters (scaled to tractable sizes by default, full scale on
-// request) and returns the same series the paper plots. cmd/hornet-exp
-// prints them, bench_test.go times them, and the package's tests assert
+// evaluation (§IV): each entry of the registry (Figures) runs the
+// workloads with the paper's parameters (scaled to tractable sizes by
+// default, full scale on request) and returns the same series the paper
+// plots. cmd/hornet-exp and the job daemon run them through the registry,
+// bench_test.go times them the same way, and the package's tests assert
 // the qualitative shapes the paper reports.
 //
 // Every figure expresses its runs as sweep items (internal/sweep) keyed
@@ -237,15 +238,10 @@ type Fig6aRow struct {
 	Speedup  float64 // vs the same workload/mode at 1 worker
 }
 
-// Fig6a runs the speedup sweep. On hosts with few cores the wall-clock
+// fig6a runs the speedup sweep. On hosts with few cores the wall-clock
 // speedup saturates at the host parallelism — the paper's own point about
 // die crossings applies at a smaller scale. The items execute serially
 // (wall-clock is the measurement), one full workload/mode group at a time.
-func Fig6a(o Options) []Fig6aRow {
-	rows, _ := fig6a(o)
-	return rows
-}
-
 func fig6a(o Options) ([]Fig6aRow, []sweep.Result) {
 	o.fill()
 	modes := []struct {
@@ -336,14 +332,9 @@ type Fig6bRow struct {
 	AccuracyPct float64 // 100 - |lat - lat_ca| / lat_ca * 100
 }
 
-// Fig6b sweeps the synchronization period on transpose traffic with four
+// fig6b sweeps the synchronization period on transpose traffic with four
 // workers (the paper's "Transpose on 4 HT cores"). Items run serially:
 // speedup is a wall-clock measurement.
-func Fig6b(o Options) []Fig6bRow {
-	rows, _ := fig6b(o)
-	return rows
-}
-
 func fig6b(o Options) ([]Fig6bRow, []sweep.Result) {
 	o.fill()
 	periods := []int{1, 5, 10, 50, 100, 500, 1000}
@@ -398,15 +389,10 @@ type Fig7Row struct {
 	Speedup  float64 // vs no-FF at the same worker count
 }
 
-// Fig7 compares fast-forward on/off for bursty low-rate bit-complement
+// fig7 compares fast-forward on/off for bursty low-rate bit-complement
 // (big wins: the network fully drains between coordinated bursts) and the
 // H.264-decoder profile (little win: evenly spread packets keep the
 // network from draining). Serial: the FF benefit is a wall-clock ratio.
-func Fig7(o Options) []Fig7Row {
-	rows, _ := fig7(o)
-	return rows
-}
-
 func fig7(o Options) ([]Fig7Row, []sweep.Result) {
 	o.fill()
 	tcs := []config.TrafficConfig{
@@ -470,18 +456,13 @@ type Fig12Result struct {
 	PacketsSent            uint64
 }
 
-// Fig12 runs Cannon's algorithm three ways: under an ideal single-cycle
+// fig12 runs Cannon's algorithm three ways: under an ideal single-cycle
 // network (logging a trace), replaying that trace through the cycle-level
 // network, and fully integrated (cores coupled to the network). The
 // trace-based methodology injects unrealistically fast and finishes far
 // too early because it lacks the core<->network feedback loop (§IV-D).
 // The ideal run executes first (the replay consumes its trace); the
 // replay and integrated runs then proceed as independent sweep items.
-func Fig12(o Options) Fig12Result {
-	r, _ := fig12(o)
-	return r
-}
-
 func fig12(o Options) (Fig12Result, []sweep.Result) {
 	o.fill()
 	q, b := 4, 4

@@ -23,14 +23,9 @@ type Fig8Row struct {
 	Ratio             float64
 }
 
-// Fig8 runs RADIX (high traffic) and SWAPTIONS (low traffic) traces on a
+// fig8 runs RADIX (high traffic) and SWAPTIONS (low traffic) traces on a
 // 64-core 8x8 mesh with 4 VCs and measures average flit latency under the
 // cycle-accurate model versus the congestion-oblivious hop-count model.
-func Fig8(o Options) []Fig8Row {
-	rows, _ := fig8(o)
-	return rows
-}
-
 func fig8(o Options) ([]Fig8Row, []sweep.Result) {
 	o.fill()
 	cycles := o.splashCycles()
@@ -70,16 +65,11 @@ type Fig9Row struct {
 	Latency   float64
 }
 
-// Fig9 reproduces the counterintuitive buffer-space result: with VC size
+// fig9 reproduces the counterintuitive buffer-space result: with VC size
 // held at 8 flits, going from 2 to 4 VCs *increases* in-network latency
 // under congestion (total buffering doubles and tail flits wait behind
 // more competitors); halving VC size to keep total buffer space constant
 // (4VCx4) beats 2VCx8.
-func Fig9(o Options) []Fig9Row {
-	rows, _ := fig9(o)
-	return rows
-}
-
 func fig9(o Options) ([]Fig9Row, []sweep.Result) {
 	o.fill()
 	cycles := o.splashCycles()
@@ -130,14 +120,9 @@ type Fig10Row struct {
 	Latency float64
 }
 
-// Fig10 measures in-network latency on a congested WATER trace for
+// fig10 measures in-network latency on a congested WATER trace for
 // XY/O1TURN/ROMM x dynamic/EDVCA at 2 and 4 VCs: path-diverse algorithms
 // win, but by an unimpressive margin (§IV-C).
-func Fig10(o Options) []Fig10Row {
-	rows, _ := fig10(o)
-	return rows
-}
-
 func fig10(o Options) ([]Fig10Row, []sweep.Result) {
 	o.fill()
 	cycles := o.splashCycles()
@@ -180,15 +165,10 @@ type Fig11Row struct {
 	Latency     float64
 }
 
-// Fig11 redirects the RADIX profile at memory controllers: one in the
+// fig11 redirects the RADIX profile at memory controllers: one in the
 // lower-left corner versus five spread over the die. Five controllers
 // help a lot — but nowhere near five-fold — and routing/VCA choice stops
 // mattering once congestion is spread (§IV-C).
-func Fig11(o Options) []Fig11Row {
-	rows, _ := fig11(o)
-	return rows
-}
-
 func fig11(o Options) ([]Fig11Row, []sweep.Result) {
 	o.fill()
 	cycles := o.splashCycles()
@@ -250,17 +230,12 @@ type Fig13Series struct {
 	SwingC float64
 }
 
-// Fig13 runs OCEAN (steady stencil) and RADIX (phased bursts) and feeds
+// fig13 runs OCEAN (steady stencil) and RADIX (phased bursts) and feeds
 // the per-epoch tile power into the RC thermal grid: OCEAN's trace is
 // flat while RADIX swings with its exchange phases (§IV-E). The scaled
 // runs shrink the thermal capacitance so the die's time constant matches
 // the shortened simulation window (the full-scale run uses the realistic
 // constant over 16M cycles, as the paper does).
-func Fig13(o Options) []Fig13Series {
-	rows, _ := fig13(o)
-	return rows
-}
-
 func fig13(o Options) ([]Fig13Series, []sweep.Result) {
 	o.fill()
 	cycles := o.pick(120_000, 400_000, 16_000_000)
@@ -355,16 +330,11 @@ type Fig14Map struct {
 	CornerMCTempC float64
 }
 
-// Fig14 computes steady-state temperature maps for RADIX and WATER with
+// fig14 computes steady-state temperature maps for RADIX and WATER with
 // XY routing and one corner memory controller: the benchmark's
 // node-to-node traffic dominates and XY concentrates it through the mesh
 // centre, so the hotspot sits there, not at the controller (§IV-E) —
 // the paper's argument for central thermal-sensor placement.
-func Fig14(o Options) []Fig14Map {
-	rows, _ := fig14(o)
-	return rows
-}
-
 func fig14(o Options) ([]Fig14Map, []sweep.Result) {
 	o.fill()
 	cycles := o.pick(60_000, 200_000, 2_000_000)
@@ -446,15 +416,10 @@ type Sec4aResult struct {
 	TotalFlows   int
 }
 
-// Sec4a verifies the worst-link flow-count law analytically and
+// sec4a verifies the worst-link flow-count law analytically and
 // demonstrates flow starvation under heavy load via simulation. The two
 // analytic counts and the starvation simulation are independent sweep
 // items.
-func Sec4a(o Options) Sec4aResult {
-	r, _ := sec4a(o)
-	return r
-}
-
 func sec4a(o Options) (Sec4aResult, []sweep.Result) {
 	o.fill()
 	results := runSweep(o, false, []sweep.Item{
@@ -558,13 +523,8 @@ func sign(v int) int {
 // ---------------------------------------------------------------------------
 // Table I smoke: every configuration row builds and runs briefly.
 
-// TableI instantiates the paper's configuration matrix (Table I) and runs
+// tableI instantiates the paper's configuration matrix (Table I) and runs
 // each combination for a short window, returning the labels exercised.
-func TableI(o Options) []string {
-	rows, _ := tableI(o)
-	return rows
-}
-
 func tableI(o Options) ([]string, []sweep.Result) {
 	o.fill()
 	type combo struct {

@@ -20,8 +20,8 @@ type Figure struct {
 	run         func(o Options) (any, []sweep.Result)
 }
 
-// Run executes the figure, returning its typed rows (the same value the
-// corresponding exported FigNN function returns) plus the per-run sweep
+// Run executes the figure, returning its typed rows (a []Fig8Row for
+// figure 8, a Fig12Result for figure 12, ...) plus the per-run sweep
 // records for emission. If Options.Context is cancelled mid-figure, Run
 // returns nil rows and only the completed runs of the in-flight sweep
 // (post-processing needs the full set).

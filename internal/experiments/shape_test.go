@@ -32,7 +32,7 @@ func skipHeavyUnderShortRace(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows := Fig8(testOpts(t))
+	rows, _ := fig8(testOpts(t))
 	byName := map[string]Fig8Row{}
 	for _, r := range rows {
 		byName[r.Benchmark] = r
@@ -54,7 +54,7 @@ func TestFig8Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	skipHeavyUnderShortRace(t)
-	rows := Fig9(testOpts(t))
+	rows, _ := fig9(testOpts(t))
 	get := func(bench string, vcs, buf int, vca string) float64 {
 		for _, r := range rows {
 			if r.Benchmark == bench && r.VCs == vcs && r.BufFlits == buf && r.VCA == vca {
@@ -82,7 +82,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	skipHeavyUnderShortRace(t)
-	rows := Fig10(testOpts(t))
+	rows, _ := fig10(testOpts(t))
 	get := func(alg, vca string, vcs int) float64 {
 		for _, r := range rows {
 			if r.Routing == alg && r.VCA == vca && r.VCs == vcs {
@@ -107,7 +107,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	skipHeavyUnderShortRace(t)
-	rows := Fig11(testOpts(t))
+	rows, _ := fig11(testOpts(t))
 	var lat1, lat5 []float64
 	for _, r := range rows {
 		t.Logf("%dMC %s/%s: %.1f", r.Controllers, r.Routing, r.VCA, r.Latency)
@@ -133,7 +133,7 @@ func TestFig11Shape(t *testing.T) {
 
 func TestFig13Shape(t *testing.T) {
 	skipHeavyUnderShortRace(t)
-	series := Fig13(testOpts(t))
+	series, _ := fig13(testOpts(t))
 	var ocean, radix Fig13Series
 	for _, s := range series {
 		t.Logf("%s: %d epochs, swing=%.2fC", s.Benchmark, len(s.Cycle), s.SwingC)
@@ -154,7 +154,7 @@ func TestFig13Shape(t *testing.T) {
 
 func TestFig14Shape(t *testing.T) {
 	skipHeavyUnderShortRace(t)
-	maps := Fig14(testOpts(t))
+	maps, _ := fig14(testOpts(t))
 	for _, m := range maps {
 		t.Logf("%s: hotspot at (%d,%d) %.2fC, corner MC %.2fC",
 			m.Benchmark, m.HotX, m.HotY, m.MaxTempC, m.CornerMCTempC)
@@ -172,7 +172,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r := Fig12(testOpts(t))
+	r, _ := fig12(testOpts(t))
 	t.Logf("ideal=%d replay=%d integrated=%d normRate=%.2f normTime=%.2f",
 		r.IdealCycles, r.TraceReplayCycles, r.IntegratedCycles,
 		r.NormInjectionRateTrace, r.NormExecTimeTrace)
@@ -185,7 +185,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestSec4aLaw(t *testing.T) {
-	r := Sec4a(testOpts(t))
+	r, _ := sec4a(testOpts(t))
 	t.Logf("max flows: 8x8=%d (law %d), 32x32=%d (law %d); starved %d/%d",
 		r.MaxFlows8, r.Law8, r.MaxFlows32, r.Law32, r.StarvedFlows, r.TotalFlows)
 	if r.MaxFlows8 != r.Law8 {
@@ -252,7 +252,7 @@ func TestFig6bShape(t *testing.T) {
 	}
 	best := map[int]float64{}
 	for rep := 1; rep <= reps; rep++ {
-		rows := Fig6b(testOpts(t))
+		rows, _ := fig6b(testOpts(t))
 		if rows[0].Period != 1 || rows[0].AccuracyPct != 100 {
 			t.Fatalf("cycle-accurate row malformed: %+v", rows[0])
 		}
@@ -273,7 +273,7 @@ func TestFig6bShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	rows := Fig7(testOpts(t))
+	rows, _ := fig7(testOpts(t))
 	var burstGain, cbrGain float64
 	for _, r := range rows {
 		t.Logf("%s ff=%v workers=%d: wall=%v skipped=%d speedup=%.2f",
@@ -297,7 +297,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestTableISmoke(t *testing.T) {
-	rows := TableI(testOpts(t))
+	rows, _ := tableI(testOpts(t))
 	if len(rows) < 4 {
 		t.Fatalf("only %d Table I combinations ran", len(rows))
 	}

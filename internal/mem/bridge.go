@@ -136,7 +136,7 @@ func NewNucaPort(node noc.NodeID, am *AddressMap, bridge *Bridge) *NucaPort {
 	return &NucaPort{node: node, am: am, bridge: bridge}
 }
 
-// Access implements Port.
+// Access implements mips.DataMem.
 func (n *NucaPort) Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (uint64, bool) {
 	if !n.busy {
 		if write {

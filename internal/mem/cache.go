@@ -7,15 +7,6 @@ import (
 	"hornet/internal/noc"
 )
 
-// Port is the processor-side memory interface. The in-order core calls
-// Access every cycle with the same arguments until done is reported; the
-// implementation starts the transaction on the first call and polls it on
-// subsequent ones. Accesses must be size-aligned (so they never straddle
-// a cache line).
-type Port interface {
-	Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (rdata uint64, done bool)
-}
-
 // L1Stats counts cache events.
 type L1Stats struct {
 	Loads, Stores uint64
@@ -215,7 +206,7 @@ chosen:
 	return best
 }
 
-// Access implements Port.
+// Access implements mips.DataMem.
 func (c *L1) Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (uint64, bool) {
 	way := -1
 	if !c.busy {

@@ -87,9 +87,6 @@ func (c *Controller) Tick(cycle uint64) {
 	}
 }
 
-// Outstanding returns queued plus in-service requests (drain checks).
-func (c *Controller) Outstanding() int { return len(c.inbox) + len(c.service) }
-
 // TraceController is the network-only memory controller used by
 // trace-driven Fig 11 runs: it receives raw request packets (class
 // ClassRequest, no protocol payload) and answers each with a data-sized

@@ -167,6 +167,3 @@ func (s *Store) ReadBytes(addr uint32, n int) []byte {
 	}
 	return out
 }
-
-// Lines returns the number of materialized lines (diagnostics).
-func (s *Store) Lines() int { return len(s.lines) }

@@ -10,9 +10,13 @@ import (
 
 // DataMem is the core's data-memory interface. A local RAM completes in
 // one cycle; mem.L1 (MSI) and mem.NucaPort satisfy it structurally and
-// stall the core for miss latencies.
+// stall the core for miss latencies. The core calls Access every cycle
+// with the same arguments until done is reported; the implementation
+// starts the transaction on the first call and polls it on subsequent
+// ones. Accesses must be size-aligned (so they never straddle a cache
+// line).
 type DataMem interface {
-	Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (uint64, bool)
+	Access(cycle uint64, write bool, addr uint32, size int, wdata uint64) (rdata uint64, done bool)
 }
 
 // LocalData adapts a private RAM to DataMem (MPI mode: no shared memory).

@@ -143,11 +143,6 @@ func EncodeJ(op uint8, target uint32) uint32 {
 	return uint32(op&0x3F)<<26 | target&0x03FF_FFFF
 }
 
-// RegName returns the canonical "$name" of a register number.
-func RegName(r uint8) string {
-	return "$" + regNames[r&0x1F]
-}
-
 // RegNumber parses a register reference: "$t0", "$8", or "t0". Bare
 // numbers without the dollar sign are rejected so immediates cannot be
 // silently misread as register numbers.

@@ -119,10 +119,6 @@ func NewShardBoundary(routers []*Router, lo, hi int) *ShardBoundary {
 	return sb
 }
 
-// Edges reports how many egress boundary channels (VCs) the span has —
-// zero means the span is self-contained and no exchange is needed.
-func (sb *ShardBoundary) Edges() int { return len(sb.out) }
-
 // Capture serializes everything the other shards need from this one
 // since the previous capture: newly pushed boundary flits, committed pop
 // counts of boundary ingress buffers, and this side's pressure values

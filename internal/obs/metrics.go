@@ -92,9 +92,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds delta.
 func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) write(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.v.Load())
 }
@@ -114,34 +111,6 @@ func (c counterFunc) write(w *bufio.Writer, name, labels string) {
 // fn must be safe to call from any goroutine and monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.register(name, help, "counter", labels, func() instrument { return counterFunc{fn} })
-}
-
-// Gauge is a settable float64.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop; gauges are low-frequency).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) write(w *bufio.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.Value()))
-}
-
-// Gauge registers (or fetches) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.register(name, help, "gauge", labels, func() instrument { return &Gauge{} }).(*Gauge)
 }
 
 type gaugeFunc struct{ fn func() float64 }
@@ -214,9 +183,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }

@@ -12,7 +12,6 @@ import (
 func TestLintAcceptsRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_requests_total", "Requests.", L("route", "GET /x"), L("code", "200")).Inc()
-	r.Gauge("t_depth", "Depth.").Set(3)
 	r.GaugeFunc("t_live", "Live.", func() float64 { return 1 })
 	r.Histogram("t_latency_seconds", "Latency.", nil).Observe(0.02)
 	r.GaugeSetFunc("t_link_occupancy", "Hot links.", func() []GaugeSample {

@@ -145,9 +145,6 @@ func (m *Model) EpochSeconds() float64 {
 	return float64(m.cfg.EpochCycles) / (m.cfg.ClockGHz * 1e9)
 }
 
-// Series returns one tile's sample series.
-func (m *Model) Series(tile int) []Sample { return m.series[tile] }
-
 // Epochs returns the number of complete epochs sampled (minimum across
 // tiles, which only differs transiently at run end).
 func (m *Model) Epochs() int {

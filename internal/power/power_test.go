@@ -18,7 +18,7 @@ func TestSampleComputesDeltaEnergy(t *testing.T) {
 	m := New(pcfg(), 2)
 	m.Sample(0, EventCounts{BufReads: 100, BufWrites: 100, XbarTransits: 100, LinkTransits: 100, ArbEvents: 100}, 1000)
 	m.Sample(0, EventCounts{BufReads: 300, BufWrites: 100, XbarTransits: 100, LinkTransits: 100, ArbEvents: 100}, 2000)
-	s := m.Series(0)
+	s := m.series[0]
 	if len(s) != 2 {
 		t.Fatalf("series length %d", len(s))
 	}

@@ -111,8 +111,12 @@ func (d *DOR) torusEntries(b *builder, f noc.FlowID, src, dst noc.NodeID) {
 	}
 }
 
-// addRingLegReset extends addRingLeg with an optional phase reset on the
-// leg's first hop (used when turning into a new dimension).
+// addRingLegReset emits the table entries for one ring leg: flow fIn on
+// entry, renamed to fIn.WithPhase2() after the dateline crossing, with an
+// optional phase reset on the leg's first hop (used when turning into a
+// new dimension). It returns the node before the leg's final node and the
+// flow ID in effect there; last reports whether the leg ends at the flow's
+// destination (emitting an ejection entry).
 func (b *builder) addRingLegReset(leg ringLeg, prev0 noc.NodeID, fIn noc.FlowID, w float64, last bool, resetFirst bool) (endPrev noc.NodeID, fOut noc.FlowID) {
 	f := fIn
 	prev := prev0

@@ -167,27 +167,3 @@ func ringLegs(a, b, n int, node func(int) noc.NodeID) []ringLeg {
 	}
 	return legs
 }
-
-// addRingLeg emits the table entries for one ring leg: flow fIn on entry,
-// renamed to fIn.WithPhase2() after the dateline crossing. It returns the
-// flow ID in effect at the leg's final node. last reports whether the leg
-// ends at the flow's destination (emitting an ejection entry); otherwise
-// cont is invoked with (finalNode, prevNode, flowAtEnd) so the caller can
-// chain the next dimension.
-func (b *builder) addRingLeg(leg ringLeg, prev0 noc.NodeID, fIn noc.FlowID, w float64, last bool) (endPrev noc.NodeID, fOut noc.FlowID) {
-	f := fIn
-	prev := prev0
-	for i := 0; i < len(leg.path)-1; i++ {
-		nf := f
-		if i == leg.dateline {
-			nf = f.WithPhase2()
-		}
-		b.add(leg.path[i], prev, f, leg.path[i+1], nf, w)
-		prev = leg.path[i]
-		f = nf
-	}
-	if last {
-		b.addEject(leg.path[len(leg.path)-1], prev, f, w)
-	}
-	return prev, f
-}

@@ -88,9 +88,6 @@ func NewTables(alg Algorithm) *Tables {
 	return &Tables{alg: alg, first: make(map[noc.FlowID]*noc.RouteLine), lines: newLineSet()}
 }
 
-// Algorithm returns the wrapped algorithm.
-func (t *Tables) Algorithm() Algorithm { return t.alg }
-
 // firstLine returns base's first-hop line, building base's table on first
 // use. The algorithm runs outside the lock; two threads that build the
 // same flow at once would intern the same lines, and the second finds the

@@ -273,28 +273,6 @@ func TestWestFirstNeverTurnsIntoWest(t *testing.T) {
 	}
 }
 
-func TestGreedyMinMaxBalances(t *testing.T) {
-	topo := mesh8(t)
-	var flows []noc.FlowID
-	// Many flows crossing the same row under XY.
-	for i := 0; i < 8; i++ {
-		flows = append(flows, noc.MakeFlow(noc.NodeID(i), noc.NodeID(56+i), 0))
-	}
-	paths := GreedyMinMax(topo, flows)
-	if len(paths) != len(flows) {
-		t.Fatalf("got %d paths for %d flows", len(paths), len(flows))
-	}
-	st, err := NewStatic(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := NewTables(st)
-	rng := sim.NewRNG(3)
-	for _, f := range flows {
-		walkFlow(t, tables, topo, f, rng)
-	}
-}
-
 func TestStaticRejectsBadPaths(t *testing.T) {
 	if _, err := NewStatic([][]int{{1}}); err == nil {
 		t.Fatal("single-node path accepted")
@@ -328,6 +306,23 @@ func TestTorusDatelineRenaming(t *testing.T) {
 	}
 }
 
+// xyPathSet gives every flow between distinct nodes its XY path, a path
+// set for NewStatic.
+func xyPathSet(topo *topology.Topology, flows []noc.FlowID) [][]int {
+	var out [][]int
+	for _, f := range flows {
+		if f.Src() == f.Dst() {
+			continue
+		}
+		var p []int
+		for _, n := range xyPath(topo, f.Src(), f.Dst()) {
+			p = append(p, int(n))
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 // linkCase is one algorithm on one topology, with the flows to check.
 type linkCase struct {
 	name  string
@@ -354,7 +349,7 @@ func linkCases(t *testing.T) []linkCase {
 	mesh, meshFlows := build(config.TopologyConfig{Kind: config.TopoMesh, Width: 4, Height: 4})
 	torus, torusFlows := build(config.TopologyConfig{Kind: config.TopoTorus, Width: 4, Height: 4})
 	layered, layeredFlows := build(config.TopologyConfig{Kind: config.TopoMeshX1Y1, Width: 3, Height: 3, Layers: 2})
-	static, err := NewStatic(GreedyMinMax(mesh, meshFlows))
+	static, err := NewStatic(xyPathSet(mesh, meshFlows))
 	if err != nil {
 		t.Fatal(err)
 	}

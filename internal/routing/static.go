@@ -2,11 +2,9 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"hornet/internal/config"
 	"hornet/internal/noc"
-	"hornet/internal/topology"
 )
 
 // Static routes flows along explicitly configured paths — the input
@@ -72,60 +70,4 @@ func (s *Static) FlowEntries(f noc.FlowID) FlowRoutes {
 		b.addPath(p, p[0], f, w)
 	}
 	return b.finish()
-}
-
-// GreedyMinMax is a small offline route selector in the spirit of BSOR:
-// given the flows that will run, it assigns each flow the XY or YX path
-// that minimizes the maximum channel load, processing flows in descending
-// path-length order. The result feeds NewStatic / config.StaticPaths.
-func GreedyMinMax(t *topology.Topology, flows []noc.FlowID) [][]int {
-	type cand struct {
-		flow noc.FlowID
-		xy   []noc.NodeID
-		yx   []noc.NodeID
-	}
-	cands := make([]cand, 0, len(flows))
-	for _, f := range flows {
-		if f.Src() == f.Dst() {
-			continue
-		}
-		cands = append(cands, cand{
-			flow: f,
-			xy:   xyPath(t, f.Src(), f.Dst()),
-			yx:   yxPath(t, f.Src(), f.Dst()),
-		})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return len(cands[i].xy) > len(cands[j].xy)
-	})
-	type edge struct{ a, b noc.NodeID }
-	load := make(map[edge]int)
-	pathLoad := func(p []noc.NodeID) int {
-		m := 0
-		for i := 0; i < len(p)-1; i++ {
-			if l := load[edge{p[i], p[i+1]}]; l > m {
-				m = l
-			}
-		}
-		return m
-	}
-	addLoad := func(p []noc.NodeID) {
-		for i := 0; i < len(p)-1; i++ {
-			load[edge{p[i], p[i+1]}]++
-		}
-	}
-	var out [][]int
-	for _, c := range cands {
-		chosen := c.xy
-		if pathLoad(c.yx) < pathLoad(c.xy) {
-			chosen = c.yx
-		}
-		addLoad(chosen)
-		ip := make([]int, len(chosen))
-		for i, n := range chosen {
-			ip[i] = int(n)
-		}
-		out = append(out, ip)
-	}
-	return out
 }

@@ -14,7 +14,7 @@ import (
 // warm scenario: HTTP submit -> scheduler -> cache hit -> long-poll ->
 // result fetch. This is the steady-state cost of repeated traffic.
 func BenchmarkCachedScenarioRoundTrip(b *testing.B) {
-	srv := service.New(service.Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(b, service.Options{MaxJobs: 1, Budget: 1})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

@@ -176,13 +176,6 @@ func (c *Client) Job(ctx context.Context, id string) (service.JobInfo, error) {
 	return info, err
 }
 
-// Jobs lists every job the daemon knows about.
-func (c *Client) Jobs(ctx context.Context) ([]service.JobInfo, error) {
-	var infos []service.JobInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/jobs", nil, &infos)
-	return infos, err
-}
-
 // Wait long-polls until the job reaches a terminal state (or ctx ends).
 func (c *Client) Wait(ctx context.Context, id string) (service.JobInfo, error) {
 	for {

@@ -12,16 +12,28 @@ import (
 	"hornet/internal/service"
 )
 
+// startDaemon serves an in-process daemon for the test and returns a
+// client for it.
+func startDaemon(t *testing.T) *Client {
+	t.Helper()
+	srv, err := service.NewDurable(service.Options{MaxJobs: 1, Budget: 1})
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return New(ts.URL)
+}
+
 // TestValidateExamples walks the examples/scenarios gallery through a
 // real daemon's POST /api/v1/validate: every shipped example must
 // dry-run clean, report kind "scenario", and come back with a stable
 // content address and the normalized document.
 func TestValidateExamples(t *testing.T) {
-	srv := service.New(service.Options{MaxJobs: 1, Budget: 1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := New(ts.URL)
+	c := startDaemon(t)
 
 	dir := filepath.Join("..", "..", "..", "examples", "scenarios")
 	entries, err := os.ReadDir(dir)
@@ -74,11 +86,7 @@ func TestValidateExamples(t *testing.T) {
 // machine-readable code and JSON-pointer field through the client's
 // helpers.
 func TestValidateStructuredErrors(t *testing.T) {
-	srv := service.New(service.Options{MaxJobs: 1, Budget: 1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := New(ts.URL)
+	c := startDaemon(t)
 
 	_, err := c.Validate(context.Background(), service.SubmitRequest{
 		Scenario: json.RawMessage(`{"version": 9}`),

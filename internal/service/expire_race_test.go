@@ -22,7 +22,7 @@ import (
 // record, with no data race and no leaked handler goroutine. This is
 // the -race regression for jobStore.expire racing live readers.
 func TestExpireRacesOpenSubscriberAndLongPoll(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -39,7 +39,7 @@ type fleetDaemon struct {
 
 func startFleetDaemon(t *testing.T, opts service.Options) *fleetDaemon {
 	t.Helper()
-	srv := service.New(opts)
+	srv := mustServer(t, opts)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		hs.Close()

@@ -18,7 +18,7 @@ import (
 // snapshot (the job migrated, or fell back to the local backend) adds
 // whole.
 func TestEngineSnapshotFold(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1})
 	defer srv.Close()
 	sc := &scenario{surface: KindConfig, name: "fold", hash: "00112233aabbccdd", seed: 1}
 	j := newJob(srv.jobs.nextID(), SubmitRequest{}, sc, context.Background(), time.Now())

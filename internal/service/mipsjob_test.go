@@ -43,7 +43,7 @@ func TestMipsCheckpointResumeAfterRestart(t *testing.T) {
 	req := mipsResumeRequest()
 
 	// Daemon A: run until at least one checkpoint exists, then die.
-	srvA := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 500})
+	srvA := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 500})
 	jA := submitDirect(t, srvA, req)
 	deadline := time.Now().Add(60 * time.Second)
 	for jA.Info().Checkpoints < 1 {
@@ -62,7 +62,7 @@ func TestMipsCheckpointResumeAfterRestart(t *testing.T) {
 
 	// Daemon B, same checkpoint directory: the resubmitted scenario must
 	// resume mid-application, not re-execute from instruction zero.
-	srvB := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 500})
+	srvB := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 500})
 	defer srvB.Close()
 	jB := submitDirect(t, srvB, req)
 	infoB := waitDone(t, jB, 120*time.Second)
@@ -82,7 +82,7 @@ func TestMipsCheckpointResumeAfterRestart(t *testing.T) {
 
 	// Reference: the same scenario, same checkpoint cadence, never
 	// interrupted (fresh checkpoint directory).
-	srvC := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 500})
+	srvC := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 500})
 	defer srvC.Close()
 	jC := submitDirect(t, srvC, req)
 	infoC := waitDone(t, jC, 120*time.Second)
@@ -100,7 +100,7 @@ func TestMipsCheckpointResumeAfterRestart(t *testing.T) {
 // enters the content-addressed result cache and a resubmission serves
 // the identical bytes without re-simulating.
 func TestMipsScenarioCachesByteIdentically(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1})
 	defer srv.Close()
 	cfg := config.Default()
 	cfg.Topology.Width, cfg.Topology.Height = 2, 2

@@ -36,6 +36,17 @@ func submitDurable(t *testing.T, srv *Server, req SubmitRequest) *job {
 	return j
 }
 
+// mustServer builds a daemon through NewDurable and fails the test on an
+// error.
+func mustServer(t testing.TB, opts Options) *Server {
+	t.Helper()
+	srv, err := NewDurable(opts)
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	return srv
+}
+
 // durableOpts is the shared daemon shape. It keeps the default worker
 // TTL: a daemon without workers runs a restored job on its in-process
 // worker at once, so no test needs a short lease to hide a wait.
@@ -110,7 +121,7 @@ func TestJournalRestartResumesInFlightJob(t *testing.T) {
 	}
 
 	// Reference: same scenario, same autosave cadence, never interrupted.
-	srvC := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
+	srvC := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
 	defer srvC.Close()
 	jC := submitDirect(t, srvC, req)
 	infoC := waitDone(t, jC, 120*time.Second)

@@ -63,7 +63,7 @@ func TestCheckpointResumeAfterRestart(t *testing.T) {
 	req := SubmitRequest{Name: "resume-me", Config: resumeConfig(analyzed), Seed: 11}
 
 	// Daemon A: run until at least one checkpoint exists, then die.
-	srvA := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 1_000})
+	srvA := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 1_000})
 	jA := submitDirect(t, srvA, req)
 	deadline := time.Now().Add(60 * time.Second)
 	for jA.Info().Checkpoints < 1 {
@@ -82,7 +82,7 @@ func TestCheckpointResumeAfterRestart(t *testing.T) {
 
 	// Daemon B, same checkpoint directory: the resubmitted scenario must
 	// resume, not restart.
-	srvB := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 1_000})
+	srvB := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: ckptDir, CheckpointEvery: 1_000})
 	defer srvB.Close()
 	jB := submitDirect(t, srvB, req)
 	infoB := waitDone(t, jB, 120*time.Second)
@@ -102,7 +102,7 @@ func TestCheckpointResumeAfterRestart(t *testing.T) {
 
 	// Reference: the same scenario, same checkpoint cadence, never
 	// interrupted (fresh checkpoint directory).
-	srvC := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
+	srvC := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
 	defer srvC.Close()
 	jC := submitDirect(t, srvC, req)
 	infoC := waitDone(t, jC, 120*time.Second)
@@ -131,7 +131,7 @@ func TestShareWarmupBatchWarmsOnce(t *testing.T) {
 	}
 	req := SubmitRequest{Name: "fork-many", Batch: batch(), Seed: 5, ShareWarmup: true}
 
-	srv := New(Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1})
 	defer srv.Close()
 	j := submitDirect(t, srv, req)
 	info := waitDone(t, j, 120*time.Second)
@@ -148,7 +148,7 @@ func TestShareWarmupBatchWarmsOnce(t *testing.T) {
 	got, _ := j.Result()
 
 	// A different daemon (fresh warmup cache) must produce identical bytes.
-	srv2 := New(Options{MaxJobs: 2, Budget: 2})
+	srv2 := mustServer(t, Options{MaxJobs: 2, Budget: 2})
 	defer srv2.Close()
 	j2 := submitDirect(t, srv2, req)
 	if info := waitDone(t, j2, 120*time.Second); info.State != StateDone {
@@ -178,7 +178,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	if raceDetector {
 		analyzed = 15_000
 	}
-	srv := New(Options{MaxJobs: 2, Budget: 2})
+	srv := mustServer(t, Options{MaxJobs: 2, Budget: 2})
 	defer srv.Close()
 	req := SubmitRequest{Name: "dup", Config: resumeConfig(analyzed), Seed: 3}
 
@@ -218,7 +218,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 // TestJobTTLExpiresFinishedRecords: finished job records vanish after
 // the retention TTL; the store no longer returns them.
 func TestJobTTLExpiresFinishedRecords(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 1, JobTTL: 60 * time.Millisecond})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1, JobTTL: 60 * time.Millisecond})
 	defer srv.Close()
 	cfg := resumeConfig(200)
 	cfg.WarmupCycles = 50

@@ -197,7 +197,7 @@ func TestScenarioMipsLegacyIdentity(t *testing.T) {
 // scenario submission must hit the result cache a legacy submission
 // populated (one daemon, two surfaces, one cached document).
 func TestScenarioCoalescesWithLegacy(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 2})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 2})
 	defer srv.Close()
 	legacy := SubmitRequest{Seed: 9, Mips: &MipsSpec{Workload: "pingpong", Rounds: 40, Config: frozenMipsConfig()}}
 	j1 := submitDirect(t, srv, legacy)
@@ -271,7 +271,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	clean, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, scenarioJSON(t, newKernelScenario(0)))
 
 	ckptDir := t.TempDir()
-	srvA := New(Options{MaxJobs: 1, Budget: 2, CheckpointDir: ckptDir, CheckpointEvery: 500})
+	srvA := mustServer(t, Options{MaxJobs: 1, Budget: 2, CheckpointDir: ckptDir, CheckpointEvery: 500})
 	jA := submitDirect(t, srvA, scenarioJSON(t, newKernelScenario(0)))
 	deadline := time.Now().Add(60 * time.Second)
 	for jA.Info().Checkpoints < 1 {
@@ -285,7 +285,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	}
 	srvA.Close()
 
-	srvB := New(Options{MaxJobs: 1, Budget: 2, CheckpointDir: ckptDir, CheckpointEvery: 500})
+	srvB := mustServer(t, Options{MaxJobs: 1, Budget: 2, CheckpointDir: ckptDir, CheckpointEvery: 500})
 	defer srvB.Close()
 	jB := submitDirect(t, srvB, scenarioJSON(t, newKernelScenario(0)))
 	info := waitDone(t, jB, 120*time.Second)

@@ -47,7 +47,7 @@ func TestRunJobSurvivesScenarioPanic(t *testing.T) {
 // dispatches — a sharded job's members on two remote workers that leave
 // at different times — is one fallback job.
 func TestFallbackCountsOncePerJob(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 1})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1})
 	defer srv.Close()
 	sc := &scenario{surface: KindConfig, name: "fallback", hash: "00112233aabbccdd", seed: 1, shards: 2}
 	j := newJob(srv.jobs.nextID(), SubmitRequest{}, sc, context.Background(), time.Now())

@@ -29,10 +29,21 @@ func tinyConfig() *config.Config {
 	return &cfg
 }
 
+// mustServer builds a daemon through NewDurable and fails the test on an
+// error.
+func mustServer(t testing.TB, opts service.Options) *service.Server {
+	t.Helper()
+	srv, err := service.NewDurable(opts)
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	return srv
+}
+
 // startServer spins up an in-process daemon and a client for it.
 func startServer(t *testing.T, opts service.Options) (*service.Server, *client.Client) {
 	t.Helper()
-	srv := service.New(opts)
+	srv := mustServer(t, opts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -459,7 +470,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	ctx := context.Background()
 	req := service.SubmitRequest{Name: "persist", Config: tinyConfig(), Seed: 11}
 
-	srv1 := service.New(service.Options{MaxJobs: 1, Budget: 1, CacheDir: dir})
+	srv1 := mustServer(t, service.Options{MaxJobs: 1, Budget: 1, CacheDir: dir})
 	ts1 := httptest.NewServer(srv1)
 	c1 := client.New(ts1.URL)
 	first, err := c1.SubmitAndWait(ctx, req)
@@ -476,7 +487,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
-	srv2 := service.New(service.Options{MaxJobs: 1, Budget: 1, CacheDir: dir})
+	srv2 := mustServer(t, service.Options{MaxJobs: 1, Budget: 1, CacheDir: dir})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	defer srv2.Close()

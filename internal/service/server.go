@@ -94,7 +94,7 @@ type Options struct {
 }
 
 // Server is the hornet-serve HTTP handler plus its scheduler and stores.
-// Create with New, mount as an http.Handler, Close on shutdown.
+// Create with NewDurable, mount as an http.Handler, Close on shutdown.
 type Server struct {
 	mux     *http.ServeMux
 	jobs    *jobStore
@@ -125,32 +125,11 @@ type Server struct {
 	watchdogDone        chan struct{}
 }
 
-// New builds a serving stack: job store, result cache, scheduler workers.
-// A journal that fails to open is logged and disabled rather than fatal;
-// callers that need durability guaranteed should use NewDurable.
-func New(opts Options) *Server {
-	s, err := build(opts)
-	if err != nil {
-		log := opts.Logger
-		if log == nil {
-			log = obs.Nop()
-		}
-		log.Error("job journal disabled", slog.String(obs.KeyComponent, "journal"),
-			slog.String("dir", opts.JournalDir), obs.Err(err))
-		opts.JournalDir = ""
-		s, _ = build(opts)
-	}
-	return s
-}
-
-// NewDurable is New for deployments where the journal is load-bearing:
-// a journal that cannot be opened or replayed is a hard error instead of
-// a silently non-durable coordinator.
+// NewDurable builds a serving stack: job store, result cache, scheduler
+// workers, and — with Options.JournalDir — the job journal. A journal that
+// cannot be opened or replayed is a hard error instead of a silently
+// non-durable coordinator.
 func NewDurable(opts Options) (*Server, error) {
-	return build(opts)
-}
-
-func build(opts Options) (*Server, error) {
 	maxJobs := opts.MaxJobs
 	if maxJobs < 1 {
 		maxJobs = 2

@@ -36,7 +36,7 @@ func shardConfig() *config.Config {
 // the finished job's raw document bytes plus its config hash.
 func runToDoc(t *testing.T, opts Options, req SubmitRequest) ([]byte, string) {
 	t.Helper()
-	srv := New(opts)
+	srv := mustServer(t, opts)
 	defer srv.Close()
 	j := submitDirect(t, srv, req)
 	info := waitDone(t, j, 120*time.Second)
@@ -124,7 +124,7 @@ func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
 // sharded job run on the daemon's own execution environment, so their
 // autosaves show in the daemon's checkpoint statistics.
 func TestShardedLocalFeedsDaemonCheckpointStats(t *testing.T) {
-	srv := New(Options{MaxJobs: 1, Budget: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 700})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 700})
 	defer srv.Close()
 	j := submitDirect(t, srv, SubmitRequest{Name: "shard-stats", Config: shardConfig(), Seed: 8, Shards: 2})
 	if info := waitDone(t, j, 120*time.Second); info.State != StateDone {
@@ -247,7 +247,7 @@ func TestFastForwardAutosaveCadenceByteIdentity(t *testing.T) {
 
 	clean, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 1}, req)
 
-	srv := New(Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 1_000})
 	defer srv.Close()
 	j := submitDirect(t, srv, req)
 	info := waitDone(t, j, 120*time.Second)

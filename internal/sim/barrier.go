@@ -121,16 +121,11 @@ func (b *Barrier) wakeSleepers() {
 
 // Await blocks until all parties have called Await. If action is non-nil
 // it is executed exactly once per barrier generation, by the last arriver,
-// before the others are released. It reports whether the parties really
+// before the others are released. met reports whether the parties really
 // met: false means the barrier was broken, nothing orders the caller
-// against the other parties any more, and it must stop stepping.
-func (b *Barrier) Await(action func()) bool {
-	met, _ := b.await(action)
-	return met
-}
-
-// await is Await that also reports whether this party's wait parked.
-func (b *Barrier) await(action func()) (met, parked bool) {
+// against the other parties any more, and it must stop stepping. parked
+// reports whether this party's wait gave up polling and parked.
+func (b *Barrier) Await(action func()) (met, parked bool) {
 	if b.broken.Load() {
 		return false, false
 	}

@@ -26,7 +26,7 @@ func TestBarrierStragglerParks(t *testing.T) {
 	start := time.Now()
 	parked := make(chan bool, 1)
 	go func() {
-		_, p := b.await(nil)
+		_, p := b.Await(nil)
 		parked <- p
 	}()
 	// sleepers becomes 1 when the waiter gives up polling. This goroutine
@@ -41,7 +41,7 @@ func TestBarrierStragglerParks(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	time.Sleep(late - time.Since(start))
-	if !b.Await(nil) {
+	if met, _ := b.Await(nil); !met {
 		t.Fatal("barrier reported broken")
 	}
 	if !<-parked {
@@ -83,7 +83,7 @@ func TestBarrierBalancedWaitsPoll(t *testing.T) {
 					busyFor(10 * time.Microsecond)
 				}
 				reached[g][p] = time.Since(epoch)
-				_, parked[g][p] = b.await(nil)
+				_, parked[g][p] = b.Await(nil)
 				left[g][p] = time.Since(epoch)
 			}
 		}(p)
@@ -127,7 +127,7 @@ func TestBarrierBreakReleasesPollingAndParked(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if b.Await(func() { t.Error("action ran on a broken barrier") }) {
+					if met, _ := b.Await(func() { t.Error("action ran on a broken barrier") }); met {
 						t.Error("Await reported a meeting on a broken barrier")
 					}
 				}()
@@ -142,7 +142,7 @@ func TestBarrierBreakReleasesPollingAndParked(t *testing.T) {
 			if got := b.Parks(); got != tc.parks {
 				t.Errorf("parks = %d, want %d", got, tc.parks)
 			}
-			if b.Await(nil) {
+			if met, _ := b.Await(nil); met {
 				t.Error("Await after Break reported a meeting")
 			}
 		})

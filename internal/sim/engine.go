@@ -410,7 +410,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						t1 = time.Now()
 						part.AddCompute(t1.Sub(t0))
 					}
-					met, parked := barrier.await(nil)
+					met, parked := barrier.Await(nil)
 					if !met {
 						return // broken: no phase may run unordered
 					}
@@ -428,7 +428,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 					if w == 0 {
 						executed.Add(1)
 					}
-					met, parked = barrier.await(func() { leader(cycle) })
+					met, parked = barrier.Await(func() { leader(cycle) })
 					if !met {
 						return
 					}
@@ -468,7 +468,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 						part.AddCycles(c - cycle)
 					}
 					last := c - 1
-					met, parked := barrier.await(func() { leader(last) })
+					met, parked := barrier.Await(func() { leader(last) })
 					if !met {
 						return
 					}

@@ -391,7 +391,7 @@ func TestBarrierBreakReleasesWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				if b.Await(func() { t.Error("action ran on a broken barrier") }) {
+				if met, _ := b.Await(func() { t.Error("action ran on a broken barrier") }); met {
 					t.Error("Await reported a meeting on a broken barrier")
 				}
 			}

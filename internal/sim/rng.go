@@ -180,17 +180,3 @@ func (r *RNG) Perm(dst []int) {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 }
-
-// Geometric returns a sample from a geometric distribution with mean m,
-// clamped to [1, max]. Used for packet-length distributions.
-func (r *RNG) Geometric(m float64, max int) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1.0 / m
-	n := 1
-	for n < max && !r.Bernoulli(p) {
-		n++
-	}
-	return n
-}

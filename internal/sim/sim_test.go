@@ -163,23 +163,6 @@ func TestRNGSkipMatchesDraws(t *testing.T) {
 	}
 }
 
-func TestRNGGeometricMean(t *testing.T) {
-	r := NewRNG(3)
-	sum := 0
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		v := r.Geometric(8, 64)
-		if v < 1 || v > 64 {
-			t.Fatalf("geometric sample %d out of [1,64]", v)
-		}
-		sum += v
-	}
-	mean := float64(sum) / n
-	if mean < 7 || mean > 9 {
-		t.Fatalf("geometric mean %.2f, want ~8", mean)
-	}
-}
-
 func TestBarrierAllArrive(t *testing.T) {
 	const parties = 8
 	const rounds = 200

@@ -43,9 +43,8 @@ func (e *MismatchError) Error() string {
 }
 
 // UnsupportedError reports simulator state that cannot be serialized
-// (e.g. a frontend holding live goroutines, or flit payloads of an
-// unregistered type). The simulation itself is fine; it just cannot be
-// checkpointed.
+// (flit payloads of an unregistered type). The simulation itself is
+// fine; it just cannot be checkpointed.
 type UnsupportedError struct {
 	Component string
 }

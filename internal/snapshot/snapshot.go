@@ -30,12 +30,10 @@ import (
 	"io"
 	"os"
 	"sort"
-
-	"hornet/internal/fsatomic"
 )
 
 // FormatVersion is the current snapshot layout version. Bump whenever
-// any section's encoding changes; Decode rejects other versions with a
+// any section's encoding changes; DecodeBytes rejects other versions with a
 // *VersionError.
 //
 // Version history:
@@ -136,21 +134,6 @@ func (s *Snapshot) SetSection(name string, payload []byte) {
 	s.sections = append(s.sections, section{name: name, payload: append([]byte(nil), payload...)})
 }
 
-// SectionInfo describes one section for inspection tools.
-type SectionInfo struct {
-	Name string
-	Size int
-}
-
-// Sections lists the sections in encoding order.
-func (s *Snapshot) Sections() []SectionInfo {
-	out := make([]SectionInfo, len(s.sections))
-	for i, sec := range s.sections {
-		out[i] = SectionInfo{Name: sec.name, Size: len(sec.payload)}
-	}
-	return out
-}
-
 // Encode writes the container to w.
 func (s *Snapshot) Encode(w io.Writer) error {
 	var buf bytes.Buffer
@@ -179,18 +162,6 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Decode parses and verifies a container: magic, format version, and
-// the trailing CRC over the entire payload. Errors are structured:
-// *VersionError for a version skew, *CorruptError for everything that
-// means "these bytes cannot be trusted".
-func Decode(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(b)
 }
 
 // Verify checks the container envelope — magic, format version and the
@@ -262,13 +233,6 @@ func (s *Snapshot) CheckConfigHash(want string) error {
 		return &MismatchError{Field: "config_hash", Got: s.ConfigHash, Want: want}
 	}
 	return nil
-}
-
-// WriteFile atomically persists the snapshot: temp file in the target
-// directory, then rename, so a killed process never leaves a partial
-// snapshot under the final name.
-func (s *Snapshot) WriteFile(path string) error {
-	return fsatomic.Write(path, s.Encode)
 }
 
 // ReadFile loads and verifies a snapshot file.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -139,16 +140,20 @@ func TestCheckConfigHash(t *testing.T) {
 }
 
 func TestWriteFileReadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "state.snap")
-	if err := sample().WriteFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	want, err := sample().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Clock != 12345 || len(s.Sections()) != 2 {
-		t.Errorf("reloaded snapshot: clock=%d sections=%v", s.Clock, s.Sections())
+	if got, err := s.Bytes(); err != nil || s.Clock != 12345 || !bytes.Equal(got, want) {
+		t.Errorf("reloaded snapshot: clock=%d, re-encodes identically %v (%v)", s.Clock, bytes.Equal(got, want), err)
 	}
 	if !s.Has("alpha") || s.Has("nope") {
 		t.Error("Has misreports sections")

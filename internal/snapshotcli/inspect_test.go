@@ -41,8 +41,12 @@ func goldenSnapshot(t *testing.T, path string) {
 	}
 	sys.AttachMIPSShared([]noc.NodeID{0, 3}, img, fab, mc)
 	sys.Run(500)
-	if err := sys.WriteSnapshot(path); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	blob, err := sys.SnapshotBytes()
+	if err != nil {
+		t.Fatalf("SnapshotBytes: %v", err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

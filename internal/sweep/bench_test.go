@@ -12,7 +12,7 @@ func BenchmarkBudgetAcquireRelease(b *testing.B) {
 	budget := NewBudget(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := budget.Acquire(2)
+		g, _ := budget.AcquireCtx(context.Background(), 2)
 		budget.Release(g)
 	}
 }

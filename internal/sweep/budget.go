@@ -55,16 +55,10 @@ func (b *Budget) Peak() int {
 	return b.peak
 }
 
-// Acquire blocks until w slots are free and takes them, returning the
+// AcquireCtx blocks until w slots are free and takes them, returning the
 // number actually granted: requests are clamped to [1, Cap], so a run
 // asking for more workers than the host has budget for is granted the
-// whole budget rather than deadlocking.
-func (b *Budget) Acquire(w int) int {
-	granted, _ := b.AcquireCtx(context.Background(), w)
-	return granted
-}
-
-// AcquireCtx is Acquire with cancellation: a caller blocked waiting for
+// whole budget rather than deadlocking. A caller blocked waiting for
 // slots gives up when ctx is cancelled, returning 0 and ctx.Err(). Slots
 // already free are granted even if ctx is already cancelled-concurrently;
 // the caller that receives slots must Release them.

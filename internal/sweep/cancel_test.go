@@ -132,9 +132,9 @@ func TestBudgetPeak(t *testing.T) {
 	if b.Peak() != 0 {
 		t.Fatalf("fresh budget peak = %d", b.Peak())
 	}
-	b.Acquire(3)
+	b.AcquireCtx(context.Background(), 3)
 	b.Release(3)
-	b.Acquire(2)
+	b.AcquireCtx(context.Background(), 2)
 	if got := b.Peak(); got != 3 {
 		t.Fatalf("peak = %d, want 3", got)
 	}

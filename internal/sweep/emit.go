@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -68,26 +67,6 @@ func (d Document) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)
-}
-
-// WriteCSV emits one row per result: key, seed, then the fields produced
-// by row. Results with errors are skipped (they have no row values).
-func WriteCSV(w io.Writer, header []string, row func(Result) []string, results []Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"key", "seed"}, header...)); err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		rec := append([]string{r.Key, fmt.Sprintf("%d", r.Seed)}, row(r)...)
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Cache stores emitted documents on disk keyed by (name, config hash),

@@ -125,11 +125,11 @@ func TestBudgetAccounting(t *testing.T) {
 // deadlocked; a weight of zero still occupies one slot.
 func TestBudgetClamping(t *testing.T) {
 	b := NewBudget(2)
-	if got := b.Acquire(10); got != 2 {
+	if got, _ := b.AcquireCtx(context.Background(), 10); got != 2 {
 		t.Fatalf("Acquire(10) granted %d, want 2", got)
 	}
 	b.Release(2)
-	if got := b.Acquire(0); got != 1 {
+	if got, _ := b.AcquireCtx(context.Background(), 0); got != 1 {
 		t.Fatalf("Acquire(0) granted %d, want 1", got)
 	}
 	b.Release(1)
@@ -140,10 +140,10 @@ func TestBudgetClamping(t *testing.T) {
 
 func TestBudgetBlocksUntilReleased(t *testing.T) {
 	b := NewBudget(1)
-	b.Acquire(1)
+	b.AcquireCtx(context.Background(), 1)
 	acquired := make(chan struct{})
 	go func() {
-		b.Acquire(1)
+		b.AcquireCtx(context.Background(), 1)
 		close(acquired)
 	}()
 	select {
@@ -272,25 +272,6 @@ func TestWriteJSONGolden(t *testing.T) {
 `
 	if got := buf.String(); got != want {
 		t.Fatalf("golden mismatch:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	results := []Result{
-		{Index: 0, Key: "a", Seed: 1, Value: 2.5},
-		{Index: 1, Key: "b", Seed: 2, Err: errors.New("skip me")},
-		{Index: 2, Key: "c", Seed: 3, Value: 4.0},
-	}
-	var buf bytes.Buffer
-	err := WriteCSV(&buf, []string{"latency"}, func(r Result) []string {
-		return []string{fmt.Sprint(r.Value)}
-	}, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "key,seed,latency\na,1,2.5\nc,3,4\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
 }
 

@@ -34,9 +34,8 @@ type SnapshotCache struct {
 	mem      *lru.Cache
 	inflight map[string]chan struct{}
 
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	writeErr atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewSnapshotCache creates a cache; dir may be empty for memory-only.
@@ -134,12 +133,9 @@ func (c *SnapshotCache) Get(ctx context.Context, key string, produce func() ([]b
 			return nil, false, err
 		}
 		if c.dir != "" {
-			if werr := c.persist(key, blob); werr != nil {
-				// Disk persistence is an optimization; losing it only
-				// costs a future process one warmup. Count it so callers
-				// can surface the degradation.
-				c.writeErr.Add(1)
-			}
+			// Disk persistence is an optimization; losing it only costs
+			// a future process one warmup.
+			_ = c.persist(key, blob)
 		}
 		return blob, false, nil
 	}
@@ -169,12 +165,10 @@ func (c *SnapshotCache) Len() int {
 	return c.mem.Len()
 }
 
-// Hits, Misses and WriteErrs report cache counters: Hits counts
-// restores served from the cache, Misses counts warmups actually
-// simulated, WriteErrs counts failed disk persists.
-func (c *SnapshotCache) Hits() uint64      { return c.hits.Load() }
-func (c *SnapshotCache) Misses() uint64    { return c.misses.Load() }
-func (c *SnapshotCache) WriteErrs() uint64 { return c.writeErr.Load() }
+// Hits and Misses report cache counters: Hits counts restores served
+// from the cache, Misses counts warmups actually simulated.
+func (c *SnapshotCache) Hits() uint64   { return c.hits.Load() }
+func (c *SnapshotCache) Misses() uint64 { return c.misses.Load() }
 
 // String summarizes the cache for logs.
 func (c *SnapshotCache) String() string {

@@ -36,14 +36,8 @@ func NewGrid(w, h int, cfg config.ThermalConfig) (*Grid, error) {
 	return g, nil
 }
 
-// Tiles returns the tile count.
-func (g *Grid) Tiles() int { return g.w * g.h }
-
 // Temps returns the current temperature vector (live; copy to retain).
 func (g *Grid) Temps() []float64 { return g.temps }
-
-// TempAt returns the temperature of tile (x, y).
-func (g *Grid) TempAt(x, y int) float64 { return g.temps[y*g.w+x] }
 
 // Reset returns every tile to ambient.
 func (g *Grid) Reset() {

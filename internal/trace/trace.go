@@ -122,36 +122,6 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// ScaleTime divides all timestamps and periods by div (the paper runs the
-// traced x86 cores on a clock 10x faster than the network, §III).
-func (t *Trace) ScaleTime(div uint64) {
-	if div <= 1 {
-		return
-	}
-	for i := range t.Events {
-		t.Events[i].Cycle /= div
-		t.Events[i].Period /= div
-		if t.Events[i].Period == 0 && t.Events[i].Count > 1 {
-			t.Events[i].Period = 1
-		}
-	}
-}
-
-// MaxCycle returns the last scheduled injection cycle in the trace.
-func (t *Trace) MaxCycle() uint64 {
-	var m uint64
-	for _, e := range t.Events {
-		last := e.Cycle
-		if e.Count > 1 {
-			last += (e.Count - 1) * e.Period
-		}
-		if last > m {
-			m = last
-		}
-	}
-	return m
-}
-
 // pendingEvent is a scheduled occurrence in the injector's heap.
 type pendingEvent struct {
 	next      uint64

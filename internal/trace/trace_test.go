@@ -56,32 +56,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestScaleTime(t *testing.T) {
-	tr := &Trace{}
-	tr.AddPeriodic(100, 0, 1, 8, 20, 3)
-	tr.ScaleTime(10)
-	e := tr.Events[0]
-	if e.Cycle != 10 || e.Period != 2 {
-		t.Fatalf("scaled event: %+v", e)
-	}
-	// Degenerate periods clamp to 1 rather than collapsing.
-	tr2 := &Trace{}
-	tr2.AddPeriodic(100, 0, 1, 8, 5, 3)
-	tr2.ScaleTime(10)
-	if tr2.Events[0].Period != 1 {
-		t.Fatalf("period collapsed to %d", tr2.Events[0].Period)
-	}
-}
-
-func TestMaxCycle(t *testing.T) {
-	tr := &Trace{}
-	tr.Add(10, 0, 1, 8)
-	tr.AddPeriodic(100, 0, 1, 8, 50, 4) // last at 100+3*50 = 250
-	if mc := tr.MaxCycle(); mc != 250 {
-		t.Fatalf("MaxCycle = %d, want 250", mc)
-	}
-}
-
 func TestInjectorSchedulesInOrder(t *testing.T) {
 	tr := &Trace{}
 	tr.Add(30, 2, 5, 8)
