@@ -62,12 +62,18 @@ test-race-rest:
 # duplicate arrivals, rollback notices carrying the stable blobs, waiters
 # released by Cancel and by their contexts, staged→stable promotion), a
 # 2-member in-process group rolled back mid-run through the run driver,
-# and the shared route store: two goroutines creating every flow of an 8x8
-# O1TURN mesh at once, which must get pointer-identical lines.
+# the shared route store: two goroutines creating every flow of an 8x8
+# O1TURN mesh at once, which must get pointer-identical lines, and the
+# bandwidth-adaptive link's parity cell, which one engine thread writes and
+# another reads: bidirectional machines at sync_period 5 and 50, a busy
+# bidirectional mesh on 3 workers held to 1 worker tile by tile and link by
+# link, 4 workers through the service driver, and 2-, 3- and 4-way shards
+# held to one process, run whole, in 7-cycle chunks and autosaving every
+# 13 cycles.
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup|TestRouteStoreConcurrentBuildsShareLines' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup|TestRouteStoreConcurrentBuildsShareLines|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestShardedSyntheticByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity' \
 		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service/backend ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -68,6 +68,9 @@ func summaryDigest(t *testing.T, cfg config.Config, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sys.Workers() != workers {
+		t.Fatalf("asked for %d engine workers, got %d", workers, sys.Workers())
+	}
 	if err := sys.AttachSyntheticTraffic(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +96,10 @@ func summaryDigest(t *testing.T, cfg config.Config, workers int) string {
 // with 1 engine worker and with 3, or re-record the table deliberately
 // with -update and say why.
 //
-// Bandwidth-adaptive links are held to the same rule: their arbiter is not
-// reproducible across engine workers (ROADMAP 1a), so New runs such a
-// machine on one worker whatever is requested, and the 3-worker request
-// must reproduce the digest like any other.
+// Bandwidth-adaptive links are held to the same rule on 3 real engine
+// workers: the arbiter reads the far side's free space of the previous
+// cycle, which no thread is writing, so no digest depends on which side's
+// thread commits first.
 func TestSummaryGolden(t *testing.T) {
 	path := filepath.Join("testdata", "summary_golden.json")
 	want := map[string]string{}

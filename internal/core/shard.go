@@ -51,7 +51,7 @@ type shardCoupler struct {
 }
 
 func (c *shardCoupler) Sync(vote sim.ShardVote) (sim.ShardDecision, error) {
-	snap, err := c.st.boundary.Capture(vote.Cycle)
+	snap, err := c.st.boundary.Capture(vote.Cycle, vote.Join)
 	if err != nil {
 		return sim.ShardDecision{}, err
 	}
@@ -119,18 +119,14 @@ func decodeSyncPayload(p []byte) (*snapshot.Snapshot, sim.ShardVote, error) {
 // synchronization point. Call after all frontends are attached and —
 // when resuming — after Restore, so the boundary bookkeeping baselines
 // against the restored state. Sharding requires cycle-accurate
-// synchronization (sync period 1) and unidirectional links: a boundary
-// applies the far side's free space of the current cycle, where one
-// process arbitrates a bidirectional link on the previous cycle's.
+// synchronization (sync period 1); bidirectional boundary links are
+// re-arbitrated as one process would (noc.ShardBoundary).
 func (s *System) EnableSharding(index, count int, peer ShardPeer) error {
 	if s.shard != nil {
 		return fmt.Errorf("core: sharding already enabled")
 	}
 	if peer == nil {
 		return fmt.Errorf("core: sharding needs a peer")
-	}
-	if s.Config.Router.Bidirectional {
-		return fmt.Errorf("core: sharding does not support bidirectional links")
 	}
 	n := len(s.tiles)
 	if count < 2 || count > n || index < 0 || index >= count {

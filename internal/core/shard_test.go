@@ -72,99 +72,135 @@ func statsFingerprint(t *testing.T, sys *System) []byte {
 }
 
 // TestShardedSyntheticByteIdentity: a synthetic-traffic run sharded
-// across 2 and 4 in-process "shards" (full system each, span-stepped)
+// across 2, 3 and 4 in-process "shards" (full system each, span-stepped)
 // must produce per-tile statistics byte-identical to the single-process
 // run — including when the sharded run is interrupted mid-way by a
-// snapshot/restore of every shard (the migration path).
+// snapshot/restore of every shard (the migration path). The bidirectional
+// rows are the busy 4x4 mesh whose 2-shard run once delivered 30139 flits
+// against one process's 30393, before a boundary recounted both sides'
+// free space from its own buffers, a torus, whose wraparound links cross
+// every span, and the busy mesh run in 7-cycle chunks, also migrating
+// between them: every chunk opens with a join synchronization, which must
+// leave the grants of the last synchronization or the snapshot in place.
 func TestShardedSyntheticByteIdentity(t *testing.T) {
 	cycles := uint64(3000)
 	if testing.Short() {
 		cycles = 1200
 	}
-	mkCfg := func() config.Config {
+	transpose := func() config.Config {
 		cfg := smallCfg()
 		cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternTranspose, InjectionRate: 0.05}}
 		return cfg
 	}
+	bidirectional := func(kind string) func() config.Config {
+		return func() config.Config {
+			cfg := smallCfg()
+			cfg.Topology.Kind = kind
+			cfg.Router.Bidirectional = true
+			cfg.Engine.Seed = 21
+			cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.20}}
+			return cfg
+		}
+	}
 
-	ref, err := New(mkCfg())
-	if err != nil {
-		t.Fatal(err)
+	mesh, torus := bidirectional(config.TopoMesh), bidirectional(config.TopoTorus)
+
+	// refs holds one single-process run per configuration, shared by the
+	// rows that shard it.
+	type ref struct {
+		clock uint64
+		stats []byte
 	}
-	if err := ref.AttachSyntheticTraffic(); err != nil {
-		t.Fatal(err)
+	refs := map[string]ref{}
+	reference := func(t *testing.T, key string, mkCfg func() config.Config) ref {
+		t.Helper()
+		if r, ok := refs[key]; ok {
+			return r
+		}
+		sys, err := New(mkCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AttachSyntheticTraffic(); err != nil {
+			t.Fatal(err)
+		}
+		if res := sys.Run(cycles); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		refs[key] = ref{sys.Clock(), statsFingerprint(t, sys)}
+		return refs[key]
 	}
-	refRes := ref.Run(cycles)
-	want := statsFingerprint(t, ref)
 
 	for _, tc := range []struct {
-		name    string
-		count   int
-		migrate bool
+		name, cfgName string
+		mkCfg         func() config.Config
+		count         int
+		migrate       bool
+		chunk         uint64 // run in chunks of this many cycles; 0 runs once
 	}{
-		{"2shards", 2, false},
-		{"4shards", 4, false},
-		{"2shards-migrate", 2, true},
+		{"2shards", "transpose", transpose, 2, false, 0},
+		{"4shards", "transpose", transpose, 4, false, 0},
+		{"2shards-migrate", "transpose", transpose, 2, true, 0},
+		{"bidirectional/2shards", "mesh", mesh, 2, false, 0},
+		{"bidirectional/3shards", "mesh", mesh, 3, false, 0},
+		{"bidirectional/4shards", "mesh", mesh, 4, false, 0},
+		{"bidirectional/3shards-migrate", "mesh", mesh, 3, true, 0},
+		{"bidirectional/2shards-chunked", "mesh", mesh, 2, false, 7},
+		{"bidirectional/3shards-chunked", "mesh", mesh, 3, false, 7},
+		{"bidirectional/3shards-chunked-migrate", "mesh", mesh, 3, true, 7},
+		{"bidirectional/torus/2shards", "torus", torus, 2, false, 0},
+		{"bidirectional/torus/4shards", "torus", torus, 4, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			mkCfg := tc.mkCfg
+			want := reference(t, tc.cfgName, mkCfg)
+
 			hub := newShardHub(tc.count)
 			systems := make([]*System, tc.count)
 			var wg sync.WaitGroup
 			errs := make([]error, tc.count)
+			// Each shard runs in chunks of tc.chunk cycles (half the run
+			// when migrating, the whole run otherwise); a migrating shard
+			// snapshots, rebuilds, restores and resumes between chunks —
+			// the checkpoint-based shard migration path.
+			chunk := tc.chunk
+			if chunk == 0 {
+				chunk = cycles
+				if tc.migrate {
+					chunk = cycles / 2
+				}
+			}
 			for i := 0; i < tc.count; i++ {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					sys, err := New(mkCfg())
-					if err == nil {
-						err = sys.AttachSyntheticTraffic()
-					}
-					if err == nil {
-						err = sys.EnableSharding(i, tc.count, hub.peer(i))
-					}
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if !tc.migrate {
-						if res := sys.Run(cycles); res.Err != nil {
-							errs[i] = res.Err
-							return
-						}
-					} else {
-						// First half, then snapshot, rebuild, restore and
-						// resume — the checkpoint-based shard migration path.
-						half := cycles / 2
-						if res := sys.Run(half); res.Err != nil {
-							errs[i] = res.Err
-							return
-						}
-						blob, err := sys.SnapshotBytes()
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						sys, err = New(mkCfg())
+					build := func(blob []byte) (*System, error) {
+						sys, err := New(mkCfg())
 						if err == nil {
 							err = sys.AttachSyntheticTraffic()
 						}
-						if err == nil {
+						if err == nil && blob != nil {
 							err = sys.RestoreBytes(blob)
 						}
 						if err == nil {
 							err = sys.EnableSharding(i, tc.count, hub.peer(i))
 						}
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						if res := sys.RunUntilResumed(cycles-half, nil); res.Err != nil {
-							errs[i] = res.Err
-							return
+						return sys, err
+					}
+					sys, err := build(nil)
+					for err == nil && sys.Clock() < cycles {
+						err = sys.RunUntilResumed(min(chunk, cycles-sys.Clock()), nil).Err
+						if err == nil && tc.migrate && sys.Clock() < cycles {
+							var blob []byte
+							if blob, err = sys.SnapshotBytes(); err == nil {
+								sys, err = build(blob)
+							}
 						}
 					}
-					errs[i] = sys.ShardGather()
-					systems[i] = sys
+					if err == nil {
+						err = sys.ShardGather()
+					}
+					errs[i], systems[i] = err, sys
 				}(i)
 			}
 			wg.Wait()
@@ -174,36 +210,14 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 				}
 			}
 			for i, sys := range systems {
-				if sys.Clock() != ref.Clock() {
-					t.Fatalf("shard %d clock %d, single-process %d", i, sys.Clock(), ref.Clock())
+				if sys.Clock() != want.clock {
+					t.Fatalf("shard %d clock %d, single-process %d", i, sys.Clock(), want.clock)
 				}
-				if got := statsFingerprint(t, sys); !bytes.Equal(got, want) {
+				if got := statsFingerprint(t, sys); !bytes.Equal(got, want.stats) {
 					t.Errorf("shard %d: per-tile statistics diverged from the single-process run", i)
 				}
 			}
-			_ = refRes
 		})
-	}
-}
-
-// TestEnableShardingRejectsBidirectional: a shard boundary re-arbitrates a
-// bidirectional link on the far side's free space of the current cycle,
-// one process on the previous cycle's, so 2- and 4-way shards of a busy
-// bidirectional mesh delivered different flit counts than the single
-// process. Sharding refuses such a machine instead.
-func TestEnableShardingRejectsBidirectional(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Router.Bidirectional = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sys.EnableSharding(0, 2, newShardHub(2).peer(0))
-	if err == nil || !strings.Contains(err.Error(), "bidirectional") {
-		t.Fatalf("EnableSharding on a bidirectional machine = %v, want a bidirectional-links error", err)
-	}
-	if lo, hi := sys.ShardSpan(); lo != 0 || hi != cfg.Topology.Nodes() {
-		t.Fatalf("refused sharding left span [%d,%d)", lo, hi)
 	}
 }
 

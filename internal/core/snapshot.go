@@ -79,7 +79,7 @@ func (s *System) Snapshot() (*snapshot.Snapshot, error) {
 	for _, t := range s.tiles {
 		for _, p := range t.Router.Ports() {
 			if p.Link != nil && p.Side == 0 && p.Out != nil {
-				p.Link.SaveState(w)
+				p.Link.SaveState(w, s.clock)
 			}
 		}
 	}

@@ -27,8 +27,7 @@ const (
 type bytesMachine struct {
 	name string
 	// serialOnly marks a machine whose simulated state depends on how workers
-	// interleave (bandwidth-adaptive links, ROADMAP item 1a; sync_period > 1):
-	// its bytes are pinned with one worker only.
+	// interleave (sync_period > 1): its bytes are pinned with one worker only.
 	serialOnly bool
 	build      func(t *testing.T, workers int) *System
 }
@@ -88,7 +87,7 @@ func bytesMachines() []bytesMachine {
 		{name: "mesh-x1/3x3x2", build: synthetic(topo(config.TopoMeshX1, 3, 3, 2))},
 		{name: "mesh-x1y1/3x3x2", build: synthetic(topo(config.TopoMeshX1Y1, 3, 3, 2))},
 		{name: "mesh-xcube/3x3x2", build: synthetic(topo(config.TopoMeshXCube, 3, 3, 2))},
-		{name: "bidirectional/transpose", serialOnly: true, build: synthetic(func(cfg *config.Config) {
+		{name: "bidirectional/transpose", build: synthetic(func(cfg *config.Config) {
 			cfg.Router.Bidirectional = true
 			cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternTranspose, InjectionRate: 0.08}}
 		})},

@@ -153,17 +153,7 @@ func New(cfg config.Config) (*System, error) {
 		rb.ConnectEgress(e.A, ra.Ports()[pa].In, link, 1)
 	}
 
-	workers := cfg.Engine.Workers
-	if cfg.Router.Bidirectional {
-		// Bandwidth-adaptive links are not reproducible across engine
-		// workers (ROADMAP 1a: the link arbiter reads the far side's free
-		// space mid-commit), and no caller may get a machine whose results
-		// depend on thread timing — a document of this machine may enter a
-		// content-addressed cache. Until 1a lands it runs on one worker,
-		// whatever was asked for.
-		workers = 1
-	}
-	s.engine = sim.NewEngine(simTiles, workers, cfg.Engine.SyncPeriod, cfg.Engine.FastForward, inflight)
+	s.engine = sim.NewEngine(simTiles, cfg.Engine.Workers, cfg.Engine.SyncPeriod, cfg.Engine.FastForward, inflight)
 	return s, nil
 }
 

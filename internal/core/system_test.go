@@ -267,20 +267,29 @@ var _ = noc.InvalidNode
 // cycle, driving the stamp ring negative and panicking on an engine
 // worker. The router now pops only VCs its scan listed as occupied, so
 // such a flit waits for the next scan. Any panic or lost flit fails the
-// run.
+// run. The bidirectional rows run the link arbiter's parity cell, which
+// one engine thread writes and another reads, on every worker.
 func TestLooseSyncConservesFlits(t *testing.T) {
 	cycles := uint64(20_000)
 	if testing.Short() {
 		cycles = 5_000
 	}
-	for _, pattern := range []string{config.PatternTranspose, config.PatternUniform} {
+	for _, c := range []struct {
+		name, pattern string
+		bidirectional bool
+	}{
+		{config.PatternTranspose, config.PatternTranspose, false},
+		{config.PatternUniform, config.PatternUniform, false},
+		{"bidirectional-" + config.PatternTranspose, config.PatternTranspose, true},
+	} {
 		for _, workers := range []int{2, 4} {
 			for _, period := range []int{5, 50} {
-				t.Run(fmt.Sprintf("%s/workers-%d/sync-%d", pattern, workers, period), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/workers-%d/sync-%d", c.name, workers, period), func(t *testing.T) {
 					cfg := config.Default()
 					cfg.Engine.Workers = workers
 					cfg.Engine.SyncPeriod = period
-					cfg.Traffic = []config.TrafficConfig{{Pattern: pattern, InjectionRate: 0.05}}
+					cfg.Router.Bidirectional = c.bidirectional
+					cfg.Traffic = []config.TrafficConfig{{Pattern: c.pattern, InjectionRate: 0.05}}
 					sys, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)

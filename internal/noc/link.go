@@ -11,9 +11,12 @@ import "sync/atomic"
 // and the arbiter splits the aggregate bandwidth proportionally.
 //
 // With Bidirectional disabled each direction simply owns its fixed
-// bandwidth. All cross-thread fields are atomics; the arbiter runs during
-// the owning tile's commit phase, which in cycle-accurate mode is
-// barrier-separated from the transfer phase that wrote the demands.
+// bandwidth. All cross-thread fields are atomics. Side 0 arbitrates in its
+// commit phase, barrier-separated from the transfer phase that wrote the
+// demands. Both sides commit free space in that same phase, into a cell
+// with one slot per cycle parity; the arbiter reads its own slot for this
+// cycle and the far side's for the previous one, so what it sees never
+// depends on which side's thread committed first.
 type Link struct {
 	// BandwidthPerDir is the fixed per-direction bandwidth (flits/cycle).
 	BandwidthPerDir int
@@ -23,15 +26,12 @@ type Link struct {
 	// demand[side] is written by side's router during PhaseTransfer:
 	// number of SA-eligible flits wanting to cross toward the other side.
 	demand [2]atomic.Int64
-	// space[side] is the committed free-slot count of side's ingress port
-	// across all VCs (written at commit by the ingress owner).
-	space [2]atomic.Int64
+	// space[side][cycle&1] is the free-slot count of side's ingress port
+	// across all VCs, committed on cycle.
+	space [2][2]atomic.Int64
 	// grant[side] is the bandwidth side may use next cycle toward the
 	// other side; initialized to BandwidthPerDir.
 	grant [2]atomic.Int64
-
-	// owner is the side (0 or 1) whose tile runs the arbiter at commit.
-	owner int
 }
 
 // NewLink builds a link with the given per-direction bandwidth.
@@ -58,24 +58,26 @@ func (l *Link) ReportDemand(side int, flitsReady int) {
 	}
 }
 
-// ReportSpace publishes the committed ingress free space on side.
-func (l *Link) ReportSpace(side int, freeSlots int) {
+// ReportSpace publishes the ingress free space side committed on cycle.
+func (l *Link) ReportSpace(side int, cycle uint64, freeSlots int) {
 	if l.Bidirectional {
-		l.space[side].Store(int64(freeSlots))
+		l.space[side][cycle&1].Store(int64(freeSlots))
 	}
 }
 
-// Arbitrate reassigns per-direction bandwidth for the next cycle. Called
-// during the owning tile's commit phase.
-func (l *Link) Arbitrate(side int) {
-	if !l.Bidirectional || side != l.owner {
+// Arbitrate reassigns per-direction bandwidth for the cycle after cycle.
+// Called during side 0's commit phase on cycle, after its ReportSpace.
+func (l *Link) Arbitrate(cycle uint64) {
+	if !l.Bidirectional {
 		return
 	}
 	total := int64(2 * l.BandwidthPerDir)
 	// Effective demand out of side s is capped by the space available at
-	// the opposite ingress: bandwidth granted beyond that is wasted.
-	d0 := min64(l.demand[0].Load(), l.space[1].Load())
-	d1 := min64(l.demand[1].Load(), l.space[0].Load())
+	// the opposite ingress: bandwidth granted beyond that is wasted. The
+	// far side's space is a cycle old, even where it commits first in tile
+	// order (ring and torus wraparound links, A > B).
+	d0 := min(l.demand[0].Load(), l.space[1][(cycle-1)&1].Load())
+	d1 := min(l.demand[1].Load(), l.space[0][cycle&1].Load())
 	switch {
 	case d0 == 0 && d1 == 0:
 		// Idle: park at the symmetric split.
@@ -100,9 +102,11 @@ func (l *Link) Arbitrate(side int) {
 	}
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// freeSlots is the free space across bufs, the value a side reports.
+func freeSlots(bufs []*VCBuffer) int {
+	free := 0
+	for _, b := range bufs {
+		free += b.Capacity() - b.Len()
 	}
-	return b
+	return free
 }

@@ -107,7 +107,7 @@ func (m *meshMachine) snapshotBytes(t *testing.T, clock uint64) []byte {
 		}
 	}
 	for i, l := range m.links {
-		l.SaveState(snap.Section(fmt.Sprintf("link-%d", i)))
+		l.SaveState(snap.Section(fmt.Sprintf("link-%d", i)), clock)
 	}
 	b, err := snap.Bytes()
 	if err != nil {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"hornet/internal/sim"
+	"hornet/internal/snapshot"
 	"hornet/internal/stats"
 )
 
@@ -404,12 +406,13 @@ func TestLinkFixedBandwidth(t *testing.T) {
 
 func TestBidirectionalLinkShiftsBandwidth(t *testing.T) {
 	l := NewLink(1, true)
-	// Side 0 has all the demand and side 1's ingress has space.
+	// Side 0 has all the demand and side 1's ingress has space. The arbiter
+	// on cycle 1 reads side 0's space of cycle 1 and side 1's of cycle 0.
 	l.ReportDemand(0, 5)
 	l.ReportDemand(1, 0)
-	l.ReportSpace(0, 8)
-	l.ReportSpace(1, 8)
-	l.Arbitrate(0)
+	l.ReportSpace(0, 1, 8)
+	l.ReportSpace(1, 0, 8)
+	l.Arbitrate(1)
 	if g := l.Grant(0); g != 2 {
 		t.Fatalf("one-sided demand: grant(0) = %d, want 2", g)
 	}
@@ -418,21 +421,115 @@ func TestBidirectionalLinkShiftsBandwidth(t *testing.T) {
 	}
 	// Balanced demand: symmetric split.
 	l.ReportDemand(1, 5)
-	l.Arbitrate(0)
+	l.Arbitrate(1)
 	if l.Grant(0)+l.Grant(1) != 2 {
 		t.Fatal("grants do not sum to total bandwidth")
 	}
 	// Demand capped by destination space.
-	l.ReportSpace(1, 0) // no room on side 1's ingress: side 0's demand is moot
-	l.Arbitrate(0)
+	l.ReportSpace(1, 0, 0) // no room on side 1's ingress: side 0's demand is moot
+	l.Arbitrate(1)
 	if g := l.Grant(1); g != 2 {
 		t.Fatalf("space-capped: grant(1) = %d, want 2", g)
 	}
 	// Idle link parks symmetric.
 	l.ReportDemand(0, 0)
 	l.ReportDemand(1, 0)
-	l.Arbitrate(0)
+	l.Arbitrate(1)
 	if l.Grant(0) != 1 || l.Grant(1) != 1 {
 		t.Fatal("idle link did not park at symmetric split")
+	}
+}
+
+// TestLinkArbiterReadsFarSideOneCycleLate pins the link rule that makes the
+// arbiter independent of thread timing: on cycle c it reads its own side's
+// (side 0's) free space of c and the far side's of c-1. Both sides commit
+// in the same phase, so the far side's report for c may or may not have
+// landed when side 0 arbitrates; it must not move the grant, and its report
+// for c-1, written a phase earlier, must.
+func TestLinkArbiterReadsFarSideOneCycleLate(t *testing.T) {
+	const c = 7
+	l := NewLink(1, true)
+	l.ReportDemand(0, 3)
+	l.ReportDemand(1, 3)
+	l.ReportSpace(0, c, 8)
+	l.ReportSpace(1, c-1, 8)
+	l.Arbitrate(c)
+	if l.Grant(0) != 1 || l.Grant(1) != 1 {
+		t.Fatalf("balanced: grants %d/%d, want 1/1", l.Grant(0), l.Grant(1))
+	}
+	l.ReportSpace(1, c, 0)
+	l.Arbitrate(c)
+	if l.Grant(0) != 1 || l.Grant(1) != 1 {
+		t.Fatalf("far side's space of this cycle moved the grant: %d/%d, want 1/1", l.Grant(0), l.Grant(1))
+	}
+	l.ReportSpace(1, c-1, 0)
+	l.Arbitrate(c)
+	if l.Grant(0) != 0 || l.Grant(1) != 2 {
+		t.Fatalf("far side's space of the previous cycle: grants %d/%d, want 0/2", l.Grant(0), l.Grant(1))
+	}
+	// Side 0's own space counts on the cycle it is committed.
+	l.ReportSpace(1, c-1, 8)
+	l.ReportSpace(0, c, 0)
+	l.Arbitrate(c)
+	if l.Grant(0) != 2 || l.Grant(1) != 0 {
+		t.Fatalf("own space of this cycle: grants %d/%d, want 2/0", l.Grant(0), l.Grant(1))
+	}
+}
+
+// TestLinkSnapshotKeepsLastCommittedSlot: a link saves the space each side
+// committed on the last cycle before the snapshot's clock — one value per
+// side, the format has no second slot — and a restored link arbitrates the
+// next cycle as the saved one would, whichever parity that cycle has.
+func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
+	for _, clock := range []uint64{10, 11} {
+		last := clock - 1
+		l := NewLink(1, true)
+		l.ReportSpace(0, last-1, 5)
+		l.ReportSpace(1, last-1, 0)
+		l.ReportSpace(0, last, 0)
+		l.ReportSpace(1, last, 4)
+		l.ReportDemand(0, 2)
+		l.ReportDemand(1, 1)
+		l.Arbitrate(last)
+
+		save := func(l *Link) []byte {
+			snap := snapshot.New("link-test", clock)
+			l.SaveState(snap.Section("link"), clock)
+			b, err := snap.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		blob := save(l)
+		restored := NewLink(1, true)
+		snap, err := snapshot.DecodeBytes(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := snap.Open("link")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.LoadState(rd); err != nil {
+			t.Fatal(err)
+		}
+		if again := save(restored); !bytes.Equal(again, blob) {
+			t.Errorf("clock %d: re-saved link differs from the saved one", clock)
+		}
+		if restored.Grant(0) != l.Grant(0) || restored.Grant(1) != l.Grant(1) {
+			t.Errorf("clock %d: restored grants %d/%d, saved %d/%d",
+				clock, restored.Grant(0), restored.Grant(1), l.Grant(0), l.Grant(1))
+		}
+		// The next cycle reads side 1's space of the last saved cycle (4, so
+		// side 0's demand of 2 counts), not side 1's of the cycle before (0).
+		for _, x := range []*Link{l, restored} {
+			x.ReportSpace(0, clock, 8)
+			x.Arbitrate(clock)
+		}
+		if restored.Grant(0) != l.Grant(0) || restored.Grant(1) != l.Grant(1) || l.Grant(0) != 1 {
+			t.Errorf("clock %d: next cycle's grants: restored %d/%d, saved %d/%d, want 1/1",
+				clock, restored.Grant(0), restored.Grant(1), l.Grant(0), l.Grant(1))
+		}
 	}
 }

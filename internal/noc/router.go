@@ -644,12 +644,10 @@ func (r *Router) commit(cycle uint64) {
 		if p.Link == nil || !p.Link.Bidirectional {
 			continue
 		}
-		free := 0
-		for _, b := range p.In {
-			free += b.Capacity() - b.Len()
+		p.Link.ReportSpace(p.Side, cycle, freeSlots(p.In))
+		if p.Side == 0 {
+			p.Link.Arbitrate(cycle)
 		}
-		p.Link.ReportSpace(p.Side, free)
-		p.Link.Arbitrate(p.Side)
 	}
 }
 

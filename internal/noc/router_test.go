@@ -568,7 +568,7 @@ func runSplitLine(t *testing.T, n, cut int, cycles uint64, offer func(routers []
 		var snaps [2]*snapshot.Snapshot
 		for s := range reps {
 			step(reps[s][spans[s][0]:spans[s][1]], c)
-			snap, err := bounds[s].Capture(c)
+			snap, err := bounds[s].Capture(c, false)
 			if err == nil {
 				// Through the wire encoding, as a sharded run sends it.
 				var b []byte

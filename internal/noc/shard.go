@@ -15,10 +15,10 @@ import (
 // credits the remote producer's replica never observes. ShardBoundary
 // closes the loop at synchronization points: it captures the newly
 // pushed boundary flits, the committed pop counts of boundary ingress
-// buffers and the pressure values of bidirectional boundary links into a
-// snapshot container, and applies the containers of every other shard —
-// pushing their flits into the real ingress buffers, replaying their
-// pops onto the local replicas (restoring producer credit), and
+// buffers and the in-span side's demand on bidirectional boundary links
+// into a snapshot container, and applies the containers of every other
+// shard — pushing their flits into the real ingress buffers, replaying
+// their pops onto the local replicas (restoring producer credit), and
 // re-arbitrating boundary links with both sides' true pressure.
 //
 // Determinism: a flit pushed at cycle c carries VisibleAt c+1 and the
@@ -26,7 +26,11 @@ import (
 // applying the push at the sync point after cycle c is indistinguishable
 // from the concurrent in-process push. Credits flow through committed
 // pop counts, which only advance at the consumer's commit — exactly the
-// values exchanged here.
+// values exchanged here. A boundary link's free space is not exchanged:
+// once the flits and pops have landed, the real ingress on the in-span
+// side and the producer's replica of the far ingress hold what each side
+// committed in one process, so both are recounted here into the cycle's
+// parity slot, the slot the arbiter reads.
 
 const shardSection = "shard-boundary"
 
@@ -48,11 +52,12 @@ type boundaryIn struct {
 	buf      *VCBuffer
 }
 
-// boundaryLink is the in-span side of a bidirectional boundary link.
+// boundaryLink is the in-span side of a bidirectional boundary link:
+// port.In is the real ingress of that side, port.Out the replica of the
+// far side's.
 type boundaryLink struct {
 	node, neighbor NodeID
-	side           int
-	link           *Link
+	port           *Port
 }
 
 type bkey struct {
@@ -108,7 +113,7 @@ func NewShardBoundary(routers []*Router, lo, hi int) *ShardBoundary {
 				sb.inByKey[bkey{i.src, i.dst, vc}] = i
 			}
 			if p.Link != nil && p.Link.Bidirectional {
-				l := &boundaryLink{node: r.ID, neighbor: p.Neighbor, side: p.Side, link: p.Link}
+				l := &boundaryLink{node: r.ID, neighbor: p.Neighbor, port: p}
 				sb.links = append(sb.links, l)
 				// Keyed by the *capturing* side's (node, neighbor) so an
 				// incoming entry from the remote shard resolves here.
@@ -121,12 +126,14 @@ func NewShardBoundary(routers []*Router, lo, hi int) *ShardBoundary {
 
 // Capture serializes everything the other shards need from this one
 // since the previous capture: newly pushed boundary flits, committed pop
-// counts of boundary ingress buffers, and this side's pressure values
-// for bidirectional boundary links. It returns the unencoded container,
+// counts of boundary ingress buffers, and this side's demand on
+// bidirectional boundary links. It returns the unencoded container,
 // so the caller can add sections of its own before encoding it once.
 // Must be called at a quiescent point (all engine workers blocked),
-// before Apply.
-func (sb *ShardBoundary) Capture(cycle uint64) (*snapshot.Snapshot, error) {
+// before Apply. A join capture (opening a run; cycle has not executed)
+// sends no link demand: the grants in place, from the last synchronization
+// point or a restored snapshot, are one process's, so Apply keeps them.
+func (sb *ShardBoundary) Capture(cycle uint64, join bool) (*snapshot.Snapshot, error) {
 	snap := snapshot.New(shardSection, cycle)
 	w := snap.Section(shardSection)
 	w.Int(sb.lo)
@@ -163,13 +170,16 @@ func (sb *ShardBoundary) Capture(cycle uint64) (*snapshot.Snapshot, error) {
 		w.Uint64(i.buf.CommittedPops())
 	}
 
-	w.Int(len(sb.links))
-	for _, l := range sb.links {
+	links := sb.links
+	if join {
+		links = nil
+	}
+	w.Int(len(links))
+	for _, l := range links {
 		w.Int32(int32(l.node))
 		w.Int32(int32(l.neighbor))
-		w.Int(l.side)
-		w.Int64(l.link.demand[l.side].Load())
-		w.Int64(l.link.space[l.side].Load())
+		w.Int(l.port.Side)
+		w.Int64(l.port.Link.demand[l.port.Side].Load())
 	}
 	return snap, nil
 }
@@ -244,7 +254,6 @@ func (sb *ShardBoundary) Apply(snap *snapshot.Snapshot) error {
 		neighbor := NodeID(r.Int32())
 		side := r.Int()
 		demand := r.Int64()
-		space := r.Int64()
 		if !inSpan(neighbor) || side < 0 || side > 1 {
 			continue
 		}
@@ -252,12 +261,13 @@ func (sb *ShardBoundary) Apply(snap *snapshot.Snapshot) error {
 		if !ok {
 			return fmt.Errorf("noc: boundary link values for unknown edge %d-%d", node, neighbor)
 		}
-		bl.link.demand[side].Store(demand)
-		bl.link.space[side].Store(space)
-		// Both sides now hold identical pressure values; recompute the
-		// grant deterministically (the commit-phase arbitration on the
-		// owner's shard ran with a stale remote side).
-		bl.link.Arbitrate(bl.link.owner)
+		// The sender's flits and pops have landed, so both sides' buffers
+		// hold what one process committed on this cycle.
+		p, l := bl.port, bl.port.Link
+		l.demand[side].Store(demand)
+		l.ReportSpace(p.Side, snap.Clock, freeSlots(p.In))
+		l.ReportSpace(1-p.Side, snap.Clock, freeSlots(p.Out))
+		l.Arbitrate(snap.Clock)
 	}
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("noc: boundary blob: %w", err)

@@ -145,19 +145,20 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	return nil
 }
 
-// SaveState serializes the link's arbitration state: the published
-// demand and space, and the grants that govern next cycle's bandwidth.
-func (l *Link) SaveState(w *snapshot.Writer) {
+// SaveState serializes the link's arbitration state: the demands, the
+// space each side committed on clock-1 and the grants that govern clock.
+func (l *Link) SaveState(w *snapshot.Writer, clock uint64) {
 	w.Int(l.BandwidthPerDir)
 	w.Bool(l.Bidirectional)
 	for side := 0; side < 2; side++ {
 		w.Int64(l.demand[side].Load())
-		w.Int64(l.space[side].Load())
+		w.Int64(l.space[side][(clock-1)&1].Load())
 		w.Int64(l.grant[side].Load())
 	}
 }
 
-// LoadState restores link state saved by SaveState.
+// LoadState restores link state saved by SaveState, the space into both
+// parity slots (each side rewrites its other slot before it is read).
 func (l *Link) LoadState(r *snapshot.Reader) error {
 	bw := r.Int()
 	bidi := r.Bool()
@@ -171,7 +172,9 @@ func (l *Link) LoadState(r *snapshot.Reader) error {
 	}
 	for side := 0; side < 2; side++ {
 		l.demand[side].Store(r.Int64())
-		l.space[side].Store(r.Int64())
+		space := r.Int64()
+		l.space[side][0].Store(space)
+		l.space[side][1].Store(space)
 		l.grant[side].Store(r.Int64())
 	}
 	return r.Err()

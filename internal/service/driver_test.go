@@ -168,12 +168,11 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 	}
 }
 
-// TestBidirectionalRunsOnOneEngineWorker: a machine with bidirectional
-// links is not reproducible across engine workers (ROADMAP 1a), and the
-// driver's documents are cached by content address, so such a machine runs
-// on one engine worker whatever the budget grants (core.New pins it, for
-// every caller).
-func TestBidirectionalRunsOnOneEngineWorker(t *testing.T) {
+// TestBidirectionalUsesEveryEngineWorker: a machine with bidirectional
+// links runs on every engine worker the budget grants, and its document —
+// which may enter the content-addressed cache — is byte-identical to the
+// one-worker run's.
+func TestBidirectionalUsesEveryEngineWorker(t *testing.T) {
 	cfg := config.Default()
 	cfg.Topology.Width, cfg.Topology.Height = 4, 4
 	cfg.Router.Bidirectional = true
@@ -186,8 +185,8 @@ func TestBidirectionalRunsOnOneEngineWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(probe.Snapshot().Partitions); n != 1 {
-		t.Errorf("bidirectional machine ran on %d engine partitions, want 1", n)
+	if n := len(probe.Snapshot().Partitions); n != 4 {
+		t.Errorf("bidirectional machine ran on %d engine partitions, want 4", n)
 	}
 	narrow, err := Execute(context.Background(), req, ExecOptions{Workers: 1})
 	if err != nil {

@@ -253,10 +253,9 @@ func scenarioHash(label, name string, identity any, seed uint64, shareWarmup boo
 // Sharding splits ONE simulation's tile grid across members, so only a
 // single simulation qualifies, the engine must sync every cycle
 // (boundary flits are exchanged at sync points; a coarser cadence would
-// let a flit cross a shard boundary unobserved), warmup sharing is
-// meaningless for a single run, and bidirectional links are refused
-// until a boundary reads the far side's free space as one process does
-// (core.EnableSharding refuses them too).
+// let a flit cross a shard boundary unobserved), and warmup sharing is
+// meaningless for a single run. Bidirectional links shard like fixed
+// ones: a boundary re-arbitrates them from the pressure one process sees.
 func checkShards(sc *scenario) *APIError {
 	if sc.shards == 0 {
 		return nil
@@ -280,9 +279,6 @@ func checkShards(sc *scenario) *APIError {
 	cfg := sc.runs[0].cfg
 	if cfg.Engine.SyncPeriod > 1 {
 		return reject("shards requires sync_period 1 (boundary traffic is exchanged every cycle)")
-	}
-	if cfg.Router.Bidirectional {
-		return reject("shards does not support router.bidirectional links (sharded link arbitration diverges from the single-process run)")
 	}
 	if nodes := cfg.Topology.Nodes(); sc.shards > nodes {
 		return reject("shards (%d) must not exceed the topology's %d nodes", sc.shards, nodes)

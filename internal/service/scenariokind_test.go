@@ -333,7 +333,8 @@ func TestScenarioRequestLevelKnobsRejected(t *testing.T) {
 // TestScenarioErrorFieldPaths: every structured rejection names the
 // input it is about — scenario documents with a /scenario-prefixed JSON
 // pointer and the invalid_scenario code, the legacy spellings with a
-// pointer into the request body.
+// pointer into the request body. Rows with no code are neighbours of a
+// rejection that must be accepted.
 func TestScenarioErrorFieldPaths(t *testing.T) {
 	mesh4 := `"machine":{"topology":{"kind":"mesh","width":4,"height":4}}`
 	uniform := `"traffic":[{"pattern":"uniform","injection_rate":0.05}]`
@@ -365,8 +366,9 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 		{"kernel-misfit-machine", doc(`"machine":{"topology":{"kind":"mesh","width":3,"height":2}},"workload":{"kernel":"reduction"}`),
 			CodeInvalidScenario, "/scenario/workload"},
 		{"kernel-needs-memory", doc(mesh4 + `,"workload":{"kernel":"shared-pingpong"}`), CodeInvalidScenario, "/scenario/machine/memory"},
+		// Accepted (no code): bidirectional links shard like fixed ones.
 		{"doc-shards-bidirectional", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"bidirectional":true}},` +
-			uniform + `,"run":{"shards":2}`), CodeInvalidRequest, "/scenario/run/shards"},
+			uniform + `,"run":{"shards":2}`), "", ""},
 
 		{"mips-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "reduction", Params: workloads.Params{"elems": 0},
 			Config: frozenMipsConfig()}}, CodeInvalidRequest, "/mips/params/elems"},
@@ -389,7 +391,7 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 			Config: cfgWith(func(c *config.Config) { c.Engine.SyncPeriod = 5 })}, CodeInvalidRequest, "/shards"},
 		{"shards-over-nodes", SubmitRequest{Config: frozenValidConfig(), Shards: 17}, CodeInvalidRequest, "/shards"},
 		{"shards-bidirectional", SubmitRequest{Shards: 2,
-			Config: cfgWith(func(c *config.Config) { c.Router.Bidirectional = true })}, CodeInvalidRequest, "/shards"},
+			Config: cfgWith(func(c *config.Config) { c.Router.Bidirectional = true })}, "", ""},
 		{"doc-shards-over-nodes", doc(mesh4 + `,` + uniform + `,"run":{"shards":17}`),
 			CodeInvalidRequest, "/scenario/run/shards"},
 
@@ -418,6 +420,12 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
 			_, apiErr := buildScenario(tc.req)
+			if tc.code == "" {
+				if apiErr != nil {
+					t.Fatalf("valid submission rejected with %s at %q (%s)", apiErr.Code, apiErr.Field, apiErr.Message)
+				}
+				return
+			}
 			if apiErr == nil {
 				t.Fatal("invalid submission accepted")
 			}

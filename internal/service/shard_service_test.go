@@ -32,6 +32,23 @@ func shardConfig() *config.Config {
 	return &cfg
 }
 
+// linkMachines are the sharded byte-identity tests' machines: shardConfig
+// with fixed links, and with bidirectional links under uniform traffic
+// busy enough that the far side's free space caps the link arbiter's
+// demand.
+func linkMachines() []struct {
+	name string
+	cfg  *config.Config
+} {
+	bidirectional := shardConfig()
+	bidirectional.Router.Bidirectional = true
+	bidirectional.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.20}}
+	return []struct {
+		name string
+		cfg  *config.Config
+	}{{"fixed", shardConfig()}, {"bidirectional", bidirectional}}
+}
+
 // runToDoc submits req on a fresh daemon built from opts and returns
 // the finished job's raw document bytes plus its config hash.
 func runToDoc(t *testing.T, opts Options, req SubmitRequest) ([]byte, string) {
@@ -53,21 +70,26 @@ func runToDoc(t *testing.T, opts Options, req SubmitRequest) ([]byte, string) {
 // TestShardedLocalSyntheticByteIdentity: the same synthetic scenario
 // run unsharded and sharded 2-way must hash identically (shards is an
 // execution knob, not document identity) and produce byte-identical
-// result documents through the local in-process member group.
+// result documents through the local in-process member group, with fixed
+// and with bidirectional links.
 func TestShardedLocalSyntheticByteIdentity(t *testing.T) {
-	base := SubmitRequest{Name: "shard-synth", Config: shardConfig(), Seed: 21}
+	for _, m := range linkMachines() {
+		t.Run(m.name, func(t *testing.T) {
+			base := SubmitRequest{Name: "shard-synth", Config: m.cfg, Seed: 21}
 
-	single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+			single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
 
-	sharded := base
-	sharded.Shards = 2
-	doc2, hash2 := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, sharded)
+			sharded := base
+			sharded.Shards = 2
+			doc2, hash2 := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, sharded)
 
-	if hash2 != hashSingle {
-		t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
-	}
-	if !bytes.Equal(doc2, single) {
-		t.Fatalf("2-way sharded document differs from single-engine run:\n single: %s\n sharded: %s", single, doc2)
+			if hash2 != hashSingle {
+				t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
+			}
+			if !bytes.Equal(doc2, single) {
+				t.Fatalf("2-way sharded document differs from single-engine run:\n single: %s\n sharded: %s", single, doc2)
+			}
+		})
 	}
 }
 
@@ -104,19 +126,31 @@ func TestShardedLocalMIPSByteIdentity(t *testing.T) {
 // on a tiny cadence emits the same bytes as the unsharded, uncheck-
 // pointed run.
 func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
-	base := SubmitRequest{Name: "shard-ckpt", Config: shardConfig(), Seed: 33}
+	for _, m := range linkMachines() {
+		t.Run(m.name, func(t *testing.T) {
+			base := SubmitRequest{Name: "shard-ckpt", Config: m.cfg, Seed: 33}
 
-	single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+			single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
 
-	sharded := base
-	sharded.Shards = 2
-	doc2, _ := runToDoc(t, Options{
-		MaxJobs: 1, Budget: 2,
-		CheckpointDir: t.TempDir(), CheckpointEvery: 700,
-	}, sharded)
+			// Every autosave chunk opens with a join synchronization; on
+			// the bidirectional machine a short cadence puts enough of
+			// them under load that one re-arbitrating a boundary link
+			// shows in the document.
+			every := uint64(700)
+			if m.cfg.Router.Bidirectional {
+				every = 13
+			}
+			sharded := base
+			sharded.Shards = 2
+			doc2, _ := runToDoc(t, Options{
+				MaxJobs: 1, Budget: 2,
+				CheckpointDir: t.TempDir(), CheckpointEvery: every,
+			}, sharded)
 
-	if !bytes.Equal(doc2, single) {
-		t.Fatalf("checkpointed sharded document differs from clean single-engine run")
+			if !bytes.Equal(doc2, single) {
+				t.Fatalf("checkpointed sharded document differs from clean single-engine run")
+			}
+		})
 	}
 }
 
