@@ -44,9 +44,13 @@ test-race-rest:
 # loose synchronization (several workers, sync_period > 1) over 20k
 # cycles with exact flit conservation, the lock-free VC buffer's
 # two-goroutine stress test (wrappers and in-place slot primitives), the
-# producer-side credit word — which a consumer on another thread commits
-# into — after commits, restores in either order and shard-boundary
-# applies, restores of snapshots taken with VCs blocked on that credit,
+# producer-side credit cell — which a consumer on another thread commits
+# into, by cycle parity, so that a cycle runs on one barrier — after
+# commits, restores in either order and shard-boundary applies, the credit
+# rule itself (a credit committed in a cycle is usable from the next, and
+# stays so when nothing pops, across a restore, a shard exchange and a
+# fast-forward jump; a VC parked in the cycle its credit commits wakes),
+# restores of snapshots taken with VCs blocked on that credit,
 # the per-router occupancy mask — which the neighbours' threads set, by
 # pushes and by credits, and the owner clears, when a buffer empties and
 # when it parks a VC on a credit — against the buffers and the parked VCs
@@ -57,7 +61,10 @@ test-race-rest:
 # (sync_period 1, 5, 50), a restore of that mesh mid-saturation, the exact
 # generator skip an idle router relies on, the snapshot bytes of 30
 # machines against the ones recorded before the mask existed, engine-worker
-# panic containment, the barrier's polling, parking and break paths, and
+# panic containment, one barrier generation per synchronization chunk, a
+# busy 4x4 mesh, fixed and bidirectional, on 2 to 4 workers whose first
+# partition starts every cycle only after the last one has committed it,
+# held to one worker, the barrier's polling, parking and break paths, and
 # the cross-process barrier: the shard group's all-gather (member order,
 # duplicate arrivals, rollback notices carrying the stable blobs, waiters
 # released by Cancel and by their contexts, staged→stable promotion), a
@@ -69,11 +76,12 @@ test-race-rest:
 # bidirectional mesh on 3 workers held to 1 worker tile by tile and link by
 # link, 4 workers through the service driver, and 2-, 3- and 4-way shards
 # held to one process, run whole, in 7-cycle chunks and autosaving every
-# 13 cycles.
+# 13 cycles, and 2-way shards of the machines that join one pair of
+# routers by two links (a 2-node ring, two-wide tori).
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCreditKeptAtProducer|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestBarrier|TestShardGroup|TestRouteStoreConcurrentBuildsShareLines|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestShardedSyntheticByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestShardGroup|TestRouteStoreConcurrentBuildsShareLines|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity' \
 		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service/backend ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -158,7 +158,7 @@ type ThermalConfig struct {
 // EngineConfig controls the parallel simulation engine.
 type EngineConfig struct {
 	Workers     int    `json:"workers"`      // host threads; 0 => GOMAXPROCS
-	SyncPeriod  int    `json:"sync_period"`  // 1 => cycle-accurate (2 barriers/cycle)
+	SyncPeriod  int    `json:"sync_period"`  // 1 => cycle-accurate (one barrier per cycle)
 	FastForward bool   `json:"fast_forward"` // skip provably idle cycles
 	Seed        uint64 `json:"seed"`
 }

@@ -77,6 +77,12 @@ func summaryDigest(t *testing.T, cfg config.Config, workers int) string {
 	if res := sys.Run(goldenCycles); res.Err != nil || res.Cycles != goldenCycles {
 		t.Fatalf("run: %+v", res)
 	}
+	return systemDigest(t, sys, workers)
+}
+
+// systemDigest is summaryDigest's hash of a system that has run.
+func systemDigest(t *testing.T, sys *System, workers int) string {
+	t.Helper()
 	sum := sys.Summary()
 	if int64(sum.FlitsInjected-sum.FlitsDelivered) != sys.InFlight() {
 		t.Errorf("workers=%d: flit conservation violated: injected %d, delivered %d, in flight %d",
@@ -97,9 +103,8 @@ func summaryDigest(t *testing.T, cfg config.Config, workers int) string {
 // with -update and say why.
 //
 // Bandwidth-adaptive links are held to the same rule on 3 real engine
-// workers: the arbiter reads the far side's free space of the previous
-// cycle, which no thread is writing, so no digest depends on which side's
-// thread commits first.
+// workers: each side's arbiter reads only what the cycle before left, so no
+// digest depends on which side's thread runs first.
 func TestSummaryGolden(t *testing.T) {
 	path := filepath.Join("testdata", "summary_golden.json")
 	want := map[string]string{}

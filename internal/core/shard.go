@@ -51,7 +51,7 @@ type shardCoupler struct {
 }
 
 func (c *shardCoupler) Sync(vote sim.ShardVote) (sim.ShardDecision, error) {
-	snap, err := c.st.boundary.Capture(vote.Cycle, vote.Join)
+	snap, err := c.st.boundary.Capture(vote.Cycle)
 	if err != nil {
 		return sim.ShardDecision{}, err
 	}
@@ -119,8 +119,8 @@ func decodeSyncPayload(p []byte) (*snapshot.Snapshot, sim.ShardVote, error) {
 // synchronization point. Call after all frontends are attached and —
 // when resuming — after Restore, so the boundary bookkeeping baselines
 // against the restored state. Sharding requires cycle-accurate
-// synchronization (sync period 1); bidirectional boundary links are
-// re-arbitrated as one process would (noc.ShardBoundary).
+// synchronization (sync period 1); members meet once per cycle, as the
+// engine's workers do (noc.ShardBoundary).
 func (s *System) EnableSharding(index, count int, peer ShardPeer) error {
 	if s.shard != nil {
 		return fmt.Errorf("core: sharding already enabled")

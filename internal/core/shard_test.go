@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hornet/internal/config"
 	"hornet/internal/mips"
@@ -77,11 +79,10 @@ func statsFingerprint(t *testing.T, sys *System) []byte {
 // run — including when the sharded run is interrupted mid-way by a
 // snapshot/restore of every shard (the migration path). The bidirectional
 // rows are the busy 4x4 mesh whose 2-shard run once delivered 30139 flits
-// against one process's 30393, before a boundary recounted both sides'
-// free space from its own buffers, a torus, whose wraparound links cross
-// every span, and the busy mesh run in 7-cycle chunks, also migrating
-// between them: every chunk opens with a join synchronization, which must
-// leave the grants of the last synchronization or the snapshot in place.
+// against one process's 30393, a torus, whose wraparound links cross every
+// span, and the busy mesh run in 7-cycle chunks, also migrating between
+// them: every chunk opens with a join synchronization, which must move no
+// link's grant.
 func TestShardedSyntheticByteIdentity(t *testing.T) {
 	cycles := uint64(3000)
 	if testing.Short() {
@@ -155,59 +156,9 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 			mkCfg := tc.mkCfg
 			want := reference(t, tc.cfgName, mkCfg)
 
-			hub := newShardHub(tc.count)
-			systems := make([]*System, tc.count)
-			var wg sync.WaitGroup
-			errs := make([]error, tc.count)
-			// Each shard runs in chunks of tc.chunk cycles (half the run
-			// when migrating, the whole run otherwise); a migrating shard
-			// snapshots, rebuilds, restores and resumes between chunks —
-			// the checkpoint-based shard migration path.
-			chunk := tc.chunk
-			if chunk == 0 {
-				chunk = cycles
-				if tc.migrate {
-					chunk = cycles / 2
-				}
-			}
-			for i := 0; i < tc.count; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					build := func(blob []byte) (*System, error) {
-						sys, err := New(mkCfg())
-						if err == nil {
-							err = sys.AttachSyntheticTraffic()
-						}
-						if err == nil && blob != nil {
-							err = sys.RestoreBytes(blob)
-						}
-						if err == nil {
-							err = sys.EnableSharding(i, tc.count, hub.peer(i))
-						}
-						return sys, err
-					}
-					sys, err := build(nil)
-					for err == nil && sys.Clock() < cycles {
-						err = sys.RunUntilResumed(min(chunk, cycles-sys.Clock()), nil).Err
-						if err == nil && tc.migrate && sys.Clock() < cycles {
-							var blob []byte
-							if blob, err = sys.SnapshotBytes(); err == nil {
-								sys, err = build(blob)
-							}
-						}
-					}
-					if err == nil {
-						err = sys.ShardGather()
-					}
-					errs[i], systems[i] = err, sys
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("shard %d: %v", i, err)
-				}
+			systems, err := runSharded(mkCfg, tc.count, cycles, tc.chunk, tc.migrate)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for i, sys := range systems {
 				if sys.Clock() != want.clock {
@@ -218,6 +169,128 @@ func TestShardedSyntheticByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runSharded runs a synthetic-traffic machine for cycles as count
+// in-process shards and gathers their statistics. Each shard runs in
+// chunks of chunk cycles (half the run when migrating, the whole run when
+// chunk is 0); a migrating shard snapshots, rebuilds, restores and resumes
+// between chunks — the checkpoint-based shard migration path.
+func runSharded(mkCfg func() config.Config, count int, cycles, chunk uint64, migrate bool) ([]*System, error) {
+	hub := newShardHub(count)
+	systems := make([]*System, count)
+	errs := make([]error, count)
+	if chunk == 0 {
+		chunk = cycles
+		if migrate {
+			chunk = cycles / 2
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < count; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			build := func(blob []byte) (*System, error) {
+				sys, err := New(mkCfg())
+				if err == nil {
+					err = sys.AttachSyntheticTraffic()
+				}
+				if err == nil && blob != nil {
+					err = sys.RestoreBytes(blob)
+				}
+				if err == nil {
+					err = sys.EnableSharding(i, count, hub.peer(i))
+				}
+				return sys, err
+			}
+			sys, err := build(nil)
+			for err == nil && sys.Clock() < cycles {
+				err = sys.RunUntilResumed(min(chunk, cycles-sys.Clock()), nil).Err
+				if err == nil && migrate && sys.Clock() < cycles {
+					var blob []byte
+					if blob, err = sys.SnapshotBytes(); err == nil {
+						sys, err = build(blob)
+					}
+				}
+			}
+			if err == nil {
+				err = sys.ShardGather()
+			}
+			errs[i], systems[i] = err, sys
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return systems, nil
+}
+
+// TestShardedDoubleLinkByteIdentity: a 2-node ring and the two-wide tori
+// join one pair of routers by two links, so a boundary names its channels
+// and links by port, not by the routers at their ends. Split into 2 shards,
+// fixed and bidirectional, each must finish within the deadline (a
+// channel named twice left a member waiting for credits that went to the
+// other link) with per-tile statistics byte-identical to one process.
+func TestShardedDoubleLinkByteIdentity(t *testing.T) {
+	const cycles = 1500
+	for _, topo := range []struct {
+		name string
+		kind string
+		w, h int
+	}{
+		{"ring2", config.TopoRing, 2, 1},
+		{"torus2x2", config.TopoTorus, 2, 2},
+		{"torus2x3", config.TopoTorus, 2, 3},
+	} {
+		for _, bidir := range []bool{false, true} {
+			name := topo.name + "/fixed"
+			if bidir {
+				name = topo.name + "/bidirectional"
+			}
+			t.Run(name, func(t *testing.T) {
+				mkCfg := func() config.Config {
+					cfg := smallCfg()
+					cfg.Topology = config.TopologyConfig{Kind: topo.kind, Width: topo.w, Height: topo.h}
+					cfg.Router.Bidirectional = bidir
+					cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.3}}
+					return cfg
+				}
+				ref, err := New(mkCfg())
+				if err == nil {
+					err = ref.AttachSyntheticTraffic()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res := ref.Run(cycles); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				want := statsFingerprint(t, ref)
+				done := make(chan []*System, 1)
+				go func() {
+					systems, err := runSharded(mkCfg, 2, cycles, 0, false)
+					if err != nil {
+						t.Error(err)
+					}
+					done <- systems
+				}()
+				select {
+				case systems := <-done:
+					for i, sys := range systems {
+						if got := statsFingerprint(t, sys); !bytes.Equal(got, want) {
+							t.Errorf("shard %d: per-tile statistics diverged from the single-process run", i)
+						}
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("the sharded run did not finish: a member waits for what the other sent to another channel")
+				}
+			})
+		}
 	}
 }
 

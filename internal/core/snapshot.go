@@ -299,7 +299,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 		if err := t.Stats.LoadState(r); err != nil {
 			return err
 		}
-		if err := t.Router.LoadState(r); err != nil {
+		if err := t.Router.LoadState(r, snap.Clock); err != nil {
 			return err
 		}
 	}

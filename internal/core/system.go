@@ -54,7 +54,7 @@ type System struct {
 
 // New builds a system from a validated configuration: topology, routing
 // and VCA tables, routers wired per edge, the power model, and the
-// parallel engine (on one worker if the links are bandwidth-adaptive).
+// parallel engine.
 // Frontends are attached afterwards (Attach*).
 func New(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {

@@ -162,7 +162,7 @@ func TestRestoreRejectsCorruptInjectionQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _ := pipeline(t, 2, 1, 2, VCADynamic)
-		if err := fresh[0].LoadState(rd); err != nil {
+		if err := fresh[0].LoadState(rd, snap.Clock); err != nil {
 			return err
 		}
 		return rd.Close()

@@ -125,7 +125,7 @@ func (m *meshMachine) restoreBytes(t *testing.T, b []byte) {
 	for i, r := range m.routers {
 		rd, err := snap.Open(fmt.Sprintf("router-%d", i))
 		if err == nil {
-			err = r.LoadState(rd)
+			err = r.LoadState(rd, snap.Clock)
 		}
 		if err != nil {
 			t.Fatal(err)

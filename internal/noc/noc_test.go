@@ -169,7 +169,7 @@ func TestVCBufferConcurrentSPSC(t *testing.T) {
 		return ends{
 			buf: b,
 			produce: func(i uint64) bool {
-				if ev.free() < 1 {
+				if ev.free(i) < 1 { // Commit fills both slots: any cycle sees it
 					return false
 				}
 				slot := b.tailSlot()
@@ -397,100 +397,110 @@ func TestLinkFixedBandwidth(t *testing.T) {
 	if l.Grant(0) != 2 || l.Grant(1) != 2 {
 		t.Fatal("fixed link bandwidth wrong")
 	}
-	l.ReportDemand(0, 100) // no-ops when not bidirectional
-	l.Arbitrate(0)
+	l.ReportDemand(0, 0, 100) // no-ops when not bidirectional
+	l.arbitrate(0, 0, 0, 8)
 	if l.Grant(0) != 2 {
 		t.Fatal("fixed link changed bandwidth")
 	}
 }
 
+// grants runs both sides' arbiters at the positive edge after cycle prev,
+// each counting the two free spaces after prev as its router does — its
+// own ingress, and the far one through its credits — and returns the
+// grants they take for the cycle.
+func grants(l *Link, prev uint64, space0, space1 int) (int, int) {
+	l.arbitrate(0, prev, space0, space1)
+	l.arbitrate(1, prev, space1, space0)
+	return l.Grant(0), l.Grant(1)
+}
+
 func TestBidirectionalLinkShiftsBandwidth(t *testing.T) {
 	l := NewLink(1, true)
-	// Side 0 has all the demand and side 1's ingress has space. The arbiter
-	// on cycle 1 reads side 0's space of cycle 1 and side 1's of cycle 0.
-	l.ReportDemand(0, 5)
-	l.ReportDemand(1, 0)
-	l.ReportSpace(0, 1, 8)
-	l.ReportSpace(1, 0, 8)
-	l.Arbitrate(1)
-	if g := l.Grant(0); g != 2 {
-		t.Fatalf("one-sided demand: grant(0) = %d, want 2", g)
-	}
-	if g := l.Grant(1); g != 0 {
-		t.Fatalf("one-sided demand: grant(1) = %d, want 0", g)
+	// Side 0 has all the demand after cycle 1 and side 1's ingress has
+	// space. The arbiters of cycle 2 read side 0's space after cycle 1 and
+	// side 1's after cycle 0.
+	grants(l, 0, 8, 8)
+	l.ReportDemand(0, 1, 5)
+	l.ReportDemand(1, 1, 0)
+	if g0, g1 := grants(l, 1, 8, 8); g0 != 2 || g1 != 0 {
+		t.Fatalf("one-sided demand: grants %d/%d, want 2/0", g0, g1)
 	}
 	// Balanced demand: symmetric split.
-	l.ReportDemand(1, 5)
-	l.Arbitrate(1)
-	if l.Grant(0)+l.Grant(1) != 2 {
-		t.Fatal("grants do not sum to total bandwidth")
+	l.ReportDemand(1, 1, 5)
+	if g0, g1 := grants(l, 1, 8, 8); g0+g1 != 2 || g0 != 1 {
+		t.Fatalf("balanced demand: grants %d/%d, want 1/1", g0, g1)
 	}
-	// Demand capped by destination space.
-	l.ReportSpace(1, 0, 0) // no room on side 1's ingress: side 0's demand is moot
-	l.Arbitrate(1)
-	if g := l.Grant(1); g != 2 {
-		t.Fatalf("space-capped: grant(1) = %d, want 2", g)
+	// Demand capped by destination space: no room on side 1's ingress, so
+	// side 0's demand is moot.
+	grants(l, 0, 8, 0)
+	if _, g1 := grants(l, 1, 8, 8); g1 != 2 {
+		t.Fatalf("space-capped: grant(1) = %d, want 2", g1)
 	}
 	// Idle link parks symmetric.
-	l.ReportDemand(0, 0)
-	l.ReportDemand(1, 0)
-	l.Arbitrate(1)
-	if l.Grant(0) != 1 || l.Grant(1) != 1 {
-		t.Fatal("idle link did not park at symmetric split")
+	l.ReportDemand(0, 1, 0)
+	l.ReportDemand(1, 1, 0)
+	if g0, g1 := grants(l, 1, 8, 8); g0 != 1 || g1 != 1 {
+		t.Fatalf("idle link: grants %d/%d, want 1/1", g0, g1)
 	}
 }
 
-// TestLinkArbiterReadsFarSideOneCycleLate pins the link rule that makes the
-// arbiter independent of thread timing: on cycle c it reads its own side's
-// (side 0's) free space of c and the far side's of c-1. Both sides commit
-// in the same phase, so the far side's report for c may or may not have
-// landed when side 0 arbitrates; it must not move the grant, and its report
-// for c-1, written a phase earlier, must.
+// TestLinkArbiterReadsFarSideOneCycleLate pins the link rule: the
+// arbiters of the cycle after prev read both sides' demand after prev,
+// side 0's free space after prev and side 1's after prev-1 — values final
+// before the cycle starts — and nothing either side writes during the
+// cycle: its own demand of the cycle, and side 1's space after prev,
+// which both sides store while they arbitrate.
 func TestLinkArbiterReadsFarSideOneCycleLate(t *testing.T) {
-	const c = 7
+	const prev = 7
 	l := NewLink(1, true)
-	l.ReportDemand(0, 3)
-	l.ReportDemand(1, 3)
-	l.ReportSpace(0, c, 8)
-	l.ReportSpace(1, c-1, 8)
-	l.Arbitrate(c)
-	if l.Grant(0) != 1 || l.Grant(1) != 1 {
-		t.Fatalf("balanced: grants %d/%d, want 1/1", l.Grant(0), l.Grant(1))
+	l.ReportDemand(0, prev, 3)
+	l.ReportDemand(1, prev, 3)
+	grants(l, prev-1, 8, 8)
+	if g0, g1 := grants(l, prev, 8, 8); g0 != 1 || g1 != 1 {
+		t.Fatalf("balanced: grants %d/%d, want 1/1", g0, g1)
 	}
-	l.ReportSpace(1, c, 0)
-	l.Arbitrate(c)
-	if l.Grant(0) != 1 || l.Grant(1) != 1 {
-		t.Fatalf("far side's space of this cycle moved the grant: %d/%d, want 1/1", l.Grant(0), l.Grant(1))
+	l.ReportDemand(0, prev+1, 0) // the cycle in progress
+	grants(l, prev-1, 8, 8)
+	if g0, g1 := grants(l, prev, 8, 0); g0 != 1 || g1 != 1 {
+		t.Fatalf("side 1's space after prev or a demand of the cycle in progress moved the grant: %d/%d, want 1/1", g0, g1)
 	}
-	l.ReportSpace(1, c-1, 0)
-	l.Arbitrate(c)
-	if l.Grant(0) != 0 || l.Grant(1) != 2 {
-		t.Fatalf("far side's space of the previous cycle: grants %d/%d, want 0/2", l.Grant(0), l.Grant(1))
+	grants(l, prev-1, 8, 0)
+	if g0, g1 := grants(l, prev, 8, 8); g0 != 0 || g1 != 2 {
+		t.Fatalf("side 1's space after prev-1: grants %d/%d, want 0/2", g0, g1)
 	}
-	// Side 0's own space counts on the cycle it is committed.
-	l.ReportSpace(1, c-1, 8)
-	l.ReportSpace(0, c, 0)
-	l.Arbitrate(c)
-	if l.Grant(0) != 2 || l.Grant(1) != 0 {
-		t.Fatalf("own space of this cycle: grants %d/%d, want 2/0", l.Grant(0), l.Grant(1))
+	// Side 0's own space counts after the cycle it is left by.
+	grants(l, prev-1, 8, 8)
+	if g0, g1 := grants(l, prev, 0, 8); g0 != 2 || g1 != 0 {
+		t.Fatalf("side 0's space after prev: grants %d/%d, want 2/0", g0, g1)
+	}
+	// Each side keeps its own grant: a side that has not arbitrated yet
+	// still holds the previous cycle's.
+	grants(l, prev-1, 8, 8)
+	l.arbitrate(0, prev, 0, 8)
+	if l.Grant(0) != 2 || l.Grant(1) != 1 {
+		t.Fatalf("one side arbitrated: grants %d/%d, want 2/1", l.Grant(0), l.Grant(1))
 	}
 }
 
-// TestLinkSnapshotKeepsLastCommittedSlot: a link saves the space each side
-// committed on the last cycle before the snapshot's clock — one value per
-// side, the format has no second slot — and a restored link arbitrates the
-// next cycle as the saved one would, whichever parity that cycle has.
+// TestLinkSnapshotKeepsLastCommittedSlot: a link saves the demands and
+// free spaces the last cycle before the snapshot's clock left, and the
+// grants the clock's cycle will use — computed as the sides will compute
+// them, from side 1's space of the cycle before, which the format has no
+// field for. A restored link uses the saved grants for that cycle and
+// arbitrates the next one as the saved link does, whichever parity the
+// cycles have.
 func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
 	for _, clock := range []uint64{10, 11} {
 		last := clock - 1
 		l := NewLink(1, true)
-		l.ReportSpace(0, last-1, 5)
-		l.ReportSpace(1, last-1, 0)
-		l.ReportSpace(0, last, 0)
-		l.ReportSpace(1, last, 4)
-		l.ReportDemand(0, 2)
-		l.ReportDemand(1, 1)
-		l.Arbitrate(last)
+		in0, in1 := NewVCBuffer(8), NewVCBuffer(8)
+		for i := 0; i < 4; i++ {
+			in1.Push(Flit{})
+		}
+		l.in = [2][]*VCBuffer{{in0}, {in1}}
+		grants(l, last-1, 8, 8) // cycle last runs: side 1's space after last-1 is 8
+		l.ReportDemand(0, last, 2)
+		l.ReportDemand(1, last, 0)
 
 		save := func(l *Link) []byte {
 			snap := snapshot.New("link-test", clock)
@@ -503,6 +513,7 @@ func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
 		}
 		blob := save(l)
 		restored := NewLink(1, true)
+		restored.in = l.in
 		snap, err := snapshot.DecodeBytes(blob)
 		if err != nil {
 			t.Fatal(err)
@@ -517,19 +528,24 @@ func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
 		if again := save(restored); !bytes.Equal(again, blob) {
 			t.Errorf("clock %d: re-saved link differs from the saved one", clock)
 		}
-		if restored.Grant(0) != l.Grant(0) || restored.Grant(1) != l.Grant(1) {
-			t.Errorf("clock %d: restored grants %d/%d, saved %d/%d",
-				clock, restored.Grant(0), restored.Grant(1), l.Grant(0), l.Grant(1))
+		// Cycle clock: both links grant side 0 all of it; the restored one
+		// could not have computed that (it has no space of side 1's after
+		// last-1), so it comes from the snapshot.
+		g0, g1 := grants(l, last, 8, 4)
+		r0, r1 := grants(restored, last, 8, 4)
+		if r0 != g0 || r1 != g1 || g0 != 2 {
+			t.Errorf("clock %d: restored grants %d/%d, saved %d/%d, want 2/0", clock, r0, r1, g0, g1)
 		}
-		// The next cycle reads side 1's space of the last saved cycle (4, so
-		// side 0's demand of 2 counts), not side 1's of the cycle before (0).
+		// The next cycle reads side 1's space after clock-1 (4, so side 0's
+		// demand counts) on both.
 		for _, x := range []*Link{l, restored} {
-			x.ReportSpace(0, clock, 8)
-			x.Arbitrate(clock)
+			x.ReportDemand(0, clock, 1)
+			x.ReportDemand(1, clock, 1)
 		}
-		if restored.Grant(0) != l.Grant(0) || restored.Grant(1) != l.Grant(1) || l.Grant(0) != 1 {
-			t.Errorf("clock %d: next cycle's grants: restored %d/%d, saved %d/%d, want 1/1",
-				clock, restored.Grant(0), restored.Grant(1), l.Grant(0), l.Grant(1))
+		g0, g1 = grants(l, clock, 8, 4)
+		r0, r1 = grants(restored, clock, 8, 4)
+		if r0 != g0 || r1 != g1 || g0 != 1 {
+			t.Errorf("clock %d: next cycle's grants: restored %d/%d, saved %d/%d, want 1/1", clock, r0, r1, g0, g1)
 		}
 	}
 }

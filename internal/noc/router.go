@@ -23,15 +23,15 @@ func (f ReceiverFunc) ReceivePacket(p Packet, cycle uint64) { f(p, cycle) }
 
 // egressVC is the producer-side bookkeeping for one downstream VC: the
 // wormhole allocation state, the cumulative push count, and the cell the
-// downstream buffer's Commit stores its committed pops into — their
-// difference is the deterministic credit view, read without leaving this
-// record — and rings when this router has parked the ingress VC holding the
-// allocation on it. buf, capacity and vc are fixed when the egress is
-// connected. The record is padded to a cache line so that its fields never
-// straddle two (TestVCStateLayout): a credit check reads one line.
+// downstream buffer commits its pops into — their difference is the
+// deterministic credit view, read without leaving this record — and rings
+// when this router has parked the ingress VC holding the allocation on it.
+// buf, capacity and vc are fixed when the egress is connected. The record
+// is padded to a cache line so that its fields never straddle two
+// (TestVCStateLayout): a credit check reads one line.
 type egressVC struct {
 	pushes      uint64
-	credit      creditCell // the downstream buffer's committed pops (VCBuffer.Commit) and who waits for them
+	credit      creditCell // the downstream buffer's committed pops and who waits for them
 	allocPacket uint64     // packet currently allocated this VC; 0 = free
 	allocFlow   FlowID
 	lastFlow    FlowID // flow of the most recent flit pushed
@@ -49,18 +49,23 @@ func (e *egressVC) connect(vc int, buf *VCBuffer) {
 	buf.attachCredit(&e.credit)
 }
 
-// resident reports whether, from the producer's view, the downstream VC
-// still holds flits, and of which flow (valid only under single-flow-
-// at-a-time disciplines such as EDVCA, which is when it is consulted).
-func (e *egressVC) resident() (FlowID, bool) {
-	if e.pushes == e.credit.count.Load() {
+// resident reports whether, from the producer's view in the cycle after
+// prev, the downstream VC still holds flits, and of which flow (valid only
+// under single-flow-at-a-time disciplines such as EDVCA, which is when it
+// is consulted).
+func (e *egressVC) resident(prev uint64) (FlowID, bool) {
+	if uint32(e.pushes) == e.credit.count[prev&1].Load() {
 		return 0, false
 	}
 	return e.lastFlow, true
 }
 
-func (e *egressVC) free() int {
-	return int(e.capacity) - int(e.pushes-e.credit.count.Load())
+// free is the downstream space the producer may use in the cycle after
+// prev, the last cycle its router ran.
+func (e *egressVC) free(prev uint64) int { return e.freeBy(e.credit.count[prev&1].Load()) }
+
+func (e *egressVC) freeBy(committed uint32) int {
+	return int(e.capacity) - int(uint32(e.pushes)-committed)
 }
 
 // headStale in vcState.headVis says the head-flit descriptor must be read
@@ -256,8 +261,16 @@ type Router struct {
 	// ingress state NewRouter allocates once.
 	vcs []vcState
 	// popped collects the commits of the buffers popped this cycle, which
-	// the negative edge publishes.
+	// the negative edge publishes and the next one publishes again, into
+	// the other slot (see VCBuffer); repub holds those of the last cycle,
+	// for slot repubSlot.
 	popped    []commit
+	repub     []commit
+	repubSlot uint64
+	// last is the last cycle whose positive edge the router finished; while
+	// one runs, the cycle whose end its credits and links are read as of:
+	// cycle-1, or older after a fast-forward jump.
+	last      uint64
 	vaScratch []*vcState // VCs waiting for VC allocation this cycle
 
 	saBuckets [][]*vcState // SA-eligible VCs per egress port
@@ -374,6 +387,7 @@ func NewRouter(p RouterParams) *Router {
 		egressPerm:  make([]int, nPorts),
 		saBuckets:   make([][]*vcState, nPorts),
 		demand:      make([]int, nPorts),
+		last:        ^uint64(0),
 	}
 	if t, ok := p.Table.(Adaptiver); ok && t.Adaptive() {
 		r.adaptive = true
@@ -461,8 +475,9 @@ func (r *Router) ConnectEgress(neighbor NodeID, downstream []*VCBuffer, link *Li
 	p.freeVCs = len(downstream)
 	p.Link = link
 	p.Side = side
-	if link != nil && link.Bidirectional {
-		r.bidir = true
+	if link != nil {
+		link.in[1-side] = downstream
+		r.bidir = r.bidir || link.Bidirectional
 	}
 }
 
@@ -577,13 +592,18 @@ func (r *Router) NextEvent(now uint64) uint64 {
 // A flit a neighbour pushes while or after the mask is read is noticed a
 // cycle later, which changes nothing: it is not visible before the next
 // cycle (VisibleAt = push cycle + 1) and its arrival counts from
-// max(stamp, VisibleAt). A credit is published on the negative edge; one
-// seen late under loose synchronization is the lag the credit rule allows.
+// max(stamp, VisibleAt). Credits and link state are read as the end of the
+// router's last cycle left them, whatever a neighbour's negative edge
+// writes meanwhile.
 func (r *Router) PhaseTransfer(cycle uint64) {
 	injecting := r.streaming || r.pending.size() != 0
 	if !injecting && !r.bidir && !r.anyOccupied() {
 		r.skipEgressPerm()
+		r.last = cycle
 		return
+	}
+	if r.bidir {
+		r.arbitrateLinks(cycle)
 	}
 	r.scanIngress(cycle)
 	// A flit injected now becomes visible next cycle, so the pass need not
@@ -602,6 +622,7 @@ func (r *Router) PhaseTransfer(cycle uint64) {
 	if r.bidir {
 		r.reportLinkDemand(cycle)
 	}
+	r.last = cycle
 }
 
 // anyOccupied reports whether any ingress VC's occupancy bit is set.
@@ -622,31 +643,43 @@ func (r *Router) anyOccupied() bool {
 func (r *Router) skipEgressPerm() { r.rng.Skip(len(r.egressPerm) - 1) }
 
 // PhaseCommit runs the negative clock edge: commit this cycle's ingress
-// pops so producers see fresh credits and, on bandwidth-adaptive links,
-// publish ingress free space and run the link arbiters. A router that
-// popped nothing and has no such link has no negative edge; the test is
-// small enough to be inlined into the caller.
+// pops, which producers see from the next cycle on, and those of the last
+// cycle once more, into the other slot. A router that popped nothing in
+// either cycle has no negative edge; the test is small enough to be inlined
+// into the caller.
 func (r *Router) PhaseCommit(cycle uint64) {
-	if len(r.popped) > 0 || r.bidir {
+	if len(r.popped) > 0 || len(r.repub) > 0 {
 		r.commit(cycle)
 	}
 }
 
+// commit republishes into the slot the last commit did not write — this
+// cycle's, unless a fast-forward jump skipped an odd number of cycles —
+// which no producer reads in this cycle, and which then holds the count the
+// other does. No VC needs waking for a count already published.
 func (r *Router) commit(cycle uint64) {
+	for _, c := range r.repub {
+		c.cell.count[r.repubSlot].Store(c.pops)
+	}
 	for _, c := range r.popped {
-		c.publish()
+		c.publish(cycle)
 	}
-	r.popped = r.popped[:0]
-	if !r.bidir {
-		return
-	}
+	r.repub, r.popped = r.popped, r.repub[:0]
+	r.repubSlot = (cycle + 1) & 1
+}
+
+// arbitrateLinks sets, for each bandwidth-adaptive link, the bandwidth this
+// side may send this cycle. It runs before anything moves: this side's
+// ingress, but for what the far side pushes meanwhile, and its credits show
+// both ingresses as the last cycle left them.
+func (r *Router) arbitrateLinks(cycle uint64) {
 	for _, p := range r.ports {
-		if p.Link == nil || !p.Link.Bidirectional {
-			continue
-		}
-		p.Link.ReportSpace(p.Side, cycle, freeSlots(p.In))
-		if p.Side == 0 {
-			p.Link.Arbitrate(cycle)
+		if p.Link != nil && p.Link.Bidirectional {
+			far := 0
+			for vi := range p.outState {
+				far += p.outState[vi].free(r.last)
+			}
+			p.Link.arbitrate(p.Side, r.last, freeSlots(p.In, cycle), far)
 		}
 	}
 }
@@ -715,7 +748,7 @@ func (r *Router) scanIngress(cycle uint64) {
 				// headPacket != pktID: next packet already at head; its own RC
 				// will run.
 				if st.vaAt < cycle && st.headPacket == st.pktID {
-					if st.ev == nil || st.ev.free() >= 1 {
+					if st.ev == nil || st.ev.free(r.last) >= 1 {
 						r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
 						r.saFilled = true
 					} else if !r.bidir {
@@ -749,18 +782,21 @@ func (r *Router) scanIngress(cycle uint64) {
 // occupancy bit, and then looks once more at the two things that end the
 // wait — the credit, and a flit arriving behind the head, which must be
 // stamped at the cycle it arrives — setting the bit back if either moved
-// meanwhile (VCBuffer has the argument why neither can be missed). A VC in
-// this state is filed nowhere and draws nothing, so the pass that follows
-// its wake finds it exactly as if it had visited it every cycle in between.
-// Routers with a bandwidth-adaptive link never park: their demand report
-// needs every occupied VC every cycle.
+// meanwhile (VCBuffer has the argument why neither can be missed; the
+// credit it looks at is the latest, not the one usable this cycle) and
+// taking the waiter back, so that no later credit rings a VC that may have
+// emptied by then. A VC in this state is filed nowhere and draws nothing,
+// so the pass that follows its wake finds it exactly as if it had visited
+// it every cycle in between. Routers with a bandwidth-adaptive link never
+// park: their demand report needs every occupied VC every cycle.
 func (st *vcState) park() {
 	b := &st.buf
 	st.ev.credit.waiter.Store(b)
 	m := uint64(1) << b.bit
 	b.occ.And(^m)
-	if st.ev.free() >= 1 || uint32(b.Len()) != st.sCount {
+	if st.ev.freeBy(st.ev.credit.latest()) >= 1 || uint32(b.Len()) != st.sCount {
 		b.occ.Or(m)
+		st.ev.credit.waiter.CompareAndSwap(b, nil)
 	}
 }
 
@@ -778,7 +814,7 @@ func (r *Router) Parked() (n int, lost []string) {
 		n++
 		free := -1 // no downstream VC: nothing to wait for
 		if st.ev != nil {
-			free = st.ev.free()
+			free = st.ev.freeBy(st.ev.credit.latest())
 		}
 		if free != 0 || uint32(resident) != st.sCount {
 			lost = append(lost, fmt.Sprintf("router %d ingress vc %d (port %d) is asleep with %d flits, %d of them seen, and %d free slots in egress port %d vc %d",
@@ -826,7 +862,7 @@ func (r *Router) injectFlits(cycle uint64) {
 	// Stable per-flow VC choice keeps same-flow packets in FIFO order
 	// through injection (required for EDVCA's in-order guarantee).
 	src := &r.sourceState[r.curVC]
-	if src.free() < 1 {
+	if src.free(r.last) < 1 {
 		return // retry next cycle; paper's injector retransmission
 	}
 	// The flit is stamped where it waits (later flits read the head's
@@ -961,7 +997,7 @@ func (r *Router) pickAdaptive(entries []RouteEntry) int {
 		} else if eg := r.portToward(e.Next); eg >= 0 {
 			out := r.ports[eg].outState
 			for vi := range out {
-				free += out[vi].free()
+				free += out[vi].free(r.last)
 			}
 		}
 		switch {
@@ -1004,7 +1040,7 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 			if ev.allocPacket != 0 {
 				continue
 			}
-			if fl, res := ev.resident(); res && fl != st.nextFlow {
+			if fl, res := ev.resident(r.last); res && fl != st.nextFlow {
 				continue
 			}
 			r.vcOK = append(r.vcOK, c.VC)
@@ -1021,12 +1057,12 @@ func (r *Router) allocateVC(st *vcState, cycle uint64) {
 			if ev.allocPacket != 0 {
 				continue
 			}
-			if fl, res := ev.resident(); res && fl == st.nextFlow {
+			if fl, res := ev.resident(r.last); res && fl == st.nextFlow {
 				chosen = c.VC
 				bestFree = 1 << 30
 				continue
 			}
-			free := ev.free()
+			free := ev.free(r.last)
 			switch {
 			case free > bestFree:
 				chosen, bestFree, ties = c.VC, free, 1
@@ -1228,8 +1264,9 @@ func (r *Router) deliver(f *Flit, cycle uint64) {
 }
 
 // reportLinkDemand publishes, for each bidirectional link, how many
-// SA-eligible flits want to cross it (used by the bandwidth arbiter). It
-// reads the buffers as this cycle's traversals left them.
+// SA-eligible flits want to cross it after this cycle (the arbiters read
+// it next cycle). It reads the buffers as this cycle's traversals left
+// them.
 func (r *Router) reportLinkDemand(cycle uint64) {
 	clear(r.demand)
 	for _, st := range r.occupied {
@@ -1241,7 +1278,7 @@ func (r *Router) reportLinkDemand(cycle uint64) {
 	}
 	for ei, eg := range r.ports {
 		if eg.Link != nil && eg.Out != nil {
-			eg.Link.ReportDemand(eg.Side, r.demand[ei])
+			eg.Link.ReportDemand(eg.Side, cycle, r.demand[ei])
 		}
 	}
 }

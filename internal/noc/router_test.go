@@ -418,7 +418,7 @@ func checkCredits(t *testing.T, when string, routers []*Router) {
 		if ev.buf != down || down.credit != &ev.credit {
 			t.Fatalf("%s: router %d %s: egress record and downstream buffer are not wired to each other", when, r.ID, what)
 		}
-		if got, want := ev.credit.count.Load(), down.pops.Load(); got != want || down.CommittedPops() != want {
+		if got, want := uint64(ev.credit.latest()), down.pops.Load(); got != want || down.CommittedPops() != want {
 			t.Fatalf("%s: router %d %s: producer-side credit %d, CommittedPops %d, consumer popped %d",
 				when, r.ID, what, got, down.CommittedPops(), want)
 		}
@@ -459,7 +459,7 @@ func loadRouter(t *testing.T, r *Router, blob []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadState(rd); err != nil {
+	if err := r.LoadState(rd, snap.Clock); err != nil {
 		t.Fatal(err)
 	}
 	if err := rd.Close(); err != nil {
@@ -492,7 +492,7 @@ func TestCreditKeptAtProducer(t *testing.T) {
 	for _, r := range routers {
 		for _, p := range r.Ports() {
 			for vi := range p.outState {
-				moved += p.outState[vi].credit.count.Load()
+				moved += uint64(p.outState[vi].credit.latest())
 			}
 		}
 	}
@@ -513,7 +513,7 @@ func TestCreditKeptAtProducer(t *testing.T) {
 		for i, r := range fresh {
 			for pi, p := range r.Ports() {
 				for vi := range p.outState {
-					if got, want := p.outState[vi].credit.count.Load(), routers[i].Ports()[pi].outState[vi].credit.count.Load(); got != want {
+					if got, want := uint64(p.outState[vi].credit.latest()), uint64(routers[i].Ports()[pi].outState[vi].credit.latest()); got != want {
 						t.Fatalf("restored in order %v: router %d port %d vc %d: credit %d, the saved run had %d", order, i, pi, vi, got, want)
 					}
 				}
@@ -568,7 +568,7 @@ func runSplitLine(t *testing.T, n, cut int, cycles uint64, offer func(routers []
 		var snaps [2]*snapshot.Snapshot
 		for s := range reps {
 			step(reps[s][spans[s][0]:spans[s][1]], c)
-			snap, err := bounds[s].Capture(c, false)
+			snap, err := bounds[s].Capture(c)
 			if err == nil {
 				// Through the wire encoding, as a sharded run sends it.
 				var b []byte
@@ -605,9 +605,9 @@ func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
 		for vi := range reps[0][cut-1].Ports()[eg].outState {
 			ev := &reps[0][cut-1].Ports()[eg].outState[vi]
 			consumer := reps[1][cut].Ports()[in].In[vi]
-			if ev.credit.count.Load() != consumer.CommittedPops() {
+			if uint64(ev.credit.latest()) != consumer.CommittedPops() {
 				t.Fatalf("cycle %d vc %d: producer-side credit %d, remote consumer committed %d",
-					c, vi, ev.credit.count.Load(), consumer.CommittedPops())
+					c, vi, uint64(ev.credit.latest()), consumer.CommittedPops())
 			}
 		}
 	})
@@ -664,7 +664,7 @@ func blockedRouter(tb testing.TB) *Router {
 	for pi, p := range r.Ports() {
 		for vi := range p.inState {
 			st := &p.inState[vi]
-			if !st.vaDone || st.ev == nil || st.ev.free() != 0 || st.buf.Len() != 1 {
+			if !st.vaDone || st.ev == nil || st.ev.free(r.last) != 0 || st.buf.Len() != 1 {
 				tb.Fatalf("port %d vc %d is not blocked on credit: vaDone=%v ev=%v resident=%d", pi, vi, st.vaDone, st.ev != nil, st.buf.Len())
 			}
 		}

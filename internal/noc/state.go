@@ -145,20 +145,31 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 	return nil
 }
 
-// SaveState serializes the link's arbitration state: the demands, the
-// space each side committed on clock-1 and the grants that govern clock.
+// SaveState serializes the link's arbitration state: the demands after
+// clock-1, the free space of each side's ingress and the grants that govern
+// clock — which the sides compute at clock's positive edge, and so are
+// computed here as they will be.
 func (l *Link) SaveState(w *snapshot.Writer, clock uint64) {
 	w.Int(l.BandwidthPerDir)
 	w.Bool(l.Bidirectional)
+	var space [2]int64
+	grant := l.grant
+	if l.Bidirectional {
+		space = [2]int64{int64(freeSlots(l.in[0], clock)), int64(freeSlots(l.in[1], clock))}
+		if g, ok := l.split(clock-1, space[0]); ok {
+			grant = g
+		}
+	}
 	for side := 0; side < 2; side++ {
-		w.Int64(l.demand[side].Load())
-		w.Int64(l.space[side][(clock-1)&1].Load())
-		w.Int64(l.grant[side].Load())
+		w.Int64(l.demand[side][(clock-1)&1].Load())
+		w.Int64(space[side])
+		w.Int64(grant[side])
 	}
 }
 
-// LoadState restores link state saved by SaveState, the space into both
-// parity slots (each side rewrites its other slot before it is read).
+// LoadState restores link state saved by SaveState: the demands into both
+// parity slots and the grants, marked as the next cycle's. The spaces are
+// the restored buffers'.
 func (l *Link) LoadState(r *snapshot.Reader) error {
 	bw := r.Int()
 	bidi := r.Bool()
@@ -171,12 +182,14 @@ func (l *Link) LoadState(r *snapshot.Reader) error {
 			Want: fmt.Sprintf("bw=%d bidi=%v", l.BandwidthPerDir, l.Bidirectional)}
 	}
 	for side := 0; side < 2; side++ {
-		l.demand[side].Store(r.Int64())
-		space := r.Int64()
-		l.space[side][0].Store(space)
-		l.space[side][1].Store(space)
-		l.grant[side].Store(r.Int64())
+		demand := r.Int64()
+		l.demand[side][0].Store(demand)
+		l.demand[side][1].Store(demand)
+		r.Int64() // space
+		l.grant[side] = r.Int64()
 	}
+	l.space1[0].Store(-1)
+	l.space1[1].Store(-1)
 	return r.Err()
 }
 
@@ -388,10 +401,13 @@ func (r *Router) checkQueued(p Packet, i, behind int) error {
 	return &snapshot.CorruptError{Detail: fmt.Sprintf("router %d: queued packet %d: %s", r.ID, i, field)}
 }
 
-// LoadState restores router state saved by SaveState into this router,
-// which must be freshly built from the same configuration (same port
-// and VC geometry).
-func (r *Router) LoadState(rd *snapshot.Reader) error {
+// LoadState restores router state saved by SaveState at clock into this
+// router, which must be built from the same configuration (same port and
+// VC geometry). The restored credits are usable at clock, and nothing is
+// left to publish again.
+func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
+	r.last = clock - 1
+	r.popped, r.repub = r.popped[:0], r.repub[:0]
 	r.pktCounter = rd.Uint64()
 
 	n := rd.Count(1 << 24)

@@ -23,21 +23,20 @@ import (
 //
 // Credit semantics: the producer's view of free space is
 //
-//	capacity - (its own cumulative pushes - CommittedPops())
+//	capacity - (its own cumulative pushes - the consumer's committed pops)
 //
-// where CommittedPops advances only when the consumer commits a negative
-// clock edge. This makes space checks deterministic under cycle-accurate
-// synchronization (pops performed during the current positive edge are
-// not observable until the next cycle) and safe — never overflowing — under
-// loose synchronization, where the committed count may simply lag.
-//
-// The committed count is kept at its reader: Commit stores it into a cell
-// inside the producer's egress bookkeeping (egressVC.credit, wired when
-// the producer connects), so a router checking credit touches its own
-// egress state — one line per downstream VC — instead of a remote buffer
-// header. The cell's count is the only copy; CommittedPops, restore and the
-// shard exchange all go through it, and every write of it through
-// commit.publish.
+// where the committed pops advance only at the consumer's negative clock
+// edge and become visible, as a pushed flit does, in the next cycle: a
+// worker may commit cycle c while another is still in c's positive edge,
+// so one barrier per cycle keeps the view deterministic. Under loose
+// synchronization the view may lag, which never overflows a buffer. The
+// count is kept at its reader, in a cell inside the producer's egress
+// record (egressVC.credit, wired when the producer connects), one slot per
+// cycle parity: the negative edge of c writes slot c&1, the producer reads
+// the slot of the last cycle its router ran, and the consumer's next
+// negative edge republishes the count into the other slot (Router.commit);
+// a write at a quiescent point — Commit, restore, the shard exchange —
+// fills both. Every new count is written through commit.publish.
 //
 // Occupancy: every buffer owns one bit of an occupancy mask — for a
 // router's buffer, bit i of the router's mask for the i-th ingress VC — and
@@ -67,8 +66,11 @@ import (
 //     for a credit, so no visit is of any use until the credit comes or
 //     another flit arrives behind the head (which must be stamped with the
 //     cycle it arrived in). The owner arms itself as waiter in the credit
-//     cell, clears the bit, then loads the credit count and Len again and
-//     sets the bit back if either moved. Against the producer this is the
+//     cell, clears the bit, then loads the latest credit count and Len
+//     again and sets the bit back if either moved — the latest count, not
+//     the one the VC may use this cycle: a credit committed in the cycle it
+//     parks is usable the next, and its publish may have found no waiter
+//     armed. Against the producer this is the
 //     pair above. Against the downstream buffer: that side stores the count
 //     and then loads the waiter, this side stores the waiter and then
 //     (after the And) loads the count — one of them sees the other, so
@@ -78,8 +80,7 @@ import (
 //
 // Both ringers can ring for nothing — a producer's Or may land after the
 // owner has already popped the flit it announces (under loose
-// synchronization the owner can run that far ahead), a waiter left armed by
-// a park that backed out is rung by the next credit — which costs the owner
+// synchronization the owner can run that far ahead) — which costs the owner
 // one look. Under cycle-accurate synchronization the bit is, at every cycle
 // boundary, clear exactly when the buffer is empty or its VC is parked.
 // The mask and who is parked are derived state, never serialized: LoadState
@@ -237,12 +238,22 @@ func (b *VCBuffer) Pop() Flit {
 	return f
 }
 
-// creditCell is what a buffer's consumer writes for its producer, inside
-// the producer's egress record: the committed pop count and, while the
-// producer has an ingress VC parked on this credit, that VC's buffer.
+// creditCell is what a buffer's consumer writes for its producer: the
+// committed pop count by cycle parity, modulo 2^32 (the producer only
+// subtracts it from its own push count, at most a capacity apart), and the
+// buffer of the producer's ingress VC parked on this credit, if any.
 type creditCell struct {
-	count  atomic.Uint64
+	count  [2]atomic.Uint32
 	waiter atomic.Pointer[VCBuffer]
+}
+
+// latest returns the newer of the two counts.
+func (c *creditCell) latest() uint32 {
+	a, b := c.count[0].Load(), c.count[1].Load()
+	if int32(b-a) > 0 {
+		return b
+	}
+	return a
 }
 
 // cell returns the buffer's credit cell. A router's buffer whose producer
@@ -259,17 +270,21 @@ func (b *VCBuffer) cell() *creditCell {
 // reads (build time only).
 func (b *VCBuffer) attachCredit(c *creditCell) {
 	if b.credit != nil {
-		c.count.Store(b.credit.count.Load())
+		commit{c, b.credit.latest()}.fill()
 	}
 	b.credit = c
 }
 
-// CommittedPops returns the consumer's committed cumulative pop count.
-func (b *VCBuffer) CommittedPops() uint64 { return b.cell().count.Load() }
+// CommittedPops returns the consumer's latest committed cumulative pop
+// count (consumer side, or at a quiescent point).
+func (b *VCBuffer) CommittedPops() uint64 {
+	pops := b.pops.Load()
+	return pops - uint64(uint32(pops)-b.cell().latest())
+}
 
-// Commit publishes the consumer's pops (negative clock edge). Only the
-// owning tile calls this, at most once per simulated cycle.
-func (b *VCBuffer) Commit() { b.commitOf().publish() }
+// Commit publishes the consumer's pops at a quiescent point (a running
+// router commits through Router.commit).
+func (b *VCBuffer) Commit() { b.commitOf().fill() }
 
 // commit is a Commit taken at one time and published at another: the
 // cell to store into and the pop count to store. A router takes it when
@@ -278,17 +293,17 @@ func (b *VCBuffer) Commit() { b.commitOf().publish() }
 // without having to touch the buffer again.
 type commit struct {
 	cell *creditCell
-	pops uint64
+	pops uint32
 }
 
-func (b *VCBuffer) commitOf() commit { return commit{b.cell(), b.pops.Load()} }
+func (b *VCBuffer) commitOf() commit { return commit{b.cell(), uint32(b.pops.Load())} }
 
-// publish is the one place a credit is written — the negative edge,
-// Commit, the shard boundary's replayed pops and LoadState all come here —
-// and so the one place a VC parked on that credit is woken: store the
-// count, then take the waiter, if one is armed, and set its occupancy bit.
-func (c commit) publish() {
-	c.cell.count.Store(c.pops)
+// publish is the one place a credit is written — into the slot of cycle,
+// or by fill into both — and so the one place a VC parked on that credit
+// is woken: store the count, then take the waiter, if one is armed, and
+// set its occupancy bit.
+func (c commit) publish(cycle uint64) {
+	c.cell.count[cycle&1].Store(c.pops)
 	if c.cell.waiter.Load() != nil {
 		if w := c.cell.waiter.Swap(nil); w != nil {
 			w.occ.Or(1 << w.bit)
@@ -296,7 +311,11 @@ func (c commit) publish() {
 	}
 }
 
+func (c commit) fill() {
+	c.cell.count[0].Store(c.pops)
+	c.publish(1)
+}
+
 // flitAt returns the i-th resident flit counted from the head (consumer
-// side). Only used at quiescent points (checkpointing, tests), never
-// during a timed run.
+// side, or at a quiescent point).
 func (b *VCBuffer) flitAt(i int) *Flit { return &b.slots()[b.pos(uint32(i))] }

@@ -255,7 +255,7 @@ func scenarioHash(label, name string, identity any, seed uint64, shareWarmup boo
 // (boundary flits are exchanged at sync points; a coarser cadence would
 // let a flit cross a shard boundary unobserved), and warmup sharing is
 // meaningless for a single run. Bidirectional links shard like fixed
-// ones: a boundary re-arbitrates them from the pressure one process sees.
+// ones: a boundary carries the remote side's demand to the local arbiter.
 func checkShards(sc *scenario) *APIError {
 	if sc.shards == 0 {
 		return nil

@@ -2,9 +2,10 @@
 // deterministic per-tile PRNGs, a spin-then-park barrier (a waiter polls
 // the generation word for as long as parking would cost, yielding to the
 // Go scheduler between bursts, and only then sleeps), and a worker pool
-// that steps tiles through two-phase clock cycles with either
-// cycle-accurate (two barriers per cycle) or periodic synchronization,
-// plus fast-forwarding over provably idle stretches (paper §II-C, §IV-B).
+// that steps tiles through two-phase clock cycles and meets once per
+// synchronization chunk — one barrier per cycle when cycle-accurate
+// (sync period 1), one per period when loosely synchronized — plus
+// fast-forwarding over provably idle stretches (paper §II-C, §IV-B).
 package sim
 
 import (
@@ -29,7 +30,10 @@ const NoEvent = ^uint64(0)
 // make written state visible, fold statistics) exactly once per simulated
 // cycle, in that order. A tile is only ever stepped by one worker thread,
 // but its ingress buffers may be written concurrently by neighbouring
-// tiles' PhaseTransfer.
+// tiles' PhaseTransfer, and a tile on another worker may run its
+// PhaseCommit of a cycle before this tile's PhaseTransfer of the same
+// cycle: whatever a tile writes for another in either phase must be
+// readable only from the next cycle on.
 type Tile interface {
 	PhaseTransfer(cycle uint64)
 	PhaseCommit(cycle uint64)
@@ -112,6 +116,9 @@ type Engine struct {
 	// one predictable branch per phase and zero allocations (guarded by
 	// TestEngineHotPathAllocFree).
 	probe *obs.SimProbe
+
+	// barrier is the current run's, met once per synchronization chunk.
+	barrier *Barrier
 
 	// sampler, when non-nil, is invoked by the barrier leader every
 	// sampleEvery cycles (and at the final sync point of each run) while
@@ -307,7 +314,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 	apply(dec)
 	start = dec.Next
 
-	barrier := NewBarrier(e.workers)
+	e.barrier = NewBarrier(e.workers)
 
 	// Align the sampling cadence to absolute multiples of sampleEvery
 	// strictly past this chunk's start, so restored/chunked runs sample
@@ -373,7 +380,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 			defer func() {
 				if p := recover(); p != nil {
 					e.fail(&PanicError{Worker: w, Value: p, Stack: debug.Stack()})
-					barrier.Break()
+					e.barrier.Break()
 				}
 			}()
 			lo, hi := e.partition(w)
@@ -392,89 +399,48 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 					return
 				}
 				// Run a synchronization chunk: syncPeriod cycles (or up to
-				// end), keeping same-worker tiles in lockstep per cycle.
-				chunkEnd := cycle + uint64(e.syncPeriod)
-				if chunkEnd > end {
-					chunkEnd = end
+				// end), keeping same-worker tiles in lockstep per cycle,
+				// then meet the other workers once. Nothing a tile writes
+				// for another is readable before the next cycle, so one
+				// worker's negative edge may run before another's positive
+				// edge of the same cycle.
+				chunkEnd := min(cycle+uint64(e.syncPeriod), end)
+				if part != nil {
+					t0 = time.Now()
 				}
-				if e.syncPeriod == 1 {
-					// Cycle-accurate: barrier after each phase (twice per
-					// cycle), so every tile sees identical committed state.
-					if part != nil {
-						t0 = time.Now()
+				c := cycle
+				for ; c < chunkEnd && !e.halted.Load(); c++ {
+					// Keep workers interleaved inside a loose chunk so
+					// cross-worker credits and flits stay as fresh as
+					// concurrent hardware threads would see them; on hosts
+					// with fewer cores than workers this prevents
+					// whole-chunk serialization from starving boundary
+					// links. A single worker has nobody to interleave with.
+					if c > cycle && e.workers > 1 {
+						runtime.Gosched()
 					}
 					for _, t := range mine {
-						t.PhaseTransfer(cycle)
-					}
-					if part != nil {
-						t1 = time.Now()
-						part.AddCompute(t1.Sub(t0))
-					}
-					met, parked := barrier.Await(nil)
-					if !met {
-						return // broken: no phase may run unordered
-					}
-					if part != nil {
-						t0 = time.Now()
-						part.AddBarrier(t0.Sub(t1), parked)
+						t.PhaseTransfer(c)
 					}
 					for _, t := range mine {
-						t.PhaseCommit(cycle)
+						t.PhaseCommit(c)
 					}
-					if part != nil {
-						t1 = time.Now()
-						part.AddCompute(t1.Sub(t0))
-					}
-					if w == 0 {
-						executed.Add(1)
-					}
-					met, parked = barrier.Await(func() { leader(cycle) })
-					if !met {
-						return
-					}
-					if part != nil {
-						part.AddBarrier(time.Since(t1), parked)
-						part.AddCycles(1)
-					}
-				} else {
-					if part != nil {
-						t0 = time.Now()
-					}
-					c := cycle
-					for ; c < chunkEnd && !e.halted.Load(); c++ {
-						for _, t := range mine {
-							t.PhaseTransfer(c)
-						}
-						for _, t := range mine {
-							t.PhaseCommit(c)
-						}
-						// Keep workers interleaved between barriers so
-						// cross-worker credits and flits stay as fresh as
-						// concurrent hardware threads would see them; on
-						// hosts with fewer cores than workers this
-						// prevents whole-chunk serialization from
-						// starving boundary links. A single worker has
-						// nobody to interleave with.
-						if e.workers > 1 {
-							runtime.Gosched()
-						}
-					}
-					if w == 0 {
-						executed.Add(c - cycle)
-					}
-					if part != nil {
-						t1 = time.Now()
-						part.AddCompute(t1.Sub(t0))
-						part.AddCycles(c - cycle)
-					}
-					last := c - 1
-					met, parked := barrier.Await(func() { leader(last) })
-					if !met {
-						return
-					}
-					if part != nil {
-						part.AddBarrier(time.Since(t1), parked)
-					}
+				}
+				if w == 0 {
+					executed.Add(c - cycle)
+				}
+				if part != nil {
+					t1 = time.Now()
+					part.AddCompute(t1.Sub(t0))
+					part.AddCycles(c - cycle)
+				}
+				last := c - 1
+				met, parked := e.barrier.Await(func() { leader(last) })
+				if !met {
+					return
+				}
+				if part != nil {
+					part.AddBarrier(time.Since(t1), parked)
 				}
 			}
 		}(w)

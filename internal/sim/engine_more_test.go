@@ -199,26 +199,27 @@ func TestFastForwardInFlightBlocksSkip(t *testing.T) {
 }
 
 // exchangeTile is a deterministic communicating tile for the determinism
-// test: each cycle it hands a value derived from its private RNG to its
-// right neighbour (PhaseTransfer) and folds the value received from its
-// left neighbour into a checksum (PhaseCommit). Mailbox slots are written
-// by exactly one tile per phase and read only across the engine's
-// transfer/commit barrier, so the pattern is race-free in cycle-accurate
-// mode — mirroring how real tiles write neighbouring ingress buffers.
+// test: each cycle it folds the value its left neighbour handed it the
+// cycle before into a checksum (PhaseTransfer) and hands a value derived
+// from its private RNG to its right neighbour (PhaseCommit). The mailbox
+// has a slot per cycle parity, written in one cycle and read in the next,
+// so the pattern is race-free in cycle-accurate mode even when a
+// neighbour's PhaseCommit runs before this tile's PhaseTransfer of the
+// same cycle — mirroring how real tiles hand each other credits.
 type exchangeTile struct {
 	id       int
 	rng      *RNG
-	mailbox  []uint64 // shared across tiles; slot i is written only by tile i-1
+	mailbox  *[2][]uint64 // shared across tiles; slot i is written only by tile i-1
 	n        int
 	checksum uint64
 }
 
 func (x *exchangeTile) PhaseTransfer(cycle uint64) {
-	x.mailbox[(x.id+1)%x.n] = x.rng.Uint64() + cycle
+	x.checksum = x.checksum*0x9E3779B97F4A7C15 + x.mailbox[(cycle-1)&1][x.id]
 }
 
 func (x *exchangeTile) PhaseCommit(cycle uint64) {
-	x.checksum = x.checksum*0x9E3779B97F4A7C15 + x.mailbox[x.id]
+	x.mailbox[cycle&1][(x.id+1)%x.n] = x.rng.Uint64() + cycle
 }
 
 func (x *exchangeTile) NextEvent(now uint64) uint64 { return now + 1 }
@@ -239,7 +240,7 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 		workerSet = []int{2, 4}
 	}
 	run := func(workers int) []uint64 {
-		mailbox := make([]uint64, n)
+		mailbox := &[2][]uint64{make([]uint64, n), make([]uint64, n)}
 		tiles := make([]Tile, n)
 		for i := 0; i < n; i++ {
 			tiles[i] = &exchangeTile{
@@ -371,13 +372,35 @@ func TestEngineContainsTilePanic(t *testing.T) {
 				if n := tile.(*panicTile).stepped; n > limit {
 					t.Errorf("tile %d stepped %d cycles, want <= %d", i, n, limit)
 				}
-				// Cycle-accurate: the broken barrier must not let a survivor
-				// commit the cycle whose transfer phase never completed.
-				if n := tile.(*panicTile).commits; tc.syncPeriod == 1 && !tc.inCommit && n != at {
-					t.Errorf("tile %d committed %d cycles, want %d: a phase ran past the broken barrier", i, n, at)
+				// Cycle-accurate: a survivor may finish the cycle the panic
+				// happened in (its commit waits for no other tile's
+				// transfer), but the broken barrier must keep it from
+				// committing any later one.
+				if n := tile.(*panicTile).commits; tc.syncPeriod == 1 && n > at+1 {
+					t.Errorf("tile %d committed %d cycles, want <= %d: a phase ran past the broken barrier", i, n, at+1)
 				}
 			}
 		})
+	}
+}
+
+// TestEngineOneBarrierPerChunk: the workers meet once per synchronization
+// chunk — once per cycle when cycle-accurate — and nowhere else.
+func TestEngineOneBarrierPerChunk(t *testing.T) {
+	const cycles = 100
+	for _, period := range []int{1, 5, 7} {
+		tiles := make([]Tile, 6)
+		for i := range tiles {
+			tiles[i] = &panicTile{at: NoEvent}
+		}
+		e := NewEngine(tiles, 3, period, false, nil)
+		res := e.Run(0, cycles, nil)
+		if res.Err != nil || res.Cycles != cycles {
+			t.Fatalf("period %d: %+v", period, res)
+		}
+		if got, want := e.barrier.gen.Load(), uint64((cycles+period-1)/period); got != want {
+			t.Errorf("period %d: %d barrier generations for %d cycles, want %d", period, got, cycles, want)
+		}
 	}
 }
 
