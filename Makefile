@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench \
 	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
-	validate-examples scenario-golden service-lines deadcode profile-msi profile-mesh profile-mesh8 profile-serve
+	validate-examples scenario-golden service-lines model-lines deadcode profile-msi profile-mesh profile-mesh8 profile-serve
 
 build:
 	$(GO) build ./...
@@ -44,17 +44,19 @@ test-race-rest:
 # loose synchronization (several workers, sync_period > 1) over 20k
 # cycles with exact flit conservation, the lock-free VC buffer's
 # two-goroutine stress test (wrappers and in-place slot primitives), the
-# producer-side credit cell — which a consumer on another thread commits
-# into, by cycle parity, so that a cycle runs on one barrier — after
-# commits, restores in either order and shard-boundary applies, the credit
-# rule itself (a credit committed in a cycle is usable from the next, and
-# stays so when nothing pops, across a restore, a shard exchange and a
-# fast-forward jump; a VC parked in the cycle its credit commits wakes),
-# restores of snapshots taken with VCs blocked on that credit,
+# producer-side credit word — which a consumer on another thread stores,
+# with the cycle that committed it, so that a cycle runs on one barrier —
+# after commits, restores in either order and shard-boundary applies, the
+# credit rule itself (a credit committed in a cycle is usable from the next,
+# and stays so when nothing pops, across a restore, a shard exchange and
+# fast-forward jumps, past 2^32 cycles too; a VC parked in the cycle its
+# credit commits wakes), restores of snapshots taken with VCs blocked on
+# that credit,
 # the per-router occupancy mask — which the neighbours' threads set, by
 # pushes and by credits, and the owner clears, when a buffer empties and
 # when it parks a VC on a credit — against the buffers and the parked VCs
-# at every cycle boundary, after restores and after shard-boundary applies,
+# at every cycle boundary, over fixed and bandwidth-adaptive links (whose
+# routers park too), after restores and after shard-boundary applies,
 # with its 10^6-flit set-while-clearing stresses (the SPSC test's mask and
 # park subtests), a line of free-running routers and a past-saturation 8x8
 # mesh that must drain with no VC left asleep beside an available credit
@@ -161,6 +163,11 @@ e2e: e2e-distributed e2e-sharded e2e-coordinator-restart
 # diffs there).
 service-lines:
 	@find internal/service -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+
+# Non-test lines in the simulator model: the engine, the network, the
+# tiles, routing, the memory hierarchy and the MIPS core.
+model-lines:
+	@find internal/sim internal/noc internal/core internal/routing internal/mem internal/mips -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # Functions under internal/ that no binary reaches (ROADMAP item 5): every
 # main package (cmd/*, bench, examples/*) is linked with inlining off and

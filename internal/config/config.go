@@ -243,11 +243,15 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: unknown topology kind %q", t.Kind)
 	}
 	r := &c.Router
-	if r.VCsPerPort < 1 {
-		return fmt.Errorf("config: vcs_per_port must be >= 1, got %d", r.VCsPerPort)
-	}
-	if r.VCBufFlits < 1 {
-		return fmt.Errorf("config: vc_buf_flits must be >= 1, got %d", r.VCBufFlits)
+	for _, f := range []RouterFieldError{
+		{"vcs_per_port", r.VCsPerPort, 1, MaxVCsPerPort},
+		{"vc_buf_flits", r.VCBufFlits, 1, noc.MaxVCBufFlits},
+		{"inj_vcs", r.InjVCs, 0, MaxVCsPerPort},
+		{"inj_buf_flits", r.InjBufFlits, 0, noc.MaxVCBufFlits},
+	} {
+		if f.Value < f.Min || f.Value > f.Max {
+			return &f
+		}
 	}
 	if r.LinkBandwidth < 1 {
 		return fmt.Errorf("config: link_bandwidth must be >= 1, got %d", r.LinkBandwidth)
@@ -346,6 +350,25 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: power epoch_cycles must be >= 1")
 	}
 	return nil
+}
+
+// MaxVCsPerPort bounds vcs_per_port and inj_vcs, as noc.MaxVCBufFlits
+// bounds vc_buf_flits and inj_buf_flits: a router allocates its ingress
+// state in proportion to both (noc.NewRouter), so an unbounded value asks
+// for more memory than any host has, and the flit bound is also what a
+// credit count, kept modulo 2^16, can tell apart. Both are far above every
+// preset and test (16 VCs, 16 flits).
+const MaxVCsPerPort = 64
+
+// RouterFieldError names a router geometry field outside [Min, Max]; zero
+// means "same as the network ports" for the inj_ fields.
+type RouterFieldError struct {
+	Field           string // the field's JSON name in the router section
+	Value, Min, Max int
+}
+
+func (e *RouterFieldError) Error() string {
+	return fmt.Sprintf("config: %s must be in [%d, %d], got %d", e.Field, e.Min, e.Max, e.Value)
 }
 
 // MaxLineBytes bounds line_bytes: a NUCA access names its offset within

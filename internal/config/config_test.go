@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hornet/internal/noc"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -226,6 +228,13 @@ func TestValidateErrorMessages(t *testing.T) {
 			c.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 0.1, PacketFlits: 70000}}
 		}, "traffic 0: packet_flits must be at most 65535"},
 		{"zero epoch", func(c *Config) { c.Power.EpochCycles = 0 }, "epoch_cycles"},
+		// A router's ingress state grows with its geometry (noc.NewRouter):
+		// 1<<30 flits a buffer would ask for terabytes.
+		{"VCs past the bound", func(c *Config) { c.Router.VCsPerPort = MaxVCsPerPort + 1 }, "vcs_per_port must be in [1, 64], got 65"},
+		{"buffer past the bound", func(c *Config) { c.Router.VCBufFlits = 1 << 30 }, "vc_buf_flits must be in [1, 1024]"},
+		{"injection VCs past the bound", func(c *Config) { c.Router.InjVCs = 1 << 20 }, "inj_vcs must be in [0, 64]"},
+		{"negative injection VCs", func(c *Config) { c.Router.InjVCs = -1 }, "inj_vcs"},
+		{"injection buffer past the bound", func(c *Config) { c.Router.InjBufFlits = 1025 }, "inj_buf_flits must be in [0, 1024]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,6 +268,30 @@ func TestPacketLengthBound(t *testing.T) {
 		cfg.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 0.1, PacketFlits: tc.flits}}
 		if err := cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("packet_flits %d: Validate() = %v", tc.flits, err)
+		}
+	}
+}
+
+// TestRouterGeometryBound: the largest router geometry is valid, one VC or
+// one flit more is not, and the rejection names its field.
+func TestRouterGeometryBound(t *testing.T) {
+	at := Default()
+	at.Router.VCsPerPort, at.Router.VCBufFlits = MaxVCsPerPort, noc.MaxVCBufFlits
+	at.Router.InjVCs, at.Router.InjBufFlits = MaxVCsPerPort, noc.MaxVCBufFlits
+	if err := at.Validate(); err != nil {
+		t.Fatalf("the largest geometry: %v", err)
+	}
+	for field, mutate := range map[string]func(*RouterConfig){
+		"vcs_per_port":  func(r *RouterConfig) { r.VCsPerPort++ },
+		"vc_buf_flits":  func(r *RouterConfig) { r.VCBufFlits++ },
+		"inj_vcs":       func(r *RouterConfig) { r.InjVCs++ },
+		"inj_buf_flits": func(r *RouterConfig) { r.InjBufFlits++ },
+	} {
+		cfg := at
+		mutate(&cfg.Router)
+		var rfe *RouterFieldError
+		if err := cfg.Validate(); !errors.As(err, &rfe) || rfe.Field != field {
+			t.Errorf("one past the bound of %s: Validate() = %v", field, err)
 		}
 	}
 }

@@ -42,10 +42,10 @@ func (l *creditLine) free(c uint64) int { return l.ev.free(c - 1) }
 // TestCreditVisibleFromNextCycle pins the credit rule that lets a cycle run
 // on one barrier: a pop committed on cycle c's negative edge is invisible
 // to the producer in c — whose positive edge may run after that commit on
-// another worker — and visible from c+1 on, also at c+2 when nothing pops
-// at c+1 (the consumer's next negative edge republishes it into the other
-// slot). The rule holds on across a restore and a shard exchange, which
-// write both slots at once.
+// another worker — and visible from c+1 on, also at c+2 and later when
+// nothing pops (no negative edge writes the credit again). The rule holds
+// on across a restore and a shard exchange, whose unstamped writes are
+// whole in every cycle.
 func TestCreditVisibleFromNextCycle(t *testing.T) {
 	const c = 10
 	check := func(when string, l *creditLine, cycle uint64, want int) {
@@ -162,15 +162,15 @@ func TestCreditWakesVCParkedInItsCycle(t *testing.T) {
 	}
 }
 
-// TestCreditSurvivesFastForwardJump: a fast-forward jump skips cycles, and
-// with them the negative edge that would have republished a credit into
-// the other slot. The producer reads the slot of the last cycle its router
-// ran, not of the cycle before the one it runs, and the consumer's next
-// negative edge republishes into the slot its last one did not write,
-// whatever parity its own cycle has: the pop of the last cycle before the
-// jump stays visible on every cycle after it.
+// TestCreditSurvivesFastForwardJump: a fast-forward jump skips cycles. The
+// producer discounts a pop only when its stamp names the very cycle it runs,
+// so the pop of the last cycle before the jump stays visible on every cycle
+// after it — also after a jump long enough to bring a stamp narrower than the
+// credit word's back to the cycle being run (2^32 - 1 lands a 32-bit stamp
+// there on the second cycle after the jump) — and the word holds it with no
+// negative edge writing it again.
 func TestCreditSurvivesFastForwardJump(t *testing.T) {
-	for _, jump := range []uint64{2, 3} {
+	for _, jump := range []uint64{2, 3, 1<<32 - 1, 1<<32 + 1, 1<<40 - 1} {
 		const c = 10
 		l := newCreditLine(t)
 		cycle := func(c uint64, pop bool) {

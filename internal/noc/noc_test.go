@@ -169,7 +169,7 @@ func TestVCBufferConcurrentSPSC(t *testing.T) {
 		return ends{
 			buf: b,
 			produce: func(i uint64) bool {
-				if ev.free(i) < 1 { // Commit fills both slots: any cycle sees it
+				if ev.free(i) < 1 { // Commit is unstamped: any cycle sees it whole
 					return false
 				}
 				slot := b.tailSlot()

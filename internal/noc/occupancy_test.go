@@ -39,8 +39,6 @@ func checkMask(t *testing.T, when string, routers []*Router, next uint64) (parke
 			}
 			parked++
 			switch ev := st.ev; {
-			case r.bidir:
-				t.Fatalf("%s: router %d vc %d is parked on a router with a bandwidth-adaptive link", when, r.ID, i)
 			case !st.vaDone || ev == nil || st.headPacket != st.pktID:
 				t.Fatalf("%s: router %d vc %d holds %d flits with its bit clear, but is not through VA (vaDone=%v ev=%v)", when, r.ID, i, resident, st.vaDone, ev != nil)
 			case st.headVis > next:
@@ -90,7 +88,9 @@ func rngStates(routers []*Router) []uint64 {
 // the parked VCs at every cycle boundary of a congested line (where VCs
 // must park, and every one must wake: the line drains) and of a machine
 // that is idle, bursts and goes idle again, stepped by one worker and by
-// three, with one mask word per router and with two.
+// three, with one mask word per router and with two, over fixed links and
+// over bandwidth-adaptive ones — whose routers park and skip idle cycles
+// like any other.
 func TestOccupancyMaskTracksBuffers(t *testing.T) {
 	burst := func(routers []*Router) {
 		for i := 0; i < 3; i++ {
@@ -98,15 +98,22 @@ func TestOccupancyMaskTracksBuffers(t *testing.T) {
 			routers[2].OfferPacket(Packet{Flow: MakeFlow(2, 3, 1), Dst: 3, Flits: 2})
 		}
 	}
-	for _, vcs := range []int{2, 40} { // 40 VCs on each of 3 ports: two mask words
+	for _, tc := range []struct {
+		vcs   int
+		bidir bool
+	}{{2, false}, {40, false}, {2, true}, {40, true}} { // 40 VCs on each of 3 ports: two mask words
 		type outcome struct {
 			received [][]Packet
 			rng      []uint64
 		}
 		var first *outcome
+		vcs := tc.vcs
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("vcs%d/workers%d", vcs, workers)
-			routers, received := pipeline(t, 4, vcs, 3, VCADynamic)
+			if tc.bidir {
+				name = "bidirectional/" + name
+			}
+			routers, received := linkedPipeline(t, 4, vcs, 3, VCADynamic, tc.bidir)
 			if words := len(routers[1].occ); words != (3*vcs+63)/64 {
 				t.Fatalf("%s: middle router has %d mask words", name, words)
 			}
@@ -286,7 +293,7 @@ func TestParkedRouterIsIdle(t *testing.T) {
 	cycle := uint64(0)
 	// run steps rs through whole cycles; a sink left out runs only its
 	// negative edge, as a tile that stops draining does in an engine: it
-	// pops nothing, and republishes the credits of its last pops.
+	// pops nothing, and so commits nothing.
 	run := func(until uint64, rs ...*Router) {
 		for ; cycle < until; cycle++ {
 			step(rs, cycle)
@@ -364,14 +371,21 @@ func TestParkedRouterIsIdle(t *testing.T) {
 // two cycles of their neighbours, so parks, pushes and credit publications
 // interleave freely (loose synchronization). At every meeting point no VC
 // may be asleep with a credit available or a flit it has not seen
-// (Router.Parked), and once the sources stop the line must drain.
+// (Router.Parked), and once the sources stop the line must drain — over
+// fixed links and over bandwidth-adaptive ones.
 func TestOccupancyMaskTracksBuffersFreeRunning(t *testing.T) {
+	for _, bidir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bidirectional=%v", bidir), func(t *testing.T) { freeRunningLine(t, bidir) })
+	}
+}
+
+func freeRunningLine(t *testing.T, bidir bool) {
 	rounds := 100
 	if testing.Short() {
 		rounds = 20
 	}
 	const chunk, skew = 2000, 2
-	routers, received := pipeline(t, 4, 2, 3, VCADynamic)
+	routers, received := linkedPipeline(t, 4, 2, 3, VCADynamic, bidir)
 	last := NodeID(len(routers) - 1)
 	offered, parked := 0, 0
 	cycle := uint64(0)

@@ -54,7 +54,7 @@ func (e *egressVC) connect(vc int, buf *VCBuffer) {
 // under single-flow-at-a-time disciplines such as EDVCA, which is when it
 // is consulted).
 func (e *egressVC) resident(prev uint64) (FlowID, bool) {
-	if uint32(e.pushes) == e.credit.count[prev&1].Load() {
+	if uint16(e.pushes) == e.credit.view(prev) {
 		return 0, false
 	}
 	return e.lastFlow, true
@@ -62,10 +62,10 @@ func (e *egressVC) resident(prev uint64) (FlowID, bool) {
 
 // free is the downstream space the producer may use in the cycle after
 // prev, the last cycle its router ran.
-func (e *egressVC) free(prev uint64) int { return e.freeBy(e.credit.count[prev&1].Load()) }
+func (e *egressVC) free(prev uint64) int { return e.freeBy(e.credit.view(prev)) }
 
-func (e *egressVC) freeBy(committed uint32) int {
-	return int(e.capacity) - int(uint32(e.pushes)-committed)
+func (e *egressVC) freeBy(committed uint16) int {
+	return int(e.capacity) - int(uint16(e.pushes)-committed)
 }
 
 // headStale in vcState.headVis says the head-flit descriptor must be read
@@ -251,7 +251,7 @@ type Router struct {
 	streaming bool // a packet is streaming in from curFlits
 	saFilled  bool // some saBuckets entry is non-empty
 	// bidir is set when any port's link is bandwidth-adaptive: only then
-	// do demand and free space have a reader.
+	// do demand and free space have a reader, every cycle.
 	bidir      bool
 	egressPerm []int
 	// vcs is every ingress VC's record, port-major and VC-minor (rng.Perm
@@ -261,12 +261,8 @@ type Router struct {
 	// ingress state NewRouter allocates once.
 	vcs []vcState
 	// popped collects the commits of the buffers popped this cycle, which
-	// the negative edge publishes and the next one publishes again, into
-	// the other slot (see VCBuffer); repub holds those of the last cycle,
-	// for slot repubSlot.
-	popped    []commit
-	repub     []commit
-	repubSlot uint64
+	// the negative edge publishes (see VCBuffer).
+	popped []commit
 	// last is the last cycle whose positive edge the router finished; while
 	// one runs, the cycle whose end its credits and links are read as of:
 	// cycle-1, or older after a fast-forward jump.
@@ -289,10 +285,6 @@ type Router struct {
 
 	inflight *atomic.Int64
 	recv     Receiver
-
-	// occupied lists the VCs that held flits at this cycle's pass, for the
-	// bidirectional links' demand report only.
-	occupied []*vcState
 
 	// The packet streaming in, and injection bookkeeping.
 	curFlits    []Flit // the streaming packet's flits (storage reused across packets)
@@ -361,8 +353,8 @@ func NewRouter(p RouterParams) *Router {
 	}
 	nVCs, nSlots := 0, 0
 	for pi, g := range geometry {
-		if g.VCs < 1 || g.BufFlits < 1 {
-			panic(fmt.Sprintf("noc: router %d port %d needs at least one VC and one buffer slot", p.ID, pi))
+		if g.VCs < 1 || g.BufFlits < 1 || g.BufFlits > MaxVCBufFlits {
+			panic(fmt.Sprintf("noc: router %d port %d needs at least one VC and 1 to %d buffer slots", p.ID, pi, MaxVCBufFlits))
 		}
 		nVCs += g.VCs
 		nSlots += g.VCs * g.BufFlits
@@ -584,10 +576,12 @@ func (r *Router) NextEvent(now uint64) uint64 {
 // visits the ingress VCs the occupancy mask names — occupied, and not parked
 // on a credit — and sorts them by what they may do this cycle; every later
 // stage is entered only if the pass (or the injection queue) left it
-// something. A router with no bit set, nothing to inject and no
-// bandwidth-adaptive link — empty, or with every resident flit waiting for a
-// credit — does none of it: it loads its mask, steps its generator past the
-// egress permutation it would have drawn, and returns.
+// something. A router with no bit set and nothing to inject — empty, or
+// with every resident flit waiting for a credit — does none of it: it loads
+// its mask, steps its generator past the egress permutation it would have
+// drawn, and is done. A router with a bandwidth-adaptive link runs its side
+// of the link arbiter before all that and reports its demand after it, every
+// cycle, idle or not.
 //
 // A flit a neighbour pushes while or after the mask is read is noticed a
 // cycle later, which changes nothing: it is not visible before the next
@@ -596,28 +590,27 @@ func (r *Router) NextEvent(now uint64) uint64 {
 // router's last cycle left them, whatever a neighbour's negative edge
 // writes meanwhile.
 func (r *Router) PhaseTransfer(cycle uint64) {
-	injecting := r.streaming || r.pending.size() != 0
-	if !injecting && !r.bidir && !r.anyOccupied() {
-		r.skipEgressPerm()
-		r.last = cycle
-		return
-	}
 	if r.bidir {
 		r.arbitrateLinks(cycle)
 	}
-	r.scanIngress(cycle)
-	// A flit injected now becomes visible next cycle, so the pass need not
-	// have seen it; injection draws no random numbers.
-	if injecting {
-		r.injectFlits(cycle)
-	}
-	if len(r.vaScratch) > 0 {
-		r.allocateVCs(cycle)
-	}
-	if r.saFilled {
-		r.arbitrateAndTraverse(cycle)
-	} else {
+	injecting := r.streaming || r.pending.size() != 0
+	if !injecting && !r.anyOccupied() {
 		r.skipEgressPerm()
+	} else {
+		r.scanIngress(cycle)
+		// A flit injected now becomes visible next cycle, so the pass need
+		// not have seen it; injection draws no random numbers.
+		if injecting {
+			r.injectFlits(cycle)
+		}
+		if len(r.vaScratch) > 0 {
+			r.allocateVCs(cycle)
+		}
+		if r.saFilled {
+			r.arbitrateAndTraverse(cycle)
+		} else {
+			r.skipEgressPerm()
+		}
 	}
 	if r.bidir {
 		r.reportLinkDemand(cycle)
@@ -643,29 +636,24 @@ func (r *Router) anyOccupied() bool {
 func (r *Router) skipEgressPerm() { r.rng.Skip(len(r.egressPerm) - 1) }
 
 // PhaseCommit runs the negative clock edge: commit this cycle's ingress
-// pops, which producers see from the next cycle on, and those of the last
-// cycle once more, into the other slot. A router that popped nothing in
-// either cycle has no negative edge; the test is small enough to be inlined
-// into the caller.
+// pops, which producers see from the next cycle on. A router that popped
+// nothing has no negative edge; the test is small enough to be inlined into
+// the caller.
 func (r *Router) PhaseCommit(cycle uint64) {
-	if len(r.popped) > 0 || len(r.repub) > 0 {
+	if len(r.popped) > 0 {
 		r.commit(cycle)
 	}
 }
 
-// commit republishes into the slot the last commit did not write — this
-// cycle's, unless a fast-forward jump skipped an odd number of cycles —
-// which no producer reads in this cycle, and which then holds the count the
-// other does. No VC needs waking for a count already published.
+// commit stores each popped buffer's count under this cycle's stamp: one
+// store per pop, which a producer running this cycle discounts and every
+// later cycle reads as it stands (creditCell.view).
 func (r *Router) commit(cycle uint64) {
-	for _, c := range r.repub {
-		c.cell.count[r.repubSlot].Store(c.pops)
-	}
+	stamp := creditStamp(cycle)
 	for _, c := range r.popped {
-		c.publish(cycle)
+		c.publish(stamp)
 	}
-	r.repub, r.popped = r.popped, r.repub[:0]
-	r.repubSlot = (cycle + 1) & 1
+	r.popped = r.popped[:0]
 }
 
 // arbitrateLinks sets, for each bandwidth-adaptive link, the bandwidth this
@@ -708,9 +696,6 @@ func (r *Router) arbitrateLinks(cycle uint64) {
 // cycle: the clock wakes the first, the second reroutes after rerouteAfter.
 func (r *Router) scanIngress(cycle uint64) {
 	r.vaScratch = r.vaScratch[:0]
-	if r.bidir {
-		r.occupied = r.occupied[:0]
-	}
 	if r.saFilled {
 		for i := range r.saBuckets {
 			r.saBuckets[i] = r.saBuckets[i][:0]
@@ -731,9 +716,6 @@ func (r *Router) scanIngress(cycle uint64) {
 			if live > st.sCount {
 				r.stampArrivals(st, cycle, live)
 			}
-			if r.bidir {
-				r.occupied = append(r.occupied, st)
-			}
 			if st.headVis > cycle {
 				if st.headVis != headStale {
 					continue // the head is still on the link
@@ -751,7 +733,7 @@ func (r *Router) scanIngress(cycle uint64) {
 					if st.ev == nil || st.ev.free(r.last) >= 1 {
 						r.saBuckets[st.egress] = append(r.saBuckets[st.egress], st)
 						r.saFilled = true
-					} else if !r.bidir {
+					} else {
 						st.park() // only a credit can move it: no visit until then
 					}
 				}
@@ -787,8 +769,8 @@ func (r *Router) scanIngress(cycle uint64) {
 // taking the waiter back, so that no later credit rings a VC that may have
 // emptied by then. A VC in this state is filed nowhere and draws nothing,
 // so the pass that follows its wake finds it exactly as if it had visited
-// it every cycle in between. Routers with a bandwidth-adaptive link never
-// park: their demand report needs every occupied VC every cycle.
+// it every cycle in between — the demand a bandwidth-adaptive link's report
+// counts included, which looks at every ingress record.
 func (st *vcState) park() {
 	b := &st.buf
 	st.ev.credit.waiter.Store(b)
@@ -1265,12 +1247,13 @@ func (r *Router) deliver(f *Flit, cycle uint64) {
 
 // reportLinkDemand publishes, for each bidirectional link, how many
 // SA-eligible flits want to cross it after this cycle (the arbiters read
-// it next cycle). It reads the buffers as this cycle's traversals left
-// them.
+// it next cycle): VA done and head visible, counted over every ingress
+// record, so that a parked VC counts as one visited every cycle does. It
+// reads the buffers as this cycle's traversals left them.
 func (r *Router) reportLinkDemand(cycle uint64) {
 	clear(r.demand)
-	for _, st := range r.occupied {
-		if st.vaDone {
+	for i := range r.vcs {
+		if st := &r.vcs[i]; st.vaDone {
 			if _, ok := st.buf.Peek(cycle); ok {
 				r.demand[st.egress]++
 			}

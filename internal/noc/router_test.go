@@ -40,6 +40,13 @@ func (allVCs) Candidates(prev NodeID, flow FlowID, next NodeID, nextFlow FlowID,
 // once all routers exist.
 func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[]Packet) {
 	t.Helper()
+	return linkedPipeline(t, n, vcs, bufFlits, mode, false)
+}
+
+// linkedPipeline is pipeline with the links between the routers
+// bandwidth-adaptive (one flit per direction, two to share) if bidir is set.
+func linkedPipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode, bidir bool) ([]*Router, []*[]Packet) {
+	t.Helper()
 	inflight := new(atomic.Int64)
 	routers := make([]*Router, n)
 	received := make([]*[]Packet, n)
@@ -73,7 +80,7 @@ func pipeline(t testing.TB, n, vcs, bufFlits int, mode VCAMode) ([]*Router, []*[
 		a, b := routers[i], routers[i+1]
 		pa, _ := a.PortToward(b.ID)
 		pb, _ := b.PortToward(a.ID)
-		link := NewLink(1, false)
+		link := NewLink(1, bidir)
 		a.ConnectEgress(b.ID, b.Ports()[pb].In, link, 0)
 		b.ConnectEgress(a.ID, a.Ports()[pa].In, link, 1)
 	}

@@ -403,11 +403,10 @@ func (r *Router) checkQueued(p Packet, i, behind int) error {
 
 // LoadState restores router state saved by SaveState at clock into this
 // router, which must be built from the same configuration (same port and
-// VC geometry). The restored credits are usable at clock, and nothing is
-// left to publish again.
+// VC geometry). The restored credits are usable at clock.
 func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 	r.last = clock - 1
-	r.popped, r.repub = r.popped[:0], r.repub[:0]
+	r.popped = r.popped[:0]
 	r.pktCounter = rd.Uint64()
 
 	n := rd.Count(1 << 24)

@@ -31,12 +31,15 @@ import (
 // so one barrier per cycle keeps the view deterministic. Under loose
 // synchronization the view may lag, which never overflows a buffer. The
 // count is kept at its reader, in a cell inside the producer's egress
-// record (egressVC.credit, wired when the producer connects), one slot per
-// cycle parity: the negative edge of c writes slot c&1, the producer reads
-// the slot of the last cycle its router ran, and the consumer's next
-// negative edge republishes the count into the other slot (Router.commit);
-// a write at a quiescent point — Commit, restore, the shard exchange —
-// fills both. Every new count is written through commit.publish.
+// record (egressVC.credit, wired when the producer connects): one word
+// holding the count and the cycle that committed it, stored once by the
+// negative edge of a cycle that popped the buffer (Router.commit) and by
+// nothing in a cycle that did not. The producer, running cycle c, takes the
+// count as stored unless it is stamped c: that commit may or may not have
+// run yet on another worker, and it is one pop ahead, since a buffer pops
+// at most one flit per cycle (creditCell.view). A write at a quiescent
+// point — Commit, restore, the shard exchange — is unstamped and read whole
+// in every cycle. Every new count is written through commit.publish.
 //
 // Occupancy: every buffer owns one bit of an occupancy mask — for a
 // router's buffer, bit i of the router's mask for the i-th ingress VC — and
@@ -238,22 +241,40 @@ func (b *VCBuffer) Pop() Flit {
 	return f
 }
 
-// creditCell is what a buffer's consumer writes for its producer: the
-// committed pop count by cycle parity, modulo 2^32 (the producer only
-// subtracts it from its own push count, at most a capacity apart), and the
-// buffer of the producer's ingress VC parked on this credit, if any.
+// creditCell is what a buffer's consumer writes for its producer — one
+// word, the committed pop count under the stamp of the cycle whose negative
+// edge committed it — and the buffer of the producer's ingress VC parked on
+// that credit, if any. The count is kept modulo 2^16: the producer only
+// subtracts it from its own push count, at most a capacity apart.
 type creditCell struct {
-	count  [2]atomic.Uint32
+	word   atomic.Uint64
 	waiter atomic.Pointer[VCBuffer]
 }
 
-// latest returns the newer of the two counts.
-func (c *creditCell) latest() uint32 {
-	a, b := c.count[0].Load(), c.count[1].Load()
-	if int32(b-a) > 0 {
-		return b
+// MaxVCBufFlits bounds a VC buffer's capacity below the credit count's
+// modulus, so that a producer tells a full buffer from an empty one; far
+// above any modeled router (the presets use at most 16).
+const MaxVCBufFlits = 1024
+
+// creditStamp is the stamp of a count committed at cycle's negative edge:
+// cycle+1 in the word's high 48 bits, which repeat only after 2^48 cycles.
+// Stamp 0 — the zero word, and what a write at a quiescent point stores —
+// names no cycle.
+func creditStamp(cycle uint64) uint64 { return (cycle + 1) << 16 }
+
+// latest returns the committed count, whenever it was committed.
+func (c *creditCell) latest() uint16 { return uint16(c.word.Load()) }
+
+// view returns the count the producer may use in the cycle after prev, the
+// last cycle its router ran. A count stamped with that cycle may or may not
+// be committed yet on another worker, and is one pop ahead (a buffer pops
+// at most one flit per cycle); every other count is final.
+func (c *creditCell) view(prev uint64) uint16 {
+	w := c.word.Load()
+	if w&^0xffff == creditStamp(prev+1) {
+		return uint16(w) - 1
 	}
-	return a
+	return uint16(w)
 }
 
 // cell returns the buffer's credit cell. A router's buffer whose producer
@@ -270,7 +291,7 @@ func (b *VCBuffer) cell() *creditCell {
 // reads (build time only).
 func (b *VCBuffer) attachCredit(c *creditCell) {
 	if b.credit != nil {
-		commit{c, b.credit.latest()}.fill()
+		commit{c, b.credit.latest()}.publish(0)
 	}
 	b.credit = c
 }
@@ -279,12 +300,12 @@ func (b *VCBuffer) attachCredit(c *creditCell) {
 // count (consumer side, or at a quiescent point).
 func (b *VCBuffer) CommittedPops() uint64 {
 	pops := b.pops.Load()
-	return pops - uint64(uint32(pops)-b.cell().latest())
+	return pops - uint64(uint16(pops)-b.cell().latest())
 }
 
-// Commit publishes the consumer's pops at a quiescent point (a running
-// router commits through Router.commit).
-func (b *VCBuffer) Commit() { b.commitOf().fill() }
+// Commit publishes the consumer's pops at a quiescent point, unstamped:
+// usable in every cycle (a running router commits through Router.commit).
+func (b *VCBuffer) Commit() { b.commitOf().publish(0) }
 
 // commit is a Commit taken at one time and published at another: the
 // cell to store into and the pop count to store. A router takes it when
@@ -293,27 +314,22 @@ func (b *VCBuffer) Commit() { b.commitOf().fill() }
 // without having to touch the buffer again.
 type commit struct {
 	cell *creditCell
-	pops uint32
+	pops uint16
 }
 
-func (b *VCBuffer) commitOf() commit { return commit{b.cell(), uint32(b.pops.Load())} }
+func (b *VCBuffer) commitOf() commit { return commit{b.cell(), uint16(b.pops.Load())} }
 
-// publish is the one place a credit is written — into the slot of cycle,
-// or by fill into both — and so the one place a VC parked on that credit
-// is woken: store the count, then take the waiter, if one is armed, and
-// set its occupancy bit.
-func (c commit) publish(cycle uint64) {
-	c.cell.count[cycle&1].Store(c.pops)
+// publish is the one place a credit is written — one store of the count
+// under stamp, a creditStamp or 0 — and so the one place a VC parked on that
+// credit is woken: store the count, then take the waiter, if one is armed,
+// and set its occupancy bit.
+func (c commit) publish(stamp uint64) {
+	c.cell.word.Store(stamp | uint64(c.pops))
 	if c.cell.waiter.Load() != nil {
 		if w := c.cell.waiter.Swap(nil); w != nil {
 			w.occ.Or(1 << w.bit)
 		}
 	}
-}
-
-func (c commit) fill() {
-	c.cell.count[0].Store(c.pops)
-	c.publish(1)
 }
 
 // flitAt returns the i-th resident flit counted from the head (consumer

@@ -176,6 +176,10 @@ func (s *Scenario) runConfig() (config.Config, *workloads.Run, *FieldError) {
 		if errors.As(err, &spe) {
 			return cfg, nil, errf(pointerIndex("/machine/routing/static_paths", spe.Path), "%s", err.Error())
 		}
+		var rfe *config.RouterFieldError
+		if errors.As(err, &rfe) {
+			return cfg, nil, errf("/machine/router/"+rfe.Field, "%s", err.Error())
+		}
 		return cfg, nil, errf("/machine", "%s", err.Error())
 	}
 	if s.Workload == nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"regexp"
 
@@ -464,6 +465,10 @@ type mipsBatchItem struct {
 // configuration's pointer in the request; where prefixes the messages.
 func checkRunnable(c *config.Config, field, where string) *APIError {
 	if err := c.Validate(); err != nil {
+		var rfe *config.RouterFieldError
+		if errors.As(err, &rfe) {
+			field += "/router/" + rfe.Field
+		}
 		return &APIError{Code: CodeInvalidConfig, Field: field, Message: where + err.Error()}
 	}
 	if len(c.Traffic) == 0 {

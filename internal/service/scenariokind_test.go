@@ -370,6 +370,21 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 		{"doc-shards-bidirectional", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"bidirectional":true}},` +
 			uniform + `,"run":{"shards":2}`), "", ""},
 
+		// A router's ingress state grows with its geometry: past the bounds
+		// a build would ask for more memory than any host has.
+		{"router-buffer-bound", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"vc_buf_flits":1073741824}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/vc_buf_flits"},
+		{"router-vcs-bound", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"vcs_per_port":65}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/vcs_per_port"},
+		{"router-inj-vcs-bound", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"inj_vcs":65}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/inj_vcs"},
+		{"router-inj-buffer-bound", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"inj_buf_flits":1025}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/inj_buf_flits"},
+		{"router-at-bounds", doc(`"machine":{"topology":{"kind":"mesh","width":4,"height":4},"router":{"vcs_per_port":64,"vc_buf_flits":1024,"inj_vcs":64,"inj_buf_flits":1024}},` + uniform),
+			"", ""},
+		{"config-router-bound", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.Router.VCBufFlits = 1 << 30 })},
+			CodeInvalidConfig, "/config/router/vc_buf_flits"},
+
 		{"mips-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "reduction", Params: workloads.Params{"elems": 0},
 			Config: frozenMipsConfig()}}, CodeInvalidRequest, "/mips/params/elems"},
 		{"mips-frozen-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "pingpong", Rounds: 2_000_000,

@@ -195,12 +195,12 @@ func NewDurable(opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /api/v1/validate", s.handleValidate)
 	s.mux.HandleFunc("GET /api/v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.handleTrace)
+	s.mux.HandleFunc("GET /api/v1/jobs/{id}", s.withJob(handleJob))
+	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.withJob(handleCancel))
+	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.withJob(handleResult))
+	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.withJob(handleEvents))
+	s.mux.HandleFunc("GET /api/v1/jobs/{id}/telemetry", s.withJob(handleTelemetry))
+	s.mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.withJob(handleTrace))
 
 	// Worker-fleet protocol (see internal/service/backend): registration,
 	// long-poll dispatch, heartbeats, progress/checkpoint/result pushes.
@@ -265,74 +265,55 @@ func (s *Server) Close() {
 	}
 }
 
-// janitor enforces the finished-job retention TTL. With no TTL it just
-// parks until Close.
+// janitor enforces the finished-job retention TTL.
 func (s *Server) janitor(ttl time.Duration) {
-	defer close(s.janitorDone)
-	if ttl <= 0 {
-		<-s.janitorStop
-		return
-	}
-	period := ttl / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Minute {
-		period = time.Minute
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if n, traceDropped := s.jobs.expire(time.Now().Add(-ttl)); n > 0 {
-				s.jobsExpired.Add(uint64(n))
-				// Bank the expired jobs' dropped-event counts so the
-				// trace-dropped counter never moves backwards.
-				s.traceDroppedExpired.Add(uint64(traceDropped))
-				s.log.Debug("expired finished jobs", slog.String(obs.KeyComponent, "janitor"), slog.Int("count", n))
-			}
-		case <-s.janitorStop:
-			return
+	s.periodic(ttl, s.janitorDone, func() {
+		if n, traceDropped := s.jobs.expire(time.Now().Add(-ttl)); n > 0 {
+			s.jobsExpired.Add(uint64(n))
+			// Bank the expired jobs' dropped-event counts so the
+			// trace-dropped counter never moves backwards.
+			s.traceDroppedExpired.Add(uint64(traceDropped))
+			s.log.Debug("expired finished jobs", slog.String(obs.KeyComponent, "janitor"), slog.Int("count", n))
 		}
-	}
+	})
 }
 
 // watchdog flags running jobs whose executors stop reporting forward
 // progress (simulation clock not advancing) for at least window: one
 // Warn log, one hornet_job_stalls_total increment, one "stalled" trace
-// instant and SSE event per episode. With no window it parks until
-// Close, like the janitor.
+// instant and SSE event per episode.
 func (s *Server) watchdog(window time.Duration) {
-	defer close(s.watchdogDone)
-	if window <= 0 {
+	s.periodic(window, s.watchdogDone, func() {
+		now := time.Now()
+		for _, j := range s.jobs.all() {
+			if j.checkStall(now, window) {
+				s.jobStalls.Add(1)
+				info := j.Info()
+				s.log.Warn("job stalled: no forward progress",
+					slog.String(obs.KeyComponent, "watchdog"), obs.Job(info.ID),
+					slog.String("state", string(info.State)),
+					slog.String("backend", info.Backend),
+					slog.Duration("window", window))
+			}
+		}
+	})
+}
+
+// periodic runs fn every quarter of d, clamped to [10 ms, 1 min], until
+// Close, and closes done when it returns. With no d it only waits for
+// Close.
+func (s *Server) periodic(d time.Duration, done chan struct{}, fn func()) {
+	defer close(done)
+	if d <= 0 {
 		<-s.janitorStop
 		return
 	}
-	period := window / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Minute {
-		period = time.Minute
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(min(max(d/4, 10*time.Millisecond), time.Minute))
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
-			now := time.Now()
-			for _, j := range s.jobs.all() {
-				if j.checkStall(now, window) {
-					s.jobStalls.Add(1)
-					info := j.Info()
-					s.log.Warn("job stalled: no forward progress",
-						slog.String(obs.KeyComponent, "watchdog"), obs.Job(info.ID),
-						slog.String("state", string(info.State)),
-						slog.String("backend", info.Backend),
-						slog.Duration("window", window))
-				}
-			}
+			fn()
 		case <-s.janitorStop:
 			return
 		}
@@ -467,12 +448,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // handleJob returns the job snapshot. With ?wait=DURATION it long-polls:
 // the response is delayed until the job reaches a terminal state or the
 // wait elapses, whichever is first.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+func handleJob(w http.ResponseWriter, r *http.Request, j *job) {
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		wait, err := time.ParseDuration(waitStr)
 		if err != nil || wait < 0 {
@@ -495,12 +471,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Info())
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+func handleCancel(w http.ResponseWriter, r *http.Request, j *job) {
 	j.cancel()
 	// A queued job can be finalized right away; a running one drains and
 	// the scheduler marks it canceled when its runs return.
@@ -513,12 +484,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleResult serves the canonical result document bytes. Because the
 // store keeps raw bytes, a cached response is byte-identical to the cold
 // run's; the config hash doubles as a strong ETag.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+func handleResult(w http.ResponseWriter, r *http.Request, j *job) {
 	info := j.Info()
 	b, ready := j.Result()
 	if !ready {
@@ -540,49 +506,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // snapshot on connect, "progress" events as runs complete, and a final
 // "state" event when the job reaches a terminal state, after which the
 // stream ends.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, &APIError{Code: CodeInvalidRequest,
-			Message: "streaming unsupported by this connection"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	// Subscribe before the snapshot so no transition can fall between.
-	events, unsubscribe := j.subscribe()
-	defer unsubscribe()
-
-	info := j.Info()
-	writeSSE(w, Event{Type: "state", Job: info.ID, State: info.State,
-		Done: info.RunsDone, Total: info.RunsTotal})
-	flusher.Flush()
-
-	for {
-		select {
-		case ev, open := <-events:
-			if !open {
-				// Terminal: emit the final snapshot and end the stream.
-				info := j.Info()
-				writeSSE(w, Event{Type: "state", Job: info.ID, State: info.State,
-					Done: info.RunsDone, Total: info.RunsTotal})
-				flusher.Flush()
-				return
-			}
-			writeSSE(w, ev)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
+func handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
+	streamSSE(w, r, j, func(ev *Event) {
+		if ev == nil {
+			info := j.Info()
+			ev = &Event{Type: "state", Job: info.ID, State: info.State,
+				Done: info.RunsDone, Total: info.RunsTotal}
 		}
-	}
+		writeSSE(w, *ev)
+	})
 }
 
 // handleTelemetry streams the job's live machine telemetry as
@@ -591,12 +523,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // one frame per update, plus "stalled" watchdog notices. The stream
 // ends with a final "telemetry" frame when the job reaches a terminal
 // state.
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+func handleTelemetry(w http.ResponseWriter, r *http.Request, j *job) {
+	streamSSE(w, r, j, func(ev *Event) {
+		if ev == nil {
+			info := j.Info()
+			if info.Telemetry == nil {
+				return
+			}
+			ev = &Event{Type: "telemetry", Job: info.ID, Telemetry: info.Telemetry}
+		} else if ev.Type != "telemetry" && ev.Type != "stalled" {
+			return
+		}
+		writeSSE(w, *ev)
+	})
+}
+
+// streamSSE serves j as a stream of Server-Sent Events. frame writes what
+// it makes of each event, and of none (nil): the snapshot the stream opens
+// with — taken after subscribing, so that no event falls between — and the
+// one it ends with once the job is terminal.
+func streamSSE(w http.ResponseWriter, r *http.Request, j *job, frame func(ev *Event)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, &APIError{Code: CodeInvalidRequest,
@@ -608,35 +554,19 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	// Subscribe before the snapshot so no sample can fall between.
 	events, unsubscribe := j.subscribe()
 	defer unsubscribe()
-
-	snapshot := func() bool {
-		info := j.Info()
-		if info.Telemetry == nil {
-			return false
-		}
-		writeSSE(w, Event{Type: "telemetry", Job: info.ID, Telemetry: info.Telemetry})
-		return true
-	}
-	snapshot()
+	frame(nil)
 	flusher.Flush()
-
 	for {
 		select {
 		case ev, open := <-events:
 			if !open {
-				// Terminal: the final merged view, then end the stream.
-				if snapshot() {
-					flusher.Flush()
-				}
+				frame(nil)
+				flusher.Flush()
 				return
 			}
-			if ev.Type != "telemetry" && ev.Type != "stalled" {
-				continue
-			}
-			writeSSE(w, ev)
+			frame(&ev)
 			flusher.Flush()
 		case <-r.Context().Done():
 			return
@@ -647,13 +577,21 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the job's span timeline as Chrome trace_event
 // JSON — load the body in Perfetto (ui.perfetto.dev) or chrome://tracing
 // to see queued/running/checkpoint/migration spans on a timeline.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+func handleTrace(w http.ResponseWriter, r *http.Request, j *job) {
 	writeJSON(w, http.StatusOK, j.trace.Document())
+}
+
+// withJob resolves the {id} path value to the job h serves, answering 404
+// itself when there is none.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.jobs.get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
+			return
+		}
+		h(w, r, j)
+	}
 }
 
 // writeSSE emits one SSE frame: "event: <type>\ndata: <json>\n\n".

@@ -205,7 +205,7 @@ func TestFastForwardInFlightBlocksSkip(t *testing.T) {
 // has a slot per cycle parity, written in one cycle and read in the next,
 // so the pattern is race-free in cycle-accurate mode even when a
 // neighbour's PhaseCommit runs before this tile's PhaseTransfer of the
-// same cycle — mirroring how real tiles hand each other credits.
+// same cycle — mirroring how routers hand each other link demand.
 type exchangeTile struct {
 	id       int
 	rng      *RNG
