@@ -82,6 +82,32 @@ func (t TopologyConfig) Nodes() int {
 	return t.Width * h * l
 }
 
+// Links counts the geometry's bidirectional links, each of which gives
+// both its routers a network port, as topology.New builds them.
+func (t TopologyConfig) Links() int {
+	w, h, l := t.Width, max(t.Height, 1), max(t.Layers, 1)
+	mesh := (w-1)*h + w*(h-1)
+	// A multilayer mesh adds, between each pair of adjacent layers, one
+	// link per portal node.
+	switch t.Kind {
+	case TopoLine:
+		return w - 1
+	case TopoRing:
+		return w
+	case TopoMesh:
+		return mesh
+	case TopoTorus:
+		return mesh + w + h
+	case TopoMeshX1:
+		return l*mesh + (l - 1)
+	case TopoMeshX1Y1:
+		return l*mesh + (l-1)*(w+h-1)
+	case TopoMeshXCube:
+		return l*mesh + (l-1)*w*h
+	}
+	return 0
+}
+
 // RouterConfig describes per-node router resources.
 type RouterConfig struct {
 	VCsPerPort    int    `json:"vcs_per_port"`
@@ -244,14 +270,17 @@ func (c *Config) Validate() error {
 	}
 	r := &c.Router
 	for _, f := range []RouterFieldError{
-		{"vcs_per_port", r.VCsPerPort, 1, MaxVCsPerPort},
-		{"vc_buf_flits", r.VCBufFlits, 1, noc.MaxVCBufFlits},
-		{"inj_vcs", r.InjVCs, 0, MaxVCsPerPort},
-		{"inj_buf_flits", r.InjBufFlits, 0, noc.MaxVCBufFlits},
+		{Field: "vcs_per_port", Value: r.VCsPerPort, Min: 1, Max: MaxVCsPerPort},
+		{Field: "vc_buf_flits", Value: r.VCBufFlits, Min: 1, Max: noc.MaxVCBufFlits},
+		{Field: "inj_vcs", Value: r.InjVCs, Min: 0, Max: MaxVCsPerPort},
+		{Field: "inj_buf_flits", Value: r.InjBufFlits, Min: 0, Max: noc.MaxVCBufFlits},
 	} {
 		if f.Value < f.Min || f.Value > f.Max {
 			return &f
 		}
+	}
+	if err := c.checkMachineSlots(); err != nil {
+		return err
 	}
 	if r.LinkBandwidth < 1 {
 		return fmt.Errorf("config: link_bandwidth must be >= 1, got %d", r.LinkBandwidth)
@@ -360,15 +389,62 @@ func (c *Config) Validate() error {
 // preset and test (16 VCs, 16 flits).
 const MaxVCsPerPort = 64
 
+// MaxMachineSlots bounds the flit slots of the whole machine's ingress
+// buffers: nodes × ports × VCs × buffer flits, the injection port included.
+// Each slot costs a 64-byte flit and its 8-byte arrival stamp
+// (noc.NewRouter), so the bound is 288 MiB of router state. It is above a
+// 128x128 mesh at the default geometry (1.3 M slots) and a 32x32 mesh at 16
+// VCs × 16 flits (1.3 M), and it is what keeps the per-field bounds from
+// multiplying into an out-of-memory: an 8x8 mesh at them would ask 18.9 M
+// slots (1.3 GB), a 32x32 one 327 M (23.6 GB). A 4x4 mesh at them holds
+// exactly 2^22.
+const MaxMachineSlots = 1 << 22
+
 // RouterFieldError names a router geometry field outside [Min, Max]; zero
-// means "same as the network ports" for the inj_ fields.
+// means "same as the network ports" for the inj_ fields. When Slots is
+// set, the field is in range but the machine's ingress buffers would hold
+// Slots flit slots, more than MaxMachineSlots, and Field names the
+// geometry (network or injection) holding most of them.
 type RouterFieldError struct {
 	Field           string // the field's JSON name in the router section
 	Value, Min, Max int
+	Slots           int
 }
 
 func (e *RouterFieldError) Error() string {
+	if e.Slots > 0 {
+		return fmt.Sprintf("config: %s %d gives the machine's ingress buffers %d flit slots, at most %d",
+			e.Field, e.Value, e.Slots, MaxMachineSlots)
+	}
 	return fmt.Sprintf("config: %s must be in [%d, %d], got %d", e.Field, e.Min, e.Max, e.Value)
+}
+
+// checkMachineSlots rejects a machine whose ingress buffers hold more than
+// MaxMachineSlots flit slots. The router fields are already in range; a
+// topology past noc.MaxNodes is left to the topology build, which rejects
+// it.
+func (c *Config) checkMachineSlots() error {
+	t, r := &c.Topology, &c.Router
+	layers, height := max(t.Layers, 1), max(t.Height, 1)
+	if t.Width > noc.MaxNodes || height > noc.MaxNodes || layers > noc.MaxNodes || t.Nodes() > noc.MaxNodes {
+		return nil
+	}
+	injVCs, injBuf := r.InjVCs, r.InjBufFlits
+	if injVCs == 0 {
+		injVCs = r.VCsPerPort
+	}
+	if injBuf == 0 {
+		injBuf = r.VCBufFlits
+	}
+	network := 2 * t.Links() * r.VCsPerPort * r.VCBufFlits
+	injection := t.Nodes() * injVCs * injBuf
+	if slots := network + injection; slots > MaxMachineSlots {
+		if injection > network {
+			return &RouterFieldError{Field: "inj_buf_flits", Value: injBuf, Slots: slots}
+		}
+		return &RouterFieldError{Field: "vc_buf_flits", Value: r.VCBufFlits, Slots: slots}
+	}
+	return nil
 }
 
 // MaxLineBytes bounds line_bytes: a NUCA access names its offset within

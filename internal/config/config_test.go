@@ -75,6 +75,16 @@ func TestStaticRoutingValidation(t *testing.T) {
 // same endpoints that together lead back to a link, cannot be followed as
 // written; Validate names the path. Revisiting a node by another link, and
 // paths that only share links, are fine.
+// fanOut returns n paths from node 0 to node 1, each through a node of its
+// own: n next hops for a flow injected at node 0.
+func fanOut(n int) [][]int {
+	paths := make([][]int, n)
+	for i := range paths {
+		paths[i] = []int{0, i + 2, 1}
+	}
+	return paths
+}
+
 func TestStaticPathsMustNotLoop(t *testing.T) {
 	cfg := Default() // 4x4 mesh: node 1 is east of 0, node 5 south of 1
 	cfg.Routing.Algorithm = RouteStatic
@@ -88,7 +98,12 @@ func TestStaticPathsMustNotLoop(t *testing.T) {
 		{[][]int{{0, 1, 1, 2}}, 0, "(0,1,1,2) stays at node 1"},
 		{[][]int{{0, 1, 5, 1, 2, 6}, {0, 4, 5, 1, 5, 6}}, 1, "(0,4,5,1,5,6) and the other paths from 0 to 6 loop through the link 1->5"},
 		{[][]int{{1, 0, 4, 5, 1, 2}, {0, 1, 0}, {0, 1, 2, 1}, {0, 1, 2}, {0, 1, 5, 6, 2}}, -1, ""},
+		{fanOut(255), -1, ""},
+		{fanOut(256), 255, "(0,257,1) gives node 0, arriving from 0, a next hop beyond the 255"},
 	} {
+		if len(c.paths) > 16 {
+			cfg.Topology.Width, cfg.Topology.Height = 32, 32 // nodes enough for fanOut
+		}
 		cfg.Routing.StaticPaths = c.paths
 		err := cfg.Validate()
 		if c.path < 0 {
@@ -275,7 +290,11 @@ func TestPacketLengthBound(t *testing.T) {
 // TestRouterGeometryBound: the largest router geometry is valid, one VC or
 // one flit more is not, and the rejection names its field.
 func TestRouterGeometryBound(t *testing.T) {
+	// A 4x4 mesh at every field bound holds exactly MaxMachineSlots: 24
+	// links give 48 network ports, and 16 injection ports, each of
+	// 64 x 1024 slots.
 	at := Default()
+	at.Topology.Width, at.Topology.Height = 4, 4
 	at.Router.VCsPerPort, at.Router.VCBufFlits = MaxVCsPerPort, noc.MaxVCBufFlits
 	at.Router.InjVCs, at.Router.InjBufFlits = MaxVCsPerPort, noc.MaxVCBufFlits
 	if err := at.Validate(); err != nil {
@@ -292,6 +311,38 @@ func TestRouterGeometryBound(t *testing.T) {
 		var rfe *RouterFieldError
 		if err := cfg.Validate(); !errors.As(err, &rfe) || rfe.Field != field {
 			t.Errorf("one past the bound of %s: Validate() = %v", field, err)
+		}
+	}
+
+	// The machine's slots, every field in range: the rejection names the
+	// geometry holding most of them.
+	for _, c := range []struct {
+		name                 string
+		topo                 TopologyConfig
+		vcs, buf, injV, injB int
+		slots                int    // 0: accepted
+		field                string // the rejection's field
+	}{
+		// 64 links give 128 network ports of 55 x 594 slots (4 181 760),
+		// and 65 injection ports of 193 (12 545).
+		{"one slot past", TopologyConfig{Kind: TopoLine, Width: 65, Height: 1}, 55, 594, 1, 193, MaxMachineSlots + 1, "vc_buf_flits"},
+		{"just below", TopologyConfig{Kind: TopoLine, Width: 65, Height: 1}, 55, 594, 1, 192, 0, ""},
+		{"8x8 at the field bounds", TopologyConfig{Kind: TopoMesh, Width: 8, Height: 8}, 64, 1024, 64, 1024, 18_874_368, "vc_buf_flits"},
+		{"8x8, the injection ports at the field bounds", TopologyConfig{Kind: TopoMesh, Width: 8, Height: 8}, 1, 1, 64, 1024, 64*65536 + 224, "inj_buf_flits"},
+		{"128x128, the default geometry", TopologyConfig{Kind: TopoMesh, Width: 128, Height: 128}, 4, 4, 0, 0, 0, ""},
+		{"32x32, 16 VCs x 16 flits", TopologyConfig{Kind: TopoMesh, Width: 32, Height: 32}, 16, 16, 0, 0, 0, ""},
+	} {
+		cfg := Default()
+		cfg.Topology = c.topo
+		cfg.Router.VCsPerPort, cfg.Router.VCBufFlits = c.vcs, c.buf
+		cfg.Router.InjVCs, cfg.Router.InjBufFlits = c.injV, c.injB
+		err := cfg.Validate()
+		var rfe *RouterFieldError
+		switch {
+		case c.slots == 0 && err != nil:
+			t.Errorf("%s: Validate() = %v", c.name, err)
+		case c.slots != 0 && (!errors.As(err, &rfe) || rfe.Slots != c.slots || rfe.Field != c.field):
+			t.Errorf("%s: Validate() = %v, want %d slots on %s", c.name, err, c.slots, c.field)
 		}
 	}
 }

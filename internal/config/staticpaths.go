@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"hornet/internal/noc"
 )
 
 // StaticPathError names a static path that routing tables cannot follow
@@ -22,7 +24,8 @@ func (e *StaticPathError) Error() string {
 type link struct{ from, to int }
 
 // CheckStaticPaths rejects static paths that stay at a node for a hop or
-// loop through a link. Tables
+// loop through a link, or that give one arrival more next hops than a
+// routing-table line holds (noc.MaxLineEntries, less one for ejection). Tables
 // are addressed by <prev_node, flow> (paper §II-A2), one line per directed
 // link a flow arrives by, so every crossing of a link by a flow shares one
 // line: a path that crosses a link twice, or paths between the same
@@ -62,6 +65,10 @@ func CheckStaticPaths(paths [][]int) error {
 			}
 			crossed[l] = true
 			if _, ok := g.by[[2]link{prev, l}]; !ok {
+				if len(g.step[prev]) == noc.MaxLineEntries-1 { // one entry left for ejection
+					return &StaticPathError{i, fmt.Sprintf("(%s) gives node %d, arriving from %d, a next hop beyond the %d a routing-table line holds",
+						pathString(p), l.from, prev.from, noc.MaxLineEntries-1)}
+				}
 				g.by[[2]link{prev, l}] = i
 				g.step[prev] = append(g.step[prev], l)
 			}

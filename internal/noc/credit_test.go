@@ -23,7 +23,7 @@ func newCreditLine(t *testing.T) *creditLine {
 	cp, _ := l.cons.PortToward(0)
 	l.ev, l.buf = &l.prod.Ports()[pp].outState[0], l.cons.Ports()[cp].In[0]
 	for i := 0; i < 4; i++ {
-		l.buf.Push(Flit{})
+		l.buf.Push(Flit{}, nil)
 		l.ev.pushes++
 	}
 	return l
@@ -139,7 +139,7 @@ func TestCreditWakesVCParkedInItsCycle(t *testing.T) {
 	l := newCreditLine(t)
 	r := l.prod
 	st := &r.vcs[0] // an injection VC of the producer, allocated the consumer's VC
-	st.buf.Push(Flit{Kind: HeadTail})
+	st.buf.Push(Flit{Kind: HeadTail}, nil)
 	st.sCount, st.ev = 1, l.ev
 	if r.occ[0].Load()&1 == 0 {
 		t.Fatal("the pushed flit did not set its VC's occupancy bit")

@@ -10,15 +10,19 @@
 // loaded mesh are merely blocked. A router's ingress VCs are one array of
 // 128-byte records (vcState), each holding its buffer's header, with the
 // flit slots and arrival stamps of all its buffers in one slab each, all
-// allocated by NewRouter. What decides whether a VC may move — occupancy,
+// allocated by NewRouter: a slot is one 64-byte flit (see Flit) and an
+// 8-byte stamp. What decides whether a VC may move — occupancy,
 // a cached descriptor of its head flit, its allocation state and the
 // pointer to its downstream VC — is in the record's first line. The credit
 // that downstream VC has left is kept where it is read: a buffer's Commit
 // stores its committed pops into the producer's egress record
 // (egressVC.credit, one cache line per downstream VC), not into its own
-// header. Flits move slot to slot, one
-// copy per hop, carrying the table line its next router routes it by
-// (RouteEntry.Then).
+// header. Flits move slot to slot, one 64-byte copy per hop, carrying the
+// number of the table line their next router routes them by
+// (RouteEntry.Then); what a slot does not hold — a protocol payload, on a
+// packet's head flit only — moves beside it, from the payload ring of one
+// buffer to that of the next (VCBuffer), and only protocol traffic ever
+// allocates a ring.
 //
 // A router's work in a cycle is proportional to what can make progress in
 // it. Each router has an occupancy mask, one bit per ingress VC, and visits
@@ -42,7 +46,9 @@
 //
 // None of this is serialized: a restore rebuilds the pointers and the mask,
 // re-reads the heads, and its first pass parks what is blocked; its flits
-// carry no lines.
+// carry no lines. The snapshot codec writes each flit as it always has,
+// endpoints and payload included, taking the endpoints from the flow and
+// the payload from the ring.
 package noc
 
 import (
@@ -152,10 +158,21 @@ func (k Kind) IsTail() bool { return k == Tail || k == HeadTail }
 // updated incrementally within single clock domains, which is what keeps
 // measurements accurate under loose synchronization (paper §II-C).
 //
-// line and pick are host-only and never serialized (see RouteEntry.Then).
-// The field order keeps the flit at 96 bytes (TestFlitLayout).
+// A flit is one 64-byte cache line (TestFlitLayout): a buffer slot, and
+// what a hop copies, holds only what cannot be derived. Its endpoints are
+// its flow's (Flow.Src, Flow.Dst: renaming only flips the phase bit, and
+// OfferPacket takes no other packet). A protocol payload, which only a head
+// flit carries and no router between source and destination reads, waits
+// beside the slot in its buffer's payload ring (VCBuffer.setPayload); the
+// snapshot codec (saveFlit) writes endpoints and payload where the wider flit had
+// them, so the encoding is unchanged.
+//
+// line and pick are host-only and never serialized (see RouteEntry.Then):
+// line is the number of the table line the holding router routes the flit
+// by (RouteLine.ID, 0: look it up), pick the entry RC chose in it.
 type Flit struct {
 	Kind Kind
+	pick uint8
 	Hops uint16
 	Flow FlowID
 	// Packet is a globally unique packet ID (used for wormhole VC
@@ -163,12 +180,10 @@ type Flit struct {
 	Packet uint64
 	Seq    uint16
 	Len    uint16 // packet length in flits
-	pick   uint16 // index of the entry RC chose in line
+	line   uint32
 	// FlowSeq is the per-flow packet sequence number assigned at the
 	// source, used to detect reordering (EDVCA's in-order guarantee).
 	FlowSeq uint64
-	Src     NodeID
-	Dst     NodeID
 	// InjectedAt is the source-clock cycle the flit entered the network;
 	// HeadInjectedAt is the same for the packet's head flit (carried on
 	// every flit so packet latency needs only same-domain arithmetic).
@@ -179,11 +194,14 @@ type Flit struct {
 	VisibleAt uint64
 	// Latency accumulates in-network cycles hop by hop.
 	Latency uint64
-	line    *RouteLine // the line the holding router routes the flit by; nil: look it up
-	// Payload rides on head flits of packets carrying protocol messages
-	// (memory traffic, MPI-style sends); nil for synthetic traffic.
-	Payload any
 }
+
+// MaxLineEntries is the most entries a line a flit is routed by may have:
+// Flit.pick names one in a byte. A line holds one entry per distinct next
+// hop and phase, so any table whose hops are neighbours stays far below it
+// (a router has at most 64 ports); config.CheckStaticPaths holds explicit
+// routes to it.
+const MaxLineEntries = 1 << 8
 
 func (f Flit) String() string {
 	return fmt.Sprintf("%s %s pkt=%d seq=%d/%d", f.Kind, f.Flow, f.Packet, f.Seq, f.Len)

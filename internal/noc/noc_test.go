@@ -67,11 +67,11 @@ func TestKindPredicates(t *testing.T) {
 func TestVCBufferFIFO(t *testing.T) {
 	b := NewVCBuffer(4)
 	for i := 0; i < 4; i++ {
-		if !b.Push(Flit{Seq: uint16(i)}) {
+		if !b.Push(Flit{Seq: uint16(i)}, nil) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if b.Push(Flit{}) {
+	if b.Push(Flit{}, nil) {
 		t.Fatal("push into full buffer succeeded")
 	}
 	for i := 0; i < 4; i++ {
@@ -91,7 +91,7 @@ func TestVCBufferFIFO(t *testing.T) {
 
 func TestVCBufferVisibility(t *testing.T) {
 	b := NewVCBuffer(2)
-	b.Push(Flit{VisibleAt: 10})
+	b.Push(Flit{VisibleAt: 10}, nil)
 	if _, ok := b.Peek(9); ok {
 		t.Fatal("flit visible before its VisibleAt")
 	}
@@ -102,8 +102,8 @@ func TestVCBufferVisibility(t *testing.T) {
 
 func TestVCBufferCommittedPops(t *testing.T) {
 	b := NewVCBuffer(4)
-	b.Push(Flit{})
-	b.Push(Flit{})
+	b.Push(Flit{}, nil)
+	b.Push(Flit{}, nil)
 	b.Pop()
 	if b.CommittedPops() != 0 {
 		t.Fatal("pops visible before commit")
@@ -146,7 +146,7 @@ func TestVCBufferConcurrentSPSC(t *testing.T) {
 				}
 				var f Flit
 				fill(&f, i)
-				if !b.Push(f) {
+				if !b.Push(f, nil) {
 					t.Error("push failed despite credit")
 				}
 				return true
@@ -495,7 +495,7 @@ func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
 		l := NewLink(1, true)
 		in0, in1 := NewVCBuffer(8), NewVCBuffer(8)
 		for i := 0; i < 4; i++ {
-			in1.Push(Flit{})
+			in1.Push(Flit{}, nil)
 		}
 		l.in = [2][]*VCBuffer{{in0}, {in1}}
 		grants(l, last-1, 8, 8) // cycle last runs: side 1's space after last-1 is 8

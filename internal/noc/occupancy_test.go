@@ -59,19 +59,7 @@ func checkMask(t *testing.T, when string, routers []*Router, next uint64) (parke
 // workers does: each worker runs both edges of its share of the routers,
 // and all meet at the end of the cycle.
 func stepWorkers(routers []*Router, workers int, cycle uint64) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var mine []*Router
-			for i := w; i < len(routers); i += workers {
-				mine = append(mine, routers[i])
-			}
-			step(mine, cycle)
-		}(w)
-	}
-	wg.Wait()
+	stepPeriod(routers, workers, cycle, 1)
 }
 
 // rngStates lists the routers' generator states, the one place an idle

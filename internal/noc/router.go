@@ -27,19 +27,21 @@ func (f ReceiverFunc) ReceivePacket(p Packet, cycle uint64) { f(p, cycle) }
 // deterministic credit view, read without leaving this record — and rings
 // when this router has parked the ingress VC holding the allocation on it.
 // buf, capacity and vc are fixed when the egress is connected. The record
-// is padded to a cache line so that its fields never straddle two
-// (TestVCStateLayout): a credit check reads one line.
+// is one cache line (TestVCStateLayout): a credit check reads one line.
+// The cell comes last, so that when the allocator starts the records 8
+// bytes into a line, what crosses into the next is the cell's payload-ring
+// pointer, which only protocol traffic reads.
 type egressVC struct {
 	pushes      uint64
-	credit      creditCell // the downstream buffer's committed pops and who waits for them
-	allocPacket uint64     // packet currently allocated this VC; 0 = free
+	allocPacket uint64 // packet currently allocated this VC; 0 = free
 	allocFlow   FlowID
 	lastFlow    FlowID // flow of the most recent flit pushed
 
 	buf      *VCBuffer // the downstream ingress buffer
 	capacity uint32    // its capacity
 	vc       uint32    // its index on the downstream port
-	_        [8]byte
+
+	credit creditCell // the downstream buffer's committed pops, who waits for them, and its payload ring
 }
 
 // connect binds the record to downstream VC vc and takes over its credit
@@ -224,9 +226,11 @@ func (q *fifo[T]) reset() {
 	q.items, q.head = q.items[:0], 0
 }
 
-// assembling tracks a packet mid-reassembly at the ejection port.
+// assembling tracks a packet mid-reassembly at the ejection port: its head
+// flit and the payload the head brought.
 type assembling struct {
-	head Flit
+	head    Flit
+	payload any
 }
 
 // Router is a cycle-level model of one ingress-queued wormhole VC router.
@@ -288,6 +292,7 @@ type Router struct {
 
 	// The packet streaming in, and injection bookkeeping.
 	curFlits    []Flit // the streaming packet's flits (storage reused across packets)
+	curPayload  any    // the streaming packet's payload, which its head flit carries
 	curNext     int
 	curVC       int
 	payloads    fifo[any] // the queued packets' payloads, oldest first
@@ -505,7 +510,8 @@ func (r *Router) PendingPackets() int {
 // and flow-sequence fields are stamped here, and Latency is filled in on
 // delivery. A packet must have 1 to MaxPacketFlits flits, its flow's
 // destination, and a flow from this router (the routing store finds a
-// flow's first-hop line by the flow alone). Callers run on the owning
+// flow's first-hop line by the flow alone, and a flit takes its endpoints
+// from its flow). Callers run on the owning
 // tile's thread during PhaseTransfer.
 func (r *Router) OfferPacket(p Packet) {
 	if p.Flits < 1 || p.Flits > MaxPacketFlits {
@@ -857,12 +863,13 @@ func (r *Router) injectFlits(cycle uint64) {
 		f.HeadInjectedAt = r.curFlits[0].InjectedAt
 	}
 	f.VisibleAt = cycle + 1
-	slot := src.buf.tailSlot()
-	if slot == nil {
+	var payload any
+	if r.curNext == 0 {
+		payload = r.curPayload
+	}
+	if !src.buf.Push(*f, payload) {
 		panic("noc: injection push failed despite credit")
 	}
-	*slot = *f
-	src.buf.publish()
 	src.pushes++
 	src.lastFlow = f.Flow
 	r.curNext++
@@ -870,7 +877,7 @@ func (r *Router) injectFlits(cycle uint64) {
 	r.st.BufWrites++
 	r.inflight.Add(1)
 	if r.curNext == len(r.curFlits) {
-		r.streaming = false
+		r.streaming, r.curPayload = false, nil
 	}
 }
 
@@ -899,13 +906,9 @@ func (r *Router) startPacket(p Packet) {
 			Seq:     uint16(i),
 			Len:     uint16(n),
 			FlowSeq: p.FlowSeq,
-			Src:     r.ID,
-			Dst:     p.Dst,
 		}
 	}
-	if p.Payload != nil {
-		r.curFlits[0].Payload = p.Payload
-	}
+	r.curPayload = p.Payload
 	r.curNext = 0
 	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.sourceState)))
 }
@@ -927,15 +930,22 @@ func (r *Router) allocateVCs(cycle uint64) {
 // if the flit carries none, and select one entry (by weight, or by
 // downstream congestion when adaptive).
 func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
-	if f.line == nil {
-		f.line = r.table.Lookup(r.prevOf(st), f.Flow)
-		if f.line == nil || len(f.line.Entries) == 0 {
+	var line *RouteLine
+	if f.line != 0 {
+		line = r.table.Line(f.line)
+	} else {
+		line = r.table.Lookup(r.prevOf(st), f.Flow)
+		if line == nil || len(line.Entries) == 0 {
 			panic(fmt.Sprintf("noc: router %d: no route for flow %v arriving from %d", r.ID, f.Flow, r.prevOf(st)))
 		}
+		f.line = line.ID
 	}
-	entries := f.line.Entries
+	entries := line.Entries
 	pick := 0
 	if len(entries) > 1 {
+		if len(entries) > MaxLineEntries {
+			panic(fmt.Sprintf("noc: router %d: flow %v's line has %d entries, at most %d", r.ID, f.Flow, len(entries), MaxLineEntries))
+		}
 		if r.adaptive {
 			pick = r.pickAdaptive(entries)
 		} else {
@@ -946,7 +956,7 @@ func (r *Router) computeRoute(st *vcState, f *Flit, cycle uint64) {
 			pick = r.rng.Pick(r.weights)
 		}
 	}
-	f.pick = uint16(pick)
+	f.pick = uint8(pick)
 	chosen := &entries[pick]
 	st.routed = true
 	st.routedAt = cycle
@@ -1152,6 +1162,10 @@ func (r *Router) traverse(st *vcState, cycle uint64) {
 	}
 	latency := f.Latency + cycle - arrival
 	tail := f.Kind.IsTail()
+	var payload any
+	if f.Kind.IsHead() {
+		payload = st.buf.takePayload()
+	}
 	// The routing table's flow renaming applies on the way out (two-phase
 	// schemes rename at the intermediate hop; datelines rename at the wrap
 	// crossing).
@@ -1159,20 +1173,21 @@ func (r *Router) traverse(st *vcState, cycle uint64) {
 		// Ejection to the local CPU port.
 		f.Latency = latency
 		f.Flow = st.nextFlow
-		r.deliver(f, cycle)
+		r.deliver(f, payload, cycle)
 	} else {
 		out := ev.buf.tailSlot()
 		if out == nil {
 			panic(fmt.Sprintf("noc: router %d: downstream push without credit (port %d vc %d)", r.ID, st.egress, ev.vc))
 		}
 		*out = *f
-		if f.line != nil {
-			out.line = f.line.Entries[f.pick].Then
-		}
+		out.line = r.lineAfter(f)
 		out.Flow = st.nextFlow
 		out.Latency = latency + 1 // link traversal
 		out.Hops++
 		out.VisibleAt = cycle + 1
+		if payload != nil {
+			ev.buf.setPayload(ev.buf.tail, payload)
+		}
 		ev.buf.publish()
 		ev.pushes++
 		ev.lastFlow = st.nextFlow
@@ -1196,12 +1211,25 @@ func (r *Router) traverse(st *vcState, cycle uint64) {
 	}
 }
 
+// lineAfter returns the number of the line f's next router routes it by:
+// the linked line of the entry RC chose, or 0 if there is none.
+func (r *Router) lineAfter(f *Flit) uint32 {
+	if f.line == 0 {
+		return 0
+	}
+	if then := r.table.Line(f.line).Entries[f.pick].Then; then != nil {
+		return then.ID
+	}
+	return 0
+}
+
 // deliver ejects a flit at its destination, folds its statistics and
 // reassembles packets for the local receiver. f is the flit's ingress
-// slot, still the router's until the buffer advances.
-func (r *Router) deliver(f *Flit, cycle uint64) {
-	if f.Dst != r.ID {
-		panic(fmt.Sprintf("noc: flit for %d ejected at %d (flow %v)", f.Dst, r.ID, f.Flow))
+// slot, still the router's until the buffer advances, and payload what its
+// payload-ring entry held.
+func (r *Router) deliver(f *Flit, payload any, cycle uint64) {
+	if f.Flow.Dst() != r.ID {
+		panic(fmt.Sprintf("noc: flit for %d ejected at %d (flow %v)", f.Flow.Dst(), r.ID, f.Flow))
 	}
 	r.st.FlitsDelivered++
 	r.st.FlitLatencySum += f.Latency
@@ -1209,22 +1237,19 @@ func (r *Router) deliver(f *Flit, cycle uint64) {
 	r.inflight.Add(-1)
 	switch f.Kind {
 	case Head:
-		r.assembly[f.Packet] = assembling{head: *f}
+		r.assembly[f.Packet] = assembling{head: *f, payload: payload}
 		return
 	case Body:
 		return
 	}
 	// Tail or HeadTail: the packet is complete.
-	var payload any
 	headInj := f.HeadInjectedAt
 	if f.Kind == Tail {
 		if a, ok := r.assembly[f.Packet]; ok {
-			payload = a.head.Payload
+			payload = a.payload
 			headInj = a.head.InjectedAt
 			delete(r.assembly, f.Packet)
 		}
-	} else {
-		payload = f.Payload
 	}
 	// Packet latency: tail's accumulated latency plus the source-domain
 	// gap between head injection and tail injection (no cross-tile clock
@@ -1235,8 +1260,8 @@ func (r *Router) deliver(f *Flit, cycle uint64) {
 		r.recv.ReceivePacket(Packet{
 			ID:      f.Packet,
 			Flow:    f.Flow.Base(),
-			Src:     f.Src,
-			Dst:     f.Dst,
+			Src:     f.Flow.Src(),
+			Dst:     f.Flow.Dst(),
 			Flits:   int(f.Len),
 			FlowSeq: f.FlowSeq,
 			Payload: payload,

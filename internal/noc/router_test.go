@@ -23,6 +23,10 @@ func (lt lineTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
 	return &RouteLine{Entries: []RouteEntry{{Next: lt.self + 1, Phase2: flow.Phase2(), Weight: 1}}}
 }
 
+// Line is never asked: the table's lines are unnumbered, so no flit
+// carries one.
+func (lineTable) Line(uint32) *RouteLine { return nil }
+
 // allVCs is a trivial VCA table: every VC, equal weight.
 type allVCs struct{}
 
@@ -244,11 +248,12 @@ func TestZeroLoadLatencyMatchesPipelineDepth(t *testing.T) {
 }
 
 // TestFlitLayout guards the flit's size: it is what every hop copies and
-// what a buffer slot holds. The route it carries fits only with Hops beside
-// Kind and pick in the padding after Len.
+// what a buffer slot holds. It is one cache line only with the endpoints
+// taken from the flow, the payload in the buffer's ring, the route line as
+// a 32-bit number beside Seq and Len, and pick in a byte beside Kind.
 func TestFlitLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Flit{}); size != 96 {
-		t.Fatalf("Flit is %d bytes, want 96", size)
+	if size := unsafe.Sizeof(Flit{}); size != 64 {
+		t.Fatalf("Flit is %d bytes, want 64: one cache line per slot and per hop", size)
 	}
 }
 
@@ -266,13 +271,13 @@ func TestPendingPacketLayout(t *testing.T) {
 // them, and decodes without a line (its next router looks it up).
 func TestFlitCodecCarriesNoRoute(t *testing.T) {
 	plain := Flit{Kind: Head, Hops: 3, Flow: MakeFlow(1, 2, 0).WithPhase2(), Packet: 7, Len: 4, FlowSeq: 9,
-		Src: 1, Dst: 2, InjectedAt: 10, HeadInjectedAt: 10, VisibleAt: 14, Latency: 3}
+		InjectedAt: 10, HeadInjectedAt: 10, VisibleAt: 14, Latency: 3}
 	routed := plain
-	routed.line = &RouteLine{Entries: []RouteEntry{{Next: 2, Phase2: plain.Flow.Phase2(), Weight: 1}, {Next: 3, Phase2: plain.Flow.Phase2(), Weight: 1}}}
+	routed.line = 2
 	routed.pick = 1
 	encode := func(f *Flit) []byte {
 		snap := snapshot.New("flit", 0)
-		if err := saveFlit(snap.Section("flit"), f); err != nil {
+		if err := saveFlit(snap.Section("flit"), f, nil); err != nil {
 			t.Fatal(err)
 		}
 		b, err := snap.Bytes()
@@ -293,7 +298,7 @@ func TestFlitCodecCarriesNoRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loadFlit(r); got != plain {
+	if got, _, err := loadFlit(r); err != nil || got != plain {
 		t.Fatalf("decoded %+v, want %+v (no line, no pick)", got, plain)
 	}
 }
@@ -307,7 +312,7 @@ func BenchmarkVCBufferPushPop(b *testing.B) {
 	f := Flit{Kind: HeadTail, Flow: MakeFlow(0, 1, 0), Packet: 1, Len: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !buf.Push(f) {
+		if !buf.Push(f, nil) {
 			b.Fatal("push failed")
 		}
 		if _, ok := buf.Peek(0); !ok {
@@ -384,7 +389,8 @@ func TestVCStateLayout(t *testing.T) {
 				for vi := range p.outState {
 					// The allocator starts a port's records on a line, or — behind
 					// its header word, when they take more than 512 bytes — 8 bytes
-					// into one, which the record's trailing pad absorbs.
+					// into one, which the record's trailing field, the credit
+					// cell's payload-ring pointer, absorbs.
 					ev := &p.outState[vi]
 					if first, last := unsafe.Pointer(ev), unsafe.Add(unsafe.Pointer(&ev.vc), unsafe.Sizeof(ev.vc)-1); line(first) != line(last) {
 						t.Errorf("router %d port %d: the fields of egress record %d straddle two cache lines (it starts at byte %d of one)", r.ID, pi, vi, uintptr(first)%64)
@@ -539,7 +545,7 @@ func TestCreditKeptAtProducer(t *testing.T) {
 	if got := buf.CommittedPops(); got != 0 {
 		t.Fatalf("unconnected buffer reports %d committed pops before any", got)
 	}
-	buf.Push(Flit{})
+	buf.Push(Flit{}, nil)
 	buf.Pop()
 	if got := buf.CommittedPops(); got != 0 {
 		t.Fatalf("unconnected buffer shows %d pops before the commit", got)
@@ -660,7 +666,7 @@ func blockedRouter(tb testing.TB) *Router {
 			pkt++
 			dst := neighbors[(pi+vi)%len(neighbors)]
 			for seq, kind := range []Kind{Head, Tail} {
-				buf.Push(Flit{Kind: kind, Flow: MakeFlow(5, dst, 0), Packet: pkt, Seq: uint16(seq), Len: 2, Src: 5, Dst: dst})
+				buf.Push(Flit{Kind: kind, Flow: MakeFlow(5, dst, 0), Packet: pkt, Seq: uint16(seq), Len: 2}, nil)
 			}
 		}
 	}
@@ -685,6 +691,8 @@ type spreadTable struct{}
 func (spreadTable) Lookup(prev NodeID, flow FlowID) *RouteLine {
 	return &RouteLine{Entries: []RouteEntry{{Next: flow.Dst(), Phase2: flow.Phase2(), Weight: 1}}}
 }
+
+func (spreadTable) Line(uint32) *RouteLine { return nil }
 
 // BenchmarkRouterCreditBlocked steps the saturated-mesh case: 20 occupied
 // ingress VCs, none of which may move for want of a credit. All of them are

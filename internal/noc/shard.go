@@ -97,7 +97,7 @@ func (sb *ShardBoundary) Capture(cycle uint64) (*snapshot.Snapshot, error) {
 			delta := int(pushes - b.sent[vc])
 			w.Int(delta)
 			for i := buf.Len() - delta; i < buf.Len(); i++ {
-				if err := saveFlit(w, buf.flitAt(i)); err != nil {
+				if err := saveFlit(w, buf.flitAt(i), buf.payloadAt(i)); err != nil {
 					return nil, fmt.Errorf("noc: boundary router %d port %d vc %d: %w", b.node, b.index, vc, err)
 				}
 			}
@@ -142,7 +142,11 @@ func (sb *ShardBoundary) Apply(snap *snapshot.Snapshot) error {
 		for vc, buf := range p.Out {
 			n := r.Count(buf.Capacity())
 			for j := 0; j < n && r.Err() == nil; j++ {
-				if f := loadFlit(r); mine && !buf.Push(f) {
+				f, payload, err := loadFlit(r)
+				if err != nil {
+					return fmt.Errorf("noc: boundary blob, channel %d->%d vc %d: %w", node, p.Neighbor, vc, err)
+				}
+				if mine && !buf.Push(f, payload) {
 					return fmt.Errorf("noc: boundary overflow on channel %d->%d vc %d", node, p.Neighbor, vc)
 				}
 			}

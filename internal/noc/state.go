@@ -16,49 +16,63 @@ import (
 // belongs to a different configuration and *snapshot.CorruptError when
 // the bytes are internally inconsistent.
 
-// saveFlit encodes one flit, including its payload: synthetic and trace
-// traffic carry none, protocol and MPI-style traffic carry typed values
-// serialized through the snapshot package's payload codec registry. A
-// payload of an unregistered type is unsupported state and fails the
-// snapshot with a structured error.
-func saveFlit(w *snapshot.Writer, f *Flit) error {
+// saveFlit encodes one flit and its payload. The endpoints are written
+// from the flit's flow (see Flit). Synthetic and trace traffic carry no
+// payload; protocol and MPI-style traffic carry typed values serialized
+// through the snapshot package's payload codec registry. A payload of an
+// unregistered type is unsupported state and fails the snapshot with a
+// structured error.
+func saveFlit(w *snapshot.Writer, f *Flit, payload any) error {
 	w.Uint8(uint8(f.Kind))
 	w.Uint32(uint32(f.Flow))
 	w.Uint64(f.Packet)
 	w.Uint16(f.Seq)
 	w.Uint16(f.Len)
 	w.Uint64(f.FlowSeq)
-	w.Int32(int32(f.Src))
-	w.Int32(int32(f.Dst))
+	w.Int32(int32(f.Flow.Src()))
+	w.Int32(int32(f.Flow.Dst()))
 	w.Uint64(f.InjectedAt)
 	w.Uint64(f.HeadInjectedAt)
 	w.Uint64(f.VisibleAt)
 	w.Uint64(f.Latency)
 	w.Uint16(f.Hops)
-	if err := snapshot.EncodePayload(w, f.Payload); err != nil {
+	if err := snapshot.EncodePayload(w, payload); err != nil {
 		return fmt.Errorf("flit (flow %v): %w", f.Flow, err)
 	}
 	return nil
 }
 
-func loadFlit(r *snapshot.Reader) Flit {
+// loadFlit decodes what saveFlit wrote. A flit whose endpoints are not its
+// flow's, or that carries a payload but is no head flit (only startPacket
+// attaches one), is corrupt: no flit can hold either.
+func loadFlit(r *snapshot.Reader) (Flit, any, error) {
 	f := Flit{
-		Kind:           Kind(r.Uint8()),
-		Flow:           FlowID(r.Uint32()),
-		Packet:         r.Uint64(),
-		Seq:            r.Uint16(),
-		Len:            r.Uint16(),
-		FlowSeq:        r.Uint64(),
-		Src:            NodeID(r.Int32()),
-		Dst:            NodeID(r.Int32()),
-		InjectedAt:     r.Uint64(),
-		HeadInjectedAt: r.Uint64(),
-		VisibleAt:      r.Uint64(),
-		Latency:        r.Uint64(),
-		Hops:           r.Uint16(),
+		Kind:    Kind(r.Uint8()),
+		Flow:    FlowID(r.Uint32()),
+		Packet:  r.Uint64(),
+		Seq:     r.Uint16(),
+		Len:     r.Uint16(),
+		FlowSeq: r.Uint64(),
 	}
-	f.Payload = snapshot.DecodePayload(r)
-	return f
+	src, dst := NodeID(r.Int32()), NodeID(r.Int32())
+	f.InjectedAt = r.Uint64()
+	f.HeadInjectedAt = r.Uint64()
+	f.VisibleAt = r.Uint64()
+	f.Latency = r.Uint64()
+	f.Hops = r.Uint16()
+	payload := snapshot.DecodePayload(r)
+	if err := r.Err(); err != nil {
+		return f, nil, err
+	}
+	if src != f.Flow.Src() || dst != f.Flow.Dst() {
+		return f, nil, &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"flit of packet %d on flow %v names endpoints %d->%d", f.Packet, f.Flow, src, dst)}
+	}
+	if payload != nil && !f.Kind.IsHead() {
+		return f, nil, &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"%v flit of packet %d carries a payload", f.Kind, f.Packet)}
+	}
+	return f, payload, nil
 }
 
 // EncodePacket appends one bridge-level packet, payload included, using
@@ -103,7 +117,7 @@ func (b *VCBuffer) SaveState(w *snapshot.Writer) error {
 	live := b.Len()
 	w.Int(live)
 	for i := 0; i < live; i++ {
-		if err := saveFlit(w, b.flitAt(i)); err != nil {
+		if err := saveFlit(w, b.flitAt(i), b.payloadAt(i)); err != nil {
 			return err
 		}
 	}
@@ -129,12 +143,19 @@ func (b *VCBuffer) LoadState(r *snapshot.Reader) error {
 		return &snapshot.CorruptError{
 			Detail: fmt.Sprintf("buffer holds %d flits but capacity is %d", live, capacity)}
 	}
+	if ring := b.cell().payloads.Load(); ring != nil {
+		clear(*ring)
+	}
 	slots := b.slots()
 	for i := 0; i < live; i++ {
-		slots[i] = loadFlit(r)
-	}
-	if err := r.Err(); err != nil {
-		return err
+		f, payload, err := loadFlit(r)
+		if err != nil {
+			return err
+		}
+		slots[i] = f
+		if payload != nil {
+			b.setPayload(uint32(i), payload)
+		}
 	}
 	b.head = 0
 	b.tail = b.pos(uint32(live))
@@ -315,10 +336,12 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Bool(r.streaming)
 	if r.streaming {
 		w.Int(len(r.curFlits))
+		payload := r.curPayload
 		for i := range r.curFlits {
-			if err := saveFlit(w, &r.curFlits[i]); err != nil {
+			if err := saveFlit(w, &r.curFlits[i], payload); err != nil {
 				return err
 			}
+			payload = nil
 		}
 		w.Int(r.curNext)
 		w.Int(r.curVC)
@@ -368,8 +391,8 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Int(len(ids))
 	for _, id := range ids {
 		w.Uint64(id)
-		head := r.assembly[id].head
-		if err := saveFlit(w, &head); err != nil {
+		a := r.assembly[id]
+		if err := saveFlit(w, &a.head, a.payload); err != nil {
 			return err
 		}
 	}
@@ -422,12 +445,23 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 		}
 		r.enqueue(p)
 	}
-	r.curFlits = r.curFlits[:0]
+	r.curFlits, r.curPayload = r.curFlits[:0], nil
 	r.streaming = rd.Bool()
 	if r.streaming {
 		n := rd.Count(1 << 16)
 		for i := 0; i < n; i++ {
-			r.curFlits = append(r.curFlits, loadFlit(rd))
+			f, payload, err := loadFlit(rd)
+			if err != nil {
+				return err
+			}
+			if payload != nil && i > 0 {
+				return &snapshot.CorruptError{Detail: fmt.Sprintf(
+					"router %d: streaming flit %d carries a payload", r.ID, i)}
+			}
+			r.curFlits = append(r.curFlits, f)
+			if i == 0 {
+				r.curPayload = payload
+			}
 		}
 		r.curNext = rd.Int()
 		r.curVC = rd.Int()
@@ -509,7 +543,11 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 	r.assembly = make(map[uint64]assembling, min(n, 1<<20))
 	for i := 0; i < n && rd.Err() == nil; i++ {
 		id := rd.Uint64()
-		r.assembly[id] = assembling{head: loadFlit(rd)}
+		head, payload, err := loadFlit(rd)
+		if err != nil {
+			return err
+		}
+		r.assembly[id] = assembling{head: head, payload: payload}
 	}
 	return rd.Err()
 }

@@ -11,11 +11,12 @@ package noc
 //
 // Then is the line the Next router will route the flit by — the one at
 // <this node, NextFlow> in Next's table. A head flit that leaves by this
-// entry carries it (Flit.line), so the next router's RC reads a pointer
-// instead of looking up (lookahead routing), and a reroute after VA
-// starvation draws again from the same line. Then is nil on ejection. A
-// flit without a line — at injection, after a restore, across a shard
-// boundary — is looked up in the router's RouteTable.
+// entry carries its number (Flit.line, RouteLine.ID), so the next router's
+// RC resolves a number instead of looking up (lookahead routing), and a
+// reroute after VA starvation draws again from the same line. Then is nil
+// on ejection. A flit without a line — at injection, after a restore,
+// across a shard boundary, or leaving by a line its store did not number —
+// is looked up in the router's RouteTable.
 type RouteEntry struct {
 	Next   NodeID
 	Phase2 bool
@@ -35,9 +36,12 @@ func (e *RouteEntry) NextFlow(flow FlowID) FlowID {
 // <node, prev_node_id, flow_id>. A line holds no flow ID and no node of
 // its own, so the store shares one line among every <node, prev, flow>
 // whose entries — next hops, phase bits, weights and linked lines — are
-// the same.
+// the same. ID numbers the line in its store, from 1, so that a flit
+// carries it in 32 bits and any router resolves it (RouteTable.Line); 0
+// means unnumbered, and a flit routed by such a line carries none.
 type RouteLine struct {
 	Entries []RouteEntry
+	ID      uint32
 }
 
 // RouteTable answers route-computation lookups for one node. Lookups are
@@ -46,12 +50,17 @@ type RouteLine struct {
 //
 // A table is owned by a single node and is only queried from that node's
 // worker thread, so implementations need no internal locking. Flits carry
-// the lines it returns to routers on other threads, so a line must never
-// change once Lookup has returned it.
+// the numbers of the lines it returns to routers on other threads, so a
+// line must never change once Lookup has returned it.
 type RouteTable interface {
 	// Lookup returns the line for a flow arriving from prev (prev == the
 	// node itself for locally injected packets), or nil if there is none.
 	Lookup(prev NodeID, flow FlowID) *RouteLine
+	// Line returns the line numbered id (RouteLine.ID, never 0) by the
+	// store behind the table. Every router of a machine routes by views of
+	// one store, so a number one router's table handed out resolves at any
+	// other, from that router's thread.
+	Line(id uint32) *RouteLine
 }
 
 // Adaptiver is optionally implemented by route tables whose entry set is

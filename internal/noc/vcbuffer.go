@@ -41,6 +41,15 @@ import (
 // point — Commit, restore, the shard exchange — is unstamped and read whole
 // in every cycle. Every new count is written through commit.publish.
 //
+// The credit cell is also the one place both ends reach that has room for
+// what a slot does not hold: the payload ring (creditCell.payloads), one
+// entry per slot at the slot's own ring position, allocated by the first
+// producer push that carries a payload — so only protocol traffic ever
+// fills one. The producer writes an entry before publish; the consumer
+// takes it, and clears it, before advance. So an entry is written and read
+// under the same ordering as its slot, and is nil unless the flit in the
+// slot carries a payload.
+//
 // Occupancy: every buffer owns one bit of an occupancy mask — for a
 // router's buffer, bit i of the router's mask for the i-th ingress VC — and
 // the bit is set while the buffer holds a flit its owner has a reason to
@@ -102,7 +111,7 @@ type VCBuffer struct {
 	pops   atomic.Uint64 // cumulative pops, stored after the slot read
 
 	ring   *Flit          // the first of n slots; see slots
-	credit *creditCell    // committed pops, held by the producer; see cell
+	credit *creditCell    // committed pops and the payload ring, held by the producer; see cell
 	occ    *atomic.Uint64 // the occupancy mask word holding this buffer's bit
 
 	n    uint32 // capacity
@@ -203,16 +212,54 @@ func (b *VCBuffer) deriveOccupancy() {
 	}
 }
 
-// Push appends a copy of f (producer side). It returns false if the
-// buffer is physically full.
-func (b *VCBuffer) Push(f Flit) bool {
+// Push appends a copy of f, carrying payload, nil for none (producer
+// side). It returns false if the buffer is physically full.
+func (b *VCBuffer) Push(f Flit, payload any) bool {
 	s := b.tailSlot()
 	if s == nil {
 		return false
 	}
 	*s = f
+	if payload != nil {
+		b.setPayload(b.tail, payload)
+	}
 	b.publish()
 	return true
+}
+
+// setPayload attaches payload to the flit at ring position pos (producer
+// side before publish, or at a quiescent point), allocating the ring on
+// first use.
+func (b *VCBuffer) setPayload(pos uint32, payload any) {
+	c := b.cell()
+	ring := c.payloads.Load()
+	if ring == nil {
+		s := make([]any, b.n)
+		ring = &s
+		c.payloads.Store(ring)
+	}
+	(*ring)[pos] = payload
+}
+
+// takePayload detaches the head flit's payload, nil if it has none
+// (consumer side, before advance).
+func (b *VCBuffer) takePayload() any {
+	ring := b.cell().payloads.Load()
+	if ring == nil {
+		return nil
+	}
+	p := (*ring)[b.head]
+	(*ring)[b.head] = nil
+	return p
+}
+
+// payloadAt returns the payload of the i-th resident flit counted from the
+// head (consumer side, or at a quiescent point).
+func (b *VCBuffer) payloadAt(i int) any {
+	if ring := b.cell().payloads.Load(); ring != nil {
+		return (*ring)[b.pos(uint32(i))]
+	}
+	return nil
 }
 
 // Peek returns a pointer to the head flit if one is present and visible at
@@ -230,13 +277,14 @@ func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
 	return nil, false
 }
 
-// Pop removes and returns the head flit (consumer side). The caller must
-// have established non-emptiness via Peek in the same phase. A router
-// caches what it knows about its own buffers' heads, so only a buffer no
-// running router owns may be popped from outside (tests, and the shard
-// exchange's replicas of remote buffers).
+// Pop removes and returns the head flit, dropping its payload (consumer
+// side). The caller must have established non-emptiness via Peek in the
+// same phase. A router caches what it knows about its own buffers' heads,
+// so only a buffer no running router owns may be popped from outside
+// (tests, and the shard exchange's replicas of remote buffers).
 func (b *VCBuffer) Pop() Flit {
 	f := *b.headSlot()
+	b.takePayload()
 	b.advance()
 	return f
 }
@@ -245,10 +293,13 @@ func (b *VCBuffer) Pop() Flit {
 // word, the committed pop count under the stamp of the cycle whose negative
 // edge committed it — and the buffer of the producer's ingress VC parked on
 // that credit, if any. The count is kept modulo 2^16: the producer only
-// subtracts it from its own push count, at most a capacity apart.
+// subtracts it from its own push count, at most a capacity apart. The cell
+// also holds the buffer's payload ring, nil until a payload is pushed (see
+// VCBuffer).
 type creditCell struct {
-	word   atomic.Uint64
-	waiter atomic.Pointer[VCBuffer]
+	word     atomic.Uint64
+	waiter   atomic.Pointer[VCBuffer]
+	payloads atomic.Pointer[[]any]
 }
 
 // MaxVCBufFlits bounds a VC buffer's capacity below the credit count's
@@ -288,7 +339,7 @@ func (b *VCBuffer) cell() *creditCell {
 }
 
 // attachCredit moves the committed count into c, a cell the producer
-// reads (build time only).
+// reads (build time only, before any payload is pushed).
 func (b *VCBuffer) attachCredit(c *creditCell) {
 	if b.credit != nil {
 		commit{c, b.credit.latest()}.publish(0)

@@ -3,22 +3,28 @@ package routing
 import (
 	"hash/maphash"
 	"math"
+	"sync/atomic"
 
 	"hornet/internal/noc"
 )
 
 // lineSet holds every distinct line of a store once. Lines and their
-// entries sit in chunks that never move (flits carry pointers to lines
-// across threads), and an open-addressed index of line numbers finds a
-// line by its content. A line's content is its entries' Next, phase bit,
-// Weight bits and linked line; linked lines are interned first, so
-// comparing their pointers compares their content.
+// entries sit in chunks that never move, and an open-addressed index of
+// line numbers finds a line by its content. A line's content is its
+// entries' Next, phase bit, Weight bits and linked line; linked lines are
+// interned first, so comparing their pointers compares their content.
+//
+// Flits carry line numbers (noc.RouteLine.ID, the line number + 1) across
+// threads, and a router resolves one without the store's lock (line): the
+// chunk list is published whole through an atomic pointer each time it
+// grows, and a number reaches a reader only in a flit, pushed after its
+// line was written.
 type lineSet struct {
-	seed    maphash.Seed      // set by newLineSet
-	index   []uint32          // line number + 1, 0 when empty; len 0 or a power of two, at most 3/4 full
-	chunks  [][]noc.RouteLine // line n is chunks[n/lineChunk][n%lineChunk]
-	entries []noc.RouteEntry  // the newest entry chunk; lines own its filled prefix
-	n       uint32            // lines held
+	seed    maphash.Seed                      // set by newLineSet
+	index   []uint32                          // line number + 1, 0 when empty; len 0 or a power of two, at most 3/4 full
+	chunks  atomic.Pointer[[][]noc.RouteLine] // line n is chunks[n/lineChunk][n%lineChunk]
+	entries []noc.RouteEntry                  // the newest entry chunk; lines own its filled prefix
+	n       uint32                            // lines held
 }
 
 const (
@@ -60,7 +66,12 @@ func sameContent(a, b []noc.RouteEntry) bool {
 
 func newLineSet() lineSet { return lineSet{seed: maphash.MakeSeed()} }
 
-func (s *lineSet) at(n uint32) *noc.RouteLine { return &s.chunks[n/lineChunk][n%lineChunk] }
+func (s *lineSet) at(n uint32) *noc.RouteLine {
+	return &(*s.chunks.Load())[n/lineChunk][n%lineChunk]
+}
+
+// line returns the line whose ID is id, from any thread.
+func (s *lineSet) line(id uint32) *noc.RouteLine { return s.at(id - 1) }
 
 // intern returns the held line whose entries have es's content, holding a
 // copy of es if there is none. es's Then links must already be interned.
@@ -84,7 +95,14 @@ func (s *lineSet) intern(es []noc.RouteEntry) *noc.RouteLine {
 // add stores a copy of es as line s.n.
 func (s *lineSet) add(es []noc.RouteEntry) *noc.RouteLine {
 	if s.n%lineChunk == 0 {
-		s.chunks = append(s.chunks, make([]noc.RouteLine, lineChunk))
+		// Readers hold earlier lists, whose length stops short of the
+		// element append writes.
+		var chunks [][]noc.RouteLine
+		if p := s.chunks.Load(); p != nil {
+			chunks = *p
+		}
+		chunks = append(chunks, make([]noc.RouteLine, lineChunk))
+		s.chunks.Store(&chunks)
 	}
 	if len(es) > cap(s.entries)-len(s.entries) {
 		size := min(max(2*cap(s.entries), 64), entryChunk)
@@ -95,6 +113,7 @@ func (s *lineSet) add(es []noc.RouteEntry) *noc.RouteLine {
 	l := s.at(s.n)
 	l.Entries = s.entries[start:len(s.entries):len(s.entries)]
 	s.n++
+	l.ID = s.n
 	return l
 }
 

@@ -266,6 +266,9 @@ func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
 	return e.line
 }
 
+// Line resolves a line number handed out by any node's view of the store.
+func (nt *nodeTable) Line(id uint32) *noc.RouteLine { return nt.tables.lines.line(id) }
+
 func (nt *nodeTable) Adaptive() bool { return nt.tables.alg.Adaptive() }
 
 // builder accumulates weighted table lines with entry deduplication

@@ -622,15 +622,57 @@ func TestRouteStoreConcurrentBuildsShareLines(t *testing.T) {
 	}
 }
 
+// TestRouteStoreConcurrentResolve: a router resolves the line numbers flits
+// carry without the store's lock (RouteTable.Line) while other nodes'
+// lookups keep adding lines. Resolving numbers handed out earlier while the
+// chunk list grows must be race-free, and every number must name its line.
+func TestRouteStoreConcurrentResolve(t *testing.T) {
+	topo := mesh8(t)
+	flows := allFlows(topo)
+	tables := NewTables(NewO1Turn(topo))
+	half := len(flows) / 2
+	var known []*noc.RouteLine
+	for _, f := range flows[:half] {
+		known = append(known, tables.line(f.Src(), f.Src(), f))
+	}
+	before := tables.lines.n
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, f := range flows[half:] {
+			tables.line(f.Src(), f.Src(), f)
+		}
+	}()
+	view := tables.ForNode(0)
+	for round := 0; round < 20; round++ {
+		for _, l := range known {
+			if got := view.Line(l.ID); got != l {
+				t.Fatalf("line %d resolves to %p, want %p", l.ID, got, l)
+			}
+		}
+	}
+	wg.Wait()
+	if (tables.lines.n-1)/lineChunk == (before-1)/lineChunk {
+		t.Fatalf("the store grew from %d to %d lines within one chunk: the list never grew while resolving", before, tables.lines.n)
+	}
+	for id := uint32(1); id <= tables.lines.n; id++ {
+		if l := view.Line(id); l.ID != id || len(l.Entries) == 0 {
+			t.Fatalf("number %d resolves to line %d of %d entries", id, l.ID, len(l.Entries))
+		}
+	}
+}
+
 var sinkEntries int
 
 // BenchmarkLookupWarm times route computation's table access once every
 // line exists, over every flow of an 8x8 XY mesh. "first" is a packet's
 // first hop, the only one a router looks up: its own node's cached view of
 // the store. "store" is the shared store behind that view, which a node
-// falls back to when its cache misses. "hop" is every later hop: the line
-// the flit carries, reached through the previous line's entry (Then), one
-// op per hop along each flow's path to ejection.
+// falls back to when its cache misses. "hop" is every later hop: the
+// number of the line the flit carries, the previous line's entry's (Then),
+// resolved in the store (RouteTable.Line), one op per hop along each flow's
+// path to ejection.
 func BenchmarkLookupWarm(b *testing.B) {
 	topo := mesh8(b)
 	tables := NewTables(NewXY(topo))
@@ -664,14 +706,20 @@ func BenchmarkLookupWarm(b *testing.B) {
 	})
 	b.Run("hop", func(b *testing.B) {
 		b.ReportAllocs()
-		var line *noc.RouteLine
+		var id uint32 // the number the flit carries; 0 at the first hop
 		next := 0
 		for i := 0; i < b.N; i++ {
-			if line == nil {
+			var line *noc.RouteLine
+			if id == 0 {
 				line, next = firsts[next], (next+1)%len(firsts)
+			} else {
+				line = nodes[0].Line(id)
 			}
 			sinkEntries += len(line.Entries)
-			line = line.Entries[0].Then
+			id = 0
+			if then := line.Entries[0].Then; then != nil {
+				id = then.ID
+			}
 		}
 	})
 }

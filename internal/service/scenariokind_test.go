@@ -384,6 +384,15 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 			"", ""},
 		{"config-router-bound", SubmitRequest{Config: cfgWith(func(c *config.Config) { c.Router.VCBufFlits = 1 << 30 })},
 			CodeInvalidConfig, "/config/router/vc_buf_flits"},
+		// Every field in range, but the machine's slots past config.MaxMachineSlots.
+		{"router-machine-bound", doc(`"machine":{"topology":{"kind":"mesh","width":8,"height":8},"router":{"vcs_per_port":64,"vc_buf_flits":1024}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/vc_buf_flits"},
+		{"router-machine-injection-bound", doc(`"machine":{"topology":{"kind":"mesh","width":8,"height":8},"router":{"inj_vcs":64,"inj_buf_flits":1024}},` + uniform),
+			CodeInvalidScenario, "/scenario/machine/router/inj_buf_flits"},
+		{"config-machine-bound", SubmitRequest{Config: cfgWith(func(c *config.Config) {
+			c.Topology = config.TopologyConfig{Kind: config.TopoMesh, Width: 8, Height: 8}
+			c.Router.VCsPerPort, c.Router.VCBufFlits = 64, 1024
+		})}, CodeInvalidConfig, "/config/router/vc_buf_flits"},
 
 		{"mips-param-bound", SubmitRequest{Mips: &MipsSpec{Workload: "reduction", Params: workloads.Params{"elems": 0},
 			Config: frozenMipsConfig()}}, CodeInvalidRequest, "/mips/params/elems"},
