@@ -183,8 +183,9 @@ deadcode:
 	@$(GO) run ./tools/deadcode
 
 # Fuzz smoke over the snapshot container's seed corpora plus the
-# scenario schema's decode→normalize→encode pipeline (one target per
-# invocation — `go test -fuzz` accepts a single target).
+# scenario schema's decode→normalize→encode pipeline, which then compiles
+# and builds every accepted run of at most 64 nodes, frontend attached
+# (one target per invocation — `go test -fuzz` accepts a single target).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime $(FUZZTIME) ./internal/snapshot

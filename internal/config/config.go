@@ -11,6 +11,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -80,32 +81,6 @@ func (t TopologyConfig) Nodes() int {
 		h = 1
 	}
 	return t.Width * h * l
-}
-
-// Links counts the geometry's bidirectional links, each of which gives
-// both its routers a network port, as topology.New builds them.
-func (t TopologyConfig) Links() int {
-	w, h, l := t.Width, max(t.Height, 1), max(t.Layers, 1)
-	mesh := (w-1)*h + w*(h-1)
-	// A multilayer mesh adds, between each pair of adjacent layers, one
-	// link per portal node.
-	switch t.Kind {
-	case TopoLine:
-		return w - 1
-	case TopoRing:
-		return w
-	case TopoMesh:
-		return mesh
-	case TopoTorus:
-		return mesh + w + h
-	case TopoMeshX1:
-		return l*mesh + (l - 1)
-	case TopoMeshX1Y1:
-		return l*mesh + (l-1)*(w+h-1)
-	case TopoMeshXCube:
-		return l*mesh + (l-1)*w*h
-	}
-	return 0
 }
 
 // RouterConfig describes per-node router resources.
@@ -248,25 +223,28 @@ func Default1024() Config {
 	return c
 }
 
-// Validate checks the configuration for internal consistency and returns a
-// descriptive error for the first problem found.
+// Validate checks the configuration's single fields: each value in its
+// range, each node inside the topology. It does not ask what the builders
+// decide — whether a name is known, whether the routing algorithm runs on
+// the topology with these VCs, whether a traffic pattern fits the node
+// count, whether static paths follow links and cover the traffic, whether
+// the buffers fit a host. core.Plan asks them, after Validate, and is what
+// "valid" means. Every error names its field (Field).
 func (c *Config) Validate() error {
 	t := &c.Topology
 	switch t.Kind {
 	case TopoLine, TopoRing:
 		if t.Width < 2 {
-			return fmt.Errorf("config: %s topology needs width >= 2, got %d", t.Kind, t.Width)
+			return Errorf("", "config: %s topology needs width >= 2, got %d", t.Kind, t.Width)
 		}
 	case TopoMesh, TopoTorus:
 		if t.Width < 2 || t.Height < 2 {
-			return fmt.Errorf("config: %s topology needs width,height >= 2, got %dx%d", t.Kind, t.Width, t.Height)
+			return Errorf("", "config: %s topology needs width,height >= 2, got %dx%d", t.Kind, t.Width, t.Height)
 		}
 	case TopoMeshX1, TopoMeshX1Y1, TopoMeshXCube:
 		if t.Width < 2 || t.Height < 2 || t.Layers < 2 {
-			return fmt.Errorf("config: %s topology needs width,height >= 2 and layers >= 2", t.Kind)
+			return Errorf("", "config: %s topology needs width,height >= 2 and layers >= 2", t.Kind)
 		}
-	default:
-		return fmt.Errorf("config: unknown topology kind %q", t.Kind)
 	}
 	r := &c.Router
 	for _, f := range []RouterFieldError{
@@ -279,106 +257,94 @@ func (c *Config) Validate() error {
 			return &f
 		}
 	}
-	if err := c.checkMachineSlots(); err != nil {
-		return err
-	}
 	if r.LinkBandwidth < 1 {
-		return fmt.Errorf("config: link_bandwidth must be >= 1, got %d", r.LinkBandwidth)
+		return Errorf("router/link_bandwidth", "config: link_bandwidth must be >= 1, got %d", r.LinkBandwidth)
 	}
-	switch r.VCAlloc {
-	case VCADynamic, VCAStaticSet, VCAEDVCA, VCAFAA:
-	default:
-		return fmt.Errorf("config: unknown vc_alloc %q", r.VCAlloc)
-	}
-	switch c.Routing.Algorithm {
-	case RouteXY, RouteYX, RoutePROM, RouteAdaptive:
-	case RouteO1Turn:
-		if r.VCsPerPort < 2 {
-			return fmt.Errorf("config: o1turn needs >= 2 VCs per port for deadlock freedom")
-		}
-	case RouteROMM, RouteValiant:
-		if r.VCsPerPort < 2 {
-			return fmt.Errorf("config: %s needs >= 2 VCs per port (one set per phase)", c.Routing.Algorithm)
-		}
-	case RouteStatic:
+	if c.Routing.Algorithm == RouteStatic {
 		if len(c.Routing.StaticPaths) == 0 {
-			return fmt.Errorf("config: static routing requires static_paths")
+			return Errorf("routing/static_paths", "config: static routing requires static_paths")
 		}
-		for i, p := range c.Routing.StaticPaths {
-			if len(p) < 2 {
-				return fmt.Errorf("config: static path %d has fewer than 2 nodes", i)
-			}
-			for _, n := range p {
-				if n < 0 || n >= t.Nodes() {
-					return fmt.Errorf("config: static path %d references node %d outside topology", i, n)
-				}
-			}
-		}
-		if err := CheckStaticPaths(c.Routing.StaticPaths); err != nil {
+		if err := CheckStaticPaths(c.Routing.StaticPaths, t.Nodes()); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("config: unknown routing algorithm %q", c.Routing.Algorithm)
 	}
 	for i := range c.Traffic {
 		tc := &c.Traffic[i]
-		switch tc.Pattern {
-		case PatternUniform, PatternTranspose, PatternBitComplement, PatternShuffle,
-			PatternTornado, PatternNeighbor, PatternHotspot, PatternH264:
-		default:
-			return fmt.Errorf("config: unknown traffic pattern %q", tc.Pattern)
-		}
+		at := func(field string) string { return fmt.Sprintf("traffic/%d/%s", i, field) }
 		if tc.PacketFlits > noc.MaxPacketFlits {
-			return fmt.Errorf("config: traffic %d: packet_flits must be at most %d, got %d", i, noc.MaxPacketFlits, tc.PacketFlits)
+			return Errorf(at("packet_flits"), "config: traffic %d: packet_flits must be at most %d, got %d", i, noc.MaxPacketFlits, tc.PacketFlits)
 		}
 		if tc.InjectionRate < 0 || tc.InjectionRate > 1 {
-			return fmt.Errorf("config: injection_rate must be in [0,1], got %g", tc.InjectionRate)
+			return Errorf(at("injection_rate"), "config: injection_rate must be in [0,1], got %g", tc.InjectionRate)
 		}
 		if tc.Pattern == PatternHotspot && len(tc.HotNodes) == 0 {
-			return fmt.Errorf("config: hotspot pattern requires hot_nodes")
+			return Errorf(at("hot_nodes"), "config: hotspot pattern requires hot_nodes")
 		}
 		for _, n := range tc.HotNodes {
 			if n < 0 || n >= t.Nodes() {
-				return fmt.Errorf("config: hot node %d outside topology", n)
+				return Errorf(at("hot_nodes"), "config: hot node %d outside topology", n)
 			}
 		}
 	}
 	if m := c.Memory; m != nil {
 		if m.LineBytes < 4 || m.LineBytes&(m.LineBytes-1) != 0 {
-			return fmt.Errorf("config: line_bytes must be a power of two >= 4, got %d", m.LineBytes)
+			return Errorf("memory/line_bytes", "config: line_bytes must be a power of two >= 4, got %d", m.LineBytes)
 		}
 		if m.LineBytes > MaxLineBytes {
-			return fmt.Errorf("config: line_bytes must be at most %d, got %d", MaxLineBytes, m.LineBytes)
+			return Errorf("memory/line_bytes", "config: line_bytes must be at most %d, got %d", MaxLineBytes, m.LineBytes)
 		}
 		if m.L1Sets < 1 || m.L1Ways < 1 {
-			return fmt.Errorf("config: L1 geometry must be >= 1 set and >= 1 way")
+			return Errorf("memory", "config: L1 geometry must be >= 1 set and >= 1 way")
 		}
 		if m.Protocol != "msi" && m.Protocol != "nuca" {
-			return fmt.Errorf("config: unknown coherence protocol %q", m.Protocol)
+			return Errorf("memory/protocol", "config: unknown coherence protocol %q", m.Protocol)
 		}
 		if len(m.Controllers) == 0 {
-			return fmt.Errorf("config: memory config requires at least one controller node")
+			return Errorf("memory/controllers", "config: memory config requires at least one controller node")
 		}
 		for _, n := range m.Controllers {
 			if n < 0 || n >= t.Nodes() {
-				return fmt.Errorf("config: memory controller node %d outside topology", n)
+				return Errorf("memory/controllers", "config: memory controller node %d outside topology", n)
 			}
 		}
 	}
 	e := &c.Engine
 	if e.SyncPeriod < 1 {
-		return fmt.Errorf("config: sync_period must be >= 1, got %d", e.SyncPeriod)
+		return Errorf("engine/sync_period", "config: sync_period must be >= 1, got %d", e.SyncPeriod)
 	}
 	if e.Workers < 0 {
-		return fmt.Errorf("config: workers must be >= 0, got %d", e.Workers)
+		return Errorf("engine/workers", "config: workers must be >= 0, got %d", e.Workers)
 	}
 	if c.AvgPacketFlits < 1 || c.AvgPacketFlits > noc.MaxPacketFlits {
-		return fmt.Errorf("config: avg_packet_flits must be in [1, %d], got %d", noc.MaxPacketFlits, c.AvgPacketFlits)
+		return Errorf("avg_packet_flits", "config: avg_packet_flits must be in [1, %d], got %d", noc.MaxPacketFlits, c.AvgPacketFlits)
 	}
 	if c.Power.EpochCycles < 1 {
-		return fmt.Errorf("config: power epoch_cycles must be >= 1")
+		return Errorf("power/epoch_cycles", "config: power epoch_cycles must be >= 1")
 	}
 	return nil
+}
+
+// FieldError is a configuration error at one field (see Field).
+type FieldError struct{ Field, Msg string }
+
+func (e *FieldError) Error() string       { return e.Msg }
+func (e *FieldError) ConfigField() string { return e.Field }
+
+// Errorf returns a *FieldError at field.
+func Errorf(field, format string, args ...any) error {
+	return &FieldError{field, fmt.Sprintf(format, args...)}
+}
+
+// Field returns the field err is about as a path below the configuration
+// root ("router/vcs_per_port", "traffic/0/pattern",
+// "routing/static_paths/3"), or "" when err concerns the machine as a
+// whole. A request prefixes it with where its configuration sits.
+func Field(err error) string {
+	var f interface{ ConfigField() string }
+	if errors.As(err, &f) {
+		return f.ConfigField()
+	}
+	return ""
 }
 
 // MaxVCsPerPort bounds vcs_per_port and inj_vcs, as noc.MaxVCBufFlits
@@ -397,7 +363,7 @@ const MaxVCsPerPort = 64
 // VCs × 16 flits (1.3 M), and it is what keeps the per-field bounds from
 // multiplying into an out-of-memory: an 8x8 mesh at them would ask 18.9 M
 // slots (1.3 GB), a 32x32 one 327 M (23.6 GB). A 4x4 mesh at them holds
-// exactly 2^22.
+// exactly 2^22. core.Plan counts the slots from the ports it plans.
 const MaxMachineSlots = 1 << 22
 
 // RouterFieldError names a router geometry field outside [Min, Max]; zero
@@ -419,33 +385,7 @@ func (e *RouterFieldError) Error() string {
 	return fmt.Sprintf("config: %s must be in [%d, %d], got %d", e.Field, e.Min, e.Max, e.Value)
 }
 
-// checkMachineSlots rejects a machine whose ingress buffers hold more than
-// MaxMachineSlots flit slots. The router fields are already in range; a
-// topology past noc.MaxNodes is left to the topology build, which rejects
-// it.
-func (c *Config) checkMachineSlots() error {
-	t, r := &c.Topology, &c.Router
-	layers, height := max(t.Layers, 1), max(t.Height, 1)
-	if t.Width > noc.MaxNodes || height > noc.MaxNodes || layers > noc.MaxNodes || t.Nodes() > noc.MaxNodes {
-		return nil
-	}
-	injVCs, injBuf := r.InjVCs, r.InjBufFlits
-	if injVCs == 0 {
-		injVCs = r.VCsPerPort
-	}
-	if injBuf == 0 {
-		injBuf = r.VCBufFlits
-	}
-	network := 2 * t.Links() * r.VCsPerPort * r.VCBufFlits
-	injection := t.Nodes() * injVCs * injBuf
-	if slots := network + injection; slots > MaxMachineSlots {
-		if injection > network {
-			return &RouterFieldError{Field: "inj_buf_flits", Value: injBuf, Slots: slots}
-		}
-		return &RouterFieldError{Field: "vc_buf_flits", Value: r.VCBufFlits, Slots: slots}
-	}
-	return nil
-}
+func (e *RouterFieldError) ConfigField() string { return "router/" + e.Field }
 
 // MaxLineBytes bounds line_bytes: a NUCA access names its offset within
 // the line in one byte of the protocol message, which is also the

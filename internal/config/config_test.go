@@ -26,37 +26,6 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
-func TestValidateCatches(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.Topology.Kind = "blob" },
-		func(c *Config) { c.Topology.Width = 1 },
-		func(c *Config) { c.Router.VCsPerPort = 0 },
-		func(c *Config) { c.Router.VCBufFlits = 0 },
-		func(c *Config) { c.Router.LinkBandwidth = 0 },
-		func(c *Config) { c.Router.VCAlloc = "psychic" },
-		func(c *Config) { c.Routing.Algorithm = "teleport" },
-		func(c *Config) { c.Routing.Algorithm = RouteO1Turn; c.Router.VCsPerPort = 1 },
-		func(c *Config) { c.Routing.Algorithm = RouteStatic },
-		func(c *Config) {
-			c.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 2}}
-		},
-		func(c *Config) { c.Traffic = []TrafficConfig{{Pattern: "meh"}} },
-		func(c *Config) { c.Traffic = []TrafficConfig{{Pattern: PatternHotspot}} },
-		func(c *Config) { c.Engine.SyncPeriod = 0 },
-		func(c *Config) { c.AvgPacketFlits = 0 },
-		func(c *Config) { c.Memory = DefaultMemory(); c.Memory.LineBytes = 24 },
-		func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Protocol = "mesi2000" },
-		func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Controllers = []int{9999} },
-	}
-	for i, mutate := range mutations {
-		cfg := Default()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d validated", i)
-		}
-	}
-}
-
 func TestStaticRoutingValidation(t *testing.T) {
 	cfg := Default()
 	cfg.Routing.Algorithm = RouteStatic
@@ -187,85 +156,6 @@ func TestTopologyNodes(t *testing.T) {
 	}
 }
 
-// Validation rejections carry messages precise enough to surface as
-// structured API errors (hornet-serve returns them verbatim in 4xx
-// responses): each names the offending field or value.
-func TestValidateErrorMessages(t *testing.T) {
-	cases := []struct {
-		name     string
-		mutate   func(*Config)
-		contains string
-	}{
-		{"unknown topology", func(c *Config) { c.Topology.Kind = "hypercube" }, "hypercube"},
-		{"line too narrow", func(c *Config) { c.Topology.Kind = TopoLine; c.Topology.Width = 1 }, "width >= 2"},
-		{"mesh too small", func(c *Config) { c.Topology.Height = 1 }, "width,height >= 2"},
-		{"multilayer needs layers", func(c *Config) { c.Topology.Kind = TopoMeshX1; c.Topology.Layers = 1 }, "layers >= 2"},
-		{"zero VCs", func(c *Config) { c.Router.VCsPerPort = 0 }, "vcs_per_port"},
-		{"zero buffers", func(c *Config) { c.Router.VCBufFlits = 0 }, "vc_buf_flits"},
-		{"zero bandwidth", func(c *Config) { c.Router.LinkBandwidth = 0 }, "link_bandwidth"},
-		{"unknown vca", func(c *Config) { c.Router.VCAlloc = "psychic" }, "psychic"},
-		{"unknown routing", func(c *Config) { c.Routing.Algorithm = "teleport" }, "teleport"},
-		{"o1turn needs VCs", func(c *Config) { c.Routing.Algorithm = RouteO1Turn; c.Router.VCsPerPort = 1 }, "o1turn"},
-		{"romm needs VCs", func(c *Config) { c.Routing.Algorithm = RouteROMM; c.Router.VCsPerPort = 1 }, "romm"},
-		{"static needs paths", func(c *Config) { c.Routing.Algorithm = RouteStatic }, "static_paths"},
-		{"short static path", func(c *Config) {
-			c.Routing.Algorithm = RouteStatic
-			c.Routing.StaticPaths = [][]int{{3}}
-		}, "fewer than 2"},
-		{"static path out of range", func(c *Config) {
-			c.Routing.Algorithm = RouteStatic
-			c.Routing.StaticPaths = [][]int{{0, 4096}}
-		}, "outside topology"},
-		{"unknown pattern", func(c *Config) { c.Traffic = []TrafficConfig{{Pattern: "storm"}} }, "storm"},
-		{"rate out of range", func(c *Config) {
-			c.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 1.5}}
-		}, "injection_rate"},
-		{"hotspot needs nodes", func(c *Config) { c.Traffic = []TrafficConfig{{Pattern: PatternHotspot}} }, "hot_nodes"},
-		{"hot node out of range", func(c *Config) {
-			c.Traffic = []TrafficConfig{{Pattern: PatternHotspot, HotNodes: []int{70}}}
-		}, "hot node 70"},
-		{"bad line bytes", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.LineBytes = 24 }, "line_bytes"},
-		// A NUCA line offset travels in one byte: at 512 a store to offset 300 would land at 44.
-		{"line bytes past the offset byte", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.LineBytes = 512 }, "at most 256"},
-		{"bad L1", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.L1Sets = 0 }, "L1"},
-		{"bad protocol", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Protocol = "mesi2000" }, "mesi2000"},
-		{"no controllers", func(c *Config) { c.Memory = DefaultMemory(); c.Memory.Controllers = nil }, "controller"},
-		{"controller out of range", func(c *Config) {
-			c.Memory = DefaultMemory()
-			c.Memory.Controllers = []int{9999}
-		}, "9999"},
-		{"zero sync period", func(c *Config) { c.Engine.SyncPeriod = 0 }, "sync_period"},
-		{"negative workers", func(c *Config) { c.Engine.Workers = -1 }, "workers"},
-		{"zero packet flits", func(c *Config) { c.AvgPacketFlits = 0 }, "avg_packet_flits"},
-		// A flit counts its packet's length in 16 bits (noc.MaxPacketFlits).
-		{"packet flits past a flit's count", func(c *Config) { c.AvgPacketFlits = 1_000_000_000 }, "avg_packet_flits must be in [1, 65535]"},
-		{"traffic packet flits past a flit's count", func(c *Config) {
-			c.Traffic = []TrafficConfig{{Pattern: PatternUniform, InjectionRate: 0.1, PacketFlits: 70000}}
-		}, "traffic 0: packet_flits must be at most 65535"},
-		{"zero epoch", func(c *Config) { c.Power.EpochCycles = 0 }, "epoch_cycles"},
-		// A router's ingress state grows with its geometry (noc.NewRouter):
-		// 1<<30 flits a buffer would ask for terabytes.
-		{"VCs past the bound", func(c *Config) { c.Router.VCsPerPort = MaxVCsPerPort + 1 }, "vcs_per_port must be in [1, 64], got 65"},
-		{"buffer past the bound", func(c *Config) { c.Router.VCBufFlits = 1 << 30 }, "vc_buf_flits must be in [1, 1024]"},
-		{"injection VCs past the bound", func(c *Config) { c.Router.InjVCs = 1 << 20 }, "inj_vcs must be in [0, 64]"},
-		{"negative injection VCs", func(c *Config) { c.Router.InjVCs = -1 }, "inj_vcs"},
-		{"injection buffer past the bound", func(c *Config) { c.Router.InjBufFlits = 1025 }, "inj_buf_flits must be in [0, 1024]"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Default()
-			tc.mutate(&cfg)
-			err := cfg.Validate()
-			if err == nil {
-				t.Fatal("invalid config validated")
-			}
-			if !strings.Contains(err.Error(), tc.contains) {
-				t.Fatalf("error %q does not mention %q", err, tc.contains)
-			}
-		})
-	}
-}
-
 // TestPacketLengthBound: the longest packet a flit can count is valid, one
 // flit more is not, as the machine's default length and as a traffic
 // source's own.
@@ -288,11 +178,9 @@ func TestPacketLengthBound(t *testing.T) {
 }
 
 // TestRouterGeometryBound: the largest router geometry is valid, one VC or
-// one flit more is not, and the rejection names its field.
+// one flit more is not, and the rejection names its field. The machine's
+// slot bound is core.Plan's (TestPlanMachineSlots).
 func TestRouterGeometryBound(t *testing.T) {
-	// A 4x4 mesh at every field bound holds exactly MaxMachineSlots: 24
-	// links give 48 network ports, and 16 injection ports, each of
-	// 64 x 1024 slots.
 	at := Default()
 	at.Topology.Width, at.Topology.Height = 4, 4
 	at.Router.VCsPerPort, at.Router.VCBufFlits = MaxVCsPerPort, noc.MaxVCBufFlits
@@ -311,38 +199,6 @@ func TestRouterGeometryBound(t *testing.T) {
 		var rfe *RouterFieldError
 		if err := cfg.Validate(); !errors.As(err, &rfe) || rfe.Field != field {
 			t.Errorf("one past the bound of %s: Validate() = %v", field, err)
-		}
-	}
-
-	// The machine's slots, every field in range: the rejection names the
-	// geometry holding most of them.
-	for _, c := range []struct {
-		name                 string
-		topo                 TopologyConfig
-		vcs, buf, injV, injB int
-		slots                int    // 0: accepted
-		field                string // the rejection's field
-	}{
-		// 64 links give 128 network ports of 55 x 594 slots (4 181 760),
-		// and 65 injection ports of 193 (12 545).
-		{"one slot past", TopologyConfig{Kind: TopoLine, Width: 65, Height: 1}, 55, 594, 1, 193, MaxMachineSlots + 1, "vc_buf_flits"},
-		{"just below", TopologyConfig{Kind: TopoLine, Width: 65, Height: 1}, 55, 594, 1, 192, 0, ""},
-		{"8x8 at the field bounds", TopologyConfig{Kind: TopoMesh, Width: 8, Height: 8}, 64, 1024, 64, 1024, 18_874_368, "vc_buf_flits"},
-		{"8x8, the injection ports at the field bounds", TopologyConfig{Kind: TopoMesh, Width: 8, Height: 8}, 1, 1, 64, 1024, 64*65536 + 224, "inj_buf_flits"},
-		{"128x128, the default geometry", TopologyConfig{Kind: TopoMesh, Width: 128, Height: 128}, 4, 4, 0, 0, 0, ""},
-		{"32x32, 16 VCs x 16 flits", TopologyConfig{Kind: TopoMesh, Width: 32, Height: 32}, 16, 16, 0, 0, 0, ""},
-	} {
-		cfg := Default()
-		cfg.Topology = c.topo
-		cfg.Router.VCsPerPort, cfg.Router.VCBufFlits = c.vcs, c.buf
-		cfg.Router.InjVCs, cfg.Router.InjBufFlits = c.injV, c.injB
-		err := cfg.Validate()
-		var rfe *RouterFieldError
-		switch {
-		case c.slots == 0 && err != nil:
-			t.Errorf("%s: Validate() = %v", c.name, err)
-		case c.slots != 0 && (!errors.As(err, &rfe) || rfe.Slots != c.slots || rfe.Field != c.field):
-			t.Errorf("%s: Validate() = %v, want %d slots on %s", c.name, err, c.slots, c.field)
 		}
 	}
 }

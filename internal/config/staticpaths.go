@@ -19,20 +19,23 @@ func (e *StaticPathError) Error() string {
 	return fmt.Sprintf("config: static path %d %s", e.Path, e.Reason)
 }
 
+func (e *StaticPathError) ConfigField() string { return "routing/static_paths/" + strconv.Itoa(e.Path) }
+
 // link is a directed link, or a flow's injection at its source when from
 // == to: the part of a routing-table key a static path determines.
 type link struct{ from, to int }
 
-// CheckStaticPaths rejects static paths that stay at a node for a hop or
-// loop through a link, or that give one arrival more next hops than a
-// routing-table line holds (noc.MaxLineEntries, less one for ejection). Tables
-// are addressed by <prev_node, flow> (paper §II-A2), one line per directed
-// link a flow arrives by, so every crossing of a link by a flow shares one
-// line: a path that crosses a link twice, or paths between the same
-// endpoints that together lead back to a link, would have a flit skip the
-// loop or go round it any number of times. The result is nil or a
+// CheckStaticPaths rejects static paths of fewer than two nodes or with a
+// node outside [0, nodes), paths that stay at a node for a hop or loop
+// through a link, and paths that give one arrival more next hops than a
+// routing-table line holds (noc.MaxLineEntries, less one for ejection).
+// Tables are addressed by <prev_node, flow> (paper §II-A2), one line per
+// directed link a flow arrives by, so every crossing of a link by a flow
+// shares one line: a path that crosses a link twice, or paths between the
+// same endpoints that together lead back to a link, would have a flit skip
+// the loop or go round it any number of times. The result is nil or a
 // *StaticPathError.
-func CheckStaticPaths(paths [][]int) error {
+func CheckStaticPaths(paths [][]int, nodes int) error {
 	// A group is the paths between one pair of endpoints: one flow's
 	// table. step[from] lists the links the group's paths take right after
 	// arriving by from; by[{from, to}] is the first path to take that step.
@@ -45,7 +48,12 @@ func CheckStaticPaths(paths [][]int) error {
 	index := map[link]*group{}
 	for i, p := range paths {
 		if len(p) < 2 {
-			continue
+			return &StaticPathError{i, "has fewer than 2 nodes"}
+		}
+		for _, n := range p {
+			if n < 0 || n >= nodes {
+				return &StaticPathError{i, fmt.Sprintf("references node %d outside topology", n)}
+			}
 		}
 		g := index[link{p[0], p[len(p)-1]}]
 		if g == nil {
@@ -100,6 +108,19 @@ func CheckStaticPaths(paths [][]int) error {
 		}
 		if err := visit(link{g.src, g.src}); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckStaticHops rejects a static path with a hop between nodes that
+// adjacent says no link joins. The result is nil or a *StaticPathError.
+func CheckStaticHops(paths [][]int, adjacent func(a, b int) bool) error {
+	for i, p := range paths {
+		for j := 1; j < len(p); j++ {
+			if !adjacent(p[j-1], p[j]) {
+				return &StaticPathError{i, fmt.Sprintf("(%s) hops from %d to %d, which no link joins", pathString(p), p[j-1], p[j])}
+			}
 		}
 	}
 	return nil

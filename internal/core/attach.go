@@ -9,22 +9,17 @@ import (
 	"hornet/internal/noc"
 	"hornet/internal/trace"
 	"hornet/internal/traffic"
+	"hornet/internal/workloads"
 )
 
-// AttachSyntheticTraffic builds generators from the config's traffic
-// sections (or an explicit list) on every node.
-func (s *System) AttachSyntheticTraffic(tcs ...config.TrafficConfig) error {
-	if len(tcs) == 0 {
-		tcs = s.Config.Traffic
-	}
-	for _, tc := range tcs {
+// AttachSyntheticTraffic puts a generator of every traffic entry on
+// every node, the entry's generators sharing the pattern Plan made of it.
+// The error is always nil: Plan has checked every pattern.
+func (s *System) AttachSyntheticTraffic() error {
+	for i, tc := range s.Config.Traffic {
 		for _, t := range s.tiles {
-			g, err := traffic.NewGenerator(t.ID, tc, s.Topo, s.Config.AvgPacketFlits, t.RNG)
-			if err != nil {
-				return err
-			}
+			gen := traffic.NewGenerator(t.ID, s.patterns[i], tc, s.Config.AvgPacketFlits, t.RNG)
 			tile := t
-			gen := g
 			s.generators = append(s.generators, gen)
 			t.AddComponent(componentFunc{
 				tick: func(cycle uint64) { gen.Tick(cycle, tile.Router.OfferPacket) },
@@ -232,6 +227,30 @@ func (s *System) AttachMIPSShared(nodes []noc.NodeID, img *mips.Image, f *memory
 	s.mipsCores = append(s.mipsCores, cores...)
 	s.mipsNodes = append(s.mipsNodes, nodes...)
 	return cores
+}
+
+// AttachWorkload places a bound kernel's MIPS cores on their nodes, over
+// the shared-memory fabric of the configured memory when the kernel
+// shares memory and with the MPI-style network port when it does not.
+func (s *System) AttachWorkload(w *workloads.Run) error {
+	img, err := mips.Assemble(w.Source())
+	if err != nil {
+		return err
+	}
+	var nodes []noc.NodeID
+	for _, n := range w.Cores() {
+		nodes = append(nodes, noc.NodeID(n))
+	}
+	if !w.Shared {
+		s.AttachMIPS(nodes, img)
+		return nil
+	}
+	fab, err := s.AttachMemory(*s.Config.Memory)
+	if err != nil {
+		return err
+	}
+	s.AttachMIPSShared(nodes, img, fab, *s.Config.Memory)
+	return nil
 }
 
 // CoresHalted reports whether every given core has exited and its DMA

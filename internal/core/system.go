@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"hornet/internal/config"
@@ -16,7 +15,6 @@ import (
 	"hornet/internal/topology"
 	"hornet/internal/trace"
 	"hornet/internal/traffic"
-	"hornet/internal/vca"
 )
 
 // System is a fully wired HORNET simulation.
@@ -28,7 +26,8 @@ type System struct {
 	tiles      []*Tile
 	engine     *sim.Engine
 	alg        routing.Algorithm
-	clock      uint64 // next cycle to simulate
+	clock      uint64            // next cycle to simulate
+	patterns   []traffic.Pattern // one per Config.Traffic entry (MachinePlan)
 	generators []*traffic.Generator
 	injectors  []*trace.Injector
 
@@ -52,61 +51,23 @@ type System struct {
 	restoredShard *shardState
 }
 
-// New builds a system from a validated configuration: topology, routing
-// and VCA tables, routers wired per edge, the power model, and the
-// parallel engine.
-// Frontends are attached afterwards (Attach*).
+// New builds the system Plan works out for cfg: routing and VCA tables,
+// routers with the planned ports wired per edge, the power model, and the
+// parallel engine. Frontends are attached afterwards (Attach*).
 func New(cfg config.Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := topology.New(cfg.Topology)
+	p, err := Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := buildAlgorithm(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
-	tables := routing.NewTables(alg)
-	vcaTables, vcaMode, err := vca.New(alg, cfg.Router.VCAlloc)
-	if err != nil {
-		return nil, err
-	}
+	tables := routing.NewTables(p.Alg)
 
-	n := topo.Nodes()
+	n := p.Topo.Nodes()
 	s := &System{
-		Config: cfg,
-		Topo:   topo,
-		Power:  power.New(cfg.Power, n),
-		alg:    alg,
-	}
-
-	injVCs := cfg.Router.InjVCs
-	if injVCs <= 0 {
-		injVCs = cfg.Router.VCsPerPort
-	}
-	injBuf := cfg.Router.InjBufFlits
-	if injBuf <= 0 {
-		injBuf = cfg.Router.VCBufFlits
-	}
-
-	// Every topology edge gives each of its two routers a port facing the
-	// other, in edge order; a router is built knowing all of its ports, so
-	// it lays out its ingress state once.
-	edges := topo.Edges()
-	ports := make([][]noc.PortParams, n)
-	for i := range ports {
-		ports[i] = make([]noc.PortParams, 0, len(topo.Neighbors(noc.NodeID(i))))
-	}
-	addPort := func(node, peer noc.NodeID) int {
-		ports[node] = append(ports[node], noc.PortParams{
-			Neighbor: peer, VCs: cfg.Router.VCsPerPort, BufFlits: cfg.Router.VCBufFlits})
-		return len(ports[node]) // the local port is index 0
-	}
-	edgePorts := make([][2]int, len(edges)) // the port index on A's and on B's router
-	for i, e := range edges {
-		edgePorts[i] = [2]int{addPort(e.A, e.B), addPort(e.B, e.A)}
+		Config:   cfg,
+		Topo:     p.Topo,
+		Power:    power.New(cfg.Power, n),
+		alg:      p.Alg,
+		patterns: p.Patterns,
 	}
 
 	// Routers and the engine share one in-network flit counter.
@@ -121,14 +82,14 @@ func New(cfg config.Config) (*System, error) {
 		router := noc.NewRouter(noc.RouterParams{
 			ID:            id,
 			Table:         tables.ForNode(id),
-			VCATable:      vcaTables.ForNode(id),
-			VCAMode:       vcaMode,
+			VCATable:      p.VCA.ForNode(id),
+			VCAMode:       p.VCAMode,
 			RNG:           rng,
 			Stats:         st,
 			InFlight:      inflight,
-			LocalVCs:      injVCs,
-			LocalBufFlits: injBuf,
-			Ports:         ports[i],
+			LocalVCs:      p.InjVCs,
+			LocalBufFlits: p.InjBufFlits,
+			Ports:         p.Ports[i],
 		})
 		tile := &Tile{
 			ID:         id,
@@ -145,9 +106,9 @@ func New(cfg config.Config) (*System, error) {
 
 	// Wire every edge's egress sides: pointers to the peer's ingress
 	// buffers plus the shared (possibly bandwidth-adaptive) link.
-	for i, e := range edges {
+	for i, e := range p.Topo.Edges() {
 		ra, rb := s.tiles[e.A].Router, s.tiles[e.B].Router
-		pa, pb := edgePorts[i][0], edgePorts[i][1]
+		pa, pb := p.EdgePorts[i][0], p.EdgePorts[i][1]
 		link := noc.NewLink(cfg.Router.LinkBandwidth, cfg.Router.Bidirectional)
 		ra.ConnectEgress(e.B, rb.Ports()[pb].In, link, 0)
 		rb.ConnectEgress(e.A, ra.Ports()[pa].In, link, 1)
@@ -155,75 +116,6 @@ func New(cfg config.Config) (*System, error) {
 
 	s.engine = sim.NewEngine(simTiles, cfg.Engine.Workers, cfg.Engine.SyncPeriod, cfg.Engine.FastForward, inflight)
 	return s, nil
-}
-
-// buildAlgorithm instantiates and validates the routing algorithm against
-// the geometry and router resources.
-func buildAlgorithm(cfg config.Config, topo *topology.Topology) (routing.Algorithm, error) {
-	meshOnly := func(name string) error {
-		if topo.IsTorus() || topo.IsMultilayer() {
-			return fmt.Errorf("core: %s routing requires a (single-layer) mesh or line", name)
-		}
-		return nil
-	}
-	needVCs := func(name string, n int) error {
-		if cfg.Router.VCsPerPort < n {
-			return fmt.Errorf("core: %s routing needs >= %d VCs per port, got %d", name, n, cfg.Router.VCsPerPort)
-		}
-		return nil
-	}
-	switch cfg.Routing.Algorithm {
-	case config.RouteXY, config.RouteYX:
-		if topo.IsTorus() || topo.IsMultilayer() {
-			if err := needVCs(cfg.Routing.Algorithm, 2); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.Routing.Algorithm == config.RouteYX {
-			return routing.NewYX(topo), nil
-		}
-		return routing.NewXY(topo), nil
-	case config.RouteO1Turn:
-		if err := meshOnly("o1turn"); err != nil {
-			return nil, err
-		}
-		if err := needVCs("o1turn", 2); err != nil {
-			return nil, err
-		}
-		return routing.NewO1Turn(topo), nil
-	case config.RouteROMM:
-		if err := meshOnly("romm"); err != nil {
-			return nil, err
-		}
-		if err := needVCs("romm", 2); err != nil {
-			return nil, err
-		}
-		return routing.NewROMM(topo), nil
-	case config.RouteValiant:
-		if err := meshOnly("valiant"); err != nil {
-			return nil, err
-		}
-		if err := needVCs("valiant", 2); err != nil {
-			return nil, err
-		}
-		return routing.NewValiant(topo), nil
-	case config.RoutePROM:
-		if err := meshOnly("prom"); err != nil {
-			return nil, err
-		}
-		if err := needVCs("prom", 2); err != nil {
-			return nil, err
-		}
-		return routing.NewPROM(topo), nil
-	case config.RouteAdaptive:
-		if err := meshOnly("adaptive"); err != nil {
-			return nil, err
-		}
-		return routing.NewWestFirst(topo), nil
-	case config.RouteStatic:
-		return routing.NewStatic(cfg.Routing.StaticPaths)
-	}
-	return nil, fmt.Errorf("core: unknown routing algorithm %q", cfg.Routing.Algorithm)
 }
 
 // Tiles returns the system's tiles.

@@ -159,9 +159,11 @@ func TestLookaheadConsultsTableOncePerPacket(t *testing.T) {
 	gens := make([]*traffic.Generator, topo.Nodes())
 	for i := range gens {
 		tc := config.TrafficConfig{Pattern: config.PatternUniform, InjectionRate: 0.05}
-		if gens[i], err = traffic.NewGenerator(noc.NodeID(i), tc, topo, 8, sim.NewRNG(uint64(i)+100)); err != nil {
+		p, err := traffic.NewPattern(tc, topo)
+		if err != nil {
 			t.Fatal(err)
 		}
+		gens[i] = traffic.NewGenerator(noc.NodeID(i), p, tc, 8, sim.NewRNG(uint64(i)+100))
 	}
 	m := newMeshMachine(t, topo, gens)
 	window := func(m *meshMachine, what string, from, to uint64) {

@@ -273,18 +273,6 @@ func TestWestFirstNeverTurnsIntoWest(t *testing.T) {
 	}
 }
 
-func TestStaticRejectsBadPaths(t *testing.T) {
-	if _, err := NewStatic([][]int{{1}}); err == nil {
-		t.Fatal("single-node path accepted")
-	}
-	if _, err := NewStatic([][]int{{1, 1}}); err == nil {
-		t.Fatal("repeated node accepted")
-	}
-	if _, err := NewStatic([][]int{{0, 1, 0, 1, 2}}); err == nil {
-		t.Fatal("a path crossing the link 0->1 twice accepted")
-	}
-}
-
 func TestTorusDatelineRenaming(t *testing.T) {
 	topo, err := topology.New(config.TopologyConfig{Kind: config.TopoTorus, Width: 4, Height: 4})
 	if err != nil {
@@ -349,10 +337,7 @@ func linkCases(t *testing.T) []linkCase {
 	mesh, meshFlows := build(config.TopologyConfig{Kind: config.TopoMesh, Width: 4, Height: 4})
 	torus, torusFlows := build(config.TopologyConfig{Kind: config.TopoTorus, Width: 4, Height: 4})
 	layered, layeredFlows := build(config.TopologyConfig{Kind: config.TopoMeshX1Y1, Width: 3, Height: 3, Layers: 2})
-	static, err := NewStatic(xyPathSet(mesh, meshFlows))
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := NewStatic(xyPathSet(mesh, meshFlows))
 	cases := []linkCase{{"static/mesh", static, mesh, meshFlows}}
 	for _, alg := range []Algorithm{NewXY(mesh), NewYX(mesh), NewO1Turn(mesh), NewROMM(mesh), NewValiant(mesh), NewPROM(mesh), NewWestFirst(mesh)} {
 		cases = append(cases, linkCase{alg.Name() + "/mesh", alg, mesh, meshFlows})

@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"hornet/internal/config"
-	"hornet/internal/noc"
-)
+import "hornet/internal/noc"
 
 // Static routes flows along explicitly configured paths — the input
 // format produced by offline bandwidth-sensitive route optimizers such as
@@ -16,20 +11,13 @@ type Static struct {
 	paths map[noc.FlowID][][]noc.NodeID
 }
 
-// NewStatic builds static routing from node-ID path sequences. Each path
-// must have at least two nodes, and none may stay at a node or loop
-// through a link (config.CheckStaticPaths); neighbour validity is the
-// router's concern (a bad path panics at simulation time with a clear
-// message).
-func NewStatic(paths [][]int) (*Static, error) {
-	if err := config.CheckStaticPaths(paths); err != nil {
-		return nil, err
-	}
+// NewStatic builds static routing from node-ID path sequences that
+// core.Plan has checked: each has at least two nodes, hops only between
+// neighbours and does not loop through a link, and together they cover
+// every flow the machine's traffic makes.
+func NewStatic(paths [][]int) *Static {
 	s := &Static{paths: make(map[noc.FlowID][][]noc.NodeID)}
-	for i, p := range paths {
-		if len(p) < 2 {
-			return nil, fmt.Errorf("routing: static path %d needs >= 2 nodes", i)
-		}
+	for _, p := range paths {
 		np := make([]noc.NodeID, len(p))
 		for j, n := range p {
 			np[j] = noc.NodeID(n)
@@ -37,7 +25,7 @@ func NewStatic(paths [][]int) (*Static, error) {
 		f := noc.MakeFlow(np[0], np[len(np)-1], 0)
 		s.paths[f] = append(s.paths[f], np)
 	}
-	return s, nil
+	return s
 }
 
 // Name implements Algorithm.

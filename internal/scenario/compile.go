@@ -3,11 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 
 	"hornet/internal/config"
-	"hornet/internal/noc"
+	"hornet/internal/core"
 	"hornet/internal/workloads"
 )
 
@@ -33,10 +32,10 @@ type Compiled struct {
 }
 
 // Compile normalizes the scenario, expands its sweep axes, and lowers
-// every point to a validated config.Config (+ workload binding). Each
-// expanded point is strictly re-decoded and re-validated, so a swept
-// value can never smuggle in a state the schema would have rejected as
-// direct input.
+// every point to a config.Config that core.Plan accepts (+ workload
+// binding). Each expanded point is strictly re-decoded and re-validated,
+// so a swept value can never smuggle in a state the schema would have
+// rejected as direct input.
 func Compile(s *Scenario) (*Compiled, *FieldError) {
 	n, ferr := s.Normalize()
 	if ferr != nil {
@@ -156,31 +155,15 @@ func (s *Scenario) runConfig() (config.Config, *workloads.Run, *FieldError) {
 		cfg.WarmupCycles = *s.Run.WarmupCycles
 		cfg.AnalyzedCycles = s.Run.AnalyzedCycles
 	}
-	if m.Memory != nil && m.Memory.LineBytes > config.MaxLineBytes {
-		return cfg, nil, errf("/machine/memory/line_bytes", "must be at most %d, got %d",
-			config.MaxLineBytes, m.Memory.LineBytes)
-	}
-	// A flit counts its packet's length in 16 bits.
-	if m.AvgPacketFlits > noc.MaxPacketFlits {
-		return cfg, nil, errf("/machine/avg_packet_flits", "must be at most %d, got %d",
-			noc.MaxPacketFlits, m.AvgPacketFlits)
-	}
-	for i, tc := range s.Traffic {
-		if tc.PacketFlits > noc.MaxPacketFlits {
-			return cfg, nil, errf(pointerIndex("/traffic", i)+"/packet_flits", "must be at most %d, got %d",
-				noc.MaxPacketFlits, tc.PacketFlits)
+	if _, err := core.Plan(cfg); err != nil {
+		// A traffic entry is the document's own; the rest is the machine.
+		path := "/machine"
+		if f := config.Field(err); strings.HasPrefix(f, "traffic/") {
+			path = "/" + f
+		} else if f != "" {
+			path += "/" + f
 		}
-	}
-	if err := cfg.Validate(); err != nil {
-		var spe *config.StaticPathError
-		if errors.As(err, &spe) {
-			return cfg, nil, errf(pointerIndex("/machine/routing/static_paths", spe.Path), "%s", err.Error())
-		}
-		var rfe *config.RouterFieldError
-		if errors.As(err, &rfe) {
-			return cfg, nil, errf("/machine/router/"+rfe.Field, "%s", err.Error())
-		}
-		return cfg, nil, errf("/machine", "%s", err.Error())
+		return cfg, nil, errf(path, "%s", err.Error())
 	}
 	if s.Workload == nil {
 		return cfg, nil, nil

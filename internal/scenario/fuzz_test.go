@@ -2,13 +2,18 @@ package scenario
 
 import (
 	"testing"
+
+	"hornet/internal/core"
 )
 
 // FuzzScenario drives arbitrary bytes through the full decode →
 // normalize → encode pipeline and asserts the content-addressing
 // invariants: normalization is deterministic, its output re-decodes,
-// and re-normalizing is a fixed point (same bytes). The corpus seeds
-// are the preset gallery, so mutations start from every schema feature.
+// and re-normalizing is a fixed point (same bytes). Then it compiles the
+// document: every run Compile accepts on at most 64 nodes must build and
+// take its frontend (no cycle is run). The corpus seeds are the preset
+// gallery, so mutations start from every schema feature, and the machines
+// testdata/fuzz holds, which the build refuses.
 func FuzzScenario(f *testing.F) {
 	for _, name := range PresetNames() {
 		s, _ := Preset(name)
@@ -47,6 +52,24 @@ func FuzzScenario(f *testing.F) {
 		}
 		if string(e1) != string(e2) {
 			t.Fatalf("normalization is not a fixed point:\n%s\n---\n%s", e1, e2)
+		}
+		comp, ferr := Compile(s)
+		if ferr != nil {
+			return
+		}
+		for _, r := range comp.Runs {
+			if r.Config.Topology.Nodes() > 64 {
+				continue
+			}
+			sys, err := core.New(r.Config)
+			if err == nil && r.Workload == nil {
+				err = sys.AttachSyntheticTraffic()
+			} else if err == nil {
+				err = sys.AttachWorkload(r.Workload)
+			}
+			if err != nil {
+				t.Fatalf("Compile accepted run %q, which does not build: %v\n%s", r.Key, err, data)
+			}
 		}
 	})
 }

@@ -15,8 +15,6 @@ import (
 	"hornet/internal/config"
 	"hornet/internal/core"
 	"hornet/internal/fsatomic"
-	"hornet/internal/mips"
-	"hornet/internal/noc"
 	"hornet/internal/obs"
 	"hornet/internal/service/backend"
 	"hornet/internal/sim"
@@ -430,7 +428,7 @@ type machine struct {
 
 // lower compiles a runSpec for one execution: workers is the CPU-slot
 // grant, seed the run's effective engine seed.
-func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
+func lower(spec runSpec, workers int, seed uint64) *machine {
 	m := &machine{cfg: spec.cfg}
 	m.cfg.Engine.Workers = workers
 	m.cfg.Engine.Seed = seed
@@ -445,39 +443,23 @@ func lower(spec runSpec, workers int, seed uint64) (*machine, error) {
 		}
 		m.cfg.WarmupCycles, m.cfg.AnalyzedCycles = 0, 0
 		m.attach = func(sys *core.System) error { return sys.AttachSyntheticTraffic() }
-		return m, nil
-	}
-	img, err := mips.Assemble(w.Source())
-	if err != nil {
-		return nil, err
-	}
-	var cores []noc.NodeID
-	for _, n := range w.Cores() {
-		cores = append(cores, noc.NodeID(n))
+		return m
 	}
 	// An application workload defines its own span: measured from
 	// instruction zero until every core halts and the network drains, or
 	// the cycle cap. The full core/RAM/fabric state rides in snapshots.
 	m.plan = []phase{{name: "measured", target: w.MaxCycles, measured: true}}
 	m.done = func(sys *core.System) func(uint64) bool { return sys.CoresHalted(sys.MIPSCores()) }
-	m.attach = func(sys *core.System) error {
-		if !w.Shared {
-			sys.AttachMIPS(cores, img)
-			return nil
-		}
-		fab, err := sys.AttachMemory(*m.cfg.Memory)
-		if err != nil {
-			return err
-		}
-		sys.AttachMIPSShared(cores, img, fab, *m.cfg.Memory)
-		return nil
-	}
-	return m, nil
+	m.attach = func(sys *core.System) error { return sys.AttachWorkload(w) }
+	return m
 }
+
+// newSystem builds a run's machine; a test may wrap it.
+var newSystem = core.New
 
 // build constructs the machine at cycle 0, frontend attached.
 func (m *machine) build() (*core.System, error) {
-	sys, err := core.New(m.cfg)
+	sys, err := newSystem(m.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -564,10 +546,7 @@ func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec
 		// c.Seed is the run's effective seed: the scenario builder set
 		// the item's explicit warmup-group seed for share_warmup jobs,
 		// so the emitted document records what actually ran.
-		m, err := lower(spec, c.Workers, c.Seed)
-		if err != nil {
-			return nil, err
-		}
+		m := lower(spec, c.Workers, c.Seed)
 		key := CheckpointKey(sc.name, sc.hash, spec.key)
 		if shard != nil {
 			// Per-shard store keys ("-s0", "-s1", ...): members of one run
@@ -584,6 +563,7 @@ func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec
 		// restored them from the group's stable checkpoint.
 		var sys *core.System
 		var meta ckptMeta
+		var err error
 		for {
 			if sys == nil && ckptOn {
 				// A missing blob decodes like a corrupt one: not at all.

@@ -209,10 +209,7 @@ func TestRestoresParentFormatCheckpointMeta(t *testing.T) {
 	}
 	spec := sc.runs[0]
 	seed := sim.DeriveSeed(sc.seed, spec.key)
-	m, err := lower(spec, 1, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := lower(spec, 1, seed)
 	// What an executor autosaving every 1000 cycles holds at its first
 	// measured-phase boundary.
 	sys, err := m.build()

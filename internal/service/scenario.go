@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"regexp"
 
@@ -337,8 +336,8 @@ func mipsSpelling(sc *scenario, req SubmitRequest) *APIError {
 	if err != nil {
 		return mipsErr(err)
 	}
-	if err := m.Config.Validate(); err != nil {
-		return &APIError{Code: CodeInvalidConfig, Field: "/mips/config", Message: "mips: " + err.Error()}
+	if apiErr := checkMachine(&m.Config, "/mips/config", "mips: "); apiErr != nil {
+		return apiErr
 	}
 	if len(m.Config.Traffic) > 0 {
 		return &APIError{Code: CodeInvalidConfig, Field: "/mips/config/traffic",
@@ -459,17 +458,24 @@ type mipsBatchItem struct {
 	Mips MipsSpec `json:"mips"`
 }
 
-// checkRunnable validates one submitted simulation configuration beyond
-// config.Validate: the service runs synthetic-traffic simulations with a
-// bounded measured window, so both must be present. field is the
-// configuration's pointer in the request; where prefixes the messages.
-func checkRunnable(c *config.Config, field, where string) *APIError {
-	if err := c.Validate(); err != nil {
-		var rfe *config.RouterFieldError
-		if errors.As(err, &rfe) {
-			field += "/router/" + rfe.Field
+// checkMachine holds one submitted configuration to core.Plan. field is
+// the configuration's pointer in the request, which the rejection's
+// config field extends; where prefixes the message.
+func checkMachine(c *config.Config, field, where string) *APIError {
+	if _, err := core.Plan(*c); err != nil {
+		if f := config.Field(err); f != "" {
+			field += "/" + f
 		}
 		return &APIError{Code: CodeInvalidConfig, Field: field, Message: where + err.Error()}
+	}
+	return nil
+}
+
+// checkRunnable validates one submitted synthetic-traffic simulation: a
+// machine core.Plan accepts, with traffic and a bounded measured window.
+func checkRunnable(c *config.Config, field, where string) *APIError {
+	if apiErr := checkMachine(c, field, where); apiErr != nil {
+		return apiErr
 	}
 	if len(c.Traffic) == 0 {
 		return &APIError{Code: CodeInvalidConfig, Field: field + "/traffic",

@@ -501,7 +501,8 @@ func TestDryRunRejectsLongPackets(t *testing.T) {
 // TestDryRunRejectsLoopingStaticPaths: a static path that crosses a link
 // twice, or paths between the same endpoints that together lead back to
 // a link, cannot be followed by tables keyed by <prev, flow>, so they are
-// rejected at the path, naming it and the link.
+// rejected at the path, naming it and the link — before any flow of the
+// traffic is found without a path.
 func TestDryRunRejectsLoopingStaticPaths(t *testing.T) {
 	doc := func(paths string) SubmitRequest {
 		return scenarioJSON(t, `{"version":1,"machine":{"topology":{"kind":"mesh","width":4,"height":4},`+
@@ -525,7 +526,35 @@ func TestDryRunRejectsLoopingStaticPaths(t *testing.T) {
 			}
 		})
 	}
-	if _, apiErr := DryRun(doc(`[[0,1,2],[0,1,5,6,2]]`)); apiErr != nil {
+	// Paths that only share a link, beside an x-first path for every other
+	// pair, so that each flow of the uniform traffic has a path.
+	paths := [][]int{{0, 1, 2}, {0, 1, 5, 6, 2}}
+	for src := 0; src < 16; src++ {
+		for dst := 0; dst < 16; dst++ {
+			if src == dst || src == 0 && dst == 2 {
+				continue
+			}
+			p := []int{src}
+			for v := src; v != dst; p = append(p, v) {
+				switch {
+				case v%4 < dst%4:
+					v++
+				case v%4 > dst%4:
+					v--
+				case v < dst:
+					v += 4
+				default:
+					v -= 4
+				}
+			}
+			paths = append(paths, p)
+		}
+	}
+	b, err := json.Marshal(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, apiErr := DryRun(doc(string(b))); apiErr != nil {
 		t.Fatalf("DryRun of paths that only share a link: %v", apiErr)
 	}
 }

@@ -522,19 +522,18 @@ func TestUnknownJob(t *testing.T) {
 }
 
 // A tile that panics on an engine worker goroutine must fail its job and
-// leave the daemon serving. The submission below passes validation (its
-// static path only names nodes inside the mesh) but routes 0 -> 5, which
-// are not neighbours on a 4x4 mesh, so the first head flit panics in a
-// router — with 2 engine workers, on a goroutine executeScenario's own
+// leave the daemon serving. Validation refuses every machine known to
+// panic, so the first job's machine gets a tile that panics in its first
+// cycle, on an engine worker goroutine, which executeScenario's own
 // recover cannot see.
 func TestJobSurvivesEngineWorkerPanic(t *testing.T) {
 	_, c := startServer(t, service.Options{MaxJobs: 1, Budget: 2})
 	ctx := context.Background()
+	t.Cleanup(service.PanicInNextBuild())
 
 	bad := tinyConfig()
 	bad.Engine.Workers = 2
-	bad.Routing = config.RoutingConfig{Algorithm: config.RouteStatic, StaticPaths: [][]int{{0, 5}}}
-	info, err := c.SubmitAndWait(ctx, service.SubmitRequest{Name: "bad-static-path", Config: bad, Seed: 1})
+	info, err := c.SubmitAndWait(ctx, service.SubmitRequest{Name: "worker-panic", Config: bad, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,13 @@ func New(cfg config.TopologyConfig) (*Topology, error) {
 		l = 1
 	}
 	t := &Topology{Kind: cfg.Kind, Width: w, Height: h, Layers: l}
+	// Each dimension is bounded before the product, which could overflow.
+	if w > noc.MaxNodes || h > noc.MaxNodes || l > noc.MaxNodes || w*h*l > noc.MaxNodes {
+		return nil, fmt.Errorf("topology: %dx%dx%d nodes exceeds FlowID limit %d", w, h, l, noc.MaxNodes)
+	}
 	t.n = w * h * l
 	if t.n < 2 {
 		return nil, fmt.Errorf("topology: need at least 2 nodes, got %d", t.n)
-	}
-	if t.n > noc.MaxNodes {
-		return nil, fmt.Errorf("topology: %d nodes exceeds FlowID limit %d", t.n, noc.MaxNodes)
 	}
 	switch cfg.Kind {
 	case config.TopoLine:

@@ -86,26 +86,6 @@ func TestMultilayerPortals(t *testing.T) {
 	}
 }
 
-// TestLinksMatchConfig: config bounds a machine's buffer slots by its link
-// count (config.TopologyConfig.Links), which must be the edges New builds.
-func TestLinksMatchConfig(t *testing.T) {
-	for _, kind := range []string{config.TopoLine, config.TopoRing, config.TopoMesh, config.TopoTorus,
-		config.TopoMeshX1, config.TopoMeshX1Y1, config.TopoMeshXCube} {
-		for _, dims := range [][3]int{{2, 2, 2}, {3, 2, 3}, {5, 4, 2}, {7, 7, 4}} {
-			cfg := config.TopologyConfig{Kind: kind, Width: dims[0], Height: dims[1], Layers: dims[2]}
-			switch kind {
-			case config.TopoLine, config.TopoRing:
-				cfg.Height, cfg.Layers = 1, 0
-			case config.TopoMesh, config.TopoTorus:
-				cfg.Layers = 0
-			}
-			if got, want := cfg.Links(), len(build(t, cfg).Edges()); got != want {
-				t.Errorf("%+v: config counts %d links, New builds %d", cfg, got, want)
-			}
-		}
-	}
-}
-
 func TestLayerHelpers(t *testing.T) {
 	topo := build(t, config.TopologyConfig{Kind: config.TopoMeshXCube, Width: 3, Height: 3, Layers: 3})
 	n := topo.NodeAtL(2, 1, 2)

@@ -6,8 +6,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"hornet/internal/config"
 	"hornet/internal/noc"
 	"hornet/internal/sim"
@@ -18,30 +16,19 @@ import (
 // Pattern maps a source node to a destination for each generated packet.
 // Implementations must be deterministic given the RNG stream.
 type Pattern interface {
-	Name() string
 	// Dst returns the destination for a packet from src, or src itself to
 	// indicate "no packet" (self-addressed traffic is skipped).
 	Dst(src noc.NodeID, rng *sim.RNG) noc.NodeID
 }
 
-// permutation is a fixed node->node map, evaluated per packet: every node's
-// generator has its own pattern and asks only for its own destination, so
-// a table over all nodes would be n tables of n entries per system.
-type permutation struct {
-	name string
-	dst  func(src int) int
-}
+// permutation is a fixed node->node map, evaluated per packet: each node
+// asks only for its own destination, so no table over all nodes is kept.
+type permutation func(src int) int
 
-func (p *permutation) Name() string { return p.name }
-
-func (p *permutation) Dst(src noc.NodeID, _ *sim.RNG) noc.NodeID {
-	return noc.NodeID(p.dst(int(src)))
-}
+func (p permutation) Dst(src noc.NodeID, _ *sim.RNG) noc.NodeID { return noc.NodeID(p(int(src))) }
 
 // uniformPattern draws destinations uniformly over all other nodes.
 type uniformPattern struct{ n int }
-
-func (u *uniformPattern) Name() string { return config.PatternUniform }
 
 func (u *uniformPattern) Dst(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	d := noc.NodeID(rng.Intn(u.n - 1))
@@ -51,30 +38,36 @@ func (u *uniformPattern) Dst(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	return d
 }
 
-// hotspotPattern sends a fraction of traffic to designated hot nodes.
+// hotspotPattern sends a fraction of traffic to designated hot nodes and
+// the rest uniformly.
 type hotspotPattern struct {
-	n    int
+	uniformPattern
 	hot  []noc.NodeID
 	frac float64
 }
 
-func (h *hotspotPattern) Name() string { return config.PatternHotspot }
-
 func (h *hotspotPattern) Dst(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	if rng.Bernoulli(h.frac) {
-		d := h.hot[rng.Intn(len(h.hot))]
-		if d != src {
+		if d := h.hot[rng.Intn(len(h.hot))]; d != src {
 			return d
 		}
 	}
-	d := noc.NodeID(rng.Intn(h.n - 1))
-	if d >= src {
-		d++
-	}
-	return d
+	return h.uniformPattern.Dst(src, rng)
 }
 
-// NewPattern builds the named pattern over the given topology.
+// Partner returns p's fixed destination map when p is a permutation (one
+// destination per source, the source itself for none); ok is false when p
+// may send from any node to any other.
+func Partner(p Pattern) (dst func(src int) int, ok bool) {
+	if pp, ok := p.(permutation); ok {
+		return pp, true
+	}
+	return nil, false
+}
+
+// NewPattern builds the named pattern over the given topology: the one
+// place a traffic entry becomes the flows it makes. An error is a
+// *config.FieldError naming the entry's field at fault.
 func NewPattern(tc config.TrafficConfig, t *topology.Topology) (Pattern, error) {
 	n := t.Nodes()
 	switch tc.Pattern {
@@ -89,44 +82,51 @@ func NewPattern(tc config.TrafficConfig, t *topology.Topology) (Pattern, error) 
 		if frac <= 0 {
 			frac = 0.5
 		}
-		return &hotspotPattern{n: n, hot: hot, frac: frac}, nil
+		return &hotspotPattern{uniformPattern{n}, hot, frac}, nil
 	case config.PatternTranspose:
-		return &permutation{tc.Pattern, func(src int) int {
+		return permutation(func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			if x >= t.Height || y >= t.Width {
 				return src // non-square meshes: fixed point outside the square core
 			}
 			return int(t.NodeAt(y, x))
-		}}, nil
+		}), nil
 	case config.PatternBitComplement:
 		if n&(n-1) != 0 {
-			return nil, fmt.Errorf("traffic: bit-complement needs a power-of-two node count, got %d", n)
+			return nil, config.Errorf("pattern", "traffic: bit-complement needs a power-of-two node count, got %d", n)
 		}
-		return &permutation{tc.Pattern, func(src int) int { return (n - 1) ^ src }}, nil
+		return permutation(func(src int) int { return (n - 1) ^ src }), nil
 	case config.PatternShuffle:
 		if n&(n-1) != 0 {
-			return nil, fmt.Errorf("traffic: shuffle needs a power-of-two node count, got %d", n)
+			return nil, config.Errorf("pattern", "traffic: shuffle needs a power-of-two node count, got %d", n)
 		}
 		bits := 0
 		for 1<<bits < n {
 			bits++
 		}
-		return &permutation{tc.Pattern, func(src int) int {
+		return permutation(func(src int) int {
 			return ((src << 1) | (src >> (bits - 1))) & (n - 1)
-		}}, nil
+		}), nil
 	case config.PatternTornado:
-		return &permutation{tc.Pattern, func(src int) int {
+		return permutation(func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			k := t.Width
 			return int(t.NodeAt((x+(k+1)/2-1)%k, y))
-		}}, nil
+		}), nil
 	case config.PatternNeighbor:
-		return &permutation{tc.Pattern, func(src int) int {
+		return permutation(func(src int) int {
 			x, y := t.XY(noc.NodeID(src))
 			return int(t.NodeAt((x+1)%t.Width, y))
-		}}, nil
+		}), nil
+	case config.PatternH264:
+		// The H.264 decoder profile: a pipeline between stages mapped
+		// across nodes, each node's fixed partner a mid-distance hop.
+		if tc.InjectionRate <= 0 {
+			return nil, config.Errorf("injection_rate", "traffic: h264 profile needs injection_rate > 0")
+		}
+		return permutation(func(src int) int { return (src + n/3 + 1) % n }), nil
 	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", tc.Pattern)
+		return nil, config.Errorf("pattern", "traffic: unknown pattern %q", tc.Pattern)
 	}
 }
 
@@ -155,10 +155,13 @@ type Generator struct {
 	stopped bool
 }
 
-// NewGenerator builds a node's synthetic source from its traffic config.
-func NewGenerator(node noc.NodeID, tc config.TrafficConfig, t *topology.Topology, avgFlits int, rng *sim.RNG) (*Generator, error) {
+// NewGenerator builds a node's synthetic source from its traffic config
+// and the pattern NewPattern made of it, which every node's generator of
+// the entry shares.
+func NewGenerator(node noc.NodeID, p Pattern, tc config.TrafficConfig, avgFlits int, rng *sim.RNG) *Generator {
 	g := &Generator{
 		node:     node,
+		pattern:  p,
 		rng:      rng,
 		rate:     tc.InjectionRate,
 		pktFlits: tc.PacketFlits,
@@ -169,30 +172,12 @@ func NewGenerator(node noc.NodeID, tc config.TrafficConfig, t *topology.Topology
 		g.pktFlits = avgFlits
 	}
 	if tc.Pattern == config.PatternH264 {
-		// The H.264 decoder profile: low-volume, evenly spaced packets on
-		// fixed flows (a pipeline between stages mapped across nodes).
+		// Low-volume, evenly spaced packets on the fixed flows.
 		g.cbr = true
-		if tc.InjectionRate <= 0 {
-			return nil, fmt.Errorf("traffic: h264 profile needs injection_rate > 0")
-		}
-		g.period = uint64(1.0 / tc.InjectionRate)
-		if g.period == 0 {
-			g.period = 1
-		}
+		g.period = max(uint64(1.0/tc.InjectionRate), 1)
 		g.phase = uint64(node) % g.period
-		n := t.Nodes()
-		g.pattern = &permutation{config.PatternH264, func(src int) int {
-			// Fixed pipeline partner: a mid-distance deterministic hop.
-			return (src + n/3 + 1) % n
-		}}
-		return g, nil
 	}
-	p, err := NewPattern(tc, t)
-	if err != nil {
-		return nil, err
-	}
-	g.pattern = p
-	return g, nil
+	return g
 }
 
 // Stop halts further injection (used to drain the network at run end).

@@ -89,14 +89,21 @@ func TestHotspotBias(t *testing.T) {
 	}
 }
 
-func TestGeneratorBernoulliRate(t *testing.T) {
-	topo := mesh(t, 4, 4)
-	g, err := NewGenerator(0, config.TrafficConfig{
-		Pattern: config.PatternUniform, InjectionRate: 0.1,
-	}, topo, 8, sim.NewRNG(4))
+// generator builds node's source for tc over topo, as a system does.
+func generator(t *testing.T, node noc.NodeID, tc config.TrafficConfig, topo *topology.Topology, rng *sim.RNG) *Generator {
+	t.Helper()
+	p, err := NewPattern(tc, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewGenerator(node, p, tc, 8, rng)
+}
+
+func TestGeneratorBernoulliRate(t *testing.T) {
+	topo := mesh(t, 4, 4)
+	g := generator(t, 0, config.TrafficConfig{
+		Pattern: config.PatternUniform, InjectionRate: 0.1,
+	}, topo, sim.NewRNG(4))
 	count := 0
 	for c := uint64(0); c < 50_000; c++ {
 		g.Tick(c, func(p noc.Packet) {
@@ -114,13 +121,10 @@ func TestGeneratorBernoulliRate(t *testing.T) {
 
 func TestBurstGeneratorQuietGaps(t *testing.T) {
 	topo := mesh(t, 4, 4)
-	g, err := NewGenerator(0, config.TrafficConfig{
+	g := generator(t, 0, config.TrafficConfig{
 		Pattern: config.PatternBitComplement, InjectionRate: 1.0,
 		BurstLen: 10, BurstGap: 90,
-	}, topo, 8, sim.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, topo, sim.NewRNG(5))
 	for c := uint64(0); c < 300; c++ {
 		injected := false
 		g.Tick(c, func(noc.Packet) { injected = true })
@@ -140,12 +144,9 @@ func TestBurstGeneratorQuietGaps(t *testing.T) {
 
 func TestH264CBRSpacing(t *testing.T) {
 	topo := mesh(t, 4, 4)
-	g, err := NewGenerator(3, config.TrafficConfig{
+	g := generator(t, 3, config.TrafficConfig{
 		Pattern: config.PatternH264, InjectionRate: 0.01,
-	}, topo, 8, sim.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, topo, sim.NewRNG(6))
 	var times []uint64
 	for c := uint64(0); c < 1000; c++ {
 		g.Tick(c, func(noc.Packet) { times = append(times, c) })
@@ -166,9 +167,9 @@ func TestH264CBRSpacing(t *testing.T) {
 
 func TestStoppedGeneratorGoesSilent(t *testing.T) {
 	topo := mesh(t, 4, 4)
-	g, _ := NewGenerator(0, config.TrafficConfig{
+	g := generator(t, 0, config.TrafficConfig{
 		Pattern: config.PatternUniform, InjectionRate: 1.0,
-	}, topo, 8, sim.NewRNG(7))
+	}, topo, sim.NewRNG(7))
 	g.Stop()
 	g.Tick(0, func(noc.Packet) { t.Fatal("stopped generator injected") })
 	if g.NextEvent(0) != sim.NoEvent {
