@@ -110,10 +110,12 @@ type SubmitRequest struct {
 
 	// Shards, when >= 2, runs the simulation space-parallel: the tile
 	// grid is split into that many contiguous spans, each executed by
-	// one fleet member (the members run in-process when no remote worker
-	// can hold them all), exchanging boundary flits at every synchronization
-	// point. The result document is byte-identical to the single-process
-	// run, so Shards — like Workers — is NOT part of the cache identity.
+	// one fleet member, exchanging boundary flits at every synchronization
+	// point. While the remote workers cannot hold all the members, the
+	// simulation runs in-process as one engine instead, with a worker per
+	// member as far as the budget allows. The result document is
+	// byte-identical to the single-process run, so Shards — like Workers
+	// — is NOT part of the cache identity.
 	// Only single-run scenarios shard (config, mips), they must use
 	// sync_period 1 (the default), and share_warmup is rejected.
 	Shards int `json:"shards,omitempty"`

@@ -8,8 +8,9 @@
 // coordinator's own in-process worker, which makes the same calls as
 // method calls. Placement gives a task to the remote workers while any
 // is registered, unless it is pinned to this host; the in-process worker
-// takes the rest. JobInfo names the two worker classes "fleet" and
-// "local".
+// takes the rest. A sharded task runs as all its members on the remote
+// workers or as one in-process engine, never as a mix of the two. JobInfo
+// names the two worker classes "fleet" and "local".
 //
 // The package deliberately knows nothing about the service package's
 // scenario compilation: a Task carries the client's original request
@@ -57,7 +58,8 @@ type Task struct {
 	Weight int
 	// Shards, when >= 2, marks a space-parallel task: the fleet fans it
 	// out as Shards member tasks (one tile span each) coordinated through
-	// a ShardGroup.
+	// a ShardGroup while the remote workers can hold them all, and runs it
+	// as one in-process engine otherwise.
 	Shards int
 	// Pinned keeps the task on the in-process worker: a figure's serial
 	// timing columns measure this host.
@@ -176,22 +178,17 @@ type Journal interface {
 // still queued or running remotely with it, and refuses registrations.
 var ErrClosed = errors.New("backend: fleet closed")
 
-// LocalRun is one assignment of the in-process worker (RegisterLocal),
-// with the job's sink and the member's end of its shard group, which it
-// reaches by method calls instead of HTTP.
+// LocalRun is one assignment of the in-process worker (RegisterLocal):
+// one unsharded task, with the job's sink, which it reaches by method
+// calls instead of HTTP.
 type LocalRun struct {
 	// Ctx ends when the task is cancelled or the fleet closes.
 	Ctx context.Context
 	// Task carries the blobs its remote executors uploaded before it
 	// came here (Checkpoints): a migrated run resumes from them.
 	Task *Task
-	// Sink is the job's sink (a MemberSink over it for a non-root
-	// member).
+	// Sink is the job's sink.
 	Sink Sink
-	// Shard is the member index of a sharded task's member, and Peer the
-	// member's end of its ShardGroup; Peer is nil for an unsharded task.
-	Shard int
-	Peer  *MemberPeer
 	// Done is the result push: call it once, with the document or the
 	// failure.
 	Done func(doc []byte, runErrs int, err error)

@@ -74,8 +74,8 @@ type Fleet struct {
 	// statistic counts it.
 	workers map[string]*workerState
 	self    *workerState
-	local   func([]LocalRun) // self's executor; nil: no in-process worker
-	// localRuns counts self's running batches, which Close waits for.
+	local   func(LocalRun) // self's executor; nil: no in-process worker
+	// localRuns counts self's running tasks, which Close waits for.
 	localRuns sync.WaitGroup
 
 	queue   []*pending // unassigned tasks, FIFO; migrated tasks go first
@@ -218,11 +218,9 @@ func (f *Fleet) Close() {
 
 // RegisterLocal makes run the fleet's in-process worker: the
 // coordinator's own CPUs, always live, taking what no remote worker may
-// (remoteTakesLocked). run executes one batch — a task, or the queued
-// members of one sharded task, together because members meet every
-// cycle — and returns once every run has called Done. Call it once,
-// before Execute.
-func (f *Fleet) RegisterLocal(run func([]LocalRun)) {
+// (remoteTakesLocked) — never a shard member. run executes one task and
+// returns once it has called Done. Call it once, before Execute.
+func (f *Fleet) RegisterLocal(run func(LocalRun)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.local = run
@@ -266,10 +264,19 @@ func (f *Fleet) ExpectReattach(taskID, jobID string, weight int) {
 // Execute queues the task, waits for a worker to run it (surviving
 // migrations), and returns the result: the canonical document bytes plus
 // the number of per-run errors recorded inside it. A fleet with no
-// worker that may take the task keeps it queued; Close fails it.
+// worker that may take the task keeps it queued; Close fails it. A
+// sharded task the remote workers cannot hold runs from cycle 0 as one
+// pinned, unsharded task: one engine on the in-process worker, which
+// gives it the slots its members would have held.
 func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
 	if t.Shards >= 2 {
-		return f.executeSharded(ctx, t, sink)
+		doc, runErrs, err := f.executeSharded(ctx, t, sink)
+		if !errors.Is(err, errShardDemoted) || ctx.Err() != nil {
+			return doc, runErrs, err
+		}
+		one := *t
+		one.Shards, one.Pinned = 0, true
+		t = &one
 	}
 	f.mu.Lock()
 	if f.closed {
@@ -420,9 +427,6 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 		f.nextID++
 		id = fmt.Sprintf("worker-%03d", f.nextID)
 	}
-	if old, ok := f.workers[id]; ok {
-		f.evictLocked(old, "replaced by re-registration")
-	}
 	w := &workerState{
 		id:       id,
 		capacity: req.Capacity,
@@ -430,7 +434,13 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 		lastSeen: time.Now(),
 		tasks:    map[string]*pending{},
 	}
+	// The eviction judges the old incarnation's shard groups by the
+	// capacity with the new one.
+	old := f.workers[id]
 	f.workers[id] = w
+	if old != nil {
+		f.evictLocked(old, "replaced by re-registration")
+	}
 	f.workersJoined++
 	var adopted []string
 	type bind struct {
@@ -560,19 +570,27 @@ func (f *Fleet) Deregister(id string) error {
 }
 
 // evictLocked removes a worker and requeues its assigned tasks at the
-// front of the queue (migrated work resumes before new work starts).
+// front of the queue (migrated work resumes before new work starts); a
+// member of a group the remaining workers cannot hold is demoted instead.
 // reason labels the eviction in logs ("lease expired", ...). The caller
 // wakes the workers once the registry is settled: a re-registration must
-// re-adopt its own tasks before the in-process worker may take them.
+// re-adopt its own tasks before the in-process worker may take them, and
+// the wake demotes the member's siblings.
 func (f *Fleet) evictLocked(w *workerState, reason string) {
-	delete(f.workers, w.id)
+	if f.workers[w.id] == w {
+		delete(f.workers, w.id)
+	}
+	capacity, _ := f.slotsLocked()
 	var requeue []*pending
 	for _, p := range w.tasks {
-		if p.cancelled {
+		switch {
+		case p.cancelled:
 			f.finishLocked(p, nil, 0, context.Canceled)
 			continue
-		}
-		if p.group != nil {
+		case p.group != nil && !f.remoteTakesLocked(p.task, capacity):
+			f.finishLocked(p, nil, 0, errShardDemoted)
+			continue
+		case p.group != nil:
 			// Losing a member rolls the whole group back: bump the epoch
 			// (survivors restart from the stable cycle at their next
 			// barrier call) and seed the re-dispatch with the member's
@@ -594,7 +612,7 @@ func (f *Fleet) evictLocked(w *workerState, reason string) {
 				"shard":  strconv.Itoa(p.shard),
 				"epoch":  strconv.Itoa(p.group.Epoch()),
 			})
-		} else {
+		default:
 			f.log.Warn("task requeued for migration",
 				append(shardAttrs(p), obs.Worker(w.id), slog.String("reason", reason),
 					slog.Int("checkpoints", len(p.task.Checkpoints)))...)
@@ -668,16 +686,16 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 	}
 }
 
-// remoteTakesLocked is the placement policy: whether task p belongs to
+// remoteTakesLocked is the placement policy: whether task t belongs to
 // the remote workers, of capacity slots in total — never when pinned to
-// this host, else while one is registered; a sharded member only while
+// this host, else while one is registered; a sharded task only while
 // they can hold its whole group at once. The rest is the in-process
-// worker's.
-func (f *Fleet) remoteTakesLocked(p *pending, capacity int) bool {
-	if p.task.Pinned || len(f.workers) == 0 {
+// worker's, a sharded task as one engine (demoteLocked).
+func (f *Fleet) remoteTakesLocked(t *Task, capacity int) bool {
+	if t.Pinned || len(f.workers) == 0 {
 		return false
 	}
-	return p.group == nil || capacity >= p.group.Members()
+	return t.Shards < 2 || capacity >= t.Shards
 }
 
 // queueLocked appends new tasks to the queue and offers them to the
@@ -685,7 +703,7 @@ func (f *Fleet) remoteTakesLocked(p *pending, capacity int) bool {
 func (f *Fleet) queueLocked(ps ...*pending) {
 	capacity, _ := f.slotsLocked()
 	for _, p := range ps {
-		p.fleetBound = f.remoteTakesLocked(p, capacity)
+		p.fleetBound = f.remoteTakesLocked(p.task, capacity)
 	}
 	f.queue = append(f.queue, ps...)
 	f.wakeLocked()
@@ -693,7 +711,7 @@ func (f *Fleet) queueLocked(ps ...*pending) {
 
 // dispatchLocked assigns worker w the first queued task placement gives
 // it that fits its free slots; the in-process worker's runs draw on the
-// coordinator's CPU pool instead.
+// coordinator's CPU pool instead, and it never takes a shard member.
 func (f *Fleet) dispatchLocked(w *workerState) *pending {
 	now := time.Now()
 	capacity, _ := f.slotsLocked()
@@ -709,10 +727,10 @@ func (f *Fleet) dispatchLocked(w *workerState) *pending {
 			// it back, and the in-process worker has nothing to run yet.
 			continue
 		}
-		remote := f.remoteTakesLocked(p, capacity)
+		remote := f.remoteTakesLocked(p.task, capacity)
 		slots := 0
 		if w == f.self {
-			if remote {
+			if remote || p.group != nil {
 				continue
 			}
 		} else if slots = slotsFor(p.task.Weight, w); !remote || slots > w.free {
@@ -757,49 +775,28 @@ func assignment(p *pending, checkpointEvery uint64) *Assignment {
 	return a
 }
 
-// placeLocalLocked hands the in-process worker every queued task
-// placement gives it and starts them: each task alone, except that the
-// members of one sharded task start together, as one batch.
+// placeLocalLocked starts every queued task placement gives the
+// in-process worker, each under a context of its own and reporting
+// through finishLocal.
 func (f *Fleet) placeLocalLocked() {
 	if f.local == nil || f.closed {
 		return
 	}
-	groups := map[*ShardGroup][]*pending{}
 	for p := f.dispatchLocked(f.self); p != nil; p = f.dispatchLocked(f.self) {
-		if p.group == nil {
-			f.startLocalLocked([]*pending{p})
-		} else {
-			groups[p.group] = append(groups[p.group], p)
-		}
-	}
-	for _, members := range groups {
-		f.startLocalLocked(members)
-	}
-}
-
-// startLocalLocked runs a batch on the in-process worker, each run under
-// a context of its own and reporting through finishLocal.
-func (f *Fleet) startLocalLocked(batch []*pending) {
-	runs := make([]LocalRun, len(batch))
-	for i, p := range batch {
 		var ctx context.Context
 		ctx, p.stop = context.WithCancel(p.ctx)
-		runs[i] = LocalRun{
-			Ctx:   ctx,
-			Task:  p.task,
-			Sink:  p.sink,
-			Shard: p.shard,
-			Done:  func(doc []byte, runErrs int, err error) { f.finishLocal(p, doc, runErrs, err) },
+		run := LocalRun{
+			Ctx:  ctx,
+			Task: p.task,
+			Sink: p.sink,
+			Done: func(doc []byte, runErrs int, err error) { f.finishLocal(p, doc, runErrs, err) },
 		}
-		if p.group != nil {
-			runs[i].Peer = p.group.Peer(ctx, p.shard)
-		}
+		f.localRuns.Add(1)
+		go func() {
+			defer f.localRuns.Done()
+			f.local(run)
+		}()
 	}
-	f.localRuns.Add(1)
-	go func() {
-		defer f.localRuns.Done()
-		f.local(runs)
-	}()
 }
 
 // finishLocal completes an in-process run with its result.
@@ -1026,9 +1023,11 @@ func (f *Fleet) expire(cutoff time.Time) {
 	}
 }
 
-// wakeLocked offers the queue to the workers: it starts what the
-// in-process worker takes and wakes every parked Poll.
+// wakeLocked offers the queue to the workers: it demotes the shard
+// groups the remote workers cannot hold, starts what the in-process
+// worker takes and wakes every parked Poll.
 func (f *Fleet) wakeLocked() {
+	f.demoteLocked()
 	f.placeLocalLocked()
 	close(f.notify)
 	f.notify = make(chan struct{})

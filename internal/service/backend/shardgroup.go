@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"hornet/internal/sim"
 )
@@ -175,14 +178,6 @@ func (p *MemberPeer) Exchange(payload []byte) ([][]byte, error) {
 	return payloads, err
 }
 
-// Peer is the in-process end of member, joining at the current epoch;
-// ctx bounds its waits.
-func (g *ShardGroup) Peer(ctx context.Context, member int) *MemberPeer {
-	return NewMemberPeer(g.Epoch(), func(epoch int, payload []byte) ([][]byte, error) {
-		return g.Exchange(ctx, epoch, member, payload)
-	})
-}
-
 // Stage records one member's uploaded checkpoint blob and promotes the
 // cycle to stable once all n members' blobs for it have arrived. It
 // reports whether this upload completed a promotion, so the fleet can
@@ -308,20 +303,56 @@ func shardMemberIndex(key string) (int, bool) {
 // waiting for siblings that already finished.
 var errShardGroupDone = errors.New("backend: shard group completed")
 
+// errShardDemoted is executeSharded's answer for a task the remote
+// workers cannot hold, and the Cancel reason of a group they no longer
+// can: Execute runs the task again as one in-process engine.
+var errShardDemoted = errors.New("backend: the remote workers cannot hold the shard group")
+
+// demoteLocked ends every shard group the remote workers cannot hold
+// (remoteTakesLocked), unless it is a restored group still held for them
+// to re-register: each member finishes with errShardDemoted, and a
+// running one is cancelled on its worker like an aborted task.
+func (f *Fleet) demoteLocked() {
+	capacity, _ := f.slotsLocked()
+	now := time.Now()
+	members := slices.Clone(f.queue)
+	for _, w := range f.workers {
+		members = slices.AppendSeq(members, maps.Values(w.tasks))
+	}
+	for _, p := range members {
+		if p.group == nil || p.cancelled || now.Before(p.holdUntil) || f.remoteTakesLocked(p.task, capacity) {
+			continue
+		}
+		if p.shard == 0 {
+			f.log.Warn("shard group demoted to one in-process engine", shardAttrs(p)...)
+		}
+		p.cancelled = true
+		f.finishLocked(p, nil, 0, errShardDemoted)
+	}
+	// abortLocked dequeues a cancelled task at once: the only cancelled
+	// ones queued are those just demoted.
+	f.queue = slices.DeleteFunc(f.queue, func(p *pending) bool { return p.cancelled })
+}
+
 // executeSharded fans one space-parallel task out as Shards member
 // tasks through the ordinary queue/lease machinery, coordinated by a
 // ShardGroup. Every member executes the FULL simulation config but
 // steps only its tile span, exchanging boundary traffic at each
-// synchronization point through the group (over HTTP from a remote
-// worker, by method call from the in-process one). The root member's
-// document — byte-identical to what any member (or a
-// single-process run) produces — is the task result.
+// synchronization point through the group, over HTTP from its remote
+// worker. The root member's document — byte-identical to what any
+// member (or a single-process run) produces — is the task result. A
+// task the remote workers cannot hold, at once or after a worker left,
+// is demoted (errShardDemoted).
 func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
 	n := t.Shards
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return nil, 0, ErrClosed
+	}
+	if capacity, _ := f.slotsLocked(); len(t.Checkpoints) == 0 && !f.remoteTakesLocked(t, capacity) {
+		f.mu.Unlock()
+		return nil, 0, errShardDemoted
 	}
 	f.seq++
 	base := fmt.Sprintf("task-%06d", f.seq)
@@ -332,6 +363,12 @@ func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte,
 	// rolls the group back to that consistent cross-shard state instead
 	// of cycle 0. Seeding is a re-statement of already-persisted,
 	// already-journaled facts, so the promotion it completes is ignored.
+	// Those blobs restore members only, so the group is held one lease TTL
+	// for the remote workers to re-register before it is demoted.
+	var hold time.Time
+	if len(t.Checkpoints) > 0 {
+		hold = time.Now().Add(f.opts.LeaseTTL)
+	}
 	for key, b := range t.Checkpoints {
 		if i, ok := shardMemberIndex(key); ok && i < n {
 			group.Stage(i, key, b.Cycle, b.Data)
@@ -351,7 +388,8 @@ func (f *Fleet) executeSharded(ctx context.Context, t *Task, sink Sink) ([]byte,
 		if i == 0 {
 			ms = sink
 		}
-		members[i] = &pending{task: &mt, sink: ms, ctx: ctx, shard: i, group: group, done: make(chan struct{})}
+		members[i] = &pending{task: &mt, sink: ms, ctx: ctx, shard: i, group: group,
+			holdUntil: hold, done: make(chan struct{})}
 	}
 	f.queueLocked(members...)
 	f.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -135,29 +134,7 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 				tc.edit(doc)
 				docRun(doc)["shards"] = 2
 			})
-			gctx, stop := context.WithCancel(ctx)
-			defer stop()
-			group := backend.NewShardGroup(2)
-			var wg sync.WaitGroup
-			results := make([]*ExecResult, 2)
-			errs := make([]error, 2)
-			for i := range results {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					results[i], errs[i] = Execute(gctx, shardedReq, ExecOptions{Workers: 1,
-						Shard: &ShardMember{Index: i, Count: 2, Transport: group.Peer(gctx, i)}})
-					if errs[i] != nil {
-						group.Cancel(errs[i])
-					}
-				}()
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("member %d: %v", i, err)
-				}
-			}
+			results := runMembers(t, shardedReq, backend.NewShardGroup(2), oneWorker)
 			if results[0].Hash != plain.Hash {
 				t.Errorf("sharded request hashed %s, plain %s", results[0].Hash, plain.Hash)
 			}

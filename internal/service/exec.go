@@ -16,10 +16,10 @@ import (
 // executeScenario runs one compiled scenario against an execution
 // environment and returns the canonical document bytes plus the number
 // of per-run errors recorded inside the document. It is the single
-// execution path shared by the fleet's in-process worker and the
-// standalone Execute entry point hornet-worker uses — sharing it is
-// what makes a document byte-identical no matter which process produced
-// it. A panic anywhere in scenario execution (the experiments package
+// execution path shared by the fleet's in-process worker, which runs
+// every task it takes as one engine, and the standalone Execute entry
+// point hornet-worker uses, also for shard members — sharing it is what
+// makes a document byte-identical no matter which process produced it. A panic anywhere in scenario execution (the experiments package
 // treats bad runs as programming errors and panics) becomes an error,
 // never a dead process.
 //
@@ -162,12 +162,13 @@ type ExecOptions struct {
 // (ExecOptions.Shard): the full system is built from the validated
 // config (wiring and seeds bit-identical to a single-process run), the
 // engine steps only tile span Index of Count, and every synchronization
-// point is one all-gather through Transport — backend.ShardGroup.Peer
-// in-process, an HTTP call on a worker. A group rollback reaches the
-// run as a *sim.ShardRestartError carrying the member's stable blob.
-// Count must equal the request's shards field. Any member can produce
-// the document (the final exchange leaves every member with the full
-// statistics); the coordinator uses the root's.
+// point is one all-gather through Transport: on a worker, an HTTP call
+// to the coordinator's backend.ShardGroup (backend.NewMemberPeer). The
+// daemon's in-process worker never runs a member. A group rollback
+// reaches the run as a *sim.ShardRestartError carrying the member's
+// stable blob. Count must equal the request's shards field. Any member
+// can produce the document (the final exchange leaves every member with
+// the full statistics); the coordinator uses the root's.
 type ShardMember struct {
 	Index, Count int
 	Transport    core.ShardPeer

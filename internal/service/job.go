@@ -52,10 +52,6 @@ type job struct {
 	// observation. Both guarded by mu; read by the server's watchdog.
 	lastActive time.Time
 	stalled    bool
-	// fellBack marks a job the in-process worker took over after the
-	// last remote worker left: it counts once as a fallback job, however
-	// many of its members are handed over. Guarded by mu.
-	fellBack bool
 
 	// onState, when set, receives the client-visible info snapshot of
 	// every state transition (start, finalize), called OUTSIDE the job
@@ -155,15 +151,11 @@ func (j *job) task() *backend.Task {
 }
 
 // setBackend records which worker class ("local" or "fleet") is running
-// the job, and reports whether this is the job's first fallback
-// dispatch.
-func (j *job) setBackend(name string, fallback bool) (firstFallback bool) {
+// the job.
+func (j *job) setBackend(name string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.info.Backend = name
-	firstFallback = fallback && !j.fellBack
-	j.fellBack = j.fellBack || fallback
-	return firstFallback
 }
 
 // Info returns a snapshot of the client-visible state.

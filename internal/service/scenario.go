@@ -226,7 +226,9 @@ func seal(sc *scenario, workers int) *APIError {
 		sc.taskKind = KindBatch
 	}
 	for i := range runs {
-		runs[i].weight = workers
+		// A sharded run that stays on this host is one engine, with a
+		// worker per member it would have had.
+		runs[i].weight = max(workers, sc.shards)
 		if sc.shareWarmup {
 			runs[i].seed = groupSeed(sc.seed, runs[i].cfg)
 		}

@@ -262,72 +262,39 @@ func (s jobSink) Telemetry(snap obs.TelemetrySnapshot) { s.j.setTelemetry(snap) 
 
 // Note puts a lifecycle note on the job's trace timeline; a dispatch or
 // a reattach also names the worker class now running the job, and the
-// first dispatch that hands the job to the in-process worker after the
-// last remote worker left counts it as a fallback job.
+// dispatch that hands the job to the in-process worker after the last
+// remote worker left — once per job, as the in-process worker keeps
+// what it takes — counts it as a fallback job.
 func (s jobSink) Note(event string, fields map[string]string) {
-	if b := fields["backend"]; b != "" && s.j.setBackend(b, fields["fallback"] != "") {
+	if b := fields["backend"]; b != "" {
+		s.j.setBackend(b)
+	}
+	if fields["fallback"] != "" {
 		s.sched.fallbackJobs.Add(1)
 		s.sched.logger().Info("no remote worker left; running in-process", obs.Job(s.j.info.ID))
 	}
 	s.j.note(event, fields)
 }
 
-// runLocal is the fleet's in-process worker: it runs one task, or the
-// members of one sharded task, on the daemon's shared CPU pool and
-// execution environment (warmup cache, checkpoint store), reporting
-// straight into the job's sink.
-func (s *scheduler) runLocal(runs []backend.LocalRun) {
-	sc := runs[0].Task.Compiled.(*scenario)
+// runLocal is the fleet's in-process worker: it runs one task on the
+// daemon's shared CPU pool and execution environment (warmup cache,
+// checkpoint store), reporting straight into the job's sink. A sharded
+// job the remote workers cannot hold comes here unsharded and runs as one
+// engine, on as many workers as it has members (seal).
+func (s *scheduler) runLocal(r backend.LocalRun) {
 	env := s.env
-	for _, r := range runs {
-		// A migrated task resumes from the blobs its remote executors
-		// uploaded. Without a daemon checkpoint directory they live in a
-		// memory store of the batch's own.
-		for key, blob := range r.Task.Checkpoints {
-			if env.store == nil {
-				env = env.withStore(NewMemCheckpointStore())
-			}
-			_ = env.store.Save(key, blob.Data, blob.Cycle)
+	// A migrated task resumes from the blobs its remote executors
+	// uploaded. Without a daemon checkpoint directory they live in a
+	// memory store of the run's own.
+	for key, blob := range r.Task.Checkpoints {
+		if env.store == nil {
+			env = env.withStore(NewMemCheckpointStore())
 		}
+		_ = env.store.Save(key, blob.Data, blob.Cycle)
 	}
-	if r := runs[0]; r.Peer == nil {
-		// Every in-process job gets a fresh engine probe so the daemon can
-		// report cycles/sec and barrier-vs-compute time per running job.
-		r.Done(executeScenario(r.Ctx, sc, env, s.pool, r.Sink, obs.NewSimProbe(), nil))
-		return
-	}
-	// The members of a sharded task meet every cycle, so they must all run
-	// at once: their CPU slots come from the shared pool up front, since
-	// leasing them one by one could deadlock against another job. A pool
-	// narrower than the members still runs them all, one engine thread
-	// each.
-	per := max(s.pool.Cap()/sc.shards, 1)
-	granted, err := s.pool.AcquireCtx(runs[0].Ctx, per*len(runs))
-	if err != nil {
-		for _, r := range runs {
-			r.Done(nil, 0, err)
-		}
-		return
-	}
-	defer s.pool.Release(granted)
-	per = max(granted/len(runs), 1)
-	var wg sync.WaitGroup
-	for _, r := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Member 0 speaks for the group: it carries the engine probe
-			// and reports the run-level events, which its siblings' member
-			// sinks drop.
-			var probe *obs.SimProbe
-			if r.Shard == 0 {
-				probe = obs.NewSimProbe()
-			}
-			member := &ShardMember{Index: r.Shard, Count: sc.shards, Transport: r.Peer}
-			r.Done(executeScenario(r.Ctx, sc, env, sweep.NewBudget(per), r.Sink, probe, member))
-		}()
-	}
-	wg.Wait()
+	// Every in-process job gets a fresh engine probe so the daemon can
+	// report cycles/sec and barrier-vs-compute time per running job.
+	r.Done(executeScenario(r.Ctx, r.Task.Compiled.(*scenario), env, s.pool, r.Sink, obs.NewSimProbe(), nil))
 }
 
 // firstRunError digs the run error out of an encoded single-run document

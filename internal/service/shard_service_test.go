@@ -14,12 +14,12 @@ import (
 	"hornet/internal/service/backend"
 )
 
-// Service-level contracts of space-parallel execution: a job submitted
-// with shards >= 2 to a daemon with no registered workers runs all
-// members in-process through the local backend, and its result document
-// must be byte-identical to the ordinary single-engine run of the same
-// request. These drive the daemon internals directly (resume_test.go
-// style); the cross-process version lives in e2e.
+// Service-level contracts of space-parallel execution: the members of a
+// group — Execute calls with a ShardMember each, joined over one
+// backend.ShardGroup as the fleet joins remote members — produce the
+// document of the ordinary single-engine run of the same request, and a
+// daemon that cannot place the members remotely runs the job as that one
+// engine. The cross-process version lives in e2e.
 
 // shardConfig is a synthetic scenario small enough to co-run N member
 // engines in one test process.
@@ -67,11 +67,55 @@ func runToDoc(t *testing.T, opts Options, req SubmitRequest) ([]byte, string) {
 	return b, info.ConfigHash
 }
 
+// groupPeer is member's end of an in-process group, joining at the
+// group's current epoch; ctx bounds its waits.
+func groupPeer(ctx context.Context, g *backend.ShardGroup, member int) *backend.MemberPeer {
+	return backend.NewMemberPeer(g.Epoch(), func(epoch int, payload []byte) ([][]byte, error) {
+		return g.Exchange(ctx, epoch, member, payload)
+	})
+}
+
+// runMembers runs req as the members of group, all in this process: one
+// Execute call each, with opts(i) plus its ShardMember. A member's
+// failure cancels the group and fails the test; the results come back in
+// member order.
+func runMembers(t *testing.T, req SubmitRequest, group *backend.ShardGroup, opts func(i int) ExecOptions) []*ExecResult {
+	t.Helper()
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	n := group.Members()
+	results := make([]*ExecResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range results {
+		o := opts(i)
+		o.Shard = &ShardMember{Index: i, Count: n, Transport: groupPeer(ctx, group, i)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Execute(ctx, req, o)
+			if errs[i] != nil {
+				group.Cancel(errs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	return results
+}
+
+// oneWorker is every member's options in the byte-identity tests.
+func oneWorker(int) ExecOptions { return ExecOptions{Workers: 1} }
+
 // TestShardedLocalSyntheticByteIdentity: the same synthetic scenario
 // run unsharded and sharded 2-way must hash identically (shards is an
 // execution knob, not document identity) and produce byte-identical
-// result documents through the local in-process member group, with fixed
-// and with bidirectional links.
+// result documents through an in-process member group, with fixed and
+// with bidirectional links.
 func TestShardedLocalSyntheticByteIdentity(t *testing.T) {
 	for _, m := range linkMachines() {
 		t.Run(m.name, func(t *testing.T) {
@@ -81,7 +125,8 @@ func TestShardedLocalSyntheticByteIdentity(t *testing.T) {
 
 			sharded := base
 			sharded.Shards = 2
-			doc2, hash2 := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, sharded)
+			root := runMembers(t, sharded, backend.NewShardGroup(2), oneWorker)[0]
+			doc2, hash2 := root.Doc, root.Hash
 
 			if hash2 != hashSingle {
 				t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
@@ -111,7 +156,8 @@ func TestShardedLocalMIPSByteIdentity(t *testing.T) {
 
 	sharded := base
 	sharded.Shards = 2
-	doc2, hash2 := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, sharded)
+	root := runMembers(t, sharded, backend.NewShardGroup(2), oneWorker)[0]
+	doc2, hash2 := root.Doc, root.Hash
 
 	if hash2 != hashSingle {
 		t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
@@ -142,10 +188,10 @@ func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
 			}
 			sharded := base
 			sharded.Shards = 2
-			doc2, _ := runToDoc(t, Options{
-				MaxJobs: 1, Budget: 2,
-				CheckpointDir: t.TempDir(), CheckpointEvery: every,
-			}, sharded)
+			store := DirCheckpointStore{Dir: t.TempDir()}
+			doc2 := runMembers(t, sharded, backend.NewShardGroup(2), func(int) ExecOptions {
+				return ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: every}
+			})[0].Doc
 
 			if !bytes.Equal(doc2, single) {
 				t.Fatalf("checkpointed sharded document differs from clean single-engine run")
@@ -154,8 +200,32 @@ func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedLocalFeedsDaemonCheckpointStats: the members of a locally
-// sharded job run on the daemon's own execution environment, so their
+// TestShardedJobWithoutWorkersRunsAsOneEngine: a workerless daemon runs
+// a 2-way sharded job as one in-process engine on both budget slots, and
+// its document is the unsharded job's.
+func TestShardedJobWithoutWorkersRunsAsOneEngine(t *testing.T) {
+	base := SubmitRequest{Name: "shard-one-engine", Config: shardConfig(), Seed: 5}
+	single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+
+	srv := mustServer(t, Options{MaxJobs: 1, Budget: 2})
+	defer srv.Close()
+	sharded := base
+	sharded.Shards = 2
+	j := submitDirect(t, srv, sharded)
+	info := waitDone(t, j, 120*time.Second)
+	if info.State != StateDone || info.Backend != "local" {
+		t.Fatalf("job state = %s on backend %q (%s); want done on local", info.State, info.Backend, info.Error)
+	}
+	if doc, _ := j.Result(); !bytes.Equal(doc, single) {
+		t.Errorf("sharded job's document differs from the unsharded job's:\n single:  %s\n sharded: %s", single, doc)
+	}
+	if info.Engine == nil || len(info.Engine.Partitions) != 2 {
+		t.Errorf("engine probe %+v; want one engine of 2 partitions", info.Engine)
+	}
+}
+
+// TestShardedLocalFeedsDaemonCheckpointStats: a sharded job that stays
+// in-process runs on the daemon's own execution environment, so its
 // autosaves show in the daemon's checkpoint statistics.
 func TestShardedLocalFeedsDaemonCheckpointStats(t *testing.T) {
 	srv := mustServer(t, Options{MaxJobs: 1, Budget: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 700})
@@ -207,15 +277,10 @@ func TestShardGroupRollbackByteIdentity(t *testing.T) {
 	req.Shards = 2
 
 	group := backend.NewShardGroup(2)
-	gctx, stop := context.WithCancel(ctx)
-	defer stop()
 	probe := obs.NewSimProbe()
 	var lost atomic.Bool
 	var lostAt, stableAt uint64
-	results := make([]*ExecResult, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := range results {
+	results := runMembers(t, req, group, func(i int) ExecOptions {
 		store := stagingStore{MemCheckpointStore: NewMemCheckpointStore(), group: group, member: i}
 		var memberProbe *obs.SimProbe
 		if i == 0 {
@@ -229,23 +294,8 @@ func TestShardGroupRollbackByteIdentity(t *testing.T) {
 				return true
 			}
 		}
-		opts := ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: 1_000, Probe: memberProbe,
-			Shard: &ShardMember{Index: i, Count: 2, Transport: group.Peer(gctx, i)}}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = Execute(gctx, req, opts)
-			if errs[i] != nil {
-				group.Cancel(errs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
-	}
+		return ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: 1_000, Probe: memberProbe}
+	})
 	if !lost.Load() || group.Epoch() != 1 {
 		t.Fatalf("no rollback happened (lost=%v, epoch %d)", lost.Load(), group.Epoch())
 	}

@@ -79,11 +79,12 @@ func runValue(t *testing.T, raw []byte, field string) uint64 {
 }
 
 // The acceptance e2e: a 2-way sharded job's telemetry stream presents
-// one merged full-machine view (Shard == -1, the whole tile span), its
-// final frame agrees exactly with the result document's flit totals,
-// and the job's trace carries the Perfetto counter tracks the samples
-// fed — with the members in the daemon's process and on two fleet
-// workers. Attaching telemetry changes no byte of the document: both
+// one full-machine view, its final frame agrees exactly with the result
+// document's flit totals, and the job's trace carries the Perfetto
+// counter tracks the samples fed. On two fleet workers the view is the
+// merge of the members' spans (Shard == -1 of 2); a daemon without
+// workers runs the job as one engine, whose samples are unsharded (shard
+// 0 of 1). Attaching telemetry changes no byte of the document: both
 // equal the document of a daemon with telemetry off.
 func TestShardedTelemetryConsistentWithDocument(t *testing.T) {
 	cfg := config.Default()
@@ -102,7 +103,9 @@ func TestShardedTelemetryConsistentWithDocument(t *testing.T) {
 	for _, tc := range []struct {
 		backend string
 		workers int
-	}{{"local", 0}, {"fleet", 2}} {
+		// shard is the identity every frame carries.
+		shard, shardCount int
+	}{{"local", 0, 0, 1}, {"fleet", 2, -1, 2}} {
 		t.Run(tc.backend, func(t *testing.T) {
 			d := startFleetDaemon(t, service.Options{
 				MaxJobs: 1, Budget: 2,
@@ -115,7 +118,7 @@ func TestShardedTelemetryConsistentWithDocument(t *testing.T) {
 				})
 			}
 			waitWorkers(t, d, tc.workers)
-			raw := checkShardedTelemetry(t, d, req, tc.backend)
+			raw := checkShardedTelemetry(t, d, req, tc.backend, tc.shard, tc.shardCount)
 			if !bytes.Equal(raw, want) {
 				t.Errorf("document with telemetry attached differs from the detached one:\nattached: %s\ndetached: %s", raw, want)
 			}
@@ -124,8 +127,9 @@ func TestShardedTelemetryConsistentWithDocument(t *testing.T) {
 }
 
 // checkShardedTelemetry runs the sharded req on d, checks its telemetry
-// stream and trace against its document, and returns the document.
-func checkShardedTelemetry(t *testing.T, d *fleetDaemon, req service.SubmitRequest, backend string) []byte {
+// stream (every frame of identity shard of shardCount) and trace against
+// its document, and returns the document.
+func checkShardedTelemetry(t *testing.T, d *fleetDaemon, req service.SubmitRequest, backend string, shard, shardCount int) []byte {
 	t.Helper()
 	c := d.c
 	ctx := context.Background()
@@ -150,8 +154,8 @@ func checkShardedTelemetry(t *testing.T, d *fleetDaemon, req service.SubmitReque
 		t.Fatal("telemetry stream delivered no frames")
 	}
 
-	// Every frame is the merged full-machine view, never a raw member
-	// sample; cycles never move backwards.
+	// Every frame is the full-machine view, never a raw member sample;
+	// cycles never move backwards.
 	var lastCycle uint64
 	for i, ev := range frames {
 		if ev.Type == "stalled" {
@@ -161,8 +165,8 @@ func checkShardedTelemetry(t *testing.T, d *fleetDaemon, req service.SubmitReque
 			t.Fatalf("frame %d: %+v, want a telemetry frame", i, ev)
 		}
 		s := ev.Telemetry
-		if s.Shard != -1 || s.ShardCount != 2 {
-			t.Fatalf("frame %d shard identity = %d/%d, want merged -1/2", i, s.Shard, s.ShardCount)
+		if s.Shard != shard || s.ShardCount != shardCount {
+			t.Fatalf("frame %d shard identity = %d/%d, want %d/%d", i, s.Shard, s.ShardCount, shard, shardCount)
 		}
 		if s.Cycle < lastCycle {
 			t.Fatalf("frame %d cycle %d < previous %d", i, s.Cycle, lastCycle)
