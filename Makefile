@@ -113,9 +113,11 @@ bench:
 # profile-serve: the serve-mix daemon — durable (journal + checkpoints),
 # Budget 2, behind HTTP, two closed-loop clients alternating new 4x4 jobs
 # with cache hits — one iteration = one job. Prints where the CPU time goes
-# (cumulative), what still allocates, and what holds the live heap at the
-# end (on profile-mesh: the injection queues and the routers' slabs);
-# binary and profiles land in PROFILE_DIR, outside the repository.
+# (cumulative), what still allocates (by count, then by bytes: garbage that
+# is freed before the end shows only in the bytes allocated, as route
+# builds did), and what holds the live heap at the end (on profile-mesh:
+# the injection queues and the routers' slabs); binary and profiles land
+# in PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= /tmp/hornet-$@
 PROFILE_PKG := ./internal/core
 profile-msi: PROFILE_BENCH := BenchmarkMSIMachineCycle
@@ -136,6 +138,7 @@ profile-msi profile-mesh profile-mesh8 profile-serve:
 	$(PROFILE_DIR)/prof.test -test.run '^$$' -test.bench $(PROFILE_BENCH) -test.benchtime $(PROFILE_CYCLES)x \
 		-test.outputdir $(PROFILE_DIR) -test.memprofile mem.prof -test.memprofilerate 1
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/prof.test $(PROFILE_DIR)/mem.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 40 $(PROFILE_DIR)/prof.test $(PROFILE_DIR)/mem.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 40 $(PROFILE_DIR)/prof.test $(PROFILE_DIR)/mem.prof
 
 # Process-level distributed drill: build the real binaries, boot a

@@ -30,24 +30,23 @@ func (w *WestFirst) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeI
 	return ClassAny
 }
 
-// FlowEntries implements Algorithm. A destination to the west leaves no
+// Routes implements Algorithm. A destination to the west leaves no
 // choice: west to its column, then along it, which is the x-first path.
 // Otherwise every node of the minimal rectangle gets the turn-model-legal
 // productive hops (east, and north or south), for every neighbour a
 // minimal route arrives from.
-func (w *WestFirst) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+func (w *WestFirst) Routes(f noc.FlowID, b *builder) {
 	t := w.topo
 	src, dst := f.Src(), f.Dst()
 	if src == dst {
 		b.addEject(src, src, f, 1)
-		return b.finish()
+		return
 	}
 	sx, sy := t.XY(src)
 	dx, dy := t.XY(dst)
 	if dx < sx {
-		b.addPath(xyPath(t, src, dst), src, f, 1)
-		return b.finish()
+		b.addPath(b.path(t, src, dst, xyNext), src, f, 1)
+		return
 	}
 	stepY := 1
 	if dy < sy {
@@ -57,7 +56,8 @@ func (w *WestFirst) FlowEntries(f noc.FlowID) FlowRoutes {
 	for y := y0; y <= y1; y++ {
 		for x := sx; x <= dx; x++ {
 			v := t.NodeAt(x, y)
-			for _, prev := range minimalPrevs(t, src, v, 1, stepY) {
+			var prevs [2]noc.NodeID
+			for _, prev := range minimalPrevs(prevs[:0], t, src, v, 1, stepY) {
 				if v == dst {
 					b.addEject(v, prev, f, 1)
 					continue
@@ -74,5 +74,4 @@ func (w *WestFirst) FlowEntries(f noc.FlowID) FlowRoutes {
 			}
 		}
 	}
-	return b.finish()
 }

@@ -45,27 +45,27 @@ func (d *DOR) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, nex
 	return ClassAny
 }
 
-// FlowEntries implements Algorithm.
-func (d *DOR) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+// Routes implements Algorithm.
+func (d *DOR) Routes(f noc.FlowID, b *builder) {
 	src, dst := f.Src(), f.Dst()
-	if src == dst {
-		b.addEject(src, src, f, 1)
-		return b.finish()
-	}
 	switch {
+	case src == dst:
+		b.addEject(src, src, f, 1)
 	case d.topo.IsTorus():
 		d.torusEntries(b, f, src, dst)
 	case d.topo.IsMultilayer():
 		d.multilayerEntries(b, f, src, dst)
 	default:
-		if d.yFirst {
-			b.addPath(yxPath(d.topo, src, dst), src, f, 1)
-		} else {
-			b.addPath(xyPath(d.topo, src, dst), src, f, 1)
-		}
+		b.addPath(b.path(d.topo, src, dst, d.step()), src, f, 1)
 	}
-	return b.finish()
+}
+
+// step returns the planar next-hop function of the dimension order.
+func (d *DOR) step() func(mesh, noc.NodeID, noc.NodeID) noc.NodeID {
+	if d.yFirst {
+		return yxNext
+	}
+	return xyNext
 }
 
 // torusEntries emits dimension-ordered torus routes: traverse the first
@@ -74,19 +74,20 @@ func (d *DOR) FlowEntries(f noc.FlowID) FlowRoutes {
 // dimension turn and traverse the second dimension's ring the same way.
 func (d *DOR) torusEntries(b *builder, f noc.FlowID, src, dst noc.NodeID) {
 	dx, dy := d.topo.XY(dst)
+	var firstLegs, secondLegs [2]ringLeg
 	var first, second []ringLeg
 	if d.yFirst {
-		first = ringLegsY(d.topo, src, dy)
+		first = ringLegsY(b, &firstLegs, d.topo, src, dy)
 	} else {
-		first = ringLegsX(d.topo, src, dx)
+		first = ringLegsX(b, &firstLegs, d.topo, src, dx)
 	}
 	wFirst := 1.0 / float64(len(first))
 	for _, leg1 := range first {
 		end1 := leg1.path[len(leg1.path)-1]
 		if d.yFirst {
-			second = ringLegsX(d.topo, end1, dx)
+			second = ringLegsX(b, &secondLegs, d.topo, end1, dx)
 		} else {
-			second = ringLegsY(d.topo, end1, dy)
+			second = ringLegsY(b, &secondLegs, d.topo, end1, dy)
 		}
 		onlyOneDim := len(leg1.path) == 1
 		if end1 == dst {
@@ -143,14 +144,8 @@ func (b *builder) addRingLegReset(leg ringLeg, prev0 noc.NodeID, fIn noc.FlowID,
 // destination under the phase-renamed flow.
 func (d *DOR) multilayerEntries(b *builder, f noc.FlowID, src, dst noc.NodeID) {
 	ls, ld := d.topo.Layer(src), d.topo.Layer(dst)
-	plan := func(a, z noc.NodeID) []noc.NodeID {
-		if d.yFirst {
-			return yxPath(d.topo, a, z)
-		}
-		return xyPath(d.topo, a, z)
-	}
 	if ls == ld {
-		b.addPath(plan(src, dst), src, f, 1)
+		b.addPath(b.path(d.topo, src, dst, d.step()), src, f, 1)
 		return
 	}
 	sx, sy := d.topo.XY(src)
@@ -160,7 +155,7 @@ func (d *DOR) multilayerEntries(b *builder, f noc.FlowID, src, dst noc.NodeID) {
 
 	// Leg 1: within the source layer to the portal (flow f, class Lo).
 	prev := src
-	leg1 := plan(src, pSrc)
+	leg1 := b.path(d.topo, src, pSrc, d.step())
 	for i := 0; i < len(leg1)-1; i++ {
 		b.add(leg1[i], prev, f, leg1[i+1], f, 1)
 		prev = leg1[i]
@@ -185,7 +180,7 @@ func (d *DOR) multilayerEntries(b *builder, f noc.FlowID, src, dst noc.NodeID) {
 
 	// Leg 3: within the destination layer under the renamed flow.
 	f2 := f.WithPhase2()
-	leg3 := plan(pDst, dst)
+	leg3 := b.path(d.topo, pDst, dst, d.step())
 	if len(leg3) == 1 {
 		b.addEject(pDst, prev, f2, 1)
 		return
@@ -209,19 +204,17 @@ func (o *O1Turn) Name() string { return "o1turn" }
 // Adaptive implements Algorithm.
 func (o *O1Turn) Adaptive() bool { return false }
 
-// FlowEntries implements Algorithm: the union of the XY and YX paths'
+// Routes implements Algorithm: the union of the XY and YX paths'
 // entries, each weighted 1/2 (they merge into weight-1 entries wherever
 // the paths coincide; compare paper Fig 3b).
-func (o *O1Turn) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+func (o *O1Turn) Routes(f noc.FlowID, b *builder) {
 	src, dst := f.Src(), f.Dst()
 	if src == dst {
 		b.addEject(src, src, f, 1)
-		return b.finish()
+		return
 	}
-	b.addPath(xyPath(o.topo, src, dst), src, f, 0.5)
-	b.addPath(yxPath(o.topo, src, dst), src, f, 0.5)
-	return b.finish()
+	b.addPath(b.path(o.topo, src, dst, xyNext), src, f, 0.5)
+	b.addPath(b.path(o.topo, src, dst, yxNext), src, f, 0.5)
 }
 
 // Class implements Algorithm: hops on the XY subroute use the low VC set,

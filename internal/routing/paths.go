@@ -47,36 +47,6 @@ func yxNext(t mesh, v, dst noc.NodeID) noc.NodeID {
 	return v
 }
 
-// xyPath returns the inclusive x-first path from a to b within one layer.
-func xyPath(t mesh, a, b noc.NodeID) []noc.NodeID {
-	path := []noc.NodeID{a}
-	v := a
-	for v != b {
-		n := xyNext(t, v, b)
-		if n == v {
-			panicf("routing: xyPath stuck at %d toward %d", v, b)
-		}
-		path = append(path, n)
-		v = n
-	}
-	return path
-}
-
-// yxPath returns the inclusive y-first path from a to b within one layer.
-func yxPath(t mesh, a, b noc.NodeID) []noc.NodeID {
-	path := []noc.NodeID{a}
-	v := a
-	for v != b {
-		n := yxNext(t, v, b)
-		if n == v {
-			panicf("routing: yxPath stuck at %d toward %d", v, b)
-		}
-		path = append(path, n)
-		v = n
-	}
-	return path
-}
-
 // onXYPath reports whether node v lies on the x-first path from s to d.
 func onXYPath(t mesh, s, d, v noc.NodeID) bool {
 	sx, sy := t.XY(s)
@@ -119,51 +89,50 @@ type ringLeg struct {
 }
 
 // ringLegsX returns the candidate x-dimension legs from a toward column
-// bx on a torus row, one per direction when distances tie.
-func ringLegsX(t mesh, a noc.NodeID, bx int) []ringLeg {
+// bx on a torus row, one per direction when distances tie, in legs and
+// their paths in b's node scratch.
+func ringLegsX(b *builder, legs *[2]ringLeg, t mesh, a noc.NodeID, bx int) []ringLeg {
 	ax, ay := t.XY(a)
-	w := t.Width
-	return ringLegs(ax, bx, w, func(x int) noc.NodeID { return t.NodeAt(x, ay) })
+	return ringLegs(b, legs, ax, bx, t.Width, func(x int) noc.NodeID { return t.NodeAt(x, ay) })
 }
 
 // ringLegsY is the y-dimension counterpart.
-func ringLegsY(t mesh, a noc.NodeID, by int) []ringLeg {
+func ringLegsY(b *builder, legs *[2]ringLeg, t mesh, a noc.NodeID, by int) []ringLeg {
 	ax, ay := t.XY(a)
-	h := t.Height
-	return ringLegs(ay, by, h, func(y int) noc.NodeID { return t.NodeAt(ax, y) })
+	return ringLegs(b, legs, ay, by, t.Height, func(y int) noc.NodeID { return t.NodeAt(ax, y) })
 }
 
-// ringLegs computes the shortest traversal(s) from index a to index b on
+// ringLegs computes the shortest traversal(s) from index a to index z on
 // a ring of size n; node converts a ring index to a NodeID. The dateline
 // is the wrap edge between index n-1 and index 0.
-func ringLegs(a, b, n int, node func(int) noc.NodeID) []ringLeg {
-	if a == b {
-		return []ringLeg{{path: []noc.NodeID{node(a)}, dateline: -1}}
-	}
-	fwd := (b - a + n) % n // steps in +1 direction
-	bwd := (a - b + n) % n // steps in -1 direction
-	var legs []ringLeg
+func ringLegs(b *builder, legs *[2]ringLeg, a, z, n int, node func(int) noc.NodeID) []ringLeg {
+	fwd := (z - a + n) % n // steps in +1 direction
+	bwd := (a - z + n) % n // steps in -1 direction
 	build := func(dir, steps int) ringLeg {
 		leg := ringLeg{dateline: -1}
+		start := len(b.nodes)
 		idx := a
-		leg.path = append(leg.path, node(idx))
+		b.nodes = append(b.nodes, node(idx))
 		for s := 0; s < steps; s++ {
 			next := (idx + dir + n) % n
 			if (dir == 1 && idx == n-1) || (dir == -1 && idx == 0) {
 				leg.dateline = s
 			}
-			leg.path = append(leg.path, node(next))
+			b.nodes = append(b.nodes, node(next))
 			idx = next
 		}
+		leg.path = b.nodes[start:len(b.nodes):len(b.nodes)]
 		return leg
 	}
 	switch {
-	case fwd < bwd:
-		legs = append(legs, build(1, fwd))
+	case fwd < bwd || fwd == 0: // fwd == 0: a is z, a leg of no step
+		legs[0] = build(1, fwd)
+		return legs[:1]
 	case bwd < fwd:
-		legs = append(legs, build(-1, bwd))
-	default:
-		legs = append(legs, build(1, fwd), build(-1, bwd))
+		legs[0] = build(-1, bwd)
+		return legs[:1]
 	}
-	return legs
+	legs[0] = build(1, fwd)
+	legs[1] = build(-1, bwd)
+	return legs[:2]
 }

@@ -40,17 +40,16 @@ func (p *PROM) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, ne
 	return ClassNonEscape
 }
 
-// FlowEntries implements Algorithm: for every node in the minimal
+// Routes implements Algorithm: for every node in the minimal
 // rectangle and every neighbour a minimal route arrives from, weighted
 // productive next hops; weights count the minimal paths remaining beyond
 // each candidate hop.
-func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+func (p *PROM) Routes(f noc.FlowID, b *builder) {
 	t := p.topo
 	src, dst := f.Src(), f.Dst()
 	if src == dst {
 		b.addEject(src, src, f, 1)
-		return b.finish()
+		return
 	}
 	sx, sy := t.XY(src)
 	dx, dy := t.XY(dst)
@@ -69,7 +68,8 @@ func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
 			v := t.NodeAt(x, y)
 			remX := absInt(dx - x)
 			remY := absInt(dy - y)
-			for _, prev := range minimalPrevs(t, src, v, stepX, stepY) {
+			var prevs [2]noc.NodeID
+			for _, prev := range minimalPrevs(prevs[:0], t, src, v, stepX, stepY) {
 				if v == dst {
 					b.addEject(v, prev, f, 1)
 					continue
@@ -85,18 +85,16 @@ func (p *PROM) FlowEntries(f noc.FlowID) FlowRoutes {
 			}
 		}
 	}
-	return b.finish()
 }
 
-// minimalPrevs returns the nodes a minimal route from src can reach v from,
-// one table line each: src itself when v is the source (local injection),
-// and the neighbour one step back toward src in each dimension v lies away
-// from src in (steps are the signed directions from src toward the
-// destination).
-func minimalPrevs(t mesh, src, v noc.NodeID, stepX, stepY int) []noc.NodeID {
+// minimalPrevs appends to prevs the nodes a minimal route from src can
+// reach v from, one table line each: src itself when v is the source
+// (local injection), and the neighbour one step back toward src in each
+// dimension v lies away from src in (steps are the signed directions from
+// src toward the destination). There are at most two.
+func minimalPrevs(prevs []noc.NodeID, t mesh, src, v noc.NodeID, stepX, stepY int) []noc.NodeID {
 	sx, sy := t.XY(src)
 	x, y := t.XY(v)
-	var prevs []noc.NodeID
 	if v == src {
 		prevs = append(prevs, v)
 	}

@@ -9,6 +9,14 @@
 // forwarding entry is linked to the line its next hop routes by
 // (noc.RouteEntry.Then), and flows that take the same hop toward the same
 // destination share that line.
+//
+// An algorithm builds a flow by emitting entries into a builder the store
+// lends it (Algorithm.Routes). Entries a flow emits more than once for one
+// line and one next hop merge into one entry whose weight is their sum,
+// taken in emission order; a line's entries are ordered by next hop, then
+// phase bit. The builder is a flat list of records that the store reuses
+// from flow to flow, so once its scratch is warm a flow's build allocates
+// nothing but the lines the store keeps.
 package routing
 
 import (
@@ -25,10 +33,6 @@ type EntryKey struct {
 	Node, Prev noc.NodeID
 	Flow       noc.FlowID
 }
-
-// FlowRoutes is the complete distributed routing state for one base flow:
-// every table line at every node the flow can visit, in every phase.
-type FlowRoutes map[EntryKey][]noc.RouteEntry
 
 // Class partitions virtual channels for deadlock avoidance. The VC
 // allocator maps classes onto concrete VC indices.
@@ -49,15 +53,19 @@ const (
 	ClassNonEscape
 )
 
-// Algorithm is a routing scheme: it can materialize the complete table
-// content for a flow, classify hops onto VC classes, and declare whether
-// next-hop selection should be congestion-driven (adaptive) rather than
+// Algorithm is a routing scheme: it can emit the complete table content
+// for a flow, classify hops onto VC classes, and declare whether next-hop
+// selection should be congestion-driven (adaptive) rather than
 // weight-sampled.
 type Algorithm interface {
 	Name() string
-	// FlowEntries builds all table lines for base flow f (f has no phase
-	// bit set). Implementations must be pure: same flow, same result.
-	FlowEntries(f noc.FlowID) FlowRoutes
+	// Routes emits every table line of base flow f (f has no phase bit
+	// set) into b, through b's add, addEject, addPath and addRingLegReset;
+	// b is empty on entry and belongs to the caller. The builder merges
+	// repeated entries by summing their weights in emission order and
+	// orders a line's entries by next hop, then phase bit. Implementations
+	// must be pure: same flow, same emissions in the same order.
+	Routes(f noc.FlowID, b *builder)
 	// Class returns the VC class for a hop from node toward next, given
 	// the arriving and departing flow IDs.
 	Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, nextFlow noc.FlowID) Class
@@ -81,6 +89,7 @@ type Tables struct {
 	mu    sync.Mutex
 	first map[noc.FlowID]*noc.RouteLine // base flow -> first-hop line; nil: the flow has no route
 	lines lineSet
+	idle  []*builder // builders no build holds: one per thread that built at once, at most
 }
 
 // NewTables wraps an algorithm in a shared lazy table store.
@@ -89,9 +98,7 @@ func NewTables(alg Algorithm) *Tables {
 }
 
 // firstLine returns base's first-hop line, building base's table on first
-// use. The algorithm runs outside the lock; two threads that build the
-// same flow at once would intern the same lines, and the second finds the
-// first's published.
+// use.
 func (t *Tables) firstLine(base noc.FlowID) *noc.RouteLine {
 	t.mu.Lock()
 	l, ok := t.first[base]
@@ -99,82 +106,40 @@ func (t *Tables) firstLine(base noc.FlowID) *noc.RouteLine {
 	if ok {
 		return l
 	}
-	routes := t.alg.FlowEntries(base)
+	return t.build(base)
+}
+
+// build builds base's table and returns its first-hop line. The algorithm
+// runs, and its records are grouped, outside the lock, in a builder taken
+// from the idle list, so two threads build two flows at once; two threads
+// that build the same flow at once would intern the same lines, and the
+// second finds the first's published.
+func (t *Tables) build(base noc.FlowID) *noc.RouteLine {
+	t.mu.Lock()
+	var b *builder
+	if n := len(t.idle); n > 0 {
+		b, t.idle = t.idle[n-1], t.idle[:n-1]
+	} else {
+		b = new(builder)
+	}
+	t.mu.Unlock()
+	b.build(t.alg, base)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if l, ok := t.first[base]; ok {
-		return l
+	l, ok := t.first[base]
+	if !ok {
+		l = b.intern(&t.lines, base)
+		t.first[base] = l
 	}
-	in := interning{base: base, routes: routes, set: &t.lines, done: make(map[EntryKey]*noc.RouteLine, len(routes))}
-	for k := range routes {
-		if k.Flow.Base() != base {
-			panicf("routing: flow %v has a table line for flow %v", base, k.Flow)
-		}
-		in.line(k)
-	}
-	src := base.Src()
-	l = in.done[EntryKey{Node: src, Prev: src, Flow: base}]
-	t.first[base] = l
+	t.idle = append(t.idle, b)
 	return l
-}
-
-// interning canonicalizes one flow's routes children-first: a line is
-// interned once the lines its entries link are, so its content — entries'
-// Next, phase bit, Weight and linked line — names it completely.
-type interning struct {
-	base   noc.FlowID
-	routes FlowRoutes
-	set    *lineSet
-	done   map[EntryKey]*noc.RouteLine // nil while the key's children are interned
-	buf    []noc.RouteEntry
-}
-
-// line returns the interned line at k, interning its children first. Every
-// forwarding entry links the line at <entry.Next, k.Node, leaving flow>, or
-// nil if the flow has none there (the router reports "no route" if a flit
-// ever gets that far). A key met again while its children are interned is a
-// cycle: no algorithm builds one, and config rejects the static paths that
-// would.
-func (in *interning) line(k EntryKey) *noc.RouteLine {
-	if l, ok := in.done[k]; ok {
-		if l == nil {
-			panicf("routing: flow %v: its table lines loop through <%d, %d, %v>", in.base, k.Node, k.Prev, k.Flow)
-		}
-		return l
-	}
-	in.done[k] = nil
-	es := in.routes[k]
-	for _, e := range es {
-		if next, ok := in.next(k, e); ok {
-			in.line(next)
-		}
-	}
-	start := len(in.buf)
-	for _, e := range es {
-		if next, ok := in.next(k, e); ok {
-			e.Then = in.done[next]
-		}
-		in.buf = append(in.buf, e)
-	}
-	l := in.set.intern(in.buf[start:])
-	in.buf = in.buf[:start]
-	in.done[k] = l
-	return l
-}
-
-// next returns the key of the line e's next router routes by, unless e
-// ejects or the flow has no line there.
-func (in *interning) next(k EntryKey, e noc.RouteEntry) (EntryKey, bool) {
-	next := EntryKey{Node: e.Next, Prev: k.Node, Flow: e.NextFlow(k.Flow)}
-	_, ok := in.routes[next]
-	return next, ok && e.Next != k.Node
 }
 
 // line returns the line at node for a flow arriving from prev, or nil if
 // the algorithm never routes that flow through it. A flow's first hop is
 // one map read; any other line is found by walking the flow's lines from
-// its first hop along Then, carrying each line's node (find).
-func (t *Tables) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
+// its first hop along Then, carrying each line's node, in w's scratch.
+func (t *Tables) line(node, prev noc.NodeID, flow noc.FlowID, w *walk) *noc.RouteLine {
 	first := t.firstLine(flow.Base())
 	src := flow.Src()
 	if node == src && prev == src && !flow.Phase2() {
@@ -183,24 +148,37 @@ func (t *Tables) line(node, prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
 	if first == nil {
 		return nil
 	}
-	return find(first, src, node, prev, flow.Phase2())
+	return w.find(first, src, node, prev, flow.Phase2())
+}
+
+// walk is the scratch of find, reused from walk to walk by one thread.
+type walk struct {
+	stack []lineAt
+	seen  map[lineAt]struct{}
+}
+
+// lineAt is a line reached at a node.
+type lineAt struct {
+	node noc.NodeID
+	line *noc.RouteLine
 }
 
 // find walks a flow's lines from its first-hop line at src along Then to
 // the line at node for the flow arriving from prev in the given phase, or
 // nil if the walk never reaches it. A line reached at one node links the
 // same lines whichever way it was reached, so each (node, line) is expanded
-// once: the walk costs the flow's line count, not its path count.
-func find(first *noc.RouteLine, src, node, prev noc.NodeID, phase2 bool) *noc.RouteLine {
-	type at struct {
-		node noc.NodeID
-		line *noc.RouteLine
+// once: the walk costs the flow's line count, not its path count. Once w
+// has held as many lines as a walk reaches, the walk allocates nothing.
+func (w *walk) find(first *noc.RouteLine, src, node, prev noc.NodeID, phase2 bool) *noc.RouteLine {
+	if w.seen == nil {
+		w.seen = make(map[lineAt]struct{})
 	}
-	stack := []at{{src, first}}
-	seen := map[at]bool{stack[0]: true}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	clear(w.seen)
+	w.stack = append(w.stack[:0], lineAt{src, first})
+	w.seen[lineAt{src, first}] = struct{}{}
+	for len(w.stack) > 0 {
+		cur := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
 		for i := range cur.line.Entries {
 			e := &cur.line.Entries[i]
 			if e.Next == cur.node || e.Then == nil {
@@ -209,9 +187,10 @@ func find(first *noc.RouteLine, src, node, prev noc.NodeID, phase2 bool) *noc.Ro
 			if cur.node == prev && e.Next == node && e.Phase2 == phase2 {
 				return e.Then
 			}
-			if next := (at{e.Next, e.Then}); !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
+			next := lineAt{e.Next, e.Then}
+			if _, ok := w.seen[next]; !ok {
+				w.seen[next] = struct{}{}
+				w.stack = append(w.stack, next)
 			}
 		}
 	}
@@ -222,7 +201,7 @@ func find(first *noc.RouteLine, src, node, prev noc.NodeID, phase2 bool) *noc.Ro
 // from prev, or nil if the algorithm never routes that flow through that
 // table line (a configuration or builder bug, which the router reports).
 func (t *Tables) Lookup(node, prev noc.NodeID, flow noc.FlowID) []noc.RouteEntry {
-	if l := t.line(node, prev, flow); l != nil {
+	if l := t.line(node, prev, flow, new(walk)); l != nil {
 		return l.Entries
 	}
 	return nil
@@ -242,9 +221,10 @@ const recentLines = 64
 // for the line of a flit that carries none — mostly a packet's first hop —
 // and it is only queried from its node's worker thread, so it keeps the
 // lines it served last in a direct-mapped cache keyed by prev<<32|flow;
-// the lines are the shared store's own. Without the cache the 8x8 uniform
-// mesh ran ~3 % slower per tile-cycle (BenchmarkUniformMeshCycle, 12 of 16
-// alternating pairs).
+// the lines are the shared store's own, and it walks to a line off a
+// flow's first hop (find) in scratch of its own. Without the cache the 8x8
+// uniform mesh ran ~3 % slower per tile-cycle (BenchmarkUniformMeshCycle,
+// 12 of 16 alternating pairs).
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID
@@ -252,6 +232,7 @@ type nodeTable struct {
 		key  uint64         // prev<<32|flow
 		line *noc.RouteLine // nil: the slot is empty
 	}
+	walk walk
 }
 
 func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
@@ -261,7 +242,7 @@ func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
 	// 14 bits above the destination).
 	e := &nt.recent[(uint32(flow)^uint32(flow)>>14^uint32(prev)*5)%recentLines]
 	if e.key != key || e.line == nil {
-		e.key, e.line = key, nt.tables.line(nt.node, prev, flow)
+		e.key, e.line = key, nt.tables.line(nt.node, prev, flow, &nt.walk)
 	}
 	return e.line
 }
@@ -270,92 +251,6 @@ func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
 func (nt *nodeTable) Line(id uint32) *noc.RouteLine { return nt.tables.lines.line(id) }
 
 func (nt *nodeTable) Adaptive() bool { return nt.tables.alg.Adaptive() }
-
-// builder accumulates weighted table lines with entry deduplication
-// (same key and same target merge by summing weights, which is how
-// two-phase schemes express "several routes, one table entry", §II-A2).
-type builder struct {
-	acc map[EntryKey]map[target]float64
-}
-
-type target struct {
-	next     noc.NodeID
-	nextFlow noc.FlowID
-}
-
-func newBuilder() *builder {
-	return &builder{acc: make(map[EntryKey]map[target]float64)}
-}
-
-func (b *builder) add(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, nextFlow noc.FlowID, w float64) {
-	if nextFlow.Base() != flow.Base() {
-		panicf("routing: flow %v renamed to %v: renaming may change only the phase bit", flow, nextFlow)
-	}
-	k := EntryKey{Node: node, Prev: prev, Flow: flow}
-	m := b.acc[k]
-	if m == nil {
-		m = make(map[target]float64)
-		b.acc[k] = m
-	}
-	m[target{next: next, nextFlow: nextFlow}] += w
-}
-
-// addEject records delivery at node (Next == node means "eject here").
-func (b *builder) addEject(node, prev noc.NodeID, flow noc.FlowID, w float64) {
-	b.add(node, prev, flow, node, flow.Base(), w)
-}
-
-func (b *builder) finish() FlowRoutes {
-	out := make(FlowRoutes, len(b.acc))
-	for k, m := range b.acc {
-		entries := make([]noc.RouteEntry, 0, len(m))
-		// Deterministic order: sort targets so parallel builds and
-		// repeated runs produce identical entry slices (the router's
-		// weighted pick indexes into this slice).
-		keys := make([]target, 0, len(m))
-		for t := range m {
-			keys = append(keys, t)
-		}
-		sortTargets(keys)
-		for _, t := range keys {
-			entries = append(entries, noc.RouteEntry{Next: t.next, Phase2: t.nextFlow.Phase2(), Weight: m[t]})
-		}
-		out[k] = entries
-	}
-	return out
-}
-
-func sortTargets(ts []target) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && lessTarget(ts[j], ts[j-1]); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}
-
-func lessTarget(a, b target) bool {
-	if a.next != b.next {
-		return a.next < b.next
-	}
-	return a.nextFlow < b.nextFlow
-}
-
-// addPath records a deterministic path (inclusive of both endpoints) for
-// flow f with the given weight: forwarding entries at every hop and an
-// ejection entry at the end. prev0 seeds the first key (the source itself
-// for injected packets, or the upstream node when the path is a
-// continuation leg).
-func (b *builder) addPath(path []noc.NodeID, prev0 noc.NodeID, f noc.FlowID, w float64) {
-	if len(path) == 0 {
-		return
-	}
-	prev := prev0
-	for i := 0; i < len(path)-1; i++ {
-		b.add(path[i], prev, f, path[i+1], f, w)
-		prev = path[i]
-	}
-	b.addEject(path[len(path)-1], prev, f, w)
-}
 
 func panicf(format string, args ...any) {
 	panic(fmt.Sprintf(format, args...))

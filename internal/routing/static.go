@@ -40,9 +40,8 @@ func (s *Static) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeID, 
 	return ClassAny
 }
 
-// FlowEntries implements Algorithm.
-func (s *Static) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+// Routes implements Algorithm.
+func (s *Static) Routes(f noc.FlowID, b *builder) {
 	// Class bits are ignored for path matching: memory traffic reuses the
 	// same physical routes as class-0 flows between the same endpoints.
 	key := noc.MakeFlow(f.Src(), f.Dst(), 0)
@@ -51,11 +50,10 @@ func (s *Static) FlowEntries(f noc.FlowID) FlowRoutes {
 		if f.Src() == f.Dst() {
 			b.addEject(f.Src(), f.Src(), f, 1)
 		}
-		return b.finish()
+		return
 	}
 	w := 1.0 / float64(len(paths))
 	for _, p := range paths {
 		b.addPath(p, p[0], f, w)
 	}
-	return b.finish()
 }

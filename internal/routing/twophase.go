@@ -48,38 +48,37 @@ func (tp *TwoPhase) Class(node, prev noc.NodeID, flow noc.FlowID, next noc.NodeI
 	return ClassLo
 }
 
-// intermediates returns the candidate intermediate nodes for a flow.
-func (tp *TwoPhase) intermediates(src, dst noc.NodeID) []noc.NodeID {
+// intermediates returns the candidate intermediate nodes for a flow, in
+// b's node scratch.
+func (tp *TwoPhase) intermediates(b *builder, src, dst noc.NodeID) []noc.NodeID {
 	t := tp.topo
+	start := len(b.nodes)
 	if tp.valiant {
-		all := make([]noc.NodeID, t.Nodes())
-		for i := range all {
-			all[i] = noc.NodeID(i)
+		for i := 0; i < t.Nodes(); i++ {
+			b.nodes = append(b.nodes, noc.NodeID(i))
 		}
-		return all
-	}
-	sx, sy := t.XY(src)
-	dx, dy := t.XY(dst)
-	x0, x1 := minmax(sx, dx)
-	y0, y1 := minmax(sy, dy)
-	var rect []noc.NodeID
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			rect = append(rect, t.NodeAt(x, y))
+	} else {
+		sx, sy := t.XY(src)
+		dx, dy := t.XY(dst)
+		x0, x1 := minmax(sx, dx)
+		y0, y1 := minmax(sy, dy)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				b.nodes = append(b.nodes, t.NodeAt(x, y))
+			}
 		}
 	}
-	return rect
+	return b.nodes[start:len(b.nodes):len(b.nodes)]
 }
 
-// FlowEntries implements Algorithm.
-func (tp *TwoPhase) FlowEntries(f noc.FlowID) FlowRoutes {
-	b := newBuilder()
+// Routes implements Algorithm.
+func (tp *TwoPhase) Routes(f noc.FlowID, b *builder) {
 	src, dst := f.Src(), f.Dst()
 	if src == dst {
 		b.addEject(src, src, f, 1)
-		return b.finish()
+		return
 	}
-	inters := tp.intermediates(src, dst)
+	inters := tp.intermediates(b, src, dst)
 	w := 1.0 / float64(len(inters))
 	f2 := f.WithPhase2()
 	for _, m := range inters {
@@ -87,15 +86,15 @@ func (tp *TwoPhase) FlowEntries(f noc.FlowID) FlowRoutes {
 		case dst:
 			// Phase 1 runs all the way to the destination; the packet is
 			// delivered there still under its original flow ID.
-			b.addPath(xyPath(tp.topo, src, dst), src, f, w)
+			b.addPath(b.path(tp.topo, src, dst, xyNext), src, f, w)
 		case src:
 			// The packet starts in phase 2 immediately: the source table
 			// line renames the flow on its first hop.
-			p2 := xyPath(tp.topo, src, dst)
+			p2 := b.path(tp.topo, src, dst, xyNext)
 			b.add(src, src, f, p2[1], f2, w)
 			b.addPath(p2[1:], src, f2, w)
 		default:
-			p1 := xyPath(tp.topo, src, m)
+			p1 := b.path(tp.topo, src, m, xyNext)
 			prev := src
 			for i := 0; i < len(p1)-2; i++ {
 				b.add(p1[i], prev, f, p1[i+1], f, w)
@@ -103,13 +102,12 @@ func (tp *TwoPhase) FlowEntries(f noc.FlowID) FlowRoutes {
 			}
 			// Renaming entry at the intermediate node m: forward into
 			// phase 2 under the renamed flow.
-			p2 := xyPath(tp.topo, m, dst)
+			p2 := b.path(tp.topo, m, dst, xyNext)
 			b.add(p1[len(p1)-2], prev, f, m, f, w)
 			b.add(m, p1[len(p1)-2], f, p2[1], f2, w)
 			b.addPath(p2[1:], m, f2, w)
 		}
 	}
-	return b.finish()
 }
 
 func minmax(a, b int) (int, int) {
