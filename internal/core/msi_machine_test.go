@@ -188,15 +188,16 @@ func TestMSIMachineSteadyStateAllocs(t *testing.T) {
 // one b.N is one simulated cycle of all 16 tiles after a 50 000-cycle
 // warm-up (`make profile-msi`).
 func BenchmarkMSIMachineCycle(b *testing.B) {
-	sys, _, _ := buildMSIMachine(b)
-	sys.Run(50_000)
-	cycle := sys.Clock()
-	tiles := sys.Tiles()
+	m := warm(b, func() *warmMachine {
+		sys, _, _ := buildMSIMachine(b)
+		sys.Run(50_000)
+		return &warmMachine{sys: sys, cycle: sys.Clock()}
+	})
+	tiles := m.sys.Tiles()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stepTiles(tiles, cycle)
-		cycle++
+		stepTiles(tiles, m.cycle)
+		m.cycle++
 	}
-	profiled = sys
 }

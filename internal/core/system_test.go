@@ -447,10 +447,32 @@ func TestBuildAllocatesPerRouterNotPerVC(t *testing.T) {
 	}
 }
 
-// profiled keeps the machine a profiled benchmark ran reachable after it
-// returns: the test binary writes its heap profile only after every
-// benchmark, and the profile targets' inuse_space top reads it there.
-var profiled *System
+// warmMachine is a profiled benchmark's machine and, for one stepped tile by
+// tile, the next cycle to step.
+type warmMachine struct {
+	sys   *System
+	cycle uint64
+}
+
+// warmed holds each profiled benchmark's machine, built and warmed on the
+// benchmark's first call: the testing package calls a benchmark at b.N=1
+// before the call it times, and a build in each call would count every
+// build-time allocation twice in the profiles. It also keeps the machines
+// reachable after the benchmarks return: the test binary writes its heap
+// profile only after every benchmark, and the profile targets'
+// inuse_space top reads them there.
+var warmed = map[string]*warmMachine{}
+
+// warm returns the calling benchmark's machine, building it with build on
+// the first call.
+func warm(b *testing.B, build func() *warmMachine) *warmMachine {
+	m := warmed[b.Name()]
+	if m == nil {
+		m = build()
+		warmed[b.Name()] = m
+	}
+	return m
+}
 
 // BenchmarkUniformMeshCycle is the benchmark's mesh8-serial machine under
 // the profiler (`make profile-mesh8`): 8x8, uniform traffic at 0.05, one
@@ -458,23 +480,25 @@ var profiled *System
 // 20 000-cycle warm-up. One b.N is one simulated cycle of all 64 tiles; it
 // reports host time per tile-cycle.
 func BenchmarkUniformMeshCycle(b *testing.B) {
-	cfg := config.Default()
-	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.05}}
-	cfg.Engine = config.EngineConfig{Workers: 1, SyncPeriod: 1, Seed: 1}
-	sys, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.AttachSyntheticTraffic(); err != nil {
-		b.Fatal(err)
-	}
-	sys.Run(20_000)
+	sys := warm(b, func() *warmMachine {
+		cfg := config.Default()
+		cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternUniform, InjectionRate: 0.05}}
+		cfg.Engine = config.EngineConfig{Workers: 1, SyncPeriod: 1, Seed: 1}
+		sys, err := New(cfg)
+		if err == nil {
+			err = sys.AttachSyntheticTraffic()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(20_000)
+		return &warmMachine{sys: sys}
+	}).sys
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Run(uint64(b.N))
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cfg.Topology.Nodes())), "ns/tile-cycle")
-	profiled = sys
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(sys.Tiles()))), "ns/tile-cycle")
 }
 
 // BenchmarkSaturatedMeshCycle is the 1000-core point under the profiler
@@ -483,25 +507,27 @@ func BenchmarkUniformMeshCycle(b *testing.B) {
 // 1 000-cycle warm-up. One b.N is one simulated cycle of all 1024 tiles; it
 // reports host time and buffer reads (flit moves) per tile-cycle.
 func BenchmarkSaturatedMeshCycle(b *testing.B) {
-	cfg := config.Default()
-	cfg.Topology.Width, cfg.Topology.Height = 32, 32
-	cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternShuffle, InjectionRate: 0.02}}
-	cfg.Engine = config.EngineConfig{Workers: 2, SyncPeriod: 1, Seed: 1}
-	sys, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.AttachSyntheticTraffic(); err != nil {
-		b.Fatal(err)
-	}
-	sys.Run(1_000)
+	sys := warm(b, func() *warmMachine {
+		cfg := config.Default()
+		cfg.Topology.Width, cfg.Topology.Height = 32, 32
+		cfg.Traffic = []config.TrafficConfig{{Pattern: config.PatternShuffle, InjectionRate: 0.02}}
+		cfg.Engine = config.EngineConfig{Workers: 2, SyncPeriod: 1, Seed: 1}
+		sys, err := New(cfg)
+		if err == nil {
+			err = sys.AttachSyntheticTraffic()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(1_000)
+		return &warmMachine{sys: sys}
+	}).sys
 	reads := sys.Summary().BufReads
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Run(uint64(b.N))
 	b.StopTimer()
-	tileCycles := float64(b.N) * float64(cfg.Topology.Nodes())
+	tileCycles := float64(b.N) * float64(len(sys.Tiles()))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tileCycles, "ns/tile-cycle")
 	b.ReportMetric(float64(sys.Summary().BufReads-reads)/tileCycles, "bufreads/tile-cycle")
-	profiled = sys
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // Receiver consumes packets delivered to a node's local (CPU) port after
-// flit reassembly. Implementations run on the owning tile's thread.
+// flit reassembly. Implementations run on the worker stepping the owning
+// tile (one worker at a time, handed over only at the barrier).
 type Receiver interface {
 	ReceivePacket(p Packet, cycle uint64)
 }
@@ -234,9 +235,10 @@ type assembling struct {
 }
 
 // Router is a cycle-level model of one ingress-queued wormhole VC router.
-// All methods are called from the owning tile's worker thread only; the
-// ingress VC buffers and the credit words of the egress records are the
-// only cross-thread touch points.
+// All methods are called by the worker stepping the owning tile — one
+// worker at a time, handed over only at the barrier; the ingress VC buffers
+// and the credit words of the egress records are the only cross-thread
+// touch points.
 type Router struct {
 	// What every cycle touches, even an idle one, comes first: an idle
 	// cycle reads occ's one word, the injection queue's bounds, two flags

@@ -48,8 +48,9 @@ type RouteLine struct {
 // addressed by the incoming direction and flow ID, exactly as in the
 // paper: <prev_node_id, flow_id> -> {<next_node_id, next_flow_id, weight>...}.
 //
-// A table is owned by a single node and is only queried from that node's
-// worker thread, so implementations need no internal locking. Flits carry
+// A table is owned by a single node and is only queried by the worker
+// stepping that node — one worker at a time, handed over only at the
+// barrier — so implementations need no internal locking. Flits carry
 // the numbers of the lines it returns to routers on other threads, so a
 // line must never change once Lookup has returned it.
 type RouteTable interface {

@@ -31,7 +31,8 @@ type SimProbe struct {
 	parts []*PartitionProbe
 }
 
-// PartitionProbe accumulates one engine worker's timing split. The
+// PartitionProbe accumulates one engine worker's timing split (compute
+// includes chunks it took over from other spans). The
 // engine holds the pointer for a whole run, so per-cycle updates are
 // two atomic adds, no map lookups and no allocation.
 type PartitionProbe struct {
@@ -61,9 +62,12 @@ func (p *PartitionProbe) AddBarrier(d time.Duration, parked bool) {
 // process or in two — never pass for one probe's.
 func NewSimProbe() *SimProbe { return &SimProbe{id: rand.Uint64N(1 << 53)} }
 
-// Partition returns the accumulator for engine worker w of n, owning
-// tiles [lo,hi). Called once per worker per Run (not per cycle); the
-// slice grows lazily and accumulators persist across runs.
+// Partition returns the accumulator for engine worker w of n, whose span
+// is tiles [lo,hi). Called once per worker per Run (not per cycle); the
+// slice grows lazily and accumulators persist across runs. At sync period
+// 1 a worker that finishes its span steps chunks of the others', so its
+// compute time includes the chunks it took over and [lo,hi) is where it
+// started, not every tile it stepped.
 func (p *SimProbe) Partition(w, n, lo, hi int) *PartitionProbe {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -35,8 +35,9 @@ type Sample struct {
 // TotalW returns dynamic plus leakage power.
 func (s Sample) TotalW() float64 { return s.DynamicW + s.LeakageW }
 
-// Model accumulates per-tile, per-epoch power. Each tile samples from its
-// own worker thread into its own series; readers aggregate after the run.
+// Model accumulates per-tile, per-epoch power. Each tile samples into its
+// own series from the worker stepping it (one worker at a time, handed over
+// only at the barrier); readers aggregate after the run.
 type Model struct {
 	cfg    config.PowerConfig
 	tiles  int
@@ -58,7 +59,7 @@ func New(cfg config.PowerConfig, tiles int) *Model {
 func (m *Model) EpochCycles() uint64 { return uint64(m.cfg.EpochCycles) }
 
 // Sample folds a tile's cumulative counters at an epoch boundary into a
-// power sample. Must be called from the tile's own worker thread.
+// power sample. Must be called by the worker stepping the tile.
 func (m *Model) Sample(tile int, now EventCounts, cycle uint64) {
 	prev := m.last[tile]
 	m.last[tile] = now

@@ -219,8 +219,9 @@ const recentLines = 64
 
 // nodeTable is one node's view of the shared store. A router asks it only
 // for the line of a flit that carries none — mostly a packet's first hop —
-// and it is only queried from its node's worker thread, so it keeps the
-// lines it served last in a direct-mapped cache keyed by prev<<32|flow;
+// and it is only queried by the worker stepping its node (one worker at a
+// time, handed over only at the barrier), so it keeps the lines it served
+// last in a direct-mapped cache keyed by prev<<32|flow;
 // the lines are the shared store's own, and it walks to a line off a
 // flow's first hop (find) in scratch of its own. Without the cache the 8x8
 // uniform mesh ran ~3 % slower per tile-cycle (BenchmarkUniformMeshCycle,

@@ -6,6 +6,9 @@
 // synchronization chunk — one barrier per cycle when cycle-accurate
 // (sync period 1), one per period when loosely synchronized — plus
 // fast-forwarding over provably idle stretches (paper §II-C, §IV-B).
+// Cycle-accurate workers claim a cycle's tiles in small chunks and, once
+// their own span is done, take over the tail of a slower one, so a tile is
+// stepped by one worker at a time, handed over only at the barrier.
 package sim
 
 import (
@@ -28,9 +31,10 @@ const NoEvent = ^uint64(0)
 // PhaseTransfer (positive edge: compute and hand off flits; effects are
 // stamped to become visible next cycle) and PhaseCommit (negative edge:
 // make written state visible, fold statistics) exactly once per simulated
-// cycle, in that order. A tile is only ever stepped by one worker thread,
-// but its ingress buffers may be written concurrently by neighbouring
-// tiles' PhaseTransfer, and a tile on another worker may run its
+// cycle, in that order, and both phases of a cycle on the same worker. A
+// tile is stepped by one worker at a time, handed over only at the
+// barrier, but its ingress buffers may be written concurrently by
+// neighbouring tiles' PhaseTransfer, and any other tile may run its
 // PhaseCommit of a cycle before this tile's PhaseTransfer of the same
 // cycle: whatever a tile writes for another in either phase must be
 // readable only from the next cycle on.
@@ -66,12 +70,16 @@ type RunResult struct {
 // tile (or the sync-point action) panicked on an engine worker.
 type PanicError struct {
 	Worker int    // index of the worker that panicked
+	Tile   int    // index of the tile whose step panicked; -1 for the sync-point action
 	Value  any    // the value passed to panic
 	Stack  []byte // the panicking goroutine's stack
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("sim: engine worker %d panicked: %v", e.Worker, e.Value)
+	if e.Tile < 0 {
+		return fmt.Sprintf("sim: engine worker %d panicked: %v", e.Worker, e.Value)
+	}
+	return fmt.Sprintf("sim: engine worker %d panicked stepping tile %d: %v", e.Worker, e.Tile, e.Value)
 }
 
 func (r RunResult) String() string {
@@ -119,6 +127,10 @@ type Engine struct {
 
 	// barrier is the current run's, met once per synchronization chunk.
 	barrier *Barrier
+
+	// claims holds one claim word per worker span while workers steal
+	// (sync period 1, two or more workers); see spanClaims.
+	claims []spanClaims
 
 	// sampler, when non-nil, is invoked by the barrier leader every
 	// sampleEvery cycles (and at the final sync point of each run) while
@@ -241,7 +253,11 @@ func (e *Engine) Workers() int { return e.workers }
 // partition returns the contiguous tile span [lo,hi) owned by worker w
 // within the engine's own span. Contiguous blocks keep neighbouring mesh
 // tiles on the same worker, which is what HORNET's equal-division mapping
-// does.
+// does. At sync period 1 the span is only where the worker starts: a
+// worker that finishes its span takes chunks off the tail of another's
+// (spanClaims), so a tile is stepped by one worker at a time, handed over
+// only at the barrier. Loosely synchronized workers keep their spans: one
+// may be cycles ahead of another, so no chunk of a cycle is free for both.
 func (e *Engine) partition(w int) (lo, hi int) {
 	slo, shi := e.Span()
 	lo, hi = ShardSpan(shi-slo, e.workers, w)
@@ -368,23 +384,51 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 		sample(cycleJustFinished)
 	}
 
+	// Cycle-accurate workers steal: every worker is on the same cycle
+	// between two barriers, so a chunk of any span can run on any of them.
+	// A loose chunk runs each span in lockstep on its own worker instead.
+	steal := e.syncPeriod == 1 && e.workers > 1
+	if steal {
+		if len(e.claims) != e.workers {
+			e.claims = make([]spanClaims, e.workers)
+		}
+		for w := range e.claims {
+			lo, hi := e.partition(w)
+			e.claims[w].reset(lo, hi)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// tile is the tile being stepped, -1 outside a step: what a
+			// PanicError names.
+			tile := -1
 			// A panicking tile must not take the process down, nor leave
 			// the other workers waiting at the barrier for this one. The
 			// recover sits outside the cycle loop: the hot path pays
 			// nothing for it.
 			defer func() {
 				if p := recover(); p != nil {
-					e.fail(&PanicError{Worker: w, Value: p, Stack: debug.Stack()})
+					e.fail(&PanicError{Worker: w, Tile: tile, Value: p, Stack: debug.Stack()})
 					e.barrier.Break()
 				}
 			}()
+			step := func(lo, hi int, c uint64) {
+				ts := e.tiles[lo:hi]
+				for i, t := range ts {
+					tile = lo + i
+					t.PhaseTransfer(c)
+				}
+				for i, t := range ts {
+					tile = lo + i
+					t.PhaseCommit(c)
+				}
+				tile = -1
+			}
 			lo, hi := e.partition(w)
-			mine := e.tiles[lo:hi]
 			// The partition accumulator is fetched once per Run (it may
 			// allocate on first use); the per-cycle hot path below only
 			// branches on `part != nil` and does atomic adds.
@@ -393,17 +437,17 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 				part = e.probe.Partition(w, e.workers, lo, hi)
 			}
 			var t0, t1 time.Time
+			var round uint64 // cycles this worker has stepped in this run
 			for {
 				cycle := e.nextCycle.Load()
 				if cycle >= end || e.halted.Load() {
 					return
 				}
 				// Run a synchronization chunk: syncPeriod cycles (or up to
-				// end), keeping same-worker tiles in lockstep per cycle,
-				// then meet the other workers once. Nothing a tile writes
-				// for another is readable before the next cycle, so one
-				// worker's negative edge may run before another's positive
-				// edge of the same cycle.
+				// end), then meet the other workers once. Nothing a tile
+				// writes for another is readable before the next cycle, so
+				// one chunk of tiles' negative edge may run before another
+				// chunk's positive edge of the same cycle.
 				chunkEnd := min(cycle+uint64(e.syncPeriod), end)
 				if part != nil {
 					t0 = time.Now()
@@ -419,11 +463,22 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 					if c > cycle && e.workers > 1 {
 						runtime.Gosched()
 					}
-					for _, t := range mine {
-						t.PhaseTransfer(c)
+					if !steal {
+						step(lo, hi, c)
+						continue
 					}
-					for _, t := range mine {
-						t.PhaseCommit(c)
+					// Own span from the front, then the others' from the
+					// back, until every chunk of the cycle is claimed.
+					round++
+					for v := 0; v < e.workers; v++ {
+						span := &e.claims[(w+v)%e.workers]
+						for {
+							clo, chi, ok := span.take(round, v > 0)
+							if !ok {
+								break
+							}
+							step(clo, chi, c)
+						}
 					}
 				}
 				if w == 0 {
@@ -459,6 +514,75 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 		e.probe.RunDone(res.Cycles, res.SkippedCycles, res.Wall)
 	}
 	return res
+}
+
+// chunkTiles is how many tiles a stealing worker claims at once: small
+// enough that a span that runs slow this cycle sheds its tail to the idle
+// workers, large enough that claims stay rare next to the work. On the
+// 32x32 mesh at two workers 16 measured best; 8 and 32 about the same, 64
+// worse.
+const chunkTiles = 16
+
+// Layout of a claim word: the chunks claimed from the back in the low
+// claimCountBits bits, the chunks claimed from the front above them, and
+// the round tag in the 16 bits from claimTagShift up.
+const (
+	claimCountBits = 24
+	claimCountMask = 1<<claimCountBits - 1
+	claimTagShift  = 2 * claimCountBits
+)
+
+// spanClaims hands out the chunks of one worker span for one cycle. Its
+// word records how many chunks were claimed from each end, tagged with the
+// claimers' round — the number of cycles each worker has stepped in the
+// run, the same on every worker between two barriers. A word written in an
+// earlier round reads as nothing claimed, so no leader resets it: a claim
+// is one compare-and-swap. Every round claims every chunk of every span,
+// so consecutive rounds only have to differ in the tag, and they do.
+type spanClaims struct {
+	word   atomic.Uint64
+	lo, hi int    // the span's tiles
+	chunks uint64 // ceil((hi-lo)/chunkTiles)
+	_      [cacheLine - 32]byte
+}
+
+// reset points the claims at tiles [lo,hi) and forgets every earlier
+// round's; it runs before the run's workers start.
+func (s *spanClaims) reset(lo, hi int) {
+	s.word.Store(0)
+	s.lo, s.hi = lo, hi
+	s.chunks = uint64(hi-lo+chunkTiles-1) / chunkTiles
+	if s.chunks > claimCountMask {
+		panic(fmt.Sprintf("sim: a worker span of %d tiles has more chunks than a claim word counts", hi-lo))
+	}
+}
+
+// take claims round's next unclaimed chunk of the span — from the back for
+// a thief, from the front for the span's own worker — and returns its
+// tiles, or ok false once every chunk of the round is claimed.
+func (s *spanClaims) take(round uint64, thief bool) (lo, hi int, ok bool) {
+	tag := round << claimTagShift
+	for {
+		old := s.word.Load()
+		var front, back uint64
+		if old>>claimTagShift == tag>>claimTagShift {
+			front, back = old>>claimCountBits&claimCountMask, old&claimCountMask
+		}
+		if front+back >= s.chunks {
+			return 0, 0, false
+		}
+		i := front
+		if thief {
+			back++
+			i = s.chunks - back
+		} else {
+			front++
+		}
+		if s.word.CompareAndSwap(old, tag|front<<claimCountBits|back) {
+			lo = s.lo + int(i)*chunkTiles
+			return lo, min(lo+chunkTiles, s.hi), true
+		}
+	}
 }
 
 // decide takes one synchronization-point decision. A sharded engine asks

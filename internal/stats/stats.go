@@ -20,7 +20,8 @@ import (
 const LatencyBuckets = 24
 
 // Tile accumulates statistics for one simulated tile. Not safe for
-// concurrent use: exactly one worker thread touches a given tile.
+// concurrent use: a tile is stepped by one worker at a time, handed over
+// only at the barrier.
 type Tile struct {
 	FlitsInjected    uint64
 	FlitsDelivered   uint64

@@ -63,7 +63,8 @@ type nodeVCA struct {
 	tables *Tables
 	node   noc.NodeID
 	// scratch avoids per-lookup allocation; tables are per-node and only
-	// used from the owning tile's thread.
+	// used by the worker stepping the owning tile, one worker at a time,
+	// handed over only at the barrier.
 	scratch []noc.VCChoice
 }
 
