@@ -86,6 +86,12 @@ test-race-rest:
 # consumer takes it: payload-bearing packets through a congested line on 1
 # and 3 workers at sync_period 1 and 5, each delivered once with its own
 # payload, and a mid-flight snapshot that restores to the same bytes.
+# The per-packet state a router keeps, stepped the same ways: a source's
+# queued packets of several flows, numbered only as they start streaming,
+# a payload-bearing packet mid-stream, kept as its head flit and its
+# flits' injection cycles, and packets mid-reassembly, snapshotted and
+# restored to the same bytes, then run on to the uninterrupted run's
+# bytes and Summary digest; numbers no router could write are corrupt.
 # Work stealing, where a tile changes worker at the barrier: a span whose
 # first tile waits for its last chunk, which only a thief can step, on 2-4
 # workers, and a hotspot 8x8 mesh on 1-4 workers held to one worker's
@@ -93,7 +99,7 @@ test-race-rest:
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestShardGroup|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestShardGroup|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent|TestPacketStateRoundTrip' \
 		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service/backend ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -44,11 +44,24 @@
 // to inject costs a load of its mask and that skip, and has no negative
 // edge.
 //
+// Besides its flits, a packet costs a router little. Queued at its source
+// it is an 8-byte record (pendingPacket): its ID, endpoints and latency are
+// derived, and its flow sequence number is handed out when it starts
+// streaming in. Streaming in, it is its head flit and the injection cycle
+// of each flit pushed so far; the other flits are built from the head as
+// they are pushed. A source keeps per flow the count of packets started and
+// the flow's first-hop line, which each head flit carries, so the routing
+// table is asked once per flow. At its destination, a packet whose head has
+// been delivered and whose tail has not is an entry of a short list of head
+// flits and payloads, at most one per ingress VC.
+//
 // None of this is serialized: a restore rebuilds the pointers and the mask,
 // re-reads the heads, and its first pass parks what is blocked; its flits
-// carry no lines. The snapshot codec writes each flit as it always has,
-// endpoints and payload included, taking the endpoints from the flow and
-// the payload from the ring.
+// carry no lines, and its sources look their flows' first-hop lines up
+// again. The snapshot codec writes each flit as it always has, endpoints
+// and payload included, taking the endpoints from the flow and the payload
+// from the ring, and each queued and streaming packet as a router that
+// numbered packets as they were offered wrote it.
 package noc
 
 import (

@@ -111,7 +111,7 @@ func TestInjectionQueueRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptInjectionQueue: a queued packet in a router's
-// section that its 16-byte record could not rebuild exactly is a corrupt
+// section that its 8-byte record could not rebuild exactly is a corrupt
 // snapshot, reported as one naming the router and the field, not a panic
 // (or a 2^40-flit allocation) on the router's next cycle.
 func TestRestoreRejectsCorruptInjectionQueue(t *testing.T) {

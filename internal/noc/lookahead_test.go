@@ -17,14 +17,23 @@ import (
 )
 
 // countedTable is a node's routing-table view that counts the lookups its
-// router makes.
+// router makes, in all and per table line.
 type countedTable struct {
 	noc.RouteTable
-	lookups *int
+	node noc.NodeID
+	m    *meshMachine
+}
+
+// lookupKey names a table line: the node asked, and the prev and flow it
+// was asked for.
+type lookupKey struct {
+	node, prev noc.NodeID
+	flow       noc.FlowID
 }
 
 func (c countedTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
-	*c.lookups++
+	c.m.lookups++
+	c.m.asked[lookupKey{c.node, prev, flow}]++
 	return c.RouteTable.Lookup(prev, flow)
 }
 
@@ -36,6 +45,7 @@ type meshMachine struct {
 	links   []*noc.Link
 	gens    []*traffic.Generator
 	lookups int
+	asked   map[lookupKey]int
 }
 
 func newMeshMachine(t *testing.T, topo *topology.Topology, gens []*traffic.Generator) *meshMachine {
@@ -54,12 +64,12 @@ func newMeshMachine(t *testing.T, topo *topology.Topology, gens []*traffic.Gener
 		ports[e.B] = append(ports[e.B], noc.PortParams{Neighbor: e.A, VCs: 4, BufFlits: 4})
 		edgePorts[i] = [2]int{len(ports[e.A]), len(ports[e.B])}
 	}
-	m := &meshMachine{gens: gens}
+	m := &meshMachine{gens: gens, asked: map[lookupKey]int{}}
 	inflight := new(atomic.Int64)
 	for i := 0; i < n; i++ {
 		id := noc.NodeID(i)
 		m.routers = append(m.routers, noc.NewRouter(noc.RouterParams{
-			ID: id, Table: countedTable{tables.ForNode(id), &m.lookups}, VCATable: vcas.ForNode(id), VCAMode: mode,
+			ID: id, Table: countedTable{tables.ForNode(id), id, m}, VCATable: vcas.ForNode(id), VCAMode: mode,
 			RNG: sim.NewRNG(uint64(i) + 1), Stats: stats.NewTile(), InFlight: inflight,
 			LocalVCs: 4, LocalBufFlits: 4, Ports: ports[i],
 		}))
@@ -152,19 +162,7 @@ func (m *meshMachine) restoreBytes(t *testing.T, b []byte) {
 // plus the flits resident at its start (every packet the window inherits
 // has one there, or is the one packet streaming into its source).
 func TestLookaheadConsultsTableOncePerPacket(t *testing.T) {
-	topo, err := topology.New(config.TopologyConfig{Kind: config.TopoMesh, Width: 8, Height: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens := make([]*traffic.Generator, topo.Nodes())
-	for i := range gens {
-		tc := config.TrafficConfig{Pattern: config.PatternUniform, InjectionRate: 0.05}
-		p, err := traffic.NewPattern(tc, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens[i] = traffic.NewGenerator(noc.NodeID(i), p, tc, 8, sim.NewRNG(uint64(i)+100))
-	}
+	topo, gens := uniformMesh8(t)
 	m := newMeshMachine(t, topo, gens)
 	window := func(m *meshMachine, what string, from, to uint64) {
 		t.Helper()
@@ -191,4 +189,49 @@ func TestLookaheadConsultsTableOncePerPacket(t *testing.T) {
 	restored := newMeshMachine(t, topo, gens)
 	restored.restoreBytes(t, m.snapshotBytes(t, warm+span))
 	window(restored, "after a restore", warm+span, warm+2*span)
+}
+
+// uniformMesh8 is the 8x8 mesh with a uniform-traffic generator at every
+// node, at the mesh8-serial workload's rate.
+func uniformMesh8(t *testing.T) (*topology.Topology, []*traffic.Generator) {
+	t.Helper()
+	topo, err := topology.New(config.TopologyConfig{Kind: config.TopoMesh, Width: 8, Height: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([]*traffic.Generator, topo.Nodes())
+	for i := range gens {
+		tc := config.TrafficConfig{Pattern: config.PatternUniform, InjectionRate: 0.05}
+		p, err := traffic.NewPattern(tc, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens[i] = traffic.NewGenerator(noc.NodeID(i), p, tc, 8, sim.NewRNG(uint64(i)+100))
+	}
+	return topo, gens
+}
+
+// TestSourceAsksStoreOncePerFlow is the guard of the source's first-hop
+// line: a source keeps the line its table returned for a flow beside the
+// flow's counter and puts it in every head flit of the flow, and every
+// later hop routes by the line the flit carries, so on the 8x8 uniform
+// machine, warmed and run on, the table views are asked only at a flow's
+// source, for <source, flow>, and at most once per flow.
+func TestSourceAsksStoreOncePerFlow(t *testing.T) {
+	topo, gens := uniformMesh8(t)
+	m := newMeshMachine(t, topo, gens)
+	m.run(0, 8_000)
+	injected, _, _ := m.totals()
+	for k, n := range m.asked {
+		if k.prev != k.node || k.flow.Src() != k.node {
+			t.Fatalf("node %d was asked for the line of flow %v arriving from %d: only a flow's source may ask", k.node, k.flow, k.prev)
+		}
+		if n > 1 {
+			t.Fatalf("node %d asked for flow %v's first-hop line %d times", k.node, k.flow, n)
+		}
+	}
+	t.Logf("%d lookups, %d flows, %d packets injected", m.lookups, len(m.asked), injected)
+	if len(m.asked) < 1000 || injected < 2*uint64(len(m.asked)) {
+		t.Fatalf("%d flows asked for over %d packets: the run exercised too few repeat packets per flow", len(m.asked), injected)
+	}
 }

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"hornet/internal/sim"
@@ -175,15 +176,26 @@ func (p *Port) InOccupancy() (used, capacity int) {
 
 // pendingPacket is a queued injection: what a packet holds that is not
 // derived. Its source is the router, its destination the flow's, its
-// latency 0, and its ID follows from its place in the queue (queuedID); a
-// payload waits in Router.payloads. 16 bytes (TestPendingPacketLayout),
-// where a Packet is 64: past saturation the source queues are the only
-// state that grows with simulated time.
+// latency 0, its ID follows from its place in the queue (queuedID), and its
+// flow sequence number is handed out when it leaves the queue (popPending:
+// the queue is FIFO, so a flow's packets leave in the order they were
+// offered and get the numbers offering would have given them); a payload
+// waits in Router.payloads. 8 bytes (TestPendingPacketLayout), where a
+// Packet is 64: past saturation the source queues are the only state that
+// grows with simulated time.
 type pendingPacket struct {
-	flowSeq uint64
-	flow    FlowID
-	flits   uint16
-	flags   uint16
+	flow  FlowID
+	flits uint16
+	flags uint16
+}
+
+// sourceFlow is what a source keeps per flow: how many of the flow's
+// packets have started streaming — the last one's FlowSeq — and the flow's
+// first-hop line (RouteLine.ID; 0 until looked up, or if the table numbers
+// none), which the head flit carries, so the table is asked once per flow.
+type sourceFlow struct {
+	started uint64
+	line    uint32
 }
 
 // pendPayload marks a queued packet whose payload is next in Router.payloads.
@@ -228,7 +240,7 @@ func (q *fifo[T]) reset() {
 }
 
 // assembling tracks a packet mid-reassembly at the ejection port: its head
-// flit and the payload the head brought.
+// flit, which names the packet, and the payload the head brought.
 type assembling struct {
 	head    Flit
 	payload any
@@ -254,7 +266,7 @@ type Router struct {
 	rng *sim.RNG
 	// Injection queue: the packets waiting to stream in, oldest first.
 	pending   fifo[pendingPacket]
-	streaming bool // a packet is streaming in from curFlits
+	streaming bool // a packet is streaming in (cur)
 	saFilled  bool // some saBuckets entry is non-empty
 	// bidir is set when any port's link is bandwidth-adaptive: only then
 	// do demand and free space have a reader, every cycle.
@@ -292,18 +304,22 @@ type Router struct {
 	inflight *atomic.Int64
 	recv     Receiver
 
-	// The packet streaming in, and injection bookkeeping.
-	curFlits    []Flit // the streaming packet's flits (storage reused across packets)
-	curPayload  any    // the streaming packet's payload, which its head flit carries
-	curNext     int
+	// The packet streaming in, and injection bookkeeping. Its flits are
+	// built from its head flit as they are pushed (streamFlit).
+	cur         Flit     // the streaming packet's head flit, before injection
+	curInj      []uint64 // the cycle each of its flits pushed so far was injected (storage reused across packets)
+	curPayload  any      // the streaming packet's payload, which its head flit carries
 	curVC       int
 	payloads    fifo[any] // the queued packets' payloads, oldest first
 	pktCounter  uint64
-	flowSeq     map[FlowID]uint64
+	flows       map[FlowID]sourceFlow
 	sourceState []egressVC // producer bookkeeping for the local ingress VCs
 
-	// Reassembly state at the ejection port.
-	assembly map[uint64]assembling
+	// Reassembly state at the ejection port: the packets whose head has been
+	// delivered and whose tail has not, by packet ID. A packet holds the
+	// ingress VC it ejects from until its tail leaves, so there is at most
+	// one per ingress VC.
+	assembly []assembling
 
 	// Scratch buffers reused across cycles to avoid allocation.
 	candScratch []*vcState
@@ -375,8 +391,7 @@ func NewRouter(p RouterParams) *Router {
 		rng:         p.RNG,
 		st:          p.Stats,
 		inflight:    p.InFlight,
-		flowSeq:     make(map[FlowID]uint64),
-		assembly:    make(map[uint64]assembling),
+		flows:       make(map[FlowID]sourceFlow),
 		occ:         newOccupancyMask(nVCs),
 		vcs:         make([]vcState, nVCs),
 		flits:       make([]Flit, nSlots),
@@ -508,13 +523,13 @@ func (r *Router) PendingPackets() int {
 	return n
 }
 
-// OfferPacket queues a packet for injection at this node. The source, ID
-// and flow-sequence fields are stamped here, and Latency is filled in on
-// delivery. A packet must have 1 to MaxPacketFlits flits, its flow's
-// destination, and a flow from this router (the routing store finds a
-// flow's first-hop line by the flow alone, and a flit takes its endpoints
-// from its flow). Callers run on the owning
-// tile's thread during PhaseTransfer.
+// OfferPacket queues a packet for injection at this node. The source and
+// ID are stamped here, the flow sequence number when the packet starts
+// streaming, and Latency on delivery. A packet must have 1 to
+// MaxPacketFlits flits, its flow's destination, and a flow from this router
+// (the routing store finds a flow's first-hop line by the flow alone, and a
+// flit takes its endpoints from its flow). Callers run on the owning tile's
+// thread during PhaseTransfer.
 func (r *Router) OfferPacket(p Packet) {
 	if p.Flits < 1 || p.Flits > MaxPacketFlits {
 		panic(fmt.Sprintf("noc: router %d: packet of %d flits, want 1 to %d", r.ID, p.Flits, MaxPacketFlits))
@@ -526,14 +541,12 @@ func (r *Router) OfferPacket(p Packet) {
 		panic(fmt.Sprintf("noc: router %d: packet on flow %v from another source", r.ID, p.Flow))
 	}
 	r.pktCounter++
-	r.flowSeq[p.Flow]++
-	p.FlowSeq = r.flowSeq[p.Flow]
 	r.enqueue(p)
 }
 
 // enqueue queues p's record, and its payload if it carries one.
 func (r *Router) enqueue(p Packet) {
-	pp := pendingPacket{flowSeq: p.FlowSeq, flow: p.Flow, flits: uint16(p.Flits)}
+	pp := pendingPacket{flow: p.Flow, flits: uint16(p.Flits)}
 	if p.Payload != nil {
 		pp.flags = pendPayload
 		r.payloads.push(p.Payload)
@@ -547,22 +560,27 @@ func (r *Router) queuedID(behind int) uint64 {
 	return (uint64(r.ID)+1)<<40 | (r.pktCounter - uint64(behind))
 }
 
-// queuedPacket rebuilds a queued packet, payload aside, from its record.
+// queuedPacket rebuilds a queued packet, payload and flow sequence number
+// aside, from its record.
 func (r *Router) queuedPacket(pp pendingPacket, behind int) Packet {
 	return Packet{
-		ID:      r.queuedID(behind),
-		Flow:    pp.flow,
-		Src:     r.ID,
-		Dst:     pp.flow.Dst(),
-		Flits:   int(pp.flits),
-		FlowSeq: pp.flowSeq,
+		ID:    r.queuedID(behind),
+		Flow:  pp.flow,
+		Src:   r.ID,
+		Dst:   pp.flow.Dst(),
+		Flits: int(pp.flits),
 	}
 }
 
-// popPending dequeues the oldest queued packet.
+// popPending dequeues the oldest queued packet and hands out its flow
+// sequence number.
 func (r *Router) popPending() Packet {
 	pp := r.pending.pop()
 	p := r.queuedPacket(pp, r.pending.size())
+	sf := r.flows[p.Flow]
+	sf.started++
+	r.flows[p.Flow] = sf
+	p.FlowSeq = sf.started
 	if pp.flags&pendPayload != 0 {
 		p.Payload = r.payloads.pop()
 	}
@@ -855,64 +873,72 @@ func (r *Router) injectFlits(cycle uint64) {
 	if src.free(r.last) < 1 {
 		return // retry next cycle; paper's injector retransmission
 	}
-	// The flit is stamped where it waits (later flits read the head's
-	// InjectedAt there) and copied once, into the ingress slot.
-	f := &r.curFlits[r.curNext]
-	f.InjectedAt = cycle
-	if f.Kind.IsHead() {
-		f.HeadInjectedAt = cycle
-	} else {
-		f.HeadInjectedAt = r.curFlits[0].InjectedAt
-	}
-	f.VisibleAt = cycle + 1
+	r.curInj = append(r.curInj, cycle)
 	var payload any
-	if r.curNext == 0 {
+	if len(r.curInj) == 1 {
 		payload = r.curPayload
 	}
-	if !src.buf.Push(*f, payload) {
+	if !src.buf.Push(r.streamFlit(len(r.curInj)-1), payload) {
 		panic("noc: injection push failed despite credit")
 	}
 	src.pushes++
-	src.lastFlow = f.Flow
-	r.curNext++
+	src.lastFlow = r.cur.Flow
 	r.st.FlitsInjected++
 	r.st.BufWrites++
 	r.inflight.Add(1)
-	if r.curNext == len(r.curFlits) {
+	if len(r.curInj) == int(r.cur.Len) {
 		r.streaming, r.curPayload = false, nil
 	}
 }
 
+// startPacket makes p, just dequeued, the streaming packet, and puts its
+// flow's first-hop line, looked up on the flow's first packet, in its head
+// flit.
 func (r *Router) startPacket(p Packet) {
 	r.st.PacketsInjected++
-	n := p.Flits
-	if cap(r.curFlits) < n {
-		r.curFlits = make([]Flit, n)
-	}
-	r.curFlits = r.curFlits[:n]
-	r.streaming = true
-	for i := 0; i < n; i++ {
-		k := Body
-		switch {
-		case n == 1:
-			k = HeadTail
-		case i == 0:
-			k = Head
-		case i == n-1:
-			k = Tail
-		}
-		r.curFlits[i] = Flit{
-			Kind:    k,
-			Flow:    p.Flow,
-			Packet:  p.ID,
-			Seq:     uint16(i),
-			Len:     uint16(n),
-			FlowSeq: p.FlowSeq,
+	line := r.flows[p.Flow].line
+	if line == 0 {
+		if l := r.table.Lookup(r.ID, p.Flow); l != nil && l.ID != 0 {
+			line = l.ID
+			r.flows[p.Flow] = sourceFlow{started: p.FlowSeq, line: line}
 		}
 	}
+	r.cur = Flit{
+		Kind:    headKind(p.Flits),
+		Flow:    p.Flow,
+		Packet:  p.ID,
+		Len:     uint16(p.Flits),
+		FlowSeq: p.FlowSeq,
+		line:    line,
+	}
+	r.curInj = r.curInj[:0]
 	r.curPayload = p.Payload
-	r.curNext = 0
 	r.curVC = int(uint32(p.Flow.Base()) % uint32(len(r.sourceState)))
+	r.streaming = true
+}
+
+// headKind is the kind of the head flit of a packet of n flits.
+func headKind(n int) Kind {
+	if n == 1 {
+		return HeadTail
+	}
+	return Head
+}
+
+// streamFlit is flit i of the streaming packet as it stands: the head flit
+// renumbered, and, once pushed, stamped with its injection cycle.
+func (r *Router) streamFlit(i int) Flit {
+	f := r.cur
+	if i > 0 {
+		f.Kind, f.Seq, f.line = Body, uint16(i), 0
+		if i == int(f.Len)-1 {
+			f.Kind = Tail
+		}
+	}
+	if i < len(r.curInj) {
+		f.InjectedAt, f.HeadInjectedAt, f.VisibleAt = r.curInj[i], r.curInj[0], r.curInj[i]+1
+	}
+	return f
 }
 
 // allocateVCs runs the VA stage for the VCs the pass found waiting (at
@@ -1239,7 +1265,7 @@ func (r *Router) deliver(f *Flit, payload any, cycle uint64) {
 	r.inflight.Add(-1)
 	switch f.Kind {
 	case Head:
-		r.assembly[f.Packet] = assembling{head: *f, payload: payload}
+		r.assembly = slices.Insert(r.assembly, r.assemblyAt(f.Packet), assembling{head: *f, payload: payload})
 		return
 	case Body:
 		return
@@ -1247,10 +1273,10 @@ func (r *Router) deliver(f *Flit, payload any, cycle uint64) {
 	// Tail or HeadTail: the packet is complete.
 	headInj := f.HeadInjectedAt
 	if f.Kind == Tail {
-		if a, ok := r.assembly[f.Packet]; ok {
-			payload = a.payload
-			headInj = a.head.InjectedAt
-			delete(r.assembly, f.Packet)
+		if i := r.assemblyAt(f.Packet); i < len(r.assembly) && r.assembly[i].head.Packet == f.Packet {
+			payload = r.assembly[i].payload
+			headInj = r.assembly[i].head.InjectedAt
+			r.assembly = slices.Delete(r.assembly, i, i+1)
 		}
 	}
 	// Packet latency: tail's accumulated latency plus the source-domain
@@ -1270,6 +1296,16 @@ func (r *Router) deliver(f *Flit, payload any, cycle uint64) {
 			Latency: pktLat,
 		}, cycle)
 	}
+}
+
+// assemblyAt returns where packet id is, or belongs, in the reassembly
+// list.
+func (r *Router) assemblyAt(id uint64) int {
+	i := 0
+	for i < len(r.assembly) && r.assembly[i].head.Packet < id {
+		i++
+	}
+	return i
 }
 
 // reportLinkDemand publishes, for each bidirectional link, how many

@@ -2,7 +2,8 @@ package noc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"hornet/internal/snapshot"
 )
@@ -317,15 +318,28 @@ func (r *Router) loadVCState(rd *snapshot.Reader, s *vcState) error {
 // and the ejection-port reassembly table. clock is the next cycle the
 // suspended simulation would execute (used to canonicalize arrival
 // stamps; see saveVCState).
+//
+// The encoding is the one a router wrote when it numbered a flow's packets
+// as they were offered: each queued packet with its flow sequence number,
+// and per flow the packets offered. Both are derived here from the numbers
+// the router hands out as packets start, counting the flow's packets queued
+// before and after.
 func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	w.Uint64(r.pktCounter)
 
 	// Injection queue, each packet whole, and the packet currently
 	// streaming in.
 	queue, payloads := r.pending.live(), r.payloads.live()
+	offered := make(map[FlowID]uint64) // per flow with packets queued, the packets offered so far
 	w.Int(len(queue))
 	for i, pp := range queue {
 		p := r.queuedPacket(pp, len(queue)-1-i)
+		seq, ok := offered[pp.flow]
+		if !ok {
+			seq = r.flows[pp.flow].started
+		}
+		p.FlowSeq = seq + 1
+		offered[pp.flow] = p.FlowSeq
 		if pp.flags&pendPayload != 0 {
 			p.Payload, payloads = payloads[0], payloads[1:]
 		}
@@ -335,28 +349,38 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 	}
 	w.Bool(r.streaming)
 	if r.streaming {
-		w.Int(len(r.curFlits))
+		w.Int(int(r.cur.Len))
 		payload := r.curPayload
-		for i := range r.curFlits {
-			if err := saveFlit(w, &r.curFlits[i], payload); err != nil {
+		for i := 0; i < int(r.cur.Len); i++ {
+			f := r.streamFlit(i)
+			if err := saveFlit(w, &f, payload); err != nil {
 				return err
 			}
 			payload = nil
 		}
-		w.Int(r.curNext)
+		w.Int(len(r.curInj))
 		w.Int(r.curVC)
 	}
 
 	// Per-flow packet sequence counters, sorted for determinism.
-	flows := make([]FlowID, 0, len(r.flowSeq))
-	for f := range r.flowSeq {
+	flows := make([]FlowID, 0, len(r.flows)+len(offered))
+	for f := range r.flows {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
+	for f := range offered {
+		if _, ok := r.flows[f]; !ok {
+			flows = append(flows, f)
+		}
+	}
+	slices.Sort(flows)
 	w.Int(len(flows))
 	for _, f := range flows {
+		seq, ok := offered[f]
+		if !ok {
+			seq = r.flows[f].started
+		}
 		w.Uint32(uint32(f))
-		w.Uint64(r.flowSeq[f])
+		w.Uint64(seq)
 	}
 
 	// Producer bookkeeping for the local injection VCs.
@@ -382,16 +406,11 @@ func (r *Router) SaveState(w *snapshot.Writer, clock uint64) error {
 		}
 	}
 
-	// Ejection-port reassembly table, sorted by packet ID.
-	ids := make([]uint64, 0, len(r.assembly))
-	for id := range r.assembly {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Int(len(ids))
-	for _, id := range ids {
-		w.Uint64(id)
-		a := r.assembly[id]
+	// Ejection-port reassembly table, by packet ID.
+	w.Int(len(r.assembly))
+	for i := range r.assembly {
+		a := &r.assembly[i]
+		w.Uint64(a.head.Packet)
 		if err := saveFlit(w, &a.head, a.payload); err != nil {
 			return err
 		}
@@ -424,9 +443,16 @@ func (r *Router) checkQueued(p Packet, i, behind int) error {
 	return &snapshot.CorruptError{Detail: fmt.Sprintf("router %d: queued packet %d: %s", r.ID, i, field)}
 }
 
+// queuedRun is a flow's queued packets, as LoadState reads them: the first
+// one's flow sequence number and how many there are.
+type queuedRun struct{ first, n uint64 }
+
 // LoadState restores router state saved by SaveState at clock into this
 // router, which must be built from the same configuration (same port and
-// VC geometry). The restored credits are usable at clock.
+// VC geometry). The restored credits are usable at clock. Numbers a router
+// could not have written are corrupt: a flow's queued packets must be
+// numbered consecutively up to the flow's count, the streaming flits must
+// be one packet's, and the reassembly table must be ordered by packet.
 func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 	r.last = clock - 1
 	r.popped = r.popped[:0]
@@ -435,6 +461,7 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 	n := rd.Count(1 << 24)
 	r.pending.reset()
 	r.payloads.reset()
+	queued := make(map[FlowID]queuedRun)
 	for i := 0; i < n; i++ {
 		p := DecodePacket(rd)
 		if err := rd.Err(); err != nil {
@@ -443,35 +470,22 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 		if err := r.checkQueued(p, i, n-1-i); err != nil {
 			return err
 		}
+		q, ok := queued[p.Flow]
+		if !ok {
+			q.first = p.FlowSeq
+		} else if p.FlowSeq != q.first+q.n {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf(
+				"router %d: queued packet %d of flow %v has flow sequence number %d, want %d", r.ID, i, p.Flow, p.FlowSeq, q.first+q.n)}
+		}
+		q.n++
+		queued[p.Flow] = q
 		r.enqueue(p)
 	}
-	r.curFlits, r.curPayload = r.curFlits[:0], nil
+	r.curInj, r.curPayload = r.curInj[:0], nil
 	r.streaming = rd.Bool()
 	if r.streaming {
-		n := rd.Count(1 << 16)
-		for i := 0; i < n; i++ {
-			f, payload, err := loadFlit(rd)
-			if err != nil {
-				return err
-			}
-			if payload != nil && i > 0 {
-				return &snapshot.CorruptError{Detail: fmt.Sprintf(
-					"router %d: streaming flit %d carries a payload", r.ID, i)}
-			}
-			r.curFlits = append(r.curFlits, f)
-			if i == 0 {
-				r.curPayload = payload
-			}
-		}
-		r.curNext = rd.Int()
-		r.curVC = rd.Int()
-		if err := rd.Err(); err != nil {
+		if err := r.loadStreaming(rd); err != nil {
 			return err
-		}
-		if r.curNext < 0 || r.curNext > len(r.curFlits) ||
-			r.curVC < 0 || r.curVC >= len(r.sourceState) {
-			return &snapshot.CorruptError{Detail: fmt.Sprintf(
-				"router %d: streaming position %d/%d vc %d out of range", r.ID, r.curNext, len(r.curFlits), r.curVC)}
 		}
 	}
 
@@ -479,10 +493,32 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 	// Cap the preallocation hint: the count is bounded by the section's
 	// actual bytes, but a huge (legitimate or hostile) value must not
 	// translate into one giant up-front allocation.
-	r.flowSeq = make(map[FlowID]uint64, min(n, 1<<20))
-	for i := 0; i < n && rd.Err() == nil; i++ {
+	r.flows = make(map[FlowID]sourceFlow, min(n, 1<<20))
+	var prev FlowID
+	for i := 0; i < n; i++ {
 		f := FlowID(rd.Uint32())
-		r.flowSeq[f] = rd.Uint64()
+		offered := rd.Uint64()
+		if err := rd.Err(); err != nil {
+			return err
+		}
+		if i > 0 && f <= prev {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf("router %d: flow counter of %v after that of %v", r.ID, f, prev)}
+		}
+		prev = f
+		started := offered
+		if q, ok := queued[f]; ok {
+			if q.first < 1 || q.first+q.n-1 != offered {
+				return &snapshot.CorruptError{Detail: fmt.Sprintf(
+					"router %d: flow %v queues packets %d to %d but counts %d offered", r.ID, f, q.first, q.first+q.n-1, offered)}
+			}
+			started = q.first - 1
+			delete(queued, f)
+		}
+		r.flows[f] = sourceFlow{started: started}
+	}
+	if len(queued) > 0 {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"router %d: flow %v queues packets but has no counter", r.ID, slices.Min(slices.Collect(maps.Keys(queued))))}
 	}
 
 	n = rd.Int()
@@ -539,17 +575,71 @@ func (r *Router) LoadState(rd *snapshot.Reader, clock uint64) error {
 		}
 	}
 
-	n = rd.Count(1 << 24)
-	r.assembly = make(map[uint64]assembling, min(n, 1<<20))
-	for i := 0; i < n && rd.Err() == nil; i++ {
+	n = rd.Count(len(r.vcs))
+	clear(r.assembly)
+	r.assembly = r.assembly[:0]
+	for i := 0; i < n; i++ {
 		id := rd.Uint64()
 		head, payload, err := loadFlit(rd)
 		if err != nil {
 			return err
 		}
-		r.assembly[id] = assembling{head: head, payload: payload}
+		if id != head.Packet || (i > 0 && id <= r.assembly[i-1].head.Packet) {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf(
+				"router %d: reassembly entry %d names packet %d and holds the head of packet %d, out of order", r.ID, i, id, head.Packet)}
+		}
+		r.assembly = append(r.assembly, assembling{head: head, payload: payload})
 	}
 	return rd.Err()
+}
+
+// loadStreaming restores the streaming packet: its flits, how many have
+// been pushed, and the injection VC. The flits must be the ones the
+// router would build for that packet at that point (streamFlit): one
+// packet's, from this source, numbered in order, stamped with their
+// injection cycles once pushed and unstamped before.
+func (r *Router) loadStreaming(rd *snapshot.Reader) error {
+	flits := make([]Flit, rd.Count(MaxPacketFlits))
+	for i := range flits {
+		f, payload, err := loadFlit(rd)
+		if err != nil {
+			return err
+		}
+		if payload != nil && i > 0 {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf(
+				"router %d: streaming flit %d carries a payload", r.ID, i)}
+		}
+		flits[i] = f
+		if i == 0 {
+			r.curPayload = payload
+		}
+	}
+	next := rd.Int()
+	r.curVC = rd.Int()
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	if len(flits) == 0 || next < 0 || next >= len(flits) ||
+		r.curVC < 0 || r.curVC >= len(r.sourceState) {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"router %d: streaming position %d/%d vc %d out of range", r.ID, next, len(flits), r.curVC)}
+	}
+	h := &flits[0]
+	if h.Flow.Src() != r.ID {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"router %d: streaming packet %d on flow %v from another source", r.ID, h.Packet, h.Flow)}
+	}
+	r.cur = Flit{Kind: headKind(len(flits)), Flow: h.Flow, Packet: h.Packet, Len: uint16(len(flits)), FlowSeq: h.FlowSeq}
+	for _, f := range flits[:next] {
+		r.curInj = append(r.curInj, f.InjectedAt)
+	}
+	for i := range flits {
+		if flits[i] != r.streamFlit(i) {
+			return &snapshot.CorruptError{Detail: fmt.Sprintf(
+				"router %d: streaming flit %d (%v) is not flit %d of packet %d with %d pushed", r.ID, i, flits[i], i, h.Packet, next)}
+		}
+	}
+	return nil
 }
 
 // ResidentFlits counts flits held anywhere in this router's ingress

@@ -212,40 +212,21 @@ func (t *Tables) ForNode(n noc.NodeID) noc.RouteTable {
 	return &nodeTable{tables: t, node: n}
 }
 
-// recentLines is the size of a node's cache of recently served lines. The
-// shared store is the only store; the cache is fixed-size so that traffic
-// which keeps discovering lines (all-to-all) cannot grow a second one.
-const recentLines = 64
-
 // nodeTable is one node's view of the shared store. A router asks it only
-// for the line of a flit that carries none — mostly a packet's first hop —
-// and it is only queried by the worker stepping its node (one worker at a
-// time, handed over only at the barrier), so it keeps the lines it served
-// last in a direct-mapped cache keyed by prev<<32|flow;
-// the lines are the shared store's own, and it walks to a line off a
-// flow's first hop (find) in scratch of its own. Without the cache the 8x8
-// uniform mesh ran ~3 % slower per tile-cycle (BenchmarkUniformMeshCycle,
-// 12 of 16 alternating pairs).
+// for the line of a flit that carries none — a flow's first hop, once per
+// flow (the source keeps the line it got), and a head flit after a restore
+// or a shard boundary — and it is only queried by the worker stepping its
+// node (one worker at a time, handed over only at the barrier), so it walks
+// to a line off a flow's first hop (find) in scratch of its own. It holds
+// no lines: they are the shared store's own.
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID
-	recent [recentLines]struct {
-		key  uint64         // prev<<32|flow
-		line *noc.RouteLine // nil: the slot is empty
-	}
-	walk walk
+	walk   walk
 }
 
 func (nt *nodeTable) Lookup(prev noc.NodeID, flow noc.FlowID) *noc.RouteLine {
-	key := uint64(uint32(prev))<<32 | uint64(flow)
-	// Source, destination and arrival direction all vary across the lines
-	// one node serves; fold them into the index (FlowID keeps the source
-	// 14 bits above the destination).
-	e := &nt.recent[(uint32(flow)^uint32(flow)>>14^uint32(prev)*5)%recentLines]
-	if e.key != key || e.line == nil {
-		e.key, e.line = key, nt.tables.line(nt.node, prev, flow, &nt.walk)
-	}
-	return e.line
+	return nt.tables.line(nt.node, prev, flow, &nt.walk)
 }
 
 // Line resolves a line number handed out by any node's view of the store.

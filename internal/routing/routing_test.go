@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hornet/internal/config"
 	"hornet/internal/noc"
@@ -460,6 +461,16 @@ func allFlows(topo *topology.Topology) []noc.FlowID {
 		}
 	}
 	return flows
+}
+
+// TestNodeTableFootprint: a node's view of the store keeps no lines of its
+// own — a source keeps its flows' first-hop lines, and flits carry the rest
+// — so it is the store's pointer, the node and the walk's scratch, at most
+// one cache line per node.
+func TestNodeTableFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(nodeTable{}); size > 64 {
+		t.Fatalf("nodeTable is %d bytes, want at most 64", size)
+	}
 }
 
 // TestRouteStoreBytesPerFlow bounds what the store keeps per flow once
