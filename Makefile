@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test test-race test-race-rest test-full test-snapshot test-loose-sync bench \
-	e2e e2e-distributed e2e-sharded e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
+	e2e e2e-distributed e2e-coordinator-restart fuzz-smoke fmt-check serve worker vet vulncheck \
 	validate-examples scenario-golden service-lines model-lines deadcode profile-msi profile-mesh profile-mesh8 profile-serve
 
 build:
@@ -46,17 +46,16 @@ test-race-rest:
 # two-goroutine stress test (wrappers and in-place slot primitives), the
 # producer-side credit word — which a consumer on another thread stores,
 # with the cycle that committed it, so that a cycle runs on one barrier —
-# after commits, restores in either order and shard-boundary applies, the
-# credit rule itself (a credit committed in a cycle is usable from the next,
-# and stays so when nothing pops, across a restore, a shard exchange and
-# fast-forward jumps, past 2^32 cycles too; a VC parked in the cycle its
-# credit commits wakes), restores of snapshots taken with VCs blocked on
-# that credit,
+# after commits and restores in either order, the credit rule itself (a
+# credit committed in a cycle is usable from the next, and stays so when
+# nothing pops, across a restore and fast-forward jumps, past 2^32 cycles
+# too; a VC parked in the cycle its credit commits wakes), restores of
+# snapshots taken with VCs blocked on that credit,
 # the per-router occupancy mask — which the neighbours' threads set, by
 # pushes and by credits, and the owner clears, when a buffer empties and
 # when it parks a VC on a credit — against the buffers and the parked VCs
 # at every cycle boundary, over fixed and bandwidth-adaptive links (whose
-# routers park too), after restores and after shard-boundary applies,
+# routers park too), after restores,
 # with its 10^6-flit set-while-clearing stresses (the SPSC test's mask and
 # park subtests), a line of free-running routers and a past-saturation 8x8
 # mesh that must drain with no VC left asleep beside an available credit
@@ -66,11 +65,7 @@ test-race-rest:
 # panic containment, one barrier generation per synchronization chunk, a
 # busy 4x4 mesh, fixed and bidirectional, on 2 to 4 workers whose first
 # partition starts every cycle only after the last one has committed it,
-# held to one worker, the barrier's polling, parking and break paths, and
-# the cross-process barrier: the shard group's all-gather (member order,
-# duplicate arrivals, rollback notices carrying the stable blobs, waiters
-# released by Cancel and by their contexts, staged→stable promotion), a
-# 2-member in-process group rolled back mid-run through the run driver,
+# held to one worker, the barrier's polling, parking and break paths,
 # the shared route store: two goroutines creating every flow of an 8x8
 # O1TURN mesh at once, which must get pointer-identical lines, and a
 # router's lock-free resolution of the line numbers flits carry while
@@ -78,10 +73,11 @@ test-race-rest:
 # bandwidth-adaptive link's parity cell, which one engine thread writes and
 # another reads: bidirectional machines at sync_period 5 and 50, a busy
 # bidirectional mesh on 3 workers held to 1 worker tile by tile and link by
-# link, 4 workers through the service driver, and 2-, 3- and 4-way shards
-# held to one process, run whole, in 7-cycle chunks and autosaving every
-# 13 cycles, and 2-way shards of the machines that join one pair of
-# routers by two links (a 2-node ring, two-wide tori), and the payload
+# link, 4 workers through the service driver, and 2-, 3- and 4-way splits
+# (the engine workers a `shards: N` run asks for) held to one worker, run
+# whole, in 7-cycle chunks and autosaving every 13 cycles, and 2-way
+# splits of the machines that join one pair of routers by two links (a
+# 2-node ring, two-wide tori), and the payload
 # ring, a new cross-thread path, where the producer writes the slot and the
 # consumer takes it: payload-bearing packets through a congested line on 1
 # and 3 workers at sync_period 1 and 5, each delivered once with its own
@@ -99,8 +95,8 @@ test-race-rest:
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestShardBoundaryAppliesCreditAtProducer|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestShardGroup|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent|TestPacketStateRoundTrip' \
-		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service/backend ./internal/service
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent|TestPacketStateRoundTrip' \
+		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure
 # benchmarks plus the per-package micro-benchmarks (sweep overhead,
@@ -158,25 +154,18 @@ profile-msi profile-mesh profile-mesh8 profile-serve:
 e2e-distributed:
 	HORNET_E2E=1 $(GO) test -count=1 -timeout 15m -v -run TestDistributedFleetE2E ./e2e
 
-# Process-level sharded drill: one simulation space-parallel across 2
-# worker processes (a third idle as the spare), SIGKILL a member's
-# worker mid-run, and require group rollback + checkpoint-seeded
-# re-dispatch plus a document byte-identical to the single-engine run.
-e2e-sharded:
-	HORNET_E2E=1 $(GO) test -count=1 -timeout 15m -v -run TestShardedFleetE2E ./e2e
-
 # Process-level durable-coordinator drill: journaled coordinator + 3
 # workers, SIGKILL the COORDINATOR mid-run, restart it against the same
 # -journal-dir, and require the in-flight job to reattach and complete
 # (resumed_runs > 0, byte-identical document) — for a plain fleet job
-# and a 2-way sharded one. On failure the replayed journal lands in
+# and a `shards: 2` one. On failure the replayed journal lands in
 # HORNET_E2E_ARTIFACTS.
 e2e-coordinator-restart:
 	HORNET_E2E=1 $(GO) test -count=1 -timeout 15m -v -run TestCoordinatorRestartE2E ./e2e
 
-# All three SIGKILL drills: the proof obligations of any change to how the
-# service executes, checkpoints, shards or journals a run.
-e2e: e2e-distributed e2e-sharded e2e-coordinator-restart
+# Both SIGKILL drills: the proof obligations of any change to how the
+# service executes, checkpoints or journals a run.
+e2e: e2e-distributed e2e-coordinator-restart
 
 # Non-test lines in the service tree (ROADMAP item 5 asks for net-negative
 # diffs there).

@@ -20,10 +20,11 @@ import (
 // fleet, SIGKILL the coordinator mid-run, restart it against the same
 // -journal-dir, and require that the in-flight job reattaches and
 // completes — resumed_runs > 0, document byte-identical to an
-// uninterrupted in-process run. The drill runs twice: a plain fleet
-// job (whose still-running worker must be re-adopted in place) and a
-// 2-way sharded one (whose members restart from the journaled
-// group-stable checkpoint set).
+// uninterrupted in-process run. The drill runs twice, and both times the
+// still-running worker must be re-adopted in place: a plain fleet job,
+// and a `shards: 2` one, which runs as one task like any other and shows
+// that a submission written for the retired member path survives a
+// restart too.
 func TestCoordinatorRestartE2E(t *testing.T) {
 	if os.Getenv("HORNET_E2E") == "" {
 		t.Skip("set HORNET_E2E=1 to run the process-level coordinator-restart drill")
@@ -85,8 +86,8 @@ func TestCoordinatorRestartE2E(t *testing.T) {
 	coord := start("hornet-serve", coordArgs...)
 	waitHealthy(t, base)
 
-	// Three single-slot workers: the plain drill needs one executor, the
-	// sharded drill two co-scheduled members, and a spare absorbs timing.
+	// Three single-slot workers: each drill needs one executor, and the
+	// spares absorb timing.
 	for i := 1; i <= 3; i++ {
 		start("hornet-worker", "-coordinator", base,
 			"-id", fmt.Sprintf("e2e-r%d", i), "-capacity", "1")
@@ -136,9 +137,8 @@ func runCoordinatorRestartDrill(t *testing.T, ctx context.Context, c *client.Cli
 		t.Fatalf("%s: submit: %v", req.Name, err)
 	}
 
-	// Wait for durable progress before the kill. Two checkpoints: by the
-	// root member's second upload a sharded group's first stable set has
-	// been promoted (and journaled); plain jobs just get a deeper resume.
+	// Wait for durable progress before the kill: two checkpoints, for a
+	// deeper resume.
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		ji, err := c.Job(ctx, info.ID)
@@ -197,7 +197,7 @@ func runCoordinatorRestartDrill(t *testing.T, ctx context.Context, c *client.Cli
 	if err != nil {
 		t.Fatalf("%s: stats: %v", req.Name, err)
 	}
-	if req.Shards < 2 && st.Fleet.TasksAdopted < 1 {
+	if st.Fleet.TasksAdopted < 1 {
 		t.Errorf("%s: the pre-restart executor was never re-adopted: %+v", req.Name, st.Fleet)
 	}
 

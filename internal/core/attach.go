@@ -64,13 +64,10 @@ func (s *System) TraceDone() bool {
 // drained reports whether the network holds no flit and no router has a
 // packet waiting to inject: the half every completion predicate shares.
 func (s *System) drained() bool {
-	return s.InFlight() == 0 && noPendingPackets(s.tiles)
-}
-
-// noPendingPackets reports whether no router of tiles has a packet
-// waiting to inject.
-func noPendingPackets(tiles []*Tile) bool {
-	for _, t := range tiles {
+	if s.InFlight() != 0 {
+		return false
+	}
+	for _, t := range s.tiles {
 		if t.Router.PendingPackets() > 0 {
 			return false
 		}

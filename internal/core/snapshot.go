@@ -39,10 +39,9 @@ const (
 	secMem     = "mem"
 	secMIPS    = "mips"
 	secTraceMC = "tracemc"
-	// secShard is present only in snapshots taken by a sharded system
-	// (EnableSharding): the shard's identity and tile span. Its presence
-	// also signals that the saved in-flight counter is the shard's local
-	// drifted value, not a resident-flit count.
+	// secShard was written only by a member of a cross-process shard
+	// group, whose in-flight counter counted its own span's traffic; no
+	// system takes such a snapshot any more, and Restore refuses one.
 	secShard = "shard"
 )
 
@@ -53,14 +52,6 @@ func (s *System) Snapshot() (*snapshot.Snapshot, error) {
 
 	w := snap.Section(secEngine)
 	w.Int64(s.engine.InFlight().Load())
-
-	if s.shard != nil {
-		w = snap.Section(secShard)
-		w.Int(s.shard.index)
-		w.Int(s.shard.count)
-		w.Int(s.shard.lo)
-		w.Int(s.shard.hi)
-	}
 
 	w = snap.Section(secTiles)
 	w.Int(len(s.tiles))
@@ -273,17 +264,9 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 		return err
 	}
 
-	sharded := snap.Has(secShard)
-	if sharded {
-		r, err = snap.Open(secShard)
-		if err != nil {
-			return err
-		}
-		rs := &shardState{index: r.Int(), count: r.Int(), lo: r.Int(), hi: r.Int()}
-		if err := r.Close(); err != nil {
-			return err
-		}
-		s.restoredShard = rs
+	if snap.Has(secShard) {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"section %q: a shard member's state, which no system restores", secShard)}
 	}
 
 	r, err = snap.Open(secTiles)
@@ -421,19 +404,13 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 	// Cross-check the global flit counter against the flits actually
 	// resident in the restored buffers before installing anything
 	// irreversible: a skew here would corrupt fast-forward decisions.
-	// A sharded snapshot's counter is the shard's local injected-minus-
-	// delivered value — it drifts from the resident count by boundary
-	// traffic (only the cross-shard sum is meaningful), so the check
-	// does not apply.
-	if !sharded {
-		var resident int64
-		for _, t := range s.tiles {
-			resident += t.Router.ResidentFlits()
-		}
-		if resident != inflight {
-			return &snapshot.CorruptError{Detail: fmt.Sprintf(
-				"in-flight counter %d does not match %d resident flits", inflight, resident)}
-		}
+	var resident int64
+	for _, t := range s.tiles {
+		resident += t.Router.ResidentFlits()
+	}
+	if resident != inflight {
+		return &snapshot.CorruptError{Detail: fmt.Sprintf(
+			"in-flight counter %d does not match %d resident flits", inflight, resident)}
 	}
 	s.engine.InFlight().Store(inflight)
 	s.clock = snap.Clock

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hornet/internal/config"
@@ -895,6 +896,33 @@ func TestRestoreRequiresFreshSystem(t *testing.T) {
 	}
 	if err := sys.RestoreBytes(blob); err == nil {
 		t.Fatal("restore into a running system succeeded, want error")
+	}
+}
+
+// TestRestoreRefusesShardMemberSnapshot: a member of a cross-process shard
+// group wrote a "shard" section (its index, the member count and its tile
+// span) and an in-flight counter of its own span's traffic. No system can
+// take that state back, so a restore must refuse the blob by the section's
+// name instead of loading a counter that does not count the network.
+func TestRestoreRefusesShardMemberSnapshot(t *testing.T) {
+	sys := buildSynthetic(t, snapCfg(1))
+	sys.Run(200)
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	w := snap.Section("shard")
+	for _, v := range []int{0, 2, 0, 8} { // member 0 of 2, tiles [0,8)
+		w.Int(v)
+	}
+	blob, err := snap.Bytes()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	err = buildSynthetic(t, snapCfg(1)).RestoreBytes(blob)
+	var ce *snapshot.CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Detail, `"shard"`) {
+		t.Fatalf("restoring a shard member's snapshot: got %v, want a corrupt-snapshot error naming the \"shard\" section", err)
 	}
 }
 

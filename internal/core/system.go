@@ -43,12 +43,6 @@ type System struct {
 	// nil until enabled, in which case the engine's sampler hook is a
 	// single nil check.
 	telemetry *telemetryCollector
-
-	// Sharding context (EnableSharding); nil for single-process runs.
-	shard *shardState
-	// restoredShard records the shard identity a restored snapshot was
-	// taken under, for EnableSharding to cross-check.
-	restoredShard *shardState
 }
 
 // New builds the system Plan works out for cfg: routing and VCA tables,

@@ -27,22 +27,15 @@ type telemetryCollector struct {
 	lastRunSkip uint64
 }
 
-// Sample builds and publishes a snapshot of the span [lo,hi) this
-// system's engine steps (the full machine unless sharded).
+// Sample builds and publishes a snapshot of the whole machine.
 func (c *telemetryCollector) Sample(cycle, runSkipped uint64) {
 	s := c.sys
-	lo, hi := s.ShardSpan()
-	index, count := s.ShardIndex()
 	snap := obs.TelemetrySnapshot{
-		Cycle:      cycle,
-		Shard:      index,
-		ShardCount: count,
-		TileLo:     lo,
-		TileHi:     hi,
-		Tiles:      make([]obs.TileTelemetry, 0, hi-lo),
+		Cycle:  cycle,
+		TileHi: len(s.tiles),
+		Tiles:  make([]obs.TileTelemetry, 0, len(s.tiles)),
 	}
-	for i := lo; i < hi; i++ {
-		t := s.tiles[i]
+	for i, t := range s.tiles {
 		inj, del, avg := t.Stats.FlitSample()
 		snap.Tiles = append(snap.Tiles, obs.TileTelemetry{
 			Tile:           i,

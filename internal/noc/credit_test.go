@@ -44,8 +44,7 @@ func (l *creditLine) free(c uint64) int { return l.ev.free(c - 1) }
 // to the producer in c — whose positive edge may run after that commit on
 // another worker — and visible from c+1 on, also at c+2 and later when
 // nothing pops (no negative edge writes the credit again). The rule holds
-// on across a restore and a shard exchange, whose unstamped writes are
-// whole in every cycle.
+// on across a restore, whose unstamped writes are whole in every cycle.
 func TestCreditVisibleFromNextCycle(t *testing.T) {
 	const c = 10
 	check := func(when string, l *creditLine, cycle uint64, want int) {
@@ -94,39 +93,6 @@ func TestCreditVisibleFromNextCycle(t *testing.T) {
 	check("restored, after the commit of c+3", restored, c+4, 2)
 	restored.cons.PhaseCommit(c + 4)
 	check("restored, nothing popped at c+4", restored, c+5, 2)
-
-	// Split the line between two shards: the consumer's pops reach the
-	// producer's replica through the exchange at the boundary after c.
-	var reps [2]*creditLine
-	var bounds [2]*ShardBoundary
-	for s := range reps {
-		reps[s] = newCreditLine(t)
-		bounds[s] = NewShardBoundary([]*Router{reps[s].prod, reps[s].cons}, s, s+1)
-	}
-	reps[1].pop()
-	reps[1].cons.PhaseCommit(c)
-	check("sharded, before the exchange", reps[0], c+1, 0)
-	exchange := func(cycle uint64) {
-		var snaps [2]*snapshot.Snapshot
-		for s := range bounds {
-			var err error
-			if snaps[s], err = bounds[s].Capture(cycle); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for s := range bounds {
-			for _, snap := range snaps {
-				if err := bounds[s].Apply(snap); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	exchange(c)
-	check("sharded, after the exchange of c", reps[0], c+1, 1)
-	reps[1].cons.PhaseCommit(c + 1)
-	exchange(c + 1)
-	check("sharded, nothing popped at c+1", reps[0], c+2, 1)
 }
 
 // TestCreditWakesVCParkedInItsCycle: the consumer's negative edge of cycle

@@ -549,3 +549,21 @@ func TestLinkSnapshotKeepsLastCommittedSlot(t *testing.T) {
 		}
 	}
 }
+
+// Pop removes and returns the head flit, dropping its payload (consumer
+// side): the in-place consumer primitives with a copy around them, for
+// tests that drain a buffer no running router owns. A router caches what
+// it knows about its own buffers' heads, so it never pops from outside.
+func (b *VCBuffer) Pop() Flit {
+	f := *b.headSlot()
+	b.takePayload()
+	b.advance()
+	return f
+}
+
+// CommittedPops returns the consumer's latest committed cumulative pop
+// count (consumer side, or at a quiescent point).
+func (b *VCBuffer) CommittedPops() uint64 {
+	pops := b.pops.Load()
+	return pops - uint64(uint16(pops)-b.cell().latest())
+}

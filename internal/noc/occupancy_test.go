@@ -197,72 +197,6 @@ func TestOccupancyMaskTracksBuffersAfterRestore(t *testing.T) {
 	}
 }
 
-// TestOccupancyMaskTracksBuffersAfterShardApply splits a line between two
-// replicas as a sharded run does and checks both doorbells across the cut,
-// which ShardBoundary.Apply rings through the same publish calls as
-// everything else. With traffic from the first router only, the second
-// replica's span has nothing resident, nothing pending and is skipping its
-// cycles when Apply pushes the first boundary flit into it: the push must
-// set the occupancy bit so that the flit moves on the next cycle. With the
-// last link contended, the producer at the cut parks VCs on credits that
-// only Apply's replayed pops return: the commit must wake them. Either way
-// the mask invariant holds at every boundary, the in-span routers' counters
-// and generator positions equal the whole line's after every cycle, and
-// both deliver the same packets.
-func TestOccupancyMaskTracksBuffersAfterShardApply(t *testing.T) {
-	const n, cut = 4, 2
-	for _, tc := range []struct {
-		name    string
-		packets int
-		offer   func(routers []*Router)
-	}{
-		{"sleeping consumer", 4, func(routers []*Router) {
-			for i := 0; i < 4; i++ {
-				routers[0].OfferPacket(Packet{Flow: MakeFlow(0, n-1, 0), Dst: n - 1, Flits: 6})
-			}
-		}},
-		{"parked producer", 16, func(routers []*Router) {
-			for i := 0; i < 8; i++ {
-				routers[0].OfferPacket(Packet{Flow: MakeFlow(0, n-1, 0), Dst: n - 1, Flits: 6})
-				routers[cut].OfferPacket(Packet{Flow: MakeFlow(cut, n-1, 0), Dst: n - 1, Flits: 6})
-			}
-		}},
-	} {
-		woken, parkedAtCut := false, 0
-		wholeGot, splitGot := runSplitLine(t, n, cut, 400, tc.offer, func(c uint64, whole []*Router, reps [2][]*Router) {
-			// The consumer of the boundary has never held a flit, so it slept
-			// through this cycle; now it holds one.
-			if consumer := reps[1][cut]; consumer.Stats().BufWrites == 0 && consumer.anyOccupied() {
-				woken = true
-			}
-			parkedAtCut += checkMask(t, fmt.Sprintf("%s: the producer at the cut after the exchange of cycle %d", tc.name, c), reps[0][cut-1:cut], c+1)
-			for s, lo := range []int{0, cut} {
-				checkMask(t, fmt.Sprintf("%s: replica %d after the exchange of cycle %d", tc.name, s, c), reps[s], c+1)
-				for i := lo; i < lo+n/2; i++ {
-					if a, b := *reps[s][i].Stats(), *whole[i].Stats(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s, after cycle %d: router %d of replica %d counts %+v, the whole line's counts %+v", tc.name, c, i, s, a, b)
-					}
-					if a, b := reps[s][i].rng.State(), whole[i].rng.State(); a != b {
-						t.Fatalf("%s, after cycle %d: router %d of replica %d left its generator at %#x, the whole line's at %#x", tc.name, c, i, s, a, b)
-					}
-				}
-			}
-		})
-		if tc.name == "sleeping consumer" && !woken {
-			t.Fatal("no Apply reached the consumer while it had nothing resident: the test checked nothing")
-		}
-		if tc.name == "parked producer" && parkedAtCut == 0 {
-			t.Fatal("the producer at the cut never parked a VC on a boundary credit: the test checked nothing")
-		}
-		if len(wholeGot) != tc.packets {
-			t.Fatalf("%s: the whole line delivered %d packets, want %d", tc.name, len(wholeGot), tc.packets)
-		}
-		if !reflect.DeepEqual(splitGot, wholeGot) {
-			t.Fatalf("%s: split run delivered %d packets, whole line %d, or different ones", tc.name, len(splitGot), len(wholeGot))
-		}
-	}
-}
-
 // TestParkedRouterIsIdle: a two-router line whose sink stops draining. The
 // source's two injection VCs fill, their packets hold both downstream VCs
 // and those fill too, so both are parked: the source holds four flits, its

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -554,82 +553,6 @@ func TestCreditKeptAtProducer(t *testing.T) {
 	buf.Commit()
 	if got := buf.CommittedPops(); got != 1 {
 		t.Fatalf("unconnected buffer reports %d committed pops after one, want 1", got)
-	}
-}
-
-// runSplitLine steps a whole n-router line and, beside it, the same line
-// split at cut between two replicas the way a sharded run splits it — each
-// replica steps its own span and the two exchange boundary blobs every
-// cycle. offer loads each machine with the same traffic; each runs after
-// every cycle's exchange. It returns what the last router received in the
-// whole line and in the split one.
-func runSplitLine(t *testing.T, n, cut int, cycles uint64, offer func(routers []*Router),
-	each func(c uint64, whole []*Router, reps [2][]*Router)) (wholeGot, splitGot []Packet) {
-	t.Helper()
-	whole, wholeRecv := pipeline(t, n, 2, 3, VCADynamic)
-	offer(whole)
-	var reps [2][]*Router
-	var recv [2][]*[]Packet
-	var bounds [2]*ShardBoundary
-	spans := [2][2]int{{0, cut}, {cut, n}}
-	for s := range reps {
-		reps[s], recv[s] = pipeline(t, n, 2, 3, VCADynamic)
-		offer(reps[s])
-		bounds[s] = NewShardBoundary(reps[s], spans[s][0], spans[s][1])
-	}
-	for c := uint64(0); c < cycles; c++ {
-		step(whole, c)
-		var snaps [2]*snapshot.Snapshot
-		for s := range reps {
-			step(reps[s][spans[s][0]:spans[s][1]], c)
-			snap, err := bounds[s].Capture(c)
-			if err == nil {
-				// Through the wire encoding, as a sharded run sends it.
-				var b []byte
-				if b, err = snap.Bytes(); err == nil {
-					snaps[s], err = snapshot.DecodeBytes(b)
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		for s := range reps {
-			for _, snap := range snaps {
-				if err := bounds[s].Apply(snap); err != nil {
-					t.Fatalf("cycle %d: %v", c, err)
-				}
-			}
-		}
-		each(c, whole, reps)
-	}
-	return *wholeRecv[n-1], *recv[1][n-1]
-}
-
-// TestShardBoundaryAppliesCreditAtProducer splits a line between two
-// replicas and checks that Apply lands the remote consumer's committed
-// pops in the in-span producer's credit word, and that the split run
-// delivers exactly what the whole line does.
-func TestShardBoundaryAppliesCreditAtProducer(t *testing.T) {
-	const n, cut = 4, 2
-	wholeGot, splitGot := runSplitLine(t, n, cut, 400, congest, func(c uint64, _ []*Router, reps [2][]*Router) {
-		// Router cut-1 of replica 0 produces into router cut of replica 1.
-		eg, _ := reps[0][cut-1].PortToward(NodeID(cut))
-		in, _ := reps[1][cut].PortToward(NodeID(cut - 1))
-		for vi := range reps[0][cut-1].Ports()[eg].outState {
-			ev := &reps[0][cut-1].Ports()[eg].outState[vi]
-			consumer := reps[1][cut].Ports()[in].In[vi]
-			if uint64(ev.credit.latest()) != consumer.CommittedPops() {
-				t.Fatalf("cycle %d vc %d: producer-side credit %d, remote consumer committed %d",
-					c, vi, uint64(ev.credit.latest()), consumer.CommittedPops())
-			}
-		}
-	})
-	if len(wholeGot) == 0 {
-		t.Fatal("the whole line delivered nothing: the comparison checked nothing")
-	}
-	if !reflect.DeepEqual(splitGot, wholeGot) {
-		t.Fatalf("split run delivered %d packets, whole line %d, or different ones", len(splitGot), len(wholeGot))
 	}
 }
 

@@ -14,9 +14,9 @@ package noc
 // entry carries its number (Flit.line, RouteLine.ID), so the next router's
 // RC resolves a number instead of looking up (lookahead routing), and a
 // reroute after VA starvation draws again from the same line. Then is nil
-// on ejection. A flit without a line — at injection, after a restore,
-// across a shard boundary, or leaving by a line its store did not number —
-// is looked up in the router's RouteTable.
+// on ejection. A flit without a line — at injection, after a restore, or
+// leaving by a line its store did not number — is looked up in the
+// router's RouteTable.
 type RouteEntry struct {
 	Next   NodeID
 	Phase2 bool

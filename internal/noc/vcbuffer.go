@@ -18,8 +18,9 @@ import (
 //
 // Both ends work on the slots in place: the producer takes the tail slot
 // (tailSlot), fills it and publishes it; the consumer reads the head slot
-// (headSlot) and advances past it. Push, Pop and Peek are those same
-// primitives with a copy around them, for tests and the shard exchange.
+// (headSlot) and advances past it. Push and Peek are those same
+// primitives with a copy around them, for the injection port and the
+// router's look at a head.
 //
 // Credit semantics: the producer's view of free space is
 //
@@ -38,7 +39,7 @@ import (
 // count as stored unless it is stamped c: that commit may or may not have
 // run yet on another worker, and it is one pop ahead, since a buffer pops
 // at most one flit per cycle (creditCell.view). A write at a quiescent
-// point — Commit, restore, the shard exchange — is unstamped and read whole
+// point — Commit, restore — is unstamped and read whole
 // in every cycle. Every new count is written through commit.publish.
 //
 // The credit cell is also the one place both ends reach that has room for
@@ -263,7 +264,7 @@ func (b *VCBuffer) payloadAt(i int) any {
 }
 
 // Peek returns a pointer to the head flit if one is present and visible at
-// the given cycle. The pointer is valid until the next Pop and may be used
+// the given cycle. The pointer is valid until the head advances and may be used
 // by the owning tile to inspect (never to remove) the flit.
 func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
 	if b.Len() == 0 {
@@ -275,18 +276,6 @@ func (b *VCBuffer) Peek(cycle uint64) (*Flit, bool) {
 		return f, true
 	}
 	return nil, false
-}
-
-// Pop removes and returns the head flit, dropping its payload (consumer
-// side). The caller must have established non-emptiness via Peek in the
-// same phase. A router caches what it knows about its own buffers' heads,
-// so only a buffer no running router owns may be popped from outside
-// (tests, and the shard exchange's replicas of remote buffers).
-func (b *VCBuffer) Pop() Flit {
-	f := *b.headSlot()
-	b.takePayload()
-	b.advance()
-	return f
 }
 
 // creditCell is what a buffer's consumer writes for its producer — one
@@ -345,13 +334,6 @@ func (b *VCBuffer) attachCredit(c *creditCell) {
 		commit{c, b.credit.latest()}.publish(0)
 	}
 	b.credit = c
-}
-
-// CommittedPops returns the consumer's latest committed cumulative pop
-// count (consumer side, or at a quiescent point).
-func (b *VCBuffer) CommittedPops() uint64 {
-	pops := b.pops.Load()
-	return pops - uint64(uint16(pops)-b.cell().latest())
 }
 
 // Commit publishes the consumer's pops at a quiescent point, unstamped:

@@ -1,9 +1,9 @@
 // Package obs is hornet's dependency-free observability layer:
 // structured logging conventions on top of log/slog, a hand-rolled
 // metrics registry with Prometheus text exposition, a cycle-level
-// engine probe (cycles/sec, per-partition barrier-wait vs. compute,
-// shard sync round-trips), and per-job trace timelines exported as
-// Chrome trace_event JSON (loadable in Perfetto / chrome://tracing).
+// engine probe (cycles/sec, per-partition barrier-wait vs. compute),
+// and per-job trace timelines exported as Chrome trace_event JSON
+// (loadable in Perfetto / chrome://tracing).
 //
 // Everything here is stdlib-only by design: the simulator links no
 // third-party code, and the engine hot path must stay allocation-free
@@ -25,7 +25,6 @@ const (
 	KeyJob       = "job"
 	KeyTask      = "task"
 	KeyWorker    = "worker"
-	KeyShard     = "shard"
 )
 
 // Component tags a logger with the subsystem name ("scheduler",
@@ -34,11 +33,10 @@ func Component(l *slog.Logger, name string) *slog.Logger {
 	return l.With(slog.String(KeyComponent, name))
 }
 
-// Job, Task, Worker and Shard build the shared convention attrs.
+// Job, Task and Worker build the shared convention attrs.
 func Job(id string) slog.Attr    { return slog.String(KeyJob, id) }
 func Task(id string) slog.Attr   { return slog.String(KeyTask, id) }
 func Worker(id string) slog.Attr { return slog.String(KeyWorker, id) }
-func Shard(index int) slog.Attr  { return slog.Int(KeyShard, index) }
 func Err(err error) slog.Attr    { return slog.Any("err", err) }
 
 // Nop returns a logger that discards everything. Components take

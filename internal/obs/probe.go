@@ -8,10 +8,9 @@ import (
 )
 
 // SimProbe collects engine-level timing: total cycles and wall time
-// (cycles/sec), per-partition compute vs. barrier-wait time, and the
-// round-trip latency of shard coupler syncs. A probe is attached to an
-// engine with Engine.SetProbe; a nil probe costs the engine exactly
-// one predictable branch per phase and zero allocations.
+// (cycles/sec) and per-partition compute vs. barrier-wait time. A probe
+// is attached to an engine with Engine.SetProbe; a nil probe costs the
+// engine exactly one predictable branch per phase and zero allocations.
 //
 // All counters are cumulative across runs so chunked (checkpointing)
 // executions aggregate naturally; Snapshot renders a consistent-enough
@@ -23,9 +22,6 @@ type SimProbe struct {
 	cycles  atomic.Uint64
 	skipped atomic.Uint64
 	wallNS  atomic.Int64
-
-	syncCalls atomic.Uint64
-	syncNS    atomic.Int64
 
 	mu    sync.Mutex
 	parts []*PartitionProbe
@@ -87,12 +83,6 @@ func (p *SimProbe) RunDone(cycles, skipped uint64, wall time.Duration) {
 	p.wallNS.Add(int64(wall))
 }
 
-// ShardSync records one shard coupler round-trip.
-func (p *SimProbe) ShardSync(d time.Duration) {
-	p.syncCalls.Add(1)
-	p.syncNS.Add(int64(d))
-}
-
 // ProbeSnapshot is a point-in-time rendering of a SimProbe, embedded
 // in JobInfo and SSE "engine" events and pushed over the fleet wire.
 type ProbeSnapshot struct {
@@ -103,9 +93,6 @@ type ProbeSnapshot struct {
 	SkippedCycles uint64  `json:"skipped_cycles,omitempty"`
 	WallMS        float64 `json:"wall_ms"`
 	CyclesPerSec  float64 `json:"cycles_per_sec"`
-
-	ShardSyncs      uint64  `json:"shard_syncs,omitempty"`
-	ShardSyncWallMS float64 `json:"shard_sync_wall_ms,omitempty"`
 
 	Partitions []PartitionSnapshot `json:"partitions,omitempty"`
 }
@@ -133,9 +120,7 @@ func (p *SimProbe) Snapshot() ProbeSnapshot {
 		Cycles:        p.cycles.Load(),
 		SkippedCycles: p.skipped.Load(),
 		WallMS:        float64(p.wallNS.Load()) / 1e6,
-		ShardSyncs:    p.syncCalls.Load(),
 	}
-	s.ShardSyncWallMS = float64(p.syncNS.Load()) / 1e6
 	if wall := p.wallNS.Load(); wall > 0 {
 		s.CyclesPerSec = float64(s.Cycles) / (float64(wall) / 1e9)
 	}
@@ -189,18 +174,16 @@ func (s ProbeSnapshot) ComputeWallMS() float64 {
 // EngineDelta is what the engine series count: the totals of a snapshot,
 // or the increments between two.
 type EngineDelta struct {
-	Cycles, Parks, ShardSyncs      uint64
-	ComputeS, BarrierS, ShardSyncS float64
+	Cycles, Parks      uint64
+	ComputeS, BarrierS float64
 }
 
 func engineTotals(s ProbeSnapshot) EngineDelta {
 	return EngineDelta{
-		Cycles:     s.Cycles,
-		Parks:      s.BarrierParks(),
-		ShardSyncs: s.ShardSyncs,
-		ComputeS:   s.ComputeWallMS() / 1e3,
-		BarrierS:   s.BarrierWallMS() / 1e3,
-		ShardSyncS: s.ShardSyncWallMS / 1e3,
+		Cycles:   s.Cycles,
+		Parks:    s.BarrierParks(),
+		ComputeS: s.ComputeWallMS() / 1e3,
+		BarrierS: s.BarrierWallMS() / 1e3,
 	}
 }
 
@@ -232,40 +215,34 @@ func (f *EngineFold) Fold(snap ProbeSnapshot) (EngineDelta, bool) {
 		return EngineDelta{}, false
 	}
 	f.seen = EngineDelta{
-		Cycles:     t.Cycles,
-		Parks:      max(t.Parks, s.Parks),
-		ShardSyncs: max(t.ShardSyncs, s.ShardSyncs),
-		ComputeS:   max(t.ComputeS, s.ComputeS),
-		BarrierS:   max(t.BarrierS, s.BarrierS),
-		ShardSyncS: max(t.ShardSyncS, s.ShardSyncS),
+		Cycles:   t.Cycles,
+		Parks:    max(t.Parks, s.Parks),
+		ComputeS: max(t.ComputeS, s.ComputeS),
+		BarrierS: max(t.BarrierS, s.BarrierS),
 	}
 	n := f.seen
 	return EngineDelta{
-		Cycles:     n.Cycles - s.Cycles,
-		Parks:      n.Parks - s.Parks,
-		ShardSyncs: n.ShardSyncs - s.ShardSyncs,
-		ComputeS:   n.ComputeS - s.ComputeS,
-		BarrierS:   n.BarrierS - s.BarrierS,
-		ShardSyncS: n.ShardSyncS - s.ShardSyncS,
+		Cycles:   n.Cycles - s.Cycles,
+		Parks:    n.Parks - s.Parks,
+		ComputeS: n.ComputeS - s.ComputeS,
+		BarrierS: n.BarrierS - s.BarrierS,
 	}, true
 }
 
 // EngineSeries is the hornet_engine_* family the coordinator and the
 // workers both expose, fed by EngineFold increments.
 type EngineSeries struct {
-	cycles, parks, syncs          *Counter
-	compute, barrier, syncSeconds *Histogram
+	cycles, parks    *Counter
+	compute, barrier *Histogram
 }
 
 // NewEngineSeries registers the engine series in reg.
 func NewEngineSeries(reg *Registry) *EngineSeries {
 	return &EngineSeries{
-		cycles:      reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed by the probed engines."),
-		compute:     reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil),
-		barrier:     reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil),
-		parks:       reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep."),
-		syncSeconds: reg.Histogram("hornet_engine_shard_sync_seconds", "Per-chunk shard synchronization round-trip time.", nil),
-		syncs:       reg.Counter("hornet_engine_shard_syncs_total", "Shard synchronization exchanges."),
+		cycles:  reg.Counter("hornet_engine_cycles_total", "Simulated cycles executed by the probed engines."),
+		compute: reg.Histogram("hornet_engine_compute_seconds", "Per-chunk engine compute time (summed across worker threads).", nil),
+		barrier: reg.Histogram("hornet_engine_barrier_wait_seconds", "Per-chunk barrier wait time (summed across worker threads).", nil),
+		parks:   reg.Counter("hornet_engine_barrier_parks_total", "Barrier waits that outlasted the polling bound and put the worker thread to sleep."),
 	}
 }
 
@@ -274,14 +251,10 @@ func NewEngineSeries(reg *Registry) *EngineSeries {
 func (e *EngineSeries) Observe(d EngineDelta) {
 	e.cycles.Add(d.Cycles)
 	e.parks.Add(d.Parks)
-	e.syncs.Add(d.ShardSyncs)
 	if d.ComputeS > 0 {
 		e.compute.Observe(d.ComputeS)
 	}
 	if d.BarrierS > 0 {
 		e.barrier.Observe(d.BarrierS)
-	}
-	if d.ShardSyncS > 0 {
-		e.syncSeconds.Observe(d.ShardSyncS)
 	}
 }

@@ -6,8 +6,7 @@ import "sort"
 // — as opposed to SimProbe, which times the simulator. It is sampled at
 // engine sync points (all workers parked at the barrier, so plain
 // counter reads are race-free), carried over the fleet wire in
-// TaskEvents, merged across shard members into one full-machine view,
-// and served live over the job's telemetry SSE stream.
+// TaskEvents, and served live over the job's telemetry SSE stream.
 //
 // Counters are cumulative over the measured window (stats reset at the
 // warmup boundary), so the final snapshot of a run agrees with the
@@ -19,13 +18,10 @@ type TelemetrySnapshot struct {
 	Cycle         uint64 `json:"cycle"`
 	SkippedCycles uint64 `json:"skipped_cycles,omitempty"`
 
-	// Shard identity: which member produced the sample and which tile
-	// span [TileLo,TileHi) it covers. A merged full-machine snapshot has
-	// Shard == -1 and the full span.
-	Shard      int `json:"shard"`
-	ShardCount int `json:"shard_count"`
-	TileLo     int `json:"tile_lo"`
-	TileHi     int `json:"tile_hi"`
+	// TileLo and TileHi bound the sampled tiles [TileLo,TileHi): the
+	// whole machine.
+	TileLo int `json:"tile_lo"`
+	TileHi int `json:"tile_hi"`
 
 	Tiles []TileTelemetry `json:"tiles,omitempty"`
 	Links []LinkTelemetry `json:"links,omitempty"`
@@ -92,48 +88,4 @@ func (s TelemetrySnapshot) TopLinks(k int) []LinkTelemetry {
 		links = links[:k]
 	}
 	return links
-}
-
-// MergeTelemetry folds per-shard snapshots into one full-machine view:
-// tiles and links concatenate (spans are disjoint), the cycle position
-// is the minimum across members (the machine has coherently reached at
-// least that cycle), and the span is the union. Order of parts does not
-// affect the result; tiles and links come out sorted.
-func MergeTelemetry(parts []TelemetrySnapshot) TelemetrySnapshot {
-	if len(parts) == 0 {
-		return TelemetrySnapshot{Shard: -1}
-	}
-	if len(parts) == 1 && parts[0].ShardCount <= 1 {
-		return parts[0]
-	}
-	out := TelemetrySnapshot{
-		Shard:         -1,
-		ShardCount:    parts[0].ShardCount,
-		Cycle:         parts[0].Cycle,
-		SkippedCycles: parts[0].SkippedCycles,
-		TileLo:        parts[0].TileLo,
-		TileHi:        parts[0].TileHi,
-	}
-	for _, p := range parts {
-		if p.Cycle < out.Cycle {
-			out.Cycle = p.Cycle
-			out.SkippedCycles = p.SkippedCycles
-		}
-		if p.TileLo < out.TileLo {
-			out.TileLo = p.TileLo
-		}
-		if p.TileHi > out.TileHi {
-			out.TileHi = p.TileHi
-		}
-		out.Tiles = append(out.Tiles, p.Tiles...)
-		out.Links = append(out.Links, p.Links...)
-	}
-	sort.Slice(out.Tiles, func(a, b int) bool { return out.Tiles[a].Tile < out.Tiles[b].Tile })
-	sort.Slice(out.Links, func(a, b int) bool {
-		if out.Links[a].From != out.Links[b].From {
-			return out.Links[a].From < out.Links[b].From
-		}
-		return out.Links[a].To < out.Links[b].To
-	})
-	return out
 }

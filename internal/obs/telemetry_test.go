@@ -5,64 +5,6 @@ import (
 	"testing"
 )
 
-func shardSample(shard, count, lo, hi int, cycle uint64) TelemetrySnapshot {
-	s := TelemetrySnapshot{
-		Cycle: cycle, Shard: shard, ShardCount: count, TileLo: lo, TileHi: hi,
-	}
-	for t := lo; t < hi; t++ {
-		s.Tiles = append(s.Tiles, TileTelemetry{
-			Tile: t, FlitsInjected: uint64(10 * (t + 1)), FlitsDelivered: uint64(9 * (t + 1)),
-		})
-		s.Links = append(s.Links, LinkTelemetry{From: t, To: t + 1, Occupancy: t % 3, Capacity: 8})
-	}
-	return s
-}
-
-// MergeTelemetry must present disjoint member spans as one full-machine
-// view: union span, min cycle, concatenated-and-sorted tiles/links,
-// Shard == -1, regardless of part order.
-func TestMergeTelemetry(t *testing.T) {
-	a := shardSample(0, 2, 0, 4, 1_000)
-	b := shardSample(1, 2, 4, 8, 900) // member b lags: machine is coherent at 900
-
-	for _, parts := range [][]TelemetrySnapshot{{a, b}, {b, a}} {
-		m := MergeTelemetry(parts)
-		if m.Shard != -1 || m.ShardCount != 2 {
-			t.Fatalf("merged shard identity = %d/%d, want -1/2", m.Shard, m.ShardCount)
-		}
-		if m.Cycle != 900 {
-			t.Errorf("merged cycle = %d, want min member cycle 900", m.Cycle)
-		}
-		if m.TileLo != 0 || m.TileHi != 8 {
-			t.Errorf("merged span = [%d,%d), want [0,8)", m.TileLo, m.TileHi)
-		}
-		if len(m.Tiles) != 8 || len(m.Links) != 8 {
-			t.Fatalf("merged sizes: %d tiles, %d links, want 8/8", len(m.Tiles), len(m.Links))
-		}
-		for i, tile := range m.Tiles {
-			if tile.Tile != i {
-				t.Fatalf("merged tiles not sorted: index %d holds tile %d", i, tile.Tile)
-			}
-		}
-		if got, want := m.FlitsInjected(), a.FlitsInjected()+b.FlitsInjected(); got != want {
-			t.Errorf("merged injected = %d, want %d", got, want)
-		}
-		if got, want := m.BufferedFlits(), a.BufferedFlits()+b.BufferedFlits(); got != want {
-			t.Errorf("merged buffered = %d, want %d", got, want)
-		}
-	}
-
-	// Degenerate cases: no parts is an empty merged view; one unsharded
-	// part passes through untouched.
-	if m := MergeTelemetry(nil); m.Shard != -1 || len(m.Tiles) != 0 {
-		t.Errorf("empty merge = %+v", m)
-	}
-	solo := shardSample(0, 1, 0, 4, 50)
-	if m := MergeTelemetry([]TelemetrySnapshot{solo}); !reflect.DeepEqual(m, solo) {
-		t.Errorf("single unsharded part was rewritten: %+v", m)
-	}
-}
-
 // TopLinks must order by occupancy descending with a deterministic
 // (From, To) tie-break, and clamp to the available links.
 func TestTopLinks(t *testing.T) {

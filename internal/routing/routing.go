@@ -214,11 +214,11 @@ func (t *Tables) ForNode(n noc.NodeID) noc.RouteTable {
 
 // nodeTable is one node's view of the shared store. A router asks it only
 // for the line of a flit that carries none — a flow's first hop, once per
-// flow (the source keeps the line it got), and a head flit after a restore
-// or a shard boundary — and it is only queried by the worker stepping its
-// node (one worker at a time, handed over only at the barrier), so it walks
-// to a line off a flow's first hop (find) in scratch of its own. It holds
-// no lines: they are the shared store's own.
+// flow (the source keeps the line it got), and a head flit after a
+// restore — and it is only queried by the worker stepping its node (one
+// worker at a time, handed over only at the barrier), so it walks to a
+// line off a flow's first hop (find) in scratch of its own. It holds no
+// lines: they are the shared store's own.
 type nodeTable struct {
 	tables *Tables
 	node   noc.NodeID

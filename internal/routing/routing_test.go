@@ -745,9 +745,9 @@ var sinkEntries int
 // number of the line the flit carries, the previous line's entry's (Then),
 // resolved in the store (RouteTable.Line), one op per hop along each flow's
 // path to ejection. "walk" is what a node's view pays for a line off a
-// flow's first hop that its cache does not hold, as after a restore or
-// across a shard boundary: the walk from the flow's first line (find) to
-// the line at its destination, in the view's reused scratch.
+// flow's first hop that its cache does not hold, as after a restore: the
+// walk from the flow's first line (find) to the line at its destination,
+// in the view's reused scratch.
 func BenchmarkLookupWarm(b *testing.B) {
 	topo := mesh8(b)
 	tables := NewTables(NewXY(topo))

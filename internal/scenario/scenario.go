@@ -133,8 +133,8 @@ type Plan struct {
 	// ShareWarmup derives run seeds from warmup-prefix groups
 	// (traffic sweeps only); part of the cache identity.
 	ShareWarmup bool `json:"share_warmup,omitempty"`
-	// Shards, when >= 2, splits each simulation space-parallel across
-	// fleet members; never part of the cache identity.
+	// Shards, when >= 2, asks for that many engine workers for the one
+	// simulation; never part of the cache identity.
 	Shards int `json:"shards,omitempty"`
 }
 

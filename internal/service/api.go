@@ -108,16 +108,14 @@ type SubmitRequest struct {
 	// submission always runs its own simulation.
 	NoCache bool `json:"no_cache,omitempty"`
 
-	// Shards, when >= 2, runs the simulation space-parallel: the tile
-	// grid is split into that many contiguous spans, each executed by
-	// one fleet member, exchanging boundary flits at every synchronization
-	// point. While the remote workers cannot hold all the members, the
-	// simulation runs in-process as one engine instead, with a worker per
-	// member as far as the budget allows. The result document is
-	// byte-identical to the single-process run, so Shards — like Workers
-	// — is NOT part of the cache identity.
-	// Only single-run scenarios shard (config, mips), they must use
-	// sync_period 1 (the default), and share_warmup is rejected.
+	// Shards, when >= 2, asks for that many engine workers for the one
+	// simulation, each starting from one contiguous span of the tile
+	// grid: the run's weight is max(Workers, Shards), clamped like
+	// Workers to what the executing worker grants. The result document is
+	// byte-identical at any worker count, so Shards — like Workers — is
+	// NOT part of the cache identity. Only single-run scenarios take it
+	// (config, mips), they must use sync_period 1 (the default), and
+	// share_warmup is rejected.
 	Shards int `json:"shards,omitempty"`
 
 	// ShareWarmup (config/batch jobs) derives every run's engine seed
@@ -198,13 +196,11 @@ type JobInfo struct {
 	Started     time.Time `json:"started,omitzero"`
 	Finished    time.Time `json:"finished,omitzero"`
 	// Engine is the latest engine-probe snapshot for a running job:
-	// cycles/sec plus the per-partition compute vs. barrier-wait split
-	// (and shard sync totals for space-parallel jobs).
+	// cycles/sec plus the per-partition compute vs. barrier-wait split.
 	Engine *obs.ProbeSnapshot `json:"engine,omitempty"`
-	// Telemetry is the latest merged machine-telemetry snapshot for a
-	// running job: per-tile flit counters and per-link buffer occupancy
-	// across the whole machine (sharded jobs merge one sample per member
-	// tile span).
+	// Telemetry is the latest machine-telemetry snapshot for a running
+	// job: per-tile flit counters and per-link buffer occupancy across the
+	// whole machine.
 	Telemetry *obs.TelemetrySnapshot `json:"telemetry,omitempty"`
 	// Stalls counts watchdog-detected stall episodes: windows in which a
 	// running job's executors reported no forward progress.

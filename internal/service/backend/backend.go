@@ -1,16 +1,14 @@
 // Package backend is hornet-serve's execution layer: the Task a
-// scheduler executes, the Sink an execution reports through, the Fleet
-// (fleet.go), and the ShardGroup (shardgroup.go) the members of one
-// space-parallel task meet in. Every task runs through the Fleet. Its
-// workers are the registered hornet-worker processes, to which it ships
-// validated job configs, streams their progress back and migrates a dead
-// worker's task to a survivor via its uploaded checkpoints, and the
-// coordinator's own in-process worker, which makes the same calls as
-// method calls. Placement gives a task to the remote workers while any
-// is registered, unless it is pinned to this host; the in-process worker
-// takes the rest. A sharded task runs as all its members on the remote
-// workers or as one in-process engine, never as a mix of the two. JobInfo
-// names the two worker classes "fleet" and "local".
+// scheduler executes, the Sink an execution reports through, and the
+// Fleet (fleet.go). Every task runs through the Fleet. Its workers are
+// the registered hornet-worker processes, to which it ships validated
+// job configs, streams their progress back and migrates a dead worker's
+// task to a survivor via its uploaded checkpoints, and the coordinator's
+// own in-process worker, which makes the same calls as method calls.
+// Placement gives a task to the remote workers while any is registered,
+// unless it is pinned to this host; the in-process worker takes the
+// rest. Either way a task is one engine in one process. JobInfo names the
+// two worker classes "fleet" and "local".
 //
 // The package deliberately knows nothing about the service package's
 // scenario compilation: a Task carries the client's original request
@@ -27,7 +25,6 @@ import (
 	"time"
 
 	"hornet/internal/obs"
-	"hornet/internal/sim"
 )
 
 // Task is one unit of executable work: the job's compiled identity plus
@@ -38,8 +35,8 @@ type Task struct {
 	// never leave the coordinator.
 	ID string
 	// JobID is the owning job's public identity, threaded through so
-	// the fleet can journal durable facts (assignment, stable
-	// promotions) against the job a restarted coordinator will rebuild.
+	// the fleet can journal durable facts (assignments) against the job
+	// a restarted coordinator will rebuild.
 	JobID string
 	// ReattachID, when non-empty, is the fleet task ID this job held
 	// before a coordinator restart: Execute reuses it instead of
@@ -56,11 +53,6 @@ type Task struct {
 	// Weight is the engine-worker (CPU slot) request of the job's runs;
 	// the executing backend clamps it to what it can grant.
 	Weight int
-	// Shards, when >= 2, marks a space-parallel task: the fleet fans it
-	// out as Shards member tasks (one tile span each) coordinated through
-	// a ShardGroup while the remote workers can hold them all, and runs it
-	// as one in-process engine otherwise.
-	Shards int
 	// Pinned keeps the task on the in-process worker: a figure's serial
 	// timing columns measure this host.
 	Pinned bool
@@ -99,10 +91,9 @@ type Sink interface {
 	Engine(s obs.ProbeSnapshot)
 	// Telemetry reports the latest machine-telemetry sample (per-tile
 	// flit counters, per-link buffer occupancy) at a wall-clock cadence.
-	// A shard member's sample covers its own tile span.
 	Telemetry(s obs.TelemetrySnapshot)
 	// Note records a lifecycle annotation ("dispatched", "requeued",
-	// "rollback", ...) for the job's trace timeline. A "dispatched" or
+	// ...) for the job's trace timeline. A "dispatched" or
 	// "reattached" note names the worker class now running the task in
 	// its "backend" field ("local" or "fleet"); an in-process dispatch of
 	// a task a remote worker took or waited for also carries "fallback".
@@ -121,19 +112,6 @@ func (Discard) Checkpoint(string, uint64)       {}
 func (Discard) Engine(obs.ProbeSnapshot)        {}
 func (Discard) Telemetry(obs.TelemetrySnapshot) {}
 func (Discard) Note(string, map[string]string)  {}
-
-// MemberSink is the sink of a non-root shard member. Every member runs
-// the same simulation, so the run-level events (progress, resumes,
-// checkpoints, engine probes) come from the root member alone and are
-// dropped here; a member's telemetry covers its own tile span and its
-// notes concern the whole group, so those reach the job through Root.
-type MemberSink struct {
-	Discard
-	Root Sink
-}
-
-func (m MemberSink) Telemetry(s obs.TelemetrySnapshot)           { m.Root.Telemetry(s) }
-func (m MemberSink) Note(event string, fields map[string]string) { m.Root.Note(event, fields) }
 
 // EventSink is the worker's half of the wire codec: it encodes every Sink
 // call as a TaskEvent and hands it to the function — the HTTP push to the
@@ -169,9 +147,6 @@ type Journal interface {
 	// Assigned records that taskID (with a slots-wide grant) now
 	// executes jobID's work — at dispatch, re-dispatch, and adoption.
 	Assigned(jobID, taskID string, slots int)
-	// StablePromoted records a sharded group's newly promoted stable
-	// checkpoint set: the per-member blob keys, all at one cycle.
-	StablePromoted(jobID string, epoch int, cycle uint64, keys []string)
 }
 
 // ErrClosed reports a call into a closed fleet: Close fails every task
@@ -179,8 +154,8 @@ type Journal interface {
 var ErrClosed = errors.New("backend: fleet closed")
 
 // LocalRun is one assignment of the in-process worker (RegisterLocal):
-// one unsharded task, with the job's sink, which it reaches by method
-// calls instead of HTTP.
+// one task, with the job's sink, which it reaches by method calls
+// instead of HTTP.
 type LocalRun struct {
 	// Ctx ends when the task is cancelled or the fleet closes.
 	Ctx context.Context
@@ -266,14 +241,6 @@ type Assignment struct {
 	// Checkpoints seeds the worker's checkpoint store for resume after a
 	// migration (run key → latest blob).
 	Checkpoints map[string]Blob `json:"checkpoints,omitempty"`
-	// Shard/ShardCount mark a space-parallel member assignment: this
-	// execution steps tile span Shard of ShardCount and coordinates with
-	// its siblings through the coordinator's shard exchange. ShardEpoch
-	// is the group restart epoch the member joins at (incremented each
-	// time a member is lost and the group rolls back).
-	Shard      int `json:"shard,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
-	ShardEpoch int `json:"shard_epoch,omitempty"`
 }
 
 // TaskEvent is one progress push (POST .../tasks/{id}/events).
@@ -290,7 +257,7 @@ type TaskEvent struct {
 	Engine *obs.ProbeSnapshot `json:"engine,omitempty"`
 	// Telemetry carries the executing worker's machine-telemetry sample
 	// for "telemetry" events (per-tile flit counters, per-link buffer
-	// occupancy of the member's tile span).
+	// occupancy).
 	Telemetry *obs.TelemetrySnapshot `json:"telemetry,omitempty"`
 }
 
@@ -324,24 +291,6 @@ type ResultPush struct {
 	Error string `json:"error,omitempty"`
 	// Canceled acknowledges a coordinator-initiated cancellation.
 	Canceled bool `json:"canceled,omitempty"`
-}
-
-// ShardExchangeRequest is a space-parallel member's arrival at its
-// group's all-gather (POST .../tasks/{id}/shardsync), at every
-// synchronization point and once more for the final statistics. The
-// coordinator never reads Payload.
-type ShardExchangeRequest struct {
-	Epoch   int    `json:"epoch"`
-	Payload []byte `json:"payload"`
-}
-
-// ShardExchangeResponse carries every member's payload in member order
-// — or, instead, the rollback notice: a sibling died, so the caller
-// restores the notice's blob (its own of the group's stable set; none
-// means cycle 0) and rejoins at the notice's epoch.
-type ShardExchangeResponse struct {
-	Payloads [][]byte               `json:"payloads,omitempty"`
-	Restart  *sim.ShardRestartError `json:"restart,omitempty"`
 }
 
 // HeartbeatResponse piggybacks coordinator→worker control on the
@@ -387,9 +336,6 @@ type FleetStats struct {
 	// re-registering worker (coordinator restart reattach, or a lease
 	// expiry the worker outlived) instead of being re-dispatched.
 	TasksAdopted uint64 `json:"tasks_adopted"`
-	// ShardRollbacks counts shard-group epoch rollbacks (a member died
-	// and the group restarted from its stable checkpoint).
-	ShardRollbacks uint64 `json:"shard_rollbacks"`
 	// CheckpointBytes is the total size of checkpoint blobs accepted
 	// from workers (migration uploads).
 	CheckpointBytes uint64 `json:"checkpoint_bytes"`

@@ -14,7 +14,7 @@ import (
 func TestEventCodecRoundTrip(t *testing.T) {
 	engine := obs.ProbeSnapshot{Probe: 9, Runs: 1, Cycles: 400, WallMS: 2,
 		Partitions: []obs.PartitionSnapshot{{Worker: 0, TileHi: 16, Cycles: 400, ComputeMS: 1.5, BarrierMS: 0.5}}}
-	telemetry := obs.TelemetrySnapshot{Cycle: 256, Shard: 1, ShardCount: 2, TileLo: 8, TileHi: 16}
+	telemetry := obs.TelemetrySnapshot{Cycle: 256, TileHi: 16}
 	for _, tc := range []struct {
 		name string
 		call func(Sink)

@@ -8,7 +8,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -37,7 +36,7 @@ type FleetOptions struct {
 	// under their content key.
 	Persist BlobStore
 	// Logger receives fleet lifecycle logs (registration, lease expiry,
-	// task requeue, shard rollback); nil discards them.
+	// task requeue); nil discards them.
 	Logger *slog.Logger
 }
 
@@ -62,8 +61,7 @@ type reattachClaim struct {
 // coordinator's own in-process worker (RegisterLocal) — and the
 // migration machinery that moves a dead worker's task (with its
 // uploaded checkpoints) to a survivor. The scheduler calls Execute, the
-// HTTP layer calls the worker-protocol methods; the shard half (sharded
-// tasks and their groups) is in shardgroup.go.
+// HTTP layer calls the worker-protocol methods.
 type Fleet struct {
 	opts FleetOptions
 	log  *slog.Logger
@@ -92,7 +90,6 @@ type Fleet struct {
 	tasksRequeued   uint64
 	tasksCompleted  uint64
 	tasksAdopted    uint64
-	shardRollbacks  uint64
 	checkpointBytes uint64
 	// peak is the most slots ever granted at once, across the workers
 	// live at the time (FleetStats.FleetPeak).
@@ -114,17 +111,9 @@ type workerState struct {
 // pending is one task in flight through the fleet.
 type pending struct {
 	task *Task
-	// sink is the job's sink; a non-root shard member's is a MemberSink
-	// over it, so its telemetry and the group-level notes it triggers
-	// still reach the job. A claimed reattach run's is Discard until its
-	// job's Execute binds it (both under the fleet lock).
+	// sink is the job's sink. A claimed reattach run's is Discard until
+	// its job's Execute binds it (both under the fleet lock).
 	sink Sink
-
-	// shard/group are set on space-parallel member tasks: shard is the
-	// member's tile-span index and group the rendezvous shared by all
-	// members of the original task.
-	shard int
-	group *ShardGroup
 
 	// ctx is the job's context; stop cancels an in-process run's.
 	ctx  context.Context
@@ -144,15 +133,6 @@ type pending struct {
 	doc     []byte
 	runErrs int
 	err     error
-}
-
-// shardAttrs labels a log record with a member task's identity.
-func shardAttrs(p *pending) []any {
-	attrs := []any{obs.Task(p.task.ID), slog.String("name", p.task.Name)}
-	if p.group != nil {
-		attrs = append(attrs, obs.Shard(p.shard))
-	}
-	return attrs
 }
 
 // NewFleet builds an empty fleet and starts its lease janitor.
@@ -218,7 +198,7 @@ func (f *Fleet) Close() {
 
 // RegisterLocal makes run the fleet's in-process worker: the
 // coordinator's own CPUs, always live, taking what no remote worker may
-// (remoteTakesLocked) — never a shard member. run executes one task and
+// (remoteTakesLocked). run executes one task and
 // returns once it has called Done. Call it once, before Execute.
 func (f *Fleet) RegisterLocal(run func(LocalRun)) {
 	f.mu.Lock()
@@ -264,20 +244,8 @@ func (f *Fleet) ExpectReattach(taskID, jobID string, weight int) {
 // Execute queues the task, waits for a worker to run it (surviving
 // migrations), and returns the result: the canonical document bytes plus
 // the number of per-run errors recorded inside it. A fleet with no
-// worker that may take the task keeps it queued; Close fails it. A
-// sharded task the remote workers cannot hold runs from cycle 0 as one
-// pinned, unsharded task: one engine on the in-process worker, which
-// gives it the slots its members would have held.
+// worker that may take the task keeps it queued; Close fails it.
 func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, error) {
-	if t.Shards >= 2 {
-		doc, runErrs, err := f.executeSharded(ctx, t, sink)
-		if !errors.Is(err, errShardDemoted) || ctx.Err() != nil {
-			return doc, runErrs, err
-		}
-		one := *t
-		one.Shards, one.Pinned = 0, true
-		t = &one
-	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -335,8 +303,8 @@ func (f *Fleet) Execute(ctx context.Context, t *Task, sink Sink) ([]byte, int, e
 	}
 	f.mu.Unlock()
 	if adoptedBy != "" {
-		f.log.Info("task re-adopted by pre-restart executor",
-			append(shardAttrs(p), obs.Worker(adoptedBy), slog.Uint64("cycle", adoptedCycle))...)
+		f.log.Info("task re-adopted by pre-restart executor", obs.Task(t.ID), slog.String("name", t.Name),
+			obs.Worker(adoptedBy), slog.Uint64("cycle", adoptedCycle))
 		sink.Note("reattached", map[string]string{"worker": adoptedBy, "task": t.ID, "backend": "fleet"})
 		// The run is continuing at the worker's checkpointed frontier
 		// across a coordinator restart: that is a resumed run in every
@@ -388,11 +356,6 @@ func (f *Fleet) finishLocked(p *pending, doc []byte, runErrs int, err error) {
 	default:
 	}
 	p.doc, p.runErrs, p.err = doc, runErrs, err
-	if p.group != nil && err != nil {
-		// A member failing terminally dooms the whole group: release its
-		// siblings from the barriers they are parked in.
-		p.group.Cancel(err)
-	}
 	if f.opts.Persist != nil {
 		// The run completed or failed terminally; its migration blobs
 		// are superseded by the result (or useless without a retry).
@@ -434,8 +397,6 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 		lastSeen: time.Now(),
 		tasks:    map[string]*pending{},
 	}
-	// The eviction judges the old incarnation's shard groups by the
-	// capacity with the new one.
 	old := f.workers[id]
 	f.workers[id] = w
 	if old != nil {
@@ -489,15 +450,13 @@ func (f *Fleet) Register(req RegisterRequest) (RegisterResponse, error) {
 // replay, and not yet re-dispatched elsewhere), or a restored task
 // expected back whose Execute has not arrived yet — that one becomes a
 // pending of its own, with a Discard sink until Execute binds it.
-// Sharded members are never adopted — a lost member already rolled its
-// group back, and the rollback machinery stays authoritative.
 func (f *Fleet) adoptLocked(w *workerState, claim RunningTask) *pending {
 	i := slices.IndexFunc(f.queue, func(p *pending) bool { return p.task.ID == claim.TaskID })
 	r := f.expect[claim.TaskID]
 	var p *pending
 	switch {
 	case i >= 0:
-		if p = f.queue[i]; p.group != nil || p.cancelled {
+		if p = f.queue[i]; p.cancelled {
 			return nil
 		}
 	case r != nil && r.p == nil:
@@ -519,8 +478,8 @@ func (f *Fleet) adoptLocked(w *workerState, claim RunningTask) *pending {
 	f.assignLocked(w, p, slots)
 	p.holdUntil = time.Time{}
 	f.tasksAdopted++
-	f.log.Info("in-flight task re-adopted", append(shardAttrs(p),
-		obs.Worker(w.id), slog.Uint64("cycle", claim.Cycle))...)
+	f.log.Info("in-flight task re-adopted", obs.Task(p.task.ID), slog.String("name", p.task.Name),
+		obs.Worker(w.id), slog.Uint64("cycle", claim.Cycle))
 	return p
 }
 
@@ -570,53 +529,24 @@ func (f *Fleet) Deregister(id string) error {
 }
 
 // evictLocked removes a worker and requeues its assigned tasks at the
-// front of the queue (migrated work resumes before new work starts); a
-// member of a group the remaining workers cannot hold is demoted instead.
+// front of the queue (migrated work resumes before new work starts).
 // reason labels the eviction in logs ("lease expired", ...). The caller
 // wakes the workers once the registry is settled: a re-registration must
-// re-adopt its own tasks before the in-process worker may take them, and
-// the wake demotes the member's siblings.
+// re-adopt its own tasks before the in-process worker may take them.
 func (f *Fleet) evictLocked(w *workerState, reason string) {
 	if f.workers[w.id] == w {
 		delete(f.workers, w.id)
 	}
-	capacity, _ := f.slotsLocked()
 	var requeue []*pending
 	for _, p := range w.tasks {
-		switch {
-		case p.cancelled:
+		if p.cancelled {
 			f.finishLocked(p, nil, 0, context.Canceled)
 			continue
-		case p.group != nil && !f.remoteTakesLocked(p.task, capacity):
-			f.finishLocked(p, nil, 0, errShardDemoted)
-			continue
-		case p.group != nil:
-			// Losing a member rolls the whole group back: bump the epoch
-			// (survivors restart from the stable cycle at their next
-			// barrier call) and seed the re-dispatch with the member's
-			// stable blob — NOT its latest upload, which may be ahead of
-			// the cycle the survivors roll back to.
-			p.group.MemberLost()
-			f.shardRollbacks++
-			p.task.Checkpoints = map[string]Blob{}
-			if key, blob, ok := p.group.StableBlob(p.shard); ok {
-				p.task.Checkpoints[key] = blob
-			}
-			f.log.Warn("shard member lost; group rolled back",
-				append(shardAttrs(p), obs.Worker(w.id),
-					slog.Int("epoch", p.group.Epoch()), slog.String("reason", reason))...)
-			// Sink.Note touches only the sink's own locks, so the calls
-			// are safe under f.mu (documented on Sink.Note).
-			p.sink.Note("rollback", map[string]string{
-				"worker": w.id,
-				"shard":  strconv.Itoa(p.shard),
-				"epoch":  strconv.Itoa(p.group.Epoch()),
-			})
-		default:
-			f.log.Warn("task requeued for migration",
-				append(shardAttrs(p), obs.Worker(w.id), slog.String("reason", reason),
-					slog.Int("checkpoints", len(p.task.Checkpoints)))...)
 		}
+		f.log.Warn("task requeued for migration", obs.Task(p.task.ID), slog.String("name", p.task.Name),
+			obs.Worker(w.id), slog.String("reason", reason), slog.Int("checkpoints", len(p.task.Checkpoints)))
+		// Sink.Note touches only the sink's own locks, so the call is
+		// safe under f.mu (documented on Sink.Note).
 		p.sink.Note("requeued", map[string]string{"worker": w.id, "task": p.task.ID})
 		requeue = append(requeue, p)
 		f.tasksRequeued++
@@ -687,23 +617,17 @@ func (f *Fleet) Poll(ctx context.Context, id string, wait time.Duration) (*Assig
 }
 
 // remoteTakesLocked is the placement policy: whether task t belongs to
-// the remote workers, of capacity slots in total — never when pinned to
-// this host, else while one is registered; a sharded task only while
-// they can hold its whole group at once. The rest is the in-process
-// worker's, a sharded task as one engine (demoteLocked).
-func (f *Fleet) remoteTakesLocked(t *Task, capacity int) bool {
-	if t.Pinned || len(f.workers) == 0 {
-		return false
-	}
-	return t.Shards < 2 || capacity >= t.Shards
+// the remote workers — never when pinned to this host, else while one is
+// registered. The rest is the in-process worker's.
+func (f *Fleet) remoteTakesLocked(t *Task) bool {
+	return !t.Pinned && len(f.workers) > 0
 }
 
 // queueLocked appends new tasks to the queue and offers them to the
 // workers.
 func (f *Fleet) queueLocked(ps ...*pending) {
-	capacity, _ := f.slotsLocked()
 	for _, p := range ps {
-		p.fleetBound = f.remoteTakesLocked(p.task, capacity)
+		p.fleetBound = f.remoteTakesLocked(p.task)
 	}
 	f.queue = append(f.queue, ps...)
 	f.wakeLocked()
@@ -711,10 +635,9 @@ func (f *Fleet) queueLocked(ps ...*pending) {
 
 // dispatchLocked assigns worker w the first queued task placement gives
 // it that fits its free slots; the in-process worker's runs draw on the
-// coordinator's CPU pool instead, and it never takes a shard member.
+// coordinator's CPU pool instead.
 func (f *Fleet) dispatchLocked(w *workerState) *pending {
 	now := time.Now()
-	capacity, _ := f.slotsLocked()
 	for i, p := range f.queue {
 		if now.Before(p.holdUntil) {
 			// Restored task still waiting for its pre-crash executor's
@@ -727,10 +650,10 @@ func (f *Fleet) dispatchLocked(w *workerState) *pending {
 			// it back, and the in-process worker has nothing to run yet.
 			continue
 		}
-		remote := f.remoteTakesLocked(p.task, capacity)
+		remote := f.remoteTakesLocked(p.task)
 		slots := 0
 		if w == f.self {
-			if remote || p.group != nil {
+			if remote {
 				continue
 			}
 		} else if slots = slotsFor(p.task.Weight, w); !remote || slots > w.free {
@@ -742,8 +665,8 @@ func (f *Fleet) dispatchLocked(w *workerState) *pending {
 		switch {
 		case w != f.self:
 			f.tasksDispatched++
-			f.log.Debug("task dispatched",
-				append(shardAttrs(p), obs.Worker(w.id), slog.Int("slots", slots))...)
+			f.log.Debug("task dispatched", obs.Task(p.task.ID), slog.String("name", p.task.Name),
+				obs.Worker(w.id), slog.Int("slots", slots))
 			fields["worker"], fields["backend"] = w.id, "fleet"
 		case p.fleetBound:
 			fields["fallback"] = "true"
@@ -756,7 +679,7 @@ func (f *Fleet) dispatchLocked(w *workerState) *pending {
 
 // assignment is the wire form of p's dispatch to a remote worker.
 func assignment(p *pending, checkpointEvery uint64) *Assignment {
-	a := &Assignment{
+	return &Assignment{
 		TaskID:          p.task.ID,
 		Name:            p.task.Name,
 		Hash:            p.task.Hash,
@@ -767,12 +690,6 @@ func assignment(p *pending, checkpointEvery uint64) *Assignment {
 		Request:         p.task.Request,
 		Checkpoints:     maps.Clone(p.task.Checkpoints),
 	}
-	if p.group != nil {
-		a.Shard = p.shard
-		a.ShardCount = p.group.Members()
-		a.ShardEpoch = p.group.Epoch()
-	}
-	return a
 }
 
 // placeLocalLocked starts every queued task placement gives the
@@ -860,44 +777,6 @@ func (f *Fleet) PushCheckpoint(workerID, taskID, key string, cycle uint64, blob 
 		return err
 	}
 	f.checkpointBytes += uint64(len(blob))
-	if p.group != nil {
-		// Shard members bypass the monotone guard below: after a group
-		// rollback a member legitimately re-uploads cycles BELOW its own
-		// previous latest (re-executing the same trajectory, the blobs are
-		// byte-identical), and each of those must reach the group's
-		// staged→stable promotion or the group would never advance its
-		// stable point again.
-		p.task.Checkpoints[key] = Blob{Cycle: cycle, Data: blob}
-		promoted := p.group.Stage(p.shard, key, cycle, blob)
-		persist := f.opts.Persist
-		journal := f.journal
-		group := p.group
-		jobID := p.task.JobID
-		f.mu.Unlock()
-		if promoted {
-			// Only PROMOTED sets reach the persist tier: a member's
-			// staged upload may be cycles ahead of group-stable, and a
-			// restarted coordinator seeding members from mismatched
-			// cycles would break the lockstep the group depends on. The
-			// promotion is the one moment the full consistent set exists.
-			scycle, set, ok := group.StableSet()
-			if ok {
-				if persist != nil {
-					for _, e := range set {
-						_ = persist.Save(e.Key, e.Data, e.Cycle) // best effort, like below
-					}
-				}
-				if journal != nil {
-					keys := make([]string, len(set))
-					for i, e := range set {
-						keys[i] = e.Key
-					}
-					journal.StablePromoted(jobID, group.Epoch(), scycle, keys)
-				}
-			}
-		}
-		return nil
-	}
 	// Checkpoints only move forward: a lagging upload (a stale worker
 	// incarnation losing a race with the task's current executor) must
 	// not replace a later snapshot — migration always resumes from the
@@ -1023,11 +902,9 @@ func (f *Fleet) expire(cutoff time.Time) {
 	}
 }
 
-// wakeLocked offers the queue to the workers: it demotes the shard
-// groups the remote workers cannot hold, starts what the in-process
-// worker takes and wakes every parked Poll.
+// wakeLocked offers the queue to the workers: it starts what the
+// in-process worker takes and wakes every parked Poll.
 func (f *Fleet) wakeLocked() {
-	f.demoteLocked()
 	f.placeLocalLocked()
 	close(f.notify)
 	f.notify = make(chan struct{})
@@ -1082,7 +959,6 @@ func (f *Fleet) Stats() FleetStats {
 		TasksCompleted:  f.tasksCompleted,
 		TasksAdopted:    f.tasksAdopted,
 		CheckpointBlobs: blobs,
-		ShardRollbacks:  f.shardRollbacks,
 		CheckpointBytes: f.checkpointBytes,
 	}
 }

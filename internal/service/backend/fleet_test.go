@@ -379,180 +379,6 @@ func TestFleetExpiryOfLastWorkerFailsOver(t *testing.T) {
 	}
 }
 
-// TestFleetUnheldShardedTaskRunsAsOneEngine: a sharded task the remote
-// workers cannot hold all at once reaches the in-process worker as one
-// run of one unsharded, pinned task, whose document is the result; no
-// fleet statistic counts it.
-func TestFleetUnheldShardedTaskRunsAsOneEngine(t *testing.T) {
-	f := newTestFleet(t)
-	local := &localRecorder{}
-	f.RegisterLocal(local.run)
-	if _, err := f.Register(RegisterRequest{ID: "small", Capacity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	sharded := task("sharded", 1)
-	sharded.Shards = 2
-	sink := &recordSink{}
-	if doc, _, err := f.Execute(context.Background(), sharded, sink); err != nil || string(doc) != "local" {
-		t.Fatalf("sharded task = %q, %v; want the in-process document", doc, err)
-	}
-	runs := local.runs()
-	if len(runs) != 1 || runs[0].Task.Shards != 0 || !runs[0].Task.Pinned {
-		t.Fatalf("in-process runs %+v; want one run of an unsharded, pinned task", runs)
-	}
-	if n := sink.fallbacks(); n != 0 {
-		t.Errorf("%d dispatches marked as a fallback; no remote worker ever held the task", n)
-	}
-	if st := f.Stats(); st.TasksDispatched != 0 || st.TasksRequeued != 0 || st.TasksCompleted != 0 ||
-		st.FleetInUse != 0 || st.FleetPeak != 0 || st.TasksQueued != 0 || st.ShardRollbacks != 0 {
-		t.Errorf("stats %+v; the in-process run must count in none of them", st)
-	}
-}
-
-// TestFleetLostShardGroupDemotesToOneEngine: a 2-way group runs on two
-// single-slot workers and one of them is evicted with no spare left. The
-// survivor's barrier wait ends with the demotion sentinel, its worker is
-// told to cancel, and the task completes as one in-process run of the
-// unsharded task — not as a member beside a remote sibling, and not
-// counted as a rollback.
-func TestFleetLostShardGroupDemotesToOneEngine(t *testing.T) {
-	f := newTestFleet(t)
-	local := &localRecorder{}
-	f.RegisterLocal(local.run)
-	for _, id := range []string{"w1", "w2"} {
-		if _, err := f.Register(RegisterRequest{ID: id, Capacity: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sharded := task("sharded", 1)
-	sharded.Shards = 2
-	type out struct {
-		doc []byte
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		doc, _, err := f.Execute(context.Background(), sharded, &recordSink{})
-		done <- out{doc, err}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	a1, err1 := f.Poll(ctx, "w1", 5*time.Second)
-	a2, err2 := f.Poll(ctx, "w2", 5*time.Second)
-	if a1 == nil || a2 == nil || err1 != nil || err2 != nil || a1.ShardCount != 2 || a2.ShardCount != 2 {
-		t.Fatalf("polls = %+v, %v / %+v, %v; want one member each", a1, err1, a2, err2)
-	}
-	waiter := make(chan error, 1)
-	go func() {
-		_, err := f.ShardExchange(ctx, "w2", a2.TaskID, ShardExchangeRequest{Payload: []byte("span")})
-		waiter <- err
-	}()
-	f.mu.Lock()
-	group := f.workers["w2"].tasks[a2.TaskID].group
-	f.mu.Unlock()
-	waitFor(t, func() bool {
-		group.mu.Lock()
-		defer group.mu.Unlock()
-		return group.arrived == 1
-	})
-	f.mu.Lock()
-	f.workers["w1"].lastSeen = time.Now().Add(-time.Hour)
-	f.mu.Unlock()
-	f.expire(time.Now().Add(-f.opts.LeaseTTL))
-
-	if err := <-waiter; !errors.Is(err, errShardDemoted) {
-		t.Errorf("barrier waiter got %v, want the demotion sentinel", err)
-	}
-	res := <-done
-	if res.err != nil || string(res.doc) != "local" {
-		t.Fatalf("demoted task = %q, %v; want the in-process document", res.doc, res.err)
-	}
-	runs := local.runs()
-	if len(runs) != 1 || runs[0].Task.Shards != 0 || !runs[0].Task.Pinned {
-		t.Fatalf("in-process runs %+v; want one run of the unsharded task", runs)
-	}
-	if hb, err := f.Heartbeat("w2"); err != nil || !slices.Equal(hb.CancelTasks, []string{a2.TaskID}) {
-		t.Errorf("survivor's heartbeat = %+v, %v; want its member cancelled", hb, err)
-	}
-	if err := f.PushResult("w2", a2.TaskID, ResultPush{Canceled: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st := f.Stats(); st.ShardRollbacks != 0 || st.FleetInUse != 0 || st.TasksQueued != 0 {
-		t.Errorf("stats %+v; want no rollback, no slot held and nothing queued", st)
-	}
-}
-
-// TestFleetReRegisteredMemberWorkerRollsBack: a member's worker that
-// re-registers under its ID keeps the fleet's capacity, so the group
-// rolls back and the member goes back to that worker — no demotion.
-func TestFleetReRegisteredMemberWorkerRollsBack(t *testing.T) {
-	f := newTestFleet(t)
-	local := &localRecorder{}
-	f.RegisterLocal(local.run)
-	for _, id := range []string{"w1", "w2"} {
-		if _, err := f.Register(RegisterRequest{ID: id, Capacity: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sharded := task("sharded", 1)
-	sharded.Shards = 2
-	go f.Execute(context.Background(), sharded, &recordSink{})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	a1, _ := f.Poll(ctx, "w1", 5*time.Second)
-	if a2, _ := f.Poll(ctx, "w2", 5*time.Second); a1 == nil || a2 == nil {
-		t.Fatalf("polls = %+v / %+v; want one member each", a1, a2)
-	}
-	if _, err := f.Register(RegisterRequest{ID: "w1", Capacity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	again, err := f.Poll(ctx, "w1", 5*time.Second)
-	if err != nil || again == nil || again.TaskID != a1.TaskID || again.ShardEpoch != 1 {
-		t.Fatalf("poll after re-registration = %+v, %v; want %s at epoch 1", again, err, a1.TaskID)
-	}
-	if st := f.Stats(); st.ShardRollbacks != 1 || len(local.runs()) != 0 {
-		t.Errorf("stats %+v, %d in-process runs; want one rollback and none", st, len(local.runs()))
-	}
-}
-
-// TestFleetRestoredShardGroupWaitsOutItsHold: a journal-restored group
-// (seeded with its stable set) waits for the remote workers to come back
-// instead of running in-process at once; once its hold lapses with no
-// worker registered, it runs as one in-process engine.
-func TestFleetRestoredShardGroupWaitsOutItsHold(t *testing.T) {
-	f := newTestFleet(t)
-	local := &localRecorder{}
-	f.RegisterLocal(local.run)
-	restored := task("sharded", 1)
-	restored.Shards = 2
-	restored.Checkpoints = map[string]Blob{
-		"sharded-feedface-sharded-s0": {Cycle: 500, Data: []byte("b0")},
-		"sharded-feedface-sharded-s1": {Cycle: 500, Data: []byte("b1")},
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := f.Execute(context.Background(), restored, &recordSink{})
-		done <- err
-	}()
-	waitFor(t, func() bool { return f.Stats().TasksQueued == 2 })
-	f.expire(time.Now().Add(-f.opts.LeaseTTL))
-	if n := len(local.runs()); n != 0 {
-		t.Fatalf("the in-process worker ran %d tasks while the restored group was held", n)
-	}
-	f.mu.Lock()
-	for _, p := range f.queue {
-		p.holdUntil = time.Now().Add(-time.Second)
-	}
-	f.mu.Unlock()
-	f.expire(time.Now().Add(-f.opts.LeaseTTL))
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if runs := local.runs(); len(runs) != 1 || runs[0].Task.Shards != 0 {
-		t.Fatalf("in-process runs %+v; want one run of the unsharded task", runs)
-	}
-}
-
 // TestFleetPinnedTaskStaysInProcess: a pinned task goes to the
 // in-process worker even with a remote worker polling, and an unpinned
 // one to the remote worker.

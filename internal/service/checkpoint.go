@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -391,9 +390,7 @@ func (cr *chunkedRun) advance(ctx context.Context, p phase, done func(cycle uint
 			return err
 		}
 		if res.Stopped {
-			// A sharded run's group decision halts every member here;
-			// single-process runs land here via their done predicate,
-			// which the loop condition re-checks.
+			// The done predicate fired; the loop condition re-checks it.
 			break
 		}
 		if cr.meta.Done < p.target && !finished() {
@@ -481,30 +478,13 @@ func (m *machine) phaseIndex(name string) int {
 
 // runPlan sequences the plan's phases from the one meta names (the
 // first, or wherever a restored checkpoint left off), resetting the
-// statistics between phases so only the last one is measured; a group
-// member then gathers its siblings' statistics.
-func (cr *chunkedRun) runPlan(ctx context.Context, m *machine, sharded bool) error {
+// statistics between phases so only the last one is measured, with the
+// telemetry pump running; its final sample goes out when it returns.
+func (cr *chunkedRun) runPlan(ctx context.Context, m *machine) error {
 	var done func(cycle uint64) bool
-	if m.done != nil && !sharded {
-		// A group member has no local completion predicate: an application
-		// workload's completion is the group decision (per-span halt
-		// conditions ANDed, global in-flight summed), surfacing as Stopped.
+	if m.done != nil {
 		done = m.done(cr.sys)
 	}
-	if err := cr.advancePlan(ctx, m, done); err != nil || !sharded {
-		return err
-	}
-	return cr.sys.ShardGather()
-}
-
-// advancePlan advances the machine through the plan's phases with the
-// telemetry pump running. The pump's final sample goes out when it
-// returns, so a group member sends it before the gather: once every
-// member has gathered, the root's document can finish the job, and a
-// sample sent after that would miss the job's last telemetry frame.
-func (cr *chunkedRun) advancePlan(ctx context.Context, m *machine, done func(cycle uint64) bool) error {
-	// Per attempt: a rollback rebuilds the system, and the new engine
-	// needs its own sampler and pump.
 	stopTel := cr.env.startTelemetry(cr.sys, cr.sink)
 	defer stopTel()
 	for i := m.phaseIndex(cr.meta.Phase); i < len(m.plan); i++ {
@@ -521,111 +501,62 @@ func (cr *chunkedRun) advancePlan(ctx context.Context, m *machine, done func(cyc
 
 // run compiles one runSpec into its sweep run function. It is the one
 // driver every service simulation goes through — synthetic traffic or
-// application workload, single process or one member of a space-
-// parallel group (shard non-nil): build the machine or restore it from
-// the latest autosave, advance it through its phase plan in autosave
-// chunks, and summarize into the deterministic RunStats record.
+// application workload: build the machine or restore it from the latest
+// autosave, advance it through its phase plan in autosave chunks, and
+// summarize into the deterministic RunStats record.
 //
 // The run polls the sweep context at every synchronization point so a
 // cancelled job drains quickly even mid-simulation; a cancelled run
 // saves a final checkpoint (checkpointing daemons) so a retry resumes
 // where it stopped.
-//
-// A group member wraps that in the rollback loop: when an exchange
-// reports that the group lost a member (*sim.ShardRestartError), the
-// attempt's state is abandoned, the member's blob of the group's stable
-// checkpoint — carried by the notice — is restored (or the system
-// rebuilt from scratch), and the member rejoins under the new epoch (its
-// transport adopted it with the notice). Determinism makes the rollback
-// invisible in the result: re-executed chunks reproduce the exact
-// trajectory, so the document is still byte-identical to an
-// uninterrupted single-process run. Without a group the loop body runs
-// exactly once.
-func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec runSpec, shard *ShardMember) func(sweep.Ctx) (any, error) {
+func (e *execEnv) run(sc *scenario, sink backend.Sink, probe *obs.SimProbe, spec runSpec) func(sweep.Ctx) (any, error) {
 	return func(c sweep.Ctx) (any, error) {
 		// c.Seed is the run's effective seed: the scenario builder set
 		// the item's explicit warmup-group seed for share_warmup jobs,
 		// so the emitted document records what actually ran.
 		m := lower(spec, c.Workers, c.Seed)
 		key := CheckpointKey(sc.name, sc.hash, spec.key)
-		if shard != nil {
-			// Per-shard store keys ("-s0", "-s1", ...): members of one run
-			// checkpoint concurrently and must never clobber each other.
-			// meta.Key stays the run key, so the identity guard is shard-
-			// agnostic and a migrated shard finds its blob.
-			key += fmt.Sprintf("-s%d", shard.Index)
-		}
 		fresh := ckptMeta{Name: sc.name, Hash: sc.hash, Key: spec.key, Seed: c.Seed, Phase: m.plan[0].name}
 		stop := cancelStop(c.Context)
 		ckptOn := e.store != nil
 
-		// sys and meta outlive an iteration only when a group rollback
-		// restored them from the group's stable checkpoint.
 		var sys *core.System
-		var meta ckptMeta
+		meta := fresh
 		var err error
-		for {
-			if sys == nil && ckptOn {
-				// A missing blob decodes like a corrupt one: not at all.
-				blob, _ := e.store.Load(key)
-				if restored, rm, ok := decodeCheckpoint(m, fresh, blob); ok {
-					sys, meta = restored, rm
-					e.counters.runsResumed.Add(1)
-					sink.Resumed(spec.key, sys.Clock())
-				}
-			}
-			if sys == nil {
-				meta = fresh
-				if warmup := m.plan[0]; sc.shareWarmup && !warmup.measured && warmup.target > 0 {
-					// Warmup-once/fork-many: restore the group's warmup
-					// snapshot (simulating it only if this run is first)
-					// and enter the plan behind it.
-					if sys, err = core.WarmedSystem(c.Context, e.warm, m.cfg, warmup.target, stop, m.build); err != nil {
-						return nil, err
-					}
-					sys.ResetStats()
-					meta.Phase = m.plan[1].name
-				} else if sys, err = m.build(); err != nil {
-					return nil, err
-				}
-			}
-			if probe != nil {
-				// The probe spans rollback attempts: re-executed cycles are
-				// real engine work and should show up as such.
-				sys.SetProbe(probe)
-			}
-			if shard != nil {
-				if err := sys.EnableSharding(shard.Index, shard.Count, shard.Transport); err != nil {
-					return nil, err
-				}
-			}
-			cr := &chunkedRun{env: e, sys: sys, sink: sink, probe: probe, key: key, meta: &meta, stop: stop}
-			err := cr.runPlan(c.Context, m, shard != nil)
-			if err == nil {
-				if ckptOn {
-					// The result document now carries the state.
-					e.store.Remove(key)
-				}
-				return summarize(sys.Summary(), m.cfg.Topology.Nodes(), meta.Exec, meta.Skip), nil
-			}
-			var rs *sim.ShardRestartError
-			if shard == nil || !errors.As(err, &rs) {
-				return nil, err
-			}
-			// Group rollback. The member's own latest checkpoint may be
-			// AHEAD of the group's stable cycle, so it must not be used:
-			// restore the stable blob the notice carries, or start over.
-			sys = nil
-			if rs.Blob != nil {
-				var ok bool
-				if sys, meta, ok = decodeCheckpoint(m, fresh, rs.Blob); !ok {
-					return nil, fmt.Errorf("service: shard %d: stable checkpoint blob does not restore", shard.Index)
-				}
-				continue
-			}
-			if ckptOn {
-				e.store.Remove(key)
+		if ckptOn {
+			// A missing blob decodes like a corrupt one: not at all.
+			blob, _ := e.store.Load(key)
+			if restored, rm, ok := decodeCheckpoint(m, fresh, blob); ok {
+				sys, meta = restored, rm
+				e.counters.runsResumed.Add(1)
+				sink.Resumed(spec.key, sys.Clock())
 			}
 		}
+		if sys == nil {
+			if warmup := m.plan[0]; sc.shareWarmup && !warmup.measured && warmup.target > 0 {
+				// Warmup-once/fork-many: restore the group's warmup
+				// snapshot (simulating it only if this run is first) and
+				// enter the plan behind it.
+				if sys, err = core.WarmedSystem(c.Context, e.warm, m.cfg, warmup.target, stop, m.build); err != nil {
+					return nil, err
+				}
+				sys.ResetStats()
+				meta.Phase = m.plan[1].name
+			} else if sys, err = m.build(); err != nil {
+				return nil, err
+			}
+		}
+		if probe != nil {
+			sys.SetProbe(probe)
+		}
+		cr := &chunkedRun{env: e, sys: sys, sink: sink, probe: probe, key: key, meta: &meta, stop: stop}
+		if err := cr.runPlan(c.Context, m); err != nil {
+			return nil, err
+		}
+		if ckptOn {
+			// The result document now carries the state.
+			e.store.Remove(key)
+		}
+		return summarize(sys.Summary(), m.cfg.Topology.Nodes(), meta.Exec, meta.Skip), nil
 	}
 }

@@ -69,8 +69,8 @@ func docRun(doc map[string]any) map[string]any {
 // TestPresetMatrixOneDriver is the first slice of ROADMAP 1b's preset
 // harness: every single-run preset of the gallery, plus one point of
 // each sweeping preset (sweep stripped, traffic windows shrunk), run
-// plainly, cancelled at its first autosave and resumed, and as a
-// 2-member in-process group. All three must emit the same bytes.
+// plainly, cancelled at its first autosave and resumed, and with shards 2
+// on two engine workers. All three must emit the same bytes.
 func TestPresetMatrixOneDriver(t *testing.T) {
 	onePoint := func(doc map[string]any) {
 		delete(doc, "sweep")
@@ -129,17 +129,17 @@ func TestPresetMatrixOneDriver(t *testing.T) {
 				t.Errorf("resumed document differs from the plain run:\n plain:   %s\n resumed: %s", plain.Doc, resumed.Doc)
 			}
 
-			// A 2-member in-process group.
+			// Shards 2: one engine on two workers.
 			shardedReq := presetRequest(t, tc.preset, func(doc map[string]any) {
 				tc.edit(doc)
 				docRun(doc)["shards"] = 2
 			})
-			results := runMembers(t, shardedReq, backend.NewShardGroup(2), oneWorker)
-			if results[0].Hash != plain.Hash {
-				t.Errorf("sharded request hashed %s, plain %s", results[0].Hash, plain.Hash)
+			sharded := executeSharded(t, shardedReq, ExecOptions{})
+			if sharded.Hash != plain.Hash {
+				t.Errorf("sharded request hashed %s, plain %s", sharded.Hash, plain.Hash)
 			}
-			if !bytes.Equal(results[0].Doc, plain.Doc) {
-				t.Errorf("sharded document differs from the plain run:\n plain:   %s\n sharded: %s", plain.Doc, results[0].Doc)
+			if !bytes.Equal(sharded.Doc, plain.Doc) {
+				t.Errorf("sharded document differs from the plain run:\n plain:   %s\n sharded: %s", plain.Doc, sharded.Doc)
 			}
 		})
 	}
@@ -227,30 +227,6 @@ func TestRestoresParentFormatCheckpointMeta(t *testing.T) {
 	}
 	if !bytes.Equal(resumed.Doc, plain.Doc) {
 		t.Errorf("document resumed from a parent-format checkpoint differs:\n plain:   %s\n resumed: %s", plain.Doc, resumed.Doc)
-	}
-}
-
-// failingTransport is a group whose barrier is broken.
-type failingTransport struct{ err error }
-
-func (f failingTransport) Exchange([]byte) ([][]byte, error) { return nil, f.err }
-
-// TestShardMemberFailureIsAnError: a group member's run-level failure
-// comes back as an error, never inside a "successful" document — its
-// siblings would park behind a member that looks done.
-func TestShardMemberFailureIsAnError(t *testing.T) {
-	req := SubmitRequest{Name: "doomed", Config: shardConfig(), Seed: 21, Shards: 2}
-	boom := errors.New("barrier is down")
-	res, err := Execute(context.Background(), req, ExecOptions{Workers: 1,
-		Shard: &ShardMember{Index: 0, Count: 2, Transport: failingTransport{boom}}})
-	if !errors.Is(err, boom) || res != nil {
-		t.Fatalf("member returned (%v, %v), want the transport's error and no document", res, err)
-	}
-	// An assignment that disagrees with the request is an invalid request.
-	_, err = Execute(context.Background(), req, ExecOptions{Workers: 1,
-		Shard: &ShardMember{Index: 0, Count: 3, Transport: failingTransport{boom}}})
-	if !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("mismatched shard count: err = %v, want ErrInvalidRequest", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"hornet/internal/core"
 	"hornet/internal/obs"
 	"hornet/internal/service/backend"
 	"hornet/internal/sweep"
@@ -16,21 +15,16 @@ import (
 // executeScenario runs one compiled scenario against an execution
 // environment and returns the canonical document bytes plus the number
 // of per-run errors recorded inside the document. It is the single
-// execution path shared by the fleet's in-process worker, which runs
-// every task it takes as one engine, and the standalone Execute entry
-// point hornet-worker uses, also for shard members — sharing it is what
-// makes a document byte-identical no matter which process produced it. A panic anywhere in scenario execution (the experiments package
-// treats bad runs as programming errors and panics) becomes an error,
-// never a dead process.
+// execution path shared by the fleet's in-process worker and the
+// standalone Execute entry point hornet-worker uses — sharing it is what
+// makes a document byte-identical no matter which process produced it.
+// A panic anywhere in scenario execution (the experiments package treats
+// bad runs as programming errors and panics) becomes an error, never a
+// dead process.
 //
 // The execution reports through sink; probe, when non-nil, is attached
-// to every engine it builds and its snapshots go to the sink too. shard,
-// when non-nil, makes this execution one member of the scenario's
-// space-parallel group. A member returns a run-level failure
-// as an error instead of recording it inside the document: a member
-// that silently "succeeded" with an error document would leave its
-// siblings parked in a barrier it will never reach again.
-func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink, probe *obs.SimProbe, shard *ShardMember) (b []byte, runErrs int, err error) {
+// to every engine it builds and its snapshots go to the sink too.
+func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *sweep.Budget, sink backend.Sink, probe *obs.SimProbe) (b []byte, runErrs int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			b, runErrs, err = nil, 0, fmt.Errorf("job panicked: %v", p)
@@ -74,7 +68,7 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		items := make([]sweep.Item, len(sc.runs))
 		for i, spec := range sc.runs {
 			items[i] = sweep.Item{Key: spec.key, Weight: spec.weight, Seed: spec.seed,
-				Run: env.run(sc, sink, probe, spec, shard)}
+				Run: env.run(sc, sink, probe, spec)}
 		}
 		cfg := sweep.Config{
 			// In-flight runs within the job: bounded by the shared pool
@@ -92,9 +86,6 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 		}
 		for _, r := range results {
 			if r.Err != nil {
-				if shard != nil {
-					return nil, 0, r.Err
-				}
 				runErrs++
 			}
 		}
@@ -144,34 +135,12 @@ type ExecOptions struct {
 	Sink backend.Sink
 	// Probe, if non-nil, is attached to every engine of the execution;
 	// its cumulative snapshots (cycles/sec, per-partition compute vs
-	// barrier time, shard sync latency) go to Sink at every autosave-chunk
-	// boundary. Nil keeps the engine hot path instrumentation-free.
+	// barrier time) go to Sink at every autosave-chunk boundary. Nil keeps
+	// the engine hot path instrumentation-free.
 	Probe *obs.SimProbe
 	// TelemetryEvery is the wall-clock forwarding period of the telemetry
 	// samples; 0 means 500ms, negative samples none even with a Sink.
 	TelemetryEvery time.Duration
-
-	// Shard, if non-nil, runs ONE member of the request's space-parallel
-	// group in this process instead of the whole simulation. Telemetry
-	// samples then cover only the member's tile span; the coordinator
-	// merges the members' spans into the full-machine view.
-	Shard *ShardMember
-}
-
-// ShardMember places an execution in a space-parallel group
-// (ExecOptions.Shard): the full system is built from the validated
-// config (wiring and seeds bit-identical to a single-process run), the
-// engine steps only tile span Index of Count, and every synchronization
-// point is one all-gather through Transport: on a worker, an HTTP call
-// to the coordinator's backend.ShardGroup (backend.NewMemberPeer). The
-// daemon's in-process worker never runs a member. A group rollback
-// reaches the run as a *sim.ShardRestartError carrying the member's
-// stable blob. Count must equal the request's shards field. Any member
-// can produce the document (the final exchange leaves every member with
-// the full statistics); the coordinator uses the root's.
-type ShardMember struct {
-	Index, Count int
-	Transport    core.ShardPeer
 }
 
 // ExecResult is the outcome of a standalone Execute.
@@ -193,8 +162,7 @@ type ExecResult struct {
 // recovers it.
 var ErrInvalidRequest = errors.New("service: invalid request")
 
-// Execute validates req and runs it to completion in this process — or,
-// with opts.Shard, runs one member of its space-parallel group. It is
+// Execute validates req and runs it to completion in this process. It is
 // the worker-side twin of the daemon's job execution: same validation,
 // same execution environment, same document encoding, so a coordinator
 // can hand the request to any worker and cache the returned bytes under
@@ -203,10 +171,6 @@ func Execute(ctx context.Context, req SubmitRequest, opts ExecOptions) (*ExecRes
 	sc, apiErr := buildScenario(req)
 	if apiErr != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, apiErr)
-	}
-	if sh := opts.Shard; sh != nil && (sh.Count != sc.shards || sh.Index < 0 || sh.Index >= sh.Count) {
-		return nil, fmt.Errorf("%w: assignment is shard %d/%d but the request shards %d ways",
-			ErrInvalidRequest, sh.Index, sh.Count, sc.shards)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -232,7 +196,7 @@ func Execute(ctx context.Context, req SubmitRequest, opts ExecOptions) (*ExecRes
 	if sink == nil {
 		sink, env.telEvery = backend.Discard{}, -1
 	}
-	doc, runErrs, err := executeScenario(ctx, sc, env, sweep.NewBudget(workers), sink, opts.Probe, opts.Shard)
+	doc, runErrs, err := executeScenario(ctx, sc, env, sweep.NewBudget(workers), sink, opts.Probe)
 	if err != nil {
 		return nil, err
 	}

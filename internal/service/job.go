@@ -39,12 +39,9 @@ type job struct {
 	// info.Engine and /metrics alike.
 	engine obs.EngineFold
 
-	// telemetry holds the latest machine-telemetry sample per shard
-	// index (one entry, index 0, for unsharded jobs); prevMerged is the
-	// previous merged view, kept to derive counter-track rates. Guarded
-	// by mu.
-	telemetry  map[int]obs.TelemetrySnapshot
-	prevMerged obs.TelemetrySnapshot
+	// telemetry is the latest published machine-telemetry sample, kept
+	// to derive counter-track rates. Guarded by mu.
+	telemetry obs.TelemetrySnapshot
 
 	// lastActive is the wall time of the last observed forward progress
 	// (any progress, engine, telemetry, checkpoint or resume report);
@@ -66,9 +63,9 @@ type job struct {
 	// ordinary submissions. Written before submit, read by the scheduler.
 	restore *restoreState
 
-	// remote mirrors the job's journaled fleet facts (latest assignment,
-	// latest promoted stable set) so journal compaction can rebuild the
-	// live records without replaying the log. Guarded by mu.
+	// remote mirrors the job's journaled fleet facts (latest assignment)
+	// so journal compaction can rebuild the live records without
+	// replaying the log. Guarded by mu.
 	remote remoteFacts
 }
 
@@ -83,11 +80,8 @@ type restoreState struct {
 
 // remoteFacts is a job's durable fleet state for journal compaction.
 type remoteFacts struct {
-	taskID      string
-	slots       int
-	stableEpoch int
-	stableCycle uint64
-	stableKeys  []string
+	taskID string
+	slots  int
 }
 
 func newJob(id string, req SubmitRequest, sc *scenario, parent context.Context, now time.Time) *job {
@@ -127,8 +121,7 @@ func (j *job) task() *backend.Task {
 		Hash:     j.sc.hash,
 		Seed:     j.sc.seed,
 		Kind:     j.sc.taskKind,
-		Weight:   j.req.Workers,
-		Shards:   j.sc.shards,
+		Weight:   j.sc.weight(j.req.Workers),
 		Pinned:   j.sc.fig != nil,
 		Request:  reqJSON,
 		Compiled: j.sc,
@@ -140,12 +133,7 @@ func (j *job) task() *backend.Task {
 				t.Checkpoints[k] = b
 			}
 		}
-		if j.sc.shards < 2 {
-			// Sharded members are never re-adopted (the rollback
-			// machinery stays authoritative), so only plain tasks keep
-			// their pre-crash identity.
-			t.ReattachID = r.taskID
-		}
+		t.ReattachID = r.taskID
 	}
 	return t
 }
@@ -277,53 +265,37 @@ func (j *job) setEngine(snap obs.ProbeSnapshot) (obs.EngineDelta, bool) {
 	return d, true
 }
 
-// setTelemetry folds one executor's machine-telemetry sample into the
-// job's merged view and notifies subscribers. Sharded jobs report one
-// sample per member tile span; the merge presents them as a single
-// full-machine snapshot. The merged view also drives the trace
-// timeline's Perfetto counter tracks (injection rate, buffered flits).
+// setTelemetry publishes one machine-telemetry sample and notifies
+// subscribers. The sample also drives the trace timeline's Perfetto
+// counter tracks (injection rate, buffered flits).
 //
-// The published stream is monotone in cycle: a merged view behind the last
-// published one is kept for the next merge but not shown — not in the job
-// info, not to subscribers, not on the counter tracks. That is what a
-// member's late first sample produces (the merged cycle is the minimum
-// over the members heard from, and the stream may already be past it) and
-// what a rollback to a checkpoint produces; frames resume once the merged
-// cycle has caught up. A member that never reports is simply missing from
-// the view — its span and tiles are absent and it does not hold the cycle
-// back — so it can neither stall the stream nor move it backwards.
+// The published stream is monotone in cycle: a sample behind the last
+// published one — what a migrated run resuming from an earlier checkpoint
+// produces — is not shown, not in the job info, not to subscribers, not
+// on the counter tracks; frames resume once the cycle has caught up.
 func (j *job) setTelemetry(snap obs.TelemetrySnapshot) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.telemetry == nil {
-		j.telemetry = map[int]obs.TelemetrySnapshot{}
-	}
-	j.telemetry[snap.Shard] = snap
-	parts := make([]obs.TelemetrySnapshot, 0, len(j.telemetry))
-	for _, p := range j.telemetry {
-		parts = append(parts, p)
-	}
-	merged := obs.MergeTelemetry(parts)
-	prev := j.prevMerged
-	if merged.Cycle < prev.Cycle {
+	prev := j.telemetry
+	if snap.Cycle < prev.Cycle {
 		return
 	}
-	j.prevMerged = merged
-	j.info.Telemetry = &merged
-	if merged.Cycle > prev.Cycle {
+	j.telemetry = snap
+	j.info.Telemetry = &snap
+	if snap.Cycle > prev.Cycle {
 		j.touchLocked()
 		// Counter tracks ride the trace timeline as Perfetto "C" events:
 		// the measured-window injection rate since the previous sample
 		// (guarded against the warmup-boundary stats reset, where the
 		// cumulative counters legitimately shrink) and the instantaneous
 		// network occupancy.
-		if inj := merged.FlitsInjected(); inj >= prev.FlitsInjected() {
-			rate := float64(inj-prev.FlitsInjected()) / float64(merged.Cycle-prev.Cycle)
+		if inj := snap.FlitsInjected(); inj >= prev.FlitsInjected() {
+			rate := float64(inj-prev.FlitsInjected()) / float64(snap.Cycle-prev.Cycle)
 			j.trace.Counter("injection_rate", map[string]float64{"flits_per_cycle": rate})
 		}
-		j.trace.Counter("buffer_occupancy", map[string]float64{"flits": float64(merged.BufferedFlits())})
+		j.trace.Counter("buffer_occupancy", map[string]float64{"flits": float64(snap.BufferedFlits())})
 	}
-	j.broadcastLocked(Event{Type: "telemetry", Job: j.info.ID, Telemetry: &merged})
+	j.broadcastLocked(Event{Type: "telemetry", Job: j.info.ID, Telemetry: &snap})
 }
 
 // checkStall is the watchdog probe: it reports true exactly once per
@@ -465,21 +437,11 @@ func (j *job) noteAssigned(taskID string, slots int) {
 	j.remote.taskID, j.remote.slots = taskID, slots
 }
 
-// noteStable mirrors a journaled stable-set promotion for compaction.
-func (j *job) noteStable(epoch int, cycle uint64, keys []string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.remote.stableEpoch, j.remote.stableCycle = epoch, cycle
-	j.remote.stableKeys = append([]string(nil), keys...)
-}
-
 // remoteFacts snapshots the journal-compaction state.
 func (j *job) remoteFacts() remoteFacts {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rf := j.remote
-	rf.stableKeys = append([]string(nil), j.remote.stableKeys...)
-	return rf
+	return j.remote
 }
 
 // subscribe registers a progress listener. The channel is closed when the

@@ -231,36 +231,32 @@ func TestJournalWriteBlockedWhileWaiterRestarts(t *testing.T) {
 	}
 }
 
-// TestTelemetryLateFirstSampleIsWithheld injects the sample that used to
-// move the merged stream backwards: shard 0 is at cycle 500 when shard 1's
-// first sample arrives from cycle 100.
+// TestTelemetryLateFirstSampleIsWithheld: the published telemetry stream
+// is monotone in cycle. A run that migrates resumes from its last
+// checkpoint, so the new executor's first samples are behind what the job
+// already showed: they are withheld until the run has caught up.
 func TestTelemetryLateFirstSampleIsWithheld(t *testing.T) {
-	sc := &scenario{surface: KindConfig, name: "late-shard", hash: "0123456789abcdef", seed: 1}
+	sc := &scenario{surface: KindConfig, name: "late-sample", hash: "0123456789abcdef", seed: 1}
 	j := newJob("job-000001", SubmitRequest{}, sc, context.Background(), time.Now())
 	j.start(time.Now())
 	sub, unsub := j.subscribe()
 	defer unsub()
-	sample := func(shard int, cycle, injected uint64) obs.TelemetrySnapshot {
-		lo := shard * 8
-		return obs.TelemetrySnapshot{Cycle: cycle, Shard: shard, ShardCount: 2, TileLo: lo, TileHi: lo + 8,
-			Tiles: []obs.TileTelemetry{{Tile: lo, FlitsInjected: injected}}}
-	}
-	type frame struct {
-		cycle uint64
-		tiles int
+	sample := func(cycle uint64) obs.TelemetrySnapshot {
+		return obs.TelemetrySnapshot{Cycle: cycle, TileHi: 16,
+			Tiles: []obs.TileTelemetry{{Tile: 0, FlitsInjected: cycle / 10}}}
 	}
 	steps := []struct {
 		in   obs.TelemetrySnapshot
-		want *frame // nil: withheld
+		want bool // published
 	}{
-		{sample(0, 300, 30), &frame{300, 1}},
-		{sample(0, 500, 50), &frame{500, 1}}, // shard 1 has not reported: it is absent, not waited for
-		{sample(1, 100, 10), nil},            // its late first sample would read cycle 100
-		{sample(0, 700, 70), nil},            // still min(700, 100)
-		{sample(1, 500, 50), &frame{500, 2}}, // caught up with the last published cycle
-		{sample(1, 900, 90), &frame{700, 2}},
-		{sample(0, 650, 65), nil}, // a member rolled back to a checkpoint
-		{sample(0, 900, 90), &frame{900, 2}},
+		{sample(300), true},
+		{sample(500), true},
+		{sample(100), false}, // the migrated run's first sample, from its checkpoint
+		{sample(400), false},
+		{sample(500), true}, // caught up with the last published cycle
+		{sample(900), true},
+		{sample(650), false}, // migrated again
+		{sample(1000), true},
 	}
 	var last uint64
 	for i, step := range steps {
@@ -275,14 +271,13 @@ func TestTelemetryLateFirstSampleIsWithheld(t *testing.T) {
 		default:
 		}
 		switch {
-		case step.want == nil && got != nil:
+		case !step.want && got != nil:
 			t.Fatalf("step %d: frame at cycle %d published, want it withheld (stream is at %d)", i, got.Cycle, last)
-		case step.want != nil && got == nil:
-			t.Fatalf("step %d: frame withheld, want cycle %d", i, step.want.cycle)
+		case step.want && got == nil:
+			t.Fatalf("step %d: frame withheld, want cycle %d", i, step.in.Cycle)
 		case got != nil:
-			if got.Cycle != step.want.cycle || len(got.Tiles) != step.want.tiles || got.Shard != -1 {
-				t.Fatalf("step %d: frame cycle %d with %d tiles (shard %d), want cycle %d with %d tiles, merged",
-					i, got.Cycle, len(got.Tiles), got.Shard, step.want.cycle, step.want.tiles)
+			if got.Cycle != step.in.Cycle || len(got.Tiles) != 1 {
+				t.Fatalf("step %d: frame cycle %d with %d tiles, want cycle %d with 1 tile", i, got.Cycle, len(got.Tiles), step.in.Cycle)
 			}
 			last = got.Cycle
 		}

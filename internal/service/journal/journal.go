@@ -56,10 +56,6 @@ const (
 	// restarted coordinator can re-adopt the execution from the
 	// worker that still runs it.
 	TypeAssign = "assign"
-	// TypeStable records a sharded group's stable-checkpoint
-	// promotion: the consistent cross-shard blob set a restart may
-	// resume from.
-	TypeStable = "stable"
 	// TypeResult records the result-cache key of a finished job, so
 	// replay can refault the document from the cache tier instead of
 	// re-running it.
@@ -82,11 +78,6 @@ type Record struct {
 	// TypeAssign.
 	Task  string `json:"task,omitempty"`
 	Slots int    `json:"slots,omitempty"`
-
-	// TypeStable.
-	Epoch int      `json:"epoch,omitempty"`
-	Cycle uint64   `json:"cycle,omitempty"`
-	Keys  []string `json:"keys,omitempty"`
 
 	// TypeResult: the content-addressed result-cache key.
 	Name string `json:"name,omitempty"`

@@ -31,8 +31,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Append(Record{Type: TypeStable, Job: "job-000003",
-		Epoch: 2, Cycle: 5000, Keys: []string{"a-s0", "a-s1"}}); err != nil {
+	if err := j.Append(Record{Type: TypeAssign, Job: "job-000003",
+		Task: "task-000009", Slots: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -53,8 +53,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	last := recs[10]
-	if last.Type != TypeStable || last.Cycle != 5000 || len(last.Keys) != 2 {
-		t.Fatalf("stable record corrupted on round-trip: %+v", last)
+	if last.Type != TypeAssign || last.Task != "task-000009" || last.Slots != 2 {
+		t.Fatalf("assign record corrupted on round-trip: %+v", last)
 	}
 	if _, _, replayed, truncated := j2.Stats(); replayed != 11 || truncated {
 		t.Fatalf("stats after clean reopen: replayed=%d truncated=%v", replayed, truncated)

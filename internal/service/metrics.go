@@ -98,8 +98,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		func() uint64 { return s.fleet.Stats().TasksRequeued })
 	reg.CounterFunc("hornet_fleet_tasks_completed_total", "Tasks completed by workers.",
 		func() uint64 { return s.fleet.Stats().TasksCompleted })
-	reg.CounterFunc("hornet_fleet_shard_rollbacks_total", "Shard-group epoch rollbacks.",
-		func() uint64 { return s.fleet.Stats().ShardRollbacks })
 	reg.CounterFunc("hornet_fleet_checkpoint_bytes_total", "Checkpoint blob bytes accepted from workers.",
 		func() uint64 { return s.fleet.Stats().CheckpointBytes })
 	reg.CounterFunc("hornet_fleet_tasks_adopted_total", "Restored tasks re-adopted in place by their pre-restart executor.",

@@ -95,7 +95,6 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		`hornet_jobs_coalesced_total`:          float64(st.CoalescedJobs),
 		`hornet_fleet_lease_expiries_total`:    float64(st.Fleet.WorkersLost),
 		`hornet_fleet_tasks_requeued_total`:    float64(st.Fleet.TasksRequeued),
-		`hornet_fleet_shard_rollbacks_total`:   float64(st.Fleet.ShardRollbacks),
 		`hornet_fleet_checkpoint_bytes_total`:  float64(st.Fleet.CheckpointBytes),
 	}
 	for name, v := range want {

@@ -7,8 +7,8 @@ package service
 // Lock-ordering rule: every journal append happens OUTSIDE job.mu.
 // State transitions journal through the job's onState hook, which
 // start/finalize invoke after unlocking; the fleet's Journal callbacks
-// run outside the fleet lock and take-and-release job.mu (noteAssigned/
-// noteStable) before appending. Compaction's snapshot callback runs
+// run outside the fleet lock and take-and-release job.mu (noteAssigned)
+// before appending. Compaction's snapshot callback runs
 // under the journal lock and takes job.mu (Info, remoteFacts) — safe
 // precisely because nothing appends while holding job.mu.
 
@@ -26,9 +26,8 @@ import (
 )
 
 // serverJournal adapts the Server to the fleet's backend.Journal hook:
-// assignment and stable-promotion facts are mirrored onto the job (for
-// compaction) and appended to the WAL. Called by the fleet outside its
-// lock.
+// assignment facts are mirrored onto the job (for compaction) and
+// appended to the WAL. Called by the fleet outside its lock.
 type serverJournal struct{ s *Server }
 
 func (sj serverJournal) Assigned(jobID, taskID string, slots int) {
@@ -36,14 +35,6 @@ func (sj serverJournal) Assigned(jobID, taskID string, slots int) {
 		j.noteAssigned(taskID, slots)
 	}
 	sj.s.journalAppend(journal.Record{Type: journal.TypeAssign, Job: jobID, Task: taskID, Slots: slots})
-}
-
-func (sj serverJournal) StablePromoted(jobID string, epoch int, cycle uint64, keys []string) {
-	if j, ok := sj.s.jobs.get(jobID); ok {
-		j.noteStable(epoch, cycle, keys)
-	}
-	sj.s.journalAppend(journal.Record{Type: journal.TypeStable, Job: jobID,
-		Epoch: epoch, Cycle: cycle, Keys: keys})
 }
 
 // journalAppend writes one record and schedules a background compaction
@@ -137,10 +128,6 @@ func (s *Server) compactRecords() []journal.Record {
 			recs = append(recs, journal.Record{Type: journal.TypeAssign, Job: info.ID,
 				Task: rf.taskID, Slots: rf.slots})
 		}
-		if len(rf.stableKeys) > 0 {
-			recs = append(recs, journal.Record{Type: journal.TypeStable, Job: info.ID,
-				Epoch: rf.stableEpoch, Cycle: rf.stableCycle, Keys: rf.stableKeys})
-		}
 		if info.State == StateDone {
 			recs = append(recs, journal.Record{Type: journal.TypeResult, Job: info.ID,
 				Name: info.Name, Hash: info.ConfigHash})
@@ -152,20 +139,18 @@ func (s *Server) compactRecords() []journal.Record {
 // replayJob is the per-job fold of the journal's record stream: the
 // last-written value of each fact group.
 type replayJob struct {
-	req        json.RawMessage
-	info       JobInfo
-	haveInfo   bool
-	taskID     string
-	slots      int
-	stableCy   uint64
-	stableKeys []string
+	req      json.RawMessage
+	info     JobInfo
+	haveInfo bool
+	taskID   string
+	slots    int
 }
 
 // restore rebuilds the job store from replayed journal records, called
 // once during construction, before the HTTP surface is up. Terminal
 // jobs restore in place (done ones refault their document from the
 // result cache); everything else re-enqueues, seeded with the newest
-// persisted checkpoints, and plain fleet jobs additionally arm the
+// persisted checkpoints, and fleet jobs additionally arm the
 // reattach table so the pre-crash worker can re-adopt the execution.
 func (s *Server) restore(recs []journal.Record) {
 	byJob := map[string]*replayJob{}
@@ -194,12 +179,12 @@ func (s *Server) restore(recs []journal.Record) {
 			}
 		case journal.TypeAssign:
 			rj.taskID, rj.slots = r.Task, r.Slots
-		case journal.TypeStable:
-			rj.stableCy = r.Cycle
-			rj.stableKeys = append([]string(nil), r.Keys...)
 		case journal.TypeResult:
 			// Redundant with the done info snapshot (Name/ConfigHash);
 			// kept for forward compatibility of the record stream.
+		default:
+			// Older coordinators also journaled a shard group's "stable"
+			// checkpoint set; the job re-runs as one task without it.
 		}
 	}
 	maxJob, maxTask := 0, 0
@@ -208,7 +193,7 @@ func (s *Server) restore(recs []journal.Record) {
 		if n, ok := trailingSeq(id, "job-"); ok && n > maxJob {
 			maxJob = n
 		}
-		if n, ok := taskSeq(rj.taskID); ok && n > maxTask {
+		if n, _, ok := taskSeq(rj.taskID); ok && n > maxTask {
 			maxTask = n
 		}
 		s.restoreJob(id, rj)
@@ -268,21 +253,25 @@ func (s *Server) restoreJob(id string, rj *replayJob) {
 	// In-flight (or done-with-lost-result): re-enqueue, seeded with the
 	// newest persisted checkpoints. Only a remote worker's task waits for
 	// its re-claim (Fleet.Execute): in-process runs are never journaled.
+	// A shard group's member task, which older coordinators journaled,
+	// has no executor that could carry on as the whole task: the job runs
+	// again as one task.
+	taskID := rj.taskID
+	if _, plain, _ := taskSeq(taskID); !plain {
+		taskID = ""
+	}
 	weight := rj.slots
 	if weight < 1 {
-		weight = req.Workers
+		weight = sc.weight(req.Workers)
 	}
 	j.restore = &restoreState{
-		taskID:      rj.taskID,
-		checkpoints: s.restoreBlobs(sc, rj),
+		taskID:      taskID,
+		checkpoints: s.restoreBlobs(sc),
 	}
 	s.jobs.add(j)
 	s.jobsRestored.Add(1)
-	if rj.taskID != "" && sc.shards < 2 {
-		// Sharded member executions always restart from the group's
-		// stable set (the rollback machinery stays authoritative), so
-		// only plain tasks arm the re-adoption table.
-		s.fleet.ExpectReattach(rj.taskID, id, weight)
+	if taskID != "" {
+		s.fleet.ExpectReattach(taskID, id, weight)
 	}
 	if apiErr := s.sched.submit(j); apiErr != nil {
 		j.fail(apiErr.Message, time.Now())
@@ -290,29 +279,14 @@ func (s *Server) restoreJob(id string, rj *replayJob) {
 	}
 }
 
-// restoreBlobs loads the checkpoint blobs a restored job resumes from.
-// Plain jobs take every run's newest persisted snapshot; sharded jobs
-// take the journaled promoted stable set — and only a COMPLETE one, a
-// partial set would seed members at mismatched cycles.
-func (s *Server) restoreBlobs(sc *scenario, rj *replayJob) map[string]backend.Blob {
+// restoreBlobs loads the checkpoint blobs a restored job resumes from:
+// every run's newest persisted snapshot.
+func (s *Server) restoreBlobs(sc *scenario) map[string]backend.Blob {
 	store := s.env.store
 	if store == nil {
 		return nil
 	}
 	out := map[string]backend.Blob{}
-	if sc.shards >= 2 {
-		if len(rj.stableKeys) != sc.shards {
-			return nil
-		}
-		for _, key := range rj.stableKeys {
-			b, ok := store.Load(key)
-			if !ok {
-				return nil
-			}
-			out[key] = backend.Blob{Cycle: rj.stableCy, Data: b}
-		}
-		return out
-	}
 	for _, spec := range sc.runs {
 		key := CheckpointKey(sc.name, sc.hash, spec.key)
 		if b, ok := store.Load(key); ok {
@@ -337,23 +311,23 @@ func trailingSeq(id, prefix string) (int, bool) {
 	return n, true
 }
 
-// taskSeq parses the fleet sequence number out of a task ID, accepting
-// both plain ("task-000007") and sharded-member ("task-000007-s1") forms.
-func taskSeq(id string) (int, bool) {
-	if id == "" {
-		return 0, false
-	}
+// taskSeq parses the fleet sequence number out of a task ID. Besides the
+// plain form ("task-000007") it accepts the shard-member form
+// ("task-000007-s1") older coordinators journaled, for which plain is
+// false.
+func taskSeq(id string) (n int, plain, ok bool) {
 	const prefix = "task-"
 	if !strings.HasPrefix(id, prefix) {
-		return 0, false
+		return 0, false, false
 	}
 	rest := id[len(prefix):]
+	plain = true
 	if i := strings.Index(rest, "-s"); i >= 0 {
-		rest = rest[:i]
+		rest, plain = rest[:i], false
 	}
 	n, err := strconv.Atoi(rest)
 	if err != nil || n < 0 {
-		return 0, false
+		return 0, false, false
 	}
-	return n, true
+	return n, plain, true
 }

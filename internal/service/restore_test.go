@@ -2,9 +2,16 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"hornet/internal/service/journal"
 )
 
 // These tests drive the durable coordinator in process: a journaled
@@ -291,6 +298,90 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 		}
 		if b, ok := j.Result(); !ok || !bytes.Equal(b, dj.result) {
 			t.Errorf("job %s result drifted across compaction+replay", dj.id)
+		}
+	}
+}
+
+// TestJournalReplayIgnoresShardStableRecord: a journal an older
+// coordinator wrote for a job whose shards ran as cross-process members
+// holds the members' task ID and a "stable" record naming their
+// checkpoint set. It must still replay: the stable record is read and
+// ignored, the member task is not expected back, the job re-runs as one
+// task to the bytes of the same request without shards, and compaction
+// writes no stable record. The log is written by hand, frame by frame, as
+// that coordinator wrote it.
+func TestJournalReplayIgnoresShardStableRecord(t *testing.T) {
+	jdir := t.TempDir()
+	req := SubmitRequest{Name: "legacy-sharded", Config: resumeConfig(2_000), Seed: 23, Shards: 2}
+	sc, apiErr := buildScenario(req)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	const id = "job-000001"
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infoJSON, err := json.Marshal(JobInfo{ID: id, Name: sc.name, Kind: sc.surface, State: StateRunning,
+		ConfigHash: sc.hash, Seed: sc.seed, RunsTotal: 1, Created: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CheckpointKey(sc.name, sc.hash, sc.runs[0].key)
+	records := []string{
+		fmt.Sprintf(`{"t":"submit","job":%q,"request":%s,"info":%s}`, id, reqJSON, infoJSON),
+		fmt.Sprintf(`{"t":"assign","job":%q,"task":"task-000003-s1","slots":1}`, id),
+		fmt.Sprintf(`{"t":"stable","job":%q,"epoch":1,"cycle":1000,"keys":[%q,%q]}`, id, key+"-s0", key+"-s1"),
+	}
+	wal := []byte("HJRNL1\n\x01\x00") // magic, format version 1
+	for _, r := range records {
+		var frame [8]byte
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(r)))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE([]byte(r)))
+		wal = append(append(wal, frame[:]...), r...)
+	}
+	if err := os.WriteFile(filepath.Join(jdir, journal.FileName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := NewDurable(durableOpts(jdir, t.TempDir(), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.JobsRestored != 1 || st.Journal.Replayed != len(records) {
+		t.Fatalf("restored %d jobs from %d records, want 1 from %d", st.JobsRestored, st.Journal.Replayed, len(records))
+	}
+	j, ok := srv.jobs.get(id)
+	if !ok {
+		t.Fatalf("replay lost job %s", id)
+	}
+	if j.restore.taskID != "" {
+		t.Errorf("the restored job expects member task %q back", j.restore.taskID)
+	}
+	info := waitDone(t, j, 120*time.Second)
+	if info.State != StateDone || info.Backend != "local" {
+		t.Fatalf("restored job state = %s on %q (%s), want done on local", info.State, info.Backend, info.Error)
+	}
+	got, _ := j.Result()
+	if err := srv.jrnl.Compact(srv.compactRecords); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	unsharded := req
+	unsharded.Shards = 0
+	want, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 1}, unsharded)
+	if !bytes.Equal(got, want) {
+		t.Errorf("the replayed job's document differs from the request without shards:\n got:  %s\n want: %s", got, want)
+	}
+	jr, recs, err := journal.Open(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	for _, r := range recs {
+		if r.Type == "stable" {
+			t.Errorf("compaction wrote a stable record: %+v", r)
 		}
 	}
 }

@@ -56,9 +56,9 @@ type scenario struct {
 	// agreeing on everything but measured-phase knobs fork from one
 	// warmup snapshot.
 	shareWarmup bool
-	// shards is the space-parallel member count of a sharded submission
-	// (>= 2), 0 for ordinary scenarios. Like Workers it never enters the
-	// scenario hash: sharding cannot change result bytes.
+	// shards is the submission's shards field: 0, or a request for that
+	// many engine workers on one host (see weight). Like Workers it never
+	// enters the scenario hash: it cannot change result bytes.
 	shards int
 	// normalized is the canonical form of a scenario document (validate
 	// shows it to the client); nil for the other spellings.
@@ -226,9 +226,7 @@ func seal(sc *scenario, workers int) *APIError {
 		sc.taskKind = KindBatch
 	}
 	for i := range runs {
-		// A sharded run that stays on this host is one engine, with a
-		// worker per member it would have had.
-		runs[i].weight = max(workers, sc.shards)
+		runs[i].weight = sc.weight(workers)
 		if sc.shareWarmup {
 			runs[i].seed = groupSeed(sc.seed, runs[i].cfg)
 		}
@@ -251,13 +249,15 @@ func scenarioHash(label, name string, identity any, seed uint64, shareWarmup boo
 	return sweep.ConfigHash("service/"+label, name, identity, seed)
 }
 
-// checkShards validates the requested space-parallel member count.
-// Sharding splits ONE simulation's tile grid across members, so only a
-// single simulation qualifies, the engine must sync every cycle
-// (boundary flits are exchanged at sync points; a coarser cadence would
-// let a flit cross a shard boundary unobserved), and warmup sharing is
-// meaningless for a single run. Bidirectional links shard like fixed
-// ones: a boundary carries the remote side's demand to the local arbiter.
+// weight is the engine-worker request of the job's runs: the workers
+// field, or one engine worker per shard when shards asks for more. A
+// sharded simulation is one engine in one process, like any other.
+func (sc *scenario) weight(workers int) int { return max(workers, sc.shards) }
+
+// checkShards validates the shards field. Its rules are the ones the
+// space-parallel member path needed — one simulation, sync period 1, no
+// warmup sharing, no more shards than nodes — kept so that every
+// submission keeps the answer it always got.
 func checkShards(sc *scenario) *APIError {
 	if sc.shards == 0 {
 		return nil

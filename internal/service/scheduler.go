@@ -255,9 +255,8 @@ func (s jobSink) Engine(snap obs.ProbeSnapshot) {
 	}
 }
 
-// Telemetry folds one executor's machine-telemetry sample into the
-// job's merged full-machine view (sharded jobs contribute one tile
-// span per member).
+// Telemetry publishes one executor's machine-telemetry sample as the
+// job's view.
 func (s jobSink) Telemetry(snap obs.TelemetrySnapshot) { s.j.setTelemetry(snap) }
 
 // Note puts a lifecycle note on the job's trace timeline; a dispatch or
@@ -279,8 +278,8 @@ func (s jobSink) Note(event string, fields map[string]string) {
 // runLocal is the fleet's in-process worker: it runs one task on the
 // daemon's shared CPU pool and execution environment (warmup cache,
 // checkpoint store), reporting straight into the job's sink. A sharded
-// job the remote workers cannot hold comes here unsharded and runs as one
-// engine, on as many workers as it has members (seal).
+// job runs here as one engine, on as many workers as it asks for shards
+// (seal), as far as the pool allows.
 func (s *scheduler) runLocal(r backend.LocalRun) {
 	env := s.env
 	// A migrated task resumes from the blobs its remote executors
@@ -294,7 +293,7 @@ func (s *scheduler) runLocal(r backend.LocalRun) {
 	}
 	// Every in-process job gets a fresh engine probe so the daemon can
 	// report cycles/sec and barrier-vs-compute time per running job.
-	r.Done(executeScenario(r.Ctx, r.Task.Compiled.(*scenario), env, s.pool, r.Sink, obs.NewSimProbe(), nil))
+	r.Done(executeScenario(r.Ctx, r.Task.Compiled.(*scenario), env, s.pool, r.Sink, obs.NewSimProbe()))
 }
 
 // firstRunError digs the run error out of an encoded single-run document

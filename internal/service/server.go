@@ -69,12 +69,11 @@ type Options struct {
 	StallAfter time.Duration
 
 	// JournalDir, if non-empty, makes the coordinator durable: every
-	// submit, state transition, fleet assignment, sharded stable-set
-	// promotion and result key appends to a write-ahead log
-	// (journal.wal) in this directory. On startup the journal is
-	// replayed: finished jobs are rebuilt from the result cache,
-	// in-flight ones re-enqueue from their persisted checkpoints, and
-	// their still-running fleet executions are re-adopted when the
+	// submit, state transition, fleet assignment and result key appends
+	// to a write-ahead log (journal.wal) in this directory. On startup
+	// the journal is replayed: finished jobs are rebuilt from the result
+	// cache, in-flight ones re-enqueue from their persisted checkpoints,
+	// and their still-running fleet executions are re-adopted when the
 	// workers re-register. Pair it with CheckpointDir (checkpoint blobs
 	// are what restored jobs resume from).
 	JournalDir string
@@ -181,8 +180,8 @@ func NewDurable(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("open job journal: %w", err)
 		}
 		s.jrnl = jrnl
-		// The fleet journals assignments and stable-set promotions itself
-		// (it is the component that learns about them first).
+		// The fleet journals assignments itself (it is the component that
+		// learns about them first).
 		fleet.SetJournal(serverJournal{s})
 		s.restore(recs)
 	}
@@ -213,10 +212,6 @@ func NewDurable(opts Options) (*Server, error) {
 	s.mux.HandleFunc("PUT /api/v1/workers/{id}/tasks/{task}/checkpoints/{key}", s.handleWorkerCheckpoint)
 	s.mux.HandleFunc("DELETE /api/v1/workers/{id}/tasks/{task}/checkpoints/{key}", s.handleWorkerCheckpointDrop)
 	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/result", s.handleWorkerResult)
-	// Shard-group coordination (space-parallel tasks): one all-gather per
-	// synchronization point and for the final statistics; its rollback
-	// notice carries the member's stable checkpoint.
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/tasks/{task}/shardsync", s.handleWorkerShardExchange)
 	return s, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,15 +12,12 @@ import (
 	"hornet/internal/service/backend"
 )
 
-// Service-level contracts of space-parallel execution: the members of a
-// group — Execute calls with a ShardMember each, joined over one
-// backend.ShardGroup as the fleet joins remote members — produce the
-// document of the ordinary single-engine run of the same request, and a
-// daemon that cannot place the members remotely runs the job as that one
-// engine. The cross-process version lives in e2e.
+// Service-level contracts of the shards field: `shards: N` asks for N
+// engine workers for one simulation, on whichever worker placement gives
+// the job, and its document and content address are those of the same
+// request without shards.
 
-// shardConfig is a synthetic scenario small enough to co-run N member
-// engines in one test process.
+// shardConfig is a small synthetic scenario.
 func shardConfig() *config.Config {
 	cfg := config.Default()
 	cfg.Topology.Width, cfg.Topology.Height = 4, 4
@@ -67,81 +62,50 @@ func runToDoc(t *testing.T, opts Options, req SubmitRequest) ([]byte, string) {
 	return b, info.ConfigHash
 }
 
-// groupPeer is member's end of an in-process group, joining at the
-// group's current epoch; ctx bounds its waits.
-func groupPeer(ctx context.Context, g *backend.ShardGroup, member int) *backend.MemberPeer {
-	return backend.NewMemberPeer(g.Epoch(), func(epoch int, payload []byte) ([][]byte, error) {
-		return g.Exchange(ctx, epoch, member, payload)
-	})
-}
-
-// runMembers runs req as the members of group, all in this process: one
-// Execute call each, with opts(i) plus its ShardMember. A member's
-// failure cancels the group and fails the test; the results come back in
-// member order.
-func runMembers(t *testing.T, req SubmitRequest, group *backend.ShardGroup, opts func(i int) ExecOptions) []*ExecResult {
+// executeSharded runs req, which asks for 2 shards, through Execute — a
+// remote worker's path — granted 2 CPU slots, and checks that its one
+// engine ran on 2 workers.
+func executeSharded(t *testing.T, req SubmitRequest, opts ExecOptions) *ExecResult {
 	t.Helper()
-	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
-	n := group.Members()
-	results := make([]*ExecResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range results {
-		o := opts(i)
-		o.Shard = &ShardMember{Index: i, Count: n, Transport: groupPeer(ctx, group, i)}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = Execute(ctx, req, o)
-			if errs[i] != nil {
-				group.Cancel(errs[i])
-			}
-		}()
+	probe := obs.NewSimProbe()
+	opts.Workers, opts.Probe = 2, probe
+	res, err := Execute(context.Background(), req, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
+	if parts := len(probe.Snapshot().Partitions); parts != 2 {
+		t.Errorf("the sharded run's engine had %d workers, want 2", parts)
 	}
-	return results
+	return res
 }
 
-// oneWorker is every member's options in the byte-identity tests.
-func oneWorker(int) ExecOptions { return ExecOptions{Workers: 1} }
-
-// TestShardedLocalSyntheticByteIdentity: the same synthetic scenario
-// run unsharded and sharded 2-way must hash identically (shards is an
-// execution knob, not document identity) and produce byte-identical
-// result documents through an in-process member group, with fixed and
-// with bidirectional links.
+// TestShardedLocalSyntheticByteIdentity: the same synthetic scenario run
+// without shards and with shards 2 must hash identically (shards is an
+// execution knob, not document identity) and produce byte-identical result
+// documents, with fixed and with bidirectional links.
 func TestShardedLocalSyntheticByteIdentity(t *testing.T) {
 	for _, m := range linkMachines() {
 		t.Run(m.name, func(t *testing.T) {
 			base := SubmitRequest{Name: "shard-synth", Config: m.cfg, Seed: 21}
 
-			single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+			single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 1}, base)
 
 			sharded := base
 			sharded.Shards = 2
-			root := runMembers(t, sharded, backend.NewShardGroup(2), oneWorker)[0]
-			doc2, hash2 := root.Doc, root.Hash
-
-			if hash2 != hashSingle {
-				t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
+			res := executeSharded(t, sharded, ExecOptions{})
+			if res.Hash != hashSingle {
+				t.Fatalf("sharded run hashed differently: %s vs %s", res.Hash, hashSingle)
 			}
-			if !bytes.Equal(doc2, single) {
-				t.Fatalf("2-way sharded document differs from single-engine run:\n single: %s\n sharded: %s", single, doc2)
+			if !bytes.Equal(res.Doc, single) {
+				t.Fatalf("2-way sharded document differs from the one-worker run:\n single: %s\n sharded: %s", single, res.Doc)
 			}
 		})
 	}
 }
 
 // TestShardedLocalMIPSByteIdentity: an application workload (MIPS
-// ping-pong, fast-forward on) sharded 2-way completes by the group
-// decision — per-span halt conditions ANDed, in-flight flits summed —
-// and still emits the single-engine document bytes.
+// ping-pong, fast-forward on) with shards 2 completes at the cycle the
+// one-worker run does and emits its document bytes.
 func TestShardedLocalMIPSByteIdentity(t *testing.T) {
 	cfg := config.Default()
 	cfg.Topology.Width, cfg.Topology.Height = 4, 4
@@ -152,76 +116,117 @@ func TestShardedLocalMIPSByteIdentity(t *testing.T) {
 		Mips: &MipsSpec{Workload: "pingpong", Rounds: 40, Config: cfg},
 	}
 
-	single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+	single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 1}, base)
 
 	sharded := base
 	sharded.Shards = 2
-	root := runMembers(t, sharded, backend.NewShardGroup(2), oneWorker)[0]
-	doc2, hash2 := root.Doc, root.Hash
-
-	if hash2 != hashSingle {
-		t.Fatalf("sharded run hashed differently: %s vs %s", hash2, hashSingle)
+	res := executeSharded(t, sharded, ExecOptions{})
+	if res.Hash != hashSingle {
+		t.Fatalf("sharded run hashed differently: %s vs %s", res.Hash, hashSingle)
 	}
-	if !bytes.Equal(doc2, single) {
-		t.Fatalf("2-way sharded MIPS document differs from single-engine run")
+	if !bytes.Equal(res.Doc, single) {
+		t.Fatalf("2-way sharded MIPS document differs from the one-worker run")
 	}
 }
 
-// TestShardedLocalCheckpointedByteIdentity: member checkpointing (per
-// -s{i} store keys) must not perturb results — a sharded run autosaving
-// on a tiny cadence emits the same bytes as the unsharded, uncheck-
-// pointed run.
+// TestShardedLocalCheckpointedByteIdentity: checkpointing must not
+// perturb results — a sharded run autosaving on a tiny cadence emits the
+// same bytes as the unsharded, uncheckpointed run.
 func TestShardedLocalCheckpointedByteIdentity(t *testing.T) {
 	for _, m := range linkMachines() {
 		t.Run(m.name, func(t *testing.T) {
 			base := SubmitRequest{Name: "shard-ckpt", Config: m.cfg, Seed: 33}
 
-			single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
+			single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 1}, base)
 
 			// Every autosave chunk opens with a join synchronization; on
 			// the bidirectional machine a short cadence puts enough of
-			// them under load that one re-arbitrating a boundary link
-			// shows in the document.
+			// them under load that one re-arbitrating a link would show
+			// in the document.
 			every := uint64(700)
 			if m.cfg.Router.Bidirectional {
 				every = 13
 			}
 			sharded := base
 			sharded.Shards = 2
-			store := DirCheckpointStore{Dir: t.TempDir()}
-			doc2 := runMembers(t, sharded, backend.NewShardGroup(2), func(int) ExecOptions {
-				return ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: every}
-			})[0].Doc
-
-			if !bytes.Equal(doc2, single) {
-				t.Fatalf("checkpointed sharded document differs from clean single-engine run")
+			res := executeSharded(t, sharded, ExecOptions{
+				Checkpoints: DirCheckpointStore{Dir: t.TempDir()}, CheckpointEvery: every})
+			if !bytes.Equal(res.Doc, single) {
+				t.Fatalf("checkpointed sharded document differs from clean one-worker run")
 			}
 		})
 	}
 }
 
-// TestShardedJobWithoutWorkersRunsAsOneEngine: a workerless daemon runs
-// a 2-way sharded job as one in-process engine on both budget slots, and
-// its document is the unsharded job's.
+// TestShardedJobWithoutWorkersRunsAsOneEngine: a sharded job takes the
+// ordinary placement path. A workerless daemon runs a 2-way sharded job
+// in-process as one engine on max(workers, shards) = 2 budget slots; a
+// daemon with a 1-slot remote worker hands it to that worker with its
+// weight clamped to the one slot. Both give the content address and
+// document of the request without shards.
 func TestShardedJobWithoutWorkersRunsAsOneEngine(t *testing.T) {
 	base := SubmitRequest{Name: "shard-one-engine", Config: shardConfig(), Seed: 5}
-	single, _ := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
-
-	srv := mustServer(t, Options{MaxJobs: 1, Budget: 2})
-	defer srv.Close()
+	single, hashSingle := runToDoc(t, Options{MaxJobs: 1, Budget: 2}, base)
 	sharded := base
 	sharded.Shards = 2
-	j := submitDirect(t, srv, sharded)
-	info := waitDone(t, j, 120*time.Second)
-	if info.State != StateDone || info.Backend != "local" {
-		t.Fatalf("job state = %s on backend %q (%s); want done on local", info.State, info.Backend, info.Error)
-	}
-	if doc, _ := j.Result(); !bytes.Equal(doc, single) {
-		t.Errorf("sharded job's document differs from the unsharded job's:\n single:  %s\n sharded: %s", single, doc)
-	}
-	if info.Engine == nil || len(info.Engine.Partitions) != 2 {
-		t.Errorf("engine probe %+v; want one engine of 2 partitions", info.Engine)
-	}
+
+	t.Run("in-process", func(t *testing.T) {
+		srv := mustServer(t, Options{MaxJobs: 1, Budget: 2})
+		defer srv.Close()
+		j := submitDirect(t, srv, sharded)
+		info := waitDone(t, j, 120*time.Second)
+		if info.State != StateDone || info.Backend != "local" {
+			t.Fatalf("job state = %s on backend %q (%s); want done on local", info.State, info.Backend, info.Error)
+		}
+		if doc, _ := j.Result(); info.ConfigHash != hashSingle || !bytes.Equal(doc, single) {
+			t.Errorf("sharded job (hash %s) differs from the unsharded job (hash %s):\n single:  %s\n sharded: %s",
+				info.ConfigHash, hashSingle, single, doc)
+		}
+		if info.Engine == nil || len(info.Engine.Partitions) != 2 {
+			t.Errorf("engine probe %+v; want one engine of 2 partitions", info.Engine)
+		}
+	})
+
+	t.Run("remote", func(t *testing.T) {
+		srv := mustServer(t, Options{MaxJobs: 1, Budget: 2})
+		defer srv.Close()
+		if _, err := srv.fleet.Register(backend.RegisterRequest{ID: "w1", Capacity: 1}); err != nil {
+			t.Fatal(err)
+		}
+		j := submitDirect(t, srv, sharded)
+		// Stand in for the worker: take the assignment, run it as
+		// hornet-worker does, push the document.
+		ctx := context.Background()
+		a, err := srv.fleet.Poll(ctx, "w1", 30*time.Second)
+		if err != nil || a == nil {
+			t.Fatalf("poll = %+v, %v; want the sharded job's assignment", a, err)
+		}
+		if a.Workers != 1 {
+			t.Fatalf("the 1-slot worker was granted %d slots", a.Workers)
+		}
+		var req SubmitRequest
+		if err := json.Unmarshal(a.Request, &req); err != nil {
+			t.Fatal(err)
+		}
+		probe := obs.NewSimProbe()
+		res, err := Execute(ctx, req, ExecOptions{Workers: a.Workers, Probe: probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parts := len(probe.Snapshot().Partitions); parts != 1 {
+			t.Errorf("the remote run's engine had %d workers, want the 1 slot granted", parts)
+		}
+		if err := srv.fleet.PushResult("w1", a.TaskID, backend.ResultPush{Doc: res.Doc, RunErrs: res.RunErrs}); err != nil {
+			t.Fatal(err)
+		}
+		info := waitDone(t, j, 120*time.Second)
+		if info.State != StateDone || info.Backend != "fleet" {
+			t.Fatalf("job state = %s on backend %q (%s); want done on fleet", info.State, info.Backend, info.Error)
+		}
+		if doc, _ := j.Result(); info.ConfigHash != hashSingle || !bytes.Equal(doc, single) {
+			t.Errorf("remotely run sharded job (hash %s) differs from the unsharded job (hash %s)", info.ConfigHash, hashSingle)
+		}
+	})
 }
 
 // TestShardedLocalFeedsDaemonCheckpointStats: a sharded job that stays
@@ -236,76 +241,6 @@ func TestShardedLocalFeedsDaemonCheckpointStats(t *testing.T) {
 	}
 	if st := srv.Stats(); st.CheckpointsWritten == 0 {
 		t.Fatalf("stats.checkpoints_written = 0 after a locally sharded job autosaved every 700 cycles")
-	}
-}
-
-// stagingStore is a group member's checkpoint store that also stages
-// every autosave into the group, as the fleet stages a worker's uploads.
-// When lose reports true for a save, the save stands for the loss of a
-// member instead: the group rolls back and the blob is not staged.
-type stagingStore struct {
-	*MemCheckpointStore
-	group  *backend.ShardGroup
-	member int
-	lose   func(cycle uint64) bool
-}
-
-func (s stagingStore) Save(key string, blob []byte, cycle uint64) error {
-	if s.lose != nil && s.lose(cycle) {
-		s.group.MemberLost()
-	} else {
-		s.group.Stage(s.member, key, cycle, blob)
-	}
-	return s.MemCheckpointStore.Save(key, blob, cycle)
-}
-
-// TestShardGroupRollbackByteIdentity drives the rollback branch of the
-// run driver without a fleet: two members run through Execute over one
-// in-process group. Member 0's first autosave after the group's first
-// promotion stands for a lost member, so the group rolls back while that
-// member's own store holds a blob ahead of the stable cycle. Both members
-// must restore the stable blobs their notices carry, replay, and finish
-// with the unsharded document; the root's probe must count exactly the
-// replayed cycles on top of one full run, not a restart from cycle 0.
-func TestShardGroupRollbackByteIdentity(t *testing.T) {
-	ctx := context.Background()
-	req := SubmitRequest{Name: "rollback", Config: shardConfig(), Seed: 13}
-	plain, err := Execute(ctx, req, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Shards = 2
-
-	group := backend.NewShardGroup(2)
-	probe := obs.NewSimProbe()
-	var lost atomic.Bool
-	var lostAt, stableAt uint64
-	results := runMembers(t, req, group, func(i int) ExecOptions {
-		store := stagingStore{MemCheckpointStore: NewMemCheckpointStore(), group: group, member: i}
-		var memberProbe *obs.SimProbe
-		if i == 0 {
-			memberProbe = probe
-			store.lose = func(cycle uint64) bool {
-				stable, _, ok := group.StableSet()
-				if !ok || !lost.CompareAndSwap(false, true) {
-					return false
-				}
-				lostAt, stableAt = cycle, stable
-				return true
-			}
-		}
-		return ExecOptions{Workers: 1, Checkpoints: store, CheckpointEvery: 1_000, Probe: memberProbe}
-	})
-	if !lost.Load() || group.Epoch() != 1 {
-		t.Fatalf("no rollback happened (lost=%v, epoch %d)", lost.Load(), group.Epoch())
-	}
-	if !bytes.Equal(results[0].Doc, plain.Doc) {
-		t.Errorf("document after a group rollback differs from the unsharded run:\n plain:   %s\n sharded: %s", plain.Doc, results[0].Doc)
-	}
-	full := uint64(req.Config.WarmupCycles + req.Config.AnalyzedCycles)
-	if got, want := probe.Snapshot().Cycles, full+lostAt-stableAt; got != want {
-		t.Errorf("root executed %d cycles, want %d: one run of %d plus the replay from stable cycle %d to %d (from cycle 0: %d)",
-			got, want, full, stableAt, lostAt, full+lostAt)
 	}
 }
 

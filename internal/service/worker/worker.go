@@ -520,8 +520,8 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 		}
 	})
 	// The probe's snapshots are the job's engine view on the coordinator
-	// and this worker's own engine series; telemetry samples let the
-	// coordinator merge a sharded job's member spans into one live view.
+	// and this worker's own engine series; telemetry samples are the
+	// job's live machine view.
 	opts := service.ExecOptions{
 		Workers:         a.Workers,
 		Checkpoints:     store,
@@ -530,14 +530,6 @@ func (w *Worker) execute(ctx context.Context, a *backend.Assignment) {
 		Sink:            &taskSink{Sink: push, metrics: w.metrics},
 		Probe:           obs.NewSimProbe(),
 		TelemetryEvery:  w.opts.TelemetryEvery,
-	}
-	if a.ShardCount >= 2 {
-		// A space-parallel member assignment: run this worker's tile span
-		// of the simulation, rendezvousing with the sibling members
-		// through the coordinator's shard exchange.
-		t := &shardTransport{w: w, ctx: taskCtx, taskID: a.TaskID, cancelRun: cancel}
-		opts.Shard = &service.ShardMember{Index: a.Shard, Count: a.ShardCount,
-			Transport: backend.NewMemberPeer(a.ShardEpoch, t.exchange)}
 	}
 	res, err := service.Execute(taskCtx, req, opts)
 	switch {
@@ -626,36 +618,6 @@ func (w *Worker) pushResult(ctx context.Context, taskID string, res backend.Resu
 func retryable(err error) bool {
 	var se *statusError
 	return !errors.As(err, &se) || se.status >= 500
-}
-
-// shardTransport is the worker's end of its group's all-gather: every
-// exchange is one blocking POST against the coordinator's shardsync
-// endpoint (the coordinator's ShardGroup is the barrier), answered with
-// every member's payload or with the rollback notice, which comes back
-// as the *sim.ShardRestartError it is.
-type shardTransport struct {
-	w         *Worker
-	ctx       context.Context
-	taskID    string
-	cancelRun context.CancelFunc
-}
-
-func (t *shardTransport) exchange(epoch int, payload []byte) ([][]byte, error) {
-	var resp backend.ShardExchangeResponse
-	err := t.w.doJSON(t.ctx, http.MethodPost, t.w.taskPath(t.taskID, "shardsync"),
-		backend.ShardExchangeRequest{Epoch: epoch, Payload: payload}, &resp)
-	switch {
-	case errors.Is(err, errGone) || errors.Is(err, errUnknown):
-		// The task is no longer ours: stop simulating, like every other
-		// push path.
-		t.cancelRun()
-		return nil, err
-	case err != nil:
-		return nil, err
-	case resp.Restart != nil:
-		return nil, resp.Restart
-	}
-	return resp.Payloads, nil
 }
 
 // remoteStore is the worker's CheckpointStore: loads are served from

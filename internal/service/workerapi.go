@@ -169,30 +169,6 @@ func (s *Server) handleWorkerCheckpointDrop(w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleWorkerShardExchange is one member's arrival at its group's
-// all-gather: it blocks until every sibling has arrived (or the group
-// rolls back or is cancelled) and answers with all payloads or the
-// member's rollback notice. Long-blocking by design — the fleet wakes it
-// on client disconnect via r.Context().
-func (s *Server) handleWorkerShardExchange(w http.ResponseWriter, r *http.Request) {
-	var req backend.ShardExchangeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckpointBlob))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: "malformed shard exchange body: " + err.Error()})
-		return
-	}
-	resp, err := s.fleet.ShardExchange(r.Context(), r.PathValue("id"), r.PathValue("task"), req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client went away mid-barrier
-		}
-		s.writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleWorkerResult(w http.ResponseWriter, r *http.Request) {
 	var res backend.ResultPush
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckpointBlob))

@@ -54,15 +54,15 @@ type RunResult struct {
 	SkippedCycles uint64        // cycles jumped over by fast-forwarding
 	Wall          time.Duration // host wall-clock time
 	Workers       int
-	// Stopped reports that the run ended because the stop predicate (or,
-	// for sharded runs, the group decision) fired rather than because the
-	// cycle bound was reached. Callers resuming a run in chunks use it to
-	// distinguish "workload finished" from "chunk finished".
+	// Stopped reports that the run ended because the stop predicate fired
+	// rather than because the cycle bound was reached. Callers resuming a
+	// run in chunks use it to distinguish "workload finished" from "chunk
+	// finished".
 	Stopped bool
-	// Err is non-nil when the run aborted: the shard coupler failed, or a
-	// tile panicked on an engine worker (a *PanicError). The executed/
-	// skipped counts reflect progress made before the failure; after a
-	// panic the tiles are in no defined state and must not be run again.
+	// Err is non-nil when the run aborted: a tile panicked on an engine
+	// worker (a *PanicError). The executed/skipped counts reflect progress
+	// made before the failure; after a panic the tiles are in no defined
+	// state and must not be run again.
 	Err error
 }
 
@@ -94,21 +94,8 @@ type Engine struct {
 	syncPeriod  int
 	fastForward bool
 
-	// The engine owns tiles [lo,hi). In single-process runs that is every
-	// tile; a sharded engine builds the full tile set (so boundary wiring
-	// and node numbering match the unsharded system) but steps only its
-	// span, delegating cross-shard agreement to the coupler.
-	lo, hi  int
-	coupler ShardCoupler
-	// done is the shard's local completion predicate (AND-combined across
-	// shards by the coupler's decision); nil when the run has none.
-	done func() bool
-
 	// inflight counts flits resident anywhere in the simulated network
 	// (VC buffers and ejection queues). Tiles update it via InFlight().
-	// Under sharding each process observes only its local injections and
-	// deliveries, so the counter can go negative; only the cross-shard sum
-	// is meaningful and only the coupler's decision consumes it.
 	inflight *atomic.Int64
 
 	// cross-barrier control written by the barrier leader.
@@ -119,10 +106,9 @@ type Engine struct {
 	errMu     sync.Mutex
 	runErr    error // first failure of the current run (guarded by errMu)
 
-	// probe, when non-nil, records cycles/sec, per-partition compute vs.
-	// barrier-wait time and shard sync round-trips. The nil case costs
-	// one predictable branch per phase and zero allocations (guarded by
-	// TestEngineHotPathAllocFree).
+	// probe, when non-nil, records cycles/sec and per-partition compute
+	// vs. barrier-wait time. The nil case costs one predictable branch per
+	// phase and zero allocations (guarded by TestEngineHotPathAllocFree).
 	probe *obs.SimProbe
 
 	// barrier is the current run's, met once per synchronization chunk.
@@ -207,41 +193,7 @@ func NewEngine(tiles []Tile, workers, syncPeriod int, fastForward bool, inflight
 		syncPeriod:  syncPeriod,
 		fastForward: fastForward,
 		inflight:    inflight,
-		lo:          0,
-		hi:          len(tiles),
 	}
-}
-
-// SetShard restricts the engine to the tile span owned by shard index out
-// of count (the same contiguous equal-division used for workers) and
-// installs the coupler consulted at every synchronization point plus the
-// shard's local completion predicate (may be nil). Sharding requires
-// cycle-accurate synchronization: boundary state is exchanged at sync
-// points, so coarser periods would let stale remote flits leak.
-func (e *Engine) SetShard(index, count int, coupler ShardCoupler, done func() bool) error {
-	if coupler == nil {
-		return fmt.Errorf("sim: sharded engine needs a coupler")
-	}
-	if e.syncPeriod != 1 {
-		return fmt.Errorf("sim: sharding requires sync period 1, have %d", e.syncPeriod)
-	}
-	lo, hi := ShardSpan(len(e.tiles), count, index)
-	e.lo, e.hi = lo, hi
-	e.coupler = coupler
-	e.done = done
-	if e.workers > hi-lo {
-		e.workers = hi - lo
-	}
-	return nil
-}
-
-// Span returns the tile span [lo,hi) this engine steps. A zero-value
-// span (an engine built without NewEngine) means every tile.
-func (e *Engine) Span() (lo, hi int) {
-	if e.hi == 0 {
-		return 0, len(e.tiles)
-	}
-	return e.lo, e.hi
 }
 
 // InFlight exposes the global in-network flit counter that tiles maintain.
@@ -250,18 +202,32 @@ func (e *Engine) InFlight() *atomic.Int64 { return e.inflight }
 // Workers returns the effective worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// partition returns the contiguous tile span [lo,hi) owned by worker w
-// within the engine's own span. Contiguous blocks keep neighbouring mesh
-// tiles on the same worker, which is what HORNET's equal-division mapping
-// does. At sync period 1 the span is only where the worker starts: a
-// worker that finishes its span takes chunks off the tail of another's
-// (spanClaims), so a tile is stepped by one worker at a time, handed over
-// only at the barrier. Loosely synchronized workers keep their spans: one
-// may be cycles ahead of another, so no chunk of a cycle is free for both.
+// ShardSpan returns the contiguous tile span [lo,hi) of part index among
+// count equal parts of n tiles: the engine's partition function, and the
+// span the i-th engine worker of a `shards: N` run starts from.
+func ShardSpan(n, count, index int) (lo, hi int) {
+	if count < 1 || index < 0 || index >= count || count > n {
+		panic(fmt.Sprintf("sim: bad span n=%d count=%d index=%d", n, count, index))
+	}
+	base, rem := n/count, n%count
+	lo = index*base + min(index, rem)
+	hi = lo + base
+	if index < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// partition returns the contiguous tile span [lo,hi) owned by worker w.
+// Contiguous blocks keep neighbouring mesh tiles on the same worker,
+// which is what HORNET's equal-division mapping does. At sync period 1
+// the span is only where the worker starts: a worker that finishes its
+// span takes chunks off the tail of another's (spanClaims), so a tile is
+// stepped by one worker at a time, handed over only at the barrier.
+// Loosely synchronized workers keep their spans: one may be cycles ahead
+// of another, so no chunk of a cycle is free for both.
 func (e *Engine) partition(w int) (lo, hi int) {
-	slo, shi := e.Span()
-	lo, hi = ShardSpan(shi-slo, e.workers, w)
-	return slo + lo, slo + hi
+	return ShardSpan(len(e.tiles), e.workers, w)
 }
 
 // Run simulates the half-open cycle window [start, start+cycleCount):
@@ -299,36 +265,31 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 
 	// apply acts on a synchronization-point decision; it runs on the barrier
 	// leader, or before any worker starts.
-	apply := func(dec ShardDecision) {
-		if dec.Skipped != 0 {
-			e.skipped.Add(dec.Skipped)
+	apply := func(dec syncDecision) {
+		if dec.skipped != 0 {
+			e.skipped.Add(dec.skipped)
 		}
-		if dec.Stopped {
+		if dec.stopped {
 			e.stopped.Store(true)
 		}
-		if dec.Halt {
+		if dec.halt {
 			e.halted.Store(true)
 		}
-		e.nextCycle.Store(dec.Next)
+		e.nextCycle.Store(dec.next)
 	}
 
-	// Join synchronization: the engine announces the chunk it is about to
-	// run; a shard group aligns on it (all shards must agree on start and
-	// end), and a resumed fast-forwarding run may jump past idle leading
-	// cycles before anything executes — from the cycle just before this
-	// chunk, the skip the previous chunk's leader would have taken had the
-	// run not been split here. A chunk skipped whole halts here: the workers
-	// below start and return at once.
-	vote := ShardVote{Join: true, Cycle: start, End: end, Inflight: e.inflight.Load(), Earliest: start}
-	if resume && start > 0 && e.mayJump(vote.Inflight) {
-		vote.Earliest = e.earliestEvent(start - 1)
+	// Join synchronization: before anything executes, a resumed
+	// fast-forwarding run may jump past idle leading cycles — from the
+	// cycle just before this chunk, the skip the previous chunk's leader
+	// would have taken had the run not been split here. A chunk skipped
+	// whole halts here: the workers below start and return at once.
+	vote := syncVote{join: true, cycle: start, end: end, inflight: e.inflight.Load(), earliest: start}
+	if resume && start > 0 && e.mayJump(vote.inflight) {
+		vote.earliest = e.earliestEvent(start - 1)
 	}
-	dec, err := e.decide(vote)
-	if err != nil {
-		return RunResult{Wall: time.Since(began), Workers: e.workers, Err: err}
-	}
+	dec := decideSync(vote)
 	apply(dec)
-	start = dec.Next
+	start = dec.next
 
 	e.barrier = NewBarrier(e.workers)
 
@@ -364,23 +325,17 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 	// outrun by a jump and the serve layer's final-cycle side effects always
 	// fire.
 	leader := func(cycleJustFinished uint64) {
-		vote := ShardVote{
-			Cycle:    cycleJustFinished,
-			End:      end,
-			Inflight: e.inflight.Load(),
-			Earliest: cycleJustFinished + 1,
-			Stop:     stop != nil && stop(cycleJustFinished),
-			Done:     e.done != nil && e.done(),
+		vote := syncVote{
+			cycle:    cycleJustFinished,
+			end:      end,
+			inflight: e.inflight.Load(),
+			earliest: cycleJustFinished + 1,
+			stop:     stop != nil && stop(cycleJustFinished),
 		}
-		if e.mayJump(vote.Inflight) {
-			vote.Earliest = e.earliestEvent(cycleJustFinished)
+		if e.mayJump(vote.inflight) {
+			vote.earliest = e.earliestEvent(cycleJustFinished)
 		}
-		dec, err := e.decide(vote)
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		apply(dec)
+		apply(decideSync(vote))
 		sample(cycleJustFinished)
 	}
 
@@ -585,39 +540,73 @@ func (s *spanClaims) take(round uint64, thief bool) (lo, hi int, ok bool) {
 	}
 }
 
-// decide takes one synchronization-point decision. A sharded engine asks
-// its group through the coupler; an uncoupled engine is a group of one and
-// applies the same rule to its own vote.
-func (e *Engine) decide(vote ShardVote) (ShardDecision, error) {
-	if e.coupler == nil {
-		return DecideShardSync([]ShardVote{vote})
-	}
-	var syncStart time.Time
-	if e.probe != nil {
-		syncStart = time.Now()
-	}
-	dec, err := e.coupler.Sync(vote)
-	if e.probe != nil {
-		e.probe.ShardSync(time.Since(syncStart))
-	}
-	return dec, err
+// syncVote is what the barrier leader knows at a synchronization point.
+type syncVote struct {
+	// join marks the run-start synchronization: cycle is the cycle about
+	// to execute (nothing has run yet), and the decision may fast-forward
+	// past it (a resumed run's pre-jump).
+	join bool
+	// cycle is the cycle just finished, or for a join the first cycle of
+	// the run; end is the run's exclusive cycle bound.
+	cycle, end uint64
+	// inflight is the in-network flit count.
+	inflight int64
+	// earliest is the earliest cycle strictly after cycle at which a tile
+	// could act on its own, NoEvent if never, or cycle+1 when the engine
+	// does not fast-forward.
+	earliest uint64
+	// stop is the run's stop predicate (cancellation, completion).
+	stop bool
 }
 
-// mayJump reports whether a vote's Earliest is worth scanning the tiles
-// for: only a fast-forwarding engine jumps, and an uncoupled one knows it
-// cannot while flits are in flight (a shard's own count says nothing; only
-// the group's sum does).
+// syncDecision is the outcome of one synchronization point.
+type syncDecision struct {
+	next    uint64 // the next cycle to execute (or end)
+	skipped uint64 // cycles fast-forwarded over at this point
+	halt    bool   // the run ends after this point
+	stopped bool   // it ends by the stop predicate, not by reaching end
+}
+
+// decideSync is the engine's synchronization-point rule: the stop
+// predicate is evaluated before fast-forward accounting (a stopping run
+// must not jump past its stop point), only a drained network jumps, and a
+// jump is clamped to end.
+func decideSync(v syncVote) syncDecision {
+	if v.join {
+		// Run-start alignment: possibly pre-jump past idle leading cycles
+		// (resumed runs), never evaluate stop.
+		next := v.cycle
+		var skipped uint64
+		if v.inflight == 0 && v.earliest > next {
+			t := min(v.earliest, v.end)
+			skipped = t - next
+			next = t
+		}
+		return syncDecision{next: next, skipped: skipped, halt: next >= v.end}
+	}
+	next := v.cycle + 1
+	var skipped uint64
+	if !v.stop && v.inflight == 0 && v.earliest > next {
+		t := min(v.earliest, v.end)
+		skipped = t - next
+		next = t
+	}
+	return syncDecision{next: next, skipped: skipped, halt: next >= v.end || v.stop, stopped: v.stop}
+}
+
+// mayJump reports whether a vote's earliest is worth scanning the tiles
+// for: only a fast-forwarding engine jumps, and not while flits are in
+// flight.
 func (e *Engine) mayJump(inflight int64) bool {
-	return e.fastForward && (e.coupler != nil || inflight == 0)
+	return e.fastForward && inflight == 0
 }
 
-// earliestEvent scans the engine's tile span for the soonest
-// self-initiated activity. Called only by the barrier leader while all
-// workers are blocked, so the tiles are quiescent and safe to query.
+// earliestEvent scans the tiles for the soonest self-initiated activity.
+// Called only by the barrier leader while all workers are blocked, so the
+// tiles are quiescent and safe to query.
 func (e *Engine) earliestEvent(now uint64) uint64 {
 	earliest := uint64(NoEvent)
-	lo, hi := e.Span()
-	for _, t := range e.tiles[lo:hi] {
+	for _, t := range e.tiles {
 		if ev := t.NextEvent(now); ev < earliest {
 			earliest = ev
 		}
