@@ -92,10 +92,15 @@ test-race-rest:
 # first tile waits for its last chunk, which only a thief can step, on 2-4
 # workers, and a hotspot 8x8 mesh on 1-4 workers held to one worker's
 # Summary and snapshot bytes.
+# Machine telemetry, which the barrier leader samples through the run's
+# stop predicate, reading every tile's counters and buffer occupancy
+# while the other workers are parked: a fast-forwarding trace machine and
+# busy ones at sync_period 1 and 8, on 1 and 2 workers, whole and in
+# chunks.
 # The short race gate runs the same tests over shorter windows.
 test-loose-sync:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent|TestPacketStateRoundTrip' \
+		-run 'TestLooseSyncConservesFlits|TestVCBufferConcurrentSPSC|TestCredit|TestOccupancyMaskTracksBuffers|TestRNGSkipMatchesDraws|TestSnapshotBytesGolden|TestSnapshotRoundTripDerivedRouterState|TestSnapshotRoundTripParkedVCs|TestParkedRouterIsIdle|TestEngineContainsTilePanic|TestEngineStealsSlowSpan|TestStolenChunksMatchOneWorker|TestEngineOneBarrierPerChunk|TestSkewedWorkersMatchOneWorker|TestBarrier|TestRouteStoreConcurrent|TestLinkArbiterReadsFarSideOneCycleLate|TestFirstDivergenceBidirectionalWorkers|TestBidirectionalUsesEveryEngineWorker|TestSharded(Synthetic|DoubleLink)ByteIdentity|TestShardedLocal(Synthetic|Checkpointed)ByteIdentity|TestPayloadRingConcurrent|TestPacketStateRoundTrip|TestTelemetrySamplesMachinePosition|TestTelemetryCadence' \
 		./internal/core ./internal/noc ./internal/routing ./internal/sim ./internal/service
 
 # One iteration of every benchmark in the repo: the root-package figure

@@ -27,6 +27,7 @@ type System struct {
 	engine     *sim.Engine
 	alg        routing.Algorithm
 	clock      uint64            // next cycle to simulate
+	skipped    uint64            // cycles fast-forwarded by every run so far
 	patterns   []traffic.Pattern // one per Config.Traffic entry (MachinePlan)
 	generators []*traffic.Generator
 	injectors  []*trace.Injector
@@ -40,8 +41,8 @@ type System struct {
 	traceMCs  []*mem.TraceController
 
 	// telemetry is the machine-telemetry collector (EnableTelemetry);
-	// nil until enabled, in which case the engine's sampler hook is a
-	// single nil check.
+	// nil until enabled, in which case runs pass their stop predicate to
+	// the engine untouched.
 	telemetry *telemetryCollector
 }
 
@@ -137,18 +138,12 @@ func (s *System) Workers() int { return s.engine.Workers() }
 func (s *System) SetProbe(p *obs.SimProbe) { s.engine.SetProbe(p) }
 
 // Run simulates the given number of cycles and returns the engine result.
-func (s *System) Run(cycles uint64) sim.RunResult {
-	r := s.engine.Run(s.clock, cycles, nil)
-	s.clock += r.Cycles + r.SkippedCycles
-	return r
-}
+func (s *System) Run(cycles uint64) sim.RunResult { return s.run(cycles, nil, false) }
 
 // RunUntil simulates until stop returns true (checked at synchronization
 // points) or maxCycles elapse.
 func (s *System) RunUntil(maxCycles uint64, stop func(cycle uint64) bool) sim.RunResult {
-	r := s.engine.Run(s.clock, maxCycles, stop)
-	s.clock += r.Cycles + r.SkippedCycles
-	return r
+	return s.run(maxCycles, stop, false)
 }
 
 // RunUntilResumed is RunUntil for the continuation of an earlier chunk
@@ -157,8 +152,27 @@ func (s *System) RunUntil(maxCycles uint64, stop func(cycle uint64) bool) sim.Ru
 // executing anything, keeping chunked execution byte-identical to an
 // uninterrupted run.
 func (s *System) RunUntilResumed(maxCycles uint64, stop func(cycle uint64) bool) sim.RunResult {
-	r := s.engine.RunResumed(s.clock, maxCycles, stop)
+	return s.run(maxCycles, stop, true)
+}
+
+// run is the body of Run, RunUntil and RunUntilResumed. With telemetry
+// enabled it samples the machine through the run's stop predicate, and
+// its end state after a run that did not fail.
+func (s *System) run(cycles uint64, stop func(cycle uint64) bool, resume bool) sim.RunResult {
+	if s.telemetry != nil {
+		stop = s.telemetry.hook(stop)
+	}
+	var r sim.RunResult
+	if resume {
+		r = s.engine.RunResumed(s.clock, cycles, stop)
+	} else {
+		r = s.engine.Run(s.clock, cycles, stop)
+	}
 	s.clock += r.Cycles + r.SkippedCycles
+	s.skipped += r.SkippedCycles
+	if s.telemetry != nil && r.Err == nil {
+		s.telemetry.sampleEnd()
+	}
 	return r
 }
 

@@ -7,33 +7,60 @@ import (
 	"hornet/internal/obs"
 )
 
-// telemetryCollector implements sim.Sampler: at engine sync points it
-// walks the system's tile span — every worker is parked at the barrier,
-// so the plain per-tile counters and the atomic VC occupancy reads are
-// coherent — and publishes an obs.TelemetrySnapshot under its own lock.
-// Consumers (the serve layer's wall-clock pump) read the latest sample
-// without ever touching simulation state.
+// telemetryCollector samples the machine through a run's stop predicate:
+// at a sync point every other worker is parked at the barrier, so the
+// plain per-tile counters and the atomic VC occupancy reads are coherent.
+// It publishes an obs.TelemetrySnapshot under its own lock; consumers (the
+// serve layer's wall-clock pump) read the latest sample without ever
+// touching simulation state.
 type telemetryCollector struct {
-	sys *System
+	sys   *System
+	every uint64 // sampling cadence in simulated cycles
 
 	mu     sync.Mutex
 	latest obs.TelemetrySnapshot
 	seq    uint64
-
-	// Sample receives the run-local skipped count, which resets between
-	// chunked runs; fold it into a cumulative total by banking the
-	// previous run's final value whenever the counter shrinks.
-	skippedBase uint64
-	lastRunSkip uint64
 }
 
-// Sample builds and publishes a snapshot of the whole machine.
-func (c *telemetryCollector) Sample(cycle, runSkipped uint64) {
+// hook returns the stop predicate of a run starting at the system's clock:
+// at each sync point whose cycle reaches the next multiple of every it
+// samples the machine, then asks stop (nil: never stop). The cadence is
+// absolute, so a run split into chunks samples at the cycles the
+// uninterrupted run would; a jump over several multiples samples once, at
+// the first sync point past it.
+func (c *telemetryCollector) hook(stop func(cycle uint64) bool) func(cycle uint64) bool {
+	s := c.sys
+	next := (s.clock/c.every + 1) * c.every
+	return func(cycle uint64) bool {
+		if cycle+1 >= next {
+			c.sample(cycle+1, s.skipped+s.engine.Skipped())
+			next = ((cycle+1)/c.every + 1) * c.every
+		}
+		return stop != nil && stop(cycle)
+	}
+}
+
+// sampleEnd samples the system's state after a run, unless the run's
+// last sync point already did: the latest sample then agrees with the
+// clock and the run's final statistics.
+func (c *telemetryCollector) sampleEnd() {
+	s := c.sys
+	c.mu.Lock()
+	done := c.seq > 0 && c.latest.Cycle == s.clock
+	c.mu.Unlock()
+	if !done {
+		c.sample(s.clock, s.skipped)
+	}
+}
+
+// sample builds and publishes a snapshot of the whole machine at cycle
+// with skipped cycles fast-forwarded so far.
+func (c *telemetryCollector) sample(cycle, skipped uint64) {
 	s := c.sys
 	snap := obs.TelemetrySnapshot{
-		Cycle:  cycle,
-		TileHi: len(s.tiles),
-		Tiles:  make([]obs.TileTelemetry, 0, len(s.tiles)),
+		Cycle:         cycle,
+		SkippedCycles: skipped,
+		Tiles:         make([]obs.TileTelemetry, 0, len(s.tiles)),
 	}
 	for i, t := range s.tiles {
 		inj, del, avg := t.Stats.FlitSample()
@@ -58,27 +85,20 @@ func (c *telemetryCollector) Sample(cycle, runSkipped uint64) {
 	}
 
 	c.mu.Lock()
-	if runSkipped < c.lastRunSkip {
-		c.skippedBase += c.lastRunSkip
-	}
-	c.lastRunSkip = runSkipped
-	snap.SkippedCycles = c.skippedBase + runSkipped
 	c.latest = snap
 	c.seq++
 	c.mu.Unlock()
 }
 
-// EnableTelemetry attaches a machine-telemetry collector to the engine,
-// sampling every `every` cycles at sync points (plus the final sync
-// point of every run). Idempotent: re-enabling keeps accumulated state
-// and adjusts the cadence. Costs nothing until the first sample; a
-// system that never calls this keeps the engine's nil-sampler fast
-// path.
+// EnableTelemetry samples the machine every `every` cycles at sync
+// points, plus once at the end of every run. Idempotent: re-enabling
+// keeps accumulated state and adjusts the cadence. A system that never
+// calls this runs with its stop predicates untouched.
 func (s *System) EnableTelemetry(every uint64) {
 	if s.telemetry == nil {
 		s.telemetry = &telemetryCollector{sys: s}
 	}
-	s.engine.SetSampler(s.telemetry, every)
+	s.telemetry.every = max(every, 1)
 }
 
 // Telemetry returns the latest machine-telemetry sample plus a

@@ -1,9 +1,9 @@
 // Package core assembles HORNET simulations: it builds the topology,
 // routing and VCA tables, routers, tiles and the parallel engine from a
 // config.Config, attaches frontends (synthetic traffic, trace injectors,
-// MIPS cores, Pin-style instrumented threads, memory subsystem), and runs
-// them with warmup/measurement phases, statistics aggregation, and power
-// and thermal sampling.
+// trace-mode memory controllers, MIPS cores, memory subsystem), and runs
+// them with warmup/measurement phases, statistics aggregation, power and
+// thermal sampling, and machine telemetry.
 package core
 
 import (
@@ -16,10 +16,10 @@ import (
 )
 
 // Component is anything stepped once per cycle on a tile through the
-// generic list: traffic generators, trace injectors, trace-mode memory
-// controllers, Pin-style frontends. Implementations are adapted at attach
-// time. The memory side (bridge) and the MIPS core are not components:
-// the tile calls them directly.
+// generic list: traffic generators, trace injectors and trace-mode
+// memory controllers. Implementations are adapted at attach time. The
+// memory side (bridge) and the MIPS core are not components: the tile
+// calls them directly.
 type Component interface {
 	Tick(cycle uint64)
 	NextEvent(now uint64) uint64

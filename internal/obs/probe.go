@@ -32,7 +32,6 @@ type SimProbe struct {
 // engine holds the pointer for a whole run, so per-cycle updates are
 // two atomic adds, no map lookups and no allocation.
 type PartitionProbe struct {
-	lo, hi    int
 	cycles    atomic.Uint64
 	computeNS atomic.Int64
 	barrierNS atomic.Int64
@@ -58,21 +57,16 @@ func (p *PartitionProbe) AddBarrier(d time.Duration, parked bool) {
 // process or in two — never pass for one probe's.
 func NewSimProbe() *SimProbe { return &SimProbe{id: rand.Uint64N(1 << 53)} }
 
-// Partition returns the accumulator for engine worker w of n, whose span
-// is tiles [lo,hi). Called once per worker per Run (not per cycle); the
-// slice grows lazily and accumulators persist across runs. At sync period
-// 1 a worker that finishes its span steps chunks of the others', so its
-// compute time includes the chunks it took over and [lo,hi) is where it
-// started, not every tile it stepped.
-func (p *SimProbe) Partition(w, n, lo, hi int) *PartitionProbe {
+// Partition returns the accumulator for engine worker w of n. Called once
+// per worker per Run (not per cycle); the slice grows lazily and
+// accumulators persist across runs.
+func (p *SimProbe) Partition(w, n int) *PartitionProbe {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.parts) < n {
 		p.parts = append(p.parts, &PartitionProbe{})
 	}
-	pp := p.parts[w]
-	pp.lo, pp.hi = lo, hi
-	return pp
+	return p.parts[w]
 }
 
 // RunDone folds one Engine.Run result into the probe.
@@ -100,8 +94,6 @@ type ProbeSnapshot struct {
 // PartitionSnapshot is one worker's share of a ProbeSnapshot.
 type PartitionSnapshot struct {
 	Worker    int     `json:"worker"`
-	TileLo    int     `json:"tile_lo"`
-	TileHi    int     `json:"tile_hi"`
 	Cycles    uint64  `json:"cycles"`
 	ComputeMS float64 `json:"compute_ms"`
 	BarrierMS float64 `json:"barrier_ms"`
@@ -124,15 +116,11 @@ func (p *SimProbe) Snapshot() ProbeSnapshot {
 	if wall := p.wallNS.Load(); wall > 0 {
 		s.CyclesPerSec = float64(s.Cycles) / (float64(wall) / 1e9)
 	}
-	// Hold mu across the iteration: pp.lo/hi are plain ints written by
-	// Partition under the same lock.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for w, pp := range p.parts {
 		s.Partitions = append(s.Partitions, PartitionSnapshot{
 			Worker:       w,
-			TileLo:       pp.lo,
-			TileHi:       pp.hi,
 			Cycles:       pp.cycles.Load(),
 			ComputeMS:    float64(pp.computeNS.Load()) / 1e6,
 			BarrierMS:    float64(pp.barrierNS.Load()) / 1e6,

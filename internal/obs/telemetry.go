@@ -2,11 +2,12 @@ package obs
 
 import "sort"
 
-// TelemetrySnapshot is a point-in-time view of the *simulated machine*
-// — as opposed to SimProbe, which times the simulator. It is sampled at
-// engine sync points (all workers parked at the barrier, so plain
-// counter reads are race-free), carried over the fleet wire in
-// TaskEvents, and served live over the job's telemetry SSE stream.
+// TelemetrySnapshot is a point-in-time view of the whole *simulated
+// machine* — as opposed to SimProbe, which times the simulator. It is
+// sampled at engine sync points (the other workers parked at the barrier,
+// so plain counter reads are race-free) and at the end of every run,
+// carried over the fleet wire in TaskEvents, and served live over the
+// job's telemetry SSE stream.
 //
 // Counters are cumulative over the measured window (stats reset at the
 // warmup boundary), so the final snapshot of a run agrees with the
@@ -17,11 +18,6 @@ type TelemetrySnapshot struct {
 	// pair locates the sample on the fast-forward vs measured axis.
 	Cycle         uint64 `json:"cycle"`
 	SkippedCycles uint64 `json:"skipped_cycles,omitempty"`
-
-	// TileLo and TileHi bound the sampled tiles [TileLo,TileHi): the
-	// whole machine.
-	TileLo int `json:"tile_lo"`
-	TileHi int `json:"tile_hi"`
 
 	Tiles []TileTelemetry `json:"tiles,omitempty"`
 	Links []LinkTelemetry `json:"links,omitempty"`

@@ -82,8 +82,8 @@ func TestTimelineCap(t *testing.T) {
 
 func TestProbeSnapshot(t *testing.T) {
 	p := NewSimProbe()
-	pp0 := p.Partition(0, 2, 0, 8)
-	pp1 := p.Partition(1, 2, 8, 16)
+	pp0 := p.Partition(0, 2)
+	pp1 := p.Partition(1, 2)
 	pp0.AddCycles(100)
 	pp0.AddCompute(80 * time.Millisecond)
 	pp0.AddBarrier(20*time.Millisecond, false)
@@ -103,8 +103,8 @@ func TestProbeSnapshot(t *testing.T) {
 	if len(s.Partitions) != 2 {
 		t.Fatalf("partitions = %d, want 2", len(s.Partitions))
 	}
-	if s.Partitions[1].TileLo != 8 || s.Partitions[1].TileHi != 16 {
-		t.Errorf("partition 1 span wrong: %+v", s.Partitions[1])
+	if s.Partitions[1].Worker != 1 || s.Partitions[1].Cycles != 100 {
+		t.Errorf("partition 1 wrong: %+v", s.Partitions[1])
 	}
 	if got := s.BarrierWallMS(); got < 69.9 || got > 70.1 {
 		t.Errorf("BarrierWallMS = %v, want 70", got)
@@ -116,7 +116,7 @@ func TestProbeSnapshot(t *testing.T) {
 		t.Errorf("ComputeWallMS = %v, want 130", got)
 	}
 	// Same-worker Partition across a second run accumulates.
-	if p.Partition(0, 2, 0, 8) != pp0 {
+	if p.Partition(0, 2) != pp0 {
 		t.Error("Partition not stable across runs")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // and never goes on the wire; an unknown or incomplete event is an error.
 func TestEventCodecRoundTrip(t *testing.T) {
 	engine := obs.ProbeSnapshot{Probe: 9, Runs: 1, Cycles: 400, WallMS: 2,
-		Partitions: []obs.PartitionSnapshot{{Worker: 0, TileHi: 16, Cycles: 400, ComputeMS: 1.5, BarrierMS: 0.5}}}
-	telemetry := obs.TelemetrySnapshot{Cycle: 256, TileHi: 16}
+		Partitions: []obs.PartitionSnapshot{{Worker: 0, Cycles: 400, ComputeMS: 1.5, BarrierMS: 0.5}}}
+	telemetry := obs.TelemetrySnapshot{Cycle: 256, SkippedCycles: 16}
 	for _, tc := range []struct {
 		name string
 		call func(Sink)

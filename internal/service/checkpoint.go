@@ -109,8 +109,8 @@ type execEnv struct {
 	// telEvery is the machine-telemetry cadence: every system this env
 	// runs samples per-tile/per-link state at sync points, and a
 	// wall-clock pump forwards the freshest sample to the run's sink
-	// every telEvery (0 means 500ms). Negative samples nothing: the
-	// engine keeps its nil-sampler fast path.
+	// every telEvery (0 means 500ms). Negative samples nothing: runs
+	// pass their stop predicates untouched.
 	telEvery time.Duration
 	// log receives checkpoint-layer diagnostics; nil means discard.
 	log *slog.Logger
@@ -139,18 +139,18 @@ func (e *execEnv) withStore(store CheckpointStore) *execEnv {
 	return &d
 }
 
-// telemetrySampleCycles is the engine-side sampling cadence: the
-// sampler fires at the first sync point at or past each multiple of
-// this many simulated cycles (plus once when a run halts). The
+// telemetrySampleCycles is the engine-side sampling cadence: a sample is
+// taken at the first sync point at or past each multiple of this many
+// simulated cycles (plus once at the end of every run). The
 // wall-clock pump decimates further, so the cadence only bounds how
 // stale a forwarded sample can be in simulation time.
 const telemetrySampleCycles = 256
 
 // startTelemetry enables machine telemetry on sys and starts the
 // wall-clock pump forwarding fresh samples to sink. The returned stop
-// function ends the pump and flushes the final sample — the one the
-// engine takes at the run's last sync point, which therefore agrees with
-// the run's final statistics. A no-op when the env samples no telemetry.
+// function ends the pump and flushes the final sample — the one taken at
+// the end of the last run, which therefore sits at the machine's clock and
+// agrees with the run's final statistics. A no-op when the env samples no telemetry.
 func (e *execEnv) startTelemetry(sys *core.System, sink backend.Sink) func() {
 	if e.telEvery < 0 {
 		return func() {}

@@ -97,9 +97,8 @@ func executeScenario(ctx context.Context, sc *scenario, env *execEnv, pool *swee
 
 // ExecOptions configures standalone execution of one submit request —
 // the path hornet-worker uses to run a task its coordinator dispatched.
-// The zero value runs unobserved: no sink, no probe, no telemetry
-// sampler, as hornet-exp -scenario and the benchmark's reference runs
-// need.
+// The zero value runs unobserved: no sink, no probe, no telemetry, as
+// hornet-exp -scenario and the benchmark's reference runs need.
 type ExecOptions struct {
 	// Workers is the CPU-slot budget of this execution; 0 means
 	// GOMAXPROCS.
@@ -131,7 +130,7 @@ type ExecOptions struct {
 	// counters, per-link buffer occupancy) at engine sync points and
 	// forward the freshest sample every TelemetryEvery of wall time, plus
 	// once after each run. Nil drops every event and samples no
-	// telemetry: the engine keeps its nil-sampler fast path.
+	// telemetry: runs pass their stop predicates untouched.
 	Sink backend.Sink
 	// Probe, if non-nil, is attached to every engine of the execution;
 	// its cumulative snapshots (cycles/sec, per-partition compute vs

@@ -116,8 +116,8 @@ func runToDone(t *testing.T, d *fleetDaemon, req service.SubmitRequest, timeout 
 // TestFleetByteIdentityAcrossBackends: one daemon with no workers (the
 // local backend) and one with a 2-worker fleet must produce
 // byte-identical documents for the same config and batch scenarios, and
-// one simulation split 2 ways across the fleet's workers must produce
-// the single-engine document.
+// a `shards: 2` job, which runs as one task on one fleet worker (clamped
+// to that worker's one slot), must produce the single-engine document.
 func TestFleetByteIdentityAcrossBackends(t *testing.T) {
 	analyzed, sharded := 3_000, 1_500
 	if fleetRaceDetector {
@@ -178,7 +178,7 @@ func TestFleetByteIdentityAcrossBackends(t *testing.T) {
 	if st.Fleet.FleetPeak > st.Fleet.FleetCapacity {
 		t.Errorf("fleet peak %d exceeds capacity %d", st.Fleet.FleetPeak, st.Fleet.FleetCapacity)
 	}
-	// config, batch and the sharded job's root member.
+	// config, batch and the `shards: 2` job, one task each.
 	if st.Fleet.TasksCompleted < 3 {
 		t.Errorf("stats.Fleet.TasksCompleted = %d, want >= 3", st.Fleet.TasksCompleted)
 	}

@@ -242,7 +242,7 @@ func TestTelemetryLateFirstSampleIsWithheld(t *testing.T) {
 	sub, unsub := j.subscribe()
 	defer unsub()
 	sample := func(cycle uint64) obs.TelemetrySnapshot {
-		return obs.TelemetrySnapshot{Cycle: cycle, TileHi: 16,
+		return obs.TelemetrySnapshot{Cycle: cycle,
 			Tiles: []obs.TileTelemetry{{Tile: 0, FlitsInjected: cycle / 10}}}
 	}
 	steps := []struct {

@@ -58,7 +58,7 @@ type Options struct {
 	// machine telemetry (per-tile flit counters, per-link buffer
 	// occupancy) is forwarded from executors to the job's merged view;
 	// 0 means 500ms, negative disables telemetry entirely (locally
-	// executed jobs then keep the engine's nil-sampler fast path).
+	// executed jobs' runs then pass their stop predicates untouched).
 	TelemetryEvery time.Duration
 
 	// StallAfter arms the stall watchdog: a running job whose executors

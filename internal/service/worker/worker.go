@@ -55,7 +55,7 @@ type Options struct {
 	// TelemetryEvery is the wall-clock cadence at which executing tasks
 	// push machine-telemetry samples (per-tile flit counters, per-link
 	// buffer occupancy) to the coordinator; 0 means 500ms, negative
-	// disables telemetry (the engines keep their nil-sampler fast path).
+	// disables telemetry (the engines run with their stop predicates untouched).
 	TelemetryEvery time.Duration
 }
 

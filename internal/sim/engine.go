@@ -6,6 +6,9 @@
 // synchronization chunk — one barrier per cycle when cycle-accurate
 // (sync period 1), one per period when loosely synchronized — plus
 // fast-forwarding over provably idle stretches (paper §II-C, §IV-B).
+// A run makes one callback at a sync point, its stop predicate, on the
+// barrier leader while every other worker is parked: the one place a
+// caller may read the whole machine mid-run.
 // Cycle-accurate workers claim a cycle's tiles in small chunks and, once
 // their own span is done, take over the tail of a slower one, so a tile is
 // stepped by one worker at a time, handed over only at the barrier.
@@ -117,44 +120,16 @@ type Engine struct {
 	// claims holds one claim word per worker span while workers steal
 	// (sync period 1, two or more workers); see spanClaims.
 	claims []spanClaims
-
-	// sampler, when non-nil, is invoked by the barrier leader every
-	// sampleEvery cycles (and at the final sync point of each run) while
-	// all workers are parked — the one point where tile state is
-	// quiescent and plain counter reads are race-free. Like the probe,
-	// the nil case is a single predictable branch per sync point.
-	sampler     Sampler
-	sampleEvery uint64
-	sampleNext  uint64
-}
-
-// Sampler receives simulated-machine samples at engine sync points.
-type Sampler interface {
-	// Sample reports that the machine has coherently reached cycle
-	// (exclusive: cycles [0,cycle) are complete) with runSkipped cycles
-	// fast-forwarded so far in the current run. It executes on the
-	// barrier leader with every worker parked, so implementations may
-	// read tile state directly, but must return quickly — the whole
-	// engine is stalled meanwhile.
-	Sample(cycle, runSkipped uint64)
 }
 
 // SetProbe attaches (or, with nil, detaches) an engine probe. Call
 // between runs, not while one is in flight.
 func (e *Engine) SetProbe(p *obs.SimProbe) { e.probe = p }
 
-// SetSampler attaches (or, with nil, detaches) a sync-point sampler
-// firing every `every` cycles (absolute cadence: samples land on
-// multiples of every, so chunked runs keep a stable rhythm). Call
-// between runs, not while one is in flight.
-func (e *Engine) SetSampler(s Sampler, every uint64) {
-	if every < 1 {
-		every = 1
-	}
-	e.sampler = s
-	e.sampleEvery = every
-	e.sampleNext = 0
-}
+// Skipped returns the cycles fast-forwarded so far in the current run.
+// Read from the run's stop predicate, it counts the jumps taken before
+// the sync point being decided.
+func (e *Engine) Skipped() uint64 { return e.skipped.Load() }
 
 // fail records the run's first failure and halts the run: every worker
 // exits at its next loop check.
@@ -233,11 +208,14 @@ func (e *Engine) partition(w int) (lo, hi int) {
 // Run simulates the half-open cycle window [start, start+cycleCount):
 // the second argument is a cycle COUNT, never an absolute end cycle —
 // Run(100, 50) advances the clock from 100 to at most 150. If stop is
-// non-nil it is evaluated exactly once at every synchronization point (by
-// the barrier leader, so it needs no internal locking) — including the
-// final one — and ends the run early when it returns true. The stop check
-// happens before fast-forward target election, so a stopping run never
-// jumps past its stop point. Run returns once all workers have finished.
+// non-nil it is evaluated exactly once at every synchronization point —
+// including the final one — and ends the run early when it returns true.
+// It is the run's one sync-point callback: the barrier leader calls it
+// with every other worker parked, so it needs no internal locking and may
+// read tile state directly (with Skipped for the jumps so far), but the
+// whole engine waits for it. The stop check happens before fast-forward
+// target election, so a stopping run never jumps past its stop point.
+// Run returns once all workers have finished.
 func (e *Engine) Run(start, cycleCount uint64, stop func(cycle uint64) bool) RunResult {
 	return e.run(start, cycleCount, stop, false)
 }
@@ -293,32 +271,6 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 
 	e.barrier = NewBarrier(e.workers)
 
-	// Align the sampling cadence to absolute multiples of sampleEvery
-	// strictly past this chunk's start, so restored/chunked runs sample
-	// at the same cycles the uninterrupted run would have.
-	if e.sampler != nil {
-		for e.sampleNext <= start {
-			e.sampleNext += e.sampleEvery
-		}
-	}
-
-	// sample runs on the barrier leader after the sync decision: at the
-	// cadence, and unconditionally at the final sync point of the run so
-	// the last sample agrees with the run's end state. Fast-forward
-	// jumps that clear one or more sample points collapse into a single
-	// sample at the landing cycle.
-	sample := func(cycleJustFinished uint64) {
-		if e.sampler == nil {
-			return
-		}
-		if cycleJustFinished+1 >= e.sampleNext || e.halted.Load() {
-			e.sampler.Sample(cycleJustFinished+1, e.skipped.Load())
-			for e.sampleNext <= cycleJustFinished+1 {
-				e.sampleNext += e.sampleEvery
-			}
-		}
-	}
-
 	// The stop predicate is consulted exactly once per synchronization
 	// point, even when the run is about to end, and the decision honours it
 	// before any fast-forward accounting — so a stop request can never be
@@ -336,7 +288,6 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 			vote.earliest = e.earliestEvent(cycleJustFinished)
 		}
 		apply(decideSync(vote))
-		sample(cycleJustFinished)
 	}
 
 	// Cycle-accurate workers steal: every worker is on the same cycle
@@ -389,7 +340,7 @@ func (e *Engine) run(start, cycleCount uint64, stop func(cycle uint64) bool, res
 			// branches on `part != nil` and does atomic adds.
 			var part *obs.PartitionProbe
 			if e.probe != nil {
-				part = e.probe.Partition(w, e.workers, lo, hi)
+				part = e.probe.Partition(w, e.workers)
 			}
 			var t0, t1 time.Time
 			var round uint64 // cycles this worker has stepped in this run

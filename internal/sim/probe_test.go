@@ -61,10 +61,10 @@ func TestEngineProbeRecords(t *testing.T) {
 		t.Fatalf("partitions = %d, want 2", len(s.Partitions))
 	}
 	var cycles uint64
-	for _, part := range s.Partitions {
+	for w, part := range s.Partitions {
 		cycles += part.Cycles
-		if part.TileHi <= part.TileLo {
-			t.Errorf("empty partition span: %+v", part)
+		if part.Worker != w {
+			t.Errorf("partition %d names worker %d", w, part.Worker)
 		}
 	}
 	// Each of the 2 partitions counts all 200 cycles.
