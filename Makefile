@@ -189,16 +189,20 @@ model-lines:
 deadcode:
 	@$(GO) run ./tools/deadcode
 
-# Fuzz smoke over the snapshot container's seed corpora plus the
-# scenario schema's decode→normalize→encode pipeline, which then compiles
-# and builds every accepted run of at most 64 nodes, frontend attached
-# (one target per invocation — `go test -fuzz` accepts a single target).
+# Fuzz smoke over the snapshot container's seed corpora, the scenario
+# schema's decode→normalize→encode pipeline, which then compiles and
+# builds every accepted run of at most 64 nodes, frontend attached, and
+# the MIPS assembler, seeded with its all-forms source and every kernel,
+# which must never panic, never build a section past its limit and
+# assemble a source the same way twice (one target per invocation —
+# `go test -fuzz` accepts a single target).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderPayload$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/mips
 
 # Scenario-schema golden gate: the examples/scenarios gallery matches
 # the preset registry byte for byte and every normalized form is a

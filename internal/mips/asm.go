@@ -3,15 +3,21 @@ package mips
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Default section base addresses (SPIM conventions).
+// Default section base addresses (SPIM conventions), and the most bytes
+// one section may hold. Every registered kernel stays far below the
+// bound (Cannon at b 64 needs about 80 KB); it keeps a malformed .space
+// or .align from asking for gigabytes.
 const (
 	TextBase = 0x0040_0000
 	DataBase = 0x1001_0000
+
+	sectionLimit = 16 << 20
 )
 
 // Segment is a contiguous chunk of the assembled image.
@@ -51,25 +57,42 @@ func (img *Image) decodedText() (base uint32, text []Inst) {
 }
 
 // Assemble translates MIPS assembly source into an Image. Supported
-// syntax: labels ("name:"), directives (.text, .data, .word, .half,
-// .byte, .asciiz, .ascii, .space, .align, .globl), the MIPS32 integer
-// subset the core executes, and the common pseudo-instructions (li, la,
-// move, nop, b, beqz, bnez, blt/bgt/ble/bge, mul, neg, not). Comments
-// start with '#'. Branch targets are labels; loads/stores use the
-// offset(register) form.
+// syntax: labels ("name:"), comments from '#', the sections .text and
+// .data, the data directives .word, .half and .byte (integers or
+// labels), .ascii, .asciiz, .space and .align (a power of two, 0..31),
+// and .globl, .global, .ent and .end, which are accepted and ignored.
+// Instructions are the MIPS32 integer subset the core executes (the
+// machine table below; jalr takes "rs" or "rd, rs") and the common
+// pseudo-instructions (li, la, move, nop, b, beqz, bnez, blt/bgt/ble/bge,
+// mul with a register or a constant, neg, not). Branch and jump targets
+// are labels; loads and stores take "off(reg)", "(reg)" or a bare offset
+// from $zero. A data directive in .text places its bytes in .text.
+//
+// Every error names its line. Besides unknown mnemonics, registers and
+// labels and wrong operand counts, Assemble rejects a shift amount
+// outside 0..31, a sign-extended immediate or memory offset outside
+// -32768..32767, a zero-extended immediate (andi, ori, xori, lui) outside
+// 0..65535, a branch out of reach, a negative .space, and any section
+// that would grow past 16 MiB. The lui/ori halves li, la and mul load
+// take any 32-bit value.
 func Assemble(src string) (*Image, error) {
 	a := &assembler{
 		symbols: make(map[string]uint32),
+		text:    section{name: ".text", base: TextBase, pc: TextBase},
+		data:    section{name: ".data", base: DataBase, pc: DataBase},
 	}
-	if err := a.run(src); err != nil {
+	if err := a.pass1(src); err != nil {
+		return nil, err
+	}
+	if err := a.pass2(); err != nil {
 		return nil, err
 	}
 	img := &Image{Symbols: a.symbols}
-	if len(a.text) > 0 {
-		img.Segments = append(img.Segments, Segment{Addr: TextBase, Data: a.text})
+	if len(a.text.buf) > 0 {
+		img.Segments = append(img.Segments, Segment{Addr: TextBase, Data: a.text.buf})
 	}
-	if len(a.data) > 0 {
-		img.Segments = append(img.Segments, Segment{Addr: DataBase, Data: a.data})
+	if len(a.data.buf) > 0 {
+		img.Segments = append(img.Segments, Segment{Addr: DataBase, Data: a.data.buf})
 	}
 	img.Entry = TextBase
 	if m, ok := a.symbols["main"]; ok {
@@ -78,39 +101,149 @@ func Assemble(src string) (*Image, error) {
 	return img, nil
 }
 
+// form is a machine instruction's operand syntax; encode switches on it.
+type form uint8
+
+const (
+	fNone      form = iota // syscall
+	fRdRsRt                // add rd, rs, rt
+	fRdRtRs                // sllv rd, rt, rs
+	fRdRtSh                // sll rd, rt, shamt
+	fRtRsImm               // addi rt, rs, imm (sign-extended)
+	fRtRsUImm              // andi rt, rs, imm (zero-extended)
+	fRtUImm                // lui rt, imm
+	fRtMem                 // lw rt, off(base)
+	fRsRtLabel             // beq rs, rt, label
+	fRsLabel               // blez rs, label
+	fLabel                 // j label
+	fRs                    // jr rs
+	fRd                    // mfhi rd
+	fRsRt                  // mult rs, rt
+	fJalr                  // jalr [rd,] rs
+)
+
+// operands is each form's operand count (jalr also takes two).
+var operands = [...]int{fNone: 0, fRdRsRt: 3, fRdRtRs: 3, fRdRtSh: 3, fRtRsImm: 3, fRtRsUImm: 3,
+	fRtUImm: 2, fRtMem: 2, fRsRtLabel: 3, fRsLabel: 2, fLabel: 1, fRs: 1, fRd: 1, fRsRt: 2, fJalr: 1}
+
+// machine is the instruction set: each mnemonic's operand form, opcode,
+// and SPECIAL function or REGIMM rt.
+var machine = map[string]struct {
+	form   form
+	op, fn uint8
+}{
+	"syscall": {fNone, opSpecial, fnSYSCALL},
+	"add":     {fRdRsRt, opSpecial, fnADD},
+	"addu":    {fRdRsRt, opSpecial, fnADDU},
+	"sub":     {fRdRsRt, opSpecial, fnSUB},
+	"subu":    {fRdRsRt, opSpecial, fnSUBU},
+	"and":     {fRdRsRt, opSpecial, fnAND},
+	"or":      {fRdRsRt, opSpecial, fnOR},
+	"xor":     {fRdRsRt, opSpecial, fnXOR},
+	"nor":     {fRdRsRt, opSpecial, fnNOR},
+	"slt":     {fRdRsRt, opSpecial, fnSLT},
+	"sltu":    {fRdRsRt, opSpecial, fnSLTU},
+	"sllv":    {fRdRtRs, opSpecial, fnSLLV},
+	"srlv":    {fRdRtRs, opSpecial, fnSRLV},
+	"srav":    {fRdRtRs, opSpecial, fnSRAV},
+	"sll":     {fRdRtSh, opSpecial, fnSLL},
+	"srl":     {fRdRtSh, opSpecial, fnSRL},
+	"sra":     {fRdRtSh, opSpecial, fnSRA},
+	"addi":    {fRtRsImm, opADDI, 0},
+	"addiu":   {fRtRsImm, opADDIU, 0},
+	"slti":    {fRtRsImm, opSLTI, 0},
+	"sltiu":   {fRtRsImm, opSLTIU, 0},
+	"andi":    {fRtRsUImm, opANDI, 0},
+	"ori":     {fRtRsUImm, opORI, 0},
+	"xori":    {fRtRsUImm, opXORI, 0},
+	"lui":     {fRtUImm, opLUI, 0},
+	"lb":      {fRtMem, opLB, 0},
+	"lbu":     {fRtMem, opLBU, 0},
+	"lh":      {fRtMem, opLH, 0},
+	"lhu":     {fRtMem, opLHU, 0},
+	"lw":      {fRtMem, opLW, 0},
+	"sb":      {fRtMem, opSB, 0},
+	"sh":      {fRtMem, opSH, 0},
+	"sw":      {fRtMem, opSW, 0},
+	"beq":     {fRsRtLabel, opBEQ, 0},
+	"bne":     {fRsRtLabel, opBNE, 0},
+	"blez":    {fRsLabel, opBLEZ, 0},
+	"bgtz":    {fRsLabel, opBGTZ, 0},
+	"bltz":    {fRsLabel, opRegImm, rtBLTZ},
+	"bgez":    {fRsLabel, opRegImm, rtBGEZ},
+	"j":       {fLabel, opJ, 0},
+	"jal":     {fLabel, opJAL, 0},
+	"jr":      {fRs, opSpecial, fnJR},
+	"jalr":    {fJalr, opSpecial, fnJALR},
+	"mthi":    {fRs, opSpecial, fnMTHI},
+	"mtlo":    {fRs, opSpecial, fnMTLO},
+	"mfhi":    {fRd, opSpecial, fnMFHI},
+	"mflo":    {fRd, opSpecial, fnMFLO},
+	"mult":    {fRsRt, opSpecial, fnMULT},
+	"multu":   {fRsRt, opSpecial, fnMULTU},
+	"div":     {fRsRt, opSpecial, fnDIV},
+	"divu":    {fRsRt, opSpecial, fnDIVU},
+}
+
+// pseudos rewrites each pseudo-instruction into machine instructions;
+// %N stands for the pseudo-instruction's operand N. The lui and ori of a
+// rewrite load the upper and lower half of a 32-bit value. mul uses imm
+// instead of to when its last operand is an integer literal.
+var pseudos = map[string]struct {
+	operands int
+	to, imm  []string
+}{
+	"nop":  {0, []string{"sll $zero, $zero, 0"}, nil},
+	"move": {2, []string{"addu %0, %1, $zero"}, nil},
+	"neg":  {2, []string{"sub %0, $zero, %1"}, nil},
+	"not":  {2, []string{"nor %0, %1, $zero"}, nil},
+	"b":    {1, []string{"beq $zero, $zero, %0"}, nil},
+	"beqz": {2, []string{"beq %0, $zero, %1"}, nil},
+	"bnez": {2, []string{"bne %0, $zero, %1"}, nil},
+	"li":   {2, []string{"lui $at, %1", "ori %0, $at, %1"}, nil},
+	"la":   {2, []string{"lui $at, %1", "ori %0, $at, %1"}, nil},
+	"blt":  {3, []string{"slt $at, %0, %1", "bne $at, $zero, %2"}, nil},
+	"bgt":  {3, []string{"slt $at, %1, %0", "bne $at, $zero, %2"}, nil},
+	"ble":  {3, []string{"slt $at, %1, %0", "beq $at, $zero, %2"}, nil},
+	"bge":  {3, []string{"slt $at, %0, %1", "beq $at, $zero, %2"}, nil},
+	"mul": {3, []string{"mult %1, %2", "mflo %0"},
+		[]string{"lui $at, %2", "ori $at, $at, %2", "mult %1, $at", "mflo %0"}},
+}
+
+// section is one output section: its next address in pass 1, its bytes
+// in pass 2.
+type section struct {
+	name     string
+	base, pc uint32
+	buf      []byte
+}
+
+// stmt is one machine instruction or data directive at its address.
 type stmt struct {
-	line   int
-	mnem   string
-	args   []string
-	addr   uint32
-	inText bool
+	line int
+	mnem string
+	args []string
+	addr uint32
+	sec  *section
+	// half marks an instruction a pseudo-instruction expanded to: its lui
+	// or ori takes a half of a 32-bit immediate.
+	half bool
 }
 
 type assembler struct {
-	symbols map[string]uint32
-	text    []byte
-	data    []byte
-	stmts   []stmt
+	symbols    map[string]uint32
+	text, data section
+	stmts      []stmt
+	// sizing is set in pass 1, where a label not defined yet reads as 0.
+	sizing bool
 }
 
-func (a *assembler) run(src string) error {
-	if err := a.pass1(src); err != nil {
-		return err
-	}
-	return a.pass2()
-}
-
-// pass1 tokenizes, expands sizes, assigns addresses and collects labels.
+// pass1 expands pseudo-instructions, assigns every statement its address
+// and collects labels. A machine instruction is one word; a data
+// directive is as long as what datum encodes it to.
 func (a *assembler) pass1(src string) error {
-	inText := true
-	textPC := uint32(TextBase)
-	dataPC := uint32(DataBase)
-	pc := func() *uint32 {
-		if inText {
-			return &textPC
-		}
-		return &dataPC
-	}
+	a.sizing = true
+	sec := &a.text
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -130,618 +263,337 @@ func (a *assembler) pass1(src string) error {
 			if _, dup := a.symbols[label]; dup {
 				return fmt.Errorf("asm: line %d: duplicate label %q", lineNo+1, label)
 			}
-			a.symbols[label] = *pc()
+			a.symbols[label] = sec.pc
 			line = strings.TrimSpace(line[i+1:])
 		}
 		if line == "" {
 			continue
 		}
 		mnem, rest := splitMnem(line)
-		args := splitArgs(rest)
-		s := stmt{line: lineNo + 1, mnem: mnem, args: args, inText: inText}
+		s := stmt{line: lineNo + 1, mnem: mnem, args: splitArgs(rest), addr: sec.pc, sec: sec}
+		var err error
 		switch mnem {
 		case ".text":
-			inText = true
-			continue
+			sec = &a.text
 		case ".data":
-			inText = false
-			continue
+			sec = &a.data
 		case ".globl", ".global", ".ent", ".end":
-			continue // accepted and ignored
-		case ".align":
-			n, err := parseInt(args, 0, s.line)
-			if err != nil {
-				return err
+			// accepted and ignored
+		case ".word", ".half", ".byte", ".space", ".asciiz", ".ascii", ".align":
+			var b []byte
+			if b, err = a.datum(&s); err == nil {
+				err = a.place(s, len(b))
 			}
-			align := uint32(1) << uint(n)
-			*pc() = (*pc() + align - 1) &^ (align - 1)
-			base := uint32(TextBase)
-			if !inText {
-				base = DataBase
-			}
-			a.padTo(inText, *pc()-base)
-			continue
-		case ".word", ".half", ".byte", ".space", ".asciiz", ".ascii":
-			s.addr = *pc()
-			size, err := a.dataSize(&s)
-			if err != nil {
-				return err
-			}
-			*pc() += uint32(size)
-			a.stmts = append(a.stmts, s)
-			continue
+		default:
+			err = a.expand(s)
 		}
-		if !inText {
-			return fmt.Errorf("asm: line %d: instruction %q in .data section", s.line, mnem)
-		}
-		words, err := instWords(mnem, args, s.line)
 		if err != nil {
 			return err
 		}
-		s.addr = *pc()
-		*pc() += uint32(4 * words)
-		a.stmts = append(a.stmts, s)
+	}
+	a.sizing = false
+	return nil
+}
+
+// place gives s the next size bytes of its section.
+func (a *assembler) place(s stmt, size int) error {
+	s.addr = s.sec.pc
+	if err := s.fits(int64(size)); err != nil {
+		return err
+	}
+	s.sec.pc += uint32(size)
+	a.stmts = append(a.stmts, s)
+	return nil
+}
+
+// fits fails when n more bytes at s's address would grow its section
+// past sectionLimit.
+func (s *stmt) fits(n int64) error {
+	if int64(s.addr-s.sec.base)+n > sectionLimit {
+		return fmt.Errorf("asm: line %d: %s section grows past %d bytes", s.line, s.sec.name, sectionLimit)
 	}
 	return nil
 }
 
-// padTo grows a section buffer to at least size bytes (section-relative).
-func (a *assembler) padTo(inText bool, size uint32) {
-	if inText {
-		for uint32(len(a.text)) < size {
-			a.text = append(a.text, 0)
+// expand places an instruction: a machine instruction as it is, a
+// pseudo-instruction as its rewrite.
+func (a *assembler) expand(s stmt) error {
+	if s.sec != &a.text {
+		return fmt.Errorf("asm: line %d: instruction %q in .data section", s.line, s.mnem)
+	}
+	_, ok := machine[s.mnem]
+	p, pseudo := pseudos[s.mnem]
+	switch {
+	case !ok && !pseudo:
+		return fmt.Errorf("asm: line %d: unknown mnemonic %q", s.line, s.mnem)
+	case s.addr&3 != 0:
+		return fmt.Errorf("asm: line %d: instruction %q at unaligned address %#x", s.line, s.mnem, s.addr)
+	case ok:
+		return a.place(s, 4)
+	}
+	if len(s.args) != p.operands {
+		return fmt.Errorf("asm: line %d: %s wants %d operands, got %d", s.line, s.mnem, p.operands, len(s.args))
+	}
+	to := p.to
+	if p.imm != nil && isIntLiteral(s.args[len(s.args)-1]) {
+		to = p.imm
+	}
+	for _, inst := range to {
+		mnem, rest := splitMnem(inst)
+		m := stmt{line: s.line, mnem: mnem, sec: s.sec, half: true}
+		for _, arg := range splitArgs(rest) {
+			if arg[0] == '%' {
+				arg = s.args[arg[1]-'0']
+			}
+			m.args = append(m.args, arg)
 		}
-	} else {
-		for uint32(len(a.data)) < size {
-			a.data = append(a.data, 0)
+		if err := a.place(m, 4); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// dataSize computes a data directive's byte size (pass 1).
-func (a *assembler) dataSize(s *stmt) (int, error) {
-	switch s.mnem {
-	case ".word":
-		return 4 * len(s.args), nil
-	case ".half":
-		return 2 * len(s.args), nil
-	case ".byte":
-		return len(s.args), nil
-	case ".space":
-		n, err := parseInt(s.args, 0, s.line)
-		if err != nil {
-			return 0, err
-		}
-		return int(n), nil
-	case ".asciiz", ".ascii":
-		str, err := parseString(s.args, s.line)
-		if err != nil {
-			return 0, err
-		}
-		if s.mnem == ".asciiz" {
-			return len(str) + 1, nil
-		}
-		return len(str), nil
-	}
-	return 0, fmt.Errorf("asm: line %d: unknown directive %q", s.line, s.mnem)
-}
-
-// instWords returns how many machine words a (possibly pseudo)
-// instruction expands to.
-func instWords(mnem string, args []string, line int) (int, error) {
-	switch mnem {
-	case "mul":
-		// mul rd, rs, rt is two words; mul rd, rs, imm loads the
-		// immediate through $at first (four words).
-		if len(args) == 3 && isIntLiteral(args[2]) {
-			return 4, nil
-		}
-		return 2, nil
-	case "li", "la", "blt", "bgt", "ble", "bge":
-		return 2, nil
-	case "nop", "move", "b", "beqz", "bnez", "neg", "not", "syscall",
-		"add", "addu", "sub", "subu", "and", "or", "xor", "nor", "slt", "sltu",
-		"sllv", "srlv", "srav", "sll", "srl", "sra",
-		"addi", "addiu", "slti", "sltiu", "andi", "ori", "xori", "lui",
-		"lb", "lbu", "lh", "lhu", "lw", "sb", "sh", "sw",
-		"beq", "bne", "blez", "bgtz", "bltz", "bgez",
-		"j", "jal", "jr", "jalr",
-		"mult", "multu", "div", "divu", "mfhi", "mflo", "mthi", "mtlo":
-		return 1, nil
-	}
-	return 0, fmt.Errorf("asm: line %d: unknown mnemonic %q", line, mnem)
-}
-
-// pass2 encodes every statement.
+// pass2 encodes every statement into its section.
 func (a *assembler) pass2() error {
-	for _, s := range a.stmts {
+	a.text.buf = make([]byte, a.text.pc-a.text.base)
+	a.data.buf = make([]byte, a.data.pc-a.data.base)
+	for i := range a.stmts {
+		s := &a.stmts[i]
+		out := s.sec.buf[s.addr-s.sec.base:]
 		if strings.HasPrefix(s.mnem, ".") {
-			if err := a.emitData(&s); err != nil {
+			b, err := a.datum(s)
+			if err != nil {
 				return err
 			}
+			copy(out, b)
 			continue
 		}
-		words, err := a.encode(&s)
+		w, err := a.encode(s)
 		if err != nil {
 			return err
 		}
-		off := s.addr - TextBase
-		a.padTo(true, off+uint32(4*len(words)))
-		for i, w := range words {
-			binary.LittleEndian.PutUint32(a.text[off+uint32(4*i):], w)
-		}
+		binary.LittleEndian.PutUint32(out, w)
 	}
 	return nil
 }
 
-func (a *assembler) emitData(s *stmt) error {
-	off := s.addr - DataBase
-	emit := func(b []byte) {
-		a.padTo(false, off+uint32(len(b)))
-		copy(a.data[off:], b)
-	}
+// datum encodes a data directive, or the padding of an .align, into the
+// bytes it places at s.addr. Pass 1 sizes the directive with it.
+func (a *assembler) datum(s *stmt) ([]byte, error) {
 	switch s.mnem {
 	case ".word":
-		buf := make([]byte, 4*len(s.args))
-		for i, arg := range s.args {
-			v, err := a.value(arg, s.line)
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(buf[4*i:], v)
-		}
-		emit(buf)
+		return a.ints(s, 4)
 	case ".half":
-		buf := make([]byte, 2*len(s.args))
-		for i, arg := range s.args {
-			v, err := a.value(arg, s.line)
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint16(buf[2*i:], uint16(v))
-		}
-		emit(buf)
+		return a.ints(s, 2)
 	case ".byte":
-		buf := make([]byte, len(s.args))
-		for i, arg := range s.args {
-			v, err := a.value(arg, s.line)
-			if err != nil {
-				return err
-			}
-			buf[i] = byte(v)
-		}
-		emit(buf)
-	case ".space":
-		n, err := parseInt(s.args, 0, s.line)
-		if err != nil {
-			return err
-		}
-		emit(make([]byte, n))
+		return a.ints(s, 1)
 	case ".asciiz", ".ascii":
 		str, err := parseString(s.args, s.line)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b := []byte(str)
 		if s.mnem == ".asciiz" {
 			b = append(b, 0)
 		}
-		emit(b)
+		return b, nil
 	}
-	return nil
+	n, err := parseInt(s.args, 0, s.line)
+	if err != nil {
+		return nil, err
+	}
+	if s.mnem == ".align" {
+		if n < 0 || n > 31 {
+			return nil, fmt.Errorf("asm: line %d: alignment %d out of range [0, 31]", s.line, n)
+		}
+		n = int64(-s.addr & (1<<n - 1))
+	} else if n < 0 {
+		return nil, fmt.Errorf("asm: line %d: negative size %d", s.line, n)
+	}
+	if err := s.fits(n); err != nil {
+		return nil, err
+	}
+	return make([]byte, n), nil
 }
 
-// value resolves an integer literal or label to its value/address.
-func (a *assembler) value(arg string, line int) (uint32, error) {
+// ints encodes s's operands as little-endian integers of w bytes each.
+func (a *assembler) ints(s *stmt, w int) ([]byte, error) {
+	b := make([]byte, w*len(s.args))
+	var le [4]byte
+	for i, arg := range s.args {
+		v, err := a.value(arg, s.line)
+		if err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(le[:], uint32(v))
+		copy(b[w*i:], le[:w])
+	}
+	return b, nil
+}
+
+// value resolves an integer literal or a label; in pass 1 a label not
+// defined yet reads as 0.
+func (a *assembler) value(arg string, line int) (int64, error) {
 	if v, ok := a.symbols[arg]; ok {
-		return v, nil
+		return int64(v), nil
 	}
 	n, err := strconv.ParseInt(arg, 0, 64)
-	if err != nil {
+	if err != nil && !(a.sizing && validLabel(arg)) {
 		return 0, fmt.Errorf("asm: line %d: bad value %q", line, arg)
 	}
-	return uint32(int64(n)), nil
+	return n, nil
 }
 
-func (a *assembler) reg(arg string, line int) (uint8, error) {
+// encode translates one machine instruction into its word.
+func (a *assembler) encode(s *stmt) (uint32, error) {
+	in := machine[s.mnem]
+	args := s.args
+	if n := operands[in.form]; len(args) != n && !(in.form == fJalr && len(args) == 2) {
+		return 0, fmt.Errorf("asm: line %d: %s wants %d operands, got %d", s.line, s.mnem, n, len(args))
+	}
+	f := fields{a: a, s: s}
+	var w uint32
+	switch in.form {
+	case fNone:
+		w = EncodeR(in.fn, 0, 0, 0, 0)
+	case fRdRsRt:
+		rd, rs, rt := f.reg(args[0]), f.reg(args[1]), f.reg(args[2])
+		w = EncodeR(in.fn, rs, rt, rd, 0)
+	case fRdRtRs:
+		rd, rt, rs := f.reg(args[0]), f.reg(args[1]), f.reg(args[2])
+		w = EncodeR(in.fn, rs, rt, rd, 0)
+	case fRdRtSh:
+		rd, rt, sh := f.reg(args[0]), f.reg(args[1]), f.imm(args[2], 0, 31, "shift amount")
+		w = EncodeR(in.fn, 0, rt, rd, uint8(sh))
+	case fRtRsImm, fRtRsUImm:
+		rt, rs, imm := f.reg(args[0]), f.reg(args[1]), f.imm16(args[2], in.form == fRtRsUImm)
+		w = EncodeI(in.op, rs, rt, uint16(imm))
+	case fRtUImm:
+		rt, imm := f.reg(args[0]), f.imm16(args[1], true)
+		if s.half {
+			imm >>= 16
+		}
+		w = EncodeI(in.op, 0, rt, uint16(imm))
+	case fRtMem:
+		rt := f.reg(args[0])
+		off, base := f.mem(args[1])
+		w = EncodeI(in.op, base, rt, off)
+	case fRsRtLabel:
+		rs, rt, off := f.reg(args[0]), f.reg(args[1]), f.branch(args[2])
+		w = EncodeI(in.op, rs, rt, off)
+	case fRsLabel:
+		rs, off := f.reg(args[0]), f.branch(args[1])
+		w = EncodeI(in.op, rs, in.fn, off)
+	case fLabel:
+		w = EncodeJ(in.op, f.label(args[0])>>2)
+	case fRs:
+		w = EncodeR(in.fn, f.reg(args[0]), 0, 0, 0)
+	case fRd:
+		w = EncodeR(in.fn, 0, 0, f.reg(args[0]), 0)
+	case fRsRt:
+		rs, rt := f.reg(args[0]), f.reg(args[1])
+		w = EncodeR(in.fn, rs, rt, 0, 0)
+	case fJalr:
+		rd := uint8(RegRA)
+		if len(args) == 2 {
+			rd = f.reg(args[0])
+		}
+		w = EncodeR(in.fn, f.reg(args[len(args)-1]), 0, rd, 0)
+	}
+	return w, f.err
+}
+
+// fields parses one statement's operands into instruction fields,
+// keeping the first error.
+type fields struct {
+	a   *assembler
+	s   *stmt
+	err error
+}
+
+func (f *fields) fail(format string, args ...any) {
+	if f.err == nil {
+		f.err = fmt.Errorf("asm: line %d: "+format, append([]any{f.s.line}, args...)...)
+	}
+}
+
+func (f *fields) reg(arg string) uint8 {
 	r, err := RegNumber(arg)
 	if err != nil {
-		return 0, fmt.Errorf("asm: line %d: %v", line, err)
+		f.fail("%v", err)
 	}
-	return r, nil
+	return r
 }
 
-// branchOff computes the PC-relative branch offset (in words) from the
-// instruction at addr to a label.
-func (a *assembler) branchOff(label string, addr uint32, line int) (uint16, error) {
-	target, ok := a.symbols[label]
-	if !ok {
-		return 0, fmt.Errorf("asm: line %d: undefined label %q", line, label)
+// imm reads an integer literal or label in [lo, hi].
+func (f *fields) imm(arg string, lo, hi int64, what string) int64 {
+	v, err := f.a.value(arg, f.s.line)
+	switch {
+	case err != nil:
+		if f.err == nil {
+			f.err = err
+		}
+	case v < lo || v > hi:
+		f.fail("%s %s out of range [%d, %d]", what, arg, lo, hi)
 	}
-	diff := int64(target) - int64(addr+4)
-	if diff&3 != 0 {
-		return 0, fmt.Errorf("asm: line %d: misaligned branch target %q", line, label)
-	}
-	words := diff >> 2
-	if words < -(1<<15) || words >= 1<<15 {
-		return 0, fmt.Errorf("asm: line %d: branch to %q out of range", line, label)
-	}
-	return uint16(words), nil
+	return v
 }
 
-func (a *assembler) need(s *stmt, n int) error {
-	if len(s.args) != n {
-		return fmt.Errorf("asm: line %d: %s wants %d operands, got %d", s.line, s.mnem, n, len(s.args))
+// imm16 reads a 16-bit immediate, zero- or sign-extended by its
+// instruction; a pseudo-instruction's half takes any value.
+func (f *fields) imm16(arg string, zext bool) int64 {
+	switch {
+	case f.s.half:
+		return f.imm(arg, math.MinInt64, math.MaxInt64, "")
+	case zext:
+		return f.imm(arg, 0, math.MaxUint16, "immediate")
 	}
-	return nil
+	return f.imm(arg, math.MinInt16, math.MaxInt16, "immediate")
 }
 
-// encode translates one statement into machine words.
-func (a *assembler) encode(s *stmt) ([]uint32, error) {
-	switch s.mnem {
-	case "nop":
-		return []uint32{0}, nil
-	case "syscall":
-		return []uint32{EncodeR(fnSYSCALL, 0, 0, 0, 0)}, nil
-
-	// Three-register ALU ops: op rd, rs, rt.
-	case "add", "addu", "sub", "subu", "and", "or", "xor", "nor", "slt", "sltu":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		fns := map[string]uint8{"add": fnADD, "addu": fnADDU, "sub": fnSUB, "subu": fnSUBU,
-			"and": fnAND, "or": fnOR, "xor": fnXOR, "nor": fnNOR, "slt": fnSLT, "sltu": fnSLTU}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		rt, e3 := a.reg(s.args[2], s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fns[s.mnem], rs, rt, rd, 0)}, nil
-
-	// Variable shifts: op rd, rt, rs.
-	case "sllv", "srlv", "srav":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		fns := map[string]uint8{"sllv": fnSLLV, "srlv": fnSRLV, "srav": fnSRAV}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rt, e2 := a.reg(s.args[1], s.line)
-		rs, e3 := a.reg(s.args[2], s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fns[s.mnem], rs, rt, rd, 0)}, nil
-
-	// Immediate shifts: op rd, rt, shamt.
-	case "sll", "srl", "sra":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		fns := map[string]uint8{"sll": fnSLL, "srl": fnSRL, "sra": fnSRA}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rt, e2 := a.reg(s.args[1], s.line)
-		sh, e3 := a.value(s.args[2], s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fns[s.mnem], 0, rt, rd, uint8(sh))}, nil
-
-	// Immediate ALU ops: op rt, rs, imm.
-	case "addi", "addiu", "slti", "sltiu", "andi", "ori", "xori":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		ops := map[string]uint8{"addi": opADDI, "addiu": opADDIU, "slti": opSLTI,
-			"sltiu": opSLTIU, "andi": opANDI, "ori": opORI, "xori": opXORI}
-		rt, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		imm, e3 := a.value(s.args[2], s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(ops[s.mnem], rs, rt, uint16(imm))}, nil
-
-	case "lui":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rt, e1 := a.reg(s.args[0], s.line)
-		imm, e2 := a.value(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(opLUI, 0, rt, uint16(imm))}, nil
-
-	// Loads and stores: op rt, off(rs).
-	case "lb", "lbu", "lh", "lhu", "lw", "sb", "sh", "sw":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		ops := map[string]uint8{"lb": opLB, "lbu": opLBU, "lh": opLH, "lhu": opLHU,
-			"lw": opLW, "sb": opSB, "sh": opSH, "sw": opSW}
-		rt, e1 := a.reg(s.args[0], s.line)
-		off, base, e2 := a.memOperand(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(ops[s.mnem], base, rt, off)}, nil
-
-	// Branches.
-	case "beq", "bne":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		op := opBEQ
-		if s.mnem == "bne" {
-			op = opBNE
-		}
-		rs, e1 := a.reg(s.args[0], s.line)
-		rt, e2 := a.reg(s.args[1], s.line)
-		off, e3 := a.branchOff(s.args[2], s.addr, s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(uint8(op), rs, rt, off)}, nil
-	case "blez", "bgtz":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		op := opBLEZ
-		if s.mnem == "bgtz" {
-			op = opBGTZ
-		}
-		rs, e1 := a.reg(s.args[0], s.line)
-		off, e2 := a.branchOff(s.args[1], s.addr, s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(uint8(op), rs, 0, off)}, nil
-	case "bltz", "bgez":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rt := uint8(rtBLTZ)
-		if s.mnem == "bgez" {
-			rt = rtBGEZ
-		}
-		rs, e1 := a.reg(s.args[0], s.line)
-		off, e2 := a.branchOff(s.args[1], s.addr, s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(opRegImm, rs, rt, off)}, nil
-
-	// Jumps.
-	case "j", "jal":
-		if err := a.need(s, 1); err != nil {
-			return nil, err
-		}
-		target, ok := a.symbols[s.args[0]]
-		if !ok {
-			return nil, fmt.Errorf("asm: line %d: undefined label %q", s.line, s.args[0])
-		}
-		op := uint8(opJ)
-		if s.mnem == "jal" {
-			op = opJAL
-		}
-		return []uint32{EncodeJ(op, target>>2)}, nil
-	case "jr":
-		if err := a.need(s, 1); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(s.args[0], s.line)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fnJR, rs, 0, 0, 0)}, nil
-	case "jalr":
-		rs, err := a.reg(s.args[len(s.args)-1], s.line)
-		if err != nil {
-			return nil, err
-		}
-		rd := uint8(RegRA)
-		if len(s.args) == 2 {
-			if rd, err = a.reg(s.args[0], s.line); err != nil {
-				return nil, err
-			}
-		}
-		return []uint32{EncodeR(fnJALR, rs, 0, rd, 0)}, nil
-
-	// HI/LO unit.
-	case "mult", "multu", "div", "divu":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		fns := map[string]uint8{"mult": fnMULT, "multu": fnMULTU, "div": fnDIV, "divu": fnDIVU}
-		rs, e1 := a.reg(s.args[0], s.line)
-		rt, e2 := a.reg(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fns[s.mnem], rs, rt, 0, 0)}, nil
-	case "mfhi", "mflo":
-		if err := a.need(s, 1); err != nil {
-			return nil, err
-		}
-		fn := uint8(fnMFHI)
-		if s.mnem == "mflo" {
-			fn = fnMFLO
-		}
-		rd, err := a.reg(s.args[0], s.line)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fn, 0, 0, rd, 0)}, nil
-	case "mthi", "mtlo":
-		if err := a.need(s, 1); err != nil {
-			return nil, err
-		}
-		fn := uint8(fnMTHI)
-		if s.mnem == "mtlo" {
-			fn = fnMTLO
-		}
-		rs, err := a.reg(s.args[0], s.line)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fn, rs, 0, 0, 0)}, nil
-
-	// Pseudo-instructions.
-	case "li", "la":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rt, e1 := a.reg(s.args[0], s.line)
-		v, e2 := a.value(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{
-			EncodeI(opLUI, 0, RegAT, uint16(v>>16)),
-			EncodeI(opORI, RegAT, rt, uint16(v)),
-		}, nil
-	case "move":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fnADDU, rs, 0, rd, 0)}, nil
-	case "neg":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fnSUB, 0, rs, rd, 0)}, nil
-	case "not":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeR(fnNOR, rs, 0, rd, 0)}, nil
-	case "b":
-		if err := a.need(s, 1); err != nil {
-			return nil, err
-		}
-		off, err := a.branchOff(s.args[0], s.addr, s.line)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(opBEQ, 0, 0, off)}, nil
-	case "beqz", "bnez":
-		if err := a.need(s, 2); err != nil {
-			return nil, err
-		}
-		op := uint8(opBEQ)
-		if s.mnem == "bnez" {
-			op = opBNE
-		}
-		rs, e1 := a.reg(s.args[0], s.line)
-		off, e2 := a.branchOff(s.args[1], s.addr, s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		return []uint32{EncodeI(op, rs, 0, off)}, nil
-	case "blt", "bgt", "ble", "bge":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		r1, e1 := a.reg(s.args[0], s.line)
-		r2, e2 := a.reg(s.args[1], s.line)
-		// The slt occupies the first word; the branch is at addr+4.
-		off, e3 := a.branchOff(s.args[2], s.addr+4, s.line)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return nil, err
-		}
-		var slt uint32
-		var br uint32
-		switch s.mnem {
-		case "blt": // rs < rt
-			slt = EncodeR(fnSLT, r1, r2, RegAT, 0)
-			br = EncodeI(opBNE, RegAT, 0, off)
-		case "bge": // rs >= rt
-			slt = EncodeR(fnSLT, r1, r2, RegAT, 0)
-			br = EncodeI(opBEQ, RegAT, 0, off)
-		case "bgt": // rs > rt  <=>  rt < rs
-			slt = EncodeR(fnSLT, r2, r1, RegAT, 0)
-			br = EncodeI(opBNE, RegAT, 0, off)
-		case "ble": // rs <= rt  <=>  !(rt < rs)
-			slt = EncodeR(fnSLT, r2, r1, RegAT, 0)
-			br = EncodeI(opBEQ, RegAT, 0, off)
-		}
-		return []uint32{slt, br}, nil
-	case "mul":
-		if err := a.need(s, 3); err != nil {
-			return nil, err
-		}
-		rd, e1 := a.reg(s.args[0], s.line)
-		rs, e2 := a.reg(s.args[1], s.line)
-		if err := firstErr(e1, e2); err != nil {
-			return nil, err
-		}
-		if isIntLiteral(s.args[2]) {
-			v, err := a.value(s.args[2], s.line)
-			if err != nil {
-				return nil, err
-			}
-			return []uint32{
-				EncodeI(opLUI, 0, RegAT, uint16(v>>16)),
-				EncodeI(opORI, RegAT, RegAT, uint16(v)),
-				EncodeR(fnMULT, rs, RegAT, 0, 0),
-				EncodeR(fnMFLO, 0, 0, rd, 0),
-			}, nil
-		}
-		rt, err := a.reg(s.args[2], s.line)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{
-			EncodeR(fnMULT, rs, rt, 0, 0),
-			EncodeR(fnMFLO, 0, 0, rd, 0),
-		}, nil
-	}
-	return nil, fmt.Errorf("asm: line %d: unknown mnemonic %q", s.line, s.mnem)
-}
-
-// memOperand parses "off(reg)" or "(reg)" or a bare label/number with
-// register $zero.
-func (a *assembler) memOperand(arg string, line int) (uint16, uint8, error) {
+// mem parses "off(reg)", "(reg)", or a bare offset from $zero.
+func (f *fields) mem(arg string) (off uint16, base uint8) {
 	open := strings.IndexByte(arg, '(')
 	if open < 0 {
-		v, err := a.value(arg, line)
-		if err != nil {
-			return 0, 0, err
-		}
-		return uint16(v), RegZero, nil
+		return uint16(f.imm(arg, math.MinInt16, math.MaxInt16, "offset")), RegZero
 	}
 	if !strings.HasSuffix(arg, ")") {
-		return 0, 0, fmt.Errorf("asm: line %d: bad memory operand %q", line, arg)
+		f.fail("bad memory operand %q", arg)
+		return 0, 0
 	}
-	base, err := a.reg(arg[open+1:len(arg)-1], line)
-	if err != nil {
-		return 0, 0, err
+	base = f.reg(arg[open+1 : len(arg)-1])
+	if offStr := strings.TrimSpace(arg[:open]); offStr != "" {
+		off = uint16(f.imm(offStr, math.MinInt16, math.MaxInt16, "offset"))
 	}
-	offStr := strings.TrimSpace(arg[:open])
-	if offStr == "" {
-		return 0, base, nil
+	return off, base
+}
+
+func (f *fields) label(arg string) uint32 {
+	target, ok := f.a.symbols[arg]
+	if !ok {
+		f.fail("undefined label %q", arg)
 	}
-	v, err := a.value(offStr, line)
-	if err != nil {
-		return 0, 0, err
+	return target
+}
+
+// branch computes the PC-relative offset (in words) from the
+// instruction to a label.
+func (f *fields) branch(arg string) uint16 {
+	target, ok := f.a.symbols[arg]
+	if !ok {
+		f.fail("undefined label %q", arg)
+		return 0
 	}
-	return uint16(v), base, nil
+	diff := int64(target) - int64(f.s.addr+4)
+	if diff&3 != 0 {
+		f.fail("misaligned branch target %q", arg)
+	}
+	words := diff >> 2
+	if words < math.MinInt16 || words > math.MaxInt16 {
+		f.fail("branch to %q out of range", arg)
+	}
+	return uint16(words)
 }
 
 func splitMnem(line string) (string, string) {
@@ -829,13 +681,4 @@ func parseString(args []string, line int) (string, error) {
 		return "", fmt.Errorf("asm: line %d: bad string %s", line, args[0])
 	}
 	return s, nil
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

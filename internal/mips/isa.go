@@ -2,9 +2,13 @@
 // §II-D2): a single-cycle in-order MIPS32-subset core with either private
 // local memory plus the MPI-style network syscall interface (send / poll
 // / receive with DMA semantics), or a memory hierarchy port (L1+MSI or
-// NUCA) for shared-memory execution; a two-pass assembler substitutes for
-// the paper's GCC cross-compiler so workloads like Cannon's algorithm can
-// be written as MIPS source without an external toolchain.
+// NUCA) for shared-memory execution; an assembler substitutes for the
+// paper's GCC cross-compiler so workloads like Cannon's algorithm can be
+// written as MIPS source without an external toolchain. The assembler is
+// two tables and two passes: one table gives each machine mnemonic its
+// operand form and opcode, the other rewrites each pseudo-instruction
+// into machine instructions; pass 1 expands pseudo-instructions and lays
+// out labels, pass 2 encodes.
 package mips
 
 import "fmt"

@@ -280,6 +280,60 @@ func TestAssemblerErrors(t *testing.T) {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
 	}
+
+	// Each of these once panicked, asked for gigabytes or assembled a
+	// field other than the one written; each must fail with its line.
+	rejected := []struct{ src, want string }{
+		{".bogus 1", `line 1: unknown mnemonic ".bogus"`},
+		{"nop\njalr", "line 2: jalr wants 1 operands, got 0"},
+		{"jalr $t0, $t1, $t2", "line 1: jalr wants 1 operands, got 3"},
+		{".data\n.space -1", "line 2: negative size -1"},
+		{".data\n.space 4000000000", "line 2: .data section grows past 16777216 bytes"},
+		{".space 16777216\nnop", "line 2: .text section grows past 16777216 bytes"},
+		{".data\n.align 40", "line 2: alignment 40 out of range [0, 31]"},
+		{".data\n.align -1", "line 2: alignment -1 out of range [0, 31]"},
+		{".data\n.byte 1\n.align 31", "line 3: .data section grows past 16777216 bytes"},
+		{"sll $t0, $t1, 99", "line 1: shift amount 99 out of range [0, 31]"},
+		{"srl $t0, $t1, -1", "line 1: shift amount -1 out of range [0, 31]"},
+		{"addi $t0, $t0, 99999999", "line 1: immediate 99999999 out of range [-32768, 32767]"},
+		{"addiu $t0, $t0, -32769", "line 1: immediate -32769 out of range [-32768, 32767]"},
+		{"slti $t0, $t0, 32768", "line 1: immediate 32768 out of range [-32768, 32767]"},
+		{"andi $t0, $t0, -1", "line 1: immediate -1 out of range [0, 65535]"},
+		{"ori $t0, $t0, 65536", "line 1: immediate 65536 out of range [0, 65535]"},
+		{"lui $t0, 0x10000", "line 1: immediate 0x10000 out of range [0, 65535]"},
+		{"sw $t0, 32768($sp)", "line 1: offset 32768 out of range [-32768, 32767]"},
+		{"lh $t0, -32769($sp)", "line 1: offset -32769 out of range [-32768, 32767]"},
+		{".data\nx: .word 1\n.text\nlw $t0, x", "line 4: offset x out of range [-32768, 32767]"},
+		{".half 1\nnop", `line 2: instruction "nop" at unaligned address 0x400002`},
+	}
+	for _, c := range rejected {
+		_, err := Assemble(c.src)
+		if err == nil || err.Error() != "asm: "+c.want {
+			t.Errorf("Assemble(%q) = %v, want asm: %s", c.src, err, c.want)
+		}
+	}
+}
+
+// A data directive under .text places its bytes in .text, at the
+// address pass 1 gave them.
+func TestDataInText(t *testing.T) {
+	img, err := Assemble(`
+main:	j main
+table:	.word main, 7
+	.byte 1
+	.align 2
+	jr $ra
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0x00, 0x00, 0x10, 0x08, 0x00, 0x00, 0x40, 0x00, 7, 0, 0, 0, 1, 0, 0, 0, 0x08, 0x00, 0xe0, 0x03}
+	if len(img.Segments) != 1 || img.Segments[0].Addr != TextBase || string(img.Segments[0].Data) != string(want) {
+		t.Fatalf("segments %+v, want one text segment % x", img.Segments, want)
+	}
+	if img.Symbols["table"] != TextBase+4 {
+		t.Fatalf("table at %#x, want %#x", img.Symbols["table"], TextBase+4)
+	}
 }
 
 func TestSyscallIdentity(t *testing.T) {

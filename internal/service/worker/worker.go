@@ -68,7 +68,6 @@ type Worker struct {
 	mu      sync.Mutex
 	idle    *sync.Cond // signalled when busy slots free up
 	id      string
-	ckEvery uint64
 	hbEvery time.Duration
 	// busy is the number of capacity slots held by in-flight
 	// executions; the worker keeps polling while busy < Capacity, so a
@@ -306,7 +305,6 @@ func (w *Worker) register(ctx context.Context) error {
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.ID
-			w.ckEvery = resp.CheckpointEvery
 			w.hbEvery = resp.HeartbeatEvery
 			w.mu.Unlock()
 			w.metrics.registered()
