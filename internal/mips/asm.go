@@ -185,29 +185,30 @@ var machine = map[string]struct {
 	"divu":    {fRsRt, opSpecial, fnDIVU},
 }
 
-// pseudos rewrites each pseudo-instruction into machine instructions;
-// %N stands for the pseudo-instruction's operand N. The lui and ori of a
-// rewrite load the upper and lower half of a 32-bit value. mul uses imm
-// instead of to when its last operand is an integer literal.
+// pseudos rewrites each pseudo-instruction into machine instructions,
+// each a mnemonic and its operands; %N stands for the pseudo-instruction's
+// operand N. The lui and ori of a rewrite load the upper and lower half of
+// a 32-bit value. mul uses imm instead of to when its last operand is an
+// integer literal.
 var pseudos = map[string]struct {
 	operands int
-	to, imm  []string
+	to, imm  [][]string
 }{
-	"nop":  {0, []string{"sll $zero, $zero, 0"}, nil},
-	"move": {2, []string{"addu %0, %1, $zero"}, nil},
-	"neg":  {2, []string{"sub %0, $zero, %1"}, nil},
-	"not":  {2, []string{"nor %0, %1, $zero"}, nil},
-	"b":    {1, []string{"beq $zero, $zero, %0"}, nil},
-	"beqz": {2, []string{"beq %0, $zero, %1"}, nil},
-	"bnez": {2, []string{"bne %0, $zero, %1"}, nil},
-	"li":   {2, []string{"lui $at, %1", "ori %0, $at, %1"}, nil},
-	"la":   {2, []string{"lui $at, %1", "ori %0, $at, %1"}, nil},
-	"blt":  {3, []string{"slt $at, %0, %1", "bne $at, $zero, %2"}, nil},
-	"bgt":  {3, []string{"slt $at, %1, %0", "bne $at, $zero, %2"}, nil},
-	"ble":  {3, []string{"slt $at, %1, %0", "beq $at, $zero, %2"}, nil},
-	"bge":  {3, []string{"slt $at, %0, %1", "beq $at, $zero, %2"}, nil},
-	"mul": {3, []string{"mult %1, %2", "mflo %0"},
-		[]string{"lui $at, %2", "ori $at, $at, %2", "mult %1, $at", "mflo %0"}},
+	"nop":  {0, [][]string{{"sll", "$zero", "$zero", "0"}}, nil},
+	"move": {2, [][]string{{"addu", "%0", "%1", "$zero"}}, nil},
+	"neg":  {2, [][]string{{"sub", "%0", "$zero", "%1"}}, nil},
+	"not":  {2, [][]string{{"nor", "%0", "%1", "$zero"}}, nil},
+	"b":    {1, [][]string{{"beq", "$zero", "$zero", "%0"}}, nil},
+	"beqz": {2, [][]string{{"beq", "%0", "$zero", "%1"}}, nil},
+	"bnez": {2, [][]string{{"bne", "%0", "$zero", "%1"}}, nil},
+	"li":   {2, [][]string{{"lui", "$at", "%1"}, {"ori", "%0", "$at", "%1"}}, nil},
+	"la":   {2, [][]string{{"lui", "$at", "%1"}, {"ori", "%0", "$at", "%1"}}, nil},
+	"blt":  {3, [][]string{{"slt", "$at", "%0", "%1"}, {"bne", "$at", "$zero", "%2"}}, nil},
+	"bgt":  {3, [][]string{{"slt", "$at", "%1", "%0"}, {"bne", "$at", "$zero", "%2"}}, nil},
+	"ble":  {3, [][]string{{"slt", "$at", "%1", "%0"}, {"beq", "$at", "$zero", "%2"}}, nil},
+	"bge":  {3, [][]string{{"slt", "$at", "%0", "%1"}, {"beq", "$at", "$zero", "%2"}}, nil},
+	"mul": {3, [][]string{{"mult", "%1", "%2"}, {"mflo", "%0"}},
+		[][]string{{"lui", "$at", "%2"}, {"ori", "$at", "$at", "%2"}, {"mult", "%1", "$at"}, {"mflo", "%0"}}},
 }
 
 // section is one output section: its next address in pass 1, its bytes
@@ -309,7 +310,7 @@ func (a *assembler) place(s stmt, size int) error {
 // fits fails when n more bytes at s's address would grow its section
 // past sectionLimit.
 func (s *stmt) fits(n int64) error {
-	if int64(s.addr-s.sec.base)+n > sectionLimit {
+	if n > sectionLimit-int64(s.addr-s.sec.base) {
 		return fmt.Errorf("asm: line %d: %s section grows past %d bytes", s.line, s.sec.name, sectionLimit)
 	}
 	return nil
@@ -339,13 +340,12 @@ func (a *assembler) expand(s stmt) error {
 		to = p.imm
 	}
 	for _, inst := range to {
-		mnem, rest := splitMnem(inst)
-		m := stmt{line: s.line, mnem: mnem, sec: s.sec, half: true}
-		for _, arg := range splitArgs(rest) {
+		m := stmt{line: s.line, mnem: inst[0], args: make([]string, len(inst)-1), sec: s.sec, half: true}
+		for i, arg := range inst[1:] {
 			if arg[0] == '%' {
 				arg = s.args[arg[1]-'0']
 			}
-			m.args = append(m.args, arg)
+			m.args[i] = arg
 		}
 		if err := a.place(m, 4); err != nil {
 			return err

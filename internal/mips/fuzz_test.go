@@ -19,6 +19,7 @@ func FuzzAssemble(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(string(golden))
+	f.Add(".data\n.byte 0\n.space 9223372036854775807")
 	for _, name := range workloads.Names() {
 		k, _ := workloads.Lookup(name)
 		run, err := workloads.Spec{Kernel: name}.Bind(4, k.Shared)

@@ -290,6 +290,8 @@ func TestAssemblerErrors(t *testing.T) {
 		{".data\n.space -1", "line 2: negative size -1"},
 		{".data\n.space 4000000000", "line 2: .data section grows past 16777216 bytes"},
 		{".space 16777216\nnop", "line 2: .text section grows past 16777216 bytes"},
+		{".data\n.byte 0\n.space 9223372036854775807", "line 3: .data section grows past 16777216 bytes"},
+		{".byte 0\n.space 9223372036854775807", "line 2: .text section grows past 16777216 bytes"},
 		{".data\n.align 40", "line 2: alignment 40 out of range [0, 31]"},
 		{".data\n.align -1", "line 2: alignment -1 out of range [0, 31]"},
 		{".data\n.byte 1\n.align 31", "line 3: .data section grows past 16777216 bytes"},
